@@ -29,6 +29,7 @@
 //!   plants a defrag bug that drops tenant caps and requires the
 //!   scheduler oracle to catch it and shrink the trace to ≤ 5 events.
 
+use catapult::chaos::FaultPlan;
 use shell::ltl::LtlMode;
 use simcheck::elastic::{run_elastic, run_elastic_events, ElasticRepro, ElasticSpec};
 use simcheck::repro::{ReproMode, ReproSpec};
@@ -63,40 +64,51 @@ fn render(violations: &[Violation]) -> String {
     out
 }
 
-/// Shrinks a failing session and writes the repro artifact.
-fn shrink_session(spec: &SessionSpec, violations: &[Violation]) -> ReproSpec {
-    let minimal = ddmin(&spec.plan.events, |events| {
-        let mut probe = spec.clone();
-        probe.plan.events = events.to_vec();
-        !run_session(&probe).violations.is_empty()
-    });
+/// Shrinks a failing spec's fault plan to a minimal one that still
+/// violates and builds its repro. `plan` projects the spec's fault plan,
+/// `run` returns one run's violations, `repro` is the matching
+/// `ReproSpec` constructor.
+fn shrink<S: Clone>(
+    spec: &S,
+    violations: &[Violation],
+    plan: fn(&mut S) -> &mut FaultPlan,
+    run: fn(&S) -> Vec<Violation>,
+    repro: fn(&S, &[Violation]) -> ReproSpec,
+) -> ReproSpec {
     let mut shrunk = spec.clone();
-    shrunk.plan.events = minimal;
-    let final_violations = run_session(&shrunk).violations;
+    let minimal = ddmin(&plan(&mut shrunk).events, |events| {
+        let mut probe = spec.clone();
+        plan(&mut probe).events = events.to_vec();
+        !run(&probe).is_empty()
+    });
+    plan(&mut shrunk).events = minimal;
+    let final_violations = run(&shrunk);
     let caught = if final_violations.is_empty() {
         violations
     } else {
         &final_violations
     };
-    ReproSpec::from_session(&shrunk, caught)
+    repro(&shrunk, caught)
 }
 
-/// Shrinks a failing cluster scenario and writes the repro artifact.
+fn shrink_session(spec: &SessionSpec, violations: &[Violation]) -> ReproSpec {
+    shrink(
+        spec,
+        violations,
+        |s| &mut s.plan,
+        |s| run_session(s).violations,
+        ReproSpec::from_session,
+    )
+}
+
 fn shrink_scenario(spec: &ScenarioSpec, violations: &[Violation]) -> ReproSpec {
-    let minimal = ddmin(&spec.plan.events, |events| {
-        let mut probe = spec.clone();
-        probe.plan.events = events.to_vec();
-        !run_scenario(&probe).violations.is_empty()
-    });
-    let mut shrunk = spec.clone();
-    shrunk.plan.events = minimal;
-    let final_violations = run_scenario(&shrunk).violations;
-    let caught = if final_violations.is_empty() {
-        violations
-    } else {
-        &final_violations
-    };
-    ReproSpec::from_scenario(&shrunk, caught)
+    shrink(
+        spec,
+        violations,
+        |s| &mut s.plan,
+        |s| run_scenario(s).violations,
+        ReproSpec::from_scenario,
+    )
 }
 
 fn fail_with_repro(repro: ReproSpec, original_events: usize) -> ! {

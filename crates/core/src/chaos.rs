@@ -764,7 +764,10 @@ impl ChaosRig {
             plan,
             issued,
         };
-        rig.install_plan();
+        install_plan(&mut rig.cluster, rig.monitor_id, &rig.plan, |node| {
+            let client = rig.triples.iter().find(|t| t.client_addr == node);
+            Some(client.expect("stall targets a client").client_id)
+        });
         rig
     }
 
@@ -773,116 +776,123 @@ impl ChaosRig {
         &self.plan
     }
 
-    /// Schedules every fault in the plan as engine messages.
-    fn install_plan(&mut self) {
-        let events = self.plan.events.clone();
-        for ev in events {
-            match ev.kind {
-                FaultKind::LinkFlap { node, down } => {
-                    let tor = self.cluster.fabric().tor_switch(node.pod, node.tor);
-                    let port = PortId(node.host);
-                    let e = self.cluster.engine_mut();
-                    e.schedule(
-                        ev.at,
-                        tor,
-                        Msg::custom(SwitchCmd::SetLinkUp { port, up: false }),
-                    );
-                    e.schedule(
-                        ev.at + down,
-                        tor,
-                        Msg::custom(SwitchCmd::SetLinkUp { port, up: true }),
-                    );
-                }
-                FaultKind::TorCrash { pod, tor, reboot } => {
-                    let id = self.cluster.fabric().tor_switch(pod, tor);
-                    self.cluster.engine_mut().schedule(
-                        ev.at,
-                        id,
-                        Msg::custom(SwitchCmd::Crash {
-                            reboot_after: reboot,
-                        }),
-                    );
-                }
-                FaultKind::CorruptBurst { node, frames } => {
-                    let tor = self.cluster.fabric().tor_switch(node.pod, node.tor);
-                    self.cluster.engine_mut().schedule(
-                        ev.at,
-                        tor,
-                        Msg::custom(SwitchCmd::CorruptNext {
-                            port: PortId(node.host),
-                            frames,
-                        }),
-                    );
-                }
-                FaultKind::FpgaHang { node, duration } => {
-                    let shell = self.cluster.shell_id(node).expect("target populated");
-                    self.cluster.engine_mut().schedule(
-                        ev.at,
-                        shell,
-                        Msg::custom(ShellCmd::HangRole { duration }),
-                    );
-                }
-                FaultKind::HostStall { node, duration } => {
-                    let client = self
-                        .triples
-                        .iter()
-                        .find(|t| t.client_addr == node)
-                        .expect("stall targets a client")
-                        .client_id;
-                    self.cluster.engine_mut().schedule(
-                        ev.at,
-                        client,
-                        Msg::custom(StallFor(duration)),
-                    );
-                }
-                FaultKind::LossyLink {
-                    node,
-                    rate_ppm,
-                    duration,
-                } => {
-                    let shell = self.cluster.shell_id(node).expect("target populated");
-                    let e = self.cluster.engine_mut();
-                    e.schedule(
-                        ev.at,
-                        shell,
-                        Msg::custom(ShellCmd::SetLtlLossRate(rate_ppm as f64 / 1e6)),
-                    );
-                    e.schedule(
-                        ev.at + duration,
-                        shell,
-                        Msg::custom(ShellCmd::SetLtlLossRate(0.0)),
-                    );
-                }
-                FaultKind::BadImage { node } => {
-                    let shell = self.cluster.shell_id(node).expect("target populated");
-                    let mut bad = Image::application("chaos-bad", "role");
-                    bad.features.bridge = false;
-                    let e = self.cluster.engine_mut();
-                    // The load takes the node off the network; the bad
-                    // image never restores the bridge, which the
-                    // monitor's FM view reflects for the rollback.
-                    e.schedule(
-                        ev.at,
-                        shell,
-                        Msg::custom(ShellCmd::Reconfigure { partial: false }),
-                    );
-                    e.schedule(
-                        ev.at,
-                        self.monitor_id,
-                        Msg::custom(DeployImage {
-                            addr: node,
-                            image: bad,
-                        }),
-                    );
-                }
-            }
-        }
-    }
-
     /// Runs the schedule to quiescence and assembles the recovery report.
     pub fn run(mut self) -> ChaosReport {
         self.cluster.run_to_idle();
         build_report(self)
+    }
+}
+
+/// Schedules every fault in `plan` onto `cluster` as engine messages.
+///
+/// `monitor_id` is the [`FailureMonitor`] that learns of bad-image
+/// deployments; `stall_target` names the component a
+/// [`FaultKind::HostStall`] at a node is sent to (`None` skips the
+/// stall — a cluster with no host software has nothing to stall).
+///
+/// # Panics
+///
+/// Panics if a shell-targeted fault names an unpopulated slot.
+pub fn install_plan(
+    cluster: &mut Cluster,
+    monitor_id: ComponentId,
+    plan: &FaultPlan,
+    stall_target: impl Fn(NodeAddr) -> Option<ComponentId>,
+) {
+    for &FaultEvent { at, kind } in &plan.events {
+        match kind {
+            FaultKind::LinkFlap { node, down } => {
+                let tor = cluster.fabric().tor_switch(node.pod, node.tor);
+                let port = PortId(node.host);
+                let e = cluster.engine_mut();
+                e.schedule(
+                    at,
+                    tor,
+                    Msg::custom(SwitchCmd::SetLinkUp { port, up: false }),
+                );
+                e.schedule(
+                    at + down,
+                    tor,
+                    Msg::custom(SwitchCmd::SetLinkUp { port, up: true }),
+                );
+            }
+            FaultKind::TorCrash { pod, tor, reboot } => {
+                let id = cluster.fabric().tor_switch(pod, tor);
+                cluster.engine_mut().schedule(
+                    at,
+                    id,
+                    Msg::custom(SwitchCmd::Crash {
+                        reboot_after: reboot,
+                    }),
+                );
+            }
+            FaultKind::CorruptBurst { node, frames } => {
+                let tor = cluster.fabric().tor_switch(node.pod, node.tor);
+                cluster.engine_mut().schedule(
+                    at,
+                    tor,
+                    Msg::custom(SwitchCmd::CorruptNext {
+                        port: PortId(node.host),
+                        frames,
+                    }),
+                );
+            }
+            FaultKind::FpgaHang { node, duration } => {
+                let shell = cluster.shell_id(node).expect("target populated");
+                cluster.engine_mut().schedule(
+                    at,
+                    shell,
+                    Msg::custom(ShellCmd::HangRole { duration }),
+                );
+            }
+            FaultKind::HostStall { node, duration } => {
+                if let Some(target) = stall_target(node) {
+                    cluster
+                        .engine_mut()
+                        .schedule(at, target, Msg::custom(StallFor(duration)));
+                }
+            }
+            FaultKind::LossyLink {
+                node,
+                rate_ppm,
+                duration,
+            } => {
+                let shell = cluster.shell_id(node).expect("target populated");
+                let e = cluster.engine_mut();
+                e.schedule(
+                    at,
+                    shell,
+                    Msg::custom(ShellCmd::SetLtlLossRate(rate_ppm as f64 / 1e6)),
+                );
+                e.schedule(
+                    at + duration,
+                    shell,
+                    Msg::custom(ShellCmd::SetLtlLossRate(0.0)),
+                );
+            }
+            FaultKind::BadImage { node } => {
+                let shell = cluster.shell_id(node).expect("target populated");
+                let mut bad = Image::application("chaos-bad", "role");
+                bad.features.bridge = false;
+                let e = cluster.engine_mut();
+                // The load takes the node off the network; the bad
+                // image never restores the bridge, which the
+                // monitor's FM view reflects for the rollback.
+                e.schedule(
+                    at,
+                    shell,
+                    Msg::custom(ShellCmd::Reconfigure { partial: false }),
+                );
+                e.schedule(
+                    at,
+                    monitor_id,
+                    Msg::custom(DeployImage {
+                        addr: node,
+                        image: bad,
+                    }),
+                );
+            }
+        }
     }
 }
 

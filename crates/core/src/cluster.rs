@@ -19,17 +19,6 @@ use shell::ltl::{RecvConnId, SendConnId};
 use shell::{Shell, ShellConfig, PORT_TOR};
 use telemetry::{MetricsSnapshot, Tracer};
 
-/// Parses the `CATAPULT_SHARDS` environment variable: `Some(n)` for a
-/// positive integer, `None` when unset, empty, zero, or unparsable.
-pub fn env_shards() -> Option<u32> {
-    std::env::var("CATAPULT_SHARDS")
-        .ok()?
-        .trim()
-        .parse()
-        .ok()
-        .filter(|&n| n >= 1)
-}
-
 /// How the cluster's events are being executed.
 enum Exec {
     /// The classic single-threaded event loop.
@@ -135,9 +124,10 @@ impl ClusterBuilder {
     /// Builds the engine, fabric, and (for hybrid fidelity maps) the
     /// flow-level background model.
     ///
-    /// An all-packet, non-lazy build registers exactly the same components
-    /// in exactly the same order as the deprecated [`Cluster::new`] path,
-    /// so telemetry fingerprints are byte-identical for the same seed.
+    /// An all-packet, non-lazy build registers the fabric's switches in
+    /// [`FabricBuilder::build`]'s fixed order whether the all-packet map
+    /// is explicit or defaulted, so telemetry fingerprints are
+    /// byte-identical for the same seed.
     ///
     /// # Panics
     ///
@@ -211,23 +201,6 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Builds the switching fabric (no hosts yet).
-    #[deprecated(
-        note = "use ClusterBuilder::new(seed).fabric_config(cfg).shell_config(..).build()"
-    )]
-    pub fn new(seed: u64, fabric_cfg: &FabricConfig, shell_cfg: ShellConfig) -> Cluster {
-        ClusterBuilder::new(seed)
-            .fabric_config(fabric_cfg)
-            .shell_config(shell_cfg)
-            .build()
-    }
-
-    /// A paper-calibrated cluster with `pods` production-scale pods.
-    #[deprecated(note = "use ClusterBuilder::paper(seed, pods).build()")]
-    pub fn paper_scale(seed: u64, pods: u16) -> Cluster {
-        ClusterBuilder::paper(seed, pods).build()
-    }
-
     /// Adds a bump-in-the-wire FPGA shell at `addr` and cables it to its
     /// TOR. Returns the shell's component id.
     ///
@@ -597,17 +570,6 @@ impl Cluster {
             }
         }
         snap
-    }
-
-    /// Reads the `CATAPULT_SHARDS` environment variable and shards the
-    /// cluster accordingly. Unset, empty, unparsable, or `1` leaves the
-    /// classic single-threaded engine in place. Returns the shard count
-    /// in effect.
-    pub fn shard_from_env(&mut self) -> u32 {
-        match env_shards() {
-            Some(n) if n > 1 => self.shard(n),
-            _ => 1,
-        }
     }
 
     /// Collapses a sharded cluster back into the classic single engine

@@ -61,7 +61,7 @@ pub mod probe;
 pub mod sweep;
 pub mod workload;
 
-pub use cluster::{env_shards, Cluster, ClusterBuilder};
+pub use cluster::{Cluster, ClusterBuilder};
 pub use telemetry;
 
 /// One-stop imports for experiment drivers and binaries.

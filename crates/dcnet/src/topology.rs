@@ -641,10 +641,10 @@ impl FabricBuilder {
     /// Builds the fabric: spines always, packet-fidelity pods eagerly
     /// unless [`FabricBuilder::lazy`], flow-fidelity pods never.
     ///
-    /// The eager all-packet path registers components in exactly the
-    /// legacy [`Fabric::build`] order (spines, then per pod: aggregation
-    /// switch then TORs), so telemetry fingerprints are byte-identical to
-    /// the deprecated constructor.
+    /// The eager all-packet path registers components in a fixed order
+    /// (spines, then per pod: aggregation switch then TORs); component
+    /// ids feed telemetry fingerprints, so that order is part of the
+    /// determinism contract.
     ///
     /// # Panics
     ///
@@ -685,8 +685,8 @@ impl FabricBuilder {
             )));
         }
         if !self.lazy {
-            // Legacy registration order: register every pod's components
-            // first, then cable — byte-identical ids to Fabric::build.
+            // Register every pod's components first, then cable: ids
+            // feed fingerprints, so this order is fixed.
             for pod in 0..shape.pods {
                 if fabric.fidelity.pod(pod) == Fidelity::Packet {
                     fabric.register_pod(engine, pod);
@@ -721,13 +721,7 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Builds all switches for `cfg` and cables the tiers together.
-    #[deprecated(note = "use FabricBuilder::from_config(cfg).build(engine)")]
-    pub fn build(engine: &mut Engine<Msg>, cfg: &FabricConfig) -> Fabric {
-        FabricBuilder::from_config(cfg).build(engine)
-    }
-
-    /// Registers `pod`'s aggregation switch and TORs (ids in legacy
+    /// Registers `pod`'s aggregation switch and TORs (ids in the eager
     /// order: agg first, then TORs ascending). No cabling yet.
     fn register_pod(&mut self, engine: &mut Engine<Msg>, pod: u16) {
         let shape = self.shape;
@@ -975,19 +969,6 @@ mod tests {
         assert_eq!(f.shape().total_hosts(), 24);
         assert_eq!(f.materialized_pods(), 2);
         assert!(!f.is_lazy());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_build_matches_builder() {
-        let mut e1: Engine<Msg> = Engine::new(1);
-        let legacy = Fabric::build(&mut e1, &small_cfg());
-        let mut e2: Engine<Msg> = Engine::new(1);
-        let built = FabricBuilder::from_config(&small_cfg()).build(&mut e2);
-        assert_eq!(legacy.switch_count(), built.switch_count());
-        assert_eq!(legacy.tor_switch(1, 2), built.tor_switch(1, 2));
-        assert_eq!(legacy.agg_switch(1), built.agg_switch(1));
-        assert_eq!(legacy.spine_switches(), built.spine_switches());
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   execution of one simulation across component shards;
 //! * [`SimRng`] — seeded randomness plus the distributions the simulator
 //!   needs (exponential, normal, lognormal);
-//! * [`StreamingStats`], [`PercentileRecorder`], [`LogHistogram`] —
-//!   measurement collection with exact tail percentiles.
+//! * [`StreamingStats`], [`PercentileRecorder`] — measurement collection
+//!   with exact tail percentiles.
 //!
 //! # Examples
 //!
@@ -57,5 +57,5 @@ mod time;
 pub use engine::{Component, ComponentId, Context, Engine, EventRecord, Observer};
 pub use rng::SimRng;
 pub use sharded::{ShardPlan, ShardSyncStats, ShardedEngine, WindowPolicy};
-pub use stats::{LogHistogram, PercentileRecorder, StreamingStats};
+pub use stats::{PercentileRecorder, StreamingStats};
 pub use time::{SimDuration, SimTime};

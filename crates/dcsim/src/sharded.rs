@@ -150,27 +150,6 @@ impl WindowPolicy {
             stride_cap: 16,
         }
     }
-
-    /// Policy from the environment: `CATAPULT_ADAPTIVE_WINDOWS=0|false|off`
-    /// selects fixed windows (default: adaptive), and
-    /// `CATAPULT_WINDOW_STRIDE=k` overrides the stride cap.
-    pub fn from_env() -> WindowPolicy {
-        let adaptive = !matches!(
-            std::env::var("CATAPULT_ADAPTIVE_WINDOWS").as_deref(),
-            Ok("0") | Ok("false") | Ok("off")
-        );
-        let mut policy = if adaptive {
-            WindowPolicy::adaptive()
-        } else {
-            WindowPolicy::fixed()
-        };
-        if let Ok(s) = std::env::var("CATAPULT_WINDOW_STRIDE") {
-            if let Ok(k) = s.trim().parse::<u32>() {
-                policy.stride_cap = k.max(1);
-            }
-        }
-        policy
-    }
 }
 
 impl Default for WindowPolicy {
@@ -804,8 +783,9 @@ pub struct ShardedEngine<M> {
 }
 
 impl<M: Send + 'static> ShardedEngine<M> {
-    /// Partitions `engine` under `plan`. The window policy defaults to
-    /// [`WindowPolicy::from_env`].
+    /// Partitions `engine` under `plan`. The window policy starts at
+    /// [`WindowPolicy::default`] (adaptive); change it with
+    /// [`ShardedEngine::set_window_policy`].
     ///
     /// # Panics
     ///
@@ -854,7 +834,7 @@ impl<M: Send + 'static> ShardedEngine<M> {
             shard_of: plan.shard_of,
             lookahead: plan.lookahead,
             tables,
-            policy: WindowPolicy::from_env(),
+            policy: WindowPolicy::default(),
             now: parts.now,
             seed: parts.seed,
             build_rng: parts.rng,
@@ -1348,6 +1328,10 @@ mod tests {
         let shard_of = (0..2 * PAIRS).map(|i| (i % 2) as u32).collect();
         let plan = ShardPlan::new(2, shard_of, SimDuration::from_micros(100));
         let mut e = ShardedEngine::from_engine(build(3, PAIRS, 50), plan);
+        // One worker runs the shards on this thread, so the assert's own
+        // message reaches the harness; with two, the scope re-panics with
+        // a generic message or the surviving worker spins at the barrier.
+        e.set_worker_threads(1);
         e.run_to_idle();
     }
 
@@ -1413,6 +1397,9 @@ mod tests {
     #[test]
     fn default_excess_table_degenerates_to_fixed_windows() {
         const PAIRS: usize = 4;
+        // The starting policy is a constant, not read from the environment.
+        let fresh = ShardedEngine::from_engine(build(13, PAIRS, 200), split_plan(PAIRS, 4));
+        assert_eq!(fresh.window_policy(), WindowPolicy::adaptive());
         let run = |policy: WindowPolicy| {
             let mut e = ShardedEngine::from_engine(build(13, PAIRS, 200), split_plan(PAIRS, 4));
             e.set_window_policy(policy);
@@ -1469,6 +1456,8 @@ mod tests {
         let plan = colocated_plan(PAIRS, 2)
             .with_min_send_delay(vec![SimDuration::from_micros(5); 2 * PAIRS]);
         let mut e = ShardedEngine::from_engine(build(19, PAIRS, 50), plan);
+        // One worker, as in `undersized_lookahead_is_caught_at_send_time`.
+        e.set_worker_threads(1);
         e.run_to_idle();
     }
 

@@ -1,10 +1,9 @@
-//! Measurement collection: streaming moments, exact percentile recording and
-//! compact log-bucketed histograms.
+//! Measurement collection: streaming moments and exact percentile
+//! recording.
 //!
 //! The paper reports tail percentiles (99th, 99.9th) of latency
 //! distributions; [`PercentileRecorder`] keeps exact samples so those tails
-//! are not distorted by bucketing, while [`LogHistogram`] offers a bounded-
-//! memory alternative for very long soak runs.
+//! are not distorted by bucketing.
 
 use crate::time::SimDuration;
 
@@ -250,97 +249,6 @@ impl FromIterator<u64> for PercentileRecorder {
     }
 }
 
-/// Bounded-memory histogram with logarithmic buckets and linear sub-buckets,
-/// in the spirit of HDR histograms. Relative quantile error is bounded by
-/// the sub-bucket resolution (1/32 by default).
-#[derive(Debug, Clone)]
-pub struct LogHistogram {
-    /// counts[b * SUBBUCKETS + s]
-    counts: Vec<u64>,
-    total: u64,
-}
-
-const BUCKETS: usize = 64;
-const SUBBUCKETS: usize = 32;
-
-impl LogHistogram {
-    /// Creates an empty histogram covering the full `u64` range.
-    pub fn new() -> Self {
-        LogHistogram {
-            counts: vec![0; BUCKETS * SUBBUCKETS],
-            total: 0,
-        }
-    }
-
-    fn slot(value: u64) -> usize {
-        if value < SUBBUCKETS as u64 {
-            return value as usize;
-        }
-        let bucket = 63 - value.leading_zeros() as usize; // floor(log2(value))
-        let shift = bucket.saturating_sub(5); // 2^5 = SUBBUCKETS
-        let sub = ((value >> shift) as usize) & (SUBBUCKETS - 1);
-        (bucket - 4) * SUBBUCKETS + sub
-    }
-
-    fn slot_value(slot: usize) -> u64 {
-        if slot < SUBBUCKETS {
-            return slot as u64;
-        }
-        let bucket = slot / SUBBUCKETS + 4;
-        let sub = slot % SUBBUCKETS;
-        let shift = bucket - 5;
-        ((SUBBUCKETS + sub) as u64) << shift
-    }
-
-    /// Adds one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = Self::slot(value).min(self.counts.len() - 1);
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Approximate `p`-th percentile (nearest rank over buckets), or `None`
-    /// if empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `(0, 100]`.
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        assert!(p > 0.0 && p <= 100.0, "percentile must be in (0, 100]");
-        if self.total == 0 {
-            return None;
-        }
-        let rank = ((p / 100.0) * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (slot, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(Self::slot_value(slot));
-            }
-        }
-        Some(Self::slot_value(self.counts.len() - 1))
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,45 +321,5 @@ mod tests {
         r.record(5);
         assert_eq!(r.percentile(100.0), Some(10));
         assert_eq!(r.min(), Some(5));
-    }
-
-    #[test]
-    fn log_histogram_small_values_exact() {
-        let mut h = LogHistogram::new();
-        for v in 0..32u64 {
-            h.record(v);
-        }
-        assert_eq!(h.percentile(100.0), Some(31));
-        assert_eq!(h.percentile(50.0), Some(15));
-    }
-
-    #[test]
-    fn log_histogram_bounded_relative_error() {
-        let mut h = LogHistogram::new();
-        let mut r = PercentileRecorder::new();
-        let mut x = 1u64;
-        for i in 0..20_000u64 {
-            let v = (x % 10_000_000) + 1;
-            h.record(v);
-            r.record(v);
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
-        }
-        for p in [50.0, 90.0, 99.0, 99.9] {
-            let exact = r.percentile(p).unwrap() as f64;
-            let approx = h.percentile(p).unwrap() as f64;
-            let rel = (approx - exact).abs() / exact;
-            assert!(rel < 0.05, "p{p}: exact {exact}, approx {approx}");
-        }
-    }
-
-    #[test]
-    fn log_histogram_merge() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        a.record(100);
-        b.record(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!(a.percentile(100.0).unwrap() >= 900_000);
     }
 }

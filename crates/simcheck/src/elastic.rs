@@ -25,6 +25,7 @@
 //! as [`ElasticRepro`] JSON that replays byte-identically.
 
 use crate::haas_ref::RefScheduler;
+use crate::json::{addr_from_value, addr_to_value, as_object, get_bool, get_str, get_u64, lookup};
 use crate::Violation;
 use catapult::elastic::{generate_trace, ElasticTraceConfig, MixWeights};
 use dcnet::NodeAddr;
@@ -565,60 +566,6 @@ impl ElasticRepro {
     }
 }
 
-// --- Value tree helpers ------------------------------------------------
-
-fn as_object<'a>(value: &'a Value, what: &str) -> Result<&'a [(String, Value)], String> {
-    match value {
-        Value::Object(fields) => Ok(fields),
-        _ => Err(format!("{what}: expected an object")),
-    }
-}
-
-fn lookup<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn get_u64(obj: &[(String, Value)], key: &str) -> Result<u64, String> {
-    match lookup(obj, key)? {
-        Value::U64(n) => Ok(*n),
-        Value::I64(n) if *n >= 0 => Ok(*n as u64),
-        _ => Err(format!("{key}: expected an unsigned integer")),
-    }
-}
-
-fn get_bool(obj: &[(String, Value)], key: &str) -> Result<bool, String> {
-    match lookup(obj, key)? {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(format!("{key}: expected a boolean")),
-    }
-}
-
-fn get_str<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a str, String> {
-    match lookup(obj, key)? {
-        Value::Str(s) => Ok(s),
-        _ => Err(format!("{key}: expected a string")),
-    }
-}
-
-fn addr_to_value(addr: NodeAddr) -> Value {
-    Value::Object(vec![
-        ("pod".into(), Value::U64(addr.pod as u64)),
-        ("tor".into(), Value::U64(addr.tor as u64)),
-        ("host".into(), Value::U64(addr.host as u64)),
-    ])
-}
-
-fn addr_from_value(value: &Value) -> Result<NodeAddr, String> {
-    let obj = as_object(value, "board")?;
-    let part = |key: &str| {
-        get_u64(obj, key).and_then(|n| u16::try_from(n).map_err(|_| format!("{key}: out of range")))
-    };
-    Ok(NodeAddr::new(part("pod")?, part("tor")?, part("host")?))
-}
-
 fn class_name(class: TenantClass) -> &'static str {
     class.label()
 }
@@ -686,10 +633,10 @@ fn event_from_value(value: &Value) -> Result<LeaseEvent, String> {
             req: get_u64(obj, "req")?,
         },
         "board_down" => LeaseEventKind::BoardDown {
-            board: addr_from_value(lookup(obj, "board")?)?,
+            board: addr_from_value(lookup(obj, "board")?, "board")?,
         },
         "board_up" => LeaseEventKind::BoardUp {
-            board: addr_from_value(lookup(obj, "board")?)?,
+            board: addr_from_value(lookup(obj, "board")?, "board")?,
         },
         other => return Err(format!("unknown event kind {other:?}")),
     };

@@ -35,6 +35,7 @@ pub mod elastic;
 pub mod er_check;
 pub mod haas_ref;
 pub mod invariants;
+mod json;
 pub mod model;
 pub mod repro;
 pub mod scenario;

@@ -7,11 +7,11 @@
 //! and the same violations, byte for byte. Parsing goes through
 //! [`telemetry::json::parse`], the workspace's single JSON parser.
 
+use crate::json::{addr_from_value, addr_to_value, as_object, get_str, get_u16, get_u64, lookup};
 use crate::scenario::{self, ScenarioSpec};
 use crate::session::{self, SessionSpec};
 use crate::Violation;
 use catapult::chaos::{FaultEvent, FaultKind, FaultPlan};
-use dcnet::NodeAddr;
 use dcsim::{SimDuration, SimTime};
 use serde::Value;
 use shell::ltl::LtlMode;
@@ -188,58 +188,6 @@ impl ReproSpec {
     }
 }
 
-// --- Value tree helpers (the vendored serde stub has no derive) --------
-
-fn as_object<'a>(value: &'a Value, what: &str) -> Result<&'a [(String, Value)], String> {
-    match value {
-        Value::Object(fields) => Ok(fields),
-        _ => Err(format!("{what}: expected an object")),
-    }
-}
-
-fn lookup<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn get_u64(obj: &[(String, Value)], key: &str) -> Result<u64, String> {
-    match lookup(obj, key)? {
-        Value::U64(n) => Ok(*n),
-        Value::I64(n) if *n >= 0 => Ok(*n as u64),
-        _ => Err(format!("{key}: expected an unsigned integer")),
-    }
-}
-
-fn get_u16(obj: &[(String, Value)], key: &str) -> Result<u16, String> {
-    u16::try_from(get_u64(obj, key)?).map_err(|_| format!("{key}: out of u16 range"))
-}
-
-fn get_str<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a str, String> {
-    match lookup(obj, key)? {
-        Value::Str(s) => Ok(s),
-        _ => Err(format!("{key}: expected a string")),
-    }
-}
-
-fn addr_to_value(addr: NodeAddr) -> Value {
-    Value::Object(vec![
-        ("pod".into(), Value::U64(addr.pod as u64)),
-        ("tor".into(), Value::U64(addr.tor as u64)),
-        ("host".into(), Value::U64(addr.host as u64)),
-    ])
-}
-
-fn addr_from_value(value: &Value) -> Result<NodeAddr, String> {
-    let obj = as_object(value, "node")?;
-    Ok(NodeAddr::new(
-        get_u16(obj, "pod")?,
-        get_u16(obj, "tor")?,
-        get_u16(obj, "host")?,
-    ))
-}
-
 fn event_to_value(event: &FaultEvent) -> Value {
     let mut fields = vec![("at_ns".into(), Value::U64(event.at.as_nanos()))];
     let kind = match event.kind {
@@ -291,7 +239,7 @@ fn event_to_value(event: &FaultEvent) -> Value {
 fn event_from_value(value: &Value) -> Result<FaultEvent, String> {
     let obj = as_object(value, "event")?;
     let at = SimTime::from_nanos(get_u64(obj, "at_ns")?);
-    let node = || addr_from_value(lookup(obj, "node")?);
+    let node = || addr_from_value(lookup(obj, "node")?, "node");
     let dur = |key: &str| get_u64(obj, key).map(SimDuration::from_nanos);
     let kind = match get_str(obj, "kind")? {
         "link_flap" => FaultKind::LinkFlap {
@@ -329,6 +277,7 @@ fn event_from_value(value: &Value) -> Result<FaultEvent, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcnet::NodeAddr;
 
     fn sample() -> ReproSpec {
         ReproSpec {

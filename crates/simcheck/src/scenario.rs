@@ -10,14 +10,12 @@
 use crate::invariants::InvariantObserver;
 use crate::Violation;
 use bytes::Bytes;
-use catapult::chaos::{ChaosTargets, FaultConfig, FaultEvent, FaultKind, FaultPlan};
-use catapult::{Cluster, ClusterBuilder};
-use dcnet::{Msg, NodeAddr, PortId, SwitchCmd};
+use catapult::chaos::{ChaosTargets, FaultConfig, FaultPlan};
+use catapult::ClusterBuilder;
+use dcnet::{Msg, NodeAddr};
 use dcsim::{Component, ComponentId, Context, SimDuration, SimRng, SimTime};
-use fpga::Image;
 use haas::{
-    Constraints, DeployImage, FailureMonitor, FpgaManager, NodeDownReport, ResourceManager,
-    ServiceManager,
+    Constraints, FailureMonitor, FpgaManager, NodeDownReport, ResourceManager, ServiceManager,
 };
 use shell::{LtlConnFailed, LtlDeliver, ShellCmd};
 use std::collections::BTreeMap;
@@ -170,98 +168,6 @@ pub struct ScenarioOutcome {
     pub checks: u64,
 }
 
-/// Schedules every fault in the plan onto the cluster (mirrors the chaos
-/// harness's installation; host stalls have no target here and are
-/// skipped).
-fn install_plan(cluster: &mut Cluster, monitor_id: ComponentId, plan: &FaultPlan) {
-    for FaultEvent { at, kind } in plan.events.clone() {
-        match kind {
-            FaultKind::LinkFlap { node, down } => {
-                let tor = cluster.fabric().tor_switch(node.pod, node.tor);
-                let port = PortId(node.host);
-                let e = cluster.engine_mut();
-                e.schedule(
-                    at,
-                    tor,
-                    Msg::custom(SwitchCmd::SetLinkUp { port, up: false }),
-                );
-                e.schedule(
-                    at + down,
-                    tor,
-                    Msg::custom(SwitchCmd::SetLinkUp { port, up: true }),
-                );
-            }
-            FaultKind::TorCrash { pod, tor, reboot } => {
-                let id = cluster.fabric().tor_switch(pod, tor);
-                cluster.engine_mut().schedule(
-                    at,
-                    id,
-                    Msg::custom(SwitchCmd::Crash {
-                        reboot_after: reboot,
-                    }),
-                );
-            }
-            FaultKind::CorruptBurst { node, frames } => {
-                let tor = cluster.fabric().tor_switch(node.pod, node.tor);
-                cluster.engine_mut().schedule(
-                    at,
-                    tor,
-                    Msg::custom(SwitchCmd::CorruptNext {
-                        port: PortId(node.host),
-                        frames,
-                    }),
-                );
-            }
-            FaultKind::FpgaHang { node, duration } => {
-                let shell = cluster.shell_id(node).expect("targets are populated");
-                cluster.engine_mut().schedule(
-                    at,
-                    shell,
-                    Msg::custom(ShellCmd::HangRole { duration }),
-                );
-            }
-            FaultKind::HostStall { .. } => {}
-            FaultKind::LossyLink {
-                node,
-                rate_ppm,
-                duration,
-            } => {
-                let shell = cluster.shell_id(node).expect("targets are populated");
-                let e = cluster.engine_mut();
-                e.schedule(
-                    at,
-                    shell,
-                    Msg::custom(ShellCmd::SetLtlLossRate(rate_ppm as f64 / 1e6)),
-                );
-                e.schedule(
-                    at + duration,
-                    shell,
-                    Msg::custom(ShellCmd::SetLtlLossRate(0.0)),
-                );
-            }
-            FaultKind::BadImage { node } => {
-                let shell = cluster.shell_id(node).expect("targets are populated");
-                let mut bad = Image::application("simcheck-bad", "role");
-                bad.features.bridge = false;
-                let e = cluster.engine_mut();
-                e.schedule(
-                    at,
-                    shell,
-                    Msg::custom(ShellCmd::Reconfigure { partial: false }),
-                );
-                e.schedule(
-                    at,
-                    monitor_id,
-                    Msg::custom(DeployImage {
-                        addr: node,
-                        image: bad,
-                    }),
-                );
-            }
-        }
-    }
-}
-
 /// Runs one scenario to quiescence under the invariant observer.
 pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     let shape = dcnet::FabricShape {
@@ -349,7 +255,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
         }
     }
 
-    install_plan(&mut cluster, monitor_id, &spec.plan);
+    // Scenario clusters run no host software: host stalls have no target.
+    catapult::chaos::install_plan(&mut cluster, monitor_id, &spec.plan, |_| None);
 
     let switches: Vec<ComponentId> = {
         let fabric = cluster.fabric();

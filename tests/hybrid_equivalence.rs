@@ -1,12 +1,9 @@
-//! Equivalence gate for the FabricBuilder / hybrid-fidelity redesign.
+//! Equivalence gate for the hybrid-fidelity machinery.
 //!
-//! The builder's all-packet path must be a *perfect* stand-in for the
-//! legacy construction APIs: same seed, same workload, byte-identical
-//! telemetry fingerprint. This is what lets every legacy call site
-//! migrate to `ClusterBuilder` without invalidating any recorded result,
-//! and what pins the hybrid machinery's zero-cost claim — an explicit
-//! all-packet fidelity map must not perturb component ids, RNG draws, or
-//! event order.
+//! An explicit all-packet fidelity map must be zero-cost — it must not
+//! perturb component ids, RNG draws, or event order, so the telemetry
+//! fingerprint stays byte-identical — and lazy materialisation may shift
+//! component ids but never the simulated physics.
 
 use catapult::prelude::*;
 
@@ -36,14 +33,6 @@ fn fingerprint(mut cluster: Cluster) -> String {
 const SEED: u64 = 0xE9_01;
 
 #[test]
-fn builder_matches_deprecated_paper_scale_byte_for_byte() {
-    #[allow(deprecated)]
-    let legacy = fingerprint(Cluster::paper_scale(SEED, 2));
-    let builder = fingerprint(ClusterBuilder::paper(SEED, 2).build());
-    common::assert_identical("builder vs Cluster::paper_scale", &legacy, &builder);
-}
-
-#[test]
 fn explicit_all_packet_fidelity_map_is_zero_cost() {
     // Routing the build through the hybrid-aware path with an explicit
     // all-packet map must not register a flow model, shift component
@@ -55,21 +44,6 @@ fn explicit_all_packet_fidelity_map_is_zero_cost() {
             .build(),
     );
     common::assert_identical("default vs explicit all-packet map", &plain, &mapped);
-}
-
-#[test]
-fn deprecated_cluster_new_matches_builder() {
-    let fabric_cfg = calib::fabric_config(calib::paper_shape(2));
-    let shell_cfg = calib::shell_config();
-    #[allow(deprecated)]
-    let legacy = fingerprint(Cluster::new(SEED, &fabric_cfg, shell_cfg.clone()));
-    let builder = fingerprint(
-        ClusterBuilder::new(SEED)
-            .fabric_config(&fabric_cfg)
-            .shell_config(shell_cfg)
-            .build(),
-    );
-    common::assert_identical("builder vs Cluster::new", &legacy, &builder);
 }
 
 #[test]

@@ -3,9 +3,6 @@
 //! higher, lossless traffic class — the property that lets the paper
 //! measure microsecond RTTs on a network shared with everything else.
 
-// `stats()` stays covered while it remains a supported (deprecated) shim.
-#![allow(deprecated)]
-
 use catapult::{probe::schedule_probes, ClusterBuilder};
 use dcnet::{Msg, NodeAddr, PortId, Switch, TrafficClass};
 use dcsim::{PercentileRecorder, SimDuration, SimTime};

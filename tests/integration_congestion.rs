@@ -4,9 +4,6 @@
 //! the FPGA can safely insert and remove packets from the network without
 //! disrupting existing flows."
 
-// `stats()` stays covered while it remains a supported (deprecated) shim.
-#![allow(deprecated)]
-
 use bytes::Bytes;
 use catapult::{Cluster, ClusterBuilder};
 use dcnet::{Msg, NodeAddr, Switch};

@@ -1,9 +1,6 @@
 //! End-to-end network-acceleration integration: encrypted flows crossing
 //! the real simulated fabric through bump-in-the-wire crypto taps.
 
-// `stats()` stays covered while it remains a supported (deprecated) shim.
-#![allow(deprecated)]
-
 use apps::crypto::{CipherSuite, CryptoTap, FlowKey};
 use bytes::Bytes;
 use catapult::ClusterBuilder;

@@ -2,9 +2,6 @@
 //! calibration against the paper's Figure 10 latencies, and lossless-class
 //! behaviour under load.
 
-// `stats()` stays covered while it remains a supported (deprecated) shim.
-#![allow(deprecated)]
-
 use bytes::Bytes;
 use catapult::{probe::schedule_probes, Cluster, ClusterBuilder};
 use dcnet::{Msg, NodeAddr, Switch};

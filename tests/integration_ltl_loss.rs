@@ -3,9 +3,6 @@
 //! message is delivered exactly once to the consumer, retries stay
 //! bounded, and the connection is never declared dead.
 
-// `stats()` stays covered while it remains a supported (deprecated) shim.
-#![allow(deprecated)]
-
 use bytes::Bytes;
 use catapult::ClusterBuilder;
 use dcnet::{Msg, NodeAddr};

@@ -3,9 +3,6 @@
 //! be paused even briefly, partial reconfiguration permits packets to be
 //! passed through even during reconfiguration of the role."
 
-// `stats()` stays covered while it remains a supported (deprecated) shim.
-#![allow(deprecated)]
-
 use bytes::Bytes;
 use catapult::ClusterBuilder;
 use dcnet::{Msg, NetEvent, NodeAddr, Packet, PortId, TrafficClass};

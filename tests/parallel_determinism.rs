@@ -133,8 +133,9 @@ fn sharded_fingerprint_with_policy(shards: u32, policy: Option<WindowPolicy>) ->
 
 /// A bursty variant: paced drivers (2 us declared reply floor) whose
 /// idle troughs let adaptive windows stretch and fast-forward. Returns
-/// the fingerprint plus the summed per-shard sync counters.
-fn bursty_fingerprint(shards: u32, policy: WindowPolicy) -> (String, u64, u64) {
+/// the fingerprint, the summed per-shard sync counters and the number of
+/// barrier rounds the run took.
+fn bursty_fingerprint(shards: u32, policy: WindowPolicy) -> (String, u64, u64, u64) {
     let mut cluster = ClusterBuilder::paper(777, 2).build();
     let delay = SimDuration::from_micros(2);
     let pairs = [
@@ -193,7 +194,7 @@ fn bursty_fingerprint(shards: u32, policy: WindowPolicy) -> (String, u64, u64) {
         cluster.now().as_nanos(),
         cluster.metrics_snapshot().to_json_pretty()
     );
-    (fp, extensions, fast_forwards)
+    (fp, extensions, fast_forwards, cluster.sync_rounds())
 }
 
 #[test]
@@ -238,10 +239,11 @@ fn fingerprint_is_byte_identical_across_window_policies() {
 /// fingerprint at any shard count.
 #[test]
 fn bursty_adaptive_windows_extend_without_changing_fingerprints() {
-    let (baseline, _, _) = bursty_fingerprint(1, WindowPolicy::fixed());
+    let (baseline, _, _, _) = bursty_fingerprint(1, WindowPolicy::fixed());
     for shards in [2, 4, 8] {
-        let (fixed_fp, fixed_ext, _) = bursty_fingerprint(shards, WindowPolicy::fixed());
-        let (adaptive_fp, adaptive_ext, adaptive_ff) =
+        let (fixed_fp, fixed_ext, _, fixed_rounds) =
+            bursty_fingerprint(shards, WindowPolicy::fixed());
+        let (adaptive_fp, adaptive_ext, adaptive_ff, adaptive_rounds) =
             bursty_fingerprint(shards, WindowPolicy::adaptive());
         common::assert_identical(
             &format!("bursty fixed vs adaptive at {shards} shards"),
@@ -261,6 +263,10 @@ fn bursty_adaptive_windows_extend_without_changing_fingerprints() {
         assert!(
             adaptive_ff > 0,
             "paced bursty workload at {shards} shards never fast-forwarded"
+        );
+        assert!(
+            adaptive_rounds < fixed_rounds,
+            "adaptive windows at {shards} shards took {adaptive_rounds} rounds, fixed {fixed_rounds}"
         );
     }
 }
