@@ -122,10 +122,8 @@ pub struct RankingServer {
     cores: CorePool,
     fpga: CorePool,
     latencies: PercentileRecorder,
-    arrivals: PercentileRecorder,
     outstanding: HashMap<u64, SimTime>,
     completed: u64,
-    window_start: SimTime,
     record_trace: bool,
     trace: Vec<(u64, u64)>,
 }
@@ -139,10 +137,8 @@ impl RankingServer {
             params,
             mode,
             latencies: PercentileRecorder::new(),
-            arrivals: PercentileRecorder::new(),
             outstanding: HashMap::new(),
             completed: 0,
-            window_start: SimTime::ZERO,
             record_trace: false,
             trace: Vec::new(),
         }
@@ -169,22 +165,9 @@ impl RankingServer {
         self.completed
     }
 
-    /// Arrival timestamps (for offered-load reporting).
-    pub fn arrivals_mut(&mut self) -> &mut PercentileRecorder {
-        &mut self.arrivals
-    }
-
-    /// Resets measurement windows (e.g. after warmup).
-    pub fn reset_measurements(&mut self, now: SimTime) {
-        self.latencies.clear();
-        self.arrivals.clear();
-        self.completed = 0;
-        self.window_start = now;
-    }
-
-    /// Mean completion throughput since the last reset, in queries/s.
+    /// Mean completion throughput since the start of the run, in queries/s.
     pub fn throughput(&self, now: SimTime) -> f64 {
-        let elapsed = now.saturating_since(self.window_start).as_secs_f64();
+        let elapsed = now.saturating_since(SimTime::ZERO).as_secs_f64();
         if elapsed <= 0.0 {
             0.0
         } else {
@@ -203,7 +186,6 @@ impl RankingServer {
 
     fn on_query(&mut self, q: QueryArrival, ctx: &mut Context<'_, Msg>) {
         let now = ctx.now();
-        self.arrivals.record(now.as_nanos());
         match self.mode {
             RankingMode::Software => {
                 let service = lognormal_service(

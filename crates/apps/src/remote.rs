@@ -130,11 +130,6 @@ impl AcceleratorRole {
         }
     }
 
-    /// Accelerator-side queue+service latencies (ns).
-    pub fn service_latencies_mut(&mut self) -> &mut PercentileRecorder {
-        &mut self.service_latencies
-    }
-
     fn sample_service(&self, rng: &mut SimRng) -> SimDuration {
         let mu = self.service.as_secs_f64().ln() - self.sigma * self.sigma / 2.0;
         SimDuration::from_secs_f64(rng.lognormal(mu, self.sigma))

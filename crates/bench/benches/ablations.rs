@@ -154,7 +154,7 @@ fn ablation_nack(c: &mut Criterion) {
 
 /// Incast completion time with LTL on a lossless class vs a lossy class.
 fn incast_completion_us(lossless: bool) -> f64 {
-    use catapult::{Cluster, ClusterBuilder};
+    use catapult::ClusterBuilder;
     use dcnet::Msg;
     use shell::ShellCmd;
 

@@ -11,18 +11,8 @@
 //!       [--fault-rate X]
 //! ```
 
+use bench::arg_value;
 use catapult::prelude::*;
-
-/// Parses `--flag value` from the command line.
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
 
 fn main() {
     bench::header(

@@ -29,6 +29,7 @@
 //! selective repeat beats go-back-N on goodput or p99 latency in at
 //! least one scenario.
 
+use bench::arg_value;
 use bytes::Bytes;
 use dcnet::{Msg, NetEvent, NodeAddr, PortId};
 use dcsim::{Component, ComponentId, Context, Engine, SimDuration, SimRng, SimTime};
@@ -557,16 +558,6 @@ struct Report {
     quick: bool,
     scenarios: Vec<ScenarioResult>,
     sr_win_count: usize,
-}
-
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
 }
 
 fn main() {

@@ -29,7 +29,10 @@
 //!   plants a defrag bug that drops tenant caps and requires the
 //!   scheduler oracle to catch it and shrink the trace to ≤ 5 events.
 
+use bench::arg_value;
 use catapult::chaos::FaultPlan;
+use catapult::telemetry::json;
+use serde::Value;
 use shell::ltl::LtlMode;
 use simcheck::elastic::{run_elastic, run_elastic_events, ElasticRepro, ElasticSpec};
 use simcheck::repro::{ReproMode, ReproSpec};
@@ -37,17 +40,6 @@ use simcheck::scenario::{run_scenario, ScenarioSpec};
 use simcheck::session::{run_session, SessionSpec};
 use simcheck::shrink::ddmin;
 use simcheck::{dcqcn_ref, er_check, Violation};
-
-/// Parses `--flag value` from the command line.
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
 
 fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
@@ -111,19 +103,114 @@ fn shrink_scenario(spec: &ScenarioSpec, violations: &[Violation]) -> ReproSpec {
     )
 }
 
-fn fail_with_repro(repro: ReproSpec, original_events: usize) -> ! {
+/// What the driver needs from a repro artifact, whichever oracle wrote
+/// it: [`ReproSpec`] (LTL session / cluster scenario fault plans) and
+/// [`ElasticRepro`] (scheduler lease traces) go through one copy of the
+/// fail, validate and replay paths.
+trait Repro: Sized {
+    /// Artifact file name under `results/`.
+    const FILE: &'static str;
+    /// What the events are a shrunk subset of.
+    const TRACE: &'static str;
+    fn events_len(&self) -> usize;
+    fn first_violation(&self) -> &str;
+    fn to_json(&self) -> String;
+    fn parse(text: &str) -> Result<Self, String>;
+    fn replay(&self) -> Vec<Violation>;
+    /// The line `--replay` prints before re-running the case.
+    fn describe(&self) -> String;
+}
+
+impl Repro for ReproSpec {
+    const FILE: &'static str = "simcheck_repro.json";
+    const TRACE: &'static str = "fault plan";
+    fn events_len(&self) -> usize {
+        self.events.len()
+    }
+    fn first_violation(&self) -> &str {
+        &self.first_violation
+    }
+    fn to_json(&self) -> String {
+        self.to_json()
+    }
+    fn parse(text: &str) -> Result<Self, String> {
+        ReproSpec::parse(text)
+    }
+    fn replay(&self) -> Vec<Violation> {
+        self.replay()
+    }
+    fn describe(&self) -> String {
+        let mode = match self.mode {
+            ReproMode::Session => "session",
+            ReproMode::Cluster => "cluster",
+        };
+        format!(
+            "replaying {mode} case: seed {} salt {} events {}",
+            self.seed,
+            self.salt,
+            self.events.len()
+        )
+    }
+}
+
+impl Repro for ElasticRepro {
+    const FILE: &'static str = "simcheck_elastic_repro.json";
+    const TRACE: &'static str = "lease trace";
+    fn events_len(&self) -> usize {
+        self.events.len()
+    }
+    fn first_violation(&self) -> &str {
+        &self.first_violation
+    }
+    fn to_json(&self) -> String {
+        self.to_json()
+    }
+    fn parse(text: &str) -> Result<Self, String> {
+        ElasticRepro::parse(text)
+    }
+    fn replay(&self) -> Vec<Violation> {
+        self.replay()
+    }
+    fn describe(&self) -> String {
+        format!(
+            "replaying elastic case: seed {} boards {} events {}",
+            self.seed,
+            self.boards,
+            self.events.len()
+        )
+    }
+}
+
+fn fail_with_repro<R: Repro>(repro: R, original_events: usize) -> ! {
     println!(
-        "shrunk fault plan: {} -> {} event(s)",
+        "shrunk {}: {} -> {} event(s)",
+        R::TRACE,
         original_events,
-        repro.events.len()
+        repro.events_len()
     );
-    println!("first violation: {}", repro.first_violation);
-    bench::write_raw("simcheck_repro.json", &repro.to_json());
+    println!("first violation: {}", repro.first_violation());
+    bench::write_raw(R::FILE, &repro.to_json());
     println!(
         "replay: cargo run -p bench --release --bin simcheck -- \
-         --replay results/simcheck_repro.json"
+         --replay results/{}",
+        R::FILE
     );
     std::process::exit(1);
+}
+
+fn replay_as<R: Repro>(path: &str, text: &str) -> ! {
+    let repro = R::parse(text).unwrap_or_else(|e| {
+        eprintln!("cannot parse {path}: {e}");
+        std::process::exit(2);
+    });
+    println!("{}", repro.describe());
+    let violations = repro.replay();
+    print!("{}", render(&violations));
+    if violations.is_empty() {
+        println!("repro did NOT reproduce (fixed, or stale artifact)");
+        std::process::exit(1);
+    }
+    std::process::exit(0);
 }
 
 fn replay(path: &str) -> ! {
@@ -131,46 +218,14 @@ fn replay(path: &str) -> ! {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
     });
-    if text.contains("\"kind\": \"elastic\"") || text.contains("\"kind\":\"elastic\"") {
-        let repro = ElasticRepro::parse(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse {path}: {e}");
-            std::process::exit(2);
-        });
-        println!(
-            "replaying elastic case: seed {} boards {} events {}",
-            repro.seed,
-            repro.boards,
-            repro.events.len()
-        );
-        let violations = repro.replay();
-        print!("{}", render(&violations));
-        if violations.is_empty() {
-            println!("repro did NOT reproduce (fixed, or stale artifact)");
-            std::process::exit(1);
+    // Scheduler repros carry a top-level "kind"; fault-plan repros carry
+    // a "mode" instead (and report their own parse errors otherwise).
+    match json::parse(&text) {
+        Ok(Value::Object(fields)) if fields.iter().any(|(key, _)| key == "kind") => {
+            replay_as::<ElasticRepro>(path, &text)
         }
-        std::process::exit(0);
+        _ => replay_as::<ReproSpec>(path, &text),
     }
-    let spec = ReproSpec::parse(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(2);
-    });
-    println!(
-        "replaying {} case: seed {} salt {} events {}",
-        match spec.mode {
-            ReproMode::Session => "session",
-            ReproMode::Cluster => "cluster",
-        },
-        spec.seed,
-        spec.salt,
-        spec.events.len()
-    );
-    let violations = spec.replay();
-    print!("{}", render(&violations));
-    if violations.is_empty() {
-        println!("repro did NOT reproduce (fixed, or stale artifact)");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
 }
 
 /// Shrinks a failing elastic lease trace and captures the repro.
@@ -182,97 +237,41 @@ fn shrink_elastic(spec: &ElasticSpec) -> ElasticRepro {
     ElasticRepro::capture(spec, &minimal, &violations)
 }
 
-fn fail_with_elastic_repro(spec: &ElasticSpec) -> ! {
-    let repro = shrink_elastic(spec);
-    println!(
-        "shrunk lease trace: {} -> {} event(s)",
-        spec.events.len(),
-        repro.events.len()
-    );
-    println!("first violation: {}", repro.first_violation);
-    bench::write_raw("simcheck_elastic_repro.json", &repro.to_json());
-    println!(
-        "replay: cargo run -p bench --release --bin simcheck -- \
-         --replay results/simcheck_elastic_repro.json"
-    );
-    std::process::exit(1);
-}
-
-/// Validates the planted elastic-scheduler bug (a defrag move that drops
-/// the migrated tenant's ER/LTL caps): the scheduler oracle must catch
-/// it on some seed, shrink the lease trace to ≤ 5 events, and replay
-/// byte-identically twice from its own artifact.
-fn validate_elastic_bug(seeds: u64) -> bool {
-    println!("validating oracle sensitivity: elastic defrag cap drop");
-    for seed in 0..seeds {
-        let mut spec = ElasticSpec::generate(seed);
-        spec.plant_defrag_bug = true;
-        let out = run_elastic(&spec);
-        if out.violations.is_empty() {
-            continue; // this seed's trace never triggered a defrag move
-        }
-        println!("caught on seed {seed}: {}", out.violations[0]);
-        let repro = shrink_elastic(&spec);
-        println!(
-            "shrunk lease trace: {} -> {} event(s)",
-            spec.events.len(),
-            repro.events.len()
-        );
-        if repro.events.len() > 5 {
-            println!(
-                "FAIL: minimal repro has {} events (> 5)",
-                repro.events.len()
-            );
-            return false;
-        }
-        let json = repro.to_json();
-        bench::write_raw("simcheck_elastic_repro.json", &json);
-        let parsed = ElasticRepro::parse(&json).expect("own artifact parses");
-        let first = render(&parsed.replay());
-        let second = render(&parsed.replay());
-        if first != second || first.contains("total: 0") {
-            println!("FAIL: replay is not byte-identical or lost the violation");
-            print!("--- first ---\n{first}--- second ---\n{second}");
-            return false;
-        }
-        println!("replay is byte-identical across two runs:");
-        print!("{first}");
-        return true;
-    }
-    println!("FAIL: elastic defrag cap drop evaded the oracle on {seeds} seeds");
-    false
-}
-
-/// Validates one planted bug: it must be caught on some seed, shrink
-/// small, and replay byte-identically twice from its own artifact.
-fn validate_planted_bug(name: &str, seeds: u64, plant: &dyn Fn(&mut SessionSpec)) -> bool {
+/// Validates one planted bug: it must be caught on some seed, shrink to
+/// at most `max_events` events, and replay byte-identically twice from
+/// its own artifact. `catch` runs one seed with the bug planted and, when
+/// the oracle fires, returns the first violation, the unshrunk event
+/// count and the shrunk repro.
+fn validate_planted_bug<R: Repro>(
+    name: &str,
+    seeds: u64,
+    max_events: usize,
+    catch: impl Fn(u64) -> Option<(Violation, usize, R)>,
+) -> bool {
     println!("validating oracle sensitivity: {name}");
     for seed in 0..seeds {
-        let mut spec = SessionSpec::generate(seed);
-        plant(&mut spec);
-        let out = run_session(&spec);
-        if out.violations.is_empty() {
-            continue; // this seed's plan never provoked the bug
-        }
-        println!("caught on seed {seed}: {}", out.violations[0]);
-        let repro = shrink_session(&spec, &out.violations);
+        let Some((first, original_events, repro)) = catch(seed) else {
+            continue; // this seed never provoked the bug
+        };
+        println!("caught on seed {seed}: {first}");
         println!(
-            "shrunk fault plan: {} -> {} event(s)",
-            spec.plan.events.len(),
-            repro.events.len()
+            "shrunk {}: {} -> {} event(s)",
+            R::TRACE,
+            original_events,
+            repro.events_len()
         );
-        if repro.events.len() > 3 {
+        if repro.events_len() > max_events {
             println!(
-                "FAIL: minimal repro has {} events (> 3)",
-                repro.events.len()
+                "FAIL: minimal repro has {} events (> {max_events})",
+                repro.events_len()
             );
             return false;
         }
         let json = repro.to_json();
-        bench::write_raw("simcheck_repro.json", &json);
+        bench::write_raw(R::FILE, &json);
         // The repro must replay byte-identically, twice, from its own
         // serialized form.
-        let parsed = ReproSpec::parse(&json).expect("own artifact parses");
+        let parsed = R::parse(&json).expect("own artifact parses");
         let first = render(&parsed.replay());
         let second = render(&parsed.replay());
         if first != second || first.contains("total: 0") {
@@ -288,11 +287,29 @@ fn validate_planted_bug(name: &str, seeds: u64, plant: &dyn Fn(&mut SessionSpec)
     false
 }
 
+/// One seed of a planted LTL-session bug (`plant` arms it on the spec).
+fn catch_session(seed: u64, plant: fn(&mut SessionSpec)) -> Option<(Violation, usize, ReproSpec)> {
+    let mut spec = SessionSpec::generate(seed);
+    plant(&mut spec);
+    let first = run_session(&spec).violations.into_iter().next()?;
+    let repro = shrink_session(&spec, std::slice::from_ref(&first));
+    Some((first, spec.plan.events.len(), repro))
+}
+
+/// One seed of the planted elastic-scheduler bug: a defrag move that
+/// drops the migrated tenant's ER/LTL caps.
+fn catch_elastic(seed: u64) -> Option<(Violation, usize, ElasticRepro)> {
+    let mut spec = ElasticSpec::generate(seed);
+    spec.plant_defrag_bug = true;
+    let first = run_elastic(&spec).violations.into_iter().next()?;
+    Some((first, spec.events.len(), shrink_elastic(&spec)))
+}
+
 /// Harness self-test over every planted bug, one per transport mode. A
 /// blind oracle — one that would also wave through a buggy engine —
 /// fails here, not in production.
 fn validate_oracle(seeds: u64, elastic_only: bool) -> ! {
-    let elastic_ok = validate_elastic_bug(seeds);
+    let elastic_ok = validate_planted_bug("elastic defrag cap drop", seeds, 5, catch_elastic);
     if elastic_only {
         if elastic_ok {
             println!("oracle validation passed");
@@ -300,12 +317,14 @@ fn validate_oracle(seeds: u64, elastic_only: bool) -> ! {
         }
         std::process::exit(1);
     }
-    let gbn_ok = validate_planted_bug("go-back-n retransmit loss", seeds, &|spec| {
-        spec.lose_retransmits = 1;
+    let gbn_ok = validate_planted_bug("go-back-n retransmit loss", seeds, 3, |seed| {
+        catch_session(seed, |spec| spec.lose_retransmits = 1)
     });
-    let sr_ok = validate_planted_bug("selective-repeat sack omission", seeds, &|spec| {
-        spec.mode = LtlMode::SelectiveRepeat;
-        spec.omit_sacks = 4;
+    let sr_ok = validate_planted_bug("selective-repeat sack omission", seeds, 3, |seed| {
+        catch_session(seed, |spec| {
+            spec.mode = LtlMode::SelectiveRepeat;
+            spec.omit_sacks = 4;
+        })
     });
     if gbn_ok && sr_ok && elastic_ok {
         println!("oracle validation passed");
@@ -356,7 +375,7 @@ fn main() {
             if !out.violations.is_empty() {
                 println!("seed {seed}: elastic scheduler oracle fired");
                 print!("{}", render(&out.violations));
-                fail_with_elastic_repro(&spec);
+                fail_with_repro(shrink_elastic(&spec), spec.events.len());
             }
         }
         if elastic_only {

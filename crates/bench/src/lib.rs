@@ -103,11 +103,6 @@ pub mod mem {
         }
     }
 
-    /// Bytes currently allocated.
-    pub fn live_bytes() -> usize {
-        LIVE.load(Ordering::Relaxed)
-    }
-
     /// High-water mark of live bytes since process start.
     pub fn peak_bytes() -> usize {
         PEAK.load(Ordering::Relaxed)

@@ -478,18 +478,6 @@ impl ChaosConfig {
         }
     }
 
-    /// Sets the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> ChaosConfig {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the fault scenario.
-    pub fn with_preset(mut self, preset: Preset) -> ChaosConfig {
-        self.preset = preset;
-        self
-    }
-
     /// Scales the random preset's expected fault counts.
     pub fn with_fault_rate(mut self, rate: f64) -> ChaosConfig {
         self.fault_rate = rate;
@@ -502,12 +490,6 @@ impl ChaosConfig {
         self
     }
 
-    /// Sets the per-client request period.
-    pub fn with_request_period(mut self, period: SimDuration) -> ChaosConfig {
-        self.request_period = period;
-        self
-    }
-
     /// Sets the number of ranking-service (client, primary, spare) triples.
     pub fn with_ranking_pairs(mut self, pairs: usize) -> ChaosConfig {
         self.ranking_pairs = pairs;
@@ -517,37 +499,6 @@ impl ChaosConfig {
     /// Sets the number of DNN-pool (client, primary, spare) triples.
     pub fn with_dnn_pairs(mut self, pairs: usize) -> ChaosConfig {
         self.dnn_pairs = pairs;
-        self
-    }
-
-    /// Sets the client retry timeout and attempt budget.
-    pub fn with_request_timeout(mut self, timeout: SimDuration, max_attempts: u32) -> ChaosConfig {
-        self.request_timeout = timeout;
-        self.max_attempts = max_attempts;
-        self
-    }
-
-    /// Sets the degraded-completion latency threshold.
-    pub fn with_degraded_threshold(mut self, threshold: SimDuration) -> ChaosConfig {
-        self.degraded_threshold = threshold;
-        self
-    }
-
-    /// Sets the width of the per-fault during/after latency windows.
-    pub fn with_fault_window(mut self, window: SimDuration) -> ChaosConfig {
-        self.fault_window = window;
-        self
-    }
-
-    /// Sets the repair delay; `None` keeps failed nodes out of the pool.
-    pub fn with_repair_after(mut self, repair: Option<SimDuration>) -> ChaosConfig {
-        self.repair_after = repair;
-        self
-    }
-
-    /// Sets the full-chip reconfiguration time.
-    pub fn with_full_reconfig(mut self, reconfig: SimDuration) -> ChaosConfig {
-        self.full_reconfig = reconfig;
         self
     }
 }

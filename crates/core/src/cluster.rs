@@ -1,9 +1,11 @@
 //! Cluster construction: a fabric full of bump-in-the-wire FPGAs.
 //!
-//! [`Cluster`] wraps a [`dcsim::Engine`] holding the switching fabric and
-//! one [`Shell`] per populated host slot, and offers the wiring operations
-//! experiments need: attaching shells to TORs, opening LTL connection
-//! pairs, registering consumers, and running the clock.
+//! [`Cluster`] wraps a [`dcsim::ShardedEngine`] — one plain
+//! [`dcsim::Engine`] until [`Cluster::shard`] partitions it — holding the
+//! switching fabric and one [`Shell`] per populated host slot, and offers
+//! the wiring operations experiments need: attaching shells to TORs,
+//! opening LTL connection pairs, registering consumers, and running the
+//! clock.
 
 use std::collections::BTreeMap;
 
@@ -18,14 +20,6 @@ use dcsim::{
 use shell::ltl::{RecvConnId, SendConnId};
 use shell::{Shell, ShellConfig, PORT_TOR};
 use telemetry::{MetricsSnapshot, Tracer};
-
-/// How the cluster's events are being executed.
-enum Exec {
-    /// The classic single-threaded event loop.
-    Single(Engine<Msg>),
-    /// Conservative time-window sharding ([`ShardedEngine`]).
-    Sharded(ShardedEngine<Msg>),
-}
 
 /// Configures and builds a [`Cluster`]: fabric dimensions and switch
 /// calibration, shell configuration, per-pod fidelity and lazy topology
@@ -47,7 +41,6 @@ pub struct ClusterBuilder {
     shell_cfg: ShellConfig,
     fidelity: Option<FidelityMap>,
     lazy: bool,
-    flowsim: Option<FlowSimConfig>,
 }
 
 impl ClusterBuilder {
@@ -59,7 +52,6 @@ impl ClusterBuilder {
             shell_cfg: ShellConfig::default(),
             fidelity: None,
             lazy: false,
-            flowsim: None,
         }
     }
 
@@ -73,7 +65,6 @@ impl ClusterBuilder {
             shell_cfg: crate::calib::shell_config(),
             fidelity: None,
             lazy: false,
-            flowsim: None,
         }
     }
 
@@ -114,13 +105,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Overrides the flow-level model configuration (tick, adapter delay,
-    /// pressure saturation); defaults derive from the fabric shape.
-    pub fn flowsim_config(mut self, cfg: FlowSimConfig) -> Self {
-        self.flowsim = Some(cfg);
-        self
-    }
-
     /// Builds the engine, fabric, and (for hybrid fidelity maps) the
     /// flow-level background model.
     ///
@@ -148,7 +132,7 @@ impl ClusterBuilder {
             .lazy(self.lazy)
             .build(&mut engine);
         let (flowsim, flowsim_cfg) = if needs_flowsim(&fidelity) {
-            let cfg = self.flowsim.unwrap_or_else(|| FlowSimConfig::new(shape));
+            let cfg = FlowSimConfig::new(shape);
             let sim = FlowSim::new(cfg.clone())
                 .with_fidelity(&fidelity)
                 .with_spines(fabric.spine_switches());
@@ -157,7 +141,7 @@ impl ClusterBuilder {
             (None, None)
         };
         Cluster {
-            exec: Exec::Single(engine),
+            exec: ShardedEngine::unsharded(engine),
             fabric,
             fabric_cfg: self.fabric_cfg,
             shell_cfg: self.shell_cfg,
@@ -174,7 +158,8 @@ impl ClusterBuilder {
 
 /// A built cluster: engine + fabric + shells.
 pub struct Cluster {
-    exec: Exec,
+    /// The executor: unsharded (one plain engine) until [`Cluster::shard`].
+    exec: ShardedEngine<Msg>,
     fabric: Fabric,
     fabric_cfg: FabricConfig,
     shell_cfg: ShellConfig,
@@ -212,10 +197,10 @@ impl Cluster {
             !self.shells.contains_key(&addr),
             "slot {addr} already populated"
         );
-        let engine = match &mut self.exec {
-            Exec::Single(engine) => engine,
-            Exec::Sharded(_) => panic!("populate the cluster before calling Cluster::shard"),
-        };
+        let engine = self
+            .exec
+            .engine_mut()
+            .expect("populate the cluster before calling Cluster::shard");
         // Materialize the pod before reserving the shell's id: lazy
         // materialization registers switches, which would otherwise land
         // on the id we just handed to the shell.
@@ -247,19 +232,12 @@ impl Cluster {
         addr: NodeAddr,
         component: C,
     ) -> ComponentId {
-        let engine = match &mut self.exec {
-            Exec::Single(engine) => engine,
-            Exec::Sharded(_) => panic!("register components before calling Cluster::shard"),
-        };
-        let id = engine.add_component(component);
+        let engine = self.exec.engine_mut();
+        let id = engine
+            .expect("register components before calling Cluster::shard")
+            .add_component(component);
         self.pins.insert(id, addr);
         id
-    }
-
-    /// Pins an already-registered component to the slot at `addr` for
-    /// shard placement (see [`Cluster::add_component_at`]).
-    pub fn pin_component(&mut self, id: ComponentId, addr: NodeAddr) {
-        self.pins.insert(id, addr);
     }
 
     /// Like [`Cluster::add_component_at`], additionally declaring that
@@ -282,12 +260,6 @@ impl Cluster {
         id
     }
 
-    /// Declares a send-pacing floor for an already-registered component
-    /// (see [`Cluster::add_paced_component_at`]).
-    pub fn declare_send_pacing(&mut self, id: ComponentId, min_send_delay: SimDuration) {
-        self.paced.insert(id, min_send_delay);
-    }
-
     /// The shell at `addr`, if populated.
     pub fn shell_id(&self, addr: NodeAddr) -> Option<ComponentId> {
         self.shells.get(&addr).copied()
@@ -306,18 +278,12 @@ impl Cluster {
 
     /// A typed component reference, in either execution mode.
     pub fn component<T: Component<Msg>>(&self, id: ComponentId) -> Option<&T> {
-        match &self.exec {
-            Exec::Single(engine) => engine.component(id),
-            Exec::Sharded(sharded) => sharded.component(id),
-        }
+        self.exec.component(id)
     }
 
     /// A typed mutable component reference, in either execution mode.
     pub fn component_mut<T: Component<Msg>>(&mut self, id: ComponentId) -> Option<&mut T> {
-        match &mut self.exec {
-            Exec::Single(engine) => engine.component_mut(id),
-            Exec::Sharded(sharded) => sharded.component_mut(id),
-        }
+        self.exec.component_mut(id)
     }
 
     /// Mutable access to a shell (connection setup, stats extraction).
@@ -370,12 +336,9 @@ impl Cluster {
     /// Panics while sharded — use [`Cluster::component_mut`],
     /// [`Cluster::shard_count`] etc., or [`Cluster::unshard`] first.
     pub fn engine_mut(&mut self) -> &mut Engine<Msg> {
-        match &mut self.exec {
-            Exec::Single(engine) => engine,
-            Exec::Sharded(_) => {
-                panic!("Cluster::engine_mut is unavailable while sharded; call unshard() first")
-            }
-        }
+        self.exec
+            .engine_mut()
+            .expect("Cluster::engine_mut is unavailable while sharded; call unshard() first")
     }
 
     /// The engine, read-only.
@@ -385,22 +348,21 @@ impl Cluster {
     /// Panics while sharded — use [`Cluster::component`] or
     /// [`Cluster::unshard`] first.
     pub fn engine(&self) -> &Engine<Msg> {
-        match &self.exec {
-            Exec::Single(engine) => engine,
-            Exec::Sharded(_) => {
-                panic!("Cluster::engine is unavailable while sharded; call unshard() first")
-            }
-        }
+        self.exec
+            .engine()
+            .expect("Cluster::engine is unavailable while sharded; call unshard() first")
     }
 
-    /// Switches execution to the conservative sharded engine, partitioning
-    /// the fabric into (up to) `shards` shards along pod or rack
+    /// Partitions the executor in place ([`ShardedEngine::partition`]),
+    /// cutting the fabric into (up to) `shards` shards along pod or rack
     /// boundaries (see [`FabricPartition`]). Returns the shard count
-    /// actually used after clamping.
+    /// actually used after clamping. The same dispatch loop keeps running
+    /// every event; what changes is the tie-break key and RNG scheme.
     ///
-    /// Results are byte-identical to a 1-shard sharded run for any shard
-    /// count — but not to the classic single engine, whose event order
-    /// differs. Compare fingerprints within one execution mode.
+    /// Results are byte-identical to a 1-shard partitioned run for any
+    /// shard count — but not to the unsharded engine, whose global-FIFO
+    /// key scheme orders same-instant events differently. Compare
+    /// fingerprints within one scheme.
     ///
     /// # Panics
     ///
@@ -411,10 +373,10 @@ impl Cluster {
             self.tracer.is_none(),
             "sharded execution does not support flight-recorder tracing"
         );
-        let engine = match std::mem::replace(&mut self.exec, Exec::Single(Engine::new(0))) {
-            Exec::Single(engine) => engine,
-            Exec::Sharded(_) => panic!("Cluster::shard called while already sharded"),
-        };
+        assert!(
+            !self.is_sharded(),
+            "Cluster::shard called while already sharded"
+        );
         let partition =
             FabricPartition::plan_hybrid(&self.fabric_cfg, self.fabric.fidelity(), shards)
                 .unwrap_or_else(|e| panic!("cannot shard this cluster: {e}"));
@@ -429,7 +391,7 @@ impl Cluster {
         }
         let shape = self.fabric.shape();
         let lookahead = partition.lookahead();
-        let ncomp = engine.component_count();
+        let ncomp = self.exec.component_count();
         // Components not covered below (registered via engine_mut without
         // a pin, the flow-level model, unmaterialized pods) default to
         // shard 0; a zero-delay send from one of them across shards is
@@ -490,7 +452,7 @@ impl Cluster {
         let plan = ShardPlan::new(partition.shards(), shard_of, lookahead)
             .with_cut_excess(cut_excess)
             .with_min_send_delay(min_send);
-        self.exec = Exec::Sharded(ShardedEngine::from_engine(engine, plan));
+        self.exec.partition(plan);
         partition.shards()
     }
 
@@ -503,134 +465,66 @@ impl Cluster {
     ///
     /// Panics when not sharded.
     pub fn set_window_policy(&mut self, policy: WindowPolicy) {
-        match &mut self.exec {
-            Exec::Sharded(sharded) => sharded.set_window_policy(policy),
-            Exec::Single(_) => {
-                panic!("window policies apply to sharded execution; call Cluster::shard first")
-            }
-        }
-    }
-
-    /// The window policy in force, when sharded.
-    pub fn window_policy(&self) -> Option<WindowPolicy> {
-        match &self.exec {
-            Exec::Single(_) => None,
-            Exec::Sharded(sharded) => Some(sharded.window_policy()),
-        }
+        assert!(
+            self.is_sharded(),
+            "window policies apply to sharded execution; call Cluster::shard first"
+        );
+        self.exec.set_window_policy(policy);
     }
 
     /// Per-shard synchronization counters (empty when not sharded).
     pub fn sync_stats(&self) -> Vec<ShardSyncStats> {
-        match &self.exec {
-            Exec::Single(_) => Vec::new(),
-            Exec::Sharded(sharded) => sharded.sync_stats(),
-        }
+        self.exec.sync_stats()
     }
 
     /// Worker threads a multi-shard run uses: `min(shards, cores)` unless
     /// capped; 1 when not sharded.
     pub fn effective_workers(&self) -> usize {
-        match &self.exec {
-            Exec::Single(_) => 1,
-            Exec::Sharded(sharded) => sharded.effective_workers(),
-        }
+        self.exec.effective_workers()
     }
 
     /// Synchronization windows executed so far (0 when not sharded).
     pub fn sync_rounds(&self) -> u64 {
-        match &self.exec {
-            Exec::Single(_) => 0,
-            Exec::Sharded(sharded) => sharded.rounds(),
-        }
+        self.exec.rounds()
     }
 
-    /// A registry snapshot of the sharded engine's synchronization
-    /// gauges: `dcsim/shardS/{windows_run, windows_fast_forwarded,
-    /// window_extensions, cut_events}` per shard plus `dcsim/{shards,
-    /// workers, rounds}`. Deliberately separate from
-    /// [`Cluster::metrics_snapshot`]: simulation-content fingerprints are
-    /// byte-identical across shard counts and window policies, while
-    /// these gauges legitimately vary with both.
-    pub fn sync_metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::new(self.now());
-        if let Exec::Sharded(sharded) = &self.exec {
-            let mut v = snap.visitor("dcsim");
-            v.gauge("shards", sharded.shard_count() as f64);
-            v.gauge("workers", sharded.effective_workers() as f64);
-            v.gauge("rounds", sharded.rounds() as f64);
-            for (s, stats) in sharded.sync_stats().iter().enumerate() {
-                let mut v = snap.visitor(&format!("dcsim/shard{s}"));
-                v.gauge("windows_run", stats.windows_run as f64);
-                v.gauge(
-                    "windows_fast_forwarded",
-                    stats.windows_fast_forwarded as f64,
-                );
-                v.gauge("window_extensions", stats.window_extensions as f64);
-                v.gauge("cut_events", stats.cut_events as f64);
-            }
-        }
-        snap
-    }
-
-    /// Collapses a sharded cluster back into the classic single engine
-    /// (pending events and component state carry over). No-op when
-    /// already single.
+    /// Merges the shards back into the one unrouted engine in place
+    /// ([`ShardedEngine::merge`]): pending events and component state
+    /// carry over, [`Cluster::engine`] / [`Cluster::engine_mut`] work
+    /// again, and [`Cluster::shard`] may be called anew. No-op when not
+    /// sharded.
     pub fn unshard(&mut self) {
-        if let Exec::Sharded(sharded) =
-            std::mem::replace(&mut self.exec, Exec::Single(Engine::new(0)))
-        {
-            self.exec = Exec::Single(sharded.into_engine());
-        }
+        self.exec.merge();
     }
 
-    /// Whether the cluster is currently executing on the sharded engine.
+    /// Whether the cluster is currently partitioned into shards.
     pub fn is_sharded(&self) -> bool {
-        matches!(self.exec, Exec::Sharded(_))
+        self.exec.engine().is_none()
     }
 
-    /// Number of shards in use (1 for the classic engine).
+    /// Number of shards in use (1 when not sharded).
     pub fn shard_count(&self) -> u32 {
-        match &self.exec {
-            Exec::Single(_) => 1,
-            Exec::Sharded(sharded) => sharded.shard_count() as u32,
-        }
+        self.exec.shard_count() as u32
     }
 
     /// Runs the simulation for `span`.
     pub fn run_for(&mut self, span: SimDuration) -> u64 {
-        match &mut self.exec {
-            Exec::Single(engine) => engine.run_for(span),
-            Exec::Sharded(sharded) => sharded.run_for(span),
-        }
+        self.exec.run_for(span)
     }
 
     /// Runs until the event queue drains.
     pub fn run_to_idle(&mut self) -> u64 {
-        match &mut self.exec {
-            Exec::Single(engine) => engine.run_to_idle(),
-            Exec::Sharded(sharded) => sharded.run_to_idle(),
-        }
+        self.exec.run_to_idle()
     }
 
     /// Runs events up to `horizon`.
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
-        match &mut self.exec {
-            Exec::Single(engine) => engine.run_until(horizon),
-            Exec::Sharded(sharded) => sharded.run_until(horizon),
-        }
+        self.exec.run_until(horizon)
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        match &self.exec {
-            Exec::Single(engine) => engine.now(),
-            Exec::Sharded(sharded) => sharded.now(),
-        }
-    }
-
-    /// Number of populated host slots.
-    pub fn shell_count(&self) -> usize {
-        self.shells.len()
+        self.exec.now()
     }
 
     /// Iterates over populated slots.
@@ -748,17 +642,6 @@ impl Cluster {
     /// The flow-level background model, when the fidelity map is hybrid.
     pub fn flowsim(&self) -> Option<&FlowSim> {
         self.component::<FlowSim>(self.flowsim?)
-    }
-
-    /// Materializes a lazy packet pod ahead of its first [`Cluster::add_shell`]
-    /// (useful to front-load switch construction before timing a run).
-    /// Returns `true` when the pod was materialized by this call.
-    pub fn materialize_pod(&mut self, pod: u16) -> bool {
-        let engine = match &mut self.exec {
-            Exec::Single(engine) => engine,
-            Exec::Sharded(_) => panic!("materialize pods before calling Cluster::shard"),
-        };
-        self.fabric.materialize_pod(engine, pod)
     }
 }
 
@@ -906,6 +789,15 @@ mod tests {
         }
     }
 
+    #[derive(Default)]
+    struct EventCount(u64);
+
+    impl dcsim::Observer<Msg> for EventCount {
+        fn after_event(&mut self, _event: &dcsim::EventRecord, _engine: &Engine<Msg>) {
+            self.0 += 1;
+        }
+    }
+
     #[test]
     fn unshard_restores_engine_access_and_state() {
         let mut cluster = ClusterBuilder::paper(3, 1).build();
@@ -930,7 +822,33 @@ mod tests {
         cluster.unshard();
         assert!(!cluster.is_sharded());
         assert_eq!(cluster.engine().now(), t);
-        cluster.run_to_idle();
+
+        // Partition <-> merge is a cycle, not a one-way door: a second
+        // message scheduled on the merged engine runs partly sharded...
+        cluster.engine_mut().schedule(
+            t,
+            a_id,
+            Msg::custom(ShellCmd::LtlSend {
+                conn: a_send,
+                vc: 0,
+                payload: Bytes::from_static(b"y"),
+            }),
+        );
+        assert_eq!(cluster.shard(2), 2);
+        assert!(cluster.run_for(SimDuration::from_micros(1)) > 0);
+        cluster.unshard();
+        assert_eq!((cluster.shard_count(), cluster.sync_rounds()), (1, 0));
+
+        // ...and finishes on the merged engine, which is a plain engine
+        // again: it takes an observer, which sees exactly the events the
+        // run reports.
+        cluster
+            .engine_mut()
+            .set_observer(Box::new(EventCount::default()));
+        let ran = cluster.run_to_idle();
+        assert!(ran > 0);
+        let seen = cluster.engine().observer_as::<EventCount>().unwrap().0;
+        assert_eq!(seen, ran);
     }
 
     #[test]

@@ -225,27 +225,9 @@ impl SwitchConfig {
         self
     }
 
-    /// Disables ECN marking entirely.
-    pub fn without_ecn(mut self) -> Self {
-        self.ecn = None;
-        self
-    }
-
     /// Sets the PFC thresholds.
     pub fn with_pfc(mut self, pfc: PfcConfig) -> Self {
         self.pfc = Some(pfc);
-        self
-    }
-
-    /// Disables PFC generation entirely.
-    pub fn without_pfc(mut self) -> Self {
-        self.pfc = None;
-        self
-    }
-
-    /// Sets the bitmask of lossless traffic classes.
-    pub fn with_lossless_mask(mut self, mask: u8) -> Self {
-        self.lossless_mask = mask;
         self
     }
 

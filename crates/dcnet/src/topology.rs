@@ -541,7 +541,6 @@ pub struct Attachment {
 pub struct FabricBuilder {
     cfg: FabricConfig,
     fidelity: Option<FidelityMap>,
-    pod_overrides: Vec<(u16, Fidelity)>,
     lazy: bool,
 }
 
@@ -589,36 +588,11 @@ impl FabricBuilder {
         self
     }
 
-    /// Sets the configuration of every TOR switch.
-    pub fn tor_config(mut self, cfg: SwitchConfig) -> Self {
-        self.cfg.tor = cfg;
-        self
-    }
-
-    /// Sets the configuration of every aggregation switch.
-    pub fn agg_config(mut self, cfg: SwitchConfig) -> Self {
-        self.cfg.agg = cfg;
-        self
-    }
-
-    /// Sets the configuration of every spine switch.
-    pub fn spine_config(mut self, cfg: SwitchConfig) -> Self {
-        self.cfg.spine = cfg;
-        self
-    }
-
     /// Sets the per-pod fidelity map (defaults to all-packet). The map
     /// must cover exactly the shape's pod count at [`FabricBuilder::build`]
     /// time.
     pub fn fidelity(mut self, map: FidelityMap) -> Self {
         self.fidelity = Some(map);
-        self
-    }
-
-    /// Overrides one pod's fidelity (applied on top of the map, or of the
-    /// all-packet default, at build time).
-    pub fn pod_fidelity(mut self, pod: u16, fidelity: Fidelity) -> Self {
-        self.pod_overrides.push((pod, fidelity));
         self
     }
 
@@ -648,11 +622,10 @@ impl FabricBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the fidelity map does not cover the shape's pod count or
-    /// an override names a pod outside it.
+    /// Panics if the fidelity map does not cover the shape's pod count.
     pub fn build(self, engine: &mut Engine<Msg>) -> Fabric {
         let shape = self.cfg.shape;
-        let mut fidelity = self
+        let fidelity = self
             .fidelity
             .unwrap_or_else(|| FidelityMap::all_packet(shape.pods));
         assert_eq!(
@@ -662,9 +635,6 @@ impl FabricBuilder {
             fidelity.pods(),
             shape.pods
         );
-        for (pod, f) in self.pod_overrides {
-            fidelity.set(pod, f);
-        }
 
         let pods = shape.pods as usize;
         let mut fabric = Fabric {

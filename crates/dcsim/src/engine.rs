@@ -38,7 +38,7 @@ use std::fmt;
 
 use crate::queue::CalendarQueue;
 use crate::rng::SimRng;
-use crate::sharded::{self, RemoteEvent, ShardRoute};
+use crate::sharded::{self, RemoteEvent, Routed, ShardRoute};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a component registered with an [`Engine`].
@@ -120,7 +120,12 @@ pub struct EventRecord {
 /// This is the hook simulation-testing oracles (invariant checkers,
 /// differential reference models) use to check the system between every
 /// pair of events.
-pub trait Observer<M>: Any {
+///
+/// The `Send` supertrait keeps [`Engine`] itself `Send`: the shards of a
+/// partitioned [`crate::ShardedEngine`] are plain engines handed to scoped
+/// worker threads, and the observer slot is the only field that could
+/// otherwise pin an engine to its thread.
+pub trait Observer<M>: Any + Send {
     /// Called after each event is dispatched.
     fn after_event(&mut self, event: &EventRecord, engine: &Engine<M>);
 }
@@ -138,10 +143,11 @@ pub struct Context<'a, M> {
     tie_break_salt: u64,
     rng: &'a mut SimRng,
     stop: &'a mut bool,
-    /// `Some` when this dispatch runs inside a [`crate::ShardedEngine`]
-    /// shard: sends are routed by destination shard and keyed with the
-    /// shard-count-invariant `(source, send index)` scheme.
-    route: Option<ShardRoute<'a, M>>,
+    /// `Some` when the dispatching engine is a shard of a partitioned
+    /// [`crate::ShardedEngine`]: sends are routed by destination shard and
+    /// keyed with the shard-count-invariant `(source, send index)` scheme,
+    /// and `seq`/`rng` are the executing component's own.
+    route: Option<&'a mut ShardRoute<M>>,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -186,7 +192,8 @@ impl<'a, M> Context<'a, M> {
     /// and cross-shard sends land in the window outbox rather than the
     /// local queue.
     fn push(&mut self, at: SimTime, dest: ComponentId, kind: EventKind<M>) {
-        if let Some(route) = self.route.as_mut() {
+        if let Some(route) = self.route.as_deref_mut() {
+            let plan = &*route.plan;
             let at_ns = at.as_nanos();
             let key = sharded::source_key(self.id, *self.seq);
             *self.seq += 1;
@@ -197,7 +204,7 @@ impl<'a, M> Context<'a, M> {
                 // than silently corrupt the window-safety argument.
                 // Self-sends and timers are exempt — a causal chain still
                 // pays the floor once when it leaves the component.
-                let floor = route.min_send[self.id.as_raw()];
+                let floor = plan.min_send[self.id.as_raw()];
                 assert!(
                     at_ns >= self.now.as_nanos().saturating_add(floor),
                     "send-pacing violation: {} declared a minimum send delay \
@@ -208,9 +215,10 @@ impl<'a, M> Context<'a, M> {
                     at_ns.saturating_sub(self.now.as_nanos()),
                 );
             }
-            let dst_shard = route.shard_of[dest.as_raw()];
+            let dst_shard = plan.shard_of[dest.as_raw()];
+            let class = plan.cut_class[dest.as_raw()] as usize;
             if dst_shard == route.my_shard {
-                route.cut_counts[route.cut_class[dest.as_raw()] as usize] += 1;
+                route.cut_counts[class] += 1;
                 self.queue.push(at_ns, key, (dest, kind));
             } else {
                 assert!(
@@ -226,12 +234,11 @@ impl<'a, M> Context<'a, M> {
                 // in no queue until the destination drains its mailbox, so
                 // the sender accounts for it in the next round's window
                 // start and cut-ETA reductions.
-                *route.out_min_at = (*route.out_min_at).min(at_ns);
-                *route.out_min_eta =
-                    (*route.out_min_eta).min(at_ns.saturating_add(
-                        route.class_excess[route.cut_class[dest.as_raw()] as usize],
-                    ));
-                *route.remote_sent += 1;
+                route.out_min_at = route.out_min_at.min(at_ns);
+                route.out_min_eta = route
+                    .out_min_eta
+                    .min(at_ns.saturating_add(plan.class_excess[class]));
+                route.sync.cut_events += 1;
                 route.outboxes[dst_shard as usize].push(RemoteEvent {
                     at: at_ns,
                     key,
@@ -241,11 +248,7 @@ impl<'a, M> Context<'a, M> {
             }
             return;
         }
-        let key = if self.tie_break_salt == 0 {
-            *self.seq
-        } else {
-            mix64(*self.seq ^ self.tie_break_salt)
-        };
+        let key = fifo_key(*self.seq, self.tie_break_salt);
         self.queue.push(at.as_nanos(), key, (dest, kind));
         *self.seq += 1;
     }
@@ -264,60 +267,30 @@ impl<'a, M> Context<'a, M> {
     pub fn stop(&mut self) {
         *self.stop = true;
     }
-
-    /// Builds the dispatch context a [`crate::ShardedEngine`] shard hands
-    /// to its components. `seq` is the executing component's private send
-    /// counter and `rng` its private random stream.
-    pub(crate) fn for_shard(
-        now: SimTime,
-        id: ComponentId,
-        queue: &'a mut CalendarQueue<(ComponentId, EventKind<M>)>,
-        seq: &'a mut u64,
-        rng: &'a mut SimRng,
-        stop: &'a mut bool,
-        route: ShardRoute<'a, M>,
-    ) -> Context<'a, M> {
-        Context {
-            now,
-            id,
-            queue,
-            seq,
-            tie_break_salt: 0,
-            rng,
-            stop,
-            route: Some(route),
-        }
-    }
 }
 
 /// The discrete-event scheduler: owns all components and the event queue.
+///
+/// The fields marked `pub(crate)` are what [`crate::ShardedEngine`] deals
+/// out and collects when it partitions one engine into routed shard
+/// engines and merges them back.
 pub struct Engine<M> {
-    now: SimTime,
+    pub(crate) now: SimTime,
     seq: u64,
-    queue: CalendarQueue<(ComponentId, EventKind<M>)>,
-    components: Vec<Option<Box<dyn Component<M>>>>,
-    rng: SimRng,
+    pub(crate) queue: CalendarQueue<(ComponentId, EventKind<M>)>,
+    /// Indexed by global [`ComponentId`]. In a shard the table is sparse
+    /// (full length, only the shard's own components populated).
+    pub(crate) components: Vec<Option<Box<dyn Component<M>>>>,
+    pub(crate) rng: SimRng,
     seed: u64,
-    stopped: bool,
-    events_processed: u64,
-    observer: Option<Box<dyn Observer<M>>>,
-    tie_break_salt: u64,
-}
-
-/// A dismantled [`Engine`]: everything needed to rebuild it, or to deal
-/// its components and pending events out to the shards of a
-/// [`crate::ShardedEngine`].
-pub(crate) struct EngineParts<M> {
-    pub now: SimTime,
-    pub seed: u64,
-    pub rng: SimRng,
-    pub components: Vec<Option<Box<dyn Component<M>>>>,
-    /// Pending events in exact pop order (`(time, key)`-sorted).
-    pub pending: Vec<(u64, ComponentId, EventKind<M>)>,
-    pub events_processed: u64,
-    pub stopped: bool,
-    pub observer: Option<Box<dyn Observer<M>>>,
-    pub tie_break_salt: u64,
+    pub(crate) stopped: bool,
+    pub(crate) events_processed: u64,
+    pub(crate) observer: Option<Box<dyn Observer<M>>>,
+    pub(crate) tie_break_salt: u64,
+    /// `Some` while this engine is one shard of a partitioned
+    /// [`crate::ShardedEngine`]; selects the routed key and RNG scheme in
+    /// [`Context::push`].
+    pub(crate) routed: Option<Box<Routed<M>>>,
 }
 
 impl<M: 'static> Engine<M> {
@@ -334,6 +307,7 @@ impl<M: 'static> Engine<M> {
             events_processed: 0,
             observer: None,
             tie_break_salt: 0,
+            routed: None,
         }
     }
 
@@ -347,59 +321,9 @@ impl<M: 'static> Engine<M> {
         engine
     }
 
-    /// Pre-sizes the component registry for `additional` more
-    /// registrations (lazy topology materialization touching a new pod
-    /// reserves its whole switch complement at once).
-    pub fn reserve_components(&mut self, additional: usize) {
-        self.components.reserve(additional);
-    }
-
     /// The seed this engine's random stream was derived from.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Dismantles the engine, draining the pending-event queue into exact
-    /// pop order.
-    pub(crate) fn into_parts(mut self) -> EngineParts<M> {
-        let mut pending = Vec::with_capacity(self.queue.len());
-        while let Some(ev) = self.queue.pop_due(u64::MAX) {
-            let (dest, kind) = ev.value;
-            pending.push((ev.at, dest, kind));
-        }
-        EngineParts {
-            now: self.now,
-            seed: self.seed,
-            rng: self.rng,
-            components: self.components,
-            pending,
-            events_processed: self.events_processed,
-            stopped: self.stopped,
-            observer: self.observer,
-            tie_break_salt: self.tie_break_salt,
-        }
-    }
-
-    /// Rebuilds an engine from parts; `pending` must already be in the
-    /// intended pop order (it is re-keyed FIFO).
-    pub(crate) fn from_parts(parts: EngineParts<M>) -> Engine<M> {
-        let mut engine = Engine {
-            now: parts.now,
-            seq: 0,
-            queue: CalendarQueue::new(),
-            components: parts.components,
-            rng: parts.rng,
-            seed: parts.seed,
-            stopped: parts.stopped,
-            events_processed: parts.events_processed,
-            observer: parts.observer,
-            tie_break_salt: parts.tie_break_salt,
-        };
-        for (at, dest, kind) in parts.pending {
-            engine.queue.push(at, engine.seq, (dest, kind));
-            engine.seq += 1;
-        }
-        engine
     }
 
     /// Registers a component and returns its id. Ids are assigned in
@@ -483,16 +407,8 @@ impl<M: 'static> Engine<M> {
         self.tie_break_salt = salt;
     }
 
-    fn push(&mut self, at: SimTime, dest: ComponentId, kind: EventKind<M>) {
-        // The queue breaks timestamp ties by key. With no salt the key is
-        // the submission counter itself (FIFO); with a salt it is a
-        // bijective mix of the counter, so keys stay unique and the
-        // permutation of same-timestamp events is deterministic.
-        let key = if self.tie_break_salt == 0 {
-            self.seq
-        } else {
-            mix64(self.seq ^ self.tie_break_salt)
-        };
+    pub(crate) fn push(&mut self, at: SimTime, dest: ComponentId, kind: EventKind<M>) {
+        let key = fifo_key(self.seq, self.tie_break_salt);
         self.queue.push(at.as_nanos(), key, (dest, kind));
         self.seq += 1;
     }
@@ -507,9 +423,24 @@ impl<M: 'static> Engine<M> {
     /// last processed event (or advanced to `horizon` if it is finite and the
     /// queue drained early). Returns the number of events processed.
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
+        let processed = self.dispatch(horizon.as_nanos());
+        if !self.stopped && horizon != SimTime::MAX && self.now < horizon {
+            self.now = horizon;
+        }
+        processed
+    }
+
+    /// The dispatch loop — the only one: pops events due at or before
+    /// `until_incl` in `(time, key)` order and hands each to its
+    /// component, leaving the clock at the last one processed. A
+    /// [`crate::ShardedEngine`] runs every window of every shard through
+    /// here too; the shard's [`Routed`] state then supplies the executing
+    /// component's own send counter and random stream plus the routing
+    /// view [`Context::push`] branches on.
+    pub(crate) fn dispatch(&mut self, until_incl: u64) -> u64 {
         let mut processed = 0;
         while !self.stopped {
-            let Some(ev) = self.queue.pop_due(horizon.as_nanos()) else {
+            let Some(ev) = self.queue.pop_due(until_incl) else {
                 break;
             };
             debug_assert!(ev.at >= self.now.as_nanos(), "event queue went backwards");
@@ -525,18 +456,22 @@ impl<M: 'static> Engine<M> {
             };
             let mut component = slot
                 .take()
-                .expect("component is always returned after dispatch");
+                .expect("component is registered here and returned after every dispatch");
 
             {
+                let (seq, rng, route) = match self.routed.as_deref_mut() {
+                    None => (&mut self.seq, &mut self.rng, None),
+                    Some(routed) => routed.enter(dest),
+                };
                 let mut ctx = Context {
                     now: self.now,
                     id: dest,
                     queue: &mut self.queue,
-                    seq: &mut self.seq,
+                    seq,
                     tie_break_salt: self.tie_break_salt,
-                    rng: &mut self.rng,
+                    rng,
                     stop: &mut self.stopped,
-                    route: None,
+                    route,
                 };
                 match kind {
                     EventKind::Message(msg) => component.on_message(msg, &mut ctx),
@@ -557,9 +492,6 @@ impl<M: 'static> Engine<M> {
                 obs.after_event(&record, self);
                 self.observer = Some(obs);
             }
-        }
-        if !self.stopped && horizon != SimTime::MAX && self.now < horizon {
-            self.now = horizon;
         }
         processed
     }
@@ -604,9 +536,16 @@ impl<M: 'static> Engine<M> {
     }
 }
 
-/// SplitMix64 finalizer: a bijection on `u64`, so distinct submission
-/// counters always map to distinct tie-break keys.
-fn mix64(mut z: u64) -> u64 {
+/// The unrouted tie-break key of the `seq`-th submission. With no salt
+/// it is the submission counter itself (FIFO); with a salt it is the
+/// SplitMix64 finalizer of their xor — a bijection on `u64`, so keys stay
+/// unique and the permutation of same-timestamp events is deterministic.
+#[inline]
+fn fifo_key(seq: u64, salt: u64) -> u64 {
+    if salt == 0 {
+        return seq;
+    }
+    let mut z = seq ^ salt;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -198,11 +198,6 @@ impl PercentileRecorder {
         Some(self.samples[rank.clamp(1, n) - 1])
     }
 
-    /// The `p`-th percentile as a [`SimDuration`].
-    pub fn percentile_duration(&mut self, p: f64) -> Option<SimDuration> {
-        self.percentile(p).map(SimDuration::from_nanos)
-    }
-
     /// Largest sample, or `None` if empty.
     pub fn max(&mut self) -> Option<u64> {
         self.ensure_sorted();

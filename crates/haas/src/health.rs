@@ -103,19 +103,9 @@ impl FailureMonitor {
         &self.rm
     }
 
-    /// Mutable pool access (setup before a run).
-    pub fn rm_mut(&mut self) -> &mut ResourceManager {
-        &mut self.rm
-    }
-
     /// The managed services.
     pub fn services(&self) -> &[ServiceManager] {
         &self.services
-    }
-
-    /// Mutable service access (setup before a run).
-    pub fn services_mut(&mut self) -> &mut [ServiceManager] {
-        &mut self.services
     }
 
     /// A node's FPGA Manager, if tracked.

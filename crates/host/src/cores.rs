@@ -66,11 +66,6 @@ impl CorePool {
         (start, end)
     }
 
-    /// When the next core becomes free.
-    pub fn next_free(&self) -> SimTime {
-        self.free_at.peek().expect("pool is never empty").0
-    }
-
     /// Total core-time consumed so far (for utilisation reporting).
     pub fn busy_time(&self) -> SimDuration {
         self.busy_time

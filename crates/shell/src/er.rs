@@ -74,12 +74,6 @@ impl ErConfig {
         self
     }
 
-    /// Sets the flit payload size in bytes.
-    pub fn with_flit_bytes(mut self, bytes: usize) -> Self {
-        self.flit_bytes = bytes;
-        self
-    }
-
     /// Sets the dedicated credits per VC.
     pub fn with_credits_per_vc(mut self, credits: usize) -> Self {
         self.credits_per_vc = credits;

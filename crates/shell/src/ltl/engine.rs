@@ -149,29 +149,10 @@ impl LtlConfig {
         self.with_mode(LtlMode::SelectiveRepeat)
     }
 
-    /// Clamps the adaptive RTO to `[min, max]` (selective repeat only).
-    pub fn with_rto_bounds(mut self, min: SimDuration, max: SimDuration) -> Self {
-        self.min_rto = min;
-        self.max_rto = max;
-        self
-    }
-
     /// Sets the receive reassembly window in frames (clamped to the
     /// 64-frame SACK bitmap span; selective repeat only).
     pub fn with_recv_window(mut self, frames: u32) -> Self {
         self.recv_window = frames.clamp(1, 64);
-        self
-    }
-
-    /// Sets the maximum LTL payload bytes per frame.
-    pub fn with_mtu_payload(mut self, bytes: usize) -> Self {
-        self.mtu_payload = bytes;
-        self
-    }
-
-    /// Sets the retransmission timeout.
-    pub fn with_timeout(mut self, timeout: SimDuration) -> Self {
-        self.timeout = timeout;
         self
     }
 
@@ -187,27 +168,9 @@ impl LtlConfig {
         self
     }
 
-    /// Removes the egress bandwidth cap.
-    pub fn without_rate_limit(mut self) -> Self {
-        self.rate_limit_bps = None;
-        self
-    }
-
-    /// Sets the DC-QCN reaction-point configuration.
-    pub fn with_dcqcn(mut self, dcqcn: DcqcnConfig) -> Self {
-        self.dcqcn = Some(dcqcn);
-        self
-    }
-
     /// Disables DC-QCN congestion control (ablation).
     pub fn without_dcqcn(mut self) -> Self {
         self.dcqcn = None;
-        self
-    }
-
-    /// Sets the minimum per-connection CNP interval.
-    pub fn with_cnp_interval(mut self, interval: SimDuration) -> Self {
-        self.cnp_interval = interval;
         self
     }
 
@@ -501,11 +464,6 @@ impl LtlEngine {
     /// between every pair of events.
     pub fn stats_view(&self) -> &LtlStats {
         &self.stats
-    }
-
-    /// Number of send connections allocated.
-    pub fn send_conn_count(&self) -> usize {
-        self.sends.len()
     }
 
     /// Snapshot of `conn`'s sliding-window state, if the id is known.
@@ -1736,7 +1694,7 @@ mod tests {
         p.exchange(SimDuration::from_micros(1));
         // Seq 2 was genuinely lost to the window drop; the adaptive
         // timeout recovers it.
-        p.now = p.now + SimDuration::from_micros(120);
+        p.now += SimDuration::from_micros(120);
         p.a.on_tick(p.now);
         p.exchange(SimDuration::from_micros(1));
         assert_eq!(p.b.stats_view().msgs_delivered, 3);

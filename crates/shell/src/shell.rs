@@ -111,30 +111,6 @@ impl ShellConfig {
         self.ltl_rx_latency = latency;
         self
     }
-
-    /// Sets the bridge store-and-forward latency.
-    pub fn with_bridge_latency(mut self, latency: SimDuration) -> Self {
-        self.bridge_latency = latency;
-        self
-    }
-
-    /// Sets the retransmission-scan tick period.
-    pub fn with_tick(mut self, tick: SimDuration) -> Self {
-        self.tick = tick;
-        self
-    }
-
-    /// Sets the full-chip reconfiguration duration.
-    pub fn with_full_reconfig(mut self, duration: SimDuration) -> Self {
-        self.full_reconfig = duration;
-        self
-    }
-
-    /// Sets the role partial-reconfiguration duration.
-    pub fn with_partial_reconfig(mut self, duration: SimDuration) -> Self {
-        self.partial_reconfig = duration;
-        self
-    }
 }
 
 /// Commands local components send to their shell (wrapped in

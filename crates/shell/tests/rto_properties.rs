@@ -26,7 +26,7 @@ enum Op {
 /// Decodes a generated `(tag, value)` pair: one in four ops is a
 /// timeout, the rest are RTT samples.
 fn decode(tag: u8, value: u64) -> Op {
-    if tag % 4 == 0 {
+    if tag.is_multiple_of(4) {
         Op::Timeout
     } else {
         Op::Sample(value)
@@ -65,11 +65,7 @@ impl RefModel {
             self.srtt = r;
             self.rttvar = r / 2;
         } else {
-            let err = if self.srtt > r {
-                self.srtt - r
-            } else {
-                r - self.srtt
-            };
+            let err = self.srtt.abs_diff(r);
             self.rttvar = self.rttvar - self.rttvar / 4 + err / 4;
             self.srtt = self.srtt - self.srtt / 8 + r / 8;
         }

@@ -353,7 +353,9 @@ impl RefScheduler {
     /// Evicts the weakest-class preemptible lease of a strictly lower
     /// class in the smallest sufficient region, reserving it for `w`.
     fn try_preempt_for(&mut self, now: SimTime, w: &RefWaiting) {
-        let mut best: Option<((core::cmp::Reverse<u8>, u32, u64), usize)> = None;
+        /// Victim ranking: weakest class first, then smallest region, then id.
+        type VictimKey = (core::cmp::Reverse<u8>, u32, u64);
+        let mut best: Option<(VictimKey, usize)> = None;
         for (i, s) in self.slots.iter().enumerate() {
             let Some(l) = &s.occupant else { continue };
             if !l.preemptible

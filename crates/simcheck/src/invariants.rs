@@ -22,28 +22,22 @@
 
 use crate::{seq_le, Violation};
 use dcnet::{Msg, NodeAddr, PortId, Switch, TrafficClass};
-use dcsim::{Component, ComponentId, Engine, EventRecord, Observer, ShardedEngine, SimTime};
+use dcsim::{Component, ComponentId, Engine, EventRecord, Observer, SimTime};
 use haas::{FailureMonitor, FpgaState};
 use shell::Shell;
 use std::collections::BTreeMap;
 
 /// Read-only typed component access: the least the invariant checks need
-/// from an engine, implemented by both execution modes so the same
-/// oracles run under the classic event loop (at event granularity, via
-/// [`Observer`]) and the sharded engine (at whatever step granularity
-/// the harness drives, via [`InvariantObserver::check_now`]).
+/// from an engine, implemented by the engine and by the cluster so the
+/// same oracles run unsharded (at event granularity, via [`Observer`])
+/// and on a sharded cluster (at whatever step granularity the harness
+/// drives, via [`InvariantObserver::check_now`]).
 pub trait ComponentView {
     /// A typed component reference, if `id` holds a `T`.
     fn view<T: Component<Msg>>(&self, id: ComponentId) -> Option<&T>;
 }
 
 impl ComponentView for Engine<Msg> {
-    fn view<T: Component<Msg>>(&self, id: ComponentId) -> Option<&T> {
-        self.component(id)
-    }
-}
-
-impl ComponentView for ShardedEngine<Msg> {
     fn view<T: Component<Msg>>(&self, id: ComponentId) -> Option<&T> {
         self.component(id)
     }

@@ -315,7 +315,7 @@ impl Channel {
             windows,
             corrupt,
             lossy,
-            rng: SimRng::seed_from(seed ^ 0x10_55_1E57),
+            rng: SimRng::seed_from(seed ^ 0x1055_1E57),
             log: Vec::new(),
         }
     }

@@ -78,11 +78,6 @@ impl Torus {
         self.cfg.width * self.cfg.height
     }
 
-    /// Healthy nodes.
-    pub fn healthy_count(&self) -> usize {
-        self.node_count() - self.failed.len()
-    }
-
     /// Marks a node failed.
     ///
     /// # Panics
