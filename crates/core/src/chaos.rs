@@ -534,6 +534,11 @@ impl ChaosRig {
     /// service and a DNN pool (each client wired to a primary and a
     /// pre-provisioned spare), a [`FailureMonitor`] owning the HaaS
     /// bookkeeping, and the preset's fault plan, fully scheduled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ranking_pairs + dnn_pairs` exceeds the 24 host slots of
+    /// the one rack every client (and every spare) is seated in.
     pub fn build(cfg: ChaosConfig) -> ChaosRig {
         let shape = crate::calib::paper_shape(1);
         let shell_cfg = ShellConfig {
@@ -549,6 +554,13 @@ impl ChaosRig {
         // primaries rack 2, spares rack 3 — so one TOR crash isolates a
         // whole service's primaries and nothing else.
         let n = cfg.ranking_pairs + cfg.dnn_pairs;
+        assert!(
+            n <= shape.hosts_per_tor as usize,
+            "ChaosRig seats every client in one {}-slot rack: {} ranking + {} dnn pairs do not fit",
+            shape.hosts_per_tor,
+            cfg.ranking_pairs,
+            cfg.dnn_pairs
+        );
         let mut layout: Vec<(NodeAddr, NodeAddr, NodeAddr, bool)> = Vec::new();
         for i in 0..cfg.ranking_pairs {
             let i = i as u16;
@@ -1220,6 +1232,16 @@ mod tests {
         let cfg = FaultConfig::with_rate(SimDuration::from_millis(100), 10.0);
         let plan = FaultPlan::generate(3, &targets, &cfg);
         assert!(plan.events.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "24-slot rack: 20 ranking + 5 dnn pairs do not fit")]
+    fn build_rejects_more_pairs_than_one_rack_seats() {
+        ChaosRig::build(
+            ChaosConfig::quick(1, Preset::Random)
+                .with_ranking_pairs(20)
+                .with_dnn_pairs(5),
+        );
     }
 
     #[test]

@@ -143,7 +143,6 @@ impl ClusterBuilder {
         Cluster {
             exec: ShardedEngine::unsharded(engine),
             fabric,
-            fabric_cfg: self.fabric_cfg,
             shell_cfg: self.shell_cfg,
             flowsim,
             flowsim_cfg,
@@ -161,7 +160,6 @@ pub struct Cluster {
     /// The executor: unsharded (one plain engine) until [`Cluster::shard`].
     exec: ShardedEngine<Msg>,
     fabric: Fabric,
-    fabric_cfg: FabricConfig,
     shell_cfg: ShellConfig,
     /// The flow-level background model, when the fidelity map is hybrid.
     flowsim: Option<ComponentId>,
@@ -377,9 +375,8 @@ impl Cluster {
             !self.is_sharded(),
             "Cluster::shard called while already sharded"
         );
-        let partition =
-            FabricPartition::plan_hybrid(&self.fabric_cfg, self.fabric.fidelity(), shards)
-                .unwrap_or_else(|e| panic!("cannot shard this cluster: {e}"));
+        let partition = FabricPartition::plan(&self.fabric, shards)
+            .unwrap_or_else(|e| panic!("cannot shard this cluster: {e}"));
         if let Some(cfg) = &self.flowsim_cfg {
             assert!(
                 cfg.adapter_delay >= partition.lookahead() || partition.shards() == 1,
@@ -389,7 +386,6 @@ impl Cluster {
                 partition.lookahead()
             );
         }
-        let shape = self.fabric.shape();
         let lookahead = partition.lookahead();
         let ncomp = self.exec.component_count();
         // Components not covered below (registered via engine_mut without
@@ -401,22 +397,9 @@ impl Cluster {
         let mut shard_of = vec![0u32; ncomp];
         let mut cut_excess = vec![lookahead; ncomp];
         let mut min_send = vec![SimDuration::ZERO; ncomp];
-        let cfg = &self.fabric_cfg;
-        for (i, &id) in self.fabric.spine_switches().iter().enumerate() {
-            shard_of[id.as_raw()] = partition.spine_shard(i as u16);
-            cut_excess[id.as_raw()] = partition.spine_cut_excess(cfg, i as u16);
-        }
-        for pod in 0..shape.pods {
-            if let Some(agg) = self.fabric.try_agg_switch(pod) {
-                shard_of[agg.as_raw()] = partition.agg_shard(pod);
-                cut_excess[agg.as_raw()] = partition.agg_cut_excess(cfg, pod);
-            }
-            for tor in 0..shape.tors_per_pod {
-                if let Some(id) = self.fabric.try_tor_switch(pod, tor) {
-                    shard_of[id.as_raw()] = partition.tor_shard(pod, tor);
-                    cut_excess[id.as_raw()] = partition.tor_cut_excess(cfg, pod, tor);
-                }
-            }
+        for (role, id) in self.fabric.switches() {
+            shard_of[id.as_raw()] = partition.shard_of(role);
+            cut_excess[id.as_raw()] = partition.cut_excess(role);
         }
         for (&id, &addr) in &self.pins {
             shard_of[id.as_raw()] = partition.endpoint_shard(addr);
@@ -435,7 +418,7 @@ impl Cluster {
             // delivery to its consumer (the consumer's excess, already
             // final in `cut_excess` because pins precede shells here).
             let mut excess =
-                partition.endpoint_cut_excess(cfg, addr, self.shell_cfg.tor_link.propagation);
+                partition.endpoint_cut_excess(addr, self.shell_cfg.tor_link.propagation);
             if let Some(&consumer) = self.consumers.get(&addr) {
                 excess = excess.min(cut_excess[consumer.as_raw()]);
             }
@@ -539,43 +522,20 @@ impl Cluster {
     /// the clock; events emitted while tracing is off are simply not
     /// recorded.
     pub fn enable_tracing(&mut self, capacity: usize) {
-        assert!(
-            !self.is_sharded(),
-            "sharded execution does not support flight-recorder tracing"
-        );
+        let engine = self
+            .exec
+            .engine_mut()
+            .expect("sharded execution does not support flight-recorder tracing");
         let tracer = Tracer::new(capacity);
-        let shape = self.fabric.shape();
-        for pod in 0..shape.pods {
-            for tor in 0..shape.tors_per_pod {
-                let Some(id) = self.fabric.try_tor_switch(pod, tor) else {
-                    continue;
-                };
-                let track = tracer.track(&format!("tor{pod:02}.{tor:02}"));
-                if let Some(sw) = self.engine_mut().component_mut::<Switch>(id) {
-                    sw.set_tracer(track);
-                }
-            }
-        }
-        for pod in 0..shape.pods {
-            let Some(id) = self.fabric.try_agg_switch(pod) else {
-                continue;
-            };
-            let track = tracer.track(&format!("agg{pod:02}"));
-            if let Some(sw) = self.engine_mut().component_mut::<Switch>(id) {
+        for (role, id) in self.fabric.switches() {
+            let track = tracer.track(&role.label());
+            if let Some(sw) = engine.component_mut::<Switch>(id) {
                 sw.set_tracer(track);
             }
         }
-        let spines: Vec<ComponentId> = self.fabric.spine_switches().to_vec();
-        for (i, id) in spines.into_iter().enumerate() {
-            let track = tracer.track(&format!("spine{i:02}"));
-            if let Some(sw) = self.engine_mut().component_mut::<Switch>(id) {
-                sw.set_tracer(track);
-            }
-        }
-        let slots: Vec<(NodeAddr, ComponentId)> = self.shells().collect();
-        for (addr, id) in slots {
+        for (addr, &id) in &self.shells {
             let track = tracer.track(&format!("shell/{addr}"));
-            if let Some(shell) = self.engine_mut().component_mut::<Shell>(id) {
+            if let Some(shell) = engine.component_mut::<Shell>(id) {
                 shell.set_tracer(track);
             }
         }
@@ -590,34 +550,15 @@ impl Cluster {
     /// One registry snapshot covering every switch and shell, taken at the
     /// current simulated time.
     ///
-    /// Component paths are stable across runs: `fabric/torPP.TT`,
-    /// `fabric/aggPP`, `fabric/spineII` in topology order, then
-    /// `shellP.T.H` in address order, so the serialized snapshot is
+    /// Component paths are stable across runs: `fabric/` plus each
+    /// switch's [`dcnet::SwitchRole::label`] in [`Fabric::switches`] order, then
+    /// `shell/pP.tT.hH` in address order, so the serialized snapshot is
     /// byte-identical for identical seeds.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new(self.now());
-        let shape = self.fabric.shape();
-        for pod in 0..shape.pods {
-            for tor in 0..shape.tors_per_pod {
-                let Some(id) = self.fabric.try_tor_switch(pod, tor) else {
-                    continue;
-                };
-                if let Some(sw) = self.component::<Switch>(id) {
-                    snap.visit(&format!("fabric/tor{pod:02}.{tor:02}"), sw);
-                }
-            }
-        }
-        for pod in 0..shape.pods {
-            let Some(id) = self.fabric.try_agg_switch(pod) else {
-                continue;
-            };
+        for (role, id) in self.fabric.switches() {
             if let Some(sw) = self.component::<Switch>(id) {
-                snap.visit(&format!("fabric/agg{pod:02}"), sw);
-            }
-        }
-        for (i, &id) in self.fabric.spine_switches().iter().enumerate() {
-            if let Some(sw) = self.component::<Switch>(id) {
-                snap.visit(&format!("fabric/spine{i:02}"), sw);
+                snap.visit(&format!("fabric/{role}"), sw);
             }
         }
         for (&addr, &id) in &self.shells {
@@ -700,6 +641,57 @@ mod tests {
         assert_eq!(c.got[0].src, a);
         // L1 one-way should be under 5us.
         assert!(cluster.now() < SimTime::from_micros(30));
+    }
+
+    /// The snapshot's `fabric/…` component paths are exactly the labels of
+    /// the switches the canonical walk yields.
+    #[track_caller]
+    fn assert_fabric_paths_match_the_walk(cluster: &Cluster, switches: usize) {
+        let walked: Vec<String> = cluster
+            .fabric()
+            .switches()
+            .map(|(role, _)| format!("fabric/{}", role.label()))
+            .collect();
+        assert_eq!(walked.len(), switches);
+        let snap = cluster.metrics_snapshot();
+        let mut published: Vec<&str> = snap
+            .iter()
+            .filter(|(key, _)| key.starts_with("fabric/"))
+            .map(|(key, _)| key.rsplit_once('/').expect("component/metric").0)
+            .collect();
+        published.dedup();
+        let mut sorted: Vec<&str> = walked.iter().map(String::as_str).collect();
+        sorted.sort_unstable();
+        assert_eq!(published, sorted);
+    }
+
+    #[test]
+    fn snapshot_fabric_paths_follow_the_canonical_walk() {
+        let shape = dcnet::FabricShape {
+            hosts_per_tor: 4,
+            tors_per_pod: 3,
+            pods: 4,
+            spines: 2,
+        };
+        let builder = ClusterBuilder::new(5).fabric_config(&crate::calib::fabric_config(shape));
+        // Eager: every pod's TORs, then the aggs, then the spines.
+        let eager = builder.clone().build();
+        assert_fabric_paths_match_the_walk(&eager, 4 * 3 + 4 + 2);
+        let first: Vec<String> = eager
+            .fabric()
+            .switches()
+            .take(4)
+            .map(|(role, _)| role.label())
+            .collect();
+        assert_eq!(first, ["tor00.00", "tor00.01", "tor00.02", "tor01.00"]);
+        // Lazy: spines only until a shell materializes its pod.
+        let mut lazy = builder.clone().lazy(true).build();
+        assert_fabric_paths_match_the_walk(&lazy, 2);
+        lazy.add_shell(NodeAddr::new(2, 1, 0));
+        assert_fabric_paths_match_the_walk(&lazy, 3 + 1 + 2);
+        // Hybrid: flow-fidelity pods never appear.
+        let island = builder.packet_island(2).build();
+        assert_fabric_paths_match_the_walk(&island, 2 * 3 + 2 + 2);
     }
 
     #[test]

@@ -54,5 +54,5 @@ pub use switch::{
 };
 pub use topology::{
     Attachment, Fabric, FabricBuilder, FabricConfig, FabricPartition, Fidelity, FidelityMap,
-    PartitionError, PartitionGranularity,
+    PartitionError,
 };

@@ -42,6 +42,25 @@ pub enum SwitchRole {
     },
 }
 
+/// The switch's stable name — `tor00.01`, `agg00`, `spine00` — used for
+/// trace tracks and, under `fabric/`, telemetry paths.
+impl core::fmt::Display for SwitchRole {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match *self {
+            SwitchRole::Tor { pod, tor } => write!(f, "tor{pod:02}.{tor:02}"),
+            SwitchRole::Agg { pod } => write!(f, "agg{pod:02}"),
+            SwitchRole::Spine { index } => write!(f, "spine{index:02}"),
+        }
+    }
+}
+
+impl SwitchRole {
+    /// The [`Display`](core::fmt::Display) name as an owned string.
+    pub fn label(&self) -> String {
+        self.to_string()
+    }
+}
+
 /// Dimensions of the three-tier fabric (defaults match the paper: 24 hosts
 /// per TOR, pods of 960 machines, spines connecting ~250k hosts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

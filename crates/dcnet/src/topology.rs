@@ -134,16 +134,7 @@ impl FidelityMap {
     }
 }
 
-/// Which component boundary a [`FabricPartition`] cuts along.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionGranularity {
-    /// Whole pods per shard; only agg↔spine links cross shards.
-    Pod,
-    /// Racks per shard; TOR↔agg links cross shards too.
-    Tor,
-}
-
-/// A pod/TOR → shard map for conservative parallel simulation, plus the
+/// A switch → shard map for conservative parallel simulation, plus the
 /// lookahead (minimum cross-shard event delay) the partition guarantees.
 ///
 /// The partition follows the physical hierarchy so the cheapest, most
@@ -161,7 +152,6 @@ pub enum PartitionGranularity {
 #[derive(Debug, Clone)]
 pub struct FabricPartition {
     shards: u32,
-    granularity: PartitionGranularity,
     shape: FabricShape,
     /// Shard of each TOR, pod-major (`pod * tors_per_pod + tor`).
     tor_shard: Vec<u32>,
@@ -169,13 +159,18 @@ pub struct FabricPartition {
     agg_shard: Vec<u32>,
     /// Shard of each spine switch.
     spine_shard: Vec<u32>,
+    /// [`min_egress_delay`] of the TOR, aggregation and spine tiers,
+    /// captured at plan time.
+    tor_egress: SimDuration,
+    agg_egress: SimDuration,
+    spine_egress: SimDuration,
     lookahead: SimDuration,
 }
 
 /// The earliest event `cfg` can emit toward a link peer: a PFC frame
 /// after one propagation delay, or (PFC impossible) a forwarded packet
 /// after at least propagation plus the fixed pipeline latency.
-pub fn min_egress_delay(cfg: &SwitchConfig) -> SimDuration {
+fn min_egress_delay(cfg: &SwitchConfig) -> SimDuration {
     let pfc_can_fire = cfg.pfc.is_some() && cfg.lossless_mask != 0;
     if pfc_can_fire {
         cfg.link.propagation
@@ -184,8 +179,7 @@ pub fn min_egress_delay(cfg: &SwitchConfig) -> SimDuration {
     }
 }
 
-/// Why a hybrid partition request was rejected
-/// ([`FabricPartition::plan_hybrid`]).
+/// Why a partition request was rejected ([`FabricPartition::plan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionError {
     /// More shards requested than packet-fidelity pods exist. Hybrid
@@ -197,14 +191,6 @@ pub enum PartitionError {
         shards: u32,
         /// Packet-fidelity pods available.
         packet_pods: u32,
-    },
-    /// The fidelity map covers a different pod count than the fabric
-    /// shape.
-    FidelityShapeMismatch {
-        /// Pods in the fidelity map.
-        map_pods: u16,
-        /// Pods in the fabric shape.
-        shape_pods: u16,
     },
 }
 
@@ -220,14 +206,6 @@ impl fmt::Display for PartitionError {
                  {packet_pods} packet-fidelity pods exist and hybrid \
                  partitions cut on pod boundaries only"
             ),
-            PartitionError::FidelityShapeMismatch {
-                map_pods,
-                shape_pods,
-            } => write!(
-                f,
-                "fidelity map covers {map_pods} pods but the fabric shape \
-                 has {shape_pods}"
-            ),
         }
     }
 }
@@ -235,131 +213,79 @@ impl fmt::Display for PartitionError {
 impl std::error::Error for PartitionError {}
 
 impl FabricPartition {
-    /// Plans a partition of `cfg`'s fabric into (up to) `shards` shards.
+    /// Plans a partition of `fabric` into (up to) `shards` shards.
     ///
-    /// Pods are dealt out in contiguous blocks while `shards <=
-    /// pods`; beyond that the split drops to rack granularity, and
-    /// `shards` is clamped to the TOR count. Spines are distributed
-    /// round-robin. Requesting 0 shards plans 1.
-    pub fn plan(cfg: &FabricConfig, shards: u32) -> FabricPartition {
+    /// Packet-fidelity pods are dealt out in contiguous blocks while
+    /// `shards` does not exceed their number; every flow-fidelity pod's
+    /// (non-existent) switches map to shard 0, where
+    /// [`crate::flowsim::FlowSim`] lives. Beyond that an all-packet fabric
+    /// drops to rack granularity — TOR↔agg links are cut too, each
+    /// aggregation switch rides with its pod's first rack, and `shards` is
+    /// clamped to the TOR count — while a hybrid fabric is rejected rather
+    /// than silently mispartitioned. Spines are distributed round-robin.
+    /// Requesting 0 shards plans 1.
+    pub fn plan(fabric: &Fabric, shards: u32) -> Result<FabricPartition, PartitionError> {
+        let cfg = fabric.config();
         let shape = cfg.shape;
-        let pods = shape.pods as u64;
-        let tors_per_pod = shape.tors_per_pod as u64;
-        let total_tors = (pods * tors_per_pod).max(1);
-        let shards = u64::from(shards.max(1)).min(total_tors) as u32;
+        let tors_per_pod = shape.tors_per_pod as usize;
+        let total_tors = shape.pods as usize * tors_per_pod;
+        let packet_pods: Vec<u16> = fabric.fidelity().packet_pods().collect();
+        let all_packet = fabric.fidelity().is_all_packet();
 
-        let mut tor_shard = Vec::with_capacity(total_tors as usize);
-        let mut agg_shard = Vec::with_capacity(pods as usize);
-        let granularity = if u64::from(shards) <= pods {
-            PartitionGranularity::Pod
-        } else {
-            PartitionGranularity::Tor
-        };
-        match granularity {
-            PartitionGranularity::Pod => {
-                for pod in 0..pods {
-                    let shard = (pod * u64::from(shards) / pods.max(1)) as u32;
-                    agg_shard.push(shard);
-                    tor_shard.extend(std::iter::repeat_n(shard, tors_per_pod as usize));
-                }
-            }
-            PartitionGranularity::Tor => {
-                for pod in 0..pods {
-                    for tor in 0..tors_per_pod {
-                        let global = pod * tors_per_pod + tor;
-                        tor_shard.push((global * u64::from(shards) / total_tors) as u32);
-                    }
-                    // The aggregation switch rides with its pod's first
-                    // rack; its links to the pod's other racks are cut.
-                    agg_shard.push(tor_shard[(pod * tors_per_pod) as usize]);
-                }
-            }
+        let mut shards = shards.max(1);
+        if all_packet {
+            shards = shards.min(total_tors.max(1) as u32);
         }
-        let spine_shard = (0..shape.spines).map(|i| u32::from(i) % shards).collect();
-
-        let lookahead = if shards == 1 {
-            // No cut links: any window is safe.
-            SimDuration::MAX
-        } else {
-            // Conservative: treat every inter-tier link of a cut tier
-            // pair as crossing shards.
-            let mut lookahead = min_egress_delay(&cfg.agg).min(min_egress_delay(&cfg.spine));
-            if granularity == PartitionGranularity::Tor {
-                lookahead = lookahead.min(min_egress_delay(&cfg.tor));
-            }
-            lookahead
-        };
-
-        FabricPartition {
-            shards,
-            granularity,
-            shape,
-            tor_shard,
-            agg_shard,
-            spine_shard,
-            lookahead,
-        }
-    }
-
-    /// Plans a partition of a hybrid-fidelity fabric.
-    ///
-    /// All-packet maps delegate to [`FabricPartition::plan`] (identical
-    /// result). Hybrid maps shard on pod boundaries only: the
-    /// packet-fidelity pods are dealt out in contiguous blocks, and every
-    /// flow-fidelity pod's (non-existent) switches map to shard 0, where
-    /// [`crate::flowsim::FlowSim`] lives. Requesting more shards than
-    /// packet pods is rejected rather than silently mispartitioned.
-    pub fn plan_hybrid(
-        cfg: &FabricConfig,
-        fidelity: &FidelityMap,
-        shards: u32,
-    ) -> Result<FabricPartition, PartitionError> {
-        if fidelity.pods() != cfg.shape.pods {
-            return Err(PartitionError::FidelityShapeMismatch {
-                map_pods: fidelity.pods(),
-                shape_pods: cfg.shape.pods,
-            });
-        }
-        if fidelity.is_all_packet() {
-            return Ok(Self::plan(cfg, shards));
-        }
-        let shape = cfg.shape;
-        let shards = shards.max(1);
-        let packet_pods: Vec<u16> = fidelity.packet_pods().collect();
-        if shards as usize > packet_pods.len().max(1) {
+        let by_pod = shards as usize <= packet_pods.len().max(1);
+        if !by_pod && !all_packet {
             return Err(PartitionError::ShardsExceedPacketPods {
                 shards,
                 packet_pods: packet_pods.len() as u32,
             });
         }
 
-        // Flow pods (no components) ride on shard 0 with the flow-level
-        // aggregate model; packet pods are dealt contiguous blocks.
+        let mut tor_shard = vec![0u32; total_tors];
         let mut agg_shard = vec![0u32; shape.pods as usize];
-        for (i, &pod) in packet_pods.iter().enumerate() {
-            agg_shard[pod as usize] =
-                (i as u64 * u64::from(shards) / packet_pods.len() as u64) as u32;
-        }
-        let mut tor_shard = Vec::with_capacity(shape.pods as usize * shape.tors_per_pod as usize);
-        for pod in 0..shape.pods {
-            tor_shard.extend(std::iter::repeat_n(
-                agg_shard[pod as usize],
-                shape.tors_per_pod as usize,
-            ));
+        if by_pod {
+            for (i, &pod) in packet_pods.iter().enumerate() {
+                let pod = pod as usize;
+                let shard = (i as u64 * u64::from(shards) / packet_pods.len() as u64) as u32;
+                agg_shard[pod] = shard;
+                tor_shard[pod * tors_per_pod..][..tors_per_pod].fill(shard);
+            }
+        } else {
+            for (global, shard) in tor_shard.iter_mut().enumerate() {
+                *shard = (global as u64 * u64::from(shards) / total_tors as u64) as u32;
+            }
+            for (pod, shard) in agg_shard.iter_mut().enumerate() {
+                *shard = tor_shard[pod * tors_per_pod];
+            }
         }
         let spine_shard = (0..shape.spines).map(|i| u32::from(i) % shards).collect();
+
+        let tor_egress = min_egress_delay(&cfg.tor);
+        let agg_egress = min_egress_delay(&cfg.agg);
+        let spine_egress = min_egress_delay(&cfg.spine);
         let lookahead = if shards == 1 {
+            // No cut links: any window is safe.
             SimDuration::MAX
+        } else if by_pod {
+            agg_egress.min(spine_egress)
         } else {
-            min_egress_delay(&cfg.agg).min(min_egress_delay(&cfg.spine))
+            // Conservative: treat every inter-tier link of a cut tier
+            // pair as crossing shards.
+            agg_egress.min(spine_egress).min(tor_egress)
         };
+
         Ok(FabricPartition {
             shards,
-            granularity: PartitionGranularity::Pod,
             shape,
             tor_shard,
             agg_shard,
             spine_shard,
+            tor_egress,
+            agg_egress,
+            spine_egress,
             lookahead,
         })
     }
@@ -369,109 +295,67 @@ impl FabricPartition {
         self.shards
     }
 
-    /// Which boundary the partition cuts along.
-    pub fn granularity(&self) -> PartitionGranularity {
-        self.granularity
-    }
-
     /// The guaranteed minimum delay of any cross-shard event.
     pub fn lookahead(&self) -> SimDuration {
         self.lookahead
     }
 
-    /// Shard of the TOR switch at `(pod, tor)`.
+    /// Shard of the switch at `role`, materialized or not.
     ///
     /// # Panics
     ///
-    /// Panics if the coordinates are outside the fabric shape.
-    pub fn tor_shard(&self, pod: u16, tor: u16) -> u32 {
-        assert!(pod < self.shape.pods && tor < self.shape.tors_per_pod);
-        self.tor_shard[pod as usize * self.shape.tors_per_pod as usize + tor as usize]
+    /// Panics if `role` is outside the fabric shape.
+    pub fn shard_of(&self, role: SwitchRole) -> u32 {
+        match role {
+            SwitchRole::Tor { pod, tor } => self.pod_tor_shards(pod)[tor as usize],
+            SwitchRole::Agg { pod } => self.agg_shard[pod as usize],
+            SwitchRole::Spine { index } => self.spine_shard[index as usize],
+        }
     }
 
-    /// Shard of `pod`'s aggregation switch.
-    pub fn agg_shard(&self, pod: u16) -> u32 {
-        self.agg_shard[pod as usize]
-    }
-
-    /// Shard of spine switch `index`.
-    pub fn spine_shard(&self, index: u16) -> u32 {
-        self.spine_shard[index as usize]
+    /// Shards of `pod`'s TORs, in rack order.
+    fn pod_tor_shards(&self, pod: u16) -> &[u32] {
+        let tors_per_pod = self.shape.tors_per_pod as usize;
+        &self.tor_shard[pod as usize * tors_per_pod..][..tors_per_pod]
     }
 
     /// Shard an endpoint at `addr` (and anything it messages with zero
     /// delay) must be placed on: its TOR's.
     pub fn endpoint_shard(&self, addr: NodeAddr) -> u32 {
-        self.tor_shard(addr.pod, addr.tor)
+        self.shard_of(tor_of(addr))
     }
 
-    /// `true` when the TOR at `(pod, tor)` is a cut member: one of its
-    /// links crosses shards (only possible at rack granularity, where the
-    /// pod's aggregation switch may live on another shard).
-    pub fn tor_is_cut(&self, pod: u16, tor: u16) -> bool {
-        self.shards > 1 && self.tor_shard(pod, tor) != self.agg_shard(pod)
-    }
-
-    /// `true` when `pod`'s aggregation switch is a cut member: it links
-    /// to a spine or one of its own racks on another shard.
-    pub fn agg_is_cut(&self, pod: u16) -> bool {
-        if self.shards <= 1 {
-            return false;
-        }
-        let me = self.agg_shard(pod);
-        self.spine_shard.iter().any(|&s| s != me)
-            || (0..self.shape.tors_per_pod).any(|tor| self.tor_shard(pod, tor) != me)
-    }
-
-    /// `true` when spine `index` is a cut member: some pod's aggregation
-    /// switch lives on another shard.
-    pub fn spine_is_cut(&self, index: u16) -> bool {
-        self.shards > 1 && {
-            let me = self.spine_shard(index);
-            self.agg_shard.iter().any(|&s| s != me)
+    /// `true` when the switch at `role` is a cut member, i.e. one of its
+    /// links crosses shards: a TOR whose aggregation switch lives
+    /// elsewhere (rack granularity only), an aggregation switch with a
+    /// spine or one of its own racks elsewhere, a spine with some pod's
+    /// aggregation switch elsewhere.
+    fn is_cut(&self, role: SwitchRole) -> bool {
+        let me = self.shard_of(role);
+        match role {
+            SwitchRole::Tor { pod, .. } => me != self.agg_shard[pod as usize],
+            SwitchRole::Agg { pod } => self
+                .spine_shard
+                .iter()
+                .chain(self.pod_tor_shards(pod))
+                .any(|&s| s != me),
+            SwitchRole::Spine { .. } => self.agg_shard.iter().any(|&s| s != me),
         }
     }
 
-    /// Cut excess of spine `index`: a lower bound on the delay between
-    /// an event processed there and any cross-shard arrival a causal
-    /// chain from it can produce. A cut member's excess is its own
-    /// minimum egress delay (the final hop may cross directly); a
-    /// non-cut switch first pays a shard-local hop, then at least the
-    /// partition lookahead for the rest of the chain.
-    pub fn spine_cut_excess(&self, cfg: &FabricConfig, index: u16) -> SimDuration {
-        if self.shards <= 1 {
-            return SimDuration::MAX;
-        }
-        let egress = min_egress_delay(&cfg.spine);
-        if self.spine_is_cut(index) {
-            egress
-        } else {
-            egress + self.lookahead
-        }
-    }
-
-    /// Cut excess of `pod`'s aggregation switch (see
-    /// [`FabricPartition::spine_cut_excess`] for the bound's shape).
-    pub fn agg_cut_excess(&self, cfg: &FabricConfig, pod: u16) -> SimDuration {
-        if self.shards <= 1 {
-            return SimDuration::MAX;
-        }
-        let egress = min_egress_delay(&cfg.agg);
-        if self.agg_is_cut(pod) {
-            egress
-        } else {
-            egress + self.lookahead
-        }
-    }
-
-    /// Cut excess of the TOR at `(pod, tor)` (see
-    /// [`FabricPartition::spine_cut_excess`] for the bound's shape).
-    pub fn tor_cut_excess(&self, cfg: &FabricConfig, pod: u16, tor: u16) -> SimDuration {
-        if self.shards <= 1 {
-            return SimDuration::MAX;
-        }
-        let egress = min_egress_delay(&cfg.tor);
-        if self.tor_is_cut(pod, tor) {
+    /// Cut excess of the switch at `role`: a lower bound on the delay
+    /// between an event processed there and any cross-shard arrival a
+    /// causal chain from it can produce. A cut member's excess is its own
+    /// minimum egress delay (the final hop may cross directly); a non-cut
+    /// switch first pays a shard-local hop, then at least the partition
+    /// lookahead for the rest of the chain. Unbounded with one shard.
+    pub fn cut_excess(&self, role: SwitchRole) -> SimDuration {
+        let egress = match role {
+            SwitchRole::Tor { .. } => self.tor_egress,
+            SwitchRole::Agg { .. } => self.agg_egress,
+            SwitchRole::Spine { .. } => self.spine_egress,
+        };
+        if self.is_cut(role) {
             egress
         } else {
             egress + self.lookahead
@@ -483,16 +367,16 @@ impl FabricPartition {
     /// propagation delay): the hop plus its TOR's excess. Endpoints are
     /// never cut members themselves ([`FabricPartition::endpoint_shard`]
     /// colocates them with their TOR).
-    pub fn endpoint_cut_excess(
-        &self,
-        cfg: &FabricConfig,
-        addr: NodeAddr,
-        first_hop: SimDuration,
-    ) -> SimDuration {
-        if self.shards <= 1 {
-            return SimDuration::MAX;
-        }
-        first_hop + self.tor_cut_excess(cfg, addr.pod, addr.tor)
+    pub fn endpoint_cut_excess(&self, addr: NodeAddr, first_hop: SimDuration) -> SimDuration {
+        first_hop + self.cut_excess(tor_of(addr))
+    }
+}
+
+/// The TOR an endpoint at `addr` hangs off.
+fn tor_of(addr: NodeAddr) -> SwitchRole {
+    SwitchRole::Tor {
+        pod: addr.pod,
+        tor: addr.tor,
     }
 }
 
@@ -606,12 +490,6 @@ impl FabricBuilder {
         self
     }
 
-    /// The per-tier configuration as currently accumulated (useful for
-    /// partition planning alongside the built fabric).
-    pub fn config(&self) -> &FabricConfig {
-        &self.cfg
-    }
-
     /// Builds the fabric: spines always, packet-fidelity pods eagerly
     /// unless [`FabricBuilder::lazy`], flow-fidelity pods never.
     ///
@@ -638,11 +516,9 @@ impl FabricBuilder {
 
         let pods = shape.pods as usize;
         let mut fabric = Fabric {
-            shape,
+            cfg: self.cfg,
             fidelity,
             lazy: self.lazy,
-            tor_cfg: self.cfg.tor.clone(),
-            agg_cfg: self.cfg.agg.clone(),
             tors: vec![None; pods * shape.tors_per_pod as usize],
             aggs: vec![None; pods],
             spines: Vec::with_capacity(shape.spines as usize),
@@ -651,10 +527,10 @@ impl FabricBuilder {
             fabric.spines.push(engine.add_component(Switch::new(
                 SwitchRole::Spine { index },
                 shape,
-                self.cfg.spine.clone(),
+                fabric.cfg.spine.clone(),
             )));
         }
-        if !self.lazy {
+        if !fabric.lazy {
             // Register every pod's components first, then cable: ids
             // feed fingerprints, so this order is fixed.
             for pod in 0..shape.pods {
@@ -675,12 +551,12 @@ impl FabricBuilder {
 /// A built three-tier switching fabric.
 #[derive(Debug, Clone)]
 pub struct Fabric {
-    shape: FabricShape,
+    /// Dimensions and per-tier switch configurations (the TOR and
+    /// aggregation ones feed lazy materialization, all three partition
+    /// planning).
+    cfg: FabricConfig,
     fidelity: FidelityMap,
     lazy: bool,
-    /// Per-tier configurations retained for lazy materialization.
-    tor_cfg: SwitchConfig,
-    agg_cfg: SwitchConfig,
     /// TOR switches, indexed `pod * tors_per_pod + tor`; `None` for
     /// flow-fidelity or not-yet-materialized pods.
     tors: Vec<Option<ComponentId>>,
@@ -694,18 +570,18 @@ impl Fabric {
     /// Registers `pod`'s aggregation switch and TORs (ids in the eager
     /// order: agg first, then TORs ascending). No cabling yet.
     fn register_pod(&mut self, engine: &mut Engine<Msg>, pod: u16) {
-        let shape = self.shape;
+        let shape = self.cfg.shape;
         let agg = engine.add_component(Switch::new(
             SwitchRole::Agg { pod },
             shape,
-            self.agg_cfg.clone(),
+            self.cfg.agg.clone(),
         ));
         self.aggs[pod as usize] = Some(agg);
         for tor in 0..shape.tors_per_pod {
             let tor_id = engine.add_component(Switch::new(
                 SwitchRole::Tor { pod, tor },
                 shape,
-                self.tor_cfg.clone(),
+                self.cfg.tor.clone(),
             ));
             self.tors[pod as usize * shape.tors_per_pod as usize + tor as usize] = Some(tor_id);
         }
@@ -714,11 +590,10 @@ impl Fabric {
     /// Cables `pod`'s TOR uplinks to its aggregation switch and the
     /// aggregation uplinks to every spine.
     fn cable_pod(&mut self, engine: &mut Engine<Msg>, pod: u16) {
-        let shape = self.shape;
+        let shape = self.cfg.shape;
         let agg = self.aggs[pod as usize].expect("pod registered before cabling");
         for tor in 0..shape.tors_per_pod {
-            let tor_id = self.tors[pod as usize * shape.tors_per_pod as usize + tor as usize]
-                .expect("pod registered before cabling");
+            let tor_id = self.tor_switch(pod, tor);
             let uplink = PortId(shape.hosts_per_tor);
             let down = PortId(tor);
             engine
@@ -754,7 +629,10 @@ impl Fabric {
     /// Panics if `pod` is outside the shape or at flow fidelity (flow
     /// pods have no packet-level switches to materialize).
     pub fn materialize_pod(&mut self, engine: &mut Engine<Msg>, pod: u16) -> bool {
-        assert!(pod < self.shape.pods, "pod {pod} outside the fabric shape");
+        assert!(
+            pod < self.cfg.shape.pods,
+            "pod {pod} outside the fabric shape"
+        );
         assert_eq!(
             self.fidelity.pod(pod),
             Fidelity::Packet,
@@ -770,7 +648,13 @@ impl Fabric {
 
     /// The fabric dimensions.
     pub fn shape(&self) -> FabricShape {
-        self.shape
+        self.cfg.shape
+    }
+
+    /// The dimensions and per-tier switch configurations the fabric was
+    /// built from.
+    pub fn config(&self) -> &FabricConfig {
+        &self.cfg
     }
 
     /// The per-pod fidelity map.
@@ -793,57 +677,47 @@ impl Fabric {
         self.aggs.iter().filter(|a| a.is_some()).count()
     }
 
+    /// The switch at `role`, or `None` when its pod is at flow fidelity
+    /// or not yet materialized (spines always exist).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `role` is outside the fabric shape.
+    pub fn switch(&self, role: SwitchRole) -> Option<ComponentId> {
+        let shape = self.cfg.shape;
+        match role {
+            SwitchRole::Tor { pod, tor } => {
+                assert!(pod < shape.pods && tor < shape.tors_per_pod);
+                self.tors[pod as usize * shape.tors_per_pod as usize + tor as usize]
+            }
+            SwitchRole::Agg { pod } => self.aggs[pod as usize],
+            SwitchRole::Spine { index } => Some(self.spines[index as usize]),
+        }
+    }
+
+    /// Every switch that currently exists, in the canonical order trace
+    /// tracks and telemetry paths are registered in: TORs pod-major, then
+    /// aggregation switches, then spines.
+    pub fn switches(&self) -> impl Iterator<Item = (SwitchRole, ComponentId)> + '_ {
+        roles(self.cfg.shape).filter_map(|role| Some((role, self.switch(role)?)))
+    }
+
     /// The TOR switch component for rack `(pod, tor)`.
     ///
     /// # Panics
     ///
     /// Panics if the coordinates are outside the fabric shape, or the pod
-    /// is at flow fidelity / not yet materialized (use
-    /// [`Fabric::try_tor_switch`] for an optional lookup).
+    /// is at flow fidelity / not yet materialized (use [`Fabric::switch`]
+    /// for an optional lookup).
     pub fn tor_switch(&self, pod: u16, tor: u16) -> ComponentId {
-        self.try_tor_switch(pod, tor).unwrap_or_else(|| {
+        self.switch(SwitchRole::Tor { pod, tor }).unwrap_or_else(|| {
             panic!("pod {pod} has no packet-level switches (flow-fidelity or not yet materialized)")
         })
-    }
-
-    /// The TOR switch for rack `(pod, tor)`, or `None` when the pod is at
-    /// flow fidelity or not yet materialized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates are outside the fabric shape.
-    pub fn try_tor_switch(&self, pod: u16, tor: u16) -> Option<ComponentId> {
-        assert!(pod < self.shape.pods && tor < self.shape.tors_per_pod);
-        self.tors[pod as usize * self.shape.tors_per_pod as usize + tor as usize]
-    }
-
-    /// The aggregation switch for `pod`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pod` is outside the shape, at flow fidelity, or not yet
-    /// materialized (use [`Fabric::try_agg_switch`]).
-    pub fn agg_switch(&self, pod: u16) -> ComponentId {
-        self.try_agg_switch(pod).unwrap_or_else(|| {
-            panic!("pod {pod} has no packet-level switches (flow-fidelity or not yet materialized)")
-        })
-    }
-
-    /// The aggregation switch for `pod`, or `None` when the pod is at
-    /// flow fidelity or not yet materialized.
-    pub fn try_agg_switch(&self, pod: u16) -> Option<ComponentId> {
-        assert!(pod < self.shape.pods, "pod {pod} outside the fabric shape");
-        self.aggs[pod as usize]
     }
 
     /// All spine switches.
     pub fn spine_switches(&self) -> &[ComponentId] {
         &self.spines
-    }
-
-    /// All materialized TOR switches, pod-major.
-    pub fn tor_switches(&self) -> impl Iterator<Item = ComponentId> + '_ {
-        self.tors.iter().filter_map(|t| *t)
     }
 
     /// Cables `endpoint` (via its `endpoint_port`) to the TOR port for
@@ -861,7 +735,8 @@ impl Fabric {
         endpoint: ComponentId,
         endpoint_port: PortId,
     ) -> Attachment {
-        self.shape
+        self.cfg
+            .shape
             .validate(addr)
             .unwrap_or_else(|e| panic!("attach {addr}: {e}"));
         assert_eq!(
@@ -892,10 +767,18 @@ impl Fabric {
 
     /// Number of switches currently instantiated in the fabric.
     pub fn switch_count(&self) -> usize {
-        self.tors.iter().filter(|t| t.is_some()).count()
-            + self.aggs.iter().filter(|a| a.is_some()).count()
-            + self.spines.len()
+        self.switches().count()
     }
+}
+
+/// Every switch position of `shape` in canonical order: TORs pod-major,
+/// then aggregation switches, then spines.
+fn roles(shape: FabricShape) -> impl Iterator<Item = SwitchRole> {
+    let tors = (0..shape.pods)
+        .flat_map(move |pod| (0..shape.tors_per_pod).map(move |tor| SwitchRole::Tor { pod, tor }));
+    let aggs = (0..shape.pods).map(|pod| SwitchRole::Agg { pod });
+    let spines = (0..shape.spines).map(|index| SwitchRole::Spine { index });
+    tors.chain(aggs).chain(spines)
 }
 
 #[cfg(test)]
@@ -950,7 +833,7 @@ mod tests {
         // Only spines exist up front.
         assert_eq!(f.switch_count(), 2);
         assert_eq!(f.materialized_pods(), 0);
-        assert!(f.try_tor_switch(1, 0).is_none());
+        assert!(f.switch(SwitchRole::Tor { pod: 1, tor: 0 }).is_none());
         let ep = e.add_component(Endpoint::default());
         f.attach(&mut e, NodeAddr::new(1, 0, 0), ep, PortId(0));
         assert!(f.is_materialized(1));
@@ -992,8 +875,8 @@ mod tests {
             .fidelity(FidelityMap::packet_island(2, 1))
             .build(&mut e);
         // Pod 0 is packet fidelity, pod 1 is flow-only.
-        assert!(f.try_agg_switch(0).is_some());
-        assert!(f.try_agg_switch(1).is_none());
+        assert!(f.switch(SwitchRole::Agg { pod: 0 }).is_some());
+        assert!(f.switch(SwitchRole::Agg { pod: 1 }).is_none());
         assert_eq!(f.switch_count(), 2 + 1 + 3);
         assert_eq!(f.fidelity().pod(1), Fidelity::Flow);
     }
@@ -1065,7 +948,8 @@ mod tests {
     fn ecmp_spreads_flows_across_spines() {
         let mut e: Engine<Msg> = Engine::new(1);
         let f = FabricBuilder::from_config(&small_cfg()).build(&mut e);
-        let agg = e.component::<Switch>(f.agg_switch(0)).unwrap();
+        let agg = f.switch(SwitchRole::Agg { pod: 0 }).unwrap();
+        let agg = e.component::<Switch>(agg).unwrap();
         let mut seen = std::collections::HashSet::new();
         for flow in 0..16u64 {
             seen.insert(agg.route(NodeAddr::new(1, 0, 0), flow));
@@ -1106,21 +990,72 @@ mod tests {
         }
     }
 
+    /// Plans `shards` over a lazily built `cfg` fabric (spines only: a
+    /// plan depends on the shape and fidelity map, never on what has
+    /// materialized). `None` defaults the map to all-packet.
+    fn plan(
+        cfg: &FabricConfig,
+        fidelity: Option<FidelityMap>,
+        shards: u32,
+    ) -> Result<FabricPartition, PartitionError> {
+        let mut e: Engine<Msg> = Engine::new(1);
+        let mut builder = FabricBuilder::from_config(cfg).lazy(true);
+        if let Some(map) = fidelity {
+            builder = builder.fidelity(map);
+        }
+        FabricPartition::plan(&builder.build(&mut e), shards)
+    }
+
+    fn tor(pod: u16, tor: u16) -> SwitchRole {
+        SwitchRole::Tor { pod, tor }
+    }
+
+    fn agg(pod: u16) -> SwitchRole {
+        SwitchRole::Agg { pod }
+    }
+
+    fn spine(index: u16) -> SwitchRole {
+        SwitchRole::Spine { index }
+    }
+
+    #[test]
+    fn switches_walk_materialized_roles_in_canonical_order() {
+        let mut e: Engine<Msg> = Engine::new(1);
+        let mut f = FabricBuilder::from_config(&small_cfg())
+            .lazy(true)
+            .build(&mut e);
+        let walk = |f: &Fabric| f.switches().map(|(role, _)| role).collect::<Vec<_>>();
+        assert_eq!(walk(&f), vec![spine(0), spine(1)]);
+        f.materialize_pod(&mut e, 1);
+        assert_eq!(
+            walk(&f),
+            vec![tor(1, 0), tor(1, 1), tor(1, 2), agg(1), spine(0), spine(1)]
+        );
+        f.materialize_pod(&mut e, 0);
+        assert_eq!(walk(&f), roles(f.shape()).collect::<Vec<_>>());
+        for (role, id) in f.switches() {
+            assert_eq!(f.switch(role), Some(id));
+            assert_eq!(e.component::<Switch>(id).unwrap().role(), role);
+        }
+        assert_eq!(
+            (tor(0, 1).label(), agg(12).label(), spine(3).label()),
+            ("tor00.01".into(), "agg12".into(), "spine03".into())
+        );
+    }
+
     #[test]
     fn pod_partition_keeps_pods_whole() {
-        let cfg = fig10_cfg(2);
-        let p = FabricPartition::plan(&cfg, 2);
+        let p = plan(&fig10_cfg(2), None, 2).unwrap();
         assert_eq!(p.shards(), 2);
-        assert_eq!(p.granularity(), PartitionGranularity::Pod);
-        for tor in 0..40 {
-            assert_eq!(p.tor_shard(0, tor), 0);
-            assert_eq!(p.tor_shard(1, tor), 1);
+        for t in 0..40 {
+            assert_eq!(p.shard_of(tor(0, t)), 0);
+            assert_eq!(p.shard_of(tor(1, t)), 1);
         }
-        assert_eq!(p.agg_shard(0), 0);
-        assert_eq!(p.agg_shard(1), 1);
+        assert_eq!(p.shard_of(agg(0)), 0);
+        assert_eq!(p.shard_of(agg(1)), 1);
         // Spines spread round-robin.
         assert_eq!(
-            (0..4).map(|i| p.spine_shard(i)).collect::<Vec<_>>(),
+            (0..4).map(|i| p.shard_of(spine(i))).collect::<Vec<_>>(),
             vec![0, 1, 0, 1]
         );
         // Only agg↔spine links are cut; with PFC on, the floor is the
@@ -1130,21 +1065,19 @@ mod tests {
 
     #[test]
     fn tor_partition_beyond_pod_count() {
-        let cfg = fig10_cfg(2);
-        let p = FabricPartition::plan(&cfg, 8);
+        let p = plan(&fig10_cfg(2), None, 8).unwrap();
         assert_eq!(p.shards(), 8);
-        assert_eq!(p.granularity(), PartitionGranularity::Tor);
         // 80 racks over 8 shards: perfectly balanced.
         let mut per_shard = vec![0u32; 8];
         for pod in 0..2 {
-            for tor in 0..40 {
-                per_shard[p.tor_shard(pod, tor) as usize] += 1;
+            for t in 0..40 {
+                per_shard[p.shard_of(tor(pod, t)) as usize] += 1;
             }
         }
         assert!(per_shard.iter().all(|&n| n == 10), "{per_shard:?}");
         // The aggregation switch rides with its pod's first rack.
-        assert_eq!(p.agg_shard(0), p.tor_shard(0, 0));
-        assert_eq!(p.agg_shard(1), p.tor_shard(1, 0));
+        assert_eq!(p.shard_of(agg(0)), p.shard_of(tor(0, 0)));
+        assert_eq!(p.shard_of(agg(1)), p.shard_of(tor(1, 0)));
         // TOR↔agg links are now cut too, so the TOR link's propagation
         // delay becomes the floor.
         assert_eq!(p.lookahead(), SimDuration::from_nanos(100));
@@ -1152,12 +1085,11 @@ mod tests {
 
     #[test]
     fn endpoints_ride_with_their_tor() {
-        let cfg = fig10_cfg(2);
-        let p = FabricPartition::plan(&cfg, 8);
+        let p = plan(&fig10_cfg(2), None, 8).unwrap();
         for pod in 0..2 {
-            for tor in 0..40 {
-                let addr = NodeAddr::new(pod, tor, 5);
-                assert_eq!(p.endpoint_shard(addr), p.tor_shard(pod, tor));
+            for t in 0..40 {
+                let addr = NodeAddr::new(pod, t, 5);
+                assert_eq!(p.endpoint_shard(addr), p.shard_of(tor(pod, t)));
             }
         }
     }
@@ -1166,63 +1098,55 @@ mod tests {
     fn cut_metadata_matches_the_partition_geometry() {
         let cfg = fig10_cfg(2);
         // Pod granularity: only agg↔spine links are cut.
-        let p = FabricPartition::plan(&cfg, 2);
-        assert!(!p.tor_is_cut(0, 0));
-        assert!(p.agg_is_cut(0) && p.agg_is_cut(1));
-        assert!(p.spine_is_cut(0) && p.spine_is_cut(3));
+        let p = plan(&cfg, None, 2).unwrap();
+        assert!(!p.is_cut(tor(0, 0)));
+        assert!(p.is_cut(agg(0)) && p.is_cut(agg(1)));
+        assert!(p.is_cut(spine(0)) && p.is_cut(spine(3)));
         // Cut members' excess is their own egress floor; non-cut TORs
         // pay one shard-local hop plus the lookahead for the remainder.
-        assert_eq!(p.agg_cut_excess(&cfg, 0), SimDuration::from_nanos(370));
-        assert_eq!(p.spine_cut_excess(&cfg, 1), SimDuration::from_nanos(485));
-        assert_eq!(
-            p.tor_cut_excess(&cfg, 0, 3),
-            SimDuration::from_nanos(100 + 370)
-        );
+        assert_eq!(p.cut_excess(agg(0)), SimDuration::from_nanos(370));
+        assert_eq!(p.cut_excess(spine(1)), SimDuration::from_nanos(485));
+        assert_eq!(p.cut_excess(tor(0, 3)), SimDuration::from_nanos(100 + 370));
         // Endpoint excess chains through the access hop and the TOR.
         let addr = NodeAddr::new(1, 2, 0);
         assert_eq!(
-            p.endpoint_cut_excess(&cfg, addr, SimDuration::from_nanos(100)),
+            p.endpoint_cut_excess(addr, SimDuration::from_nanos(100)),
             SimDuration::from_nanos(100 + 100 + 370)
         );
         // Every excess respects the universal lookahead floor.
-        for pod in 0..2 {
-            assert!(p.agg_cut_excess(&cfg, pod) >= p.lookahead());
-            for tor in 0..40 {
-                assert!(p.tor_cut_excess(&cfg, pod, tor) >= p.lookahead());
-            }
+        for role in roles(cfg.shape) {
+            assert!(p.cut_excess(role) >= p.lookahead(), "{role:?}");
         }
         // Rack granularity: some TOR↔agg links are cut too.
-        let p8 = FabricPartition::plan(&cfg, 8);
-        let p8 = &p8;
-        let cut_tors = (0..2)
-            .flat_map(|pod| (0..40).map(move |tor| p8.tor_is_cut(pod, tor)))
-            .filter(|&c| c)
+        let p8 = plan(&cfg, None, 8).unwrap();
+        let cut_tors = roles(cfg.shape)
+            .filter(|role| matches!(role, SwitchRole::Tor { .. }) && p8.is_cut(*role))
             .count();
         assert!(cut_tors > 0, "rack-granularity plans must cut some TORs");
         // One shard: nothing is cut, every excess is unbounded.
-        let p1 = FabricPartition::plan(&cfg, 1);
-        assert!(!p1.agg_is_cut(0) && !p1.spine_is_cut(0) && !p1.tor_is_cut(0, 0));
-        assert_eq!(p1.agg_cut_excess(&cfg, 0), SimDuration::MAX);
+        let p1 = plan(&cfg, None, 1).unwrap();
+        assert!(!p1.is_cut(agg(0)) && !p1.is_cut(spine(0)) && !p1.is_cut(tor(0, 0)));
+        assert_eq!(p1.cut_excess(agg(0)), SimDuration::MAX);
         assert_eq!(
-            p1.endpoint_cut_excess(&cfg, NodeAddr::new(0, 0, 0), SimDuration::ZERO),
+            p1.endpoint_cut_excess(NodeAddr::new(0, 0, 0), SimDuration::ZERO),
             SimDuration::MAX
         );
     }
 
     #[test]
     fn shard_count_clamps_to_rack_count() {
-        let p = FabricPartition::plan(&small_cfg(), 1_000);
+        let p = plan(&small_cfg(), None, 1_000).unwrap();
         assert_eq!(p.shards(), 6); // 2 pods × 3 racks
-        let p = FabricPartition::plan(&small_cfg(), 0);
+        let p = plan(&small_cfg(), None, 0).unwrap();
         assert_eq!(p.shards(), 1);
     }
 
     #[test]
     fn single_shard_needs_no_lookahead() {
-        let p = FabricPartition::plan(&fig10_cfg(2), 1);
+        let p = plan(&fig10_cfg(2), None, 1).unwrap();
         assert_eq!(p.lookahead(), SimDuration::MAX);
-        for tor in 0..40 {
-            assert_eq!(p.tor_shard(1, tor), 0);
+        for t in 0..40 {
+            assert_eq!(p.shard_of(tor(1, t)), 0);
         }
     }
 
@@ -1231,7 +1155,7 @@ mod tests {
         let mut cfg = fig10_cfg(2);
         cfg.agg.pfc = None;
         cfg.spine.lossless_mask = 0;
-        let p = FabricPartition::plan(&cfg, 2);
+        let p = plan(&cfg, None, 2).unwrap();
         // Without PFC frames, the earliest cross-shard event is a
         // forwarded packet: propagation + pipeline base latency.
         assert_eq!(p.lookahead(), SimDuration::from_nanos(370 + 1_560));
@@ -1239,10 +1163,8 @@ mod tests {
 
     #[test]
     fn pod_blocks_are_contiguous_and_balanced() {
-        let cfg = fig10_cfg(6);
-        let p = FabricPartition::plan(&cfg, 4);
-        assert_eq!(p.granularity(), PartitionGranularity::Pod);
-        let shards: Vec<u32> = (0..6).map(|pod| p.agg_shard(pod)).collect();
+        let p = plan(&fig10_cfg(6), None, 4).unwrap();
+        let shards: Vec<u32> = (0..6).map(|pod| p.shard_of(agg(pod))).collect();
         assert!(shards.windows(2).all(|w| w[0] <= w[1]), "{shards:?}");
         let mut per_shard = vec![0u32; 4];
         for &s in &shards {
@@ -1252,6 +1174,12 @@ mod tests {
             per_shard.iter().all(|&n| (1..=2).contains(&n)),
             "{per_shard:?}"
         );
+        // Whole pods per shard: every rack rides with its pod's agg.
+        for pod in 0..6 {
+            for t in 0..40 {
+                assert_eq!(p.shard_of(tor(pod, t)), p.shard_of(agg(pod)));
+            }
+        }
     }
 
     #[test]
@@ -1265,43 +1193,106 @@ mod tests {
         assert!(FidelityMap::all_packet(4).is_all_packet());
     }
 
-    #[test]
-    fn hybrid_plan_matches_legacy_when_all_packet() {
-        let cfg = fig10_cfg(2);
-        let p = FabricPartition::plan_hybrid(&cfg, &FidelityMap::all_packet(2), 2).unwrap();
-        let legacy = FabricPartition::plan(&cfg, 2);
-        for pod in 0..2 {
-            assert_eq!(p.agg_shard(pod), legacy.agg_shard(pod));
-            for tor in 0..40 {
-                assert_eq!(p.tor_shard(pod, tor), legacy.tor_shard(pod, tor));
+    /// `shard_of` and `cut_excess` (ns, `inf` when unbounded) of every
+    /// switch position in canonical order, run-length encoded as
+    /// `count*shard@excess`.
+    fn shard_map(p: &FabricPartition) -> String {
+        let mut runs: Vec<(usize, String)> = Vec::new();
+        for role in roles(p.shape) {
+            let excess = match p.cut_excess(role) {
+                SimDuration::MAX => "inf".to_string(),
+                bounded => bounded.as_nanos().to_string(),
+            };
+            let entry = format!("{}@{excess}", p.shard_of(role));
+            match runs.last_mut() {
+                Some((count, last)) if *last == entry => *count += 1,
+                _ => runs.push((1, entry)),
             }
         }
-        assert_eq!(p.lookahead(), legacy.lookahead());
+        let runs: Vec<String> = runs.iter().map(|(n, e)| format!("{n}*{e}")).collect();
+        runs.join(" ")
+    }
+
+    /// Shard maps captured from the two planners this one replaced
+    /// (`plan` + `plan_hybrid`, PR 13) on the paper fabric: pod
+    /// granularity, rack granularity, and a packet island. Each row is
+    /// `((pods, packet island, shards, lookahead ns), TORs aggs spines)`.
+    #[test]
+    fn plans_reproduce_the_golden_shard_maps() {
+        let golden = [
+            ((2, None, 1, u64::MAX), "86*0@inf"),
+            (
+                (2, None, 2, 370),
+                "40*0@470 40*1@470 1*0@370 1*1@370 1*0@485 1*1@485 1*0@485 1*1@485",
+            ),
+            (
+                (2, None, 4, 100),
+                "20*0@200 20*1@100 20*2@200 20*3@100 1*0@370 1*2@370 \
+                 1*0@485 1*1@485 1*2@485 1*3@485",
+            ),
+            (
+                (2, None, 8, 100),
+                "10*0@200 10*1@100 10*2@100 10*3@100 10*4@200 10*5@100 10*6@100 10*7@100 \
+                 1*0@370 1*4@370 1*0@485 1*1@485 1*2@485 1*3@485",
+            ),
+            (
+                (4, None, 2, 370),
+                "80*0@470 80*1@470 2*0@370 2*1@370 1*0@485 1*1@485 1*0@485 1*1@485",
+            ),
+            (
+                (4, None, 4, 370),
+                "40*0@470 40*1@470 40*2@470 40*3@470 1*0@370 1*1@370 1*2@370 1*3@370 \
+                 1*0@485 1*1@485 1*2@485 1*3@485",
+            ),
+            (
+                (4, Some(2), 2, 370),
+                "40*0@470 40*1@470 80*0@470 1*0@370 1*1@370 2*0@370 \
+                 1*0@485 1*1@485 1*0@485 1*1@485",
+            ),
+        ];
+        for ((pods, island, shards, lookahead), map) in golden {
+            let fidelity = island.map(|n| FidelityMap::packet_island(pods, n));
+            let p = plan(&fig10_cfg(pods), fidelity, shards).unwrap();
+            let label = format!("{pods} pods, island {island:?}, {shards} shards");
+            assert_eq!(p.shards(), shards, "{label}");
+            assert_eq!(p.lookahead().as_nanos(), lookahead, "{label}");
+            assert_eq!(shard_map(&p), map, "{label}");
+        }
+    }
+
+    #[test]
+    fn explicit_all_packet_map_plans_like_the_defaulted_map() {
+        let cfg = fig10_cfg(2);
+        for shards in [1, 2, 8] {
+            let explicit = plan(&cfg, Some(FidelityMap::all_packet(2)), shards).unwrap();
+            let defaulted = plan(&cfg, None, shards).unwrap();
+            assert_eq!(explicit.shards(), defaulted.shards());
+            assert_eq!(explicit.lookahead(), defaulted.lookahead());
+            assert_eq!(shard_map(&explicit), shard_map(&defaulted));
+        }
     }
 
     #[test]
     fn hybrid_plan_spreads_packet_pods_only() {
-        let cfg = fig10_cfg(8);
         let map = FidelityMap::packet_island(8, 4);
-        let p = FabricPartition::plan_hybrid(&cfg, &map, 2).unwrap();
+        let p = plan(&fig10_cfg(8), Some(map), 2).unwrap();
         assert_eq!(p.shards(), 2);
         // Packet pods 0..4 split into two contiguous blocks.
-        assert_eq!(p.agg_shard(0), 0);
-        assert_eq!(p.agg_shard(1), 0);
-        assert_eq!(p.agg_shard(2), 1);
-        assert_eq!(p.agg_shard(3), 1);
+        assert_eq!(p.shard_of(agg(0)), 0);
+        assert_eq!(p.shard_of(agg(1)), 0);
+        assert_eq!(p.shard_of(agg(2)), 1);
+        assert_eq!(p.shard_of(agg(3)), 1);
         // Flow pods have no switches; their (unused) entries sit on shard 0.
         for pod in 4..8 {
-            assert_eq!(p.agg_shard(pod), 0);
+            assert_eq!(p.shard_of(agg(pod)), 0);
         }
         assert_eq!(p.lookahead(), SimDuration::from_nanos(370));
     }
 
     #[test]
     fn hybrid_plan_rejects_bad_combinations() {
-        let cfg = fig10_cfg(8);
         let map = FidelityMap::packet_island(8, 2);
-        match FabricPartition::plan_hybrid(&cfg, &map, 4) {
+        match plan(&fig10_cfg(8), Some(map), 4) {
             Err(PartitionError::ShardsExceedPacketPods {
                 shards,
                 packet_pods,
@@ -1310,10 +1301,13 @@ mod tests {
             }
             other => panic!("expected ShardsExceedPacketPods, got {other:?}"),
         }
-        let wrong = FidelityMap::all_packet(3);
-        assert!(matches!(
-            FabricPartition::plan_hybrid(&cfg, &wrong, 1),
-            Err(PartitionError::FidelityShapeMismatch { .. })
-        ));
+    }
+
+    /// A map covering another pod count never reaches the planner: the
+    /// fabric it would be planned over cannot be built.
+    #[test]
+    #[should_panic(expected = "fidelity map covers 3 pods but the shape has 8")]
+    fn mismatched_fidelity_map_is_rejected_at_build() {
+        let _ = plan(&fig10_cfg(8), Some(FidelityMap::all_packet(3)), 1);
     }
 }

@@ -452,12 +452,6 @@ impl LtlEngine {
         self.addr
     }
 
-    /// Protocol counters (internal, non-deprecated accessor for the shell
-    /// and the engine's own bookkeeping).
-    pub(crate) fn stats_ref(&self) -> &LtlStats {
-        &self.stats
-    }
-
     /// Protocol counters, by reference. The registry view via
     /// [`telemetry::MetricSource`] remains the primary read path; this
     /// accessor serves event-granularity oracles that compare counters
@@ -678,6 +672,18 @@ impl LtlEngine {
         )
     }
 
+    /// The retransmission timeout of a frame already retransmitted
+    /// `retries` times. Exponential backoff keeps congestion-induced
+    /// delays from snowballing into retransmit storms: go-back-N scales
+    /// its fixed timeout by the frame's retry count, selective repeat
+    /// carries the backoff inside the adaptive estimator.
+    fn rto(cfg: &LtlConfig, rtt: &RtoEstimator, retries: u32) -> SimDuration {
+        match cfg.mode {
+            LtlMode::GoBackN => cfg.timeout * (1u64 << retries.min(4)),
+            LtlMode::SelectiveRepeat => rtt.rto(),
+        }
+    }
+
     /// Returns the next frame to transmit, if any is eligible at `now`.
     /// Control frames go first (unshaped), then retransmissions, then new
     /// data, subject to the bandwidth limiter and per-connection DC-QCN
@@ -705,21 +711,13 @@ impl LtlEngine {
             }
             self.retransmit.pop_front();
             let sc = &mut self.sends[conn as usize];
-            let rto = sc.rtt.rto();
             let u = sc
                 .unacked
                 .iter_mut()
                 .find(|u| u.frame.seq == seq)
                 .expect("checked above");
             u.sent_at = now;
-            // Exponential backoff keeps congestion-induced delays from
-            // snowballing into retransmit storms: go-back-N scales its
-            // fixed timeout by the frame's retry count, selective repeat
-            // carries the backoff inside the adaptive estimator.
-            u.deadline = match self.cfg.mode {
-                LtlMode::GoBackN => now + self.cfg.timeout * (1u64 << u.retries.min(4)),
-                LtlMode::SelectiveRepeat => now + rto,
-            };
+            u.deadline = now + Self::rto(&self.cfg, &sc.rtt, u.retries);
             self.stats.retransmits += 1;
             // Retransmit the cached wire bytes: no re-encode, no copy.
             let wire = u.wire.clone();
@@ -762,11 +760,8 @@ impl LtlEngine {
             // Encode once; the unacked entry keeps the shared wire bytes
             // so a later retransmission is a pure Arc clone.
             let wire = frame.encode();
-            let deadline = match self.cfg.mode {
-                LtlMode::GoBackN => now + self.cfg.timeout,
-                LtlMode::SelectiveRepeat => now + self.sends[idx].rtt.rto(),
-            };
-            self.sends[idx].unacked.push_back(Unacked {
+            let deadline = now + Self::rto(&self.cfg, &sc.rtt, 0);
+            sc.unacked.push_back(Unacked {
                 frame,
                 wire: wire.clone(),
                 sent_at: now,
@@ -846,27 +841,12 @@ impl LtlEngine {
             .get_mut(frame.dst_conn as usize)
             .expect("checked above");
         if frame.seq == rc.expected_seq {
-            rc.expected_seq = rc.expected_seq.wrapping_add(1);
             rc.nack_sent_for = None;
-            rc.assembling.extend_from_slice(&frame.payload);
-            rc.assembling_vc = frame.vc;
-            if frame.last_frag {
-                let payload = core::mem::take(&mut rc.assembling).freeze();
-                self.stats.msgs_delivered += 1;
-                self.stats.bytes_delivered += payload.len() as u64;
-                events.push(LtlEvent::Deliver {
-                    conn: frame.dst_conn,
-                    src: pkt.src,
-                    vc: frame.vc,
-                    payload,
-                });
-            }
-            let ack_seq = self.recvs[frame.dst_conn as usize]
-                .expected_seq
-                .wrapping_sub(1);
+            let (conn, src_conn, ack_seq) = (frame.dst_conn, frame.src_conn, frame.seq);
+            Self::accept_in_order(rc, &mut self.stats, &mut events, conn, pkt.src, frame);
             self.control.push_back((
                 pkt.src,
-                LtlFrame::control(FrameKind::Ack, frame.dst_conn, frame.src_conn, ack_seq),
+                LtlFrame::control(FrameKind::Ack, conn, src_conn, ack_seq),
             ));
         } else if seq_lt(frame.seq, rc.expected_seq) {
             // Duplicate: discard but re-ACK so the sender releases it.
@@ -1014,16 +994,17 @@ impl LtlEngine {
 
     fn on_ack(&mut self, frame: LtlFrame, now: SimTime) {
         self.stats.acks_rx += 1;
-        let Some(sc) = self.sends.get_mut(frame.dst_conn as usize) else {
-            return;
-        };
-        while let Some(front) = sc.unacked.front() {
-            if seq_le(front.frame.seq, frame.seq) {
-                let u = sc.unacked.pop_front().expect("front checked");
-                Self::retire(&mut self.rtts, sc, u, now);
-            } else {
-                break;
-            }
+        if let Some(sc) = self.sends.get_mut(frame.dst_conn as usize) {
+            Self::release_through(&mut self.rtts, sc, frame.seq, now);
+        }
+    }
+
+    /// Cumulative release: retires the window prefix up to and including
+    /// sequence `cum`.
+    fn release_through(rtts: &mut PercentileRecorder, sc: &mut SendConn, cum: u32, now: SimTime) {
+        while sc.unacked.front().is_some_and(|u| seq_le(u.frame.seq, cum)) {
+            let u = sc.unacked.pop_front().expect("front checked");
+            Self::retire(rtts, sc, u, now);
         }
     }
 
@@ -1040,14 +1021,7 @@ impl LtlEngine {
             return;
         };
         let cum = frame.seq;
-        while let Some(front) = sc.unacked.front() {
-            if seq_le(front.frame.seq, cum) {
-                let u = sc.unacked.pop_front().expect("front checked");
-                Self::retire(&mut self.rtts, sc, u, now);
-            } else {
-                break;
-            }
-        }
+        Self::release_through(&mut self.rtts, sc, cum, now);
         if bits == 0 {
             return;
         }
@@ -1125,22 +1099,14 @@ impl LtlEngine {
                     u.retries += 1;
                     self.stats.timeouts += 1;
                     self.retransmit.push_back((idx as SendConnId, u.frame.seq));
-                    match self.cfg.mode {
-                        LtlMode::GoBackN => {
-                            u.deadline = now + self.cfg.timeout * (1u64 << u.retries.min(4));
-                        }
-                        LtlMode::SelectiveRepeat => {
-                            // One backoff step per connection per tick: a
-                            // burst of frames expiring together signals
-                            // one loss event, not many.
-                            if !backed_off {
-                                sc.rtt.on_timeout();
-                                backed_off = true;
-                            }
-                            let rto = sc.rtt.rto();
-                            sc.unacked[i].deadline = now + rto;
-                        }
+                    // One backoff step per connection per tick: a burst
+                    // of frames expiring together signals one loss event,
+                    // not many.
+                    if self.cfg.mode == LtlMode::SelectiveRepeat && !backed_off {
+                        sc.rtt.on_timeout();
+                        backed_off = true;
                     }
+                    u.deadline = now + Self::rto(&self.cfg, &sc.rtt, u.retries);
                 }
                 i += 1;
             }

@@ -433,13 +433,13 @@ impl Shell {
                 // Re-pumped when the pause lifts or the queue drains.
                 break;
             }
-            let retx_before = self.ltl.stats_ref().retransmits;
-            let data_before = self.ltl.stats_ref().data_sent;
+            let retx_before = self.ltl.stats_view().retransmits;
+            let data_before = self.ltl.stats_view().data_sent;
             match self.ltl.poll(ctx.now()) {
                 Poll::Ready(pkt) => {
                     self.stats.ltl_tx_frames += 1;
                     if let Some(tracer) = &self.tracer {
-                        let s = self.ltl.stats_ref();
+                        let s = self.ltl.stats_view();
                         if s.retransmits > retx_before {
                             tracer.instant(
                                 ctx.now(),
@@ -627,10 +627,10 @@ impl Component<Msg> for Shell {
             }
             Msg::Egress { port, pkt } => self.enqueue(port, pkt, ctx),
             Msg::LtlRx(pkt) => {
-                let acks_before = self.ltl.stats_ref().acks_rx;
+                let acks_before = self.ltl.stats_view().acks_rx;
                 let events = self.ltl.on_packet(&pkt, ctx.now());
                 if let Some(tracer) = &self.tracer {
-                    if self.ltl.stats_ref().acks_rx > acks_before {
+                    if self.ltl.stats_view().acks_rx > acks_before {
                         tracer.instant(ctx.now(), "ltl_ack", &[("src", pkt.src.as_u32() as u64)]);
                     }
                     for ev in &events {

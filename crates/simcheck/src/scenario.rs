@@ -258,13 +258,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     // Scenario clusters run no host software: host stalls have no target.
     catapult::chaos::install_plan(&mut cluster, monitor_id, &spec.plan, |_| None);
 
-    let switches: Vec<ComponentId> = {
-        let fabric = cluster.fabric();
-        let mut ids: Vec<ComponentId> = fabric.tor_switches().collect();
-        ids.push(fabric.agg_switch(0));
-        ids.extend_from_slice(fabric.spine_switches());
-        ids
-    };
+    let switches: Vec<ComponentId> = cluster.fabric().switches().map(|(_, id)| id).collect();
     let shell_ids: Vec<ComponentId> = cluster.shells().map(|(_, id)| id).collect();
     cluster
         .engine_mut()

@@ -93,15 +93,7 @@ fn run_windowed_scenario(policy: WindowPolicy) -> Vec<(u64, u64)> {
     }
 
     // Every switch and shell is under oracle.
-    let shape = cluster.fabric().shape();
-    let mut switches = Vec::new();
-    for pod in 0..shape.pods {
-        switches.push(cluster.fabric().agg_switch(pod));
-        for tor in 0..shape.tors_per_pod {
-            switches.push(cluster.fabric().tor_switch(pod, tor));
-        }
-    }
-    switches.extend_from_slice(cluster.fabric().spine_switches());
+    let switches: Vec<ComponentId> = cluster.fabric().switches().map(|(_, id)| id).collect();
     let shells: Vec<ComponentId> = cluster.shells().map(|(_, id)| id).collect();
     let mut oracle = InvariantObserver::windowed(switches, shells, None);
 

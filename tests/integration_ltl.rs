@@ -6,20 +6,11 @@ use bytes::Bytes;
 use catapult::{probe::schedule_probes, Cluster, ClusterBuilder};
 use dcnet::{Msg, NodeAddr, Switch};
 use dcsim::{Component, Context, PercentileRecorder, SimDuration, SimTime};
-use shell::{LtlDeliver, Shell, ShellCmd};
+use shell::{Shell, ShellCmd};
 
-#[derive(Debug, Default)]
-struct Collector {
-    payloads: Vec<Bytes>,
-}
-
-impl Component<Msg> for Collector {
-    fn on_message(&mut self, msg: Msg, _ctx: &mut Context<'_, Msg>) {
-        if let Ok(d) = msg.downcast::<LtlDeliver>() {
-            self.payloads.push(d.payload);
-        }
-    }
-}
+#[path = "common/collector.rs"]
+mod collector;
+use collector::Collector;
 
 fn measure_rtt(mut cluster: Cluster, a: NodeAddr, b: NodeAddr, probes: u64) -> PercentileRecorder {
     cluster.add_shell(a);

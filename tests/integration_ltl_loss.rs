@@ -6,21 +6,12 @@
 use bytes::Bytes;
 use catapult::ClusterBuilder;
 use dcnet::{Msg, NodeAddr};
-use dcsim::{Component, Context, SimTime};
-use shell::{LtlDeliver, ShellCmd};
+use dcsim::SimTime;
+use shell::ShellCmd;
 
-#[derive(Debug, Default)]
-struct Collector {
-    payloads: Vec<Bytes>,
-}
-
-impl Component<Msg> for Collector {
-    fn on_message(&mut self, msg: Msg, _ctx: &mut Context<'_, Msg>) {
-        if let Ok(d) = msg.downcast::<LtlDeliver>() {
-            self.payloads.push(d.payload);
-        }
-    }
-}
+#[path = "common/collector.rs"]
+mod collector;
+use collector::Collector;
 
 /// Runs `total` messages across one rack with egress-loss injection at
 /// `rate` on the sender; returns (delivered payloads, sender retransmits,

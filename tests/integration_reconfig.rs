@@ -9,6 +9,10 @@ use dcnet::{Msg, NetEvent, NodeAddr, Packet, PortId, TrafficClass};
 use dcsim::{Component, Context, SimDuration, SimTime};
 use shell::{Shell, ShellCmd, PORT_NIC};
 
+#[path = "common/collector.rs"]
+mod collector;
+use collector::Collector;
+
 #[derive(Debug, Default)]
 struct HostNic {
     received: Vec<(SimTime, Packet)>,
@@ -106,17 +110,6 @@ fn bridge_recovers_after_full_reconfig() {
 fn ltl_survives_partial_reconfig() {
     // Messages sent mid-partial-reconfig still deliver: LTL is shell
     // logic, not role logic.
-    #[derive(Debug, Default)]
-    struct Collector {
-        got: usize,
-    }
-    impl Component<Msg> for Collector {
-        fn on_message(&mut self, msg: Msg, _ctx: &mut Context<'_, Msg>) {
-            if msg.downcast::<shell::LtlDeliver>().is_ok() {
-                self.got += 1;
-            }
-        }
-    }
     let mut cluster = ClusterBuilder::paper(33, 1).build();
     let a = NodeAddr::new(0, 0, 1);
     let b = NodeAddr::new(0, 0, 2);
@@ -145,7 +138,8 @@ fn ltl_survives_partial_reconfig() {
             .engine()
             .component::<Collector>(collector)
             .expect("collector exists")
-            .got,
+            .payloads
+            .len(),
         1
     );
     let _ = cluster.shell(a) as &Shell;
