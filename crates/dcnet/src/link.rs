@@ -6,7 +6,7 @@
 //! per direction, which is what creates serialization queueing in the
 //! simulation.
 
-use dcsim::{SimDuration, SimTime};
+use dcsim::{Context, SimDuration, SimTime, TimerKey};
 
 /// Static parameters of one link direction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,6 +110,67 @@ impl LinkTx {
     /// Total frames handed to this transmitter.
     pub fn frames_sent(&self) -> u64 {
         self.frames_sent
+    }
+}
+
+/// The serialization-done timer of the frame a [`LinkTx`] has on the
+/// wire, *deferred*: starting a transmission only reserves the timer's
+/// position in the event order, and the event itself is enqueued only
+/// once its handler will have something to do — a frame waiting for the
+/// wire. On near-empty queues that is rarely, and the wire going idle
+/// then costs no event at all; until it does, "is the wire busy?" is
+/// answered by comparing the reserved position with the event being
+/// dispatched, which is exactly what the fired-or-not state of an eager
+/// timer would say.
+///
+/// The owner's timer handler must call [`FreeTimer::clear`] before it
+/// looks at the wire again.
+#[derive(Debug, Clone, Copy)]
+pub enum FreeTimer {
+    /// No transmission this timer still has to end.
+    Idle,
+    /// A transmission was started; its timer's position is reserved and
+    /// nothing is enqueued. Once that position has passed this means the
+    /// same as `Idle`.
+    Reserved(TimerKey),
+    /// The timer is in the event queue and will fire when the wire frees.
+    Armed,
+}
+
+impl FreeTimer {
+    /// Whether the frame last handed to `tx` still occupies the wire, as
+    /// the event order sees it: its free-timer has not fired yet.
+    pub fn wire_busy<M>(&self, tx: &LinkTx, ctx: &Context<'_, M>) -> bool {
+        match *self {
+            FreeTimer::Idle => false,
+            FreeTimer::Reserved(key) => ctx.timer_is_ahead(tx.busy_until(), key),
+            FreeTimer::Armed => true,
+        }
+    }
+
+    /// Reserves the free-timer of the transmission just started on the
+    /// link. Call where an eager `timer_after(departs)` would stand, so
+    /// the same tie-break key is consumed.
+    pub fn reserve<M>(&mut self, ctx: &mut Context<'_, M>) {
+        *self = FreeTimer::Reserved(ctx.reserve_timer());
+    }
+
+    /// Makes sure the timer fires (with `token`) if the wire is busy: the
+    /// caller has work waiting for it. Does nothing on an idle wire or an
+    /// already armed timer.
+    pub fn arm<M>(&mut self, tx: &LinkTx, token: u64, ctx: &mut Context<'_, M>) {
+        if let FreeTimer::Reserved(key) = *self {
+            if ctx.timer_is_ahead(tx.busy_until(), key) {
+                ctx.arm_timer(tx.busy_until(), key, token);
+                *self = FreeTimer::Armed;
+            }
+        }
+    }
+
+    /// Forgets the transmission: the armed timer has fired, or the owner
+    /// was reset with a frame on the wire.
+    pub fn clear(&mut self) {
+        *self = FreeTimer::Idle;
     }
 }
 

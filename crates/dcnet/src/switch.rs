@@ -14,7 +14,7 @@ use dcsim::{Component, ComponentId, Context, SimDuration};
 use telemetry::{MetricSource, MetricVisitor, TrackTracer};
 
 use crate::addr::{AddrError, NodeAddr};
-use crate::link::{LinkParams, LinkTx};
+use crate::link::{FreeTimer, LinkParams, LinkTx};
 use crate::msg::{Msg, NetEvent, PortId};
 use crate::packet::{Ecn, Packet, TrafficClass};
 
@@ -295,7 +295,11 @@ pub struct SwitchStats {
     pub crashes: u64,
 }
 
+/// Packed, so that `Option<Peer>` takes 11 bytes instead of 24: that pays
+/// for the 16-byte [`FreeTimer`] that replaced each port's `busy` flag,
+/// and a fabric's thousands of ports cost the heap they did before.
 #[derive(Debug, Clone, Copy)]
+#[repr(Rust, packed)]
 struct Peer {
     comp: ComponentId,
     port: PortId,
@@ -314,7 +318,9 @@ struct Port {
     queues: [VecDeque<Queued>; TrafficClass::COUNT],
     queued_bytes: [u64; TrafficClass::COUNT],
     tx_paused: [bool; TrafficClass::COUNT],
-    busy: bool,
+    /// Serialization-done timer of the frame on `tx`'s wire; the port is
+    /// busy until it fires (or would have fired, while it is deferred).
+    free: FreeTimer,
     up: bool,
     corrupt_pending: u32,
     ingress_bytes: [u64; TrafficClass::COUNT],
@@ -340,7 +346,7 @@ impl Port {
             queues: Default::default(),
             queued_bytes: [0; TrafficClass::COUNT],
             tx_paused: [false; TrafficClass::COUNT],
-            busy: false,
+            free: FreeTimer::Idle,
             up: true,
             corrupt_pending: 0,
             ingress_bytes: [0; TrafficClass::COUNT],
@@ -365,6 +371,18 @@ impl Port {
         self.pause_sent = [false; TrafficClass::COUNT];
         self.corrupt_pending = 0;
         flushed
+    }
+
+    /// Arms the free-timer (token: this port, `egress`) iff a frame of any
+    /// class is queued behind the one on the wire. With nothing queued the
+    /// timer's handler would clear the busy state and find nothing to
+    /// send, so the event is never enqueued. Frames of paused classes
+    /// count too: the handler then finds nothing eligible, as it always
+    /// did, and no pause state has to be tracked here.
+    fn arm_free_if_queued(&mut self, egress: PortId, ctx: &mut Context<'_, Msg>) {
+        if self.queues.iter().any(|q| !q.is_empty()) {
+            self.free.arm(&self.tx, egress.0 as u64, ctx);
+        }
     }
 }
 
@@ -529,7 +547,7 @@ impl Switch {
     fn crash(&mut self, reboot_after: SimDuration, ctx: &mut Context<'_, Msg>) {
         for p in &mut self.ports {
             self.stats.crash_drops += p.flush();
-            p.busy = false;
+            p.free.clear();
         }
         self.crashed = true;
         self.stats.crashes += 1;
@@ -735,7 +753,13 @@ impl Switch {
         // Borrow the egress port once for the eligibility checks, the
         // priority scan and the dequeue bookkeeping.
         let port = &mut self.ports[ei];
-        if self.crashed || port.busy || !port.up {
+        if self.crashed || !port.up {
+            return;
+        }
+        if port.free.wire_busy(&port.tx, ctx) {
+            // The frame just queued, or the class just resumed, waits for
+            // the wire: only now is the free-timer worth an event.
+            port.arm_free_if_queued(egress, ctx);
             return;
         }
         // Strict priority: highest non-paused, non-empty class first.
@@ -783,10 +807,10 @@ impl Switch {
         let port = &mut self.ports[ei];
         let peer = port.peer.expect("transmit on unconnected port");
         let timing = port.tx.transmit(ctx.now(), q.pkt.wire_bytes());
-        port.busy = true;
+        port.free.reserve(ctx);
+        port.arm_free_if_queued(egress, ctx);
         port.tx_frames[ci] += 1;
         self.stats.tx_frames += 1;
-        ctx.timer_after(timing.departs - ctx.now(), egress.0 as u64);
         ctx.send_after(
             (timing.arrives + q.extra) - ctx.now(),
             peer.comp,
@@ -838,7 +862,7 @@ impl Component<Msg> for Switch {
         if token == REBOOT_TOKEN {
             self.crashed = false;
             for p in &mut self.ports {
-                p.busy = false;
+                p.free.clear();
             }
             return;
         }
@@ -848,7 +872,7 @@ impl Component<Msg> for Switch {
             return;
         }
         let port = PortId(token as u16);
-        self.ports[port.index()].busy = false;
+        self.ports[port.index()].free.clear();
         self.try_transmit(port, ctx);
     }
 }
@@ -1476,5 +1500,173 @@ mod tests {
                 .ttl_expired,
             1
         );
+    }
+
+    /// Forwards what it is sent to the switch after `delay`, so the
+    /// forwarded event takes its tie-break key mid-run.
+    struct Relay {
+        switch: ComponentId,
+        delay: SimDuration,
+    }
+
+    impl Component<Msg> for Relay {
+        fn on_message(&mut self, msg: Msg, ctx: &mut Context<'_, Msg>) {
+            ctx.send_after(self.delay, self.switch, msg);
+        }
+    }
+
+    /// Counts the port free-timers the engine actually dispatched.
+    #[derive(Default)]
+    struct FreeTimersFired(u64);
+
+    impl dcsim::Observer<Msg> for FreeTimersFired {
+        fn after_event(&mut self, ev: &dcsim::EventRecord, _engine: &Engine<Msg>) {
+            if ev.timer.is_some_and(|token| token != REBOOT_TOKEN) {
+                self.0 += 1;
+            }
+        }
+    }
+
+    /// Switch (component 0) with port 2 cabled to a sink (1), plus a relay
+    /// (2) that delivers to the switch 200 ns later. 1434-byte payloads
+    /// serialize in 300 ns and reach the sink 400 ns after that.
+    fn free_timer_rig() -> (Engine<Msg>, ComponentId, ComponentId, ComponentId) {
+        let mut e: Engine<Msg> = Engine::new(1);
+        let sw_id = e.next_component_id();
+        let mut sw = Switch::new(
+            SwitchRole::Tor { pod: 0, tor: 0 },
+            shape(),
+            SwitchConfig::default(),
+        );
+        sw.connect(PortId(2), ComponentId::from_raw(1), PortId(0));
+        e.add_component(sw);
+        let sink = e.add_component(Sink::default());
+        let relay = e.add_component(Relay {
+            switch: sw_id,
+            delay: SimDuration::from_nanos(200),
+        });
+        e.set_observer(Box::new(FreeTimersFired::default()));
+        (e, sw_id, sink, relay)
+    }
+
+    fn to_port2(class: TrafficClass) -> Msg {
+        let (src, dst) = (NodeAddr::new(0, 0, 1), NodeAddr::new(0, 0, 2));
+        Msg::packet(mk_pkt(src, dst, class, 1434), PortId(1))
+    }
+
+    fn sink_times(e: &Engine<Msg>, sink: ComponentId) -> Vec<u64> {
+        let sink = e.component::<Sink>(sink).unwrap();
+        sink.packets.iter().map(|(t, _)| t.as_nanos()).collect()
+    }
+
+    fn free_timers_fired(e: &Engine<Msg>) -> u64 {
+        e.observer_as::<FreeTimersFired>().unwrap().0
+    }
+
+    #[test]
+    fn free_timer_is_an_event_only_while_a_frame_waits() {
+        // A lone frame: the wire goes idle without an event.
+        let (mut e, sw, sink, _) = free_timer_rig();
+        e.schedule(SimTime::ZERO, sw, to_port2(TrafficClass::BEST_EFFORT));
+        e.run_to_idle();
+        assert_eq!(sink_times(&e, sink), [700]);
+        assert_eq!(free_timers_fired(&e), 0);
+
+        // Three back to back: the first two timers have a frame to start,
+        // the third finds the queue empty and is never enqueued.
+        let (mut e, sw, sink, _) = free_timer_rig();
+        for _ in 0..3 {
+            e.schedule(SimTime::ZERO, sw, to_port2(TrafficClass::BEST_EFFORT));
+        }
+        e.run_to_idle();
+        assert_eq!(sink_times(&e, sink), [700, 1000, 1300]);
+        assert_eq!(free_timers_fired(&e), 2);
+    }
+
+    #[test]
+    fn class_resumed_while_the_wire_is_busy_leaves_when_it_frees() {
+        let (mut e, sw, sink, _) = free_timer_rig();
+        let pfc = |pause| {
+            Msg::Net(NetEvent::Pfc {
+                class: TrafficClass::LTL,
+                ingress: PortId(2),
+                pause,
+            })
+        };
+        // Wire busy 0-300 ns with a best-effort frame; an LTL frame queues
+        // behind it while its class is paused, and is resumed at 200 ns.
+        e.schedule(SimTime::ZERO, sw, to_port2(TrafficClass::BEST_EFFORT));
+        e.schedule(SimTime::from_nanos(50), sw, pfc(true));
+        e.schedule(SimTime::from_nanos(100), sw, to_port2(TrafficClass::LTL));
+        e.schedule(SimTime::from_nanos(200), sw, pfc(false));
+        e.run_until(SimTime::from_nanos(250));
+        assert_eq!(e.pending_events(), 2, "first delivery + the armed timer");
+        e.run_to_idle();
+        assert_eq!(sink_times(&e, sink), [700, 1000]);
+        assert_eq!(free_timers_fired(&e), 1);
+    }
+
+    #[test]
+    fn arrival_at_busy_until_resolves_by_key_on_both_sides() {
+        // Scheduled up front, the second frame's key is older than the
+        // one the first transmission reserved: at 300 ns it is dispatched
+        // *before* the free-timer would fire, finds the wire busy, queues
+        // and arms the timer — which then starts it in the same instant.
+        let (mut e, sw, sink, _) = free_timer_rig();
+        e.schedule(SimTime::ZERO, sw, to_port2(TrafficClass::BEST_EFFORT));
+        e.schedule(
+            SimTime::from_nanos(300),
+            sw,
+            to_port2(TrafficClass::BEST_EFFORT),
+        );
+        e.run_to_idle();
+        assert_eq!(sink_times(&e, sink), [700, 1000]);
+        assert_eq!(free_timers_fired(&e), 1);
+
+        // Relayed at 100 ns, the second frame's key is younger than the
+        // reserved one: at 300 ns the free-timer would already have fired,
+        // so the wire is free and no timer event is needed at all.
+        let (mut e, sw, sink, relay) = free_timer_rig();
+        e.schedule(SimTime::ZERO, sw, to_port2(TrafficClass::BEST_EFFORT));
+        e.schedule(
+            SimTime::from_nanos(100),
+            relay,
+            to_port2(TrafficClass::BEST_EFFORT),
+        );
+        e.run_to_idle();
+        assert_eq!(sink_times(&e, sink), [700, 1000]);
+        assert_eq!(free_timers_fired(&e), 0);
+    }
+
+    #[test]
+    fn crash_with_a_frame_on_the_wire_leaves_no_stale_reservation() {
+        let (mut e, sw, sink, _) = free_timer_rig();
+        e.schedule(SimTime::ZERO, sw, to_port2(TrafficClass::BEST_EFFORT));
+        e.schedule(
+            SimTime::from_nanos(100),
+            sw,
+            Msg::custom(SwitchCmd::Crash {
+                reboot_after: SimDuration::from_nanos(50),
+            }),
+        );
+        // Back up at 150 ns, before the pre-crash frame would have left
+        // the wire (300 ns): the port must be free, not waiting for a
+        // timer nobody armed. (The serializer still paces the frame.)
+        e.schedule(
+            SimTime::from_nanos(200),
+            sw,
+            to_port2(TrafficClass::BEST_EFFORT),
+        );
+        e.schedule(
+            SimTime::from_nanos(200),
+            sw,
+            to_port2(TrafficClass::BEST_EFFORT),
+        );
+        e.run_until(SimTime::from_nanos(250));
+        let stats = *e.component::<Switch>(sw).unwrap().stats_view();
+        assert_eq!((stats.tx_frames, stats.crashes), (2, 1));
+        e.run_to_idle();
+        assert_eq!(sink_times(&e, sink), [700, 1000, 1300]);
+        assert_eq!(free_timers_fired(&e), 1, "only the third frame waited");
     }
 }

@@ -130,11 +130,24 @@ pub trait Observer<M>: Any + Send {
     fn after_event(&mut self, event: &EventRecord, engine: &Engine<M>);
 }
 
+/// The queue position of a timer that has not been enqueued: the
+/// tie-break key [`Context::reserve_timer`] consumed for it. Together with
+/// the timer's due time (which the component already knows) it says
+/// exactly where the timer would sit in the event order, so the component
+/// can decide later — with [`Context::timer_is_ahead`] — whether it would
+/// have fired yet, and pay for the event ([`Context::arm_timer`]) only if
+/// its handler will have something to do.
+#[derive(Debug, Clone, Copy)]
+pub struct TimerKey(u64);
+
 /// Handle given to a component while it processes an event. Lets it read
 /// the clock, schedule messages and timers, draw random numbers and stop
 /// the simulation.
 pub struct Context<'a, M> {
     now: SimTime,
+    /// Tie-break key of the event being dispatched; `(now, dispatching)`
+    /// is its position in the event order.
+    dispatching: u64,
     id: ComponentId,
     /// The engine's event queue, pushed to directly: scheduling from a
     /// component costs one queue insert, not a staging-buffer round-trip.
@@ -183,6 +196,56 @@ impl<'a, M> Context<'a, M> {
         self.push(self.now + delay, self.id, EventKind::Timer(token));
     }
 
+    /// Consumes the tie-break key a [`Context::timer_after`] issued now
+    /// would get, without enqueuing anything. Every later event keeps the
+    /// key it would have had next to an eager timer, so reserving instead
+    /// of arming cannot move any other event in the order.
+    pub fn reserve_timer(&mut self) -> TimerKey {
+        TimerKey(self.next_key())
+    }
+
+    /// Whether a timer due at `at` under the reserved `key` still sorts
+    /// after the event being dispatched — i.e. whether, had it been
+    /// enqueued, it would not have fired yet. A timer is not ahead of its
+    /// own dispatch.
+    pub fn timer_is_ahead(&self, at: SimTime, key: TimerKey) -> bool {
+        (at.as_nanos(), key.0) > (self.now.as_nanos(), self.dispatching)
+    }
+
+    /// Enqueues the reserved timer on the executing component at exactly
+    /// `(at, key)`, the position an eager `timer_after` would have given
+    /// it; [`Component::on_timer`] is invoked with `token`. Arm a
+    /// reservation at most once.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the timer [is ahead](Context::timer_is_ahead): an
+    /// event enqueued behind the one being dispatched would run the
+    /// clock backwards.
+    pub fn arm_timer(&mut self, at: SimTime, key: TimerKey, token: u64) {
+        assert!(
+            self.timer_is_ahead(at, key),
+            "cannot arm a timer whose reserved position has passed"
+        );
+        if let Some(route) = self.route.as_deref_mut() {
+            route.cut_counts[route.plan.cut_class[self.id.as_raw()] as usize] += 1;
+        }
+        self.queue
+            .push(at.as_nanos(), key.0, (self.id, EventKind::Timer(token)));
+    }
+
+    /// Takes the next tie-break key of the scheme in force: submission
+    /// order (salted or not) in a plain engine, `(source, send index)`
+    /// in a shard.
+    fn next_key(&mut self) -> u64 {
+        let key = match self.route {
+            Some(_) => sharded::source_key(self.id, *self.seq),
+            None => fifo_key(*self.seq, self.tie_break_salt),
+        };
+        *self.seq += 1;
+        key
+    }
+
     /// Enqueues with the same key scheme as [`Engine::push`]: events are
     /// keyed in submission order, exactly as the engine itself pushes.
     ///
@@ -192,11 +255,10 @@ impl<'a, M> Context<'a, M> {
     /// and cross-shard sends land in the window outbox rather than the
     /// local queue.
     fn push(&mut self, at: SimTime, dest: ComponentId, kind: EventKind<M>) {
+        let key = self.next_key();
         if let Some(route) = self.route.as_deref_mut() {
             let plan = &*route.plan;
             let at_ns = at.as_nanos();
-            let key = sharded::source_key(self.id, *self.seq);
-            *self.seq += 1;
             if dest != self.id {
                 // Declared send pacing: the cut-excess table the adaptive
                 // window end is derived from may rely on this floor, so a
@@ -248,9 +310,7 @@ impl<'a, M> Context<'a, M> {
             }
             return;
         }
-        let key = fifo_key(*self.seq, self.tie_break_salt);
         self.queue.push(at.as_nanos(), key, (dest, kind));
-        *self.seq += 1;
     }
 
     /// The simulation-wide deterministic random number generator.
@@ -276,7 +336,7 @@ impl<'a, M> Context<'a, M> {
 /// engines and merges them back.
 pub struct Engine<M> {
     pub(crate) now: SimTime,
-    seq: u64,
+    pub(crate) seq: u64,
     pub(crate) queue: CalendarQueue<(ComponentId, EventKind<M>)>,
     /// Indexed by global [`ComponentId`]. In a shard the table is sparse
     /// (full length, only the shard's own components populated).
@@ -465,6 +525,7 @@ impl<M: 'static> Engine<M> {
                 };
                 let mut ctx = Context {
                     now: self.now,
+                    dispatching: ev.seq,
                     id: dest,
                     queue: &mut self.queue,
                     seq,
@@ -648,6 +709,89 @@ mod tests {
         e.schedule(SimTime::from_micros(1), a, 0);
         e.run_to_idle();
         assert!(e.is_stopped());
+    }
+
+    /// Arms at 1 us a timer due at 3 us — eagerly, or by reservation armed
+    /// from a second message at 2 us — and in between sends itself a
+    /// message that lands on the timer's instant.
+    struct LateArmer {
+        reserve: bool,
+        reserved: Option<TimerKey>,
+        order: Vec<&'static str>,
+    }
+
+    impl Component<u32> for LateArmer {
+        fn on_message(&mut self, msg: u32, ctx: &mut Context<'_, u32>) {
+            let due = SimTime::from_micros(3);
+            match msg {
+                0 if self.reserve => {
+                    self.reserved = Some(ctx.reserve_timer());
+                    ctx.send_to_self_after(SimDuration::from_micros(2), 2);
+                }
+                0 => {
+                    ctx.timer_after(SimDuration::from_micros(2), 7);
+                    ctx.send_to_self_after(SimDuration::from_micros(2), 2);
+                }
+                1 => {
+                    if let Some(key) = self.reserved {
+                        assert!(ctx.timer_is_ahead(due, key));
+                        ctx.arm_timer(due, key, 7);
+                    }
+                }
+                _ => {
+                    // Pushed after the timer's key was taken: the timer
+                    // has fired, armed late or not.
+                    if let Some(key) = self.reserved {
+                        assert!(!ctx.timer_is_ahead(due, key));
+                    }
+                    self.order.push("message");
+                }
+            }
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, u32>) {
+            assert_eq!((token, ctx.now()), (7, SimTime::from_micros(3)));
+            if let Some(key) = self.reserved {
+                assert!(!ctx.timer_is_ahead(ctx.now(), key), "not ahead of itself");
+            }
+            self.order.push("timer");
+        }
+    }
+
+    #[test]
+    fn reserved_timer_fires_where_the_eager_one_would() {
+        for reserve in [false, true] {
+            let mut e: Engine<u32> = Engine::new(1);
+            let a = e.add_component(LateArmer {
+                reserve,
+                reserved: None,
+                order: Vec::new(),
+            });
+            e.schedule(SimTime::from_micros(1), a, 0);
+            e.schedule(SimTime::from_micros(2), a, 1);
+            assert_eq!(e.run_to_idle(), 4);
+            // FIFO: the timer's key was taken before the message's.
+            let order = &e.component::<LateArmer>(a).unwrap().order;
+            assert_eq!(*order, ["timer", "message"], "reserve {reserve}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved position has passed")]
+    fn arming_a_passed_reservation_panics() {
+        struct TooLate(Option<TimerKey>);
+        impl Component<u32> for TooLate {
+            fn on_message(&mut self, _msg: u32, ctx: &mut Context<'_, u32>) {
+                match self.0 {
+                    None => self.0 = Some(ctx.reserve_timer()),
+                    Some(key) => ctx.arm_timer(SimTime::from_micros(1), key, 0),
+                }
+            }
+        }
+        let mut e: Engine<u32> = Engine::new(1);
+        let a = e.add_component(TooLate(None));
+        e.schedule(SimTime::from_micros(1), a, 0);
+        e.schedule(SimTime::from_micros(2), a, 0);
+        e.run_to_idle();
     }
 
     #[test]

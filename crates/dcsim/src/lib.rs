@@ -54,7 +54,7 @@ mod sharded;
 mod stats;
 mod time;
 
-pub use engine::{Component, ComponentId, Context, Engine, EventRecord, Observer};
+pub use engine::{Component, ComponentId, Context, Engine, EventRecord, Observer, TimerKey};
 pub use rng::SimRng;
 pub use sharded::{ShardPlan, ShardSyncStats, ShardedEngine, WindowPolicy};
 pub use stats::{PercentileRecorder, StreamingStats};

@@ -809,15 +809,24 @@ impl<M: Send + 'static> ShardedEngine<M> {
                 self.engines[plan.shard_of[i] as usize].components[i] = Some(component);
             }
         }
-        // Pending events become bootstrap events: keyed by their global
-        // drain position (already `(time, key)`-sorted), which keeps
-        // their relative order and sorts them ahead of component sends.
-        let mut boot_seq = 0u64;
+        // Pending events become bootstrap events under the fifo keys they
+        // already have: unique, in their relative order, and below every
+        // component-sourced key. Keeping them (rather than renumbering)
+        // means a timer key reserved before the partition still compares
+        // against them exactly as the timer itself would have.
+        let boot_seq = engine.seq;
+        assert!(
+            boot_seq < 1 << SEQ_BITS,
+            "submission counter exceeds the bootstrap key space"
+        );
         while let Some(ev) = engine.queue.pop_due(u64::MAX) {
+            assert!(
+                ev.seq < boot_seq,
+                "a pending event was keyed under a tie-break salt"
+            );
             let (dest, kind) = ev.value;
             let shard = plan.shard_of[dest.as_raw()] as usize;
-            self.engines[shard].push_keyed(ev.at, boot_seq, dest, kind);
-            boot_seq += 1;
+            self.engines[shard].push_keyed(ev.at, ev.seq, dest, kind);
         }
         self.part = Some(Partition {
             plan,

@@ -90,7 +90,8 @@ impl core::fmt::Display for LtlMode {
 pub struct LtlConfig {
     /// Retransmission protocol (paper go-back-N by default).
     pub mode: LtlMode,
-    /// Maximum LTL payload bytes per frame (segmentation threshold).
+    /// Maximum LTL payload bytes per frame (segmentation threshold), in
+    /// `1..=u16::MAX` ([`LtlEngine::new`] rejects anything else).
     pub mtu_payload: usize,
     /// Retransmission timeout (the paper's 50 µs by default). Go-back-N
     /// uses this fixed value; selective repeat uses it as the initial RTO
@@ -428,7 +429,19 @@ pub struct LtlEngine {
 
 impl LtlEngine {
     /// Creates an engine for the FPGA at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.mtu_payload` is outside `1..=u16::MAX`: zero would
+    /// segment a message into empty frames forever, and a larger payload
+    /// does not fit the 16-bit length field of the LTL header.
     pub fn new(addr: NodeAddr, cfg: LtlConfig) -> LtlEngine {
+        assert!(
+            (1..=u16::MAX as usize).contains(&cfg.mtu_payload),
+            "LtlConfig.mtu_payload must be in 1..={}, got {}",
+            u16::MAX,
+            cfg.mtu_payload
+        );
         LtlEngine {
             addr,
             bucket: cfg.rate_limit_bps.map(TokenBucket::new),
@@ -964,19 +977,27 @@ impl LtlEngine {
         frame: LtlFrame,
     ) {
         rc.expected_seq = rc.expected_seq.wrapping_add(1);
-        rc.assembling.extend_from_slice(&frame.payload);
         rc.assembling_vc = frame.vc;
-        if frame.last_frag {
-            let payload = core::mem::take(&mut rc.assembling).freeze();
-            stats.msgs_delivered += 1;
-            stats.bytes_delivered += payload.len() as u64;
-            events.push(LtlEvent::Deliver {
-                conn,
-                src,
-                vc: frame.vc,
-                payload,
-            });
+        if !frame.last_frag {
+            rc.assembling.extend_from_slice(&frame.payload);
+            return;
         }
+        // A single-fragment message is delivered as the zero-copy view of
+        // the received frame; only multi-fragment ones are copied together.
+        let payload = if rc.assembling.is_empty() {
+            frame.payload
+        } else {
+            rc.assembling.extend_from_slice(&frame.payload);
+            core::mem::take(&mut rc.assembling).freeze()
+        };
+        stats.msgs_delivered += 1;
+        stats.bytes_delivered += payload.len() as u64;
+        events.push(LtlEvent::Deliver {
+            conn,
+            src,
+            vc: frame.vc,
+            payload,
+        });
     }
 
     /// Retires one in-flight frame: records its RTT (Karn's rule — only
@@ -1260,6 +1281,66 @@ mod tests {
         assert_eq!(p.a.in_flight(), 0, "all frames acked");
         assert_eq!(p.a.stats_view().data_sent, 1);
         assert_eq!(p.b.stats_view().msgs_delivered, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "LtlConfig.mtu_payload must be in 1..=65535, got 0")]
+    fn zero_mtu_payload_is_rejected_up_front() {
+        // Unchecked, `send_message` would push empty frames forever.
+        let cfg = LtlConfig {
+            mtu_payload: 0,
+            ..no_dcqcn()
+        };
+        let _ = LtlEngine::new(A, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "LtlConfig.mtu_payload must be in 1..=65535, got 65536")]
+    fn mtu_payload_beyond_the_length_field_is_rejected_up_front() {
+        // Unchecked, the header's u16 length would truncate and every
+        // frame would fail to decode.
+        let cfg = LtlConfig {
+            mtu_payload: u16::MAX as usize + 1,
+            ..no_dcqcn()
+        };
+        let _ = LtlEngine::new(A, cfg);
+    }
+
+    #[test]
+    fn both_ends_of_the_legal_mtu_payload_range_carry_messages() {
+        for mtu in [1, u16::MAX as usize] {
+            let cfg = LtlConfig {
+                mtu_payload: mtu,
+                ..no_dcqcn()
+            };
+            let mut p = Pair::new(cfg);
+            p.a.send_message(p.a_send, 0, Bytes::from_static(b"abc"))
+                .unwrap();
+            let events = p.exchange(SimDuration::from_micros(1));
+            let [LtlEvent::Deliver { payload, .. }] = &events[..] else {
+                panic!("mtu {mtu}: expected one delivery, got {events:?}");
+            };
+            assert_eq!(payload.as_ref(), b"abc");
+        }
+    }
+
+    #[test]
+    fn single_fragment_message_is_delivered_as_a_view_of_the_frame() {
+        let mut p = Pair::new(no_dcqcn());
+        p.a.send_message(p.a_send, 0, Bytes::from_static(b"zero copy"))
+            .unwrap();
+        let Poll::Ready(pkt) = p.a.poll(p.now) else {
+            panic!("data frame expected");
+        };
+        let events = p.b.on_packet(&pkt, p.now);
+        let [LtlEvent::Deliver { payload, .. }] = &events[..] else {
+            panic!("expected one delivery, got {events:?}");
+        };
+        assert_eq!(
+            payload.as_slice().as_ptr(),
+            pkt.payload[super::super::frame::LTL_HEADER_BYTES..].as_ptr(),
+            "a single-fragment delivery must share the wire buffer"
+        );
     }
 
     #[test]

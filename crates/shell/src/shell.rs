@@ -18,7 +18,8 @@ use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 use dcnet::{
-    LinkParams, LinkTx, Msg, NetEvent, NodeAddr, Packet, PortId, TrafficClass, LTL_UDP_PORT,
+    FreeTimer, LinkParams, LinkTx, Msg, NetEvent, NodeAddr, Packet, PortId, TrafficClass,
+    LTL_UDP_PORT,
 };
 use dcsim::{Component, ComponentId, Context, SimDuration, SimTime};
 use telemetry::{MetricSource, MetricVisitor, TrackTracer};
@@ -232,7 +233,9 @@ struct Egress {
     peer: Option<(ComponentId, PortId)>,
     queues: [VecDeque<Packet>; TrafficClass::COUNT],
     paused: [bool; TrafficClass::COUNT],
-    busy: bool,
+    /// Serialization-done timer of the frame on `tx`'s wire; the egress is
+    /// busy until it fires (or would have fired, while it is deferred).
+    free: FreeTimer,
 }
 
 impl Egress {
@@ -242,7 +245,7 @@ impl Egress {
             peer: None,
             queues: Default::default(),
             paused: [false; TrafficClass::COUNT],
-            busy: false,
+            free: FreeTimer::Idle,
         }
     }
 }
@@ -386,13 +389,11 @@ impl Shell {
     }
 
     fn try_send(&mut self, port: PortId, ctx: &mut Context<'_, Msg>) {
-        let free_timer = if port == PORT_TOR {
-            TIMER_TOR_FREE
-        } else {
-            TIMER_NIC_FREE
-        };
         let e = self.egress(port);
-        if e.busy {
+        if e.free.wire_busy(&e.tx, ctx) {
+            // The frame just queued, or the class just resumed, waits for
+            // the wire: only now is the free-timer worth an event.
+            self.arm_free_if_waiting(port, ctx);
             return;
         }
         let Some(ci) = (0..TrafficClass::COUNT)
@@ -406,13 +407,33 @@ impl Shell {
             return; // uncabled port: drop silently (host absent in some rigs)
         };
         let timing = e.tx.transmit(ctx.now(), pkt.wire_bytes());
-        e.busy = true;
-        ctx.timer_after(timing.departs - ctx.now(), free_timer);
+        e.free.reserve(ctx);
         ctx.send_after(
             timing.arrives - ctx.now(),
             peer,
             Msg::packet(pkt, peer_port),
         );
+        self.arm_free_if_waiting(port, ctx);
+    }
+
+    /// Arms `port`'s free-timer iff its handler will have something to do
+    /// when the wire frees: a frame of any class queued behind the one on
+    /// the wire, or — on the TOR side, whose handler also pumps the LTL
+    /// engine — the engine pacing (`poll_armed`: its last poll said
+    /// `Later`, so a poll at the free instant can yield a frame). In every
+    /// other state the handler finds the queues empty and the engine
+    /// drained, so the event is never enqueued (DESIGN.md, "Deferred
+    /// timers").
+    fn arm_free_if_waiting(&mut self, port: PortId, ctx: &mut Context<'_, Msg>) {
+        let (token, pacing) = if port == PORT_TOR {
+            (TIMER_TOR_FREE, self.poll_armed)
+        } else {
+            (TIMER_NIC_FREE, false)
+        };
+        let e = self.egress(port);
+        if pacing || e.queues.iter().any(|q| !q.is_empty()) {
+            e.free.arm(&e.tx, token, ctx);
+        }
     }
 
     /// Whether the TOR egress path can take more LTL frames right now.
@@ -473,6 +494,9 @@ impl Shell {
                     if !self.poll_armed {
                         self.poll_armed = true;
                         ctx.timer_after(t.saturating_since(ctx.now()), TIMER_LTL_POLL);
+                        // The engine is pacing now: a TOR wire freeing
+                        // before the poll is no longer a no-op.
+                        self.arm_free_if_waiting(PORT_TOR, ctx);
                     }
                     break;
                 }
@@ -712,7 +736,7 @@ impl Component<Msg> for Shell {
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, Msg>) {
         match token {
             TIMER_TOR_FREE => {
-                self.tor.busy = false;
+                self.tor.free.clear();
                 self.try_send(PORT_TOR, ctx);
                 // Egress queue drained a slot: the LTL engine may have
                 // more frames waiting on this credit.
@@ -721,7 +745,7 @@ impl Component<Msg> for Shell {
                 }
             }
             TIMER_NIC_FREE => {
-                self.nic.busy = false;
+                self.nic.free.clear();
                 self.try_send(PORT_NIC, ctx);
             }
             TIMER_LTL_TICK => {
@@ -860,6 +884,76 @@ mod tests {
                 .stats_view()
                 .bridged_out,
             1
+        );
+    }
+
+    /// The TOR free-timer's handler also pumps the LTL engine. That pump
+    /// is a no-op while the engine is drained, which is why the timer is
+    /// deferred at all — but not while the engine is *pacing*: here
+    /// connection B's poll timer is armed for 9.16 us when connection A
+    /// becomes eligible at 8.16 us, so the next pump after that instant
+    /// sends A's frame, and the next pump is the TOR wire freeing behind a
+    /// bridged host packet at ~8.67 us. With `poll_armed` set the timer
+    /// must therefore be a real event even though nothing is queued.
+    #[test]
+    fn tor_free_timer_still_pumps_a_pacing_engine() {
+        let mut cfg = ShellConfig {
+            tick: SimDuration::from_millis(1),
+            ..ShellConfig::default()
+        };
+        // 1 Gb/s: a 1000-byte message paces its connection for 8.16 us.
+        cfg.ltl.dcqcn.as_mut().expect("on by default").line_rate_bps = 1e9;
+        let tor_link = cfg.tor_link;
+        let ltl_tx_latency = cfg.ltl_tx_latency;
+
+        let mut e: Engine<Msg> = Engine::new(1);
+        let mut shell = Shell::new(addr(1), cfg);
+        let (nic_id, tor_id) = (ComponentId::from_raw(1), ComponentId::from_raw(2));
+        shell.connect_nic(nic_id, PortId(0));
+        shell.connect_tor(tor_id, PortId(0));
+        let a = shell.ltl_mut().add_send(addr(5), 0);
+        let b = shell.ltl_mut().add_send(addr(6), 0);
+        let shell_id = e.add_component(shell);
+        e.add_component(Probe::default());
+        e.add_component(Probe::default());
+
+        let send = |conn| {
+            Msg::custom(ShellCmd::LtlSend {
+                conn,
+                vc: 0,
+                payload: Bytes::from(vec![7u8; 1000]),
+            })
+        };
+        e.schedule(SimTime::ZERO, shell_id, send(a)); // A1 leaves; A paced to 8.16 us
+        e.schedule(SimTime::from_micros(1), shell_id, send(b)); // B1 leaves; B paced to 9.16 us
+        e.schedule(SimTime::from_micros(2), shell_id, send(b)); // B2 waits: poll timer at 9.16 us
+        e.schedule(SimTime::from_micros(3), shell_id, send(a)); // A2 waits, eligible at 8.16 us
+        e.schedule(
+            SimTime::from_nanos(8_400),
+            shell_id,
+            Msg::packet(host_pkt(1, 9), PORT_NIC),
+        );
+        e.run_until(SimTime::from_micros(50));
+
+        let tor = e.component::<Probe>(tor_id).unwrap();
+        let to = |dst: NodeAddr| {
+            let mut hits = tor.packets.iter().filter(move |(_, p, _)| p.dst == dst);
+            move || hits.next().expect("frame reached the TOR")
+        };
+        let (host_at, host, _) = to(addr(9))();
+        let wire_freed = *host_at - tor_link.propagation;
+        assert!(wire_freed > SimTime::from_nanos(8_160) && wire_freed < SimTime::from_nanos(9_160));
+        assert_eq!(host.class, TrafficClass::BEST_EFFORT);
+        let mut to_a = to(addr(5));
+        let (_, a1, _) = to_a();
+        let (a2_at, _, _) = to_a();
+        assert_eq!(
+            *a2_at,
+            wire_freed
+                + ltl_tx_latency
+                + tor_link.serialization(a1.wire_bytes())
+                + tor_link.propagation,
+            "A2 must leave when the TOR wire frees, not wait for B's poll timer"
         );
     }
 
