@@ -7,7 +7,7 @@
 //! preemption/reclaim counts.
 //!
 //! ```text
-//! haas_elastic [--quick] [--check-win]
+//! haas_elastic [--quick] [--check-win] [--full-scale]
 //! ```
 //!
 //! `results/haas_elastic.json` is byte-identical across same-seed runs
@@ -15,6 +15,13 @@
 //! `--check-win` gates CI: at least one mix×load point must show elastic
 //! beating whole-board on utilization with equal-or-better p99 wait for
 //! every class the whole-board run served.
+//!
+//! `--full-scale` runs the same sweep on a 5,760-board pool (the paper's
+//! production bed) into `results/haas_elastic_full.json`, preceded by a
+//! scaling ladder: the repository benchmark's `haas_elastic` trace shape
+//! replayed at 24 to 5,760 boards, with events, host ns per event and the
+//! decision fingerprint per rung. `--full-scale --quick` keeps the ladder
+//! and trims the sweep to one load over a third of the horizon.
 
 use std::time::Instant;
 
@@ -68,22 +75,44 @@ struct BenchRow {
     trace_events: u64,
     decisions: u64,
     wall_secs: f64,
+    /// Host ns per trace event of each sweep row, in row order.
+    row_ns_per_event: Vec<f64>,
+    /// `(boards, host ns per trace event)` per ladder rung (`--full-scale`).
+    ladder_ns_per_event: Vec<(u16, f64)>,
+}
+
+/// One rung of the `--full-scale` scaling ladder.
+#[derive(Debug, Clone, Serialize)]
+struct Rung {
+    boards: u16,
+    horizon_secs: u64,
+    events: u64,
+    decisions: u64,
+    fingerprint: u64,
+}
+
+/// The deterministic `--full-scale` dataset.
+#[derive(Debug, Clone, Serialize)]
+struct FullScale {
+    ladder: Vec<Rung>,
+    sweep: Sweep,
 }
 
 fn us(p99_ns: Option<u64>) -> i64 {
     p99_ns.map(|ns| (ns / 1_000) as i64).unwrap_or(-1)
 }
 
-fn main() {
-    bench::header(
-        "haas-elastic",
-        "multi-tenant PR-region scheduling vs whole-board allocation",
-    );
-    let quick = bench::quick_mode();
+/// One mix × load × policy sweep over a `boards`-board pool.
+struct SweepRun {
+    sweep: Sweep,
+    trace_events: u64,
+    decisions: u64,
+    wall_secs: f64,
+    row_ns_per_event: Vec<f64>,
+}
+
+fn run_sweep(boards: u16, horizon: SimDuration, loads: &[f64]) -> SweepRun {
     let seed = 42u64;
-    let boards = 6u16;
-    let horizon = SimDuration::from_secs(if quick { 20 } else { 60 });
-    let loads: &[f64] = if quick { &[1.2] } else { &[0.8, 1.2, 1.6] };
     let sched = ElasticConfig {
         spot_reserve_permille: 100,
         ..ElasticConfig::default()
@@ -93,6 +122,7 @@ fn main() {
 
     let wall = Instant::now();
     let mut rows = Vec::new();
+    let mut row_ns_per_event = Vec::new();
     let mut trace_events = 0u64;
     let mut decisions = 0u64;
     for (mix_name, mix) in MixWeights::PRESETS {
@@ -107,7 +137,10 @@ fn main() {
             });
             trace_events += trace.len() as u64;
             for (policy, regions) in [("elastic", &elastic_regions), ("whole", &whole_regions)] {
+                let timer = Instant::now();
                 let (_, report) = run_trace(boards, regions, sched, &trace, horizon);
+                row_ns_per_event
+                    .push(timer.elapsed().as_nanos() as f64 / trace.len().max(1) as f64);
                 decisions += report.decisions;
                 rows.push(Row {
                     mix: mix_name.to_string(),
@@ -129,8 +162,23 @@ fn main() {
             }
         }
     }
-    let wall_secs = wall.elapsed().as_secs_f64();
+    SweepRun {
+        sweep: Sweep {
+            seed,
+            boards,
+            horizon_secs: horizon.as_nanos() / 1_000_000_000,
+            region_alms_elastic: elastic_regions,
+            region_alms_whole: whole_regions,
+            rows,
+        },
+        trace_events,
+        decisions,
+        wall_secs: wall.elapsed().as_secs_f64(),
+        row_ns_per_event,
+    }
+}
 
+fn print_rows(rows: &[Row]) {
     println!(
         "{:>17} {:>5} {:>8} {:>7} {:>10} {:>10} {:>10} {:>7} {:>7} {:>7} {:>7}",
         "mix",
@@ -145,7 +193,7 @@ fn main() {
         "reclaim",
         "queued"
     );
-    for r in &rows {
+    for r in rows {
         println!(
             "{:>17} {:>5.1} {:>8} {:>7} {:>10} {:>10} {:>10} {:>7} {:>7} {:>7} {:>7}",
             r.mix,
@@ -161,10 +209,12 @@ fn main() {
             r.queued_at_end
         );
     }
+}
 
-    // The win condition the CI lane gates on: some sweep point where the
-    // elastic carve beats whole-board utilization without serving any
-    // class a worse p99 wait than whole-board did.
+/// The win condition the CI lane gates on: sweep points where the elastic
+/// carve beats whole-board utilization without serving any class a worse
+/// p99 wait than whole-board did.
+fn winning_points(rows: &[Row]) -> Vec<String> {
     let wins: Vec<String> = rows
         .chunks(2)
         .filter_map(|pair| {
@@ -188,31 +238,13 @@ fn main() {
             wins.join(", ")
         }
     );
+    wins
+}
 
-    bench::write_json(
-        "haas_elastic",
-        &Sweep {
-            seed,
-            boards,
-            horizon_secs: horizon.as_nanos() / 1_000_000_000,
-            region_alms_elastic: elastic_regions.clone(),
-            region_alms_whole: whole_regions.clone(),
-            rows: rows.clone(),
-        },
-    );
-    bench::write_json(
-        "BENCH_haas_elastic",
-        &BenchRow {
-            commit: bench::current_commit(),
-            points: rows.len(),
-            trace_events,
-            decisions,
-            wall_secs,
-        },
-    );
-
-    // Sanity that the preemption machinery actually exercised: spot-heavy
-    // oversubscribed mixes must preempt or reclaim somewhere.
+/// Sanity that the preemption machinery actually exercised (spot-heavy
+/// oversubscribed mixes must preempt or reclaim somewhere), then the
+/// `--check-win` gate.
+fn gates(rows: &[Row], wins: &[String]) {
     let churn: u64 = rows
         .iter()
         .filter(|r| r.policy == "elastic")
@@ -229,4 +261,118 @@ fn main() {
         }
         println!("--check-win passed ({} winning point(s))", wins.len());
     }
+}
+
+/// `(boards, horizon s)` per rung of the scaling ladder; the horizon
+/// shrinks as the pool grows so every rung replays 13k-200k events.
+const LADDER: [(u16, u64); 5] = [(24, 240), (96, 240), (384, 60), (1_536, 30), (5_760, 15)];
+
+/// Replays the repository benchmark's `haas_elastic` trace shape (seed 1,
+/// load 1.2, 64 tenants, no crashes, default mix, hold and
+/// `ElasticConfig`) at each rung. Host time per rung is the fastest of
+/// five replays.
+fn scaling_ladder() -> (Vec<Rung>, Vec<(u16, f64)>) {
+    let regions = standard_region_alms();
+    let mut rungs = Vec::new();
+    let mut timings = Vec::new();
+    println!(
+        "{:>7} {:>9} {:>9} {:>10} {:>10} {:>17}",
+        "boards", "horizon s", "events", "decisions", "ns/event", "fingerprint"
+    );
+    for (boards, horizon_secs) in LADDER {
+        let horizon = SimDuration::from_secs(horizon_secs);
+        let trace = generate_trace(&ElasticTraceConfig {
+            seed: 1,
+            boards,
+            horizon,
+            load: 1.2,
+            tenants: 64,
+            ..ElasticTraceConfig::default()
+        });
+        let (best_ns, report) = (0..5)
+            .map(|_| {
+                let timer = Instant::now();
+                let (_, report) =
+                    run_trace(boards, &regions, ElasticConfig::default(), &trace, horizon);
+                (timer.elapsed().as_nanos(), report)
+            })
+            .min_by_key(|(ns, _)| *ns)
+            .expect("five replays ran");
+        let ns_per_event = best_ns as f64 / trace.len().max(1) as f64;
+        println!(
+            "{:>7} {:>9} {:>9} {:>10} {:>10.0} {:>17}",
+            boards,
+            horizon_secs,
+            trace.len(),
+            report.decisions,
+            ns_per_event,
+            format!("{:016x}", report.fingerprint)
+        );
+        rungs.push(Rung {
+            boards,
+            horizon_secs,
+            events: trace.len() as u64,
+            decisions: report.decisions,
+            fingerprint: report.fingerprint,
+        });
+        timings.push((boards, ns_per_event));
+    }
+    // Rungs 0 and 2 of `LADDER`: ROADMAP 5(a)'s bar is 2x between them.
+    println!(
+        "cost per lease event, 384 boards over 24 boards: {:.2}x",
+        timings[2].1 / timings[0].1
+    );
+    (rungs, timings)
+}
+
+fn main() {
+    bench::header(
+        "haas-elastic",
+        "multi-tenant PR-region scheduling vs whole-board allocation",
+    );
+    let quick = bench::quick_mode();
+    let full_scale = std::env::args().any(|a| a == "--full-scale");
+    let horizon = SimDuration::from_secs(if quick { 20 } else { 60 });
+    let loads: &[f64] = if quick { &[1.2] } else { &[0.8, 1.2, 1.6] };
+    let (ladder, ladder_ns_per_event) = if full_scale {
+        let ladder = scaling_ladder();
+        println!("\n5,760-board pool:");
+        ladder
+    } else {
+        (Vec::new(), Vec::new())
+    };
+    let run = run_sweep(if full_scale { 5_760 } else { 6 }, horizon, loads);
+    print_rows(&run.sweep.rows);
+    if full_scale {
+        println!(
+            "{:>17} {:>5} {:>8} {:>10}",
+            "mix", "load", "policy", "ns/event"
+        );
+        for (r, ns) in run.sweep.rows.iter().zip(&run.row_ns_per_event) {
+            println!("{:>17} {:>5.1} {:>8} {:>10.0}", r.mix, r.load, r.policy, ns);
+        }
+    }
+    let wins = winning_points(&run.sweep.rows);
+    let timing = BenchRow {
+        commit: bench::current_commit(),
+        points: run.sweep.rows.len(),
+        trace_events: run.trace_events,
+        decisions: run.decisions,
+        wall_secs: run.wall_secs,
+        row_ns_per_event: run.row_ns_per_event,
+        ladder_ns_per_event,
+    };
+    let sweep = if full_scale {
+        let dataset = FullScale {
+            ladder,
+            sweep: run.sweep,
+        };
+        bench::write_json("haas_elastic_full", &dataset);
+        dataset.sweep
+    } else {
+        bench::write_json("haas_elastic", &run.sweep);
+        run.sweep
+    };
+    bench::write_json("BENCH_haas_elastic", &timing);
+    gates(&sweep.rows, &wins);
 }

@@ -360,6 +360,58 @@ mod tests {
         assert!(a.utilization_permille > 300, "report: {a:?}");
     }
 
+    /// The repository benchmark's `haas_elastic` trace shape (seed 1, load
+    /// 1.2, 64 tenants, no crashes, default mix, hold and `ElasticConfig`)
+    /// on `boards` boards over `secs` simulated seconds.
+    fn benchmark_shaped_fingerprint(boards: u16, secs: u64) -> u64 {
+        let cfg = ElasticTraceConfig {
+            seed: 1,
+            boards,
+            horizon: SimDuration::from_secs(secs),
+            load: 1.2,
+            tenants: 64,
+            ..ElasticTraceConfig::default()
+        };
+        let trace = generate_trace(&cfg);
+        let regions = standard_region_alms();
+        let (_, report) = run_trace(
+            boards,
+            &regions,
+            ElasticConfig::default(),
+            &trace,
+            cfg.horizon,
+        );
+        report.fingerprint
+    }
+
+    // Decision streams of the pool-rescanning scheduler (the commit before
+    // `haas::ElasticScheduler` grew indexes), at pool sizes the simcheck
+    // oracle's 3-8 boards never reach. 96 x 240 s is the benchmark's own
+    // `haas_elastic` fingerprint (`benchmark/baseline/seed1.json`).
+    #[test]
+    fn decision_streams_are_pinned_at_24_to_384_boards() {
+        for (boards, secs, golden) in [
+            (24, 240, 0x946a_ab1c_cb07_19a9_u64),
+            (96, 240, 0xfe02_d098_7e0b_d976),
+            (384, 60, 0x32d0_6663_3986_28cf),
+        ] {
+            assert_eq!(
+                benchmark_shaped_fingerprint(boards, secs),
+                golden,
+                "{boards} boards x {secs} s"
+            );
+        }
+    }
+
+    #[test]
+    #[ignore = "debug builds rescan a 4,608-region pool after each of 104,653 events"]
+    fn decision_stream_is_pinned_at_1536_boards() {
+        assert_eq!(
+            benchmark_shaped_fingerprint(1_536, 30),
+            0x231f_d449_ac52_f313
+        );
+    }
+
     #[test]
     fn whole_board_carve_is_one_full_role_region() {
         let whole = whole_board_alms();

@@ -28,8 +28,18 @@
 //!   whose assignment changes (in lease-id order);
 //! * **spot reclamation** evicts spot leases (largest region first) when
 //!   the free share of the pool falls below `spot_reserve_permille`.
+//!
+//! No rule walks the pool to decide. Free regions, evictions in flight,
+//! reservations, preemption victims and the wait queue each live in an
+//! ordered index whose key order *is* the rule's tie-break, keyed by board
+//! registration index, and running counters replace the sums; cost per
+//! event stays flat from tens of boards to the paper's 5,760 (DESIGN.md,
+//! "Scheduler indexes"). The reference scheduler keeps rescanning a flat
+//! array, which is what makes it a reference.
 
-use std::collections::BTreeMap;
+use core::cmp::Reverse;
+use core::ops::Bound;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dcnet::NodeAddr;
 use dcsim::{SimDuration, SimTime};
@@ -134,6 +144,13 @@ pub enum ElasticError {
     UnknownBoard(NodeAddr),
     /// The board is already registered.
     DuplicateBoard(NodeAddr),
+    /// The carve has more regions than [`RegionRef::region`] can number.
+    TooManyRegions {
+        /// The board being registered.
+        board: NodeAddr,
+        /// Regions in the rejected carve.
+        regions: usize,
+    },
 }
 
 impl core::fmt::Display for ElasticError {
@@ -150,6 +167,10 @@ impl core::fmt::Display for ElasticError {
             ElasticError::SpotPoolEmpty => f.write_str("no spot lease to reclaim"),
             ElasticError::UnknownBoard(a) => write!(f, "unknown board {a}"),
             ElasticError::DuplicateBoard(a) => write!(f, "board {a} already registered"),
+            ElasticError::TooManyRegions { board, regions } => write!(
+                f,
+                "board {board} carved into {regions} regions, limit {MAX_REGIONS}"
+            ),
         }
     }
 }
@@ -298,7 +319,7 @@ pub enum Decision {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     alms: u32,
     lease: Option<u64>,
@@ -314,7 +335,7 @@ struct BoardState {
     slots: Vec<Slot>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Waiting {
     req: u64,
     tenant: TenantId,
@@ -330,6 +351,31 @@ enum ReqState {
     Queued,
     Active(u64),
     Done,
+}
+
+/// A slot's coordinates inside the scheduler: board **registration
+/// index** and region. Every index below is keyed by this, never by
+/// [`NodeAddr`], because registration order is the placement tie-break.
+type At = (u32, u8);
+
+/// Most regions one board may be carved into ([`RegionRef::region`] is a
+/// `u8`).
+const MAX_REGIONS: usize = u8::MAX as usize + 1;
+
+/// Wait-queue key: `(class rank, request, arrival number)` — the grant
+/// order, strongest class first, then request id, then arrival.
+type QueueKey = (u8, u64, u64);
+
+/// Victim key: weakest class first, then smallest region, then lowest
+/// lease id.
+type VictimKey = (Reverse<u8>, u32, u64);
+
+fn set_member<K: Ord>(set: &mut BTreeSet<K>, key: K, member: bool) {
+    if member {
+        set.insert(key);
+    } else {
+        set.remove(&key);
+    }
 }
 
 /// The elastic multi-tenant scheduler.
@@ -364,15 +410,39 @@ enum ReqState {
 pub struct ElasticScheduler {
     cfg: ElasticConfig,
     boards: Vec<BoardState>,
-    board_index: BTreeMap<NodeAddr, usize>,
+    board_index: BTreeMap<NodeAddr, u32>,
     leases: BTreeMap<u64, RegionLease>,
-    queue: Vec<Waiting>,
+    /// Waiting requests in grant order.
+    queue: BTreeMap<QueueKey, Waiting>,
+    /// Requests ever queued (the arrival number of the next one).
+    arrivals: u64,
     req_state: BTreeMap<u64, ReqState>,
     next_lease: u64,
     clock: SimTime,
     defrag_done: u64,
     decisions: Vec<Decision>,
     fingerprint: u64,
+    // Derived state. Each set's order is the tie-break of the rule it
+    // serves; all of it is a function of `boards` + `leases` (see
+    // `indexes_match_rescan`) and changes only through `unindex` →
+    // mutate → `index`.
+    /// Free, unreserved regions on up boards by `(alms, board, region)`:
+    /// best fit is the first entry at or above the request.
+    free: BTreeSet<(u32, u32, u8)>,
+    /// Evictions in flight by `(due, board, region)`: completion order.
+    evictions: BTreeSet<(SimTime, u32, u8)>,
+    /// Regions an eviction reserved, by `(request, board, region)`.
+    reserved: BTreeSet<(u64, u32, u8)>,
+    /// Preemptible leases on up boards with no eviction pending.
+    victims: BTreeSet<VictimKey>,
+    /// ALMs leased (demand): the sum over `leases`.
+    used_alms: u64,
+    /// Region ALMs on up boards.
+    pool_alms: u64,
+    /// Largest region on an up board.
+    largest: u32,
+    /// Region ALMs on up boards that are leased and not being vacated.
+    busy_alms: u64,
     // Accounting.
     util_integral: u128,
     grants: u64,
@@ -406,13 +476,22 @@ impl ElasticScheduler {
             boards: Vec::new(),
             board_index: BTreeMap::new(),
             leases: BTreeMap::new(),
-            queue: Vec::new(),
+            queue: BTreeMap::new(),
+            arrivals: 0,
             req_state: BTreeMap::new(),
             next_lease: 0,
             clock: SimTime::ZERO,
             defrag_done: 0,
             decisions: Vec::new(),
             fingerprint: FNV_OFFSET,
+            free: BTreeSet::new(),
+            evictions: BTreeSet::new(),
+            reserved: BTreeSet::new(),
+            victims: BTreeSet::new(),
+            used_alms: 0,
+            pool_alms: 0,
+            largest: 0,
+            busy_alms: 0,
             util_integral: 0,
             grants: 0,
             preemptions: 0,
@@ -430,13 +509,22 @@ impl ElasticScheduler {
     ///
     /// # Errors
     ///
-    /// [`ElasticError::DuplicateBoard`] when already registered.
+    /// [`ElasticError::DuplicateBoard`] when already registered;
+    /// [`ElasticError::TooManyRegions`] for a carve of more than 256
+    /// regions. Nothing is registered on error.
     pub fn add_board(&mut self, addr: NodeAddr, region_alms: &[u32]) -> Result<(), ElasticError> {
         if self.board_index.contains_key(&addr) {
             return Err(ElasticError::DuplicateBoard(addr));
         }
-        self.board_index.insert(addr, self.boards.len());
-        self.boards.push(BoardState {
+        if region_alms.len() > MAX_REGIONS {
+            return Err(ElasticError::TooManyRegions {
+                board: addr,
+                regions: region_alms.len(),
+            });
+        }
+        let b = u32::try_from(self.boards.len()).expect("fewer than 2^32 boards");
+        self.board_index.insert(addr, b);
+        let board = BoardState {
             addr,
             up: true,
             slots: region_alms
@@ -447,7 +535,13 @@ impl ElasticScheduler {
                     pending: None,
                 })
                 .collect(),
-        });
+        };
+        let (total, top) = board_capacity(&board);
+        self.pool_alms += total;
+        self.largest = self.largest.max(top);
+        self.boards.push(board);
+        self.index_board(b);
+        self.check_indexes();
         Ok(())
     }
 
@@ -474,27 +568,28 @@ impl ElasticScheduler {
 
     /// Requests currently waiting, in arrival order.
     pub fn queued_reqs(&self) -> Vec<u64> {
-        self.queue.iter().map(|w| w.req).collect()
+        let mut by_arrival: Vec<(u64, u64)> = self
+            .queue
+            .keys()
+            .map(|&(_, req, arrival)| (arrival, req))
+            .collect();
+        by_arrival.sort_unstable();
+        by_arrival.into_iter().map(|(_, req)| req).collect()
     }
 
     /// Total region ALMs on up boards.
     pub fn pool_alms(&self) -> u64 {
-        self.boards
-            .iter()
-            .filter(|b| b.up)
-            .flat_map(|b| b.slots.iter())
-            .map(|s| s.alms as u64)
-            .sum()
+        self.pool_alms
     }
 
     /// ALMs currently leased (demand, not region sizes).
     pub fn used_alms(&self) -> u64 {
-        self.leases.values().map(|l| l.alms as u64).sum()
+        self.used_alms
     }
 
     /// Time-averaged utilization in permille of the pool, over `[0, clock]`.
     pub fn avg_utilization_permille(&self) -> u64 {
-        let pool = self.pool_alms() as u128;
+        let pool = self.pool_alms as u128;
         let t = self.clock.as_nanos() as u128;
         if pool == 0 || t == 0 {
             return 0;
@@ -539,11 +634,89 @@ impl ElasticScheduler {
         out
     }
 
-    /// Applies one trace event, returning the decisions it produced.
-    /// Events must arrive in non-decreasing time order.
-    pub fn apply(&mut self, ev: &LeaseEvent) -> Vec<Decision> {
+    /// Rebuilds every index and running counter from `boards` and
+    /// `leases` by full scan and compares them with the incrementally
+    /// maintained ones, naming the first that differs. The test oracle
+    /// for the indexes: debug builds assert it after every public
+    /// mutator.
+    pub fn indexes_match_rescan(&self) -> Result<(), String> {
+        let (mut free, mut evictions, mut reserved, mut victims) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let (mut pool_alms, mut busy_alms, mut largest) = (0u64, 0u64, 0u32);
+        for (b, board) in self.boards.iter().enumerate() {
+            for (r, s) in board.slots.iter().enumerate() {
+                let (b, r) = (b as u32, r as u8);
+                if let Some((due, for_req)) = s.pending {
+                    evictions.push((due, b, r));
+                    if let Some(req) = for_req {
+                        reserved.push((req, b, r));
+                    }
+                }
+                if !board.up {
+                    continue;
+                }
+                pool_alms += s.alms as u64;
+                largest = largest.max(s.alms);
+                if s.pending.is_some() {
+                    continue;
+                }
+                match s.lease {
+                    None => free.push((s.alms, b, r)),
+                    Some(id) => {
+                        busy_alms += s.alms as u64;
+                        if let Some(l) = self.leases.get(&id).filter(|l| l.preemptible) {
+                            victims.push((Reverse(l.class.rank()), s.alms, id));
+                        }
+                    }
+                }
+            }
+        }
+        let used_alms: u64 = self.leases.values().map(|l| l.alms as u64).sum();
+        fn same_set<K: Ord + core::fmt::Debug>(
+            what: &str,
+            kept: &BTreeSet<K>,
+            mut rescan: Vec<K>,
+        ) -> Result<(), String> {
+            rescan.sort_unstable();
+            if kept.iter().eq(&rescan) {
+                Ok(())
+            } else {
+                Err(format!("{what}: kept {kept:?}, rescan finds {rescan:?}"))
+            }
+        }
+        same_set("free", &self.free, free)?;
+        same_set("evictions", &self.evictions, evictions)?;
+        same_set("reserved", &self.reserved, reserved)?;
+        same_set("victims", &self.victims, victims)?;
+        for (what, kept, rescan) in [
+            ("used_alms", self.used_alms, used_alms),
+            ("pool_alms", self.pool_alms, pool_alms),
+            ("largest", self.largest as u64, largest as u64),
+            ("busy_alms", self.busy_alms, busy_alms),
+        ] {
+            if kept != rescan {
+                return Err(format!("{what}: kept {kept}, rescan finds {rescan}"));
+            }
+        }
+        match self
+            .queue
+            .iter()
+            .find(|(key, w)| (key.0, key.1) != (w.class.rank(), w.req))
+        {
+            Some((key, w)) => Err(format!("queue: {w:?} filed under {key:?}")),
+            None => Ok(()),
+        }
+    }
+
+    fn check_indexes(&self) {
+        debug_assert_eq!(self.indexes_match_rescan(), Ok(()));
+    }
+
+    /// Applies one trace event, returning the decisions it produced (the
+    /// tail of [`decisions`](Self::decisions)). Events must arrive in
+    /// non-decreasing time order.
+    pub fn apply(&mut self, ev: &LeaseEvent) -> &[Decision] {
         let start = self.decisions.len();
-        self.advance_to(ev.at);
         match &ev.kind {
             LeaseEventKind::Request {
                 req,
@@ -565,7 +738,7 @@ impl ElasticScheduler {
                 let _ = self.board_up(ev.at, *board);
             }
         }
-        self.decisions[start..].to_vec()
+        &self.decisions[start..]
     }
 
     /// Runs time forward to `now`, completing due evictions and defrag
@@ -574,13 +747,13 @@ impl ElasticScheduler {
     ///
     /// [`apply`]: ElasticScheduler::apply
     pub fn advance_to(&mut self, now: SimTime) {
+        self.advance(now);
+        self.check_indexes();
+    }
+
+    fn advance(&mut self, now: SimTime) {
         loop {
-            let next_evict = self
-                .boards
-                .iter()
-                .flat_map(|b| b.slots.iter())
-                .filter_map(|s| s.pending.map(|(t, _)| t))
-                .min();
+            let next_evict = self.evictions.first().map(|&(due, _, _)| due);
             let next_defrag = if self.cfg.defrag_period.as_nanos() == 0 {
                 None
             } else {
@@ -612,7 +785,7 @@ impl ElasticScheduler {
     fn account(&mut self, to: SimTime) {
         if to > self.clock {
             let dt = (to.as_nanos() - self.clock.as_nanos()) as u128;
-            self.util_integral += self.used_alms() as u128 * dt;
+            self.util_integral += self.used_alms as u128 * dt;
             self.clock = to;
         }
     }
@@ -643,20 +816,16 @@ impl ElasticScheduler {
         preemptible: bool,
         caps: TenantCaps,
     ) -> Result<(), ElasticError> {
-        self.advance_to(now);
-        let largest = self
-            .boards
-            .iter()
-            .filter(|b| b.up)
-            .flat_map(|b| b.slots.iter())
-            .map(|s| s.alms)
-            .max()
-            .unwrap_or(0);
-        if alms > largest {
+        self.advance(now);
+        if alms > self.largest {
             self.rejects += 1;
             self.req_state.insert(req, ReqState::Done);
             self.push(Decision::Reject { req });
-            return Err(ElasticError::RequestTooLarge { alms, largest });
+            self.check_indexes();
+            return Err(ElasticError::RequestTooLarge {
+                alms,
+                largest: self.largest,
+            });
         }
         // Spot is always preemptible; guaranteed never is.
         let preemptible = match class {
@@ -673,15 +842,17 @@ impl ElasticScheduler {
             caps,
             arrived: now,
         };
-        if let Some(slot) = self.best_fit_free(alms) {
-            self.grant(now, &w, slot);
+        if let Some(at) = self.best_fit_free(alms) {
+            self.grant(now, &w, at);
         } else {
             self.req_state.insert(req, ReqState::Queued);
-            self.queue.push(w.clone());
+            self.queue.insert((class.rank(), req, self.arrivals), w);
+            self.arrivals += 1;
             self.push(Decision::Queue { req });
             self.try_preempt_for(now, &w);
         }
         self.reclaim_if_drained(now);
+        self.check_indexes();
         Ok(())
     }
 
@@ -692,51 +863,56 @@ impl ElasticScheduler {
     ///
     /// [`ElasticError::UnknownLease`] when `req` was never submitted.
     pub fn release(&mut self, now: SimTime, req: u64) -> Result<(), ElasticError> {
-        self.advance_to(now);
-        match self.req_state.get(&req).copied() {
+        self.advance(now);
+        let result = match self.req_state.get(&req).copied() {
             None => {
                 self.push(Decision::Release { req, lease: None });
                 Err(ElasticError::UnknownLease(req))
             }
             Some(ReqState::Queued) => {
-                self.queue.retain(|w| w.req != req);
+                while let Some(key) = self.first_queued(req) {
+                    self.queue.remove(&key);
+                }
                 self.req_state.insert(req, ReqState::Done);
                 // Drop any reservation an eviction made for this request;
                 // the eviction itself still completes (the victim is
                 // already checkpointing).
-                for b in &mut self.boards {
-                    for s in &mut b.slots {
-                        if let Some((t, Some(r))) = s.pending {
-                            if r == req {
-                                s.pending = Some((t, None));
-                            }
-                        }
+                while let Some(at) = self.reservation(req) {
+                    self.unindex(at);
+                    if let Some((_, for_req)) = &mut self.slot_mut(at).pending {
+                        *for_req = None;
                     }
+                    self.index(at);
                 }
                 self.push(Decision::Release { req, lease: None });
                 Ok(())
             }
             Some(ReqState::Active(id)) => {
                 self.req_state.insert(req, ReqState::Done);
-                let lease = self
-                    .leases
-                    .remove(&id)
-                    .ok_or(ElasticError::UnknownLease(id))?;
-                if let Some(slot) = self.slot_mut(lease.at) {
-                    slot.lease = None;
+                match self.leases.get(&id).map(|l| l.at) {
+                    None => Err(ElasticError::UnknownLease(id)),
+                    Some(region) => {
+                        let at = self.locate(region);
+                        self.unindex(at);
+                        self.slot_mut(at).lease = None;
+                        self.end_lease(id);
+                        self.index(at);
+                        self.push(Decision::Release {
+                            req,
+                            lease: Some(id),
+                        });
+                        self.grant_queued(now);
+                        Ok(())
+                    }
                 }
-                self.push(Decision::Release {
-                    req,
-                    lease: Some(id),
-                });
-                self.grant_queued(now);
-                Ok(())
             }
             Some(ReqState::Done) => {
                 self.push(Decision::Release { req, lease: None });
                 Ok(())
             }
-        }
+        };
+        self.check_indexes();
+        result
     }
 
     /// Directly preempts one lease (test/diagnostic path; trace-driven
@@ -748,24 +924,25 @@ impl ElasticScheduler {
     ///
     /// [`request`]: ElasticScheduler::request
     pub fn preempt(&mut self, now: SimTime, lease: u64) -> Result<(), ElasticError> {
-        self.advance_to(now);
-        let l = self
-            .leases
-            .get(&lease)
-            .ok_or(ElasticError::UnknownLease(lease))?;
-        if !l.preemptible {
-            return Err(ElasticError::NotPreemptible(lease));
-        }
-        let at = l.at;
-        let due = now + self.cfg.eviction_window;
-        if let Some(slot) = self.slot_mut(at) {
-            if slot.pending.is_none() {
-                slot.pending = Some((due, None));
+        self.advance(now);
+        let result = match self.leases.get(&lease).map(|l| (l.preemptible, l.at)) {
+            None => Err(ElasticError::UnknownLease(lease)),
+            Some((false, _)) => Err(ElasticError::NotPreemptible(lease)),
+            Some((true, region)) => {
+                let at = self.locate(region);
+                if self.slot(at).pending.is_none() {
+                    self.start_eviction(now, at, None);
+                }
+                self.preemptions += 1;
+                self.push(Decision::Reclaim {
+                    victim: lease,
+                    at: region,
+                });
+                Ok(())
             }
-        }
-        self.preemptions += 1;
-        self.push(Decision::Reclaim { victim: lease, at });
-        Ok(())
+        };
+        self.check_indexes();
+        result
     }
 
     /// Reclaims one spot lease to refill the free pool (the explicit
@@ -775,14 +952,13 @@ impl ElasticScheduler {
     ///
     /// [`ElasticError::SpotPoolEmpty`] when no spot lease is live.
     pub fn reclaim_spot(&mut self, now: SimTime) -> Result<u64, ElasticError> {
-        self.advance_to(now);
-        let victim = self
-            .spot_victims()
-            .first()
-            .copied()
-            .ok_or(ElasticError::SpotPoolEmpty)?;
-        self.start_reclaim(now, victim);
-        Ok(victim)
+        self.advance(now);
+        let victim = self.spot_victim();
+        if let Some(victim) = victim {
+            self.start_reclaim(now, victim);
+        }
+        self.check_indexes();
+        victim.ok_or(ElasticError::SpotPoolEmpty)
     }
 
     /// Marks a board down; leases on it are lost immediately.
@@ -791,14 +967,16 @@ impl ElasticScheduler {
     ///
     /// [`ElasticError::UnknownBoard`] for unregistered boards.
     pub fn board_down(&mut self, now: SimTime, board: NodeAddr) -> Result<(), ElasticError> {
-        self.advance_to(now);
-        let idx = *self
-            .board_index
-            .get(&board)
-            .ok_or(ElasticError::UnknownBoard(board))?;
-        self.boards[idx].up = false;
+        self.advance(now);
+        let Some(&b) = self.board_index.get(&board) else {
+            self.check_indexes();
+            return Err(ElasticError::UnknownBoard(board));
+        };
+        self.unindex_board(b);
+        let state = &mut self.boards[b as usize];
+        let was_up = std::mem::replace(&mut state.up, false);
         let mut lost = Vec::new();
-        for s in &mut self.boards[idx].slots {
+        for s in &mut state.slots {
             if let Some(id) = s.lease.take() {
                 lost.push(id);
             }
@@ -806,39 +984,32 @@ impl ElasticScheduler {
             // removed from the queue).
             s.pending = None;
         }
-        lost.sort_unstable();
-        for id in &lost {
-            if let Some(l) = self.leases.remove(id) {
-                self.req_state.insert(l.req, ReqState::Done);
+        if was_up {
+            let (total, top) = board_capacity(state);
+            self.pool_alms -= total;
+            if top == self.largest {
+                self.largest = self
+                    .boards
+                    .iter()
+                    .filter(|b| b.up)
+                    .map(|b| board_capacity(b).1)
+                    .max()
+                    .unwrap_or(0);
             }
         }
+        lost.sort_unstable();
+        for &id in &lost {
+            self.end_lease(id);
+        }
+        self.index_board(b);
         self.lost_leases += lost.len() as u64;
         self.push(Decision::BoardDown { board, lost });
         // Reservations on the dead board vanished with it; queued
         // requests that were counting on them must re-arm preemption or
         // their priority inversion becomes unbounded.
         self.repreempt_queued(now);
+        self.check_indexes();
         Ok(())
-    }
-
-    /// Re-attempts preemption for every queued request that holds no
-    /// reservation and fits no free region, strongest class first — the
-    /// recovery path after a board crash drops in-flight reservations.
-    fn repreempt_queued(&mut self, now: SimTime) {
-        let mut order: Vec<usize> = (0..self.queue.len()).collect();
-        order.sort_by_key(|&i| (self.queue[i].class.rank(), self.queue[i].req));
-        for i in order {
-            let w = self.queue[i].clone();
-            let reserved = self
-                .boards
-                .iter()
-                .flat_map(|b| b.slots.iter())
-                .any(|s| matches!(s.pending, Some((_, Some(r))) if r == w.req));
-            if reserved || self.best_fit_free(w.alms).is_some() {
-                continue;
-            }
-            self.try_preempt_for(now, &w);
-        }
     }
 
     /// Marks a board back up, all regions free.
@@ -847,61 +1018,170 @@ impl ElasticScheduler {
     ///
     /// [`ElasticError::UnknownBoard`] for unregistered boards.
     pub fn board_up(&mut self, now: SimTime, board: NodeAddr) -> Result<(), ElasticError> {
-        self.advance_to(now);
-        let idx = *self
-            .board_index
-            .get(&board)
-            .ok_or(ElasticError::UnknownBoard(board))?;
-        self.boards[idx].up = true;
+        self.advance(now);
+        let Some(&b) = self.board_index.get(&board) else {
+            self.check_indexes();
+            return Err(ElasticError::UnknownBoard(board));
+        };
+        self.unindex_board(b);
+        let state = &mut self.boards[b as usize];
+        if !std::mem::replace(&mut state.up, true) {
+            let (total, top) = board_capacity(state);
+            self.pool_alms += total;
+            self.largest = self.largest.max(top);
+        }
+        self.index_board(b);
         self.push(Decision::BoardUp { board });
         self.grant_queued(now);
+        self.check_indexes();
         Ok(())
     }
 
     // ----- internals ------------------------------------------------
 
-    fn slot_mut(&mut self, at: RegionRef) -> Option<&mut Slot> {
-        let idx = *self.board_index.get(&at.board)?;
-        self.boards[idx].slots.get_mut(at.region as usize)
+    fn slot(&self, at: At) -> &Slot {
+        &self.boards[at.0 as usize].slots[at.1 as usize]
     }
 
-    /// Smallest free, unreserved region on an up board that fits `alms`;
-    /// ties by registration order then region index.
-    fn best_fit_free(&self, alms: u32) -> Option<RegionRef> {
-        let mut best: Option<(u32, RegionRef)> = None;
-        for b in self.boards.iter().filter(|b| b.up) {
-            for (i, s) in b.slots.iter().enumerate() {
-                if s.lease.is_none() && s.pending.is_none() && s.alms >= alms {
-                    let r = RegionRef {
-                        board: b.addr,
-                        region: i as u8,
-                    };
-                    if best.is_none_or(|(sz, _)| s.alms < sz) {
-                        best = Some((s.alms, r));
+    fn slot_mut(&mut self, at: At) -> &mut Slot {
+        &mut self.boards[at.0 as usize].slots[at.1 as usize]
+    }
+
+    fn region_ref(&self, at: At) -> RegionRef {
+        RegionRef {
+            board: self.boards[at.0 as usize].addr,
+            region: at.1,
+        }
+    }
+
+    /// Where a live lease's region sits (boards are never unregistered).
+    fn locate(&self, region: RegionRef) -> At {
+        (self.board_index[&region.board], region.region)
+    }
+
+    /// Adds (`member`) or removes what one slot contributes to the
+    /// indexes and counters. The contribution is a function of the slot,
+    /// its board's `up` flag and its occupant's lease record together, so
+    /// every change to any of the three sits between an [`unindex`] and
+    /// an [`index`] of the slot — entries leave under the old state and
+    /// come back under the new one.
+    ///
+    /// [`unindex`]: Self::unindex
+    /// [`index`]: Self::index
+    fn set_indexed(&mut self, at: At, member: bool) {
+        let (b, r) = at;
+        let up = self.boards[b as usize].up;
+        let Slot {
+            alms,
+            lease,
+            pending,
+        } = *self.slot(at);
+        if let Some((due, for_req)) = pending {
+            set_member(&mut self.evictions, (due, b, r), member);
+            if let Some(req) = for_req {
+                set_member(&mut self.reserved, (req, b, r), member);
+            }
+        } else if up {
+            match lease {
+                None => set_member(&mut self.free, (alms, b, r), member),
+                Some(id) => {
+                    if member {
+                        self.busy_alms += alms as u64;
+                    } else {
+                        self.busy_alms -= alms as u64;
+                    }
+                    if let Some(l) = self.leases.get(&id).filter(|l| l.preemptible) {
+                        set_member(
+                            &mut self.victims,
+                            (Reverse(l.class.rank()), alms, id),
+                            member,
+                        );
                     }
                 }
             }
         }
-        best.map(|(_, r)| r)
     }
 
-    fn grant(&mut self, now: SimTime, w: &Waiting, at: RegionRef) {
+    fn unindex(&mut self, at: At) {
+        self.set_indexed(at, false);
+    }
+
+    fn index(&mut self, at: At) {
+        self.set_indexed(at, true);
+    }
+
+    fn unindex_board(&mut self, b: u32) {
+        for r in 0..self.boards[b as usize].slots.len() {
+            self.unindex((b, r as u8));
+        }
+    }
+
+    fn index_board(&mut self, b: u32) {
+        for r in 0..self.boards[b as usize].slots.len() {
+            self.index((b, r as u8));
+        }
+    }
+
+    /// Removes a lease record whose slot is already unindexed.
+    fn end_lease(&mut self, id: u64) {
+        if let Some(l) = self.leases.remove(&id) {
+            self.used_alms -= l.alms as u64;
+            self.req_state.insert(l.req, ReqState::Done);
+        }
+    }
+
+    /// A region reserved for request `req`, if an eviction holds one.
+    fn reservation(&self, req: u64) -> Option<At> {
+        self.reserved
+            .range((req, 0, 0)..=(req, u32::MAX, u8::MAX))
+            .next()
+            .map(|&(_, b, r)| (b, r))
+    }
+
+    /// The earliest-arrived queued entry of request `req`.
+    fn first_queued(&self, req: u64) -> Option<QueueKey> {
+        TenantClass::ALL
+            .iter()
+            .filter_map(|class| {
+                let rank = class.rank();
+                self.queue
+                    .range((rank, req, 0)..=(rank, req, u64::MAX))
+                    .next()
+            })
+            .map(|(key, _)| *key)
+            .min_by_key(|&(_, _, arrival)| arrival)
+    }
+
+    /// Smallest free, unreserved region on an up board that fits `alms`;
+    /// ties by registration order then region index.
+    fn best_fit_free(&self, alms: u32) -> Option<At> {
+        self.free
+            .range((alms, 0, 0)..)
+            .next()
+            .map(|&(_, b, r)| (b, r))
+    }
+
+    fn grant(&mut self, now: SimTime, w: &Waiting, at: At) {
         let id = self.next_lease;
         self.next_lease += 1;
-        let lease = RegionLease {
+        let region = self.region_ref(at);
+        self.unindex(at);
+        self.slot_mut(at).lease = Some(id);
+        self.leases.insert(
             id,
-            req: w.req,
-            tenant: w.tenant,
-            class: w.class,
-            alms: w.alms,
-            preemptible: w.preemptible,
-            caps: w.caps,
-            at,
-        };
-        if let Some(slot) = self.slot_mut(at) {
-            slot.lease = Some(id);
-        }
-        self.leases.insert(id, lease);
+            RegionLease {
+                id,
+                req: w.req,
+                tenant: w.tenant,
+                class: w.class,
+                alms: w.alms,
+                preemptible: w.preemptible,
+                caps: w.caps,
+                at: region,
+            },
+        );
+        self.used_alms += w.alms as u64;
+        self.index(at);
         self.req_state.insert(w.req, ReqState::Active(id));
         self.grants += 1;
         let waited_ns = now.as_nanos().saturating_sub(w.arrived.as_nanos());
@@ -909,122 +1189,134 @@ impl ElasticScheduler {
         self.push(Decision::Grant {
             req: w.req,
             lease: id,
-            at,
+            at: region,
             waited_ns,
         });
     }
 
     /// Grants queued requests that now fit, strongest class first, then
     /// arrival order; requests that still don't fit are skipped (no
-    /// head-of-line blocking across sizes).
+    /// head-of-line blocking across sizes). One pass in queue order is
+    /// the whole rule: a grant only shrinks the free set, so a request
+    /// passed over stays unplaceable for the rest of the pass.
     fn grant_queued(&mut self, now: SimTime) {
-        loop {
-            let mut pick: Option<(usize, RegionRef)> = None;
-            let mut order: Vec<usize> = (0..self.queue.len()).collect();
-            order.sort_by_key(|&i| (self.queue[i].class.rank(), self.queue[i].req));
-            for i in order {
-                if let Some(at) = self.best_fit_free(self.queue[i].alms) {
-                    pick = Some((i, at));
-                    break;
-                }
-            }
-            let Some((i, at)) = pick else { break };
-            let w = self.queue.remove(i);
+        let mut from = Bound::Unbounded;
+        while let Some(&(max_free, _, _)) = self.free.last() {
+            let Some((&key, &w)) = self
+                .queue
+                .range((from, Bound::Unbounded))
+                .find(|(_, w)| w.alms <= max_free)
+            else {
+                break;
+            };
+            self.queue.remove(&key);
+            let at = self
+                .best_fit_free(w.alms)
+                .expect("the largest free region fits");
             self.grant(now, &w, at);
+            from = Bound::Excluded(key);
         }
+    }
+
+    /// Largest region holding a victim of class `rank`.
+    fn victim_ceiling(&self, rank: u8) -> Option<u32> {
+        self.victims
+            .range((Reverse(rank), 0, 0)..=(Reverse(rank), u32::MAX, u64::MAX))
+            .next_back()
+            .map(|&(_, alms, _)| alms)
+    }
+
+    /// Re-attempts preemption for every queued request that holds no
+    /// reservation and fits no free region, strongest class first — the
+    /// recovery path after a board crash drops in-flight reservations.
+    fn repreempt_queued(&mut self, now: SimTime) {
+        // Per requesting class, the largest region any strictly weaker
+        // victim holds. The pass only removes victims and leaves the free
+        // set alone, so both bounds may go stale as supersets: a request
+        // that passes them still gets the exact lookup, and one that
+        // fails them could not have found a victim (or fits free space).
+        let spot = self.victim_ceiling(TenantClass::Spot.rank());
+        let standard = self.victim_ceiling(TenantClass::Standard.rank());
+        let ceiling = [standard.max(spot), spot];
+        // Classes with no weaker victim at all are not even visited: they
+        // are a suffix of the queue order.
+        let classes = ceiling.iter().flatten().count() as u8;
+        let max_free = self.free.last().map(|&(alms, _, _)| alms);
+        // Nothing below touches the queue; taking it out lets the pass
+        // borrow `self` mutably.
+        let queue = std::mem::take(&mut self.queue);
+        for w in queue.range(..(classes, 0, 0)).map(|(_, w)| w) {
+            if ceiling[w.class.rank() as usize].is_none_or(|c| w.alms > c)
+                || max_free.is_some_and(|f| w.alms <= f)
+                || self.reservation(w.req).is_some()
+            {
+                continue;
+            }
+            self.try_preempt_for(now, w);
+        }
+        self.queue = queue;
     }
 
     /// Tries to arrange a preemption for a just-queued request: evict the
     /// weakest preemptible lease of a strictly lower class, in the
     /// smallest sufficient region; ties by lease id.
     fn try_preempt_for(&mut self, now: SimTime, w: &Waiting) {
-        // Key order: weakest class first (max rank), then smallest
-        // sufficient region, then lowest lease id.
-        type VictimKey = (core::cmp::Reverse<u8>, u32, u64);
-        let mut best: Option<(VictimKey, u64)> = None;
-        for l in self.leases.values() {
-            if !l.preemptible || l.class.rank() <= w.class.rank() {
-                continue;
-            }
-            let Some(idx) = self.board_index.get(&l.at.board) else {
-                continue;
-            };
-            let b = &self.boards[*idx];
-            if !b.up {
-                continue;
-            }
-            let slot = &b.slots[l.at.region as usize];
-            if slot.pending.is_some() || slot.alms < w.alms {
-                continue;
-            }
-            let key = (core::cmp::Reverse(l.class.rank()), slot.alms, l.id);
-            if best.as_ref().is_none_or(|(k, _)| key < *k) {
-                best = Some((key, l.id));
-            }
-        }
-        let Some((_, victim_id)) = best else {
+        let weaker = (w.class.rank() + 1..=TenantClass::Spot.rank()).rev();
+        let Some(victim) = weaker
+            .filter_map(|rank| {
+                self.victims
+                    .range((Reverse(rank), w.alms, 0)..=(Reverse(rank), u32::MAX, u64::MAX))
+                    .next()
+            })
+            .map(|&(_, _, id)| id)
+            .next()
+        else {
             return;
         };
-        let Some(at) = self.leases.get(&victim_id).map(|l| l.at) else {
+        let Some(region) = self.leases.get(&victim).map(|l| l.at) else {
             return;
         };
-        let due = now + self.cfg.eviction_window;
-        if let Some(slot) = self.slot_mut(at) {
-            slot.pending = Some((due, Some(w.req)));
-        }
+        self.start_eviction(now, self.locate(region), Some(w.req));
         self.preemptions += 1;
         self.push(Decision::Evict {
-            victim: victim_id,
+            victim,
             for_req: w.req,
-            at,
+            at: region,
         });
+    }
+
+    /// Starts vacating a region: it frees one eviction window from `now`,
+    /// reserved for `for_req` if given.
+    fn start_eviction(&mut self, now: SimTime, at: At, for_req: Option<u64>) {
+        self.unindex(at);
+        self.slot_mut(at).pending = Some((now + self.cfg.eviction_window, for_req));
+        self.index(at);
     }
 
     /// Completes every eviction due exactly at `t`, in board/region
     /// order; freed regions go to their reserved request first, then the
     /// general queue.
     fn complete_evictions(&mut self, t: SimTime) {
-        let mut freed: Vec<(RegionRef, Option<u64>)> = Vec::new();
-        for b in &mut self.boards {
-            for (i, s) in b.slots.iter_mut().enumerate() {
-                if let Some((due, reserved)) = s.pending {
-                    if due == t {
-                        s.pending = None;
-                        s.lease = None;
-                        freed.push((
-                            RegionRef {
-                                board: b.addr,
-                                region: i as u8,
-                            },
-                            reserved,
-                        ));
-                    }
-                }
-            }
-        }
-        for (at, reserved) in &freed {
+        let mut freed = false;
+        while let Some(&(_, b, r)) = self.evictions.first().filter(|k| k.0 == t) {
+            freed = true;
+            let at = (b, r);
+            self.unindex(at);
+            let slot = self.slot_mut(at);
+            let reserved = slot.pending.take().and_then(|(_, for_req)| for_req);
             // The victim lease dies now (it kept running through the
             // window to checkpoint).
-            let dead: Vec<u64> = self
-                .leases
-                .values()
-                .filter(|l| l.at == *at)
-                .map(|l| l.id)
-                .collect();
-            for id in dead {
-                if let Some(l) = self.leases.remove(&id) {
-                    self.req_state.insert(l.req, ReqState::Done);
-                }
+            if let Some(victim) = slot.lease.take() {
+                self.end_lease(victim);
             }
-            if let Some(req) = reserved {
-                if let Some(pos) = self.queue.iter().position(|w| w.req == *req) {
-                    let w = self.queue.remove(pos);
-                    self.grant(t, &w, *at);
-                    continue;
+            self.index(at);
+            if let Some(key) = reserved.and_then(|req| self.first_queued(req)) {
+                if let Some(w) = self.queue.remove(&key) {
+                    self.grant(t, &w, at);
                 }
             }
         }
-        if !freed.is_empty() {
+        if freed {
             self.grant_queued(t);
             // A reserved grant may have seated a lower-class lease while
             // a stronger request kept waiting; re-arm its preemption so
@@ -1033,40 +1325,24 @@ impl ElasticScheduler {
         }
     }
 
-    /// Spot leases eligible for reclamation, largest region first, ties
+    /// The spot lease reclamation takes next: largest region first, ties
     /// by lease id.
-    fn spot_victims(&self) -> Vec<u64> {
-        let mut v: Vec<(u32, u64)> = self
-            .leases
-            .values()
-            .filter(|l| l.class == TenantClass::Spot)
-            .filter_map(|l| {
-                let idx = *self.board_index.get(&l.at.board)?;
-                let b = &self.boards[idx];
-                if !b.up {
-                    return None;
-                }
-                let slot = &b.slots[l.at.region as usize];
-                if slot.pending.is_some() {
-                    return None;
-                }
-                Some((slot.alms, l.id))
-            })
-            .collect();
-        v.sort_by_key(|&(alms, id)| (core::cmp::Reverse(alms), id));
-        v.into_iter().map(|(_, id)| id).collect()
+    fn spot_victim(&self) -> Option<u64> {
+        let spot = Reverse(TenantClass::Spot.rank());
+        let largest = self.victim_ceiling(spot.0)?;
+        self.victims
+            .range((spot, largest, 0)..)
+            .next()
+            .map(|&(_, _, id)| id)
     }
 
     fn start_reclaim(&mut self, now: SimTime, victim: u64) {
-        let Some(at) = self.leases.get(&victim).map(|l| l.at) else {
+        let Some(region) = self.leases.get(&victim).map(|l| l.at) else {
             return;
         };
-        let due = now + self.cfg.eviction_window;
-        if let Some(slot) = self.slot_mut(at) {
-            slot.pending = Some((due, None));
-        }
+        self.start_eviction(now, self.locate(region), None);
         self.reclamations += 1;
-        self.push(Decision::Reclaim { victim, at });
+        self.push(Decision::Reclaim { victim, at: region });
     }
 
     /// Automatic reclamation: keep `spot_reserve_permille` of the pool
@@ -1077,22 +1353,15 @@ impl ElasticScheduler {
             return;
         }
         loop {
-            let pool = self.pool_alms();
+            let pool = self.pool_alms;
             if pool == 0 {
                 return;
             }
-            let freeing: u64 = self
-                .boards
-                .iter()
-                .filter(|b| b.up)
-                .flat_map(|b| b.slots.iter())
-                .filter(|s| s.lease.is_none() || s.pending.is_some())
-                .map(|s| s.alms as u64)
-                .sum();
+            let freeing = pool - self.busy_alms;
             if freeing * 1000 >= pool * self.cfg.spot_reserve_permille as u64 {
                 return;
             }
-            let Some(victim) = self.spot_victims().first().copied() else {
+            let Some(victim) = self.spot_victim() else {
                 return;
             };
             self.start_reclaim(now, victim);
@@ -1103,65 +1372,44 @@ impl ElasticScheduler {
     /// migrates only leases whose assignment changes, in lease-id order.
     /// Regions mid-eviction keep their occupant and reservation.
     fn defrag(&mut self, now: SimTime) {
-        // Candidate slots: up, not mid-eviction.
-        let mut slots: Vec<(u32, RegionRef)> = Vec::new();
-        for b in self.boards.iter().filter(|b| b.up) {
-            for (i, s) in b.slots.iter().enumerate() {
-                if s.pending.is_none() {
-                    slots.push((
-                        s.alms,
-                        RegionRef {
-                            board: b.addr,
-                            region: i as u8,
-                        },
-                    ));
+        // Candidate slots (up, not mid-eviction) in best-fit order, and
+        // the leases in them, largest demand first.
+        let mut slots: BTreeSet<(u32, u32, u8)> = self.free.clone();
+        let mut by_size: Vec<(Reverse<u32>, u64, At)> = Vec::new();
+        for l in self.leases.values() {
+            let at = self.locate(l.at);
+            let slot = self.slot(at);
+            if slot.pending.is_none() && self.boards[at.0 as usize].up {
+                slots.insert((slot.alms, at.0, at.1));
+                by_size.push((Reverse(l.alms), l.id, at));
+            }
+        }
+        by_size.sort_unstable();
+        // Each lease takes the smallest fitting slot, in registration
+        // order among equals; the ones whose slot changes move, in
+        // lease-id order.
+        let mut moves: Vec<(u64, At, At)> = Vec::new();
+        for (Reverse(alms), id, from) in by_size {
+            if let Some(&(sz, b, r)) = slots.range((alms, 0, 0)..).next() {
+                slots.remove(&(sz, b, r));
+                if (b, r) != from {
+                    moves.push((id, from, (b, r)));
                 }
             }
         }
-        // Movable leases, largest demand first.
-        let mut by_size: Vec<(u32, u64)> = self
-            .leases
-            .values()
-            .filter(|l| slots.iter().any(|(_, r)| *r == l.at))
-            .map(|l| (l.alms, l.id))
-            .collect();
-        by_size.sort_by_key(|&(alms, id)| (core::cmp::Reverse(alms), id));
-        // Assign each lease the smallest fitting slot, in registration
-        // order among equals.
-        let mut taken = vec![false; slots.len()];
-        let mut target: BTreeMap<u64, RegionRef> = BTreeMap::new();
-        for (alms, id) in &by_size {
-            let mut best: Option<(u32, usize)> = None;
-            for (i, (sz, _)) in slots.iter().enumerate() {
-                if !taken[i] && *sz >= *alms && best.is_none_or(|(bsz, _)| *sz < bsz) {
-                    best = Some((*sz, i));
-                }
-            }
-            if let Some((_, i)) = best {
-                taken[i] = true;
-                target.insert(*id, slots[i].1);
-            }
-        }
-        // Apply moves in lease-id order.
-        let moves: Vec<(u64, RegionRef, RegionRef)> = target
-            .iter()
-            .filter_map(|(id, to)| {
-                let from = self.leases.get(id)?.at;
-                (from != *to).then_some((*id, from, *to))
-            })
-            .collect();
+        moves.sort_unstable();
         // Two-phase apply: clear every vacated slot before occupying any
         // target, so overlapping move chains (A into B's old slot while B
         // moves on) never wipe a freshly placed lease.
         for &(_, from, _) in &moves {
-            if let Some(slot) = self.slot_mut(from) {
-                slot.lease = None;
-            }
+            self.unindex(from);
+            self.slot_mut(from).lease = None;
+            self.index(from);
         }
-        for (id, from, to) in moves {
-            if let Some(slot) = self.slot_mut(to) {
-                slot.lease = Some(id);
-            }
+        for (id, from, target) in moves {
+            let (from, to) = (self.region_ref(from), self.region_ref(target));
+            self.unindex(target);
+            self.slot_mut(target).lease = Some(id);
             if let Some(l) = self.leases.get_mut(&id) {
                 l.at = to;
                 if self.debug_defrag_drop_caps {
@@ -1171,6 +1419,7 @@ impl ElasticScheduler {
                     };
                 }
             }
+            self.index(target);
             self.migrations += 1;
             self.push(Decision::Migrate {
                 lease: id,
@@ -1184,6 +1433,13 @@ impl ElasticScheduler {
         self.grant_queued(now);
         self.repreempt_queued(now);
     }
+}
+
+/// Total and largest region ALMs of one board.
+fn board_capacity(board: &BoardState) -> (u64, u32) {
+    board.slots.iter().fold((0, 0), |(total, top), s| {
+        (total + s.alms as u64, top.max(s.alms))
+    })
 }
 
 /// Folds one decision into an FNV-1a hash (shared with the reference

@@ -1,0 +1,170 @@
+//! The elastic scheduler answers every placement question from derived
+//! indexes. [`ElasticScheduler::indexes_match_rescan`] rebuilds them from
+//! the slots and the lease table by full scan; these tests drive API
+//! sequences the trace generator never produces and require the two to
+//! agree after every call (debug builds also assert it inside every
+//! mutator; calling it here keeps `cargo test --release` honest).
+
+use dcnet::NodeAddr;
+use dcsim::{SimDuration, SimTime};
+use haas::{Decision, ElasticConfig, ElasticScheduler, TenantClass};
+use proptest::prelude::*;
+use shell::tenant::{TenantCaps, TenantId};
+
+fn caps() -> TenantCaps {
+    TenantCaps {
+        er_mbps: 1_000,
+        ltl_credits: 16,
+    }
+}
+
+fn board(i: usize) -> NodeAddr {
+    NodeAddr::new(0, (i / 4) as u16, (i % 4) as u16)
+}
+
+/// One API call, drawn as raw numbers and interpreted against the
+/// scheduler's state at that point: `(selector, id entropy, ALMs, class,
+/// time step ms)`.
+type RawOp = (u8, u64, u32, u8, u64);
+
+fn drive(sched: &mut ElasticScheduler, boards: usize, ops: &[RawOp]) {
+    let mut now = SimTime::ZERO;
+    let mut fresh_req = 0u64;
+    for &(selector, entropy, alms, class, step_ms) in ops {
+        // A third of the calls share their predecessor's instant.
+        if step_ms >= 50 {
+            now += SimDuration::from_millis(step_ms - 50);
+        }
+        match selector {
+            0..=44 => {
+                let req = match entropy % 16 {
+                    // A request id seen before: queued, active or done.
+                    0 | 1 if fresh_req > 0 => (entropy >> 8) % fresh_req,
+                    // Ids at the top of the range.
+                    2 => u64::MAX - (entropy >> 8) % 3,
+                    _ => {
+                        fresh_req += 1;
+                        fresh_req - 1
+                    }
+                };
+                // Larger than any region now and then: a typed reject.
+                let _ = sched.request(
+                    now,
+                    req,
+                    TenantId(req as u32),
+                    TenantClass::ALL[class as usize],
+                    alms,
+                    entropy & 0x80 != 0,
+                    caps(),
+                );
+            }
+            // Unknown, queued, active and done requests alike.
+            45..=69 => {
+                let _ = sched.release(now, entropy % (fresh_req + 3));
+            }
+            70..=75 => {
+                let leases = sched.leases().map(|l| l.id).max().map_or(0, |id| id + 1);
+                let _ = sched.preempt(now, entropy % (leases + 2));
+            }
+            76..=79 => {
+                let _ = sched.reclaim_spot(now);
+            }
+            // Down boards go down again and up boards come up again.
+            80..=87 => {
+                let _ = sched.board_down(now, board(entropy as usize % boards));
+            }
+            88..=95 => {
+                let _ = sched.board_up(now, board(entropy as usize % boards));
+            }
+            _ => sched.advance_to(now),
+        }
+        assert_eq!(sched.indexes_match_rescan(), Ok(()), "after op {selector}");
+    }
+    // Settle every eviction and a few defrag boundaries.
+    sched.advance_to(now + SimDuration::from_secs(30));
+    assert_eq!(sched.indexes_match_rescan(), Ok(()), "after settling");
+}
+
+proptest! {
+    #[test]
+    fn indexes_match_a_rescan_after_every_call(
+        // 1-6 regions a board, sizes drawn from few values (equal sizes
+        // tie-break on registration order) and from a wide range.
+        carves in proptest::collection::vec(
+            proptest::collection::vec(
+                prop_oneof![Just(19_002u32), Just(38_005u32), 4_000u32..60_000],
+                1..7,
+            ),
+            1..9,
+        ),
+        one_carve in any::<bool>(),
+        window_ms in 20u64..800,
+        defrag_ms in prop_oneof![Just(0u64), 100u64..3_000],
+        spot_reserve_permille in prop_oneof![Just(0u32), 50u32..500],
+        ops in proptest::collection::vec(
+            (0u8..100, any::<u64>(), 0u32..50_000, 0u8..3, 0u64..200),
+            1..300,
+        ),
+    ) {
+        let mut sched = ElasticScheduler::new(ElasticConfig {
+            eviction_window: SimDuration::from_millis(window_ms),
+            defrag_period: SimDuration::from_millis(defrag_ms),
+            spot_reserve_permille,
+        });
+        for (i, carve) in carves.iter().enumerate() {
+            let carve = if one_carve { &carves[0] } else { carve };
+            sched.add_board(board(i), carve).unwrap();
+        }
+        drive(&mut sched, carves.len(), &ops);
+    }
+}
+
+/// A victim that releases *inside* its eviction window leaves a region
+/// with an eviction pending and no lease: neither free nor a victim until
+/// the window closes.
+#[test]
+fn region_vacated_inside_its_eviction_window_stays_reserved_until_due() {
+    let window = SimDuration::from_millis(100);
+    let mut s = ElasticScheduler::new(ElasticConfig {
+        eviction_window: window,
+        defrag_period: SimDuration::ZERO,
+        spot_reserve_permille: 0,
+    });
+    s.add_board(board(0), &[20_000]).unwrap();
+    let request = |s: &mut ElasticScheduler, at: SimTime, req: u64, class: TenantClass| {
+        s.request(at, req, TenantId(req as u32), class, 15_000, true, caps())
+            .unwrap();
+    };
+    request(&mut s, SimTime::ZERO, 0, TenantClass::Spot);
+    // Guaranteed request 1 evicts the spot lease and reserves its region.
+    let t0 = SimTime::from_millis(10);
+    request(&mut s, t0, 1, TenantClass::Guaranteed);
+    assert!(matches!(
+        s.decisions().last(),
+        Some(Decision::Evict {
+            victim: 0,
+            for_req: 1,
+            ..
+        })
+    ));
+    // The victim leaves on its own half-way through the window.
+    s.release(SimTime::from_millis(50), 0).unwrap();
+    assert_eq!(s.leases().count(), 0);
+    assert_eq!(s.indexes_match_rescan(), Ok(()));
+    // The empty region is not free: a second guaranteed request queues
+    // behind the reservation, and finds nothing to evict either.
+    let before = s.decisions().len();
+    request(&mut s, SimTime::from_millis(60), 2, TenantClass::Guaranteed);
+    assert_eq!(&s.decisions()[before..], [Decision::Queue { req: 2 }]);
+    assert_eq!(s.queued_reqs(), vec![1, 2]);
+    assert_eq!(s.reclaim_spot(SimTime::from_millis(61)).ok(), None);
+    // When the window closes the region goes to the request it was
+    // reserved for.
+    s.advance_to(t0 + window);
+    assert!(matches!(
+        s.decisions().last(),
+        Some(Decision::Grant { req: 1, .. })
+    ));
+    assert_eq!(s.queued_reqs(), vec![2]);
+    assert_eq!(s.indexes_match_rescan(), Ok(()));
+}

@@ -181,6 +181,45 @@ fn board_ops_on_unknown_boards_error() {
 }
 
 #[test]
+fn carve_with_more_regions_than_a_region_index_can_number_is_rejected() {
+    // `RegionRef::region` is a `u8`: region 256 would alias region 0 and
+    // the pool would hand one region to two tenants.
+    let mut s = ElasticScheduler::new(ElasticConfig::default());
+    let board = NodeAddr::new(0, 0, 1);
+    let err = s.add_board(board, &[1_000; 257]).unwrap_err();
+    assert_eq!(
+        err,
+        ElasticError::TooManyRegions {
+            board,
+            regions: 257
+        }
+    );
+    assert!(err.to_string().contains("limit 256"), "{err}");
+    // Nothing was registered: no capacity, and the address is still free.
+    assert_eq!(s.pool_alms(), 0);
+    assert!(s.placement().is_empty());
+    s.add_board(board, &[1_000; 256]).unwrap();
+    // At the limit every region is its own slot: 256 tenants, 256 regions.
+    for req in 0..256u64 {
+        s.request(
+            SimTime::ZERO,
+            req,
+            TenantId(req as u32),
+            TenantClass::Guaranteed,
+            1_000,
+            false,
+            caps(),
+        )
+        .unwrap();
+    }
+    let mut regions: Vec<u8> = s.leases().map(|l| l.at.region).collect();
+    regions.sort_unstable();
+    regions.dedup();
+    assert_eq!(regions.len(), 256, "one region per tenant");
+    assert!(s.queued_reqs().is_empty());
+}
+
+#[test]
 fn errors_display_without_panicking() {
     let errs: Vec<ElasticError> = vec![
         ElasticError::RequestTooLarge {
@@ -192,6 +231,10 @@ fn errors_display_without_panicking() {
         ElasticError::SpotPoolEmpty,
         ElasticError::UnknownBoard(NodeAddr::new(1, 2, 3)),
         ElasticError::DuplicateBoard(NodeAddr::new(1, 2, 3)),
+        ElasticError::TooManyRegions {
+            board: NodeAddr::new(1, 2, 3),
+            regions: 300,
+        },
     ];
     for e in errs {
         assert!(!e.to_string().is_empty());

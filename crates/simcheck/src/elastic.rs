@@ -19,7 +19,11 @@
 //! * `reclaim.class` — spot reclamation never kills a non-spot lease;
 //! * `defrag.preserves` — migration keeps the lease's tenant, size,
 //!   preemptibility and shell caps intact (the planted
-//!   `--validate-oracle` bug trips exactly this).
+//!   `--validate-oracle` bug trips exactly this);
+//! * `index.rescan` — the real scheduler's derived indexes and counters
+//!   equal a rebuild from its slots and lease table by full scan
+//!   ([`haas::ElasticScheduler::indexes_match_rescan`]; release builds of
+//!   the sweep check it here, debug builds also inside every mutator).
 //!
 //! Failing traces shrink through [`crate::shrink::ddmin`] and serialize
 //! as [`ElasticRepro`] JSON that replays byte-identically.
@@ -148,14 +152,16 @@ pub fn run_elastic_events(spec: &ElasticSpec, events: &[LeaseEvent]) -> ElasticO
 
     for ev in events {
         let before: Vec<RegionLease> = real.leases().cloned().collect();
-        let d_real = real.apply(ev);
+        let start_real = real.decisions().len();
+        real.apply(ev);
+        let d_real = &real.decisions()[start_real..];
         let d_ref = reference.apply(ev);
-        track_queue(&mut queued, ev, &d_real);
+        track_queue(&mut queued, ev, d_real);
         check_step(
             spec,
             &real,
             &reference,
-            &d_real,
+            d_real,
             &d_ref,
             &before,
             &queued,
@@ -270,6 +276,10 @@ fn check_step(
             "oracle.lease",
             format!("real {l_real:?} != reference {l_ref:?}"),
         );
+    }
+
+    if let Err(detail) = real.indexes_match_rescan() {
+        fail(out, "index.rescan", detail);
     }
 
     // Invariants on the real scheduler's observable state.
