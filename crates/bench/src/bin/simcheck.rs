@@ -20,26 +20,30 @@
 //!   byte-identically twice. CI runs this so a silently-blind oracle
 //!   fails the lane.
 //! * `--replay FILE`: re-run a written repro; exits 0 when the recorded
-//!   violation reproduces (prints the identical report every time).
-//!   Elastic-scheduler repros (`"kind": "elastic"`) are detected and
-//!   dispatched automatically.
+//!   violation reproduces (prints the identical report every time). The
+//!   file's `"kind"` (`session`, `cluster` or `elastic`) picks the case
+//!   to replay it as.
 //! * `--elastic-only`: run only the elastic HaaS scheduler differential
 //!   (real [`haas`] scheduler vs. the pure `simcheck` reference) — the
 //!   CI `haas-elastic-smoke` lane. `--validate-oracle` additionally
 //!   plants a defrag bug that drops tenant caps and requires the
 //!   scheduler oracle to catch it and shrink the trace to ≤ 5 events.
+//!
+//! Exit codes: 0 clean / reproduced, 1 violation / blind oracle / stale
+//! repro, 2 unreadable `--replay` input.
+//!
+//! Everything below the argument parsing is one table of oracles walked
+//! by one sweep and one self-test; a new oracle is a row (and, when it
+//! shrinks, its `kind` arm in [`replay`]).
 
 use bench::arg_value;
-use catapult::chaos::FaultPlan;
-use catapult::telemetry::json;
-use serde::Value;
 use shell::ltl::LtlMode;
-use simcheck::elastic::{run_elastic, run_elastic_events, ElasticRepro, ElasticSpec};
-use simcheck::repro::{ReproMode, ReproSpec};
-use simcheck::scenario::{run_scenario, ScenarioSpec};
-use simcheck::session::{run_session, SessionSpec};
-use simcheck::shrink::ddmin;
-use simcheck::{dcqcn_ref, er_check, Violation};
+use simcheck::elastic::ElasticSpec;
+use simcheck::repro::{kind_of, Repro};
+use simcheck::scenario::ScenarioSpec;
+use simcheck::session::SessionSpec;
+use simcheck::shrink::shrink;
+use simcheck::{dcqcn_ref, er_check, Case, Outcome, Violation};
 
 fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
@@ -56,154 +60,148 @@ fn render(violations: &[Violation]) -> String {
     out
 }
 
-/// Shrinks a failing spec's fault plan to a minimal one that still
-/// violates and builds its repro. `plan` projects the spec's fault plan,
-/// `run` returns one run's violations, `repro` is the matching
-/// `ReproSpec` constructor.
-fn shrink<S: Clone>(
-    spec: &S,
-    violations: &[Violation],
-    plan: fn(&mut S) -> &mut FaultPlan,
-    run: fn(&S) -> Vec<Violation>,
-    repro: fn(&S, &[Violation]) -> ReproSpec,
-) -> ReproSpec {
-    let mut shrunk = spec.clone();
-    let minimal = ddmin(&plan(&mut shrunk).events, |events| {
-        let mut probe = spec.clone();
-        plan(&mut probe).events = events.to_vec();
-        !run(&probe).is_empty()
-    });
-    plan(&mut shrunk).events = minimal;
-    let final_violations = run(&shrunk);
-    let caught = if final_violations.is_empty() {
-        violations
-    } else {
-        &final_violations
-    };
-    repro(&shrunk, caught)
+/// One row of the oracle table.
+trait Oracle {
+    /// Runs one seed, with the row's known bug planted under
+    /// `--inject-bug`. A violation is reported — shrunk to a repro
+    /// artifact when the oracle has events to shrink — and exits 1.
+    fn sweep(&self, seed: u64, inject_bug: bool) -> Outcome;
+
+    /// Self-test of a row that knows a bug to plant: the bug must be
+    /// caught on some seed, shrink small and replay byte-identically.
+    fn validate(&self, _seeds: u64) -> bool {
+        true
+    }
 }
 
-fn shrink_session(spec: &SessionSpec, violations: &[Violation]) -> ReproSpec {
-    shrink(
-        spec,
-        violations,
-        |s| &mut s.plan,
-        |s| run_session(s).violations,
-        ReproSpec::from_session,
-    )
+/// A seed-only oracle: nothing to shrink, the seed is the repro.
+struct SeedOnly {
+    name: &'static str,
+    check: fn(u64, u32) -> Vec<Violation>,
+    steps: u32,
 }
 
-fn shrink_scenario(spec: &ScenarioSpec, violations: &[Violation]) -> ReproSpec {
-    shrink(
-        spec,
-        violations,
-        |s| &mut s.plan,
-        |s| run_scenario(s).violations,
-        ReproSpec::from_scenario,
-    )
+impl Oracle for SeedOnly {
+    fn sweep(&self, seed: u64, _inject_bug: bool) -> Outcome {
+        let violations = (self.check)(seed, self.steps);
+        if !violations.is_empty() {
+            println!("seed {seed}: {} oracle fired", self.name);
+            print!("{}", render(&violations));
+            println!("replay: rerun with --seeds 1 --seed-base {seed}");
+            std::process::exit(1);
+        }
+        Outcome::default()
+    }
 }
 
-/// What the driver needs from a repro artifact, whichever oracle wrote
-/// it: [`ReproSpec`] (LTL session / cluster scenario fault plans) and
-/// [`ElasticRepro`] (scheduler lease traces) go through one copy of the
-/// fail, validate and replay paths.
-trait Repro: Sized {
+/// A shrinkable oracle: a [`Case`] plus how the driver labels it, where
+/// it files the repro and which bug it knows how to plant.
+struct Lane<C: Case> {
+    /// `seed N{tag}: {name} oracle fired`.
+    name: &'static str,
+    tag: &'static str,
     /// Artifact file name under `results/`.
-    const FILE: &'static str;
+    file: &'static str,
     /// What the events are a shrunk subset of.
-    const TRACE: &'static str;
-    fn events_len(&self) -> usize;
-    fn first_violation(&self) -> &str;
-    fn to_json(&self) -> String;
-    fn parse(text: &str) -> Result<Self, String>;
-    fn replay(&self) -> Vec<Violation>;
-    /// The line `--replay` prints before re-running the case.
-    fn describe(&self) -> String;
+    trace: &'static str,
+    /// Readies a generated case for this lane, planting the lane's bug
+    /// when the flag is set.
+    prepare: fn(&mut C, bool),
+    /// The planted bug's name and the event count its repro must shrink
+    /// to.
+    bug: Option<(&'static str, usize)>,
 }
 
-impl Repro for ReproSpec {
-    const FILE: &'static str = "simcheck_repro.json";
-    const TRACE: &'static str = "fault plan";
-    fn events_len(&self) -> usize {
-        self.events.len()
+const FAULT_PLAN_FILE: &str = "simcheck_repro.json";
+
+impl<C: Case> Lane<C> {
+    fn case(&self, seed: u64, plant: bool) -> C {
+        let mut case = C::generate(seed);
+        (self.prepare)(&mut case, plant);
+        case
     }
-    fn first_violation(&self) -> &str {
-        &self.first_violation
+
+    /// Shrinks a failing case, reporting by how much.
+    fn shrink_reporting(&self, case: &C) -> Repro<C> {
+        let repro = shrink(case);
+        println!(
+            "shrunk {}: {} -> {} event(s)",
+            self.trace,
+            case.events().len(),
+            repro.case.events().len()
+        );
+        repro
     }
-    fn to_json(&self) -> String {
-        self.to_json()
+}
+
+impl<C: Case> Oracle for Lane<C> {
+    fn sweep(&self, seed: u64, inject_bug: bool) -> Outcome {
+        let case = self.case(seed, inject_bug);
+        let out = case.run();
+        if !out.violations.is_empty() {
+            println!("seed {seed}{}: {} oracle fired", self.tag, self.name);
+            print!("{}", render(&out.violations));
+            let repro = self.shrink_reporting(&case);
+            println!("first violation: {}", repro.first_violation);
+            bench::write_raw(self.file, &repro.to_json());
+            println!(
+                "replay: cargo run -p bench --release --bin simcheck -- \
+                 --replay results/{}",
+                self.file
+            );
+            std::process::exit(1);
+        }
+        out
     }
-    fn parse(text: &str) -> Result<Self, String> {
-        ReproSpec::parse(text)
-    }
-    fn replay(&self) -> Vec<Violation> {
-        self.replay()
-    }
-    fn describe(&self) -> String {
-        let mode = match self.mode {
-            ReproMode::Session => "session",
-            ReproMode::Cluster => "cluster",
+
+    fn validate(&self, seeds: u64) -> bool {
+        let Some((bug, max_events)) = self.bug else {
+            return true;
         };
-        format!(
-            "replaying {mode} case: seed {} salt {} events {}",
-            self.seed,
-            self.salt,
-            self.events.len()
-        )
+        println!("validating oracle sensitivity: {bug}");
+        for seed in 0..seeds {
+            let case = self.case(seed, true);
+            let Some(first) = case.run().violations.into_iter().next() else {
+                continue; // this seed never provoked the bug
+            };
+            println!("caught on seed {seed}: {first}");
+            let repro = self.shrink_reporting(&case);
+            let events = repro.case.events().len();
+            if events > max_events {
+                println!("FAIL: minimal repro has {events} events (> {max_events})");
+                return false;
+            }
+            let json = repro.to_json();
+            bench::write_raw(self.file, &json);
+            // The repro must replay byte-identically, twice, from its own
+            // serialized form.
+            let parsed = Repro::<C>::parse(&json).expect("own artifact parses");
+            let first = render(&parsed.replay());
+            let second = render(&parsed.replay());
+            if first != second || first.contains("total: 0") {
+                println!("FAIL: replay is not byte-identical or lost the violation");
+                print!("--- first ---\n{first}--- second ---\n{second}");
+                return false;
+            }
+            println!("replay is byte-identical across two runs:");
+            print!("{first}");
+            return true;
+        }
+        println!("FAIL: {bug} evaded the oracle on {seeds} seeds");
+        false
     }
 }
 
-impl Repro for ElasticRepro {
-    const FILE: &'static str = "simcheck_elastic_repro.json";
-    const TRACE: &'static str = "lease trace";
-    fn events_len(&self) -> usize {
-        self.events.len()
-    }
-    fn first_violation(&self) -> &str {
-        &self.first_violation
-    }
-    fn to_json(&self) -> String {
-        self.to_json()
-    }
-    fn parse(text: &str) -> Result<Self, String> {
-        ElasticRepro::parse(text)
-    }
-    fn replay(&self) -> Vec<Violation> {
-        self.replay()
-    }
-    fn describe(&self) -> String {
-        format!(
-            "replaying elastic case: seed {} boards {} events {}",
-            self.seed,
-            self.boards,
-            self.events.len()
-        )
-    }
+fn unreadable(message: String) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
-fn fail_with_repro<R: Repro>(repro: R, original_events: usize) -> ! {
-    println!(
-        "shrunk {}: {} -> {} event(s)",
-        R::TRACE,
-        original_events,
-        repro.events_len()
-    );
-    println!("first violation: {}", repro.first_violation());
-    bench::write_raw(R::FILE, &repro.to_json());
-    println!(
-        "replay: cargo run -p bench --release --bin simcheck -- \
-         --replay results/{}",
-        R::FILE
-    );
-    std::process::exit(1);
-}
-
-fn replay_as<R: Repro>(path: &str, text: &str) -> ! {
-    let repro = R::parse(text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(2);
-    });
-    println!("{}", repro.describe());
+fn replay_as<C: Case>(path: &str, text: &str) -> ! {
+    let repro =
+        Repro::<C>::parse(text).unwrap_or_else(|e| unreadable(format!("cannot parse {path}: {e}")));
+    let events = repro.case.events().len();
+    println!("replaying {} case: {events} event(s)", C::KIND);
     let violations = repro.replay();
     print!("{}", render(&violations));
     if violations.is_empty() {
@@ -213,124 +211,22 @@ fn replay_as<R: Repro>(path: &str, text: &str) -> ! {
     std::process::exit(0);
 }
 
+/// The one place a repro's `kind` picks its [`Case`].
 fn replay(path: &str) -> ! {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    // Scheduler repros carry a top-level "kind"; fault-plan repros carry
-    // a "mode" instead (and report their own parse errors otherwise).
-    match json::parse(&text) {
-        Ok(Value::Object(fields)) if fields.iter().any(|(key, _)| key == "kind") => {
-            replay_as::<ElasticRepro>(path, &text)
-        }
-        _ => replay_as::<ReproSpec>(path, &text),
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| unreadable(format!("cannot read {path}: {e}")));
+    match kind_of(&text).as_deref() {
+        Ok(SessionSpec::KIND) => replay_as::<SessionSpec>(path, &text),
+        Ok(ScenarioSpec::KIND) => replay_as::<ScenarioSpec>(path, &text),
+        Ok(ElasticSpec::KIND) => replay_as::<ElasticSpec>(path, &text),
+        Ok(other) => unreadable(format!(
+            "cannot parse {path}: unknown kind {other:?} (known: {}, {}, {})",
+            SessionSpec::KIND,
+            ScenarioSpec::KIND,
+            ElasticSpec::KIND
+        )),
+        Err(e) => unreadable(format!("cannot parse {path}: {e}")),
     }
-}
-
-/// Shrinks a failing elastic lease trace and captures the repro.
-fn shrink_elastic(spec: &ElasticSpec) -> ElasticRepro {
-    let minimal = ddmin(&spec.events, |events| {
-        !run_elastic_events(spec, events).violations.is_empty()
-    });
-    let violations = run_elastic_events(spec, &minimal).violations;
-    ElasticRepro::capture(spec, &minimal, &violations)
-}
-
-/// Validates one planted bug: it must be caught on some seed, shrink to
-/// at most `max_events` events, and replay byte-identically twice from
-/// its own artifact. `catch` runs one seed with the bug planted and, when
-/// the oracle fires, returns the first violation, the unshrunk event
-/// count and the shrunk repro.
-fn validate_planted_bug<R: Repro>(
-    name: &str,
-    seeds: u64,
-    max_events: usize,
-    catch: impl Fn(u64) -> Option<(Violation, usize, R)>,
-) -> bool {
-    println!("validating oracle sensitivity: {name}");
-    for seed in 0..seeds {
-        let Some((first, original_events, repro)) = catch(seed) else {
-            continue; // this seed never provoked the bug
-        };
-        println!("caught on seed {seed}: {first}");
-        println!(
-            "shrunk {}: {} -> {} event(s)",
-            R::TRACE,
-            original_events,
-            repro.events_len()
-        );
-        if repro.events_len() > max_events {
-            println!(
-                "FAIL: minimal repro has {} events (> {max_events})",
-                repro.events_len()
-            );
-            return false;
-        }
-        let json = repro.to_json();
-        bench::write_raw(R::FILE, &json);
-        // The repro must replay byte-identically, twice, from its own
-        // serialized form.
-        let parsed = R::parse(&json).expect("own artifact parses");
-        let first = render(&parsed.replay());
-        let second = render(&parsed.replay());
-        if first != second || first.contains("total: 0") {
-            println!("FAIL: replay is not byte-identical or lost the violation");
-            print!("--- first ---\n{first}--- second ---\n{second}");
-            return false;
-        }
-        println!("replay is byte-identical across two runs:");
-        print!("{first}");
-        return true;
-    }
-    println!("FAIL: {name} evaded the oracle on {seeds} seeds");
-    false
-}
-
-/// One seed of a planted LTL-session bug (`plant` arms it on the spec).
-fn catch_session(seed: u64, plant: fn(&mut SessionSpec)) -> Option<(Violation, usize, ReproSpec)> {
-    let mut spec = SessionSpec::generate(seed);
-    plant(&mut spec);
-    let first = run_session(&spec).violations.into_iter().next()?;
-    let repro = shrink_session(&spec, std::slice::from_ref(&first));
-    Some((first, spec.plan.events.len(), repro))
-}
-
-/// One seed of the planted elastic-scheduler bug: a defrag move that
-/// drops the migrated tenant's ER/LTL caps.
-fn catch_elastic(seed: u64) -> Option<(Violation, usize, ElasticRepro)> {
-    let mut spec = ElasticSpec::generate(seed);
-    spec.plant_defrag_bug = true;
-    let first = run_elastic(&spec).violations.into_iter().next()?;
-    Some((first, spec.events.len(), shrink_elastic(&spec)))
-}
-
-/// Harness self-test over every planted bug, one per transport mode. A
-/// blind oracle — one that would also wave through a buggy engine —
-/// fails here, not in production.
-fn validate_oracle(seeds: u64, elastic_only: bool) -> ! {
-    let elastic_ok = validate_planted_bug("elastic defrag cap drop", seeds, 5, catch_elastic);
-    if elastic_only {
-        if elastic_ok {
-            println!("oracle validation passed");
-            std::process::exit(0);
-        }
-        std::process::exit(1);
-    }
-    let gbn_ok = validate_planted_bug("go-back-n retransmit loss", seeds, 3, |seed| {
-        catch_session(seed, |spec| spec.lose_retransmits = 1)
-    });
-    let sr_ok = validate_planted_bug("selective-repeat sack omission", seeds, 3, |seed| {
-        catch_session(seed, |spec| {
-            spec.mode = LtlMode::SelectiveRepeat;
-            spec.omit_sacks = 4;
-        })
-    });
-    if gbn_ok && sr_ok && elastic_ok {
-        println!("oracle validation passed");
-        std::process::exit(0);
-    }
-    std::process::exit(1);
 }
 
 fn main() {
@@ -343,7 +239,6 @@ fn main() {
         replay(&path);
     }
 
-    let quick = bench::quick_mode();
     let seeds: u64 = arg_value("--seeds")
         .map(|v| v.parse().expect("--seeds takes an integer"))
         .unwrap_or(64);
@@ -351,84 +246,108 @@ fn main() {
         .map(|v| v.parse().expect("--seed-base takes an integer"))
         .unwrap_or(0);
     let inject_bug = flag("--inject-bug");
-    let elastic_only = flag("--elastic-only");
-    let (dcqcn_steps, er_ops) = if quick { (150, 150) } else { (500, 400) };
-    let scenario_every = if quick { 8 } else { 4 };
+    let (dcqcn_steps, er_ops, scenario_every) = if bench::quick_mode() {
+        (150, 150, 8)
+    } else {
+        (500, 400, 4)
+    };
+
+    // The oracle table, in sweep order: every how many seeds a row runs,
+    // and the row. `--elastic-only` is the first row alone.
+    let table: [(u64, &dyn Oracle); 6] = [
+        (
+            1,
+            &Lane::<ElasticSpec> {
+                name: "elastic scheduler",
+                tag: "",
+                file: "simcheck_elastic_repro.json",
+                trace: "lease trace",
+                // A defrag move that drops the migrated tenant's caps.
+                prepare: |spec, bug| spec.plant_defrag_bug = bug,
+                bug: Some(("elastic defrag cap drop", 5)),
+            },
+        ),
+        (
+            1,
+            &SeedOnly {
+                name: "DC-QCN differential",
+                check: dcqcn_ref::check_dcqcn,
+                steps: dcqcn_steps,
+            },
+        ),
+        (
+            1,
+            &SeedOnly {
+                name: "Elastic Router conservation",
+                check: er_check::check_er,
+                steps: er_ops,
+            },
+        ),
+        (
+            1,
+            &Lane::<SessionSpec> {
+                name: "LTL differential",
+                tag: " (gbn)",
+                file: FAULT_PLAN_FILE,
+                trace: "fault plan",
+                prepare: |spec, bug| spec.lose_retransmits = bug as u32,
+                bug: Some(("go-back-n retransmit loss", 3)),
+            },
+        ),
+        (
+            1,
+            &Lane::<SessionSpec> {
+                name: "LTL differential",
+                tag: " (sr)",
+                file: FAULT_PLAN_FILE,
+                trace: "fault plan",
+                prepare: |spec, bug| {
+                    spec.mode = LtlMode::SelectiveRepeat;
+                    spec.omit_sacks = if bug { 4 } else { 0 };
+                },
+                bug: Some(("selective-repeat sack omission", 3)),
+            },
+        ),
+        (
+            scenario_every,
+            &Lane::<ScenarioSpec> {
+                name: "cluster invariant",
+                tag: "",
+                file: FAULT_PLAN_FILE,
+                trace: "fault plan",
+                prepare: |_, _| {},
+                bug: None,
+            },
+        ),
+    ];
+    let table = if flag("--elastic-only") {
+        &table[..1]
+    } else {
+        &table[..]
+    };
 
     if flag("--validate-oracle") {
-        validate_oracle(seeds.max(16), elastic_only);
+        // Harness self-test. A blind oracle — one that would also wave
+        // through a buggy engine — fails here, not in production; every
+        // row runs even after one fails, so the log names them all.
+        let ok = table
+            .iter()
+            .fold(true, |ok, (_, oracle)| oracle.validate(seeds.max(16)) && ok);
+        if ok {
+            println!("oracle validation passed");
+        }
+        std::process::exit(if ok { 0 } else { 1 });
     }
 
-    let mut totals = (0u64, 0u64, 0u64); // events, checks, delivered
-    let mut elastic_decisions = 0u64;
+    let mut total = Outcome::default();
     for i in 0..seeds {
-        let seed = seed_base + i;
-
-        {
-            let mut spec = ElasticSpec::generate(seed);
-            if inject_bug {
-                spec.plant_defrag_bug = true;
-            }
-            let out = run_elastic(&spec);
-            totals.0 += spec.events.len() as u64;
-            elastic_decisions += out.decisions;
-            if !out.violations.is_empty() {
-                println!("seed {seed}: elastic scheduler oracle fired");
-                print!("{}", render(&out.violations));
-                fail_with_repro(shrink_elastic(&spec), spec.events.len());
-            }
-        }
-        if elastic_only {
-            continue;
-        }
-
-        let v = dcqcn_ref::check_dcqcn(seed, dcqcn_steps);
-        if !v.is_empty() {
-            println!("seed {seed}: DC-QCN differential oracle fired");
-            print!("{}", render(&v));
-            println!("replay: rerun with --seeds 1 --seed-base {seed}");
-            std::process::exit(1);
-        }
-
-        let v = er_check::check_er(seed, er_ops);
-        if !v.is_empty() {
-            println!("seed {seed}: Elastic Router conservation oracle fired");
-            print!("{}", render(&v));
-            println!("replay: rerun with --seeds 1 --seed-base {seed}");
-            std::process::exit(1);
-        }
-
-        for mode in [LtlMode::GoBackN, LtlMode::SelectiveRepeat] {
-            let mut spec = SessionSpec::generate(seed).with_mode(mode);
-            if inject_bug {
-                match mode {
-                    LtlMode::GoBackN => spec.lose_retransmits = 1,
-                    LtlMode::SelectiveRepeat => spec.omit_sacks = 4,
-                }
-            }
-            let out = run_session(&spec);
-            totals.0 += out.events;
-            totals.1 += out.checks;
-            totals.2 += out.delivered;
-            if !out.violations.is_empty() {
-                println!("seed {seed} ({mode}): LTL differential oracle fired");
-                print!("{}", render(&out.violations));
-                let events = spec.plan.events.len();
-                fail_with_repro(shrink_session(&spec, &out.violations), events);
-            }
-        }
-
-        if i % scenario_every == 0 {
-            let spec = ScenarioSpec::generate(seed);
-            let out = run_scenario(&spec);
-            totals.0 += out.events;
-            totals.1 += out.checks;
-            totals.2 += out.delivered;
-            if !out.violations.is_empty() {
-                println!("seed {seed}: cluster invariant oracle fired");
-                print!("{}", render(&out.violations));
-                let events = spec.plan.events.len();
-                fail_with_repro(shrink_scenario(&spec, &out.violations), events);
+        for (every, oracle) in table {
+            if i % every == 0 {
+                let out = oracle.sweep(seed_base + i, inject_bug);
+                total.events += out.events;
+                total.checks += out.checks;
+                total.delivered += out.delivered;
+                total.decisions += out.decisions;
             }
         }
     }
@@ -439,7 +358,7 @@ fn main() {
     }
     println!(
         "{seeds} seed(s) clean: {} events, {} oracle checks, {} deliveries, \
-         {elastic_decisions} scheduler decisions",
-        totals.0, totals.1, totals.2
+         {} scheduler decisions",
+        total.events, total.checks, total.delivered, total.decisions
     );
 }

@@ -39,6 +39,7 @@
 
 use core::cmp::Reverse;
 use core::ops::Bound;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use dcnet::NodeAddr;
@@ -144,6 +145,8 @@ pub enum ElasticError {
     UnknownBoard(NodeAddr),
     /// The board is already registered.
     DuplicateBoard(NodeAddr),
+    /// A request with this id is still queued or still holds a lease.
+    DuplicateRequest(u64),
     /// The carve has more regions than [`RegionRef::region`] can number.
     TooManyRegions {
         /// The board being registered.
@@ -167,6 +170,9 @@ impl core::fmt::Display for ElasticError {
             ElasticError::SpotPoolEmpty => f.write_str("no spot lease to reclaim"),
             ElasticError::UnknownBoard(a) => write!(f, "unknown board {a}"),
             ElasticError::DuplicateBoard(a) => write!(f, "board {a} already registered"),
+            ElasticError::DuplicateRequest(req) => {
+                write!(f, "request {req} is still queued or leased")
+            }
             ElasticError::TooManyRegions { board, regions } => write!(
                 f,
                 "board {board} carved into {regions} regions, limit {MAX_REGIONS}"
@@ -802,7 +808,11 @@ impl ElasticScheduler {
     ///
     /// [`ElasticError::RequestTooLarge`] when no region on any up board
     /// can ever hold `alms`; the request is also recorded as a
-    /// [`Decision::Reject`].
+    /// [`Decision::Reject`]. [`ElasticError::DuplicateRequest`] when `req`
+    /// is still queued or still holds a lease: two live requests under
+    /// one id could not be told apart by the reservation and release
+    /// that name them, so nothing is recorded and nothing changes (an id
+    /// whose request is done may be reused).
     ///
     /// [`apply`]: ElasticScheduler::apply
     #[allow(clippy::too_many_arguments)]
@@ -817,6 +827,20 @@ impl ElasticScheduler {
         caps: TenantCaps,
     ) -> Result<(), ElasticError> {
         self.advance(now);
+        // Accepting the request is what makes its id live: it waits from
+        // here until the reject or a grant below says otherwise.
+        match self.req_state.entry(req) {
+            Entry::Occupied(live) if *live.get() != ReqState::Done => {
+                self.check_indexes();
+                return Err(ElasticError::DuplicateRequest(req));
+            }
+            Entry::Occupied(mut done) => {
+                done.insert(ReqState::Queued);
+            }
+            Entry::Vacant(unseen) => {
+                unseen.insert(ReqState::Queued);
+            }
+        }
         if alms > self.largest {
             self.rejects += 1;
             self.req_state.insert(req, ReqState::Done);
@@ -845,7 +869,6 @@ impl ElasticScheduler {
         if let Some(at) = self.best_fit_free(alms) {
             self.grant(now, &w, at);
         } else {
-            self.req_state.insert(req, ReqState::Queued);
             self.queue.insert((class.rank(), req, self.arrivals), w);
             self.arrivals += 1;
             self.push(Decision::Queue { req });

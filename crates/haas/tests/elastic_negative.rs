@@ -142,6 +142,44 @@ fn double_release_is_rejected_not_double_freed() {
 }
 
 #[test]
+fn request_id_that_is_still_live_is_a_typed_reject() {
+    let mut s = sched();
+    let ask = |s: &mut ElasticScheduler, us: u64, req: u64, alms: u32| {
+        s.request(
+            SimTime::from_micros(us),
+            req,
+            TenantId(1),
+            TenantClass::Guaranteed,
+            alms,
+            false,
+            caps(),
+        )
+    };
+    ask(&mut s, 0, 0, 9_000).unwrap();
+    ask(&mut s, 1, 1, 15_000).unwrap();
+    ask(&mut s, 2, 2, 18_000).unwrap();
+    assert_eq!(s.queued_reqs(), vec![2], "both regions are taken");
+    let (decisions, placement) = (s.decisions().len(), s.placement());
+    // While leased and while queued (here even too large for the pool):
+    // refused, no decision, books untouched.
+    for (us, req, alms) in [(3, 0, 15_000), (4, 2, 5_000), (5, 2, 25_000)] {
+        assert_eq!(
+            ask(&mut s, us, req, alms).unwrap_err(),
+            ElasticError::DuplicateRequest(req)
+        );
+        assert_eq!(s.decisions().len(), decisions);
+        assert_eq!(s.placement(), placement);
+        assert_eq!(s.queued_reqs(), vec![2]);
+        assert_eq!(s.leases().count(), 2);
+        assert_eq!(s.indexes_match_rescan(), Ok(()));
+    }
+    // Once the request is done its id may be reused.
+    s.release(SimTime::from_micros(6), 0).unwrap();
+    ask(&mut s, 7, 0, 9_000).unwrap();
+    assert_eq!(s.leases().filter(|l| l.req == 0).count(), 1);
+}
+
+#[test]
 fn reclaiming_from_an_empty_spot_pool_errors() {
     let mut s = sched();
     // Only non-spot leases live.
@@ -231,6 +269,7 @@ fn errors_display_without_panicking() {
         ElasticError::SpotPoolEmpty,
         ElasticError::UnknownBoard(NodeAddr::new(1, 2, 3)),
         ElasticError::DuplicateBoard(NodeAddr::new(1, 2, 3)),
+        ElasticError::DuplicateRequest(4),
         ElasticError::TooManyRegions {
             board: NodeAddr::new(1, 2, 3),
             regions: 300,

@@ -1,9 +1,10 @@
 //! Differential oracle for the elastic multi-tenant HaaS scheduler.
 //!
-//! [`ElasticSpec::generate`] draws a randomized tenant mix — board count,
-//! offered load, class weights, hold times, chaos board crashes — and
-//! [`run_elastic`] drives the real [`haas::ElasticScheduler`] and the
-//! pure [`RefScheduler`] over the same trace in lockstep, comparing
+//! [`ElasticSpec`]'s [`Case::generate`] draws a randomized tenant mix —
+//! board count, offered load, class weights, hold times, chaos board
+//! crashes — and its [`Case::run`] drives the real
+//! [`haas::ElasticScheduler`] and the pure [`RefScheduler`] over the same
+//! trace in lockstep, comparing
 //! decision streams, placement snapshots and lease tables after *every*
 //! event, plus event-granularity invariants on the real scheduler:
 //!
@@ -25,14 +26,16 @@
 //!   ([`haas::ElasticScheduler::indexes_match_rescan`]; release builds of
 //!   the sweep check it here, debug builds also inside every mutator).
 //!
-//! Failing traces shrink through [`crate::shrink::ddmin`] and serialize
-//! as [`ElasticRepro`] JSON that replays byte-identically.
+//! Failing traces shrink through [`crate::shrink::shrink`] and serialize
+//! as [`crate::repro::Repro`] JSON that replays byte-identically.
 
 use crate::haas_ref::RefScheduler;
-use crate::json::{addr_from_value, addr_to_value, as_object, get_bool, get_str, get_u64, lookup};
-use crate::Violation;
+use crate::json::{
+    addr_from_value, addr_to_value, array, as_object, as_uint, get_array, get_bool, get_str,
+    get_u16, get_u32, get_u64, lookup, uint,
+};
+use crate::{Case, Outcome, Violation};
 use catapult::elastic::{generate_trace, ElasticTraceConfig, MixWeights};
-use dcnet::NodeAddr;
 use dcsim::{SimDuration, SimRng, SimTime};
 use haas::{Decision, ElasticConfig, LeaseEvent, LeaseEventKind, RegionLease, TenantClass};
 use serde::Value;
@@ -56,10 +59,13 @@ pub struct ElasticSpec {
     pub plant_defrag_bug: bool,
 }
 
-impl ElasticSpec {
+impl Case for ElasticSpec {
+    const KIND: &'static str = "elastic";
+    type Event = LeaseEvent;
+
     /// Draws a randomized spec: board count, load, mix, hold time, chaos
     /// rate and scheduler knobs all vary with the seed.
-    pub fn generate(seed: u64) -> ElasticSpec {
+    fn generate(seed: u64) -> ElasticSpec {
         let mut rng = SimRng::seed_from(seed ^ 0x5EED_E1A5_71C5_0B01);
         let trace = ElasticTraceConfig {
             seed,
@@ -98,22 +104,130 @@ impl ElasticSpec {
             plant_defrag_bug: false,
         }
     }
-}
 
-/// Result of one differential run.
-#[derive(Debug, Clone)]
-pub struct ElasticOutcome {
-    /// Oracle violations, in firing order (empty on agreement).
-    pub violations: Vec<Violation>,
-    /// Real-scheduler decision count.
-    pub decisions: u64,
-    /// Real-scheduler decision fingerprint.
-    pub fingerprint: u64,
-}
+    fn events(&self) -> &[LeaseEvent] {
+        &self.events
+    }
 
-/// Runs the spec's own event list through both schedulers.
-pub fn run_elastic(spec: &ElasticSpec) -> ElasticOutcome {
-    run_elastic_events(spec, &spec.events)
+    fn with_events(&self, events: Vec<LeaseEvent>) -> ElasticSpec {
+        ElasticSpec {
+            events,
+            ..self.clone()
+        }
+    }
+
+    fn to_value(&self) -> Value {
+        let sched = &self.sched;
+        Value::Object(vec![
+            uint("seed", self.seed),
+            uint("boards", self.trace.boards),
+            array("region_alms", &self.region_alms, |&a| Value::U64(a as u64)),
+            uint("horizon_ns", self.trace.horizon.as_nanos()),
+            uint("eviction_window_ns", sched.eviction_window.as_nanos()),
+            uint("defrag_period_ns", sched.defrag_period.as_nanos()),
+            uint("spot_reserve_permille", sched.spot_reserve_permille),
+            ("planted".into(), Value::Bool(self.plant_defrag_bug)),
+            array("events", &self.events, event_to_value),
+        ])
+    }
+
+    /// The seed is provenance only: pool, knobs and events are all
+    /// stored, and the trace shape beyond board count and horizon has
+    /// no bearing on a run.
+    fn from_value(value: &Value) -> Result<ElasticSpec, String> {
+        let obj = as_object(value, "repro")?;
+        let seed = get_u64(obj, "seed")?;
+        let nanos = |key: &str| get_u64(obj, key).map(SimDuration::from_nanos);
+        Ok(ElasticSpec {
+            seed,
+            trace: ElasticTraceConfig {
+                seed,
+                boards: get_u16(obj, "boards")?,
+                horizon: nanos("horizon_ns")?,
+                ..ElasticTraceConfig::default()
+            },
+            sched: ElasticConfig {
+                eviction_window: nanos("eviction_window_ns")?,
+                defrag_period: nanos("defrag_period_ns")?,
+                spot_reserve_permille: get_u32(obj, "spot_reserve_permille")?,
+            },
+            region_alms: get_array(obj, "region_alms", |v| as_uint(v, "region_alms"))?,
+            events: get_array(obj, "events", event_from_value)?,
+            plant_defrag_bug: get_bool(obj, "planted")?,
+        })
+    }
+
+    /// Runs the event list through both schedulers, checking the oracle
+    /// after every event and once more after settling both to the trace
+    /// horizon.
+    fn run(&self) -> Outcome {
+        let mut real = haas::ElasticScheduler::new(self.sched);
+        let mut reference = RefScheduler::new(self.sched);
+        for i in 0..self.trace.boards {
+            let addr = catapult::elastic::board_addr(i);
+            let _ = real.add_board(addr, &self.region_alms);
+            reference.add_board(addr, &self.region_alms);
+        }
+        if self.plant_defrag_bug {
+            real.set_debug_defrag_drop_caps(true);
+        }
+
+        let mut violations = Vec::new();
+        let mut queued: Vec<(u64, TrackedReq)> = Vec::new();
+        let horizon = SimTime::from_nanos(self.trace.horizon.as_nanos());
+
+        for ev in &self.events {
+            let before: Vec<RegionLease> = real.leases().cloned().collect();
+            let start_real = real.decisions().len();
+            real.apply(ev);
+            let d_real = &real.decisions()[start_real..];
+            let d_ref = reference.apply(ev);
+            track_queue(&mut queued, ev, d_real);
+            check_step(
+                self,
+                &real,
+                &reference,
+                d_real,
+                &d_ref,
+                &before,
+                &queued,
+                ev.at,
+                &mut violations,
+            );
+            if violations.len() >= VIOLATIONS_CAP {
+                break;
+            }
+        }
+        if violations.len() < VIOLATIONS_CAP {
+            // Settle trailing evictions and defrag boundaries; the planted
+            // defrag bug often only fires here, after the last trace event.
+            let before: Vec<RegionLease> = real.leases().cloned().collect();
+            let start_real = real.decisions().len();
+            let start_ref = reference.decisions().len();
+            real.advance_to(horizon);
+            reference.advance_to(horizon);
+            let d_real = real.decisions()[start_real..].to_vec();
+            let d_ref = reference.decisions()[start_ref..].to_vec();
+            drain_queue(&mut queued, &d_real);
+            check_step(
+                self,
+                &real,
+                &reference,
+                &d_real,
+                &d_ref,
+                &before,
+                &queued,
+                horizon,
+                &mut violations,
+            );
+        }
+        Outcome {
+            violations,
+            events: self.events.len() as u64,
+            decisions: real.decisions().len() as u64,
+            ..Outcome::default()
+        }
+    }
 }
 
 /// Identity fields a defrag migration must preserve.
@@ -130,83 +244,9 @@ struct TrackedReq {
     alms: u32,
 }
 
-/// Runs an explicit event list (the ddmin probe path) through both
-/// schedulers, checking the oracle after every event and once more after
-/// settling both to the trace horizon.
-pub fn run_elastic_events(spec: &ElasticSpec, events: &[LeaseEvent]) -> ElasticOutcome {
-    let mut real = haas::ElasticScheduler::new(spec.sched);
-    let mut reference = RefScheduler::new(spec.sched);
-    for i in 0..spec.trace.boards {
-        let addr = catapult::elastic::board_addr(i);
-        let _ = real.add_board(addr, &spec.region_alms);
-        reference.add_board(addr, &spec.region_alms);
-    }
-    if spec.plant_defrag_bug {
-        real.set_debug_defrag_drop_caps(true);
-    }
-
-    let mut violations = Vec::new();
-    let mut queued: Vec<(u64, TrackedReq)> = Vec::new();
-    let horizon = SimTime::from_nanos(spec.trace.horizon.as_nanos());
-    let cap = violations_cap();
-
-    for ev in events {
-        let before: Vec<RegionLease> = real.leases().cloned().collect();
-        let start_real = real.decisions().len();
-        real.apply(ev);
-        let d_real = &real.decisions()[start_real..];
-        let d_ref = reference.apply(ev);
-        track_queue(&mut queued, ev, d_real);
-        check_step(
-            spec,
-            &real,
-            &reference,
-            d_real,
-            &d_ref,
-            &before,
-            &queued,
-            ev.at,
-            &mut violations,
-        );
-        if violations.len() >= cap {
-            break;
-        }
-    }
-    if violations.len() < cap {
-        // Settle trailing evictions and defrag boundaries; the planted
-        // defrag bug often only fires here, after the last trace event.
-        let before: Vec<RegionLease> = real.leases().cloned().collect();
-        let start_real = real.decisions().len();
-        let start_ref = reference.decisions().len();
-        real.advance_to(horizon);
-        reference.advance_to(horizon);
-        let d_real = real.decisions()[start_real..].to_vec();
-        let d_ref = reference.decisions()[start_ref..].to_vec();
-        drain_queue(&mut queued, &d_real);
-        check_step(
-            spec,
-            &real,
-            &reference,
-            &d_real,
-            &d_ref,
-            &before,
-            &queued,
-            horizon,
-            &mut violations,
-        );
-    }
-    ElasticOutcome {
-        violations,
-        decisions: real.decisions().len() as u64,
-        fingerprint: real.fingerprint(),
-    }
-}
-
 /// Stop collecting after this many violations: one is enough to fail a
 /// seed, and ddmin probes only ask "still failing?".
-fn violations_cap() -> usize {
-    16
-}
+const VIOLATIONS_CAP: usize = 16;
 
 /// Maintains the harness's mirror of the wait queue from the event and
 /// decision streams alone.
@@ -323,21 +363,14 @@ fn check_step(
         }
     }
 
-    // Board up/down state, reconstructed from the placement-bearing
-    // reference (its flag is part of the compared contract).
-    let board_up = |addr: NodeAddr| -> bool {
-        // A board is down iff its regions can hold nothing; the harness
-        // tracks this through the real scheduler's own pool arithmetic:
-        // BoardDown events zero the board's contribution. Reconstruct
-        // from decisions instead: cheaper to ask the reference.
-        reference.board_is_up(addr)
-    };
     for (req, info) in queued {
         let reserved = p_real
             .iter()
             .any(|(_, _, pending)| matches!(pending, Some((_, Some(r))) if r == req));
         for (r, occ, pending) in &p_real {
-            if !board_up(r.board) || pending.is_some() {
+            // Board up/down comes from the reference: its flag is part of
+            // the contract the placement comparison above holds it to.
+            if !reference.board_is_up(r.board) || pending.is_some() {
                 continue;
             }
             let region_alms = spec
@@ -426,160 +459,6 @@ fn check_step(
     }
 }
 
-/// A self-contained, replayable failing elastic case.
-#[derive(Debug, Clone)]
-pub struct ElasticRepro {
-    /// Generating seed (provenance only; events are stored verbatim).
-    pub seed: u64,
-    /// Board count.
-    pub boards: u16,
-    /// Per-board region carve.
-    pub region_alms: Vec<u32>,
-    /// Settle horizon, ns.
-    pub horizon_ns: u64,
-    /// Scheduler knobs.
-    pub sched: ElasticConfig,
-    /// Whether the defrag bug was planted.
-    pub planted: bool,
-    /// The (shrunk) event trace.
-    pub events: Vec<LeaseEvent>,
-    /// First violation of the original run, for the reader.
-    pub first_violation: String,
-}
-
-impl ElasticRepro {
-    /// Captures a failing case with its (shrunk) event list.
-    pub fn capture(spec: &ElasticSpec, events: &[LeaseEvent], violations: &[Violation]) -> Self {
-        ElasticRepro {
-            seed: spec.seed,
-            boards: spec.trace.boards,
-            region_alms: spec.region_alms.clone(),
-            horizon_ns: spec.trace.horizon.as_nanos(),
-            sched: spec.sched,
-            planted: spec.plant_defrag_bug,
-            events: events.to_vec(),
-            first_violation: violations
-                .first()
-                .map(|v| v.to_string())
-                .unwrap_or_default(),
-        }
-    }
-
-    /// Rebuilds the harness inputs and replays, returning the violations
-    /// observed (identical to the captured run on a healthy checkout).
-    pub fn replay(&self) -> Vec<Violation> {
-        let spec = ElasticSpec {
-            seed: self.seed,
-            trace: ElasticTraceConfig {
-                seed: self.seed,
-                boards: self.boards,
-                horizon: SimDuration::from_nanos(self.horizon_ns),
-                ..ElasticTraceConfig::default()
-            },
-            sched: self.sched,
-            region_alms: self.region_alms.clone(),
-            events: self.events.clone(),
-            plant_defrag_bug: self.planted,
-        };
-        run_elastic(&spec).violations
-    }
-
-    /// Serializes to pretty JSON (canonical: re-serializing a parse is
-    /// byte-identical).
-    pub fn to_json(&self) -> String {
-        struct Tree(Value);
-        impl serde::Serialize for Tree {
-            fn to_value(&self) -> Value {
-                self.0.clone()
-            }
-        }
-        serde_json::to_string_pretty(&Tree(self.to_value())).expect("value tree is finite")
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("kind".into(), Value::Str("elastic".into())),
-            ("seed".into(), Value::U64(self.seed)),
-            ("boards".into(), Value::U64(self.boards as u64)),
-            (
-                "region_alms".into(),
-                Value::Array(
-                    self.region_alms
-                        .iter()
-                        .map(|&a| Value::U64(a as u64))
-                        .collect(),
-                ),
-            ),
-            ("horizon_ns".into(), Value::U64(self.horizon_ns)),
-            (
-                "eviction_window_ns".into(),
-                Value::U64(self.sched.eviction_window.as_nanos()),
-            ),
-            (
-                "defrag_period_ns".into(),
-                Value::U64(self.sched.defrag_period.as_nanos()),
-            ),
-            (
-                "spot_reserve_permille".into(),
-                Value::U64(self.sched.spot_reserve_permille as u64),
-            ),
-            ("planted".into(), Value::Bool(self.planted)),
-            (
-                "events".into(),
-                Value::Array(self.events.iter().map(event_to_value).collect()),
-            ),
-            (
-                "first_violation".into(),
-                Value::Str(self.first_violation.clone()),
-            ),
-        ])
-    }
-
-    /// Parses a repro back from JSON.
-    pub fn parse(text: &str) -> Result<ElasticRepro, String> {
-        let value = telemetry::json::parse(text)?;
-        let obj = as_object(&value, "repro")?;
-        if get_str(obj, "kind")? != "elastic" {
-            return Err("kind: expected \"elastic\"".into());
-        }
-        let region_alms = match lookup(obj, "region_alms")? {
-            Value::Array(items) => items
-                .iter()
-                .map(|v| match v {
-                    Value::U64(n) => Ok(*n as u32),
-                    _ => Err("region_alms: expected unsigned integers".to_string()),
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("region_alms: expected an array".into()),
-        };
-        let events = match lookup(obj, "events")? {
-            Value::Array(items) => items
-                .iter()
-                .map(event_from_value)
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("events: expected an array".into()),
-        };
-        Ok(ElasticRepro {
-            seed: get_u64(obj, "seed")?,
-            boards: get_u64(obj, "boards")? as u16,
-            region_alms,
-            horizon_ns: get_u64(obj, "horizon_ns")?,
-            sched: ElasticConfig {
-                eviction_window: SimDuration::from_nanos(get_u64(obj, "eviction_window_ns")?),
-                defrag_period: SimDuration::from_nanos(get_u64(obj, "defrag_period_ns")?),
-                spot_reserve_permille: get_u64(obj, "spot_reserve_permille")? as u32,
-            },
-            planted: get_bool(obj, "planted")?,
-            events,
-            first_violation: get_str(obj, "first_violation")?.to_string(),
-        })
-    }
-}
-
-fn class_name(class: TenantClass) -> &'static str {
-    class.label()
-}
-
 fn class_from_name(s: &str) -> Result<TenantClass, String> {
     TenantClass::ALL
         .into_iter()
@@ -600,7 +479,7 @@ fn event_to_value(event: &LeaseEvent) -> Value {
         } => {
             fields.push(("req".into(), Value::U64(*req)));
             fields.push(("tenant".into(), Value::U64(tenant.0 as u64)));
-            fields.push(("class".into(), Value::Str(class_name(*class).into())));
+            fields.push(("class".into(), Value::Str(class.label().into())));
             fields.push(("alms".into(), Value::U64(*alms as u64)));
             fields.push(("preemptible".into(), Value::Bool(*preemptible)));
             fields.push(("er_mbps".into(), Value::U64(caps.er_mbps as u64)));
@@ -630,13 +509,13 @@ fn event_from_value(value: &Value) -> Result<LeaseEvent, String> {
     let kind = match get_str(obj, "kind")? {
         "request" => LeaseEventKind::Request {
             req: get_u64(obj, "req")?,
-            tenant: TenantId(get_u64(obj, "tenant")? as u32),
+            tenant: TenantId(get_u32(obj, "tenant")?),
             class: class_from_name(get_str(obj, "class")?)?,
-            alms: get_u64(obj, "alms")? as u32,
+            alms: get_u32(obj, "alms")?,
             preemptible: get_bool(obj, "preemptible")?,
             caps: TenantCaps {
-                er_mbps: get_u64(obj, "er_mbps")? as u32,
-                ltl_credits: get_u64(obj, "ltl_credits")? as u32,
+                er_mbps: get_u32(obj, "er_mbps")?,
+                ltl_credits: get_u32(obj, "ltl_credits")?,
             },
         },
         "release" => LeaseEventKind::Release {
@@ -656,13 +535,14 @@ fn event_from_value(value: &Value) -> Result<LeaseEvent, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shrink::ddmin;
+    use crate::repro::tests::round_trip_and_replay;
+    use crate::repro::Repro;
+    use dcnet::NodeAddr;
 
     #[test]
     fn clean_seeds_produce_no_violations() {
         for seed in 0..12u64 {
-            let spec = ElasticSpec::generate(seed);
-            let outcome = run_elastic(&spec);
+            let outcome = ElasticSpec::generate(seed).run();
             assert!(
                 outcome.violations.is_empty(),
                 "seed {seed}: {:?}",
@@ -675,54 +555,34 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let spec = ElasticSpec::generate(3);
-        let a = run_elastic(&spec);
-        let b = run_elastic(&spec);
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.decisions, b.decisions);
+        assert_eq!(spec.run(), spec.run());
     }
 
     #[test]
     fn planted_defrag_bug_is_caught_and_shrinks_small() {
         // Find a seed where defrag actually migrates something.
-        let mut caught = None;
-        for seed in 0..32u64 {
-            let mut spec = ElasticSpec::generate(seed);
-            spec.plant_defrag_bug = true;
-            let outcome = run_elastic(&spec);
-            if !outcome.violations.is_empty() {
-                caught = Some((spec, outcome));
-                break;
-            }
-        }
-        let (spec, outcome) = caught.expect("32 seeds never migrated a lease");
-        assert!(outcome
+        let spec = (0..32u64)
+            .map(|seed| ElasticSpec {
+                plant_defrag_bug: true,
+                ..ElasticSpec::generate(seed)
+            })
+            .find(|spec| !spec.run().violations.is_empty())
+            .expect("32 seeds never migrated a lease");
+        assert!(spec
+            .run()
             .violations
             .iter()
             .any(|v| v.check == "defrag.preserves" || v.check == "oracle.lease"));
-        let minimal = ddmin(&spec.events, |candidate| {
-            !run_elastic_events(&spec, candidate).violations.is_empty()
-        });
+        let repro = round_trip_and_replay(&spec, "request");
         assert!(
-            minimal.len() <= 5,
+            repro.case.events.len() <= 5,
             "planted bug should shrink to <=5 events, got {}",
-            minimal.len()
+            repro.case.events.len()
         );
-        // The shrunk repro replays byte-identically.
-        let violations = run_elastic_events(&spec, &minimal).violations;
-        let shrunk = ElasticSpec {
-            events: minimal.clone(),
-            ..spec.clone()
-        };
-        let repro = ElasticRepro::capture(&shrunk, &minimal, &violations);
-        let json = repro.to_json();
-        let parsed = ElasticRepro::parse(&json).unwrap();
-        assert_eq!(parsed.to_json(), json, "canonical serialization");
-        assert_eq!(parsed.replay(), violations, "replay reproduces exactly");
     }
 
-    #[test]
-    fn repro_json_round_trips_every_event_kind() {
-        let spec = ElasticSpec::generate(1);
+    /// A clean case whose trace holds every event kind.
+    fn every_event_kind() -> ElasticSpec {
         let events = vec![
             LeaseEvent {
                 at: SimTime::from_micros(5),
@@ -755,20 +615,34 @@ mod tests {
                 },
             },
         ];
-        let repro = ElasticRepro::capture(&spec, &events, &[]);
-        let parsed = ElasticRepro::parse(&repro.to_json()).unwrap();
-        assert_eq!(parsed.events, events);
-        assert_eq!(parsed.boards, spec.trace.boards);
+        let mut spec = ElasticSpec::generate(1).with_events(events);
+        spec.trace.boards = 4;
+        spec
+    }
+
+    #[test]
+    fn repro_json_round_trips_every_event_kind() {
+        let spec = every_event_kind();
+        let json = round_trip_and_replay(&spec, "board_down").to_json();
+        let parsed = Repro::<ElasticSpec>::parse(&json).unwrap().case;
+        assert_eq!(parsed.trace.boards, spec.trace.boards);
         assert_eq!(parsed.sched, spec.sched);
+        assert_eq!(parsed.region_alms, spec.region_alms);
     }
 
     #[test]
     fn malformed_repros_are_rejected() {
-        assert!(ElasticRepro::parse("{}").is_err());
-        assert!(ElasticRepro::parse("[]").is_err());
-        let spec = ElasticSpec::generate(2);
-        let repro = ElasticRepro::capture(&spec, &spec.events[..4.min(spec.events.len())], &[]);
-        let bad = repro.to_json().replace("request", "summon");
-        assert!(ElasticRepro::parse(&bad).is_err());
+        let json = round_trip_and_replay(&every_event_kind(), "request").to_json();
+        // A number too wide for its field is an error naming the field,
+        // never a silent wrap: u16, u32 and a u32 array element.
+        for (field, from, to) in [
+            ("boards", "\"boards\": 4,", "\"boards\": 70000,"),
+            ("alms", "\"alms\": 12345,", "\"alms\": 4294967296,"),
+            ("region_alms", "    24147,", "    4294967296,"),
+        ] {
+            assert!(json.contains(from), "{field}: sample lacks {from:?}");
+            let err = Repro::<ElasticSpec>::parse(&json.replacen(from, to, 1)).unwrap_err();
+            assert!(err.starts_with(field), "{field}: {err}");
+        }
     }
 }

@@ -313,6 +313,11 @@ impl RefScheduler {
         preemptible: bool,
         caps: TenantCaps,
     ) {
+        // An id that is still queued or leased is refused outright: no
+        // decision, no state change (`ElasticError::DuplicateRequest`).
+        if let Some(RefReq::Queued | RefReq::Active(_)) = self.req_state(req) {
+            return;
+        }
         let largest = self
             .slots
             .iter()

@@ -18,16 +18,28 @@ pub(crate) fn lookup<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Va
         .ok_or_else(|| format!("missing field {key:?}"))
 }
 
+/// `value` as an unsigned integer that fits `T`; `what` names the field
+/// in the error. Every narrowing goes through here, so a hand-edited
+/// out-of-range number is rejected instead of silently wrapped.
+pub(crate) fn as_uint<T: TryFrom<u64>>(value: &Value, what: &str) -> Result<T, String> {
+    let n = match value {
+        Value::U64(n) => *n,
+        Value::I64(n) if *n >= 0 => *n as u64,
+        _ => return Err(format!("{what}: expected an unsigned integer")),
+    };
+    T::try_from(n).map_err(|_| format!("{what}: out of {} range", core::any::type_name::<T>()))
+}
+
 pub(crate) fn get_u64(obj: &[(String, Value)], key: &str) -> Result<u64, String> {
-    match lookup(obj, key)? {
-        Value::U64(n) => Ok(*n),
-        Value::I64(n) if *n >= 0 => Ok(*n as u64),
-        _ => Err(format!("{key}: expected an unsigned integer")),
-    }
+    as_uint(lookup(obj, key)?, key)
+}
+
+pub(crate) fn get_u32(obj: &[(String, Value)], key: &str) -> Result<u32, String> {
+    as_uint(lookup(obj, key)?, key)
 }
 
 pub(crate) fn get_u16(obj: &[(String, Value)], key: &str) -> Result<u16, String> {
-    u16::try_from(get_u64(obj, key)?).map_err(|_| format!("{key}: out of u16 range"))
+    as_uint(lookup(obj, key)?, key)
 }
 
 pub(crate) fn get_bool(obj: &[(String, Value)], key: &str) -> Result<bool, String> {
@@ -44,11 +56,33 @@ pub(crate) fn get_str<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a s
     }
 }
 
+/// Parses the array field `key` element by element.
+pub(crate) fn get_array<T>(
+    obj: &[(String, Value)],
+    key: &str,
+    item: impl Fn(&Value) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    match lookup(obj, key)? {
+        Value::Array(items) => items.iter().map(item).collect(),
+        _ => Err(format!("{key}: expected an array")),
+    }
+}
+
+/// An unsigned-integer field.
+pub(crate) fn uint(key: &str, n: impl Into<u64>) -> (String, Value) {
+    (key.into(), Value::U64(n.into()))
+}
+
+/// An array field, one element per item.
+pub(crate) fn array<T>(key: &str, items: &[T], item: impl Fn(&T) -> Value) -> (String, Value) {
+    (key.into(), Value::Array(items.iter().map(item).collect()))
+}
+
 pub(crate) fn addr_to_value(addr: NodeAddr) -> Value {
     Value::Object(vec![
-        ("pod".into(), Value::U64(addr.pod as u64)),
-        ("tor".into(), Value::U64(addr.tor as u64)),
-        ("host".into(), Value::U64(addr.host as u64)),
+        uint("pod", addr.pod),
+        uint("tor", addr.tor),
+        uint("host", addr.host),
     ])
 }
 

@@ -22,6 +22,13 @@
 //!    by delta debugging to a minimal reproduction that replays
 //!    byte-identically ([`shrink`], [`repro`], `bench`'s `simcheck` binary).
 //!
+//! Every oracle that has an event list to shrink is a [`Case`]: the LTL
+//! session ([`session::SessionSpec`]), the whole-cluster scenario
+//! ([`scenario::ScenarioSpec`]) and the scheduler differential
+//! ([`elastic::ElasticSpec`]) implement it directly, and
+//! [`shrink::shrink`], [`repro::Repro`] and the driver are written once
+//! over the trait. A new oracle is one `impl Case` plus its checks.
+//!
 //! Everything here is deliberately *passive*: oracles observe through
 //! read-only views and never schedule events, so attaching them cannot
 //! change the simulation outcome — the property that makes a shrunk repro
@@ -44,6 +51,7 @@ pub mod shrink;
 pub mod sr_model;
 
 use dcsim::SimTime;
+use serde::Value;
 
 /// One oracle violation: a falsified invariant or a divergence between a
 /// reference model and the real implementation.
@@ -67,6 +75,54 @@ impl core::fmt::Display for Violation {
             self.detail
         )
     }
+}
+
+/// What one oracle run observed. Counters an oracle has no use for stay
+/// zero, so sweep totals add up across oracles.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Outcome {
+    /// Oracle violations, in firing order (empty on agreement).
+    pub violations: Vec<Violation>,
+    /// Events consumed: engine events dispatched, or trace events applied.
+    pub events: u64,
+    /// Oracle checks evaluated.
+    pub checks: u64,
+    /// Messages delivered to their consumers.
+    pub delivered: u64,
+    /// Scheduler decisions taken.
+    pub decisions: u64,
+}
+
+/// One randomized, shrinkable, replayable oracle case.
+///
+/// A case owns everything its run depends on: how a seed becomes inputs
+/// ([`generate`](Case::generate)), the event list delta debugging may
+/// thin out ([`events`](Case::events) /
+/// [`with_events`](Case::with_events)), the run under its oracles
+/// ([`run`](Case::run)) and its own fields of the repro file
+/// ([`to_value`](Case::to_value) / [`from_value`](Case::from_value)).
+/// Event lists are stored verbatim, never regenerated, so a repro still
+/// replays after a generator changes.
+pub trait Case: Sized {
+    /// The repro file's `kind` tag.
+    const KIND: &'static str;
+    /// One entry of the shrinkable event list.
+    type Event: Clone;
+
+    /// Draws the case for one fuzzing seed.
+    fn generate(seed: u64) -> Self;
+    /// The event list, in schedule order.
+    fn events(&self) -> &[Self::Event];
+    /// The same case over a different event list (the ddmin probe).
+    fn with_events(&self, events: Vec<Self::Event>) -> Self;
+    /// Runs the case to completion under its oracles. Deterministic: the
+    /// same case yields the same [`Outcome`], violation for violation.
+    fn run(&self) -> Outcome;
+    /// The case's fields of the repro file, as a JSON object.
+    fn to_value(&self) -> Value;
+    /// Rebuilds the case from a repro object, ignoring the envelope's
+    /// own fields.
+    fn from_value(value: &Value) -> Result<Self, String>;
 }
 
 /// Serial-number (RFC 1982 style) strict less-than over `u32` sequence

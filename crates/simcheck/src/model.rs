@@ -16,6 +16,7 @@
 //! details are left to the implementation. That keeps the model obviously
 //! correct while still pinning down everything a peer can observe.
 
+use crate::session::TransportRef;
 use crate::{seq_le, seq_lt};
 use shell::ltl::{RecvConnView, SendConnView};
 use std::collections::VecDeque;
@@ -72,11 +73,6 @@ impl GbnRefModel {
         }
     }
 
-    /// Messages delivered in order so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
     /// Whether the sender has declared the connection failed.
     pub fn failed(&self) -> bool {
         self.failed
@@ -86,15 +82,22 @@ impl GbnRefModel {
     pub fn drops(&self) -> u64 {
         self.drops
     }
+}
+
+impl TransportRef for GbnRefModel {
+    /// Messages delivered in order so far.
+    fn delivered(&self) -> u64 {
+        self.delivered
+    }
 
     /// Records a channel drop affecting this direction.
-    pub fn on_drop(&mut self) {
+    fn on_drop(&mut self) {
         self.drops += 1;
     }
 
     /// The application submitted a message segmented into `frames` frames
     /// starting at `first_seq`, carrying `counter` in its payload head.
-    pub fn on_submit(&mut self, first_seq: u32, frames: u32, counter: u64) -> Result<(), String> {
+    fn on_submit(&mut self, first_seq: u32, frames: u32, counter: u64) -> Result<(), String> {
         if first_seq != self.next_seq {
             return Err(format!(
                 "message submitted at seq {first_seq}, model expected {}",
@@ -115,7 +118,7 @@ impl GbnRefModel {
 
     /// The sender put a data frame with sequence `seq` on the wire
     /// (first transmission or retransmission).
-    pub fn on_data_tx(&self, seq: u32) -> Result<(), String> {
+    fn on_data_tx(&mut self, seq: u32) -> Result<(), String> {
         // Anything at or above the cumulative-ack floor and below the
         // next unassigned sequence may legally (re)appear on the wire.
         if !(seq_le(self.acked_below, seq) && seq_lt(seq, self.next_seq)) {
@@ -128,13 +131,13 @@ impl GbnRefModel {
     }
 
     /// A data frame with sequence `seq` (and `last_frag` marker) reached
-    /// the receiver. Returns `Some(counter)` when it completes the
-    /// front pending message, which the receiver must now deliver.
-    pub fn on_data_rx(&mut self, seq: u32, last_frag: bool) -> Result<Option<u64>, String> {
+    /// the receiver. Returns the counter of the front pending message
+    /// when the frame completes it, which the receiver must now deliver.
+    fn on_data_rx(&mut self, seq: u32, last_frag: bool) -> Result<Vec<u64>, String> {
         if seq != self.expected {
             // Duplicate or out-of-order: a go-back-N receiver discards it
             // (re-acking / nacking as it sees fit). No state change.
-            return Ok(None);
+            return Ok(Vec::new());
         }
         let front = self
             .pending
@@ -151,13 +154,13 @@ impl GbnRefModel {
         if seq == msg_last {
             self.pending.pop_front();
             self.delivered += 1;
-            return Ok(Some(front.counter));
+            return Ok(vec![front.counter]);
         }
-        Ok(None)
+        Ok(Vec::new())
     }
 
     /// The receiver emitted a cumulative ACK for `seq`.
-    pub fn on_ack_tx(&self, seq: u32) -> Result<(), String> {
+    fn on_ack_tx(&self, seq: u32) -> Result<(), String> {
         // A cumulative ack always names the highest in-order sequence
         // received, i.e. expected - 1 (also on duplicate re-acks).
         let want = self.expected.wrapping_sub(1);
@@ -168,7 +171,7 @@ impl GbnRefModel {
     }
 
     /// A cumulative ACK for `seq` reached the sender.
-    pub fn on_ack_rx(&mut self, seq: u32) -> Result<(), String> {
+    fn on_ack_rx(&mut self, seq: u32) -> Result<(), String> {
         if !seq_lt(seq, self.next_seq) {
             return Err(format!(
                 "ack for seq {seq} which was never assigned (next_seq {})",
@@ -183,7 +186,7 @@ impl GbnRefModel {
     }
 
     /// The receiver emitted a NACK requesting retransmission from `seq`.
-    pub fn on_nack_tx(&self, seq: u32) -> Result<(), String> {
+    fn on_nack_tx(&self, seq: u32) -> Result<(), String> {
         if seq != self.expected {
             return Err(format!(
                 "nack requests seq {seq}, receiver expects {}",
@@ -194,7 +197,7 @@ impl GbnRefModel {
     }
 
     /// The sender declared the connection failed (retries exhausted).
-    pub fn on_conn_failed(&mut self) -> Result<(), String> {
+    fn on_conn_failed(&mut self) -> Result<(), String> {
         if self.drops == 0 {
             return Err("connection declared failed on a loss-free channel".into());
         }
@@ -204,7 +207,7 @@ impl GbnRefModel {
 
     /// The receiver-side application got a completed message carrying
     /// `counter`; must match what [`Self::on_data_rx`] just completed.
-    pub fn on_deliver(&mut self, counter: u64, expected_counter: u64) -> Result<(), String> {
+    fn on_deliver(&mut self, counter: u64, expected_counter: u64) -> Result<(), String> {
         if counter != expected_counter {
             return Err(format!(
                 "delivered message counter {counter}, model completed {expected_counter}"
@@ -214,7 +217,7 @@ impl GbnRefModel {
     }
 
     /// Differential check of the real sender's view after an event.
-    pub fn check_sender(&self, view: &SendConnView) -> Result<(), String> {
+    fn check_sender(&self, view: &SendConnView, _unacked: &[u32]) -> Result<(), String> {
         if self.failed {
             // Past failure the engine clears its queues; nothing to pin.
             return Ok(());
@@ -257,7 +260,7 @@ impl GbnRefModel {
     }
 
     /// Differential check of the real receiver's view after an event.
-    pub fn check_receiver(&self, view: &RecvConnView) -> Result<(), String> {
+    fn check_receiver(&self, view: &RecvConnView, _buffered: &[u32]) -> Result<(), String> {
         if view.expected_seq != self.expected {
             return Err(format!(
                 "receiver expected_seq {} != model {}",
@@ -269,7 +272,7 @@ impl GbnRefModel {
 
     /// End-of-run completeness: every submitted message was delivered,
     /// unless the connection legally failed.
-    pub fn check_complete(&self) -> Result<(), String> {
+    fn check_complete(&self) -> Result<(), String> {
         if !self.failed && !self.pending.is_empty() {
             return Err(format!(
                 "{} submitted message(s) never delivered on an un-failed connection",
@@ -289,11 +292,11 @@ mod tests {
         let mut m = GbnRefModel::new();
         m.on_submit(0, 2, 7).unwrap();
         m.on_data_tx(0).unwrap();
-        assert_eq!(m.on_data_rx(0, false).unwrap(), None);
+        assert_eq!(m.on_data_rx(0, false).unwrap(), vec![]);
         m.on_ack_tx(0).unwrap();
         m.on_ack_rx(0).unwrap();
         m.on_data_tx(1).unwrap();
-        assert_eq!(m.on_data_rx(1, true).unwrap(), Some(7));
+        assert_eq!(m.on_data_rx(1, true).unwrap(), vec![7]);
         m.on_ack_tx(1).unwrap();
         m.on_ack_rx(1).unwrap();
         assert_eq!(m.delivered(), 1);
@@ -304,9 +307,9 @@ mod tests {
     fn duplicate_data_is_ignored() {
         let mut m = GbnRefModel::new();
         m.on_submit(0, 1, 1).unwrap();
-        assert_eq!(m.on_data_rx(0, true).unwrap(), Some(1));
+        assert_eq!(m.on_data_rx(0, true).unwrap(), vec![1]);
         // Retransmitted duplicate: discarded, no double delivery.
-        assert_eq!(m.on_data_rx(0, true).unwrap(), None);
+        assert_eq!(m.on_data_rx(0, true).unwrap(), vec![]);
         assert_eq!(m.delivered(), 1);
     }
 

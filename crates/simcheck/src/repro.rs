@@ -1,194 +1,84 @@
 //! Minimal-reproduction serialization and replay.
 //!
-//! A [`ReproSpec`] captures everything a failing fuzz case depends on —
-//! mode, seed, tie-break salt, workload shape and the (shrunk) fault
-//! plan — as JSON. Replaying the spec re-runs the identical simulation:
-//! same seed, same salt, same plan, therefore the same event sequence
-//! and the same violations, byte for byte. Parsing goes through
-//! [`telemetry::json::parse`], the workspace's single JSON parser.
+//! A [`Repro`] is the one envelope every shrinkable oracle writes: the
+//! `kind` tag of its [`Case`], the (shrunk) case itself and the first
+//! violation of the captured run, as JSON. The case serializes its own
+//! fields — seed, tie-break salt, workload shape, the verbatim event
+//! list — so replaying re-runs the identical simulation: same inputs,
+//! therefore the same event sequence and the same violations, byte for
+//! byte. Parsing goes through [`telemetry::json::parse`], the
+//! workspace's single JSON parser. The chaos [`FaultEvent`] codec the
+//! two fault-plan cases share lives here too.
 
-use crate::json::{addr_from_value, addr_to_value, as_object, get_str, get_u16, get_u64, lookup};
-use crate::scenario::{self, ScenarioSpec};
-use crate::session::{self, SessionSpec};
-use crate::Violation;
-use catapult::chaos::{FaultEvent, FaultKind, FaultPlan};
+use crate::json::{
+    addr_from_value, addr_to_value, as_object, get_str, get_u16, get_u32, get_u64, lookup,
+};
+use crate::{Case, Violation};
+use catapult::chaos::{FaultEvent, FaultKind};
 use dcsim::{SimDuration, SimTime};
 use serde::Value;
-use shell::ltl::LtlMode;
 
-/// Which harness the failing case came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReproMode {
-    /// Differential LTL session ([`session::run_session`]).
-    Session,
-    /// Whole-cluster invariant scenario ([`scenario::run_scenario`]).
-    Cluster,
-}
-
-impl ReproMode {
-    fn name(self) -> &'static str {
-        match self {
-            ReproMode::Session => "session",
-            ReproMode::Cluster => "cluster",
-        }
-    }
-
-    fn parse(s: &str) -> Result<ReproMode, String> {
-        match s {
-            "session" => Ok(ReproMode::Session),
-            "cluster" => Ok(ReproMode::Cluster),
-            other => Err(format!("unknown repro mode {other:?}")),
-        }
-    }
-}
-
-/// A self-contained, replayable failing fuzz case.
+/// A self-contained, replayable failing case.
 #[derive(Debug, Clone)]
-pub struct ReproSpec {
-    /// Originating harness.
-    pub mode: ReproMode,
-    /// Engine seed.
-    pub seed: u64,
-    /// Tie-break salt.
-    pub salt: u64,
-    /// Transport mode of the failing session (go-back-N for cluster
-    /// cases).
-    pub transport: LtlMode,
-    /// Bug injection (sessions only): retransmissions to lose.
-    pub lose_retransmits: u32,
-    /// Bug injection (selective-repeat sessions only): SACK bitmaps to
-    /// truncate.
-    pub omit_sacks: u32,
-    /// The (shrunk) fault schedule.
-    pub events: Vec<FaultEvent>,
-    /// First violation of the original run, for the reader.
+pub struct Repro<C> {
+    /// The (shrunk) case.
+    pub case: C,
+    /// First violation of the captured run, for the reader.
     pub first_violation: String,
 }
 
-impl ReproSpec {
-    /// Captures a failing session case.
-    pub fn from_session(spec: &SessionSpec, violations: &[Violation]) -> ReproSpec {
-        ReproSpec {
-            mode: ReproMode::Session,
-            seed: spec.seed,
-            salt: spec.salt,
-            transport: spec.mode,
-            lose_retransmits: spec.lose_retransmits,
-            omit_sacks: spec.omit_sacks,
-            events: spec.plan.events.clone(),
-            first_violation: violations
-                .first()
-                .map(|v| v.to_string())
-                .unwrap_or_default(),
+impl<C: Case> Repro<C> {
+    /// Captures a case with the violations its run produced.
+    pub fn capture(case: C, violations: &[Violation]) -> Self {
+        let first = violations.first();
+        Repro {
+            case,
+            first_violation: first.map(|v| v.to_string()).unwrap_or_default(),
         }
     }
 
-    /// Captures a failing cluster case.
-    pub fn from_scenario(spec: &ScenarioSpec, violations: &[Violation]) -> ReproSpec {
-        ReproSpec {
-            mode: ReproMode::Cluster,
-            seed: spec.seed,
-            salt: spec.salt,
-            transport: LtlMode::GoBackN,
-            lose_retransmits: 0,
-            omit_sacks: 0,
-            events: spec.plan.events.clone(),
-            first_violation: violations
-                .first()
-                .map(|v| v.to_string())
-                .unwrap_or_default(),
-        }
-    }
-
-    /// Rebuilds the harness spec and replays it, returning the
-    /// violations observed (which must match the captured failure on a
-    /// healthy checkout).
+    /// Re-runs the case, returning the violations observed (which match
+    /// the captured run on a healthy checkout).
     pub fn replay(&self) -> Vec<Violation> {
-        match self.mode {
-            ReproMode::Session => {
-                let mut spec = SessionSpec::generate(self.seed);
-                spec.salt = self.salt;
-                spec.mode = self.transport;
-                spec.lose_retransmits = self.lose_retransmits;
-                spec.omit_sacks = self.omit_sacks;
-                spec.plan = FaultPlan {
-                    events: self.events.clone(),
-                };
-                session::run_session(&spec).violations
-            }
-            ReproMode::Cluster => {
-                let mut spec = ScenarioSpec::generate(self.seed);
-                spec.salt = self.salt;
-                spec.plan = FaultPlan {
-                    events: self.events.clone(),
-                };
-                scenario::run_scenario(&spec).violations
-            }
-        }
+        self.case.run().violations
     }
 
-    /// Serializes to pretty JSON.
+    /// Serializes to pretty JSON: `kind`, the case's own fields, then
+    /// `first_violation`. Canonical — re-serializing a parse is
+    /// byte-identical.
     pub fn to_json(&self) -> String {
-        // The vendored serde stub has no blanket `impl Serialize for
-        // Value`; a thin adapter hands the tree straight through.
-        struct Tree(Value);
-        impl serde::Serialize for Tree {
-            fn to_value(&self) -> Value {
-                self.0.clone()
-            }
+        let mut fields = vec![("kind".into(), Value::Str(C::KIND.into()))];
+        if let Value::Object(case) = self.case.to_value() {
+            fields.extend(case);
         }
-        serde_json::to_string_pretty(&Tree(self.to_value())).expect("value tree is finite")
+        let first = Value::Str(self.first_violation.clone());
+        fields.push(("first_violation".into(), first));
+        serde_json::to_string_pretty(&Value::Object(fields)).expect("value tree is finite")
     }
 
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("mode".into(), Value::Str(self.mode.name().into())),
-            ("seed".into(), Value::U64(self.seed)),
-            ("salt".into(), Value::U64(self.salt)),
-            ("transport".into(), Value::Str(self.transport.name().into())),
-            (
-                "lose_retransmits".into(),
-                Value::U64(self.lose_retransmits as u64),
-            ),
-            ("omit_sacks".into(), Value::U64(self.omit_sacks as u64)),
-            (
-                "events".into(),
-                Value::Array(self.events.iter().map(event_to_value).collect()),
-            ),
-            (
-                "first_violation".into(),
-                Value::Str(self.first_violation.clone()),
-            ),
-        ])
-    }
-
-    /// Parses a spec back from JSON.
-    pub fn parse(text: &str) -> Result<ReproSpec, String> {
+    /// Parses a repro of this case's kind back from JSON.
+    pub fn parse(text: &str) -> Result<Self, String> {
         let value = telemetry::json::parse(text)?;
         let obj = as_object(&value, "repro")?;
-        let events = match lookup(obj, "events")? {
-            Value::Array(items) => items
-                .iter()
-                .map(event_from_value)
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("events: expected an array".into()),
-        };
-        let transport = get_str(obj, "transport")?;
-        Ok(ReproSpec {
-            mode: ReproMode::parse(get_str(obj, "mode")?)?,
-            seed: get_u64(obj, "seed")?,
-            salt: get_u64(obj, "salt")?,
-            transport: LtlMode::parse(transport)
-                .ok_or_else(|| format!("unknown transport mode {transport:?}"))?,
-            lose_retransmits: get_u64(obj, "lose_retransmits")? as u32,
-            omit_sacks: get_u64(obj, "omit_sacks")? as u32,
-            events,
+        let kind = get_str(obj, "kind")?;
+        if kind != C::KIND {
+            return Err(format!("kind: expected {:?}, found {kind:?}", C::KIND));
+        }
+        Ok(Repro {
+            case: C::from_value(&value)?,
             first_violation: get_str(obj, "first_violation")?.to_string(),
         })
     }
 }
 
-fn event_to_value(event: &FaultEvent) -> Value {
+/// The `kind` tag of a repro file, for callers that must pick the
+/// [`Case`] type to [`Repro::parse`] it as.
+pub fn kind_of(text: &str) -> Result<String, String> {
+    let value = telemetry::json::parse(text)?;
+    Ok(get_str(as_object(&value, "repro")?, "kind")?.to_string())
+}
+
+pub(crate) fn fault_event_to_value(event: &FaultEvent) -> Value {
     let mut fields = vec![("at_ns".into(), Value::U64(event.at.as_nanos()))];
     let kind = match event.kind {
         FaultKind::LinkFlap { node, down } => {
@@ -236,7 +126,7 @@ fn event_to_value(event: &FaultEvent) -> Value {
     Value::Object(fields)
 }
 
-fn event_from_value(value: &Value) -> Result<FaultEvent, String> {
+pub(crate) fn fault_event_from_value(value: &Value) -> Result<FaultEvent, String> {
     let obj = as_object(value, "event")?;
     let at = SimTime::from_nanos(get_u64(obj, "at_ns")?);
     let node = || addr_from_value(lookup(obj, "node")?, "node");
@@ -253,7 +143,7 @@ fn event_from_value(value: &Value) -> Result<FaultEvent, String> {
         },
         "corrupt_burst" => FaultKind::CorruptBurst {
             node: node()?,
-            frames: get_u64(obj, "frames")? as u32,
+            frames: get_u32(obj, "frames")?,
         },
         "fpga_hang" => FaultKind::FpgaHang {
             node: node()?,
@@ -266,7 +156,7 @@ fn event_from_value(value: &Value) -> Result<FaultEvent, String> {
         "bad_image" => FaultKind::BadImage { node: node()? },
         "lossy_link" => FaultKind::LossyLink {
             node: node()?,
-            rate_ppm: get_u64(obj, "rate_ppm")? as u32,
+            rate_ppm: get_u32(obj, "rate_ppm")?,
             duration: dur("duration_ns")?,
         },
         other => return Err(format!("unknown fault kind {other:?}")),
@@ -275,82 +165,142 @@ fn event_from_value(value: &Value) -> Result<FaultEvent, String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use dcnet::NodeAddr;
+    use crate::session::SessionSpec;
+    use crate::shrink::shrink;
+    use shell::ltl::LtlMode;
 
-    fn sample() -> ReproSpec {
-        ReproSpec {
-            mode: ReproMode::Session,
-            seed: 42,
+    /// What every [`Case`]'s repro must uphold, asserted once. `case`
+    /// should hold every event kind, `event_kind` being one of them:
+    ///
+    /// * serialization is canonical — parse → re-serialize is
+    ///   byte-equal, so every field the case writes survives — and the
+    ///   event list comes back entry for entry;
+    /// * `{}`, `[]`, an unknown event kind and an unknown `kind` are
+    ///   rejected;
+    /// * replaying the parsed artifact yields exactly the captured
+    ///   violations, after shrinking when the case fails (a planted bug).
+    ///
+    /// Returns the repro that was replayed.
+    pub(crate) fn round_trip_and_replay<C>(case: &C, event_kind: &str) -> Repro<C>
+    where
+        C: Case + Clone,
+        C::Event: PartialEq + core::fmt::Debug,
+    {
+        let violations = case.run().violations;
+        let full = Repro::capture(case.clone(), &violations);
+        let json = full.to_json();
+        let parsed = Repro::<C>::parse(&json).expect("own artifact parses");
+        assert_eq!(parsed.case.events(), case.events());
+        assert_eq!(parsed.to_json(), json, "canonical serialization");
+
+        assert!(json.contains(event_kind), "case lacks a {event_kind} event");
+        for bad in [
+            "{}".to_string(),
+            "[]".to_string(),
+            json.replace(event_kind, "meteor_strike"),
+            json.replacen(C::KIND, "martian", 1),
+        ] {
+            assert!(Repro::<C>::parse(&bad).is_err(), "accepted {bad}");
+        }
+
+        let (repro, captured) = if violations.is_empty() {
+            (full, violations)
+        } else {
+            let shrunk = shrink(case);
+            let captured = shrunk.replay();
+            assert!(!captured.is_empty(), "shrinking lost the violation");
+            assert_eq!(shrunk.first_violation, captured[0].to_string());
+            (shrunk, captured)
+        };
+        let reparsed = Repro::<C>::parse(&repro.to_json()).expect("own artifact parses");
+        assert_eq!(reparsed.replay(), captured, "replay reproduces exactly");
+        repro
+    }
+
+    /// One fault of every kind, on addresses sessions and scenarios
+    /// both populate.
+    pub(crate) fn every_fault_kind() -> Vec<FaultEvent> {
+        let (a, b) = SessionSpec::endpoints();
+        let us = SimDuration::from_micros;
+        [
+            FaultKind::LinkFlap {
+                node: b,
+                down: us(300),
+            },
+            FaultKind::TorCrash {
+                pod: 0,
+                tor: 1,
+                reboot: us(900),
+            },
+            FaultKind::CorruptBurst { node: a, frames: 3 },
+            FaultKind::FpgaHang {
+                node: a,
+                duration: us(250),
+            },
+            FaultKind::HostStall {
+                node: b,
+                duration: us(100),
+            },
+            FaultKind::BadImage { node: b },
+            FaultKind::LossyLink {
+                node: b,
+                rate_ppm: 20_000,
+                duration: us(600),
+            },
+        ]
+        .into_iter()
+        .zip(1..)
+        .map(|(kind, i)| FaultEvent {
+            at: SimTime::from_micros(100 * i),
+            kind,
+        })
+        .collect()
+    }
+
+    fn sample() -> SessionSpec {
+        SessionSpec {
             salt: 7,
-            transport: LtlMode::SelectiveRepeat,
+            mode: LtlMode::SelectiveRepeat,
             lose_retransmits: 1,
             omit_sacks: 2,
-            events: vec![
-                FaultEvent {
-                    at: SimTime::from_micros(100),
-                    kind: FaultKind::LinkFlap {
-                        node: NodeAddr::new(0, 1, 0),
-                        down: SimDuration::from_micros(300),
-                    },
-                },
-                FaultEvent {
-                    at: SimTime::from_micros(200),
-                    kind: FaultKind::TorCrash {
-                        pod: 0,
-                        tor: 1,
-                        reboot: SimDuration::from_micros(900),
-                    },
-                },
-                FaultEvent {
-                    at: SimTime::from_micros(300),
-                    kind: FaultKind::CorruptBurst {
-                        node: NodeAddr::new(0, 0, 0),
-                        frames: 3,
-                    },
-                },
-                FaultEvent {
-                    at: SimTime::from_micros(400),
-                    kind: FaultKind::BadImage {
-                        node: NodeAddr::new(0, 1, 0),
-                    },
-                },
-                FaultEvent {
-                    at: SimTime::from_micros(500),
-                    kind: FaultKind::LossyLink {
-                        node: NodeAddr::new(0, 1, 0),
-                        rate_ppm: 20_000,
-                        duration: SimDuration::from_micros(600),
-                    },
-                },
-            ],
-            first_violation: "[100 ns] ltl.submit: example".into(),
+            ..SessionSpec::generate(42).with_events(every_fault_kind())
         }
     }
 
     #[test]
     fn json_round_trips_exactly() {
         let spec = sample();
-        let json = spec.to_json();
-        let parsed = ReproSpec::parse(&json).unwrap();
-        assert_eq!(parsed.mode, spec.mode);
+        let json = round_trip_and_replay(&spec, "link_flap").to_json();
+        let parsed = Repro::<SessionSpec>::parse(&json).unwrap().case;
         assert_eq!(parsed.seed, spec.seed);
         assert_eq!(parsed.salt, spec.salt);
-        assert_eq!(parsed.transport, spec.transport);
+        assert_eq!(parsed.mode, spec.mode);
         assert_eq!(parsed.lose_retransmits, spec.lose_retransmits);
         assert_eq!(parsed.omit_sacks, spec.omit_sacks);
-        assert_eq!(parsed.events, spec.events);
-        assert_eq!(parsed.first_violation, spec.first_violation);
-        // Serialization is canonical: a second round trip is byte-equal.
-        assert_eq!(parsed.to_json(), json);
     }
 
     #[test]
     fn malformed_specs_are_rejected() {
-        assert!(ReproSpec::parse("{}").is_err());
-        assert!(ReproSpec::parse("[1, 2]").is_err());
-        let bad_kind = sample().to_json().replace("link_flap", "meteor_strike");
-        assert!(ReproSpec::parse(&bad_kind).is_err());
+        let healthy = SessionSpec {
+            lose_retransmits: 0,
+            omit_sacks: 0,
+            ..sample()
+        };
+        let json = round_trip_and_replay(&healthy, "tor_crash").to_json();
+        // A number too wide for its field is an error naming the field,
+        // never a silent wrap: one case per width.
+        for (field, from, to) in [
+            ("frames", "\"frames\": 3", "\"frames\": 4294967296"),
+            ("tor", "\"tor\": 1,", "\"tor\": 65536,"),
+            ("transport", "\"sr\"", "\"carrier-pigeon\""),
+        ] {
+            assert!(json.contains(from), "{field}: sample lacks {from:?}");
+            let err = Repro::<SessionSpec>::parse(&json.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
+        assert_eq!(kind_of(&json).as_deref(), Ok("session"));
+        assert!(kind_of(&json[..json.len() / 2]).is_err(), "truncated");
     }
 }

@@ -8,15 +8,19 @@
 //! outcome is a pure function of `(seed, salt, topology, plan)`.
 
 use crate::invariants::InvariantObserver;
-use crate::Violation;
+use crate::json::{array, as_object, get_array, get_u64, uint};
+use crate::repro::{fault_event_from_value, fault_event_to_value};
+use crate::session::fault_config;
+use crate::{Case, Outcome, Violation};
 use bytes::Bytes;
-use catapult::chaos::{ChaosTargets, FaultConfig, FaultPlan};
+use catapult::chaos::{ChaosTargets, FaultEvent, FaultPlan};
 use catapult::ClusterBuilder;
 use dcnet::{Msg, NodeAddr};
 use dcsim::{Component, ComponentId, Context, SimDuration, SimRng, SimTime};
 use haas::{
     Constraints, FailureMonitor, FpgaManager, NodeDownReport, ResourceManager, ServiceManager,
 };
+use serde::Value;
 use shell::{LtlConnFailed, LtlDeliver, ShellCmd};
 use std::collections::BTreeMap;
 
@@ -114,22 +118,15 @@ impl ScenarioSpec {
             racks: (0..self.racks).map(|r| (0, r)).collect(),
         }
     }
+}
 
-    /// The scenario fault mix: the standard chaos mix with outage
-    /// lengths compressed to the scenario timescale.
-    pub fn fault_config(horizon: SimDuration) -> FaultConfig {
-        FaultConfig {
-            flap_down: SimDuration::from_micros(300),
-            tor_reboot: SimDuration::from_micros(900),
-            hang_duration: SimDuration::from_micros(250),
-            burst_frames: 3,
-            ..FaultConfig::with_rate(horizon, 1.0)
-        }
-    }
+impl Case for ScenarioSpec {
+    const KIND: &'static str = "cluster";
+    type Event = FaultEvent;
 
     /// Generates the spec for one fuzzing seed: random topology, random
     /// flow set, seeded fault plan. Odd seeds run salted.
-    pub fn generate(seed: u64) -> ScenarioSpec {
+    fn generate(seed: u64) -> ScenarioSpec {
         let mut rng = SimRng::seed_from(seed ^ 0x5CE2_A210);
         let racks = 2 + rng.index(3) as u16;
         let hosts_per_rack = 2 + rng.index(3) as u16;
@@ -150,145 +147,164 @@ impl ScenarioSpec {
             horizon,
             plan: FaultPlan::default(),
         };
-        spec.plan = FaultPlan::generate(seed, &spec.targets(), &Self::fault_config(horizon));
+        spec.plan = FaultPlan::generate(seed, &spec.targets(), &fault_config(horizon, 1.0));
         spec
     }
-}
 
-/// Result of one scenario run.
-#[derive(Debug, Clone)]
-pub struct ScenarioOutcome {
-    /// Invariant and delivery-order violations, in event order.
-    pub violations: Vec<Violation>,
-    /// Events dispatched.
-    pub events: u64,
-    /// Messages delivered across all consumers.
-    pub delivered: u64,
-    /// Oracle checks evaluated.
-    pub checks: u64,
-}
-
-/// Runs one scenario to quiescence under the invariant observer.
-pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
-    let shape = dcnet::FabricShape {
-        hosts_per_tor: spec.hosts_per_rack,
-        tors_per_pod: spec.racks,
-        pods: 1,
-        spines: 1,
-    };
-    let mut cluster = ClusterBuilder::new(spec.seed)
-        .fabric_config(&catapult::calib::fabric_config(shape))
-        .shell_config(catapult::calib::shell_config())
-        .build();
-    cluster.engine_mut().set_tie_break_salt(spec.salt);
-
-    let addrs = spec.addrs();
-    for &addr in &addrs {
-        cluster.add_shell(addr);
+    fn events(&self) -> &[FaultEvent] {
+        &self.plan.events
     }
 
-    // HaaS control plane: every node registered, one service leasing a
-    // slice of the pool, an FM view per node.
-    let mut rm = ResourceManager::new();
-    for &addr in &addrs {
-        rm.register(addr);
+    fn with_events(&self, events: Vec<FaultEvent>) -> ScenarioSpec {
+        ScenarioSpec {
+            plan: FaultPlan { events },
+            ..self.clone()
+        }
     }
-    let mut sm = ServiceManager::new("simcheck");
-    sm.grow(&mut rm, spec.pairs as usize, &Constraints::default())
-        .expect("pool covers the flow count");
-    let mut monitor = FailureMonitor::new(rm, Some(SimDuration::from_micros(600)));
-    monitor.add_service(sm);
-    for &addr in &addrs {
-        monitor.add_fm(FpgaManager::new(addr));
-    }
-    let monitor_id = cluster.engine_mut().add_component(monitor);
 
-    // Flows between the first 2*pairs shuffled nodes; consumer per node.
-    let mut rng = SimRng::seed_from(spec.seed ^ 0xF10A_5EED);
-    let mut shuffled = addrs.clone();
-    rng.shuffle(&mut shuffled);
-    let mut send_conns = Vec::new();
-    for pair in 0..spec.pairs as usize {
-        let client = shuffled[2 * pair];
-        let server = shuffled[2 * pair + 1];
-        let (client_send, _, _, _) = cluster.connect_pair(client, server);
-        send_conns.push((client, client_send));
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            uint("seed", self.seed),
+            uint("salt", self.salt),
+            array("events", &self.plan.events, fault_event_to_value),
+        ])
     }
-    let mut consumer_ids = Vec::new();
-    for &addr in &addrs {
-        let consumer = FlowConsumer {
-            addr,
-            monitor: monitor_id,
-            last_counter: BTreeMap::new(),
-            delivered: 0,
-            violations: Vec::new(),
+
+    /// Topology and flow set are regenerated from the seed.
+    fn from_value(value: &Value) -> Result<ScenarioSpec, String> {
+        let obj = as_object(value, "repro")?;
+        Ok(ScenarioSpec {
+            salt: get_u64(obj, "salt")?,
+            plan: FaultPlan {
+                events: get_array(obj, "events", fault_event_from_value)?,
+            },
+            ..ScenarioSpec::generate(get_u64(obj, "seed")?)
+        })
+    }
+
+    /// Runs one scenario to quiescence under the invariant observer.
+    fn run(&self) -> Outcome {
+        let shape = dcnet::FabricShape {
+            hosts_per_tor: self.hosts_per_rack,
+            tors_per_pod: self.racks,
+            pods: 1,
+            spines: 1,
         };
-        let id = cluster.engine_mut().add_component(consumer);
-        cluster.set_consumer(addr, id);
-        consumer_ids.push(id);
-    }
+        let mut cluster = ClusterBuilder::new(self.seed)
+            .fabric_config(&catapult::calib::fabric_config(shape))
+            .shell_config(catapult::calib::shell_config())
+            .build();
+        cluster.engine_mut().set_tie_break_salt(self.salt);
 
-    // Workload: per-flow monotone counters embedded in each payload.
-    // Submission times are made strictly increasing per flow so a
-    // tie-break salt can never reorder two submissions of the same flow
-    // (which would be a workload artefact, not a protocol violation).
-    let window = spec.horizon.as_nanos() as f64 * 0.7;
-    for &(client, conn) in &send_conns {
-        let shell_id = cluster.shell_id(client).expect("just populated");
-        let mut times: Vec<u64> = (0..spec.msgs_per_pair)
-            .map(|_| (rng.uniform() * window) as u64)
-            .collect();
-        times.sort_unstable();
-        for (counter, t) in times.into_iter().enumerate() {
-            let len = 9 + rng.index(1800);
-            let mut payload = vec![0u8; len];
-            payload[..8].copy_from_slice(&(counter as u64).to_be_bytes());
-            cluster.engine_mut().schedule(
-                SimTime::from_nanos(t + counter as u64),
-                shell_id,
-                Msg::custom(ShellCmd::LtlSend {
-                    conn,
-                    vc: 0,
-                    payload: Bytes::from(payload),
-                }),
-            );
+        let addrs = self.addrs();
+        for &addr in &addrs {
+            cluster.add_shell(addr);
         }
-    }
 
-    // Scenario clusters run no host software: host stalls have no target.
-    catapult::chaos::install_plan(&mut cluster, monitor_id, &spec.plan, |_| None);
-
-    let switches: Vec<ComponentId> = cluster.fabric().switches().map(|(_, id)| id).collect();
-    let shell_ids: Vec<ComponentId> = cluster.shells().map(|(_, id)| id).collect();
-    cluster
-        .engine_mut()
-        .set_observer(Box::new(InvariantObserver::new(
-            switches,
-            shell_ids,
-            Some((monitor_id, addrs.clone())),
-        )));
-
-    let events = cluster.run_to_idle();
-
-    let engine = cluster.engine();
-    let observer = engine
-        .observer_as::<InvariantObserver>()
-        .expect("observer attached above");
-    let mut violations = observer.violations().to_vec();
-    let checks = observer.checks();
-    let mut delivered = 0;
-    for id in consumer_ids {
-        if let Some(consumer) = engine.component::<FlowConsumer>(id) {
-            violations.extend(consumer.violations.iter().cloned());
-            delivered += consumer.delivered;
+        // HaaS control plane: every node registered, one service leasing a
+        // slice of the pool, an FM view per node.
+        let mut rm = ResourceManager::new();
+        for &addr in &addrs {
+            rm.register(addr);
         }
-    }
-    violations.sort_by_key(|v| v.at);
-    ScenarioOutcome {
-        violations,
-        events,
-        delivered,
-        checks,
+        let mut sm = ServiceManager::new("simcheck");
+        sm.grow(&mut rm, self.pairs as usize, &Constraints::default())
+            .expect("pool covers the flow count");
+        let mut monitor = FailureMonitor::new(rm, Some(SimDuration::from_micros(600)));
+        monitor.add_service(sm);
+        for &addr in &addrs {
+            monitor.add_fm(FpgaManager::new(addr));
+        }
+        let monitor_id = cluster.engine_mut().add_component(monitor);
+
+        // Flows between the first 2*pairs shuffled nodes; consumer per node.
+        let mut rng = SimRng::seed_from(self.seed ^ 0xF10A_5EED);
+        let mut shuffled = addrs.clone();
+        rng.shuffle(&mut shuffled);
+        let mut send_conns = Vec::new();
+        for pair in 0..self.pairs as usize {
+            let client = shuffled[2 * pair];
+            let server = shuffled[2 * pair + 1];
+            let (client_send, _, _, _) = cluster.connect_pair(client, server);
+            send_conns.push((client, client_send));
+        }
+        let mut consumer_ids = Vec::new();
+        for &addr in &addrs {
+            let consumer = FlowConsumer {
+                addr,
+                monitor: monitor_id,
+                last_counter: BTreeMap::new(),
+                delivered: 0,
+                violations: Vec::new(),
+            };
+            let id = cluster.engine_mut().add_component(consumer);
+            cluster.set_consumer(addr, id);
+            consumer_ids.push(id);
+        }
+
+        // Workload: per-flow monotone counters embedded in each payload.
+        // Submission times are made strictly increasing per flow so a
+        // tie-break salt can never reorder two submissions of the same flow
+        // (which would be a workload artefact, not a protocol violation).
+        let window = self.horizon.as_nanos() as f64 * 0.7;
+        for &(client, conn) in &send_conns {
+            let shell_id = cluster.shell_id(client).expect("just populated");
+            let mut times: Vec<u64> = (0..self.msgs_per_pair)
+                .map(|_| (rng.uniform() * window) as u64)
+                .collect();
+            times.sort_unstable();
+            for (counter, t) in times.into_iter().enumerate() {
+                let len = 9 + rng.index(1800);
+                let mut payload = vec![0u8; len];
+                payload[..8].copy_from_slice(&(counter as u64).to_be_bytes());
+                cluster.engine_mut().schedule(
+                    SimTime::from_nanos(t + counter as u64),
+                    shell_id,
+                    Msg::custom(ShellCmd::LtlSend {
+                        conn,
+                        vc: 0,
+                        payload: Bytes::from(payload),
+                    }),
+                );
+            }
+        }
+
+        // Scenario clusters run no host software: host stalls have no target.
+        catapult::chaos::install_plan(&mut cluster, monitor_id, &self.plan, |_| None);
+
+        let switches: Vec<ComponentId> = cluster.fabric().switches().map(|(_, id)| id).collect();
+        let shell_ids: Vec<ComponentId> = cluster.shells().map(|(_, id)| id).collect();
+        cluster
+            .engine_mut()
+            .set_observer(Box::new(InvariantObserver::new(
+                switches,
+                shell_ids,
+                Some((monitor_id, addrs.clone())),
+            )));
+
+        let events = cluster.run_to_idle();
+
+        let engine = cluster.engine();
+        let observer = engine
+            .observer_as::<InvariantObserver>()
+            .expect("observer attached above");
+        let mut violations = observer.violations().to_vec();
+        let checks = observer.checks();
+        let mut delivered = 0;
+        for id in consumer_ids {
+            if let Some(consumer) = engine.component::<FlowConsumer>(id) {
+                violations.extend(consumer.violations.iter().cloned());
+                delivered += consumer.delivered;
+            }
+        }
+        violations.sort_by_key(|v| v.at);
+        Outcome {
+            violations,
+            events,
+            checks,
+            delivered,
+            decisions: 0,
+        }
     }
 }
 
@@ -300,7 +316,7 @@ mod tests {
     fn clean_scenario_upholds_all_invariants() {
         let mut spec = ScenarioSpec::generate(4);
         spec.plan = FaultPlan::default();
-        let out = run_scenario(&spec);
+        let out = spec.run();
         assert_eq!(out.violations, Vec::new());
         assert!(out.delivered > 0);
         assert!(out.checks > 0);
@@ -309,16 +325,24 @@ mod tests {
     #[test]
     fn chaotic_scenarios_uphold_all_invariants() {
         for seed in 0..4 {
-            let out = run_scenario(&ScenarioSpec::generate(seed));
+            let out = ScenarioSpec::generate(seed).run();
             assert_eq!(out.violations, Vec::new(), "seed {seed}");
         }
     }
 
     #[test]
+    fn repro_json_round_trips_and_replays() {
+        let spec = ScenarioSpec::generate(3).with_events(crate::repro::tests::every_fault_kind());
+        let repro = crate::repro::tests::round_trip_and_replay(&spec, "fpga_hang");
+        assert_eq!(repro.case.salt, spec.salt, "odd seed: salted");
+        assert_eq!(repro.first_violation, "", "{:?}", repro.replay());
+    }
+
+    #[test]
     fn scenario_replays_identically() {
         let spec = ScenarioSpec::generate(7);
-        let a = run_scenario(&spec);
-        let b = run_scenario(&spec);
+        let a = spec.run();
+        let b = spec.run();
         assert_eq!(a.events, b.events);
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.checks, b.checks);

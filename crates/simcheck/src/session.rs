@@ -12,15 +12,18 @@
 //! failure — is reported as a [`Violation`] pinned to the exact event
 //! index where it appeared.
 
+use crate::json::{array, as_object, get_array, get_str, get_u32, get_u64, uint};
 use crate::model::GbnRefModel;
+use crate::repro::{fault_event_from_value, fault_event_to_value};
 use crate::sr_model::SrRefModel;
-use crate::Violation;
+use crate::{Case, Outcome, Violation};
 use bytes::Bytes;
 use catapult::chaos::{ChaosTargets, FaultConfig, FaultEvent, FaultKind, FaultPlan};
 use dcnet::{Msg, NetEvent, NodeAddr, PortId};
 use dcsim::{
     Component, ComponentId, Context, Engine, EventRecord, Observer, SimDuration, SimRng, SimTime,
 };
+use serde::Value;
 use shell::ltl::{
     FrameKind, LtlConfig, LtlEngine, LtlEvent, LtlFrame, LtlMode, Poll, RecvConnView, SendConnView,
 };
@@ -369,152 +372,90 @@ impl Component<Msg> for Channel {
     }
 }
 
-/// A per-direction reference model dispatching on the session's
-/// transport mode. Mode mismatches are themselves violations: a
-/// selective-repeat endpoint must never emit a plain cumulative ACK and
-/// a go-back-N endpoint must never emit a SACK.
-enum RefModel {
-    Gbn(GbnRefModel),
-    Sr(SrRefModel),
+/// The per-direction reference model the session oracle steps: one
+/// method per observable protocol action, returning the violation's
+/// detail when the action breaks the protocol, plus the differential
+/// checks against the real engine's views. [`GbnRefModel`] and
+/// [`SrRefModel`] each implement the frames of their own transport mode;
+/// the other mode's frames keep the defaults here, because a mode
+/// mismatch is itself a violation — a selective-repeat endpoint must
+/// never emit a plain cumulative ACK and a go-back-N endpoint must never
+/// emit a SACK.
+pub trait TransportRef {
+    /// Messages delivered in order so far.
+    fn delivered(&self) -> u64;
+    /// Records a channel drop affecting this direction.
+    fn on_drop(&mut self);
+    /// The application submitted a message segmented into `frames` frames
+    /// starting at `first_seq`, carrying `counter` in its payload head.
+    fn on_submit(&mut self, first_seq: u32, frames: u32, counter: u64) -> Result<(), String>;
+    /// The sender put a data frame with sequence `seq` on the wire.
+    fn on_data_tx(&mut self, seq: u32) -> Result<(), String>;
+    /// A data frame reached the receiver. Returns the counters of the
+    /// messages it completes, which the receiver must now deliver.
+    fn on_data_rx(&mut self, seq: u32, last_frag: bool) -> Result<Vec<u64>, String>;
+    /// The receiver emitted a cumulative ACK for `seq`.
+    fn on_ack_tx(&self, seq: u32) -> Result<(), String> {
+        Err(format!(
+            "plain ack (seq {seq}) from a selective-repeat receiver"
+        ))
+    }
+    /// A cumulative ACK for `seq` reached the sender.
+    fn on_ack_rx(&mut self, seq: u32) -> Result<(), String> {
+        Err(format!(
+            "plain ack (seq {seq}) accepted by a selective-repeat sender"
+        ))
+    }
+    /// The receiver emitted a SACK with cumulative ack `cum`.
+    fn on_sack_tx(&self, cum: u32, _bits: u64) -> Result<(), String> {
+        Err(format!("sack (cum {cum}) from a go-back-n receiver"))
+    }
+    /// A SACK with cumulative ack `cum` reached the sender.
+    fn on_sack_rx(&mut self, cum: u32, _bits: u64) -> Result<(), String> {
+        Err(format!("sack (cum {cum}) accepted by a go-back-n sender"))
+    }
+    /// The receiver emitted a NACK for `seq`.
+    fn on_nack_tx(&self, seq: u32) -> Result<(), String>;
+    /// The sender declared the connection failed (retries exhausted).
+    fn on_conn_failed(&mut self) -> Result<(), String>;
+    /// The receiver-side application got a completed message carrying
+    /// `counter`; `expected_counter` is what `on_data_rx` completed.
+    fn on_deliver(&mut self, counter: u64, expected_counter: u64) -> Result<(), String>;
+    /// Differential check of the real sender after an event: go-back-N
+    /// pins the contiguous window bounds of `view`, selective repeat the
+    /// exact (possibly holed) in-flight sequence list `unacked`.
+    fn check_sender(&self, view: &SendConnView, unacked: &[u32]) -> Result<(), String>;
+    /// Differential check of the real receiver after an event (selective
+    /// repeat also pins the exact reassembly buffer `buffered`).
+    fn check_receiver(&self, view: &RecvConnView, buffered: &[u32]) -> Result<(), String>;
+    /// End-of-run completeness: every submitted message was delivered,
+    /// unless the connection legally failed.
+    fn check_complete(&self) -> Result<(), String>;
 }
 
-impl RefModel {
-    fn new(mode: LtlMode, window: u32) -> RefModel {
-        match mode {
-            LtlMode::GoBackN => RefModel::Gbn(GbnRefModel::new()),
-            LtlMode::SelectiveRepeat => RefModel::Sr(SrRefModel::new(window)),
-        }
-    }
-
-    fn delivered(&self) -> u64 {
-        match self {
-            RefModel::Gbn(m) => m.delivered(),
-            RefModel::Sr(m) => m.delivered(),
-        }
-    }
-
-    fn on_drop(&mut self) {
-        match self {
-            RefModel::Gbn(m) => m.on_drop(),
-            RefModel::Sr(m) => m.on_drop(),
-        }
-    }
-
-    fn on_submit(&mut self, first_seq: u32, frames: u32, counter: u64) -> Result<(), String> {
-        match self {
-            RefModel::Gbn(m) => m.on_submit(first_seq, frames, counter),
-            RefModel::Sr(m) => m.on_submit(first_seq, frames, counter),
-        }
-    }
-
-    fn on_data_tx(&mut self, seq: u32) -> Result<(), String> {
-        match self {
-            RefModel::Gbn(m) => m.on_data_tx(seq),
-            RefModel::Sr(m) => m.on_data_tx(seq),
-        }
-    }
-
-    fn on_data_rx(&mut self, seq: u32, last_frag: bool) -> Result<Vec<u64>, String> {
-        match self {
-            RefModel::Gbn(m) => m
-                .on_data_rx(seq, last_frag)
-                .map(|c| c.into_iter().collect()),
-            RefModel::Sr(m) => m.on_data_rx(seq, last_frag),
-        }
-    }
-
-    fn on_ack_tx(&mut self, seq: u32) -> Result<(), String> {
-        match self {
-            RefModel::Gbn(m) => m.on_ack_tx(seq),
-            RefModel::Sr(_) => Err(format!(
-                "plain ack (seq {seq}) from a selective-repeat receiver"
-            )),
-        }
-    }
-
-    fn on_ack_rx(&mut self, seq: u32) -> Result<(), String> {
-        match self {
-            RefModel::Gbn(m) => m.on_ack_rx(seq),
-            RefModel::Sr(_) => Err(format!(
-                "plain ack (seq {seq}) accepted by a selective-repeat sender"
-            )),
-        }
-    }
-
-    fn on_sack_tx(&mut self, cum: u32, bits: u64) -> Result<(), String> {
-        match self {
-            RefModel::Gbn(_) => Err(format!("sack (cum {cum}) from a go-back-n receiver")),
-            RefModel::Sr(m) => m.on_sack_tx(cum, bits),
-        }
-    }
-
-    fn on_sack_rx(&mut self, cum: u32, bits: u64) -> Result<(), String> {
-        match self {
-            RefModel::Gbn(_) => Err(format!("sack (cum {cum}) accepted by a go-back-n sender")),
-            RefModel::Sr(m) => m.on_sack_rx(cum, bits),
-        }
-    }
-
-    fn on_nack_tx(&mut self, seq: u32) -> Result<(), String> {
-        match self {
-            RefModel::Gbn(m) => m.on_nack_tx(seq),
-            RefModel::Sr(m) => m.on_nack_tx(seq),
-        }
-    }
-
-    fn on_conn_failed(&mut self) -> Result<(), String> {
-        match self {
-            RefModel::Gbn(m) => m.on_conn_failed(),
-            RefModel::Sr(m) => m.on_conn_failed(),
-        }
-    }
-
-    fn on_deliver(&mut self, counter: u64, expected_counter: u64) -> Result<(), String> {
-        match self {
-            RefModel::Gbn(m) => m.on_deliver(counter, expected_counter),
-            RefModel::Sr(m) => m.on_deliver(counter, expected_counter),
-        }
-    }
-
-    /// Go-back-N pins the contiguous window bounds; selective repeat pins
-    /// the exact (possibly holed) in-flight sequence list.
-    fn check_sender(&self, view: &SendConnView, unacked: &[u32]) -> Result<(), String> {
-        match self {
-            RefModel::Gbn(m) => m.check_sender(view),
-            RefModel::Sr(m) => m.check_sender(view, unacked),
-        }
-    }
-
-    fn check_receiver(&self, view: &RecvConnView, buffered: &[u32]) -> Result<(), String> {
-        match self {
-            RefModel::Gbn(m) => m.check_receiver(view),
-            RefModel::Sr(m) => m.check_receiver(view, buffered),
-        }
-    }
-
-    fn check_complete(&self) -> Result<(), String> {
-        match self {
-            RefModel::Gbn(m) => m.check_complete(),
-            RefModel::Sr(m) => m.check_complete(),
-        }
+/// A fresh reference model for one direction of a `mode` session.
+fn ref_model(mode: LtlMode, window: u32) -> Box<dyn TransportRef + Send> {
+    match mode {
+        LtlMode::GoBackN => Box::new(GbnRefModel::new()),
+        LtlMode::SelectiveRepeat => Box::new(SrRefModel::new(window)),
     }
 }
 
 /// The differential oracle: drains component traces after every event,
 /// steps the per-direction reference models, and compares engine views.
+/// Endpoint A is index 0 and B index 1 throughout.
 struct SessionOracle {
-    node_a: ComponentId,
-    node_b: ComponentId,
+    nodes: [ComponentId; 2],
     chan: ComponentId,
-    a_to_b: RefModel,
-    b_to_a: RefModel,
-    cur_a: usize,
-    cur_b: usize,
+    /// `models[s]` is the direction endpoint `s` sends data on.
+    models: [Box<dyn TransportRef + Send>; 2],
+    /// How much of each endpoint's log, and of the channel's, is drained.
+    cursors: [usize; 2],
     cur_chan: usize,
-    /// Counters of messages the model completed but the node has not yet
-    /// logged as delivered (delivery is logged in the same event).
-    due_a: VecDeque<u64>,
-    due_b: VecDeque<u64>,
+    /// `due[s]`: counters of messages the model completed at endpoint `s`
+    /// but the node has not yet logged as delivered (delivery is logged
+    /// in the same event).
+    due: [VecDeque<u64>; 2],
     violations: Vec<Violation>,
     checks: u64,
 }
@@ -531,87 +472,59 @@ impl SessionOracle {
         }
     }
 
-    /// Applies one node-local trace entry to the direction models.
-    /// `a_side` says which endpoint logged it.
-    fn apply(&mut self, at: SimTime, a_side: bool, ev: NodeEvent) {
-        // `out_model` is the direction this node sends data on;
-        // `in_model` the one it receives data on.
-        macro_rules! out_model {
-            () => {
-                if a_side {
-                    &mut self.a_to_b
-                } else {
-                    &mut self.b_to_a
-                }
-            };
-        }
-        macro_rules! in_model {
-            () => {
-                if a_side {
-                    &mut self.b_to_a
-                } else {
-                    &mut self.a_to_b
-                }
-            };
-        }
+    /// Applies one node-local trace entry, logged by endpoint `side`, to
+    /// the direction models.
+    fn apply(&mut self, at: SimTime, side: usize, ev: NodeEvent) {
+        // `out` is the direction this node sends data on; `inb` the one
+        // it receives data on.
+        let (out, inb) = (side, 1 - side);
         match ev {
             NodeEvent::Submitted {
                 first_seq,
                 frames,
                 counter,
             } => {
-                let r = out_model!().on_submit(first_seq, frames, counter);
+                let r = self.models[out].on_submit(first_seq, frames, counter);
                 self.record(at, "ltl.submit", r);
             }
             NodeEvent::DataTx { seq } => {
-                let r = out_model!().on_data_tx(seq);
+                let r = self.models[out].on_data_tx(seq);
                 self.record(at, "ltl.data_tx", r);
             }
             NodeEvent::AckRx { seq } => {
-                let r = out_model!().on_ack_rx(seq);
+                let r = self.models[out].on_ack_rx(seq);
                 self.record(at, "ltl.ack_rx", r);
             }
             NodeEvent::SackRx { seq, bits } => {
-                let r = out_model!().on_sack_rx(seq, bits);
+                let r = self.models[out].on_sack_rx(seq, bits);
                 self.record(at, "ltl.sack_rx", r);
             }
             NodeEvent::NackRx => {}
             NodeEvent::ConnFailed => {
-                let r = out_model!().on_conn_failed();
+                let r = self.models[out].on_conn_failed();
                 self.record(at, "ltl.conn_failed", r);
             }
-            NodeEvent::DataRx { seq, last_frag } => match in_model!().on_data_rx(seq, last_frag) {
-                Ok(completed) => {
-                    for counter in completed {
-                        if a_side {
-                            self.due_a.push_back(counter);
-                        } else {
-                            self.due_b.push_back(counter);
-                        }
-                    }
+            NodeEvent::DataRx { seq, last_frag } => {
+                match self.models[inb].on_data_rx(seq, last_frag) {
+                    Ok(completed) => self.due[side].extend(completed),
+                    Err(detail) => self.record(at, "ltl.data_rx", Err(detail)),
                 }
-                Err(detail) => self.record(at, "ltl.data_rx", Err(detail)),
-            },
+            }
             NodeEvent::AckTx { seq } => {
-                let r = in_model!().on_ack_tx(seq);
+                let r = self.models[inb].on_ack_tx(seq);
                 self.record(at, "ltl.ack_tx", r);
             }
             NodeEvent::SackTx { seq, bits } => {
-                let r = in_model!().on_sack_tx(seq, bits);
+                let r = self.models[inb].on_sack_tx(seq, bits);
                 self.record(at, "ltl.sack_tx", r);
             }
             NodeEvent::NackTx { seq } => {
-                let r = in_model!().on_nack_tx(seq);
+                let r = self.models[inb].on_nack_tx(seq);
                 self.record(at, "ltl.nack_tx", r);
             }
             NodeEvent::Delivered { counter } => {
-                let due = if a_side {
-                    self.due_a.pop_front()
-                } else {
-                    self.due_b.pop_front()
-                };
-                let r = match due {
-                    Some(expect) => in_model!().on_deliver(counter, expect),
+                let r = match self.due[side].pop_front() {
+                    Some(expect) => self.models[inb].on_deliver(counter, expect),
                     None => Err(format!(
                         "message with counter {counter} delivered but model completed none"
                     )),
@@ -621,37 +534,23 @@ impl SessionOracle {
         }
     }
 
+    /// Compares each direction's model with its sender's and its
+    /// receiver's view of the connection.
     fn compare_views(&mut self, at: SimTime, engine: &Engine<Msg>) {
-        let Some(a) = engine.component::<LtlNode>(self.node_a) else {
-            return;
-        };
-        let Some(b) = engine.component::<LtlNode>(self.node_b) else {
-            return;
-        };
-        let checks = [
-            (
-                a.ltl.send_conn_view(0),
-                a.ltl.send_unacked_seqs(0),
-                b.ltl.recv_conn_view(0),
-                b.ltl.recv_buffered_seqs(0),
-                true,
-            ),
-            (
-                b.ltl.send_conn_view(0),
-                b.ltl.send_unacked_seqs(0),
-                a.ltl.recv_conn_view(0),
-                a.ltl.recv_buffered_seqs(0),
-                false,
-            ),
-        ];
-        for (send_view, unacked, recv_view, buffered, a_to_b) in checks {
-            let (rs, rr) = {
-                let model = if a_to_b { &self.a_to_b } else { &self.b_to_a };
-                (
-                    send_view.map(|v| model.check_sender(&v, unacked.as_deref().unwrap_or(&[]))),
-                    recv_view.map(|v| model.check_receiver(&v, buffered.as_deref().unwrap_or(&[]))),
-                )
+        for dir in 0..2 {
+            let (Some(sender), Some(receiver)) = (
+                engine.component::<LtlNode>(self.nodes[dir]),
+                engine.component::<LtlNode>(self.nodes[1 - dir]),
+            ) else {
+                return;
             };
+            let model = &self.models[dir];
+            let unacked = sender.ltl.send_unacked_seqs(0);
+            let buffered = receiver.ltl.recv_buffered_seqs(0);
+            let rs = (sender.ltl.send_conn_view(0))
+                .map(|v| model.check_sender(&v, unacked.as_deref().unwrap_or(&[])));
+            let rr = (receiver.ltl.recv_conn_view(0))
+                .map(|v| model.check_receiver(&v, buffered.as_deref().unwrap_or(&[])));
             if let Some(r) = rs {
                 self.record(at, "ltl.sender_state", r);
             }
@@ -666,19 +565,14 @@ impl Observer<Msg> for SessionOracle {
     fn after_event(&mut self, event: &EventRecord, engine: &Engine<Msg>) {
         // Drain whatever new trace entries this event produced. Only the
         // dispatched component's log can have grown.
-        for (id, a_side) in [(self.node_a, true), (self.node_b, false)] {
-            let cursor = if a_side { self.cur_a } else { self.cur_b };
-            let Some(node) = engine.component::<LtlNode>(id) else {
+        for side in 0..2 {
+            let Some(node) = engine.component::<LtlNode>(self.nodes[side]) else {
                 continue;
             };
-            let fresh: Vec<NodeEvent> = node.log[cursor..].to_vec();
-            if a_side {
-                self.cur_a = node.log.len();
-            } else {
-                self.cur_b = node.log.len();
-            }
+            let fresh: Vec<NodeEvent> = node.log[self.cursors[side]..].to_vec();
+            self.cursors[side] = node.log.len();
             for ev in fresh {
-                self.apply(event.at, a_side, ev);
+                self.apply(event.at, side, ev);
             }
         }
         if let Some(chan) = engine.component::<Channel>(self.chan) {
@@ -688,11 +582,7 @@ impl Observer<Msg> for SessionOracle {
                 // A lost data frame stalls its own direction; a lost
                 // ack/nack stalls the direction it acknowledges.
                 let data_toward_b = matches!(drop.kind, FrameKind::Data) == drop.toward_b;
-                if data_toward_b {
-                    self.a_to_b.on_drop();
-                } else {
-                    self.b_to_a.on_drop();
-                }
+                self.models[usize::from(!data_toward_b)].on_drop();
             }
         }
         self.compare_views(event.at, engine);
@@ -744,25 +634,31 @@ impl SessionSpec {
             racks: vec![(0, 0), (0, 1)],
         }
     }
+}
 
-    /// The fault mix used for session fuzzing: the standard chaos mix
-    /// with outage lengths compressed to the session timescale.
-    pub fn fault_config(horizon: SimDuration) -> FaultConfig {
-        FaultConfig {
-            flap_down: SimDuration::from_micros(300),
-            tor_reboot: SimDuration::from_micros(900),
-            hang_duration: SimDuration::from_micros(250),
-            burst_frames: 3,
-            ..FaultConfig::with_rate(horizon, 1.5)
-        }
+/// The fault mix of the fuzzed fault-plan cases (sessions and cluster
+/// scenarios): the standard chaos mix at `rate` faults per horizon, with
+/// outage lengths compressed to their millisecond timescale.
+pub fn fault_config(horizon: SimDuration, rate: f64) -> FaultConfig {
+    FaultConfig {
+        flap_down: SimDuration::from_micros(300),
+        tor_reboot: SimDuration::from_micros(900),
+        hang_duration: SimDuration::from_micros(250),
+        burst_frames: 3,
+        ..FaultConfig::with_rate(horizon, rate)
     }
+}
+
+impl Case for SessionSpec {
+    const KIND: &'static str = "session";
+    type Event = FaultEvent;
 
     /// Generates the spec for one fuzzing seed. Odd seeds run with a
     /// salted tie-break order, exercising the schedule-perturbation
     /// half of the determinism contract.
-    pub fn generate(seed: u64) -> SessionSpec {
+    fn generate(seed: u64) -> SessionSpec {
         let horizon = SimDuration::from_millis(4);
-        let plan = FaultPlan::generate(seed, &Self::targets(), &Self::fault_config(horizon));
+        let plan = FaultPlan::generate(seed, &Self::targets(), &fault_config(horizon, 1.5));
         SessionSpec {
             seed,
             salt: if seed % 2 == 1 {
@@ -781,130 +677,150 @@ impl SessionSpec {
         }
     }
 
-    /// The same spec with a different transport mode (the A/B sweep runs
-    /// every seed in both modes).
-    pub fn with_mode(mut self, mode: LtlMode) -> SessionSpec {
-        self.mode = mode;
-        self
-    }
-}
-
-/// Result of one differential session.
-#[derive(Debug, Clone)]
-pub struct SessionOutcome {
-    /// Oracle violations, in event order.
-    pub violations: Vec<Violation>,
-    /// Events the engine dispatched.
-    pub events: u64,
-    /// Messages delivered across both directions.
-    pub delivered: u64,
-    /// Oracle checks evaluated.
-    pub checks: u64,
-}
-
-/// Runs one differential session to quiescence.
-pub fn run_session(spec: &SessionSpec) -> SessionOutcome {
-    let (a_addr, b_addr) = SessionSpec::endpoints();
-    let mut engine: Engine<Msg> = Engine::new(spec.seed);
-    engine.set_tie_break_salt(spec.salt);
-
-    let base = spec.horizon; // plan horizon; sends land in its first 55%
-    let cfg = LtlConfig::default()
-        .without_dcqcn()
-        .with_nack_enabled(spec.nack)
-        .with_mode(spec.mode);
-    let mtu = cfg.mtu_payload;
-    let recv_window = cfg.recv_window;
-
-    let mut ltl_a = LtlEngine::new(a_addr, cfg.clone());
-    let mut ltl_b = LtlEngine::new(b_addr, cfg);
-    let a_recv = ltl_a.add_recv(b_addr);
-    let b_recv = ltl_b.add_recv(a_addr);
-    ltl_a.add_send(b_addr, b_recv);
-    ltl_b.add_send(a_addr, a_recv);
-    if spec.lose_retransmits > 0 {
-        ltl_a.debug_lose_retransmits(spec.lose_retransmits);
-    }
-    if spec.omit_sacks > 0 {
-        ltl_a.debug_omit_sacks(spec.omit_sacks);
+    fn events(&self) -> &[FaultEvent] {
+        &self.plan.events
     }
 
-    let chan_id = engine.next_component_id();
-    let node_a_id = ComponentId::from_raw(1);
-    let node_b_id = ComponentId::from_raw(2);
-    let chan = Channel::from_plan(&spec.plan, spec.seed, a_addr, b_addr, node_a_id, node_b_id);
-    assert_eq!(engine.add_component(chan), chan_id);
-    assert_eq!(
-        engine.add_component(LtlNode::new(ltl_a, mtu, chan_id)),
-        node_a_id
-    );
-    assert_eq!(
-        engine.add_component(LtlNode::new(ltl_b, mtu, chan_id)),
-        node_b_id
-    );
-
-    // Schedule submissions from a dedicated stream (independent of the
-    // engine's own RNG so observers or jitter never shift the workload).
-    let mut rng = SimRng::seed_from(spec.seed ^ 0x5E55_1017);
-    let window = base.as_nanos() as f64 * 0.55;
-    for (node, n) in [
-        (node_a_id, spec.msgs_each_way),
-        (node_b_id, spec.msgs_each_way),
-    ] {
-        for counter in 0..n {
-            let at = SimTime::from_nanos((rng.uniform() * window) as u64);
-            let frames = 1 + rng.index(spec.max_msg_frames as usize);
-            let len = (frames - 1) * mtu + 1 + rng.index(mtu);
-            engine.schedule(
-                at,
-                node,
-                Msg::custom(SendCmd {
-                    counter: counter as u64,
-                    len,
-                }),
-            );
+    fn with_events(&self, events: Vec<FaultEvent>) -> SessionSpec {
+        SessionSpec {
+            plan: FaultPlan { events },
+            ..self.clone()
         }
     }
 
-    engine.set_observer(Box::new(SessionOracle {
-        node_a: node_a_id,
-        node_b: node_b_id,
-        chan: chan_id,
-        a_to_b: RefModel::new(spec.mode, recv_window),
-        b_to_a: RefModel::new(spec.mode, recv_window),
-        cur_a: 0,
-        cur_b: 0,
-        cur_chan: 0,
-        due_a: VecDeque::new(),
-        due_b: VecDeque::new(),
-        violations: Vec::new(),
-        checks: 0,
-    }));
-
-    let events = engine.run_to_idle();
-    let end = engine.now();
-
-    let oracle = engine
-        .observer_as::<SessionOracle>()
-        .expect("oracle attached above");
-    let mut violations = oracle.violations.clone();
-    let mut checks = oracle.checks;
-    for (model, name) in [(&oracle.a_to_b, "a_to_b"), (&oracle.b_to_a, "b_to_a")] {
-        checks += 1;
-        if let Err(detail) = model.check_complete() {
-            violations.push(Violation {
-                at: end,
-                check: "ltl.complete",
-                detail: format!("{name}: {detail}"),
-            });
-        }
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            uint("seed", self.seed),
+            uint("salt", self.salt),
+            ("transport".into(), Value::Str(self.mode.name().into())),
+            uint("lose_retransmits", self.lose_retransmits),
+            uint("omit_sacks", self.omit_sacks),
+            array("events", &self.plan.events, fault_event_to_value),
+        ])
     }
-    let delivered = oracle.a_to_b.delivered() + oracle.b_to_a.delivered();
-    SessionOutcome {
-        violations,
-        events,
-        delivered,
-        checks,
+
+    /// Everything the file does not carry (message count and sizes,
+    /// horizon, NACK) is regenerated from the seed.
+    fn from_value(value: &Value) -> Result<SessionSpec, String> {
+        let obj = as_object(value, "repro")?;
+        let transport = get_str(obj, "transport")?;
+        Ok(SessionSpec {
+            salt: get_u64(obj, "salt")?,
+            mode: LtlMode::parse(transport)
+                .ok_or_else(|| format!("unknown transport mode {transport:?}"))?,
+            lose_retransmits: get_u32(obj, "lose_retransmits")?,
+            omit_sacks: get_u32(obj, "omit_sacks")?,
+            plan: FaultPlan {
+                events: get_array(obj, "events", fault_event_from_value)?,
+            },
+            ..SessionSpec::generate(get_u64(obj, "seed")?)
+        })
+    }
+
+    /// Runs one differential session to quiescence.
+    fn run(&self) -> Outcome {
+        let (a_addr, b_addr) = SessionSpec::endpoints();
+        let mut engine: Engine<Msg> = Engine::new(self.seed);
+        engine.set_tie_break_salt(self.salt);
+
+        let base = self.horizon; // plan horizon; sends land in its first 55%
+        let cfg = LtlConfig::default()
+            .without_dcqcn()
+            .with_nack_enabled(self.nack)
+            .with_mode(self.mode);
+        let mtu = cfg.mtu_payload;
+        let recv_window = cfg.recv_window;
+
+        let mut ltl_a = LtlEngine::new(a_addr, cfg.clone());
+        let mut ltl_b = LtlEngine::new(b_addr, cfg);
+        let a_recv = ltl_a.add_recv(b_addr);
+        let b_recv = ltl_b.add_recv(a_addr);
+        ltl_a.add_send(b_addr, b_recv);
+        ltl_b.add_send(a_addr, a_recv);
+        if self.lose_retransmits > 0 {
+            ltl_a.debug_lose_retransmits(self.lose_retransmits);
+        }
+        if self.omit_sacks > 0 {
+            ltl_a.debug_omit_sacks(self.omit_sacks);
+        }
+
+        let chan_id = engine.next_component_id();
+        let node_a_id = ComponentId::from_raw(1);
+        let node_b_id = ComponentId::from_raw(2);
+        let chan = Channel::from_plan(&self.plan, self.seed, a_addr, b_addr, node_a_id, node_b_id);
+        assert_eq!(engine.add_component(chan), chan_id);
+        assert_eq!(
+            engine.add_component(LtlNode::new(ltl_a, mtu, chan_id)),
+            node_a_id
+        );
+        assert_eq!(
+            engine.add_component(LtlNode::new(ltl_b, mtu, chan_id)),
+            node_b_id
+        );
+
+        // Schedule submissions from a dedicated stream (independent of the
+        // engine's own RNG so observers or jitter never shift the workload).
+        let mut rng = SimRng::seed_from(self.seed ^ 0x5E55_1017);
+        let window = base.as_nanos() as f64 * 0.55;
+        for (node, n) in [
+            (node_a_id, self.msgs_each_way),
+            (node_b_id, self.msgs_each_way),
+        ] {
+            for counter in 0..n {
+                let at = SimTime::from_nanos((rng.uniform() * window) as u64);
+                let frames = 1 + rng.index(self.max_msg_frames as usize);
+                let len = (frames - 1) * mtu + 1 + rng.index(mtu);
+                engine.schedule(
+                    at,
+                    node,
+                    Msg::custom(SendCmd {
+                        counter: counter as u64,
+                        len,
+                    }),
+                );
+            }
+        }
+
+        engine.set_observer(Box::new(SessionOracle {
+            nodes: [node_a_id, node_b_id],
+            chan: chan_id,
+            models: [
+                ref_model(self.mode, recv_window),
+                ref_model(self.mode, recv_window),
+            ],
+            cursors: [0; 2],
+            cur_chan: 0,
+            due: Default::default(),
+            violations: Vec::new(),
+            checks: 0,
+        }));
+
+        let events = engine.run_to_idle();
+        let end = engine.now();
+
+        let oracle = engine
+            .observer_as::<SessionOracle>()
+            .expect("oracle attached above");
+        let mut violations = oracle.violations.clone();
+        let mut checks = oracle.checks;
+        for (model, name) in oracle.models.iter().zip(["a_to_b", "b_to_a"]) {
+            checks += 1;
+            if let Err(detail) = model.check_complete() {
+                violations.push(Violation {
+                    at: end,
+                    check: "ltl.complete",
+                    detail: format!("{name}: {detail}"),
+                });
+            }
+        }
+        let delivered = oracle.models.iter().map(|m| m.delivered()).sum();
+        Outcome {
+            violations,
+            events,
+            checks,
+            delivered,
+            decisions: 0,
+        }
     }
 }
 
@@ -912,11 +828,20 @@ pub fn run_session(spec: &SessionSpec) -> SessionOutcome {
 mod tests {
     use super::*;
 
+    /// The seed's spec in selective-repeat mode (the sweep runs every
+    /// seed in both modes).
+    fn selective_repeat(seed: u64) -> SessionSpec {
+        SessionSpec {
+            mode: LtlMode::SelectiveRepeat,
+            ..SessionSpec::generate(seed)
+        }
+    }
+
     #[test]
     fn clean_session_has_no_violations() {
         let mut spec = SessionSpec::generate(2); // even seed: FIFO order
         spec.plan = FaultPlan::default();
-        let out = run_session(&spec);
+        let out = spec.run();
         assert_eq!(out.violations, Vec::new());
         assert_eq!(out.delivered, 2 * spec.msgs_each_way as u64);
         assert!(out.checks > 0);
@@ -926,7 +851,7 @@ mod tests {
     fn faulty_channel_still_satisfies_the_oracle() {
         for seed in 0..8 {
             let spec = SessionSpec::generate(seed);
-            let out = run_session(&spec);
+            let out = spec.run();
             assert_eq!(out.violations, Vec::new(), "seed {seed}");
         }
     }
@@ -934,8 +859,8 @@ mod tests {
     #[test]
     fn session_is_deterministic_per_seed() {
         let spec = SessionSpec::generate(5);
-        let a = run_session(&spec);
-        let b = run_session(&spec);
+        let a = spec.run();
+        let b = spec.run();
         assert_eq!(a.events, b.events);
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.checks, b.checks);
@@ -943,9 +868,9 @@ mod tests {
 
     #[test]
     fn clean_selective_repeat_session_has_no_violations() {
-        let mut spec = SessionSpec::generate(2).with_mode(LtlMode::SelectiveRepeat);
+        let mut spec = selective_repeat(2);
         spec.plan = FaultPlan::default();
-        let out = run_session(&spec);
+        let out = spec.run();
         assert_eq!(out.violations, Vec::new());
         assert_eq!(out.delivered, 2 * spec.msgs_each_way as u64);
         assert!(out.checks > 0);
@@ -954,17 +879,17 @@ mod tests {
     #[test]
     fn faulty_channel_still_satisfies_the_selective_repeat_oracle() {
         for seed in 0..8 {
-            let spec = SessionSpec::generate(seed).with_mode(LtlMode::SelectiveRepeat);
-            let out = run_session(&spec);
+            let spec = selective_repeat(seed);
+            let out = spec.run();
             assert_eq!(out.violations, Vec::new(), "seed {seed}");
         }
     }
 
     #[test]
     fn selective_repeat_session_is_deterministic_per_seed() {
-        let spec = SessionSpec::generate(5).with_mode(LtlMode::SelectiveRepeat);
-        let a = run_session(&spec);
-        let b = run_session(&spec);
+        let spec = selective_repeat(5);
+        let a = spec.run();
+        let b = spec.run();
         assert_eq!(a.events, b.events);
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.checks, b.checks);
@@ -979,9 +904,9 @@ mod tests {
         // is only non-empty when the reassembly buffer is).
         let mut caught = false;
         for seed in 0..32 {
-            let mut spec = SessionSpec::generate(seed).with_mode(LtlMode::SelectiveRepeat);
+            let mut spec = selective_repeat(seed);
             spec.omit_sacks = 4;
-            if !run_session(&spec).violations.is_empty() {
+            if !spec.run().violations.is_empty() {
                 caught = true;
                 break;
             }
@@ -999,7 +924,7 @@ mod tests {
         for seed in 0..32 {
             let mut spec = SessionSpec::generate(seed);
             spec.lose_retransmits = 1;
-            if !run_session(&spec).violations.is_empty() {
+            if !spec.run().violations.is_empty() {
                 caught = true;
                 break;
             }

@@ -6,7 +6,27 @@
 //! probe is a fully deterministic replay, the result is an exact minimal
 //! reproduction, not a statistical one. Generic over the event type —
 //! chaos [`catapult::chaos::FaultEvent`]s and elastic
-//! [`haas::LeaseEvent`]s shrink through the same machinery.
+//! [`haas::LeaseEvent`]s shrink through the same machinery: [`shrink`]
+//! runs it over any [`Case`].
+
+use crate::repro::Repro;
+use crate::Case;
+
+/// Shrinks a failing case's event list to a 1-minimal one that still
+/// violates and captures the result, with the violations of the shrunk
+/// run, as a [`Repro`]. `case.run()` must violate.
+pub fn shrink<C: Case>(case: &C) -> Repro<C> {
+    let minimal = ddmin(case.events(), |events| {
+        !case
+            .with_events(events.to_vec())
+            .run()
+            .violations
+            .is_empty()
+    });
+    let shrunk = case.with_events(minimal);
+    let violations = shrunk.run().violations;
+    Repro::capture(shrunk, &violations)
+}
 
 /// Zeller–Hildebrandt ddmin over an event list. `still_fails` must return
 /// `true` when the simulation run with the candidate event list still

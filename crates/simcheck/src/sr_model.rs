@@ -17,6 +17,7 @@
 //! why the check must be exact: a lossy-bitmap bug is invisible to any
 //! oracle that only watches deliveries.
 
+use crate::session::TransportRef;
 use crate::{seq_le, seq_lt};
 use shell::ltl::{RecvConnView, SendConnView};
 use std::collections::{BTreeSet, VecDeque};
@@ -89,11 +90,6 @@ impl SrRefModel {
         }
     }
 
-    /// Messages delivered in order so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
     /// Whether the sender has declared the connection failed.
     pub fn failed(&self) -> bool {
         self.failed
@@ -102,51 +98,6 @@ impl SrRefModel {
     /// Channel drops charged to this direction so far.
     pub fn drops(&self) -> u64 {
         self.drops
-    }
-
-    /// Records a channel drop affecting this direction.
-    pub fn on_drop(&mut self) {
-        self.drops += 1;
-    }
-
-    /// The application submitted a message segmented into `frames` frames
-    /// starting at `first_seq`, carrying `counter` in its payload head.
-    pub fn on_submit(&mut self, first_seq: u32, frames: u32, counter: u64) -> Result<(), String> {
-        if first_seq != self.next_seq {
-            return Err(format!(
-                "message submitted at seq {first_seq}, model expected {}",
-                self.next_seq
-            ));
-        }
-        if frames == 0 {
-            return Err("zero-frame message".into());
-        }
-        self.pending.push_back(PendingMsg {
-            first_seq,
-            frames,
-            counter,
-        });
-        self.next_seq = self.next_seq.wrapping_add(frames);
-        Ok(())
-    }
-
-    /// The sender put a data frame with sequence `seq` on the wire
-    /// (first transmission or retransmission).
-    pub fn on_data_tx(&mut self, seq: u32) -> Result<(), String> {
-        if !(seq_le(self.floor, seq) && seq_lt(seq, self.next_seq)) {
-            return Err(format!(
-                "data seq {seq} outside window [{}, {})",
-                self.floor, self.next_seq
-            ));
-        }
-        if self.sacked.contains(&seq) {
-            // A selectively acknowledged frame is retired; retransmitting
-            // it wastes the exact bandwidth selective repeat exists to
-            // save, and means the sender lost track of its sack state.
-            return Err(format!("retransmission of individually sacked seq {seq}"));
-        }
-        self.tx.insert(seq);
-        Ok(())
     }
 
     /// Which `last_frag` flag the frame at `seq` must carry, per the
@@ -179,11 +130,76 @@ impl SrRefModel {
         Ok(None)
     }
 
+    /// The exact in-flight sequence list a correct sender must hold, in
+    /// window (serial) order.
+    fn expected_unacked(&self) -> Vec<u32> {
+        let mut seqs: Vec<u32> = self
+            .tx
+            .iter()
+            .copied()
+            .filter(|s| !self.sacked.contains(s))
+            .collect();
+        seqs.sort_by_key(|s| s.wrapping_sub(self.floor));
+        seqs
+    }
+}
+
+impl TransportRef for SrRefModel {
+    /// Messages delivered in order so far.
+    fn delivered(&self) -> u64 {
+        self.delivered
+    }
+
+    /// Records a channel drop affecting this direction.
+    fn on_drop(&mut self) {
+        self.drops += 1;
+    }
+
+    /// The application submitted a message segmented into `frames` frames
+    /// starting at `first_seq`, carrying `counter` in its payload head.
+    fn on_submit(&mut self, first_seq: u32, frames: u32, counter: u64) -> Result<(), String> {
+        if first_seq != self.next_seq {
+            return Err(format!(
+                "message submitted at seq {first_seq}, model expected {}",
+                self.next_seq
+            ));
+        }
+        if frames == 0 {
+            return Err("zero-frame message".into());
+        }
+        self.pending.push_back(PendingMsg {
+            first_seq,
+            frames,
+            counter,
+        });
+        self.next_seq = self.next_seq.wrapping_add(frames);
+        Ok(())
+    }
+
+    /// The sender put a data frame with sequence `seq` on the wire
+    /// (first transmission or retransmission).
+    fn on_data_tx(&mut self, seq: u32) -> Result<(), String> {
+        if !(seq_le(self.floor, seq) && seq_lt(seq, self.next_seq)) {
+            return Err(format!(
+                "data seq {seq} outside window [{}, {})",
+                self.floor, self.next_seq
+            ));
+        }
+        if self.sacked.contains(&seq) {
+            // A selectively acknowledged frame is retired; retransmitting
+            // it wastes the exact bandwidth selective repeat exists to
+            // save, and means the sender lost track of its sack state.
+            return Err(format!("retransmission of individually sacked seq {seq}"));
+        }
+        self.tx.insert(seq);
+        Ok(())
+    }
+
     /// A data frame with sequence `seq` (and `last_frag` marker) reached
     /// the receiver. Returns the counters of every message this frame
     /// completes — filling a gap can release a run of buffered frames and
     /// with them several messages at once.
-    pub fn on_data_rx(&mut self, seq: u32, last_frag: bool) -> Result<Vec<u64>, String> {
+    fn on_data_rx(&mut self, seq: u32, last_frag: bool) -> Result<Vec<u64>, String> {
         if seq_lt(seq, self.expected) || self.buffered.contains(&seq) {
             // Duplicate of something delivered or already buffered: the
             // receiver re-advertises its state, nothing changes.
@@ -220,7 +236,7 @@ impl SrRefModel {
 
     /// The receiver emitted a SACK with cumulative ack `cum` and bitmap
     /// `bits`. Both are checked exactly against the receiver state.
-    pub fn on_sack_tx(&self, cum: u32, bits: u64) -> Result<(), String> {
+    fn on_sack_tx(&self, cum: u32, bits: u64) -> Result<(), String> {
         let want = self.expected.wrapping_sub(1);
         if cum != want {
             return Err(format!("sack cum {cum}, receiver's floor is {want}"));
@@ -244,7 +260,7 @@ impl SrRefModel {
     /// A SACK with cumulative ack `cum` and bitmap `bits` reached the
     /// sender: the floor advances past `cum` and every bitmap sequence is
     /// retired individually.
-    pub fn on_sack_rx(&mut self, cum: u32, bits: u64) -> Result<(), String> {
+    fn on_sack_rx(&mut self, cum: u32, bits: u64) -> Result<(), String> {
         if !seq_lt(cum, self.next_seq) {
             return Err(format!(
                 "sack cum {cum} which was never assigned (next_seq {})",
@@ -281,7 +297,7 @@ impl SrRefModel {
     }
 
     /// The receiver emitted a NACK requesting retransmission of `seq`.
-    pub fn on_nack_tx(&self, seq: u32) -> Result<(), String> {
+    fn on_nack_tx(&self, seq: u32) -> Result<(), String> {
         if seq != self.expected {
             return Err(format!(
                 "nack requests seq {seq}, receiver expects {}",
@@ -292,7 +308,7 @@ impl SrRefModel {
     }
 
     /// The sender declared the connection failed (retries exhausted).
-    pub fn on_conn_failed(&mut self) -> Result<(), String> {
+    fn on_conn_failed(&mut self) -> Result<(), String> {
         if self.drops == 0 {
             return Err("connection declared failed on a loss-free channel".into());
         }
@@ -302,7 +318,7 @@ impl SrRefModel {
 
     /// The receiver-side application got a completed message carrying
     /// `counter`; must match what [`Self::on_data_rx`] just completed.
-    pub fn on_deliver(&mut self, counter: u64, expected_counter: u64) -> Result<(), String> {
+    fn on_deliver(&mut self, counter: u64, expected_counter: u64) -> Result<(), String> {
         if counter != expected_counter {
             return Err(format!(
                 "delivered message counter {counter}, model completed {expected_counter}"
@@ -311,22 +327,9 @@ impl SrRefModel {
         Ok(())
     }
 
-    /// The exact in-flight sequence list a correct sender must hold, in
-    /// window (serial) order.
-    fn expected_unacked(&self) -> Vec<u32> {
-        let mut seqs: Vec<u32> = self
-            .tx
-            .iter()
-            .copied()
-            .filter(|s| !self.sacked.contains(s))
-            .collect();
-        seqs.sort_by_key(|s| s.wrapping_sub(self.floor));
-        seqs
-    }
-
     /// Differential check of the real sender's view and exact in-flight
     /// sequence list after an event.
-    pub fn check_sender(&self, view: &SendConnView, unacked: &[u32]) -> Result<(), String> {
+    fn check_sender(&self, view: &SendConnView, unacked: &[u32]) -> Result<(), String> {
         if self.failed {
             // Past failure the engine clears its queues; nothing to pin.
             return Ok(());
@@ -348,7 +351,7 @@ impl SrRefModel {
 
     /// Differential check of the real receiver's view and exact reassembly
     /// buffer after an event.
-    pub fn check_receiver(&self, view: &RecvConnView, buffered: &[u32]) -> Result<(), String> {
+    fn check_receiver(&self, view: &RecvConnView, buffered: &[u32]) -> Result<(), String> {
         if view.expected_seq != self.expected {
             return Err(format!(
                 "receiver expected_seq {} != model {}",
@@ -367,7 +370,7 @@ impl SrRefModel {
 
     /// End-of-run completeness: every submitted message was delivered,
     /// unless the connection legally failed.
-    pub fn check_complete(&self) -> Result<(), String> {
+    fn check_complete(&self) -> Result<(), String> {
         if !self.failed && !self.pending.is_empty() {
             return Err(format!(
                 "{} submitted message(s) never delivered on an un-failed connection",

@@ -394,13 +394,7 @@ mod tests {
             ),
             ("b \"q\"".into(), Value::Str("x\ty".into())),
         ]);
-        struct Raw(Value);
-        impl serde::Serialize for Raw {
-            fn to_value(&self) -> Value {
-                self.0.clone()
-            }
-        }
-        let text = serde_json::to_string(&Raw(v.clone())).unwrap();
+        let text = serde_json::to_string(&v).unwrap();
         assert_eq!(parse(&text).unwrap(), v);
     }
 

@@ -256,18 +256,8 @@ impl Tracer {
             ("displayTimeUnit".into(), Value::Str("ns".into())),
             ("traceEvents".into(), Value::Array(events)),
         ]);
-        render(&root)
+        serde_json::to_string(&root).expect("trace serializes")
     }
-}
-
-fn render(v: &Value) -> String {
-    struct Raw<'a>(&'a Value);
-    impl serde::Serialize for Raw<'_> {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
-    serde_json::to_string(&Raw(v)).expect("trace serializes")
 }
 
 impl TrackTracer {

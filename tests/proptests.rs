@@ -210,15 +210,6 @@ proptest! {
     }
 }
 
-/// Wraps a [`serde::Value`] tree so it can be fed to the serializer.
-struct RawValue(serde::Value);
-
-impl serde::Serialize for RawValue {
-    fn to_value(&self) -> serde::Value {
-        self.0.clone()
-    }
-}
-
 /// Builds a scalar JSON value from a generated tag and payloads.
 fn scalar(tag: u8, n: u64, x: f64, s: &str) -> serde::Value {
     use serde::Value;
@@ -284,8 +275,8 @@ proptest! {
             ("payload".into(), inner),
             ("count".into(), Value::U64(leaves.len() as u64)),
         ]);
-        let compact = serde_json::to_string(&RawValue(root.clone())).unwrap();
-        let pretty = serde_json::to_string_pretty(&RawValue(root.clone())).unwrap();
+        let compact = serde_json::to_string(&root).unwrap();
+        let pretty = serde_json::to_string_pretty(&root).unwrap();
         prop_assert_eq!(&telemetry::json::parse(&compact).unwrap(), &root);
         prop_assert_eq!(&telemetry::json::parse(&pretty).unwrap(), &root);
     }
