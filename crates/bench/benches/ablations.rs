@@ -118,16 +118,14 @@ fn reorder_recovery_ns(nack: bool) -> u64 {
         }
         tx.on_tick(now);
         while let Poll::Ready(pkt) = tx.poll(now) {
-            let events = rx.on_packet(&pkt, now);
-            if !events.is_empty() {
+            if rx.on_packet(&pkt, now).len() > 0 {
                 return now.as_nanos();
             }
             progressed = true;
         }
         if !progressed && now > SimTime::from_millis(1) {
             // Late arrival of the original frame (worst case path).
-            let events = rx.on_packet(&first, now);
-            if !events.is_empty() {
+            if rx.on_packet(&first, now).len() > 0 {
                 return now.as_nanos();
             }
         }

@@ -1,23 +1,34 @@
 //! The simulation-wide message type.
 //!
-//! Every engine in this workspace runs over [`Msg`]: network-plane events
-//! and the per-frame pipeline hand-offs inside an endpoint are first-class
-//! variants, while host- and application-level crates attach their own
-//! payloads through [`Msg::custom`]. Components downcast the payloads they
-//! expect; anything else is a wiring bug and surfaces loudly in tests.
+//! Every engine in this workspace runs over [`Msg`]: network-plane events,
+//! the per-frame pipeline hand-offs inside an endpoint and the shell's
+//! per-message delivery upcall are first-class variants, while host- and
+//! application-level crates attach their own payloads through
+//! [`Msg::custom`]. Components take the payloads they expect with
+//! [`Msg::downcast`]; anything else is a wiring bug and surfaces loudly in
+//! tests.
 //!
 //! # Typed-message policy
 //!
-//! Anything on the steady-state event hot path — sent once per frame or
-//! per hop — must be a first-class variant: `Box<dyn Any>` costs a heap
-//! allocation plus a downcast per event, which dominates once the
-//! scheduler itself is cheap. [`Msg::Custom`] is reserved for *cold*
-//! traffic: per-message application payloads, management RPCs, fault
-//! injection, and test scaffolding, where the allocation is amortized over
-//! many frame-level events.
+//! Anything on the steady-state event hot path — sent once per frame, per
+//! hop or per delivered message — must be a first-class variant:
+//! `Box<dyn Any>` costs a heap allocation plus a downcast per event, which
+//! dominates once the scheduler itself is cheap. The variants are
+//! [`Msg::Net`], [`Msg::Egress`], [`Msg::LtlRx`] and [`Msg::LtlDeliver`].
+//! [`Msg::Custom`] is reserved for *cold* traffic: management RPCs, fault
+//! injection, test scaffolding, and payloads whose type lives above this
+//! crate.
+//!
+//! Receive with [`Msg::downcast`], never by opening [`Msg::Custom`] by
+//! hand: `downcast::<LtlDeliver>()` serves the typed variant and a boxed
+//! payload alike, while a hand-written `let Msg::Custom(any) = msg` never
+//! sees a delivery and says nothing about it.
 
 use std::any::Any;
 
+use bytes::Bytes;
+
+use crate::addr::NodeAddr;
 use crate::packet::{Packet, TrafficClass};
 
 /// Index of a port on a switch or endpoint.
@@ -60,6 +71,21 @@ pub enum NetEvent {
     },
 }
 
+/// A complete LTL message, handed by a shell to its registered consumer
+/// ([`Msg::LtlDeliver`]).
+#[derive(Debug, Clone)]
+pub struct LtlDeliver {
+    /// Receive connection the message arrived on (an index into the
+    /// receiving shell's connection table).
+    pub conn: u16,
+    /// Sending FPGA.
+    pub src: NodeAddr,
+    /// Virtual channel.
+    pub vc: u8,
+    /// Reassembled payload.
+    pub payload: Bytes,
+}
+
 /// The global engine message type.
 pub enum Msg {
     /// Network-plane traffic.
@@ -79,6 +105,11 @@ pub enum Msg {
     /// has cleared the MAC/bridge pipeline and is due at the local LTL
     /// protocol engine. Sent once per received LTL frame.
     LtlRx(Packet),
+    /// A reassembled LTL message on its way from a shell (the only
+    /// producer) to the shell's consumer. Sent once per message, so it is
+    /// a first-class variant; consumers take it with
+    /// [`Msg::downcast::<LtlDeliver>`](Msg::downcast).
+    LtlDeliver(LtlDeliver),
     /// Crate-specific payloads (PCIe DMA transactions, application requests,
     /// management RPCs); receivers downcast to the types they expect.
     /// Cold path only — see the module-level typed-message policy.
@@ -96,18 +127,29 @@ impl Msg {
         Msg::Net(NetEvent::Packet { pkt, ingress })
     }
 
-    /// Attempts to take the message as a custom payload of type `T`.
+    /// Attempts to take the message as a payload of type `T`: a
+    /// [`Msg::Custom`] box holding a `T`, or the [`Msg::LtlDeliver`]
+    /// variant when `T` is [`LtlDeliver`].
     ///
     /// # Errors
     ///
-    /// Returns the original message if it is not a `Custom` payload of
-    /// type `T`.
+    /// Returns the original message, unchanged, if it carries no `T`.
     pub fn downcast<T: Any>(self) -> Result<T, Msg> {
         match self {
             Msg::Custom(b) => match b.downcast::<T>() {
                 Ok(v) => Ok(*v),
                 Err(b) => Err(Msg::Custom(b)),
             },
+            Msg::LtlDeliver(d) => {
+                // Moves `d` out as a `T` iff `T` is `LtlDeliver`, through
+                // `dyn Any` because safe code cannot name that equality;
+                // the test is a constant once `T` is known.
+                let mut slot = Some(d);
+                match (&mut slot as &mut dyn Any).downcast_mut::<Option<T>>() {
+                    Some(hit) => Ok(hit.take().expect("filled above")),
+                    None => Err(Msg::LtlDeliver(slot.expect("filled above"))),
+                }
+            }
             other => Err(other),
         }
     }
@@ -123,6 +165,7 @@ impl core::fmt::Debug for Msg {
                 .field("pkt", pkt)
                 .finish(),
             Msg::LtlRx(pkt) => f.debug_tuple("LtlRx").field(pkt).finish(),
+            Msg::LtlDeliver(d) => f.debug_tuple("LtlDeliver").field(d).finish(),
             Msg::Custom(_) => f.write_str("Custom(..)"),
         }
     }
@@ -166,6 +209,48 @@ mod tests {
         assert_eq!(format!("{:?}", Msg::custom(1u8)), "Custom(..)");
     }
 
+    fn deliver() -> LtlDeliver {
+        LtlDeliver {
+            conn: 3,
+            src: NodeAddr::new(0, 1, 2),
+            vc: 1,
+            payload: Bytes::from_static(b"reassembled"),
+        }
+    }
+
+    fn assert_is_the_delivery(d: LtlDeliver) {
+        assert_eq!((d.conn, d.src, d.vc), (3, NodeAddr::new(0, 1, 2), 1));
+        assert_eq!(d.payload, b"reassembled"[..]);
+    }
+
+    #[test]
+    fn ltl_deliver_variant_downcasts_to_its_payload() {
+        assert_is_the_delivery(Msg::LtlDeliver(deliver()).downcast().unwrap());
+    }
+
+    #[test]
+    fn wrong_type_downcast_returns_the_ltl_deliver_variant_intact() {
+        let back = Msg::LtlDeliver(deliver()).downcast::<u32>().unwrap_err();
+        assert!(matches!(back, Msg::LtlDeliver(_)), "got {back:?}");
+        // Not consumed by the miss: a right-typed downcast still succeeds.
+        assert_is_the_delivery(back.downcast().unwrap());
+    }
+
+    #[test]
+    fn boxed_ltl_deliver_still_downcasts() {
+        assert_is_the_delivery(Msg::custom(deliver()).downcast().unwrap());
+    }
+
+    /// What the vendored `Bytes` staying three words buys: no queued
+    /// event grows, so the heap high-water mark does not move.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn queue_node_sizes_are_pinned() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 24);
+        assert_eq!(std::mem::size_of::<Packet>(), 56);
+        assert_eq!(std::mem::size_of::<Msg>(), 72);
+    }
+
     #[test]
     fn hot_variants_are_not_custom_payloads() {
         let mk = || {
@@ -186,5 +271,9 @@ mod tests {
         let rx = Msg::LtlRx(mk());
         assert!(rx.downcast::<u32>().is_err());
         assert!(format!("{:?}", Msg::LtlRx(mk())).starts_with("LtlRx"));
+        let delivery = Msg::LtlDeliver(deliver());
+        assert!(!matches!(delivery, Msg::Custom(_)));
+        assert!(delivery.downcast::<u32>().is_err());
+        assert!(format!("{:?}", Msg::LtlDeliver(deliver())).starts_with("LtlDeliver"));
     }
 }

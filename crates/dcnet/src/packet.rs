@@ -21,6 +21,10 @@ pub const FRAME_OVERHEAD_BYTES: u32 = 24;
 /// Standard Ethernet MTU payload budget used for segmentation.
 pub const MTU_PAYLOAD: usize = 1458; // 1500 - 20 (IP) - 8 (UDP) - 14 (Eth) keeps frames <= 1500B on wire
 
+/// Largest payload [`Packet::encode_wire`] can describe: what is left of
+/// the 16-bit IPv4 total length after the IP and UDP headers.
+const MAX_WIRE_PAYLOAD: usize = u16::MAX as usize - 20 - 8;
+
 /// One of eight 802.1p traffic classes. The Shell maps LTL onto a lossless
 /// class provisioned like RDMA/FCoE traffic; ordinary host TCP traffic rides
 /// the default lossy class.
@@ -180,14 +184,26 @@ impl Packet {
     /// Serializes the frame into real Ethernet/IPv4/UDP bytes.
     /// The IPv4 checksum is computed; UDP checksum is left zero (legal for
     /// IPv4) as in many datacenter stacks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload exceeds 65,507 bytes: the IPv4 total-length
+    /// and UDP length fields are 16 bits wide.
     pub fn encode_wire(&self) -> Bytes {
+        assert!(
+            self.payload.len() <= MAX_WIRE_PAYLOAD,
+            "Packet.payload is {} bytes, the IPv4 total-length field carries at most {}",
+            self.payload.len(),
+            MAX_WIRE_PAYLOAD
+        );
+        let udp_len = 8 + self.payload.len() as u16; // checked above
         let mut buf = BytesMut::with_capacity(HEADER_BYTES as usize + self.payload.len());
         // Ethernet
         buf.put_slice(&MacAddr::for_node(self.dst, 0).0);
         buf.put_slice(&MacAddr::for_node(self.src, 0).0);
         buf.put_u16(0x0800); // IPv4
                              // IPv4
-        let total_len = 20 + 8 + self.payload.len() as u16;
+        let total_len = 20 + udp_len;
         let ihl_ver = 0x45u8;
         let dscp_ecn = (self.class.0 << 5) | self.ecn.to_bits();
         let ip_start = buf.len();
@@ -207,7 +223,7 @@ impl Packet {
         // UDP
         buf.put_u16(self.src_port);
         buf.put_u16(self.dst_port);
-        buf.put_u16(8 + self.payload.len() as u16);
+        buf.put_u16(udp_len);
         buf.put_u16(0); // checksum optional over IPv4
         buf.put_slice(&self.payload);
         buf.freeze()
@@ -349,6 +365,26 @@ mod tests {
         assert_eq!(q.class, p.class);
         assert_eq!(q.ecn, Ecn::Capable);
         assert_eq!(q.payload, p.payload);
+    }
+
+    #[test]
+    fn largest_wire_payload_round_trips() {
+        assert_eq!(MAX_WIRE_PAYLOAD, 65_507);
+        let p = sample_packet(&vec![0xA5; MAX_WIRE_PAYLOAD]);
+        let wire = p.encode_wire();
+        assert_eq!(wire.len(), HEADER_BYTES as usize + MAX_WIRE_PAYLOAD);
+        assert_eq!(&wire[16..18], &[0xFF, 0xFF], "IPv4 total length");
+        assert_eq!(Packet::decode_wire(&wire).unwrap().payload, p.payload);
+    }
+
+    /// Checked in every profile: release builds used to wrap the length
+    /// fields and emit a frame that decodes truncated.
+    #[test]
+    #[should_panic(
+        expected = "Packet.payload is 65508 bytes, the IPv4 total-length field carries at most 65507"
+    )]
+    fn wire_payload_beyond_the_length_fields_is_refused() {
+        sample_packet(&vec![0xA5; MAX_WIRE_PAYLOAD + 1]).encode_wire();
     }
 
     #[test]

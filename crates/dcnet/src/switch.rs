@@ -852,7 +852,7 @@ impl Component<Msg> for Switch {
                 }
             }
             // Endpoint-internal pipeline hand-offs never reach a switch.
-            Msg::Egress { .. } | Msg::LtlRx(_) => {
+            Msg::Egress { .. } | Msg::LtlRx(_) | Msg::LtlDeliver(_) => {
                 panic!("endpoint pipeline message delivered to a switch")
             }
         }

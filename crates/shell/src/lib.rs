@@ -48,10 +48,11 @@ mod shell;
 mod tap;
 pub mod tenant;
 
+/// The delivery upcall lives beside [`dcnet::Msg`], which carries it as a
+/// typed variant; re-exported here because the shell is its only producer.
+pub use dcnet::LtlDeliver;
 pub use er::{CreditPolicy, ElasticRouter, ErConfig, ErStats, Flit, InjectError};
 pub use er_net::{ErMessage, ErNetwork, NetPort};
-pub use shell::{
-    LtlConnFailed, LtlDeliver, Shell, ShellCmd, ShellConfig, ShellStats, PORT_NIC, PORT_TOR,
-};
+pub use shell::{LtlConnFailed, Shell, ShellCmd, ShellConfig, ShellStats, PORT_NIC, PORT_TOR};
 pub use tap::{NetworkTap, PassthroughTap, TapAction};
 pub use tenant::{CapVerdict, TenantCapTable, TenantCaps, TenantId, DEFAULT_CAP_WINDOW};

@@ -31,6 +31,7 @@
 //! protocol rule unit-testable without a simulator.
 
 use std::collections::VecDeque;
+use std::vec::Drain;
 
 use bytes::{Bytes, BytesMut};
 use dcnet::{CnpPacer, DcqcnConfig, DcqcnRp, Ecn, NodeAddr, Packet, TrafficClass, LTL_UDP_PORT};
@@ -418,6 +419,11 @@ pub struct LtlEngine {
     stats: LtlStats,
     next_msg_id: u32,
     rr_conn: usize,
+    /// Upcalls of the [`on_packet`](Self::on_packet) or
+    /// [`on_tick`](Self::on_tick) call in progress, handed out as a
+    /// `Drain` so the steady state allocates nothing per receive. Empty
+    /// between calls: the `Drain` removes what its holder does not take.
+    events: Vec<LtlEvent>,
     /// Test-only fault injection: timed-out frames silently discarded
     /// instead of retransmitted (validates that the oracle catches bugs).
     lose_retransmits: u32,
@@ -455,6 +461,7 @@ impl LtlEngine {
             stats: LtlStats::default(),
             next_msg_id: 1,
             rr_conn: 0,
+            events: Vec::new(),
             lose_retransmits: 0,
             omit_sacks: 0,
         }
@@ -791,46 +798,36 @@ impl LtlEngine {
         }
     }
 
-    /// Processes an incoming LTL packet. Returns upcalls for the shell.
-    /// Non-LTL or corrupt payloads are ignored (counted nowhere: the shell
-    /// only routes LTL-port packets here).
-    pub fn on_packet(&mut self, pkt: &Packet, now: SimTime) -> Vec<LtlEvent> {
-        let Ok(frame) = LtlFrame::decode(&pkt.payload) else {
-            return Vec::new();
-        };
-        match frame.kind {
-            FrameKind::Data => self.on_data(pkt, frame, now),
-            FrameKind::Ack => {
-                self.on_ack(frame, now);
-                Vec::new()
-            }
-            FrameKind::Nack => {
-                self.on_nack(frame);
-                Vec::new()
-            }
-            FrameKind::Sack => {
-                self.on_sack(frame, now);
-                Vec::new()
-            }
-            FrameKind::Cnp => {
-                self.stats.cnps_rx += 1;
-                if let Some(sc) = self.sends.get_mut(frame.dst_conn as usize) {
-                    if let Some(rp) = &mut sc.rp {
-                        rp.on_cnp(now);
+    /// Processes an incoming LTL packet. Returns upcalls for the shell,
+    /// drained from an engine-owned buffer; dropping the result unread
+    /// discards them. Non-LTL or corrupt payloads are ignored (counted
+    /// nowhere: the shell only routes LTL-port packets here).
+    pub fn on_packet(&mut self, pkt: &Packet, now: SimTime) -> Drain<'_, LtlEvent> {
+        if let Ok(frame) = LtlFrame::decode(&pkt.payload) {
+            match frame.kind {
+                FrameKind::Data => self.on_data(pkt, frame, now),
+                FrameKind::Ack => self.on_ack(frame, now),
+                FrameKind::Nack => self.on_nack(frame),
+                FrameKind::Sack => self.on_sack(frame, now),
+                FrameKind::Cnp => {
+                    self.stats.cnps_rx += 1;
+                    if let Some(sc) = self.sends.get_mut(frame.dst_conn as usize) {
+                        if let Some(rp) = &mut sc.rp {
+                            rp.on_cnp(now);
+                        }
                     }
                 }
-                Vec::new()
             }
         }
+        self.events.drain(..)
     }
 
-    fn on_data(&mut self, pkt: &Packet, frame: LtlFrame, now: SimTime) -> Vec<LtlEvent> {
-        let mut events = Vec::new();
+    fn on_data(&mut self, pkt: &Packet, frame: LtlFrame, now: SimTime) {
         // Unknown connection, or a frame from somewhere other than the
         // connection's static peer: discard.
         match self.recvs.get(frame.dst_conn as usize) {
             Some(rc) if rc.remote == pkt.src => {}
-            _ => return events,
+            _ => return,
         }
 
         // Notification point: congestion-marked data triggers a paced CNP.
@@ -856,7 +853,7 @@ impl LtlEngine {
         if frame.seq == rc.expected_seq {
             rc.nack_sent_for = None;
             let (conn, src_conn, ack_seq) = (frame.dst_conn, frame.src_conn, frame.seq);
-            Self::accept_in_order(rc, &mut self.stats, &mut events, conn, pkt.src, frame);
+            Self::accept_in_order(rc, &mut self.stats, &mut self.events, conn, pkt.src, frame);
             self.control.push_back((
                 pkt.src,
                 LtlFrame::control(FrameKind::Ack, conn, src_conn, ack_seq),
@@ -882,7 +879,6 @@ impl LtlEngine {
                 self.stats.nacks_tx += 1;
             }
         }
-        events
     }
 
     /// Selective-repeat data path (connection/peer checks and CNP emission
@@ -890,8 +886,7 @@ impl LtlEngine {
     /// delivered and the reassembly buffer drained behind them;
     /// out-of-order frames within the window are buffered; every data
     /// frame is answered with a SACK carrying the exact buffer bitmap.
-    fn on_data_sr(&mut self, pkt: &Packet, frame: LtlFrame, _now: SimTime) -> Vec<LtlEvent> {
-        let mut events = Vec::new();
+    fn on_data_sr(&mut self, pkt: &Packet, frame: LtlFrame, _now: SimTime) {
         let conn = frame.dst_conn;
         let src_conn = frame.src_conn;
         let rc = self
@@ -900,7 +895,7 @@ impl LtlEngine {
             .expect("checked by on_data");
         if frame.seq == rc.expected_seq {
             rc.nack_sent_for = None;
-            Self::accept_in_order(rc, &mut self.stats, &mut events, conn, pkt.src, frame);
+            Self::accept_in_order(rc, &mut self.stats, &mut self.events, conn, pkt.src, frame);
             // A filled gap may unlock a run of buffered frames — and with
             // them, possibly several complete messages.
             while rc
@@ -909,7 +904,7 @@ impl LtlEngine {
                 .is_some_and(|f| f.seq == rc.expected_seq)
             {
                 let next = rc.buffered.remove(0);
-                Self::accept_in_order(rc, &mut self.stats, &mut events, conn, pkt.src, next);
+                Self::accept_in_order(rc, &mut self.stats, &mut self.events, conn, pkt.src, next);
             }
         } else if seq_lt(frame.seq, rc.expected_seq)
             || rc.buffered.iter().any(|f| f.seq == frame.seq)
@@ -963,7 +958,6 @@ impl LtlEngine {
         self.control
             .push_back((pkt.src, LtlFrame::sack(conn, src_conn, cum, bits)));
         self.stats.sacks_tx += 1;
-        events
     }
 
     /// Accepts the frame at `expected_seq`: advances the window, extends
@@ -1089,9 +1083,9 @@ impl LtlEngine {
 
     /// Advances timers: retransmits timed-out frames and fails connections
     /// whose frames exhausted their retries. Call periodically (the shell
-    /// ticks every few microseconds). Returns failure upcalls.
-    pub fn on_tick(&mut self, now: SimTime) -> Vec<LtlEvent> {
-        let mut events = Vec::new();
+    /// ticks every few microseconds). Returns failure upcalls, drained
+    /// from the same engine-owned buffer as [`on_packet`](Self::on_packet)'s.
+    pub fn on_tick(&mut self, now: SimTime) -> Drain<'_, LtlEvent> {
         for (idx, sc) in self.sends.iter_mut().enumerate() {
             if sc.failed {
                 continue;
@@ -1136,13 +1130,13 @@ impl LtlEngine {
                 sc.pending.clear();
                 sc.unacked.clear();
                 self.stats.conn_failures += 1;
-                events.push(LtlEvent::ConnectionFailed {
+                self.events.push(LtlEvent::ConnectionFailed {
                     conn: idx as SendConnId,
                     remote: sc.remote,
                 });
             }
         }
-        events
+        self.events.drain(..)
     }
 }
 
@@ -1333,7 +1327,7 @@ mod tests {
             panic!("data frame expected");
         };
         let events = p.b.on_packet(&pkt, p.now);
-        let [LtlEvent::Deliver { payload, .. }] = &events[..] else {
+        let [LtlEvent::Deliver { payload, .. }] = events.as_slice() else {
             panic!("expected one delivery, got {events:?}");
         };
         assert_eq!(
@@ -1388,7 +1382,7 @@ mod tests {
         };
         // Before the configured timeout nothing happens.
         p.now = SimTime::ZERO + timeout - SimDuration::from_micros(1);
-        assert!(p.a.on_tick(p.now).is_empty());
+        assert_eq!(p.a.on_tick(p.now).len(), 0);
         assert!(matches!(p.a.poll(p.now), Poll::Empty));
         // After the timeout the frame is retransmitted and delivery works.
         p.now = SimTime::ZERO + timeout + SimDuration::from_micros(1);
@@ -1416,8 +1410,8 @@ mod tests {
         };
         // Deliver out of order: second first.
         p.now = SimTime::from_micros(1);
-        let ev = p.b.on_packet(&second, p.now);
-        assert!(ev.is_empty(), "gap: nothing delivered");
+        let delivered = p.b.on_packet(&second, p.now).len();
+        assert_eq!(delivered, 0, "gap: nothing delivered");
         assert_eq!(p.b.stats_view().nacks_tx, 1);
         // NACK flows back; sender queues a fast retransmit well before the
         // 50us timeout.
@@ -1432,10 +1426,9 @@ mod tests {
         assert_eq!(p.a.stats_view().retransmits, 1);
         assert_eq!(p.a.stats_view().timeouts, 0, "no timeout needed");
         // Now in-order delivery completes both messages.
-        let ev1 = p.b.on_packet(&re_first, p.now);
-        assert_eq!(ev1.len(), 1);
-        let ev2 = p.b.on_packet(&first, p.now);
-        assert_eq!(ev2.len(), 0, "duplicate of already-delivered seq 1");
+        assert_eq!(p.b.on_packet(&re_first, p.now).len(), 1);
+        let dup = p.b.on_packet(&first, p.now).len();
+        assert_eq!(dup, 0, "duplicate of already-delivered seq 1");
         // Drain: the NACK also queued seq 1 for fast retransmit, which
         // completes the second message.
         let events = p.exchange(SimDuration::from_micros(1));
@@ -1646,8 +1639,8 @@ mod tests {
         // Seq 1 arrives over the gap: buffered (not discarded), nacked,
         // and sacked so the sender retires it early.
         p.now = SimTime::from_micros(1);
-        let ev = p.b.on_packet(&second, p.now);
-        assert!(ev.is_empty(), "gap: nothing delivered yet");
+        let delivered = p.b.on_packet(&second, p.now).len();
+        assert_eq!(delivered, 0, "gap: nothing delivered yet");
         assert_eq!(p.b.stats_view().out_of_order, 1);
         assert_eq!(p.b.recv_buffered_seqs(0), Some(vec![1]));
         let events = p.exchange(SimDuration::from_micros(1));
@@ -1663,6 +1656,57 @@ mod tests {
     }
 
     #[test]
+    fn sr_gap_fill_delivers_every_unlocked_message_in_order_from_one_call() {
+        let mut p = Pair::new(sr_cfg());
+        for msg in [&b"m0"[..], b"m1", b"m2"] {
+            p.a.send_message(p.a_send, 0, Bytes::copy_from_slice(msg))
+                .unwrap();
+        }
+        let mut frames = Vec::new();
+        while let Poll::Ready(pkt) = p.a.poll(p.now) {
+            frames.push(pkt);
+        }
+        let [first, second, third] = &frames[..] else {
+            panic!("three single-frame messages, got {}", frames.len());
+        };
+        assert_eq!(p.b.on_packet(third, p.now).len(), 0);
+        assert_eq!(p.b.on_packet(second, p.now).len(), 0);
+        let delivered: Vec<Bytes> =
+            p.b.on_packet(first, p.now)
+                .map(|ev| match ev {
+                    LtlEvent::Deliver { payload, .. } => payload,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+        assert_eq!(delivered, [&b"m0"[..], b"m1", b"m2"]);
+    }
+
+    #[test]
+    fn upcalls_dropped_unread_do_not_reach_the_next_call() {
+        let mut p = Pair::new(no_dcqcn());
+        for msg in [&b"dropped"[..], b"kept"] {
+            p.a.send_message(p.a_send, 0, Bytes::copy_from_slice(msg))
+                .unwrap();
+        }
+        let Poll::Ready(first) = p.a.poll(p.now) else {
+            panic!()
+        };
+        let Poll::Ready(second) = p.a.poll(p.now) else {
+            panic!()
+        };
+        p.b.on_packet(&first, p.now); // one delivery, never looked at
+        let events = p.b.on_packet(&second, p.now);
+        let [LtlEvent::Deliver { payload, .. }] = events.as_slice() else {
+            panic!("expected the second call's own delivery only, got {events:?}");
+        };
+        assert_eq!(payload.as_ref(), b"kept");
+        drop(events);
+        // ... nor a tick's: same buffer, different entry point.
+        assert_eq!(p.b.on_tick(p.now).len(), 0);
+        assert_eq!(p.b.stats_view().msgs_delivered, 2);
+    }
+
+    #[test]
     fn sr_duplicate_data_is_reacked_not_redelivered() {
         let mut p = Pair::new(sr_cfg());
         p.a.send_message(p.a_send, 0, Bytes::from_static(b"once"))
@@ -1671,7 +1715,7 @@ mod tests {
             panic!()
         };
         assert_eq!(p.b.on_packet(&pkt, p.now).len(), 1);
-        assert!(p.b.on_packet(&pkt, p.now).is_empty(), "dup discarded");
+        assert_eq!(p.b.on_packet(&pkt, p.now).len(), 0, "dup discarded");
         assert_eq!(p.b.stats_view().duplicates, 1);
         assert_eq!(p.b.stats_view().sacks_tx, 2, "dup still re-advertises");
     }

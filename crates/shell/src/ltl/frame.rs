@@ -6,7 +6,7 @@
 //! connection tables), a sequence number for the reliable, ordered
 //! delivery machinery, and message reassembly metadata.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// LTL header length in bytes.
 pub const LTL_HEADER_BYTES: usize = 20;
@@ -123,42 +123,41 @@ impl LtlFrame {
 
     /// Serializes the frame (header + payload).
     ///
-    /// Writes header and payload once into an exact-capacity buffer that
-    /// is moved — not copied — into the returned [`Bytes`], so encoding
-    /// never does a growth-and-copy round-trip or a second pass over the
-    /// payload.
-    pub fn encode(&self) -> Bytes {
-        let mut wire = Vec::with_capacity(LTL_HEADER_BYTES + self.payload.len());
-        self.write_wire(&mut wire);
-        Bytes::from(wire)
-    }
-
-    /// Serializes the frame through a caller-owned scratch buffer.
+    /// The header is assembled once on the stack. A payload-free frame
+    /// (ACK / NACK / CNP) is that array copied into a [`Bytes`], which
+    /// stores 20 bytes inline: no heap. A payload-bearing frame is one
+    /// exact-capacity buffer, filled once and moved — not copied — into
+    /// the returned [`Bytes`].
     ///
-    /// The returned [`Bytes`] is an independent copy of the scratch, which
-    /// keeps its capacity for the next call. Prefer [`LtlFrame::encode`]
-    /// when the wire buffer is handed off: moving a fresh exact-capacity
-    /// buffer into `Bytes` skips this variant's copy-out pass.
-    pub fn encode_into(&self, scratch: &mut BytesMut) -> Bytes {
-        scratch.clear();
-        self.write_wire(scratch);
-        Bytes::copy_from_slice(scratch)
-    }
-
-    /// Appends the wire image (header + payload) to `out`.
-    fn write_wire(&self, out: &mut impl BufMut) {
-        out.put_u16(MAGIC);
-        out.put_u8(VERSION);
-        out.put_u8(self.kind.to_byte());
-        out.put_u16(self.src_conn);
-        out.put_u16(self.dst_conn);
-        out.put_u32(self.seq);
-        out.put_u32(self.msg_id);
-        let flags = if self.last_frag { 1u8 } else { 0 };
-        out.put_u8(flags);
-        out.put_u8(self.vc);
-        out.put_u16(self.payload.len() as u16);
-        out.put_slice(&self.payload);
+    /// # Panics
+    ///
+    /// Panics if the payload exceeds the header's 16-bit length field.
+    pub fn encode(&self) -> Bytes {
+        let len = u16::try_from(self.payload.len()).unwrap_or_else(|_| {
+            panic!(
+                "LtlFrame.payload is {} bytes, the header's length field carries at most {}",
+                self.payload.len(),
+                u16::MAX
+            )
+        });
+        let mut header = [0u8; LTL_HEADER_BYTES];
+        header[0..2].copy_from_slice(&MAGIC.to_be_bytes());
+        header[2] = VERSION;
+        header[3] = self.kind.to_byte();
+        header[4..6].copy_from_slice(&self.src_conn.to_be_bytes());
+        header[6..8].copy_from_slice(&self.dst_conn.to_be_bytes());
+        header[8..12].copy_from_slice(&self.seq.to_be_bytes());
+        header[12..16].copy_from_slice(&self.msg_id.to_be_bytes());
+        header[16] = self.last_frag as u8;
+        header[17] = self.vc;
+        header[18..20].copy_from_slice(&len.to_be_bytes());
+        if self.payload.is_empty() {
+            return Bytes::copy_from_slice(&header);
+        }
+        let mut wire = Vec::with_capacity(LTL_HEADER_BYTES + self.payload.len());
+        wire.extend_from_slice(&header);
+        wire.extend_from_slice(&self.payload);
+        Bytes::from(wire)
     }
 
     /// Parses a frame produced by [`LtlFrame::encode`].
@@ -346,21 +345,87 @@ mod tests {
         );
     }
 
+    /// The field-by-field writer [`LtlFrame::encode`] replaced, kept as
+    /// the reference its wire image is checked against.
+    fn put_wire(f: &LtlFrame) -> Vec<u8> {
+        use bytes::BufMut;
+        let mut out = Vec::new();
+        out.put_u16(MAGIC);
+        out.put_u8(VERSION);
+        out.put_u8(f.kind.to_byte());
+        out.put_u16(f.src_conn);
+        out.put_u16(f.dst_conn);
+        out.put_u32(f.seq);
+        out.put_u32(f.msg_id);
+        out.put_u8(if f.last_frag { 1 } else { 0 });
+        out.put_u8(f.vc);
+        out.put_u16(f.payload.len() as u16);
+        out.put_slice(&f.payload);
+        out
+    }
+
     #[test]
     fn encode_into_reuses_scratch_and_matches_encode() {
-        let mut scratch = BytesMut::new();
-        for seq in 0..4u32 {
-            let f = LtlFrame {
-                kind: FrameKind::Data,
-                src_conn: 1,
-                dst_conn: 2,
-                seq,
-                msg_id: seq,
-                last_frag: false,
-                vc: 1,
-                payload: Bytes::from(vec![seq as u8; 64]),
-            };
-            assert_eq!(f.encode_into(&mut scratch), f.encode());
+        let kinds = [
+            FrameKind::Data,
+            FrameKind::Ack,
+            FrameKind::Nack,
+            FrameKind::Cnp,
+            FrameKind::Sack,
+        ];
+        let mtu = dcnet::MTU_PAYLOAD - LTL_HEADER_BYTES;
+        let mut seq = 0xFFFF_FFF0u32;
+        for kind in kinds {
+            for len in [0, 1, 2, 3, 8, 22, 23, 64, mtu] {
+                for last_frag in [false, true] {
+                    seq = seq.wrapping_add(7);
+                    let f = LtlFrame {
+                        kind,
+                        src_conn: 0x1234,
+                        dst_conn: 0xFEDC,
+                        seq,
+                        msg_id: seq.rotate_left(9),
+                        last_frag,
+                        vc: 3,
+                        payload: Bytes::from((0..len).map(|i| i as u8).collect::<Vec<u8>>()),
+                    };
+                    let wire = f.encode();
+                    assert_eq!(wire, put_wire(&f), "{kind:?} len {len} last {last_frag}");
+                    assert_eq!(LtlFrame::decode(&wire).unwrap(), f);
+                }
+            }
         }
+    }
+
+    fn data_frame_of(len: usize) -> LtlFrame {
+        LtlFrame {
+            kind: FrameKind::Data,
+            src_conn: 1,
+            dst_conn: 2,
+            seq: 3,
+            msg_id: 4,
+            last_frag: true,
+            vc: 0,
+            payload: Bytes::from(vec![0x5A; len]),
+        }
+    }
+
+    #[test]
+    fn largest_payload_round_trips() {
+        let f = data_frame_of(u16::MAX as usize);
+        let wire = f.encode();
+        assert_eq!(&wire[18..20], &[0xFF, 0xFF]);
+        assert_eq!(LtlFrame::decode(&wire).unwrap(), f);
+    }
+
+    /// Checked in every profile: a bare cast used to encode length 0 here
+    /// (and 4,464 for 70,000 bytes), which decodes as a truncated frame
+    /// with no error.
+    #[test]
+    #[should_panic(
+        expected = "LtlFrame.payload is 65536 bytes, the header's length field carries at most 65535"
+    )]
+    fn payload_beyond_the_length_field_is_refused() {
+        data_frame_of(u16::MAX as usize + 1).encode();
     }
 }

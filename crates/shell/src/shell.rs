@@ -15,16 +15,17 @@
 //! payloads in return.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::vec::Drain;
 
 use bytes::Bytes;
 use dcnet::{
-    FreeTimer, LinkParams, LinkTx, Msg, NetEvent, NodeAddr, Packet, PortId, TrafficClass,
-    LTL_UDP_PORT,
+    FreeTimer, LinkParams, LinkTx, LtlDeliver, Msg, NetEvent, NodeAddr, Packet, PortId,
+    TrafficClass, LTL_UDP_PORT,
 };
 use dcsim::{Component, ComponentId, Context, SimDuration, SimTime};
 use telemetry::{MetricSource, MetricVisitor, TrackTracer};
 
-use crate::ltl::{LtlConfig, LtlEngine, LtlEvent, Poll, RecvConnId, SendConnId};
+use crate::ltl::{LtlConfig, LtlEngine, LtlEvent, Poll, SendConnId};
 use crate::tap::{NetworkTap, PassthroughTap, TapAction};
 use crate::tenant::{CapVerdict, TenantCapTable, TenantCaps, TenantId};
 
@@ -165,19 +166,6 @@ pub enum ShellCmd {
         /// Owning tenant, or `None` to clear the binding.
         tenant: Option<TenantId>,
     },
-}
-
-/// Delivered LTL message, sent to the registered consumer component.
-#[derive(Debug, Clone)]
-pub struct LtlDeliver {
-    /// Receive connection the message arrived on.
-    pub conn: RecvConnId,
-    /// Sending FPGA.
-    pub src: NodeAddr,
-    /// Virtual channel.
-    pub vc: u8,
-    /// Reassembled payload.
-    pub payload: Bytes,
 }
 
 /// Connection-failure notification, sent to the registered consumer.
@@ -513,8 +501,15 @@ impl Shell {
         }
     }
 
-    fn dispatch_ltl_events(&mut self, events: Vec<LtlEvent>, ctx: &mut Context<'_, Msg>) {
-        for ev in events {
+    /// Runs one engine entry point (`on_packet` or `on_tick`) and forwards
+    /// its upcalls to the consumer. The upcalls borrow the engine, hence
+    /// the closure: only inside one body can the loop hold `self.ltl` and
+    /// still reach the shell's other fields.
+    fn dispatch_ltl_events<F>(&mut self, upcalls: F, ctx: &mut Context<'_, Msg>)
+    where
+        F: for<'e> FnOnce(&'e mut LtlEngine) -> Drain<'e, LtlEvent>,
+    {
+        for ev in upcalls(&mut self.ltl) {
             match ev {
                 LtlEvent::Deliver {
                     conn,
@@ -522,6 +517,13 @@ impl Shell {
                     vc,
                     payload,
                 } => {
+                    if let Some(tracer) = &self.tracer {
+                        tracer.instant(
+                            ctx.now(),
+                            "ltl_deliver",
+                            &[("bytes", payload.len() as u64)],
+                        );
+                    }
                     if self.hang_until.is_some() {
                         // The wedged role consumes and loses the message;
                         // the shell has already ACKed it.
@@ -531,7 +533,7 @@ impl Shell {
                     if let Some(consumer) = self.consumer {
                         ctx.send(
                             consumer,
-                            Msg::custom(LtlDeliver {
+                            Msg::LtlDeliver(LtlDeliver {
                                 conn,
                                 src,
                                 vc,
@@ -652,25 +654,20 @@ impl Component<Msg> for Shell {
             Msg::Egress { port, pkt } => self.enqueue(port, pkt, ctx),
             Msg::LtlRx(pkt) => {
                 let acks_before = self.ltl.stats_view().acks_rx;
-                let events = self.ltl.on_packet(&pkt, ctx.now());
+                let now = ctx.now();
+                self.dispatch_ltl_events(|ltl| ltl.on_packet(&pkt, now), ctx);
+                // Read once the upcalls release the engine; an ACK frame
+                // has none, so no `ltl_deliver` instant can precede this.
                 if let Some(tracer) = &self.tracer {
                     if self.ltl.stats_view().acks_rx > acks_before {
                         tracer.instant(ctx.now(), "ltl_ack", &[("src", pkt.src.as_u32() as u64)]);
                     }
-                    for ev in &events {
-                        if let LtlEvent::Deliver { payload, .. } = ev {
-                            tracer.instant(
-                                ctx.now(),
-                                "ltl_deliver",
-                                &[("bytes", payload.len() as u64)],
-                            );
-                        }
-                    }
                 }
-                self.dispatch_ltl_events(events, ctx);
                 // ACKs/CNPs may now be queued.
                 self.pump_ltl(ctx);
             }
+            // Deliveries are addressed to consumers, never to a shell.
+            Msg::LtlDeliver(_) => {}
             Msg::Custom(any) => {
                 if let Ok(cmd) = any.downcast::<ShellCmd>() {
                     match *cmd {
@@ -750,8 +747,8 @@ impl Component<Msg> for Shell {
             }
             TIMER_LTL_TICK => {
                 self.tick_armed = false;
-                let events = self.ltl.on_tick(ctx.now());
-                self.dispatch_ltl_events(events, ctx);
+                let now = ctx.now();
+                self.dispatch_ltl_events(|ltl| ltl.on_tick(now), ctx);
                 self.pump_ltl(ctx);
                 self.ensure_tick(ctx);
             }
@@ -826,15 +823,14 @@ mod tests {
                 Msg::Net(NetEvent::Packet { pkt, ingress }) => {
                     self.packets.push((ctx.now(), pkt, ingress));
                 }
-                Msg::Custom(any) => match any.downcast::<LtlDeliver>() {
-                    Ok(d) => self.deliveries.push((ctx.now(), *d)),
-                    Err(any) => {
-                        if let Ok(f) = any.downcast::<LtlConnFailed>() {
-                            self.failures.push(*f);
+                other => match other.downcast::<LtlDeliver>() {
+                    Ok(d) => self.deliveries.push((ctx.now(), d)),
+                    Err(other) => {
+                        if let Ok(f) = other.downcast::<LtlConnFailed>() {
+                            self.failures.push(f);
                         }
                     }
                 },
-                _ => {}
             }
         }
     }

@@ -128,7 +128,7 @@ proptest! {
             // retry budget: the engine then declares the connection failed
             // (that is the paper's failing-node detection). Delivery up to
             // that point must still be exactly-once and in order.
-            let failed = !tx.on_tick(now).is_empty();
+            let failed = tx.on_tick(now).len() > 0;
             if failed || (delivered.len() == sent.len() && tx.in_flight() == 0) {
                 if failed {
                     prop_assert!(tx.stats_view().conn_failures > 0);

@@ -39,8 +39,7 @@ struct FlowConsumer {
 
 impl Component<Msg> for FlowConsumer {
     fn on_message(&mut self, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        let Msg::Custom(any) = msg else { return };
-        match any.downcast::<LtlDeliver>() {
+        match msg.downcast::<LtlDeliver>() {
             Ok(deliver) => {
                 self.delivered += 1;
                 let mut head = [0u8; 8];
@@ -63,8 +62,8 @@ impl Component<Msg> for FlowConsumer {
                 }
                 self.last_counter.insert(key, counter);
             }
-            Err(any) => {
-                if let Ok(failed) = any.downcast::<LtlConnFailed>() {
+            Err(msg) => {
+                if let Ok(failed) = msg.downcast::<LtlConnFailed>() {
                     ctx.send(
                         self.monitor,
                         Msg::custom(NodeDownReport {

@@ -108,20 +108,20 @@ impl LtlNode {
         }
     }
 
-    fn log_ltl_events(&mut self, events: Vec<LtlEvent>) {
-        for ev in events {
-            match ev {
-                LtlEvent::Deliver { payload, .. } => {
-                    let mut head = [0u8; 8];
-                    let n = payload.len().min(8);
-                    head[..n].copy_from_slice(&payload[..n]);
-                    self.log.push(NodeEvent::Delivered {
-                        counter: u64::from_be_bytes(head),
-                    });
+    /// Logs the engine's upcalls. `events` borrows the node's engine, so
+    /// the log arrives as its own field rather than through `&mut self`.
+    fn log_ltl_events(log: &mut Vec<NodeEvent>, events: impl Iterator<Item = LtlEvent>) {
+        log.extend(events.map(|ev| match ev {
+            LtlEvent::Deliver { payload, .. } => {
+                let mut head = [0u8; 8];
+                let n = payload.len().min(8);
+                head[..n].copy_from_slice(&payload[..n]);
+                NodeEvent::Delivered {
+                    counter: u64::from_be_bytes(head),
                 }
-                LtlEvent::ConnectionFailed { .. } => self.log.push(NodeEvent::ConnFailed),
             }
-        }
+            LtlEvent::ConnectionFailed { .. } => NodeEvent::ConnFailed,
+        }));
     }
 
     fn pump(&mut self, ctx: &mut Context<'_, Msg>) {
@@ -189,9 +189,9 @@ impl Component<Msg> for LtlNode {
                     }
                 }
                 let events = self.ltl.on_packet(&pkt, ctx.now());
-                self.log_ltl_events(events);
+                Self::log_ltl_events(&mut self.log, events);
             }
-            Msg::Net(_) | Msg::Egress { .. } | Msg::LtlRx(_) => {}
+            Msg::Net(_) | Msg::Egress { .. } | Msg::LtlRx(_) | Msg::LtlDeliver(_) => {}
             Msg::Custom(any) => {
                 if let Ok(cmd) = any.downcast::<SendCmd>() {
                     let first_seq = self
@@ -223,7 +223,7 @@ impl Component<Msg> for LtlNode {
             TIMER_TICK => {
                 self.tick_armed = false;
                 let events = self.ltl.on_tick(ctx.now());
-                self.log_ltl_events(events);
+                Self::log_ltl_events(&mut self.log, events);
             }
             TIMER_POLL => self.poll_armed = false,
             _ => {}

@@ -23,13 +23,30 @@
 //! thread that runs them (a thread-local flag the allocator reads), so
 //! whatever the libtest harness does on its own threads meanwhile is not
 //! attributed to the measured window. The sharded workload spawns workers
-//! and has to count the whole process; its constant budget absorbs that.
+//! and has to count the whole process; its constant budget absorbs that,
+//! and [`SERIAL`] keeps this file's other tests out of it.
+//!
+//! The LTL message path is not allocation-free, it is *budgeted*: what a
+//! message still costs is its data frame's wire buffer (a `Vec` and the
+//! `Arc` sharing it with the retransmission store) plus whatever box the
+//! sender itself put its command in. Two more tests pin that, two-sided —
+//! an acquisition that disappears is news as much as one that appears:
+//!
+//! * two shells under one TOR in a closed-loop 48-byte volley: 6 per
+//!   round trip (each side boxes one `ShellCmd::LtlSend` and encodes one
+//!   data frame; ACKs, upcalls and deliveries are free);
+//! * two `LtlEngine`s driven back to back: 2 per data frame, and an
+//!   acknowledgement leg that is free in go-back-N (a 20-byte ACK lives
+//!   inline in its `Bytes`) and costs 2 in selective repeat (a 28-byte
+//!   SACK wire image does not; its 8-byte bitmap payload does).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use bytes::Bytes;
+use catapult::ClusterBuilder;
 use dcnet::{
     FabricBuilder, FabricConfig, FabricShape, Jitter, Msg, NetEvent, NodeAddr, Packet, PortId,
     SwitchConfig, TrafficClass,
@@ -37,6 +54,8 @@ use dcnet::{
 use dcsim::{
     Component, ComponentId, Context, Engine, ShardPlan, ShardedEngine, SimDuration, SimTime,
 };
+use shell::ltl::{LtlConfig, LtlEngine, LtlEvent, LtlMode, Poll, SendConnId};
+use shell::{LtlDeliver, ShellCmd};
 
 /// Counts heap acquisitions (`alloc` and `realloc`); frees are irrelevant
 /// to the steady-state-zero contract.
@@ -85,6 +104,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// One test of this file at a time: the sharded window counts the whole
+/// process, and the others allocate by the tens of thousands.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A test that failed while holding the lock has already reported.
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Runs `window` and returns how many times *this thread* acquired heap
 /// memory inside it.
@@ -286,6 +316,7 @@ fn sharded_allocs_per_event() -> (u64, u64) {
 /// (scheduler node churn, boxed messages, payload copies) trips this.
 #[test]
 fn steady_state_event_path_is_allocation_free() {
+    let _serial = serial();
     let (chain_allocs, chain_events) = ping_chain_allocs_per_event();
     assert!(
         chain_events > 50_000,
@@ -320,4 +351,161 @@ fn steady_state_event_path_is_allocation_free() {
         "sharded workload allocated {sharded_allocs} times over {sharded_events} \
          steady-state events (budget 64: thread spawns only)"
     );
+}
+
+/// Slack of the two-sided LTL budgets: each engine's RTT recorder keeps
+/// every sample, so its `Vec` doubles a handful of times per window.
+const RECORDER_GROWTH: u64 = 64;
+
+#[track_caller]
+fn assert_budget(what: &str, measured: u64, n: u64, per_op: u64) {
+    let floor = n * per_op;
+    assert!(
+        (floor..=floor + RECORDER_GROWTH).contains(&measured),
+        "{what}: {measured} acquisitions over {n} operations, budget {per_op} each \
+         ({floor}..={})",
+        floor + RECORDER_GROWTH
+    );
+}
+
+/// One side of a closed-loop volley: answers every delivery with one
+/// message until its budget is spent.
+struct VolleyPeer {
+    shell: ComponentId,
+    conn: SendConnId,
+    payload: Bytes,
+    replies_left: u64,
+}
+
+impl VolleyPeer {
+    /// The command a consumer hands its shell; building it is the one
+    /// acquisition per message that belongs to the sender.
+    fn send(&self) -> Msg {
+        Msg::custom(ShellCmd::LtlSend {
+            conn: self.conn,
+            vc: 0,
+            payload: self.payload.clone(),
+        })
+    }
+}
+
+impl Component<Msg> for VolleyPeer {
+    fn on_message(&mut self, msg: Msg, ctx: &mut Context<'_, Msg>) {
+        if msg.downcast::<LtlDeliver>().is_ok() && self.replies_left > 0 {
+            self.replies_left -= 1;
+            ctx.send(self.shell, self.send());
+        }
+    }
+}
+
+/// The whole shell-to-shell path, as the benchmark's `ltl_volley` drives
+/// it: per round trip, 2 boxes this test builds + 2 data-frame wire
+/// buffers of 2 acquisitions each. Everything else the transport does for
+/// a message — ACK wire images, the engine's upcalls, `Msg::LtlDeliver` —
+/// acquires nothing.
+#[test]
+fn ltl_round_trip_acquires_only_its_wire_buffers_and_the_senders_boxes() {
+    const WARM_UP: u64 = 1_000;
+    const ROUND_TRIPS: u64 = 10_000;
+    let _serial = serial();
+    let mut cluster = ClusterBuilder::paper(5, 1).build();
+    let (a, b) = (NodeAddr::new(0, 0, 0), NodeAddr::new(0, 0, 1));
+    let a_shell = cluster.add_shell(a);
+    let b_shell = cluster.add_shell(b);
+    let (a_send, b_send, _, _) = cluster.connect_pair(a, b);
+    let payload = Bytes::from(vec![0xA5u8; 48]);
+    let peer = |shell, conn| VolleyPeer {
+        shell,
+        conn,
+        payload: payload.clone(),
+        replies_left: u64::MAX,
+    };
+    let initiator = cluster.add_component_at(a, peer(a_shell, a_send));
+    let responder = cluster.add_component_at(b, peer(b_shell, b_send));
+    cluster.set_consumer(a, initiator);
+    cluster.set_consumer(b, responder);
+
+    // A volley of `n` round trips, run to idle: the initiator's kick plus
+    // `n - 1` of its replies, each answered by the responder.
+    let mut volley = |n: u64| {
+        let engine = cluster.engine_mut();
+        let kick = {
+            let initiator = engine.component_mut::<VolleyPeer>(initiator).unwrap();
+            initiator.replies_left = n - 1;
+            initiator.send()
+        };
+        let now = engine.now();
+        engine.schedule(now, a_shell, kick);
+        engine.run_to_idle();
+    };
+    volley(WARM_UP);
+    let measured = on_this_thread(|| volley(ROUND_TRIPS));
+
+    let delivered = |addr| cluster.shell(addr).ltl().stats_view().msgs_delivered;
+    assert_eq!(delivered(a), WARM_UP + ROUND_TRIPS);
+    assert_eq!(delivered(b), WARM_UP + ROUND_TRIPS);
+    assert_budget("shell-to-shell round trip", measured, ROUND_TRIPS, 6);
+}
+
+/// Acquisitions of `messages` single-frame messages pushed through a
+/// back-to-back engine pair, split into the data leg (`send_message`,
+/// `poll`) and the acknowledgement leg (`on_packet`, `poll`, `on_packet`).
+fn engine_pair_allocs(mode: LtlMode, messages: u64) -> (u64, u64) {
+    let (a_addr, b_addr) = (NodeAddr::new(0, 0, 1), NodeAddr::new(0, 0, 2));
+    let cfg = LtlConfig::default().with_mode(mode);
+    let mut a = LtlEngine::new(a_addr, cfg.clone());
+    let mut b = LtlEngine::new(b_addr, cfg);
+    let recv = b.add_recv(a_addr);
+    let conn = a.add_send(b_addr, recv);
+    let payload = Bytes::from(vec![0x3Cu8; 48]);
+    let mut now = SimTime::ZERO;
+    let mut message = |a: &mut LtlEngine, b: &mut LtlEngine| {
+        now += SimDuration::from_micros(1);
+        let mut wire = None;
+        let data_leg = on_this_thread(|| {
+            a.send_message(conn, 0, payload.clone()).expect("open");
+            wire = Some(a.poll(now));
+        });
+        let Some(Poll::Ready(data)) = wire else {
+            panic!("data frame expected");
+        };
+        let ack_leg = on_this_thread(|| {
+            let delivered = b
+                .on_packet(&data, now)
+                .filter(|ev| matches!(ev, LtlEvent::Deliver { .. }))
+                .count();
+            assert_eq!(delivered, 1);
+            let Poll::Ready(ack) = b.poll(now) else {
+                panic!("acknowledgement expected");
+            };
+            assert_eq!(a.on_packet(&ack, now).len(), 0);
+        });
+        (data_leg, ack_leg)
+    };
+    for _ in 0..1_000 {
+        message(&mut a, &mut b);
+    }
+    let mut legs = (0, 0);
+    for _ in 0..messages {
+        let (data_leg, ack_leg) = message(&mut a, &mut b);
+        legs = (legs.0 + data_leg, legs.1 + ack_leg);
+    }
+    assert_eq!(a.in_flight(), 0, "every frame acknowledged");
+    legs
+}
+
+/// The engine alone: the wire buffer is all a data frame costs, and what
+/// an acknowledgement costs depends only on whether its wire image fits
+/// the `Bytes` inline arm.
+#[test]
+fn ltl_engine_pair_acquires_only_wire_buffers() {
+    const MESSAGES: u64 = 10_000;
+    let _serial = serial();
+    let (data_leg, ack_leg) = engine_pair_allocs(LtlMode::GoBackN, MESSAGES);
+    assert_eq!(data_leg, 2 * MESSAGES, "go-back-N data leg");
+    assert_budget("go-back-N acknowledgement leg", ack_leg, MESSAGES, 0);
+
+    let (data_leg, ack_leg) = engine_pair_allocs(LtlMode::SelectiveRepeat, MESSAGES);
+    assert_eq!(data_leg, 2 * MESSAGES, "selective-repeat data leg");
+    assert_budget("selective-repeat acknowledgement leg", ack_leg, MESSAGES, 2);
 }
