@@ -11,6 +11,8 @@
 //!       [--fault-rate X]
 //! ```
 
+use std::time::Instant;
+
 use bench::arg_value;
 use catapult::prelude::*;
 
@@ -37,12 +39,17 @@ fn main() {
         cfg = cfg.with_fault_rate(rate.parse().expect("--fault-rate takes a float"));
     }
 
-    let rig = ChaosRig::build(cfg);
+    let mut rig = ChaosRig::build(cfg);
     println!(
         "seed {seed}  preset {}  faults {}",
         preset.name(),
         rig.plan().events.len()
     );
+    let started = Instant::now();
+    let events = rig.cluster_mut().run_to_idle();
+    let queue = rig.cluster_mut().engine().queue_stats();
+    bench::report_engine_cost(events, "run", started.elapsed(), queue);
+    // Nothing is left to run: this assembles the report.
     let report = rig.run();
 
     println!(

@@ -70,8 +70,10 @@ fn run_fleet_mode() {
         params.workload.users,
     );
     let wall = Instant::now();
-    let result = fig10::run_fleet(&params);
-    let wall_secs = wall.elapsed().as_secs_f64();
+    let (result, queue) = fig10::run_fleet(&params);
+    let wall = wall.elapsed();
+    bench::report_engine_cost(result.events, "build + run", wall, queue);
+    let wall_secs = wall.as_secs_f64();
     let peak_rss_mb = bench::mem::peak_bytes() as f64 / (1024.0 * 1024.0);
     println!("{}", result.table());
     println!(

@@ -90,8 +90,8 @@ impl Component<Msg> for Sender {
             Msg::Net(NetEvent::Packet { pkt, .. }) => {
                 self.ltl.on_packet(&pkt, ctx.now());
             }
-            Msg::Custom(any) => {
-                if let Ok(cmd) = any.downcast::<SendCmd>() {
+            other => {
+                if let Ok(cmd) = other.downcast::<SendCmd>() {
                     // Head of the payload carries the message counter and
                     // its submit time, so the receiver measures latency
                     // without any state shared outside the wire.
@@ -101,7 +101,6 @@ impl Component<Msg> for Sender {
                     let _ = self.ltl.send_message(0, 0, Bytes::from(payload));
                 }
             }
-            _ => {}
         }
         self.pump(ctx);
         self.ensure_tick(ctx);

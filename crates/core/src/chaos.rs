@@ -739,6 +739,14 @@ impl ChaosRig {
         &self.plan
     }
 
+    /// The cluster under test, so a harness can attach a
+    /// [`dcsim::Observer`] to its engine before [`ChaosRig::run`], or run
+    /// it itself and read the engine's counters before the report
+    /// consumes the rig.
+    pub fn cluster_mut(&mut self) -> &mut Cluster {
+        &mut self.cluster
+    }
+
     /// Runs the schedule to quiescence and assembles the recovery report.
     pub fn run(mut self) -> ChaosReport {
         self.cluster.run_to_idle();
@@ -771,12 +779,12 @@ pub fn install_plan(
                 e.schedule(
                     at,
                     tor,
-                    Msg::custom(SwitchCmd::SetLinkUp { port, up: false }),
+                    Msg::Switch(SwitchCmd::SetLinkUp { port, up: false }),
                 );
                 e.schedule(
                     at + down,
                     tor,
-                    Msg::custom(SwitchCmd::SetLinkUp { port, up: true }),
+                    Msg::Switch(SwitchCmd::SetLinkUp { port, up: true }),
                 );
             }
             FaultKind::TorCrash { pod, tor, reboot } => {
@@ -784,7 +792,7 @@ pub fn install_plan(
                 cluster.engine_mut().schedule(
                     at,
                     id,
-                    Msg::custom(SwitchCmd::Crash {
+                    Msg::Switch(SwitchCmd::Crash {
                         reboot_after: reboot,
                     }),
                 );
@@ -794,7 +802,7 @@ pub fn install_plan(
                 cluster.engine_mut().schedule(
                     at,
                     tor,
-                    Msg::custom(SwitchCmd::CorruptNext {
+                    Msg::Switch(SwitchCmd::CorruptNext {
                         port: PortId(node.host),
                         frames,
                     }),
@@ -1303,5 +1311,32 @@ mod tests {
         let ja = serde_json::to_string_pretty(&a).unwrap();
         let jb = serde_json::to_string_pretty(&b).unwrap();
         assert_eq!(ja, jb, "same seed must give a byte-identical report");
+    }
+
+    /// An observer attached through `cluster_mut` sees every event of the
+    /// run and, being passive, leaves the report as it was.
+    #[test]
+    fn observer_attached_through_cluster_mut_counts_every_event() {
+        struct Count(u64);
+        impl dcsim::Observer<Msg> for Count {
+            fn after_event(&mut self, _: &dcsim::EventRecord, _: &dcsim::Engine<Msg>) {
+                self.0 += 1;
+            }
+        }
+        let cfg = || ChaosConfig::quick(42, Preset::Random);
+        let mut rig = ChaosRig::build(cfg());
+        rig.cluster_mut()
+            .engine_mut()
+            .set_observer(Box::new(Count(0)));
+        rig.cluster_mut().run_to_idle();
+        let engine = rig.cluster_mut().engine();
+        let seen = engine.observer_as::<Count>().expect("still attached").0;
+        assert!(seen > 10_000, "a quick run is tens of thousands of events");
+        assert_eq!(seen, engine.events_processed());
+        assert_eq!(engine.queue_stats().pops, seen, "one pop per event");
+
+        let observed = serde_json::to_string_pretty(&rig.run()).unwrap();
+        let plain = serde_json::to_string_pretty(&ChaosRig::build(cfg()).run()).unwrap();
+        assert_eq!(observed, plain);
     }
 }

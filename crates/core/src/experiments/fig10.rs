@@ -7,7 +7,7 @@
 //! receipt of the corresponding ACK.
 
 use dcnet::NodeAddr;
-use dcsim::{SimDuration, SimTime};
+use dcsim::{QueueStats, SimDuration, SimTime};
 use serde::Serialize;
 use telemetry::Histogram;
 
@@ -451,7 +451,11 @@ fn island_pairs(tier: Tier, pairs: usize, island: u16) -> Vec<(NodeAddr, NodeAdd
 /// Runs the fleet-scale Fig. 10 experiment: one lazy hybrid cluster with
 /// all three tiers' probe pairs in the packet island and the open-loop
 /// fleet workload pressing on the spine from the flow pods.
-pub fn run_fleet(params: &FleetParams) -> FleetResult {
+///
+/// Returns the dataset and, beside it, what the event queue did to
+/// produce it: the dataset's JSON is diffed byte for byte across runs, so
+/// cost counters stay out of it.
+pub fn run_fleet(params: &FleetParams) -> (FleetResult, QueueStats) {
     assert!(
         params.island_pods >= 2,
         "L2 probes need at least a two-pod island"
@@ -557,7 +561,7 @@ pub fn run_fleet(params: &FleetParams) -> FleetResult {
             .map(|g| g.hosts().hosts_touched())
             .unwrap_or(0),
     };
-    FleetResult {
+    let result = FleetResult {
         hosts_reachable: reachable_hosts(Tier::L2, shape),
         tiers: rows,
         materialized_pods: cluster.fabric().materialized_pods(),
@@ -566,5 +570,6 @@ pub fn run_fleet(params: &FleetParams) -> FleetResult {
         background: ledger,
         events,
         horizon_ns: cluster.now().as_nanos(),
-    }
+    };
+    (result, cluster.engine().queue_stats())
 }

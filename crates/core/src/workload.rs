@@ -271,7 +271,7 @@ impl FleetLoadGen {
                 self.batches_sent += 1;
                 ctx.send(
                     self.flowsim,
-                    Msg::custom(FlowSimCmd::Inject {
+                    Msg::FlowSim(FlowSimCmd::Inject {
                         src_pod,
                         dst_pod,
                         bytes,

@@ -91,7 +91,7 @@ impl FlowSimConfig {
     }
 }
 
-/// Control messages for the flow model, sent boxed via [`Msg::custom`].
+/// Control messages for the flow model, sent as [`Msg::FlowSim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowSimCmd {
     /// Starts `flows` aggregate flows carrying `bytes` total from
@@ -320,7 +320,7 @@ impl FlowSim {
                 ctx.send_after(
                     self.cfg.adapter_delay,
                     spine,
-                    Msg::custom(SwitchCmd::SetBackgroundLoad {
+                    Msg::Switch(SwitchCmd::SetBackgroundLoad {
                         port: crate::msg::PortId(pod as u16),
                         bytes,
                     }),
@@ -407,7 +407,7 @@ mod tests {
         engine.schedule(
             SimTime::from_nanos(at),
             sim,
-            Msg::custom(FlowSimCmd::Inject {
+            Msg::FlowSim(FlowSimCmd::Inject {
                 src_pod,
                 dst_pod,
                 bytes,

@@ -11,25 +11,27 @@
 //! # Typed-message policy
 //!
 //! Anything on the steady-state event hot path — sent once per frame, per
-//! hop or per delivered message — must be a first-class variant:
-//! `Box<dyn Any>` costs a heap allocation plus a downcast per event, which
-//! dominates once the scheduler itself is cheap. The variants are
-//! [`Msg::Net`], [`Msg::Egress`], [`Msg::LtlRx`] and [`Msg::LtlDeliver`].
-//! [`Msg::Custom`] is reserved for *cold* traffic: management RPCs, fault
-//! injection, test scaffolding, and payloads whose type lives above this
-//! crate.
+//! hop, per delivered message or per background-traffic batch — must be a
+//! first-class variant: `Box<dyn Any>` costs a heap allocation plus a
+//! downcast per event, which dominates once the scheduler itself is
+//! cheap. The variants are [`Msg::Net`], [`Msg::Egress`], [`Msg::LtlRx`],
+//! [`Msg::LtlDeliver`], [`Msg::FlowSim`] and [`Msg::Switch`].
+//! [`Msg::Custom`] is reserved for *cold* traffic: management RPCs, test
+//! scaffolding, and payloads whose type lives above this crate.
 //!
 //! Receive with [`Msg::downcast`], never by opening [`Msg::Custom`] by
-//! hand: `downcast::<LtlDeliver>()` serves the typed variant and a boxed
+//! hand: `downcast::<SwitchCmd>()` serves the typed variant and a boxed
 //! payload alike, while a hand-written `let Msg::Custom(any) = msg` never
-//! sees a delivery and says nothing about it.
+//! sees the variant and says nothing about it.
 
 use std::any::Any;
 
 use bytes::Bytes;
 
 use crate::addr::NodeAddr;
+use crate::flowsim::FlowSimCmd;
 use crate::packet::{Packet, TrafficClass};
+use crate::switch::SwitchCmd;
 
 /// Index of a port on a switch or endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -110,6 +112,16 @@ pub enum Msg {
     /// a first-class variant; consumers take it with
     /// [`Msg::downcast::<LtlDeliver>`](Msg::downcast).
     LtlDeliver(LtlDeliver),
+    /// A command to the flow model. The fleet workload generator sends one
+    /// per background-traffic batch, tens per tick, so it is a first-class
+    /// variant; [`crate::FlowSim`] takes it with
+    /// [`Msg::downcast::<FlowSimCmd>`](Msg::downcast).
+    FlowSim(FlowSimCmd),
+    /// An operator command to a switch. The flow model sends one per spine
+    /// per pressure change, so it is a first-class variant; fault
+    /// injection uses the same one. [`crate::Switch`] takes it with
+    /// [`Msg::downcast::<SwitchCmd>`](Msg::downcast).
+    Switch(SwitchCmd),
     /// Crate-specific payloads (PCIe DMA transactions, application requests,
     /// management RPCs); receivers downcast to the types they expect.
     /// Cold path only — see the module-level typed-message policy.
@@ -128,8 +140,9 @@ impl Msg {
     }
 
     /// Attempts to take the message as a payload of type `T`: a
-    /// [`Msg::Custom`] box holding a `T`, or the [`Msg::LtlDeliver`]
-    /// variant when `T` is [`LtlDeliver`].
+    /// [`Msg::Custom`] box holding a `T`, or a typed payload variant
+    /// ([`Msg::LtlDeliver`], [`Msg::FlowSim`], [`Msg::Switch`]) when `T`
+    /// is the type it carries.
     ///
     /// # Errors
     ///
@@ -140,18 +153,22 @@ impl Msg {
                 Ok(v) => Ok(*v),
                 Err(b) => Err(Msg::Custom(b)),
             },
-            Msg::LtlDeliver(d) => {
-                // Moves `d` out as a `T` iff `T` is `LtlDeliver`, through
-                // `dyn Any` because safe code cannot name that equality;
-                // the test is a constant once `T` is known.
-                let mut slot = Some(d);
-                match (&mut slot as &mut dyn Any).downcast_mut::<Option<T>>() {
-                    Some(hit) => Ok(hit.take().expect("filled above")),
-                    None => Err(Msg::LtlDeliver(slot.expect("filled above"))),
-                }
-            }
+            Msg::LtlDeliver(d) => take_as(d).map_err(Msg::LtlDeliver),
+            Msg::FlowSim(cmd) => take_as(cmd).map_err(Msg::FlowSim),
+            Msg::Switch(cmd) => take_as(cmd).map_err(Msg::Switch),
             other => Err(other),
         }
+    }
+}
+
+/// Moves `payload` out as a `T` iff `T` is `P`, through `dyn Any` because
+/// safe code cannot name that equality; the test is a constant once both
+/// types are known.
+fn take_as<P: Any, T: Any>(payload: P) -> Result<T, P> {
+    let mut slot = Some(payload);
+    match (&mut slot as &mut dyn Any).downcast_mut::<Option<T>>() {
+        Some(hit) => Ok(hit.take().expect("filled above")),
+        None => Err(slot.expect("filled above")),
     }
 }
 
@@ -166,6 +183,8 @@ impl core::fmt::Debug for Msg {
                 .finish(),
             Msg::LtlRx(pkt) => f.debug_tuple("LtlRx").field(pkt).finish(),
             Msg::LtlDeliver(d) => f.debug_tuple("LtlDeliver").field(d).finish(),
+            Msg::FlowSim(cmd) => f.debug_tuple("FlowSim").field(cmd).finish(),
+            Msg::Switch(cmd) => f.debug_tuple("Switch").field(cmd).finish(),
             Msg::Custom(_) => f.write_str("Custom(..)"),
         }
     }
@@ -241,6 +260,74 @@ mod tests {
         assert_is_the_delivery(Msg::custom(deliver()).downcast().unwrap());
     }
 
+    const INJECT: FlowSimCmd = FlowSimCmd::Inject {
+        src_pod: 4,
+        dst_pod: 1,
+        bytes: 9_000,
+        flows: 3,
+    };
+    const PRESSURE: SwitchCmd = SwitchCmd::SetBackgroundLoad {
+        port: PortId(2),
+        bytes: 10_000,
+    };
+
+    fn assert_is_the_pressure(cmd: SwitchCmd) {
+        assert!(
+            matches!(
+                cmd,
+                SwitchCmd::SetBackgroundLoad {
+                    port: PortId(2),
+                    bytes: 10_000
+                }
+            ),
+            "got {cmd:?}"
+        );
+    }
+
+    #[test]
+    fn command_variants_downcast_to_their_payloads() {
+        assert_eq!(
+            Msg::FlowSim(INJECT).downcast::<FlowSimCmd>().unwrap(),
+            INJECT
+        );
+        assert_is_the_pressure(Msg::Switch(PRESSURE).downcast().unwrap());
+    }
+
+    #[test]
+    fn wrong_type_downcast_returns_the_command_variant_intact() {
+        let back = Msg::FlowSim(INJECT).downcast::<SwitchCmd>().unwrap_err();
+        assert!(matches!(back, Msg::FlowSim(_)), "got {back:?}");
+        assert_eq!(back.downcast::<FlowSimCmd>().unwrap(), INJECT);
+        let back = Msg::Switch(PRESSURE).downcast::<FlowSimCmd>().unwrap_err();
+        assert!(matches!(back, Msg::Switch(_)), "got {back:?}");
+        assert_is_the_pressure(back.downcast().unwrap());
+    }
+
+    /// A sender outside the tree that still boxes its command is served
+    /// by the same `downcast` as the variant.
+    #[test]
+    fn boxed_switch_command_still_reaches_a_switch() {
+        use crate::switch::{FabricShape, Switch, SwitchConfig, SwitchRole};
+        use dcsim::{Engine, SimTime};
+
+        let shape = FabricShape {
+            hosts_per_tor: 4,
+            tors_per_pod: 2,
+            pods: 2,
+            spines: 2,
+        };
+        let mut e: Engine<Msg> = Engine::new(1);
+        let sw = e.add_component(Switch::new(
+            SwitchRole::Tor { pod: 0, tor: 0 },
+            shape,
+            SwitchConfig::default(),
+        ));
+        e.schedule(SimTime::ZERO, sw, Msg::custom(PRESSURE));
+        e.run_to_idle();
+        let switch = e.component::<Switch>(sw).unwrap();
+        assert_eq!(switch.background_bytes(PortId(2)), 10_000);
+    }
+
     /// What the vendored `Bytes` staying three words buys: no queued
     /// event grows, so the heap high-water mark does not move.
     #[test]
@@ -275,5 +362,13 @@ mod tests {
         assert!(!matches!(delivery, Msg::Custom(_)));
         assert!(delivery.downcast::<u32>().is_err());
         assert!(format!("{:?}", Msg::LtlDeliver(deliver())).starts_with("LtlDeliver"));
+        for (cmd, name) in [
+            (Msg::FlowSim(INJECT), "FlowSim"),
+            (Msg::Switch(PRESSURE), "Switch"),
+        ] {
+            assert!(!matches!(cmd, Msg::Custom(_)));
+            assert!(format!("{cmd:?}").starts_with(name));
+            assert!(cmd.downcast::<u32>().is_err());
+        }
     }
 }

@@ -390,8 +390,9 @@ impl Port {
 /// use the port index, which can never reach this sentinel.
 const REBOOT_TOKEN: u64 = u64::MAX;
 
-/// Operator commands a switch accepts via [`Msg::custom`] (used by
-/// failure-injection experiments to make a node go dark mid-run).
+/// Operator commands a switch accepts as [`Msg::Switch`] (used by
+/// failure-injection experiments to make a node go dark mid-run, and by
+/// the flow model to publish background pressure).
 #[derive(Debug, Clone, Copy)]
 pub enum SwitchCmd {
     /// Uncable a port: packets routed to it count as `no_route` and
@@ -836,24 +837,27 @@ impl Component<Msg> for Switch {
                     self.try_transmit(ingress, ctx);
                 }
             }
-            Msg::Custom(any) => {
-                if let Ok(cmd) = any.downcast::<SwitchCmd>() {
-                    match *cmd {
-                        SwitchCmd::Disconnect(port) => self.disconnect(port),
-                        SwitchCmd::SetLinkUp { port, up } => self.set_link_up(port, up),
-                        SwitchCmd::Crash { reboot_after } => self.crash(reboot_after, ctx),
-                        SwitchCmd::CorruptNext { port, frames } => {
-                            self.ports[port.index()].corrupt_pending += frames;
-                        }
-                        SwitchCmd::SetBackgroundLoad { port, bytes } => {
-                            self.set_background_bytes(port, bytes);
-                        }
-                    }
-                }
-            }
             // Endpoint-internal pipeline hand-offs never reach a switch.
             Msg::Egress { .. } | Msg::LtlRx(_) | Msg::LtlDeliver(_) => {
                 panic!("endpoint pipeline message delivered to a switch")
+            }
+            // Operator commands, as the typed variant or a boxed payload;
+            // anything else is not ours.
+            cmd => {
+                let Ok(cmd) = cmd.downcast::<SwitchCmd>() else {
+                    return;
+                };
+                match cmd {
+                    SwitchCmd::Disconnect(port) => self.disconnect(port),
+                    SwitchCmd::SetLinkUp { port, up } => self.set_link_up(port, up),
+                    SwitchCmd::Crash { reboot_after } => self.crash(reboot_after, ctx),
+                    SwitchCmd::CorruptNext { port, frames } => {
+                        self.ports[port.index()].corrupt_pending += frames;
+                    }
+                    SwitchCmd::SetBackgroundLoad { port, bytes } => {
+                        self.set_background_bytes(port, bytes);
+                    }
+                }
             }
         }
     }
@@ -1240,7 +1244,7 @@ mod tests {
         e.schedule(
             SimTime::ZERO,
             sw_id,
-            Msg::custom(SwitchCmd::SetLinkUp {
+            Msg::Switch(SwitchCmd::SetLinkUp {
                 port: PortId(2),
                 up: false,
             }),
@@ -1259,7 +1263,7 @@ mod tests {
         e.schedule(
             SimTime::from_micros(10),
             sw_id,
-            Msg::custom(SwitchCmd::SetLinkUp {
+            Msg::Switch(SwitchCmd::SetLinkUp {
                 port: PortId(2),
                 up: true,
             }),
@@ -1298,7 +1302,7 @@ mod tests {
         e.schedule(
             SimTime::ZERO,
             sw_id,
-            Msg::custom(SwitchCmd::Crash {
+            Msg::Switch(SwitchCmd::Crash {
                 reboot_after: SimDuration::from_micros(100),
             }),
         );
@@ -1345,7 +1349,7 @@ mod tests {
         e.schedule(
             SimTime::ZERO,
             sw_id,
-            Msg::custom(SwitchCmd::CorruptNext {
+            Msg::Switch(SwitchCmd::CorruptNext {
                 port: PortId(2),
                 frames: 2,
             }),
@@ -1395,7 +1399,7 @@ mod tests {
         e.schedule(
             SimTime::ZERO,
             sw_id,
-            Msg::custom(SwitchCmd::SetBackgroundLoad {
+            Msg::Switch(SwitchCmd::SetBackgroundLoad {
                 port: PortId(2),
                 bytes: 10_000,
             }),
@@ -1430,7 +1434,7 @@ mod tests {
         e.schedule(
             t,
             sw_id,
-            Msg::custom(SwitchCmd::SetBackgroundLoad {
+            Msg::Switch(SwitchCmd::SetBackgroundLoad {
                 port: PortId(2),
                 bytes: 0,
             }),
@@ -1645,7 +1649,7 @@ mod tests {
         e.schedule(
             SimTime::from_nanos(100),
             sw,
-            Msg::custom(SwitchCmd::Crash {
+            Msg::Switch(SwitchCmd::Crash {
                 reboot_after: SimDuration::from_nanos(50),
             }),
         );

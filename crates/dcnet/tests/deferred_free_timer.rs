@@ -160,7 +160,7 @@ impl Component<Msg> for EagerSwitch {
                     self.try_transmit(ingress, ctx);
                 }
             }
-            Msg::Custom(any) => match *any.downcast::<SwitchCmd>().expect("switch command") {
+            cmd => match cmd.downcast::<SwitchCmd>().expect("switch command") {
                 SwitchCmd::SetLinkUp { port, up } => {
                     let p = &mut self.ports[port.index()];
                     if p.up != up {
@@ -180,7 +180,6 @@ impl Component<Msg> for EagerSwitch {
                 }
                 other => panic!("not generated: {other:?}"),
             },
-            _ => panic!("not generated"),
         }
     }
 
@@ -211,10 +210,7 @@ struct Relay {
 
 impl Component<Msg> for Feeder {
     fn on_message(&mut self, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        let Msg::Custom(any) = msg else {
-            panic!("feeder takes relays");
-        };
-        let relay = any.downcast::<Relay>().expect("feeder takes relays");
+        let relay = msg.downcast::<Relay>().expect("feeder takes relays");
         ctx.send_after(relay.delay, self.switch, relay.msg);
     }
 }
@@ -282,11 +278,11 @@ fn input_msg((_, kind, a, b, c): Input) -> Msg {
             ingress: port,
             pause: c % 2 == 0,
         }),
-        8 => Msg::custom(SwitchCmd::SetLinkUp {
+        8 => Msg::Switch(SwitchCmd::SetLinkUp {
             port,
             up: c % 2 == 0,
         }),
-        _ => Msg::custom(SwitchCmd::Crash {
+        _ => Msg::Switch(SwitchCmd::Crash {
             // Longer than the longest frame (6 units = 300 ns) is on the wire.
             reboot_after: SimDuration::from_nanos(350 + 50 * (c as u64 % 8)),
         }),

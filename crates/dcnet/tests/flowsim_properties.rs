@@ -34,7 +34,7 @@ proptest! {
             e.schedule(
                 SimTime::from_micros(at),
                 sim,
-                Msg::custom(FlowSimCmd::Inject { src_pod, dst_pod, bytes, flows }),
+                Msg::FlowSim(FlowSimCmd::Inject { src_pod, dst_pod, bytes, flows }),
             );
         }
 
@@ -75,7 +75,7 @@ proptest! {
             e.schedule(
                 SimTime::ZERO,
                 sim,
-                Msg::custom(FlowSimCmd::Inject { src_pod: 0, dst_pod: 1, bytes, flows }),
+                Msg::FlowSim(FlowSimCmd::Inject { src_pod: 0, dst_pod: 1, bytes, flows }),
             );
         }
         e.run_to_idle();

@@ -36,7 +36,7 @@
 use std::any::Any;
 use std::fmt;
 
-use crate::queue::CalendarQueue;
+use crate::queue::{CalendarQueue, QueueStats};
 use crate::rng::SimRng;
 use crate::sharded::{self, RemoteEvent, Routed, ShardRoute};
 use crate::time::{SimDuration, SimTime};
@@ -594,6 +594,11 @@ impl<M: 'static> Engine<M> {
     /// Number of events still pending in the queue.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
+    }
+
+    /// What the event queue has cost so far, as exact counts.
+    pub fn queue_stats(&self) -> QueueStats {
+        self.queue.stats()
     }
 }
 

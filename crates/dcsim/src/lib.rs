@@ -55,6 +55,7 @@ mod stats;
 mod time;
 
 pub use engine::{Component, ComponentId, Context, Engine, EventRecord, Observer, TimerKey};
+pub use queue::QueueStats;
 pub use rng::SimRng;
 pub use sharded::{ShardPlan, ShardSyncStats, ShardedEngine, WindowPolicy};
 pub use stats::{PercentileRecorder, StreamingStats};

@@ -6,35 +6,47 @@
 //! time. A binary heap pays `O(log n)` pointer-chasing per operation and
 //! re-sorts that window on every push. The calendar queue instead hashes
 //! each event by time into a wheel of buckets whose width tracks the
-//! observed inter-event spacing: pushes are `O(1)` appends, and pops scan
-//! forward over a handful of buckets holding ~1 event each.
+//! observed inter-event spacing.
 //!
 //! Layout:
 //!
 //! * a **wheel** of `nbuckets` (power of two) buckets, each `1 <<
 //!   width_shift` nanoseconds wide, covering the year starting at the
-//!   wheel cursor — events due soon;
+//!   wheel cursor — events due soon. Each bucket's list is kept ascending
+//!   by `(time, seq)`, and one **occupancy bit** per bucket says whether
+//!   the list is empty;
 //! * a **far heap** (plain binary heap) for events beyond the wheel's
 //!   range — rare long timers, day-scale horizons;
 //! * an adaptive retune step that resizes the wheel from the observed
-//!   average push delay and queue length, keeping ~1 event per bucket.
+//!   average push delay and queue length.
 //!
-//! Ordering is exact, not approximate: within a bucket the minimum
-//! `(time, seq)` entry is selected by scan, and the wheel and far heads
-//! are compared on the same key, so events pop in precisely the order the
-//! previous binary-heap scheduler produced — timestamp order with FIFO
-//! tie-break. All `Engine` ordering tests and every experiment seed
-//! reproduce unchanged.
+//! What that guarantees: the wheel's minimum *is* the head of the first
+//! occupied bucket at or after the cursor, found by `trailing_zeros` over
+//! the occupancy words — 64 empty buckets per word examined — and removed
+//! in `O(1)`. A pop therefore costs the same whether the wheel is dense,
+//! whether thousands of events parked far ahead have made the buckets a
+//! few nanoseconds wide, or whether a burst of same-instant events shares
+//! one bucket. A push is `O(1)` when the new entry sorts after its
+//! bucket's tail (the usual case: keys of later pushes are larger) or
+//! before its head; only an entry that lands strictly inside a bucket
+//! walks that bucket's list to its place. [`QueueStats`] counts both costs
+//! (`words_scanned`, `insert_steps`) so they are measured, not assumed.
+//!
+//! Ordering is exact, not approximate: a bucket pops in `(time, seq)`
+//! order, and the wheel and far heads are compared on the same key, so
+//! events pop in precisely the order a binary heap would produce —
+//! timestamp order with FIFO tie-break. All `Engine` ordering tests and
+//! every experiment seed reproduce unchanged.
 //!
 //! Storage is pooled: wheel **and far** entries live in one slab of
-//! nodes. Wheel nodes are threaded into per-bucket intrusive
-//! singly-linked lists; far entries park their payload in the slab and
-//! put only a 24-byte `(at, seq, idx)` key on the heap, so heap sifts
-//! move small keys instead of full payloads. Popped nodes go on a free
-//! list that the next push recycles. The steady-state dequeue→enqueue
-//! cycle of a running simulation therefore never touches the allocator,
-//! and a retune relinks nodes in place instead of draining and
-//! reallocating every bucket.
+//! nodes. Wheel nodes are threaded into per-bucket intrusive circular
+//! lists addressed by their tail (one `u32` per bucket reaches both
+//! ends); far entries park their payload in the slab and put only a
+//! 24-byte `(at, seq, idx)` key on the heap, so heap sifts move small
+//! keys instead of full payloads. Popped nodes go on a free list that the
+//! next push recycles. The steady-state dequeue→enqueue cycle of a running
+//! simulation therefore never touches the allocator, and a retune relinks
+//! nodes in place instead of draining and reallocating every bucket.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -113,7 +125,7 @@ const MAX_BUCKETS: usize = 1 << 17;
 /// Pushes between retune checks.
 const TUNE_INTERVAL: u64 = 4096;
 
-/// Slab index marking "no node" (list terminator / empty bucket).
+/// Slab index marking "no node" (empty bucket / end of the free list).
 const NIL: u32 = u32::MAX;
 
 /// One slab slot: an event plus the intrusive link to the next node in
@@ -125,6 +137,26 @@ struct Node<T> {
     /// `None` while the node sits on the free list.
     value: Option<T>,
     next: u32,
+}
+
+/// What the event queue has done so far, as exact counts: the cost model
+/// in the module docs, measured. See [`crate::Engine::queue_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Entries inserted.
+    pub pushes: u64,
+    /// Entries removed.
+    pub pops: u64,
+    /// Occupancy words (64 buckets each) examined to find the wheel's
+    /// first occupied bucket; `words_scanned / pops` near 1 means pops
+    /// found their event in the cursor's own word.
+    pub words_scanned: u64,
+    /// Nodes stepped over by pushes that landed strictly inside a
+    /// bucket's ordered list (appends and prepends cost none).
+    pub insert_steps: u64,
+    /// Entries placed on the far heap because they lay beyond the
+    /// wheel's year, at push time or when a retune narrowed the year.
+    pub far_pushes: u64,
 }
 
 /// A two-level calendar queue over `(time, seq)`-keyed entries.
@@ -139,16 +171,21 @@ pub(crate) struct CalendarQueue<T> {
     nodes: Vec<Node<T>>,
     /// Head of the free list threaded through vacant slab slots.
     free_head: u32,
-    /// The wheel. `buckets[vslot & mask]` heads the list of events whose
-    /// virtual slot (`at >> width_shift`) lies in
-    /// `[cur_vslot, cur_vslot + nbuckets)`.
+    /// The wheel. `buckets[vslot & mask]` is the *tail* of the circular
+    /// list of events whose virtual slot (`at >> width_shift`) is `vslot`,
+    /// ascending by `(at, seq)` from the tail's successor (the head) round
+    /// to the tail. Every wheel event's virtual slot lies in
+    /// `[cur_vslot, cur_vslot + nbuckets)`, so a bucket never mixes slots.
     buckets: Vec<u32>,
+    /// Bit `slot % 64` of word `slot / 64` is set iff `buckets[slot]` is
+    /// not `NIL`.
+    occupied: Vec<u64>,
     /// Power-of-two bucket index mask (`buckets.len() - 1`).
     mask: usize,
     /// log2 of the bucket width in nanoseconds.
     width_shift: u32,
-    /// Virtual slot of the wheel cursor; all wheel events live at or after
-    /// it. Only advances when an event is popped.
+    /// Virtual slot of the wheel cursor, `floor_at >> width_shift`; all
+    /// wheel events live at or after it.
     cur_vslot: u64,
     /// Keys of events beyond the wheel's current year; payloads stay in
     /// the slab (unlinked from any bucket) until popped.
@@ -164,6 +201,7 @@ pub(crate) struct CalendarQueue<T> {
     delay_sum: u128,
     /// Reusable retune scratch holding live node indices.
     relink_scratch: Vec<u32>,
+    stats: QueueStats,
 }
 
 impl<T> CalendarQueue<T> {
@@ -172,6 +210,7 @@ impl<T> CalendarQueue<T> {
             nodes: Vec::new(),
             free_head: NIL,
             buckets: vec![NIL; INITIAL_BUCKETS],
+            occupied: vec![0; INITIAL_BUCKETS / 64],
             mask: INITIAL_BUCKETS - 1,
             width_shift: INITIAL_WIDTH_SHIFT,
             cur_vslot: 0,
@@ -181,6 +220,7 @@ impl<T> CalendarQueue<T> {
             pushes_since_tune: 0,
             delay_sum: 0,
             relink_scratch: Vec::new(),
+            stats: QueueStats::default(),
         }
     }
 
@@ -189,10 +229,13 @@ impl<T> CalendarQueue<T> {
         self.wheel_len + self.far.len()
     }
 
+    /// The counters so far.
+    pub fn stats(&self) -> QueueStats {
+        self.stats
+    }
+
     /// Due time of the earliest pending entry, without removing it.
-    /// Costs one wheel scan — meant for once-per-window use (conservative
-    /// synchronization), not the per-event hot path.
-    pub fn next_at(&self) -> Option<u64> {
+    pub fn next_at(&mut self) -> Option<u64> {
         let wheel = self.wheel_min().map(|head| head.at);
         let far = self.far.peek().map(|key| key.at);
         match (wheel, far) {
@@ -239,26 +282,60 @@ impl<T> CalendarQueue<T> {
         entry
     }
 
+    fn key(&self, idx: u32) -> (u64, u64) {
+        let node = &self.nodes[idx as usize];
+        (node.at, node.seq)
+    }
+
     /// Inserts an entry. `at` must be at or after the most recently popped
     /// entry's time (the engine's no-scheduling-into-the-past rule).
     pub fn push(&mut self, at: u64, seq: u64, value: T) {
         debug_assert!(at >= self.floor_at, "push behind the queue floor");
+        self.stats.pushes += 1;
         self.pushes_since_tune += 1;
         self.delay_sum += (at - self.floor_at) as u128;
         if self.pushes_since_tune >= TUNE_INTERVAL {
             self.maybe_retune();
         }
-
-        let vslot = at >> self.width_shift;
         let idx = self.alloc_node(at, seq, value);
-        if vslot < self.cur_vslot + self.buckets.len() as u64 {
-            let slot = (vslot as usize) & self.mask;
-            self.nodes[idx as usize].next = self.buckets[slot];
-            self.buckets[slot] = idx;
-            self.wheel_len += 1;
-        } else {
+        let vslot = at >> self.width_shift;
+        if vslot >= self.cur_vslot + self.buckets.len() as u64 {
+            self.stats.far_pushes += 1;
             self.far.push(FarKey { at, seq, idx });
+            return;
         }
+        self.wheel_len += 1;
+        let slot = (vslot as usize) & self.mask;
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+        // Alone, the node is a ring of one and its own tail, so an empty
+        // bucket is an append like any other. The list is a ring: "after
+        // the tail" and "before the head" are the same gap, and only the
+        // first moves the bucket's tail. Which of empty / append /
+        // prepend a push meets is a coin toss on a well-tuned wheel, so
+        // none of the three is branched on — selects and an idempotent
+        // bit-set instead. Branching on empty-or-not, here and in
+        // `pop_due`'s unlink, measured 13 ns per event on a dense wheel;
+        // on append-or-prepend, 3 % of `ltl_volley`'s throughput.
+        self.nodes[idx as usize].next = idx;
+        let tail = self.buckets[slot];
+        let tail = if tail == NIL { idx } else { tail };
+        let head = self.nodes[tail as usize].next;
+        let after_tail = (at, seq) >= self.key(tail);
+        let before_head = (at, seq) < self.key(head);
+        let mut prev = tail;
+        if !(after_tail | before_head) {
+            // Strictly inside, the rare case. Keys are unique and the
+            // tail's is larger, so the walk stops at the tail at the latest.
+            prev = head;
+            self.stats.insert_steps += 1;
+            while self.key(self.nodes[prev as usize].next) < (at, seq) {
+                prev = self.nodes[prev as usize].next;
+                self.stats.insert_steps += 1;
+            }
+        }
+        self.nodes[idx as usize].next = self.nodes[prev as usize].next;
+        self.nodes[prev as usize].next = idx;
+        self.buckets[slot] = if after_tail { idx } else { tail };
     }
 
     /// Removes and returns the earliest entry if it is due at or before
@@ -274,7 +351,7 @@ impl<T> CalendarQueue<T> {
             (None, None) => return None,
         };
 
-        if take_wheel {
+        let idx = if take_wheel {
             let head = wheel_key.expect("wheel head exists");
             if head.at > horizon {
                 return None;
@@ -285,15 +362,17 @@ impl<T> CalendarQueue<T> {
             self.cur_vslot = head.vslot;
             self.floor_at = head.at;
             self.wheel_len -= 1;
-            // Unlink from the bucket list, then recycle the node.
+            // Unlink the head from the bucket's ring.
             let slot = (head.vslot as usize) & self.mask;
-            let next = self.nodes[head.idx as usize].next;
-            if head.prev == NIL {
-                self.buckets[slot] = next;
-            } else {
-                self.nodes[head.prev as usize].next = next;
-            }
-            Some(self.free_node(head.idx))
+            let tail = self.buckets[slot];
+            let idx = self.nodes[tail as usize].next;
+            // Branch-free, as in `push`: when the ring had one node the
+            // link written here is the freed node's own.
+            let emptied = idx == tail;
+            self.nodes[tail as usize].next = self.nodes[idx as usize].next;
+            self.buckets[slot] = if emptied { NIL } else { tail };
+            self.occupied[slot / 64] &= !(u64::from(emptied) << (slot % 64));
+            idx
         } else {
             let (at, _) = far_key.expect("far head exists");
             if at > horizon {
@@ -301,52 +380,38 @@ impl<T> CalendarQueue<T> {
             }
             self.cur_vslot = at >> self.width_shift;
             self.floor_at = at;
-            let key = self.far.pop().expect("far head exists");
-            Some(self.free_node(key.idx))
-        }
+            self.far.pop().expect("far head exists").idx
+        };
+        self.stats.pops += 1;
+        Some(self.free_node(idx))
     }
 
-    /// Finds the wheel's minimum `(at, seq)` entry: scans slots forward
-    /// from the cursor, then walks the first non-empty bucket's list.
-    /// Returns its key and list position without removing it.
-    fn wheel_min(&self) -> Option<WheelHead> {
+    /// Finds the wheel's minimum `(at, seq)` entry — the head of the first
+    /// occupied bucket at or after the cursor — without removing it.
+    fn wheel_min(&mut self) -> Option<WheelHead> {
         if self.wheel_len == 0 {
             return None;
         }
-        let n = self.buckets.len() as u64;
-        for vslot in self.cur_vslot..self.cur_vslot + n {
-            let mut idx = self.buckets[(vslot as usize) & self.mask];
-            if idx == NIL {
-                continue;
-            }
-            let mut prev = NIL;
-            let mut best = WheelHead {
-                at: self.nodes[idx as usize].at,
-                seq: self.nodes[idx as usize].seq,
-                vslot,
-                prev: NIL,
-                idx,
-            };
-            loop {
-                let node = &self.nodes[idx as usize];
-                if (node.at, node.seq) < (best.at, best.seq) {
-                    best = WheelHead {
-                        at: node.at,
-                        seq: node.seq,
-                        vslot,
-                        prev,
-                        idx,
-                    };
-                }
-                if node.next == NIL {
-                    break;
-                }
-                prev = idx;
-                idx = node.next;
-            }
-            return Some(best);
+        let start = (self.cur_vslot as usize) & self.mask;
+        let words = self.occupied.len();
+        // The cursor's word first, from the cursor's bit up; then every
+        // word after it, wrapping, until the cursor's own word comes
+        // round again for the bits below the cursor.
+        let mut word = start / 64;
+        let mut bits = self.occupied[word] & (!0 << (start % 64));
+        self.stats.words_scanned += 1;
+        while bits == 0 {
+            word = (word + 1) & (words - 1);
+            bits = self.occupied[word];
+            self.stats.words_scanned += 1;
         }
-        unreachable!("wheel_len > 0 but no bucket within the wheel year");
+        let slot = word * 64 + bits.trailing_zeros() as usize;
+        let (at, seq) = self.key(self.nodes[self.buckets[slot] as usize].next);
+        Some(WheelHead {
+            at,
+            seq,
+            vslot: self.cur_vslot + (slot.wrapping_sub(start) & self.mask) as u64,
+        })
     }
 
     /// Resizes the wheel to fit the observed workload: bucket width tracks
@@ -372,54 +437,94 @@ impl<T> CalendarQueue<T> {
             return;
         }
 
-        // Collect the live wheel nodes (indices only), reset the bucket
-        // heads under the new geometry, and relink each node in place.
-        // Far events stay in the far heap: `pop_due` compares the wheel
-        // and far heads on the same key, so one that now falls inside the
-        // new year still pops in exact order, just via the heap path.
+        // Collect the live wheel nodes (indices only) in pop order: each
+        // occupied bucket head to tail, buckets from the cursor round the
+        // wheel.
         let mut scratch = std::mem::take(&mut self.relink_scratch);
         scratch.clear();
-        for &head in &self.buckets {
-            let mut idx = head;
-            while idx != NIL {
-                scratch.push(idx);
-                idx = self.nodes[idx as usize].next;
+        let start = (self.cur_vslot as usize) & self.mask;
+        let mut behind_cursor = 0;
+        for (word, &bits) in self.occupied.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let slot = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let tail = self.buckets[slot];
+                let mut idx = tail;
+                loop {
+                    idx = self.nodes[idx as usize].next;
+                    scratch.push(idx);
+                    if idx == tail {
+                        break;
+                    }
+                }
+                if slot < start {
+                    behind_cursor = scratch.len();
+                }
             }
         }
+        // Slots below the cursor's are the far end of the year.
+        scratch.rotate_left(behind_cursor);
 
+        // Reset the wheel under the new geometry and relink each node in
+        // place. Ascending keys mean ascending virtual slots, so a
+        // bucket's nodes arrive as one run: they are chained as they come
+        // and the ring is closed when the next bucket's first node shows
+        // up, without a bucket being read or a key compared. (Pushing
+        // each node again instead costs `service_chaos` 8 % of its
+        // `setup_s`: its 19,200 set-up pushes cross three retunes.) A
+        // node the new, narrower year no longer covers parks its payload
+        // where it is and goes on the far heap by key. Far events stay in
+        // the far heap: `pop_due` compares the wheel and far heads on the
+        // same key, so one that now falls inside the new year still pops
+        // in exact order, just via the heap path.
         self.width_shift = new_shift;
-        if new_buckets != self.buckets.len() {
-            self.buckets.clear();
-            self.buckets.resize(new_buckets, NIL);
-            self.mask = new_buckets - 1;
-        } else {
-            self.buckets.fill(NIL);
-        }
+        self.buckets.clear();
+        self.buckets.resize(new_buckets, NIL);
+        self.occupied.clear();
+        self.occupied.resize(new_buckets / 64, 0);
+        self.mask = new_buckets - 1;
         self.cur_vslot = self.floor_at >> new_shift;
         self.wheel_len = 0;
-
-        let year = self.buckets.len() as u64;
+        let year_end = self.cur_vslot + new_buckets as u64;
+        let mut run = None;
+        let mut last_key = None;
         for &idx in &scratch {
-            let at = self.nodes[idx as usize].at;
-            let vslot = at >> self.width_shift;
-            if vslot < self.cur_vslot + year {
-                let slot = (vslot as usize) & self.mask;
-                self.nodes[idx as usize].next = self.buckets[slot];
-                self.buckets[slot] = idx;
-                self.wheel_len += 1;
-            } else {
-                // The new, narrower year no longer covers this node; park
-                // its payload in place and track it by key.
-                let node = &mut self.nodes[idx as usize];
-                node.next = NIL;
-                self.far.push(FarKey {
-                    at: node.at,
-                    seq: node.seq,
-                    idx,
-                });
+            let (at, seq) = self.key(idx);
+            debug_assert!(
+                last_key.replace((at, seq)) < Some((at, seq)),
+                "retune collected the wheel out of pop order"
+            );
+            let vslot = at >> new_shift;
+            if vslot >= year_end {
+                self.stats.far_pushes += 1;
+                self.far.push(FarKey { at, seq, idx });
+                continue;
             }
+            self.wheel_len += 1;
+            let slot = (vslot as usize) & self.mask;
+            run = match run {
+                Some((open, head, tail)) if open == slot => {
+                    self.nodes[tail as usize].next = idx;
+                    Some((open, head, idx))
+                }
+                finished => {
+                    self.close_ring(finished);
+                    Some((slot, idx, idx))
+                }
+            };
         }
+        self.close_ring(run);
         self.relink_scratch = scratch;
+    }
+
+    /// Makes the chain `head ..= tail` bucket `slot`'s ring.
+    fn close_ring(&mut self, run: Option<(usize, u32, u32)>) {
+        if let Some((slot, head, tail)) = run {
+            self.nodes[tail as usize].next = head;
+            self.buckets[slot] = tail;
+            self.occupied[slot / 64] |= 1 << (slot % 64);
+        }
     }
 }
 
@@ -429,10 +534,6 @@ struct WheelHead {
     at: u64,
     seq: u64,
     vslot: u64,
-    /// Predecessor in the bucket list (`NIL` if the minimum is the head).
-    prev: u32,
-    /// Slab index of the minimum node.
-    idx: u32,
 }
 
 impl<T> std::fmt::Debug for CalendarQueue<T> {
@@ -485,62 +586,85 @@ mod tests {
         }
     }
 
-    /// Drives the calendar queue and the reference heap through the same
-    /// random schedule and asserts identical pop sequences.
+    /// The calendar queue and the reference heap, driven in lockstep:
+    /// every push goes to both under the next `seq`, every pop is taken
+    /// from both and must agree.
+    struct Lockstep {
+        cal: CalendarQueue<u32>,
+        reference: Reference,
+        seq: u64,
+        /// Time of the last pop.
+        now: u64,
+    }
+
+    impl Lockstep {
+        fn new() -> Self {
+            Lockstep {
+                cal: CalendarQueue::new(),
+                reference: Reference::new(),
+                seq: 0,
+                now: 0,
+            }
+        }
+
+        fn push(&mut self, at: u64, value: u32) {
+            self.cal.push(at, self.seq, value);
+            self.reference.push(at, self.seq, value);
+            self.seq += 1;
+        }
+
+        fn pop_due(&mut self, horizon: u64) -> Option<Entry<u32>> {
+            let a = self.cal.pop_due(horizon);
+            let b = self.reference.pop_due(horizon);
+            let key = |e: &Option<Entry<u32>>| e.as_ref().map(|e| (e.at, e.seq, e.value));
+            assert_eq!(
+                key(&a),
+                key(&b),
+                "calendar queue (left) left the heap's order"
+            );
+            if let Some(e) = &a {
+                assert!(e.at >= self.now, "time went backwards");
+                self.now = e.at;
+            }
+            a
+        }
+
+        fn drain(&mut self) {
+            while self.pop_due(u64::MAX).is_some() {}
+            assert_eq!(self.cal.len(), 0);
+        }
+
+        /// The counters, once the schedule has crossed enough retune
+        /// checks for the wheel to have resized under it repeatedly.
+        fn stats_after_20_retunes(&self) -> QueueStats {
+            let stats = self.cal.stats();
+            assert_eq!(stats.pushes, self.seq);
+            assert!(stats.pushes >= 20 * TUNE_INTERVAL, "{stats:?}");
+            stats
+        }
+    }
+
+    /// Drives both queues through the same random schedule.
     fn check_against_reference(seed: u64, ops: usize, delay_mask: u64) {
-        let mut cal: CalendarQueue<u32> = CalendarQueue::new();
-        let mut reference = Reference::new();
+        let mut q = Lockstep::new();
         let mut rng = OpRng(seed);
-        let mut now = 0u64;
-        let mut seq = 0u64;
 
         for _ in 0..ops {
             let r = rng.next();
-            if !r.is_multiple_of(3) || cal.len() == 0 {
+            if !r.is_multiple_of(3) || q.cal.len() == 0 {
                 // Push a batch with mixed delays.
                 let batch = 1 + (r >> 8) % 4;
                 for _ in 0..batch {
                     let delay = rng.next() & delay_mask;
-                    cal.push(now + delay, seq, seq as u32);
-                    reference.push(now + delay, seq, seq as u32);
-                    seq += 1;
+                    q.push(q.now + delay, q.seq as u32);
                 }
             } else {
                 // Pop everything due within a random horizon.
-                let horizon = now + (rng.next() & delay_mask);
-                loop {
-                    let a = cal.pop_due(horizon);
-                    let b = reference.pop_due(horizon);
-                    match (a, b) {
-                        (None, None) => break,
-                        (Some(x), Some(y)) => {
-                            assert_eq!((x.at, x.seq, x.value), (y.at, y.seq, y.value));
-                            assert!(x.at >= now, "time went backwards");
-                            now = x.at;
-                        }
-                        (a, b) => panic!(
-                            "queues disagree: cal={:?} ref={:?}",
-                            a.map(|e| (e.at, e.seq)),
-                            b.map(|e| (e.at, e.seq))
-                        ),
-                    }
-                }
+                let horizon = q.now + (rng.next() & delay_mask);
+                while q.pop_due(horizon).is_some() {}
             }
         }
-        // Drain both completely.
-        loop {
-            match (cal.pop_due(u64::MAX), reference.pop_due(u64::MAX)) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    assert_eq!((x.at, x.seq, x.value), (y.at, y.seq, y.value));
-                }
-                (a, b) => panic!(
-                    "drain disagrees: cal={:?} ref={:?}",
-                    a.map(|e| (e.at, e.seq)),
-                    b.map(|e| (e.at, e.seq))
-                ),
-            }
-        }
+        q.drain();
     }
 
     #[test]
@@ -636,5 +760,81 @@ mod tests {
         assert_eq!(q.pop_due(u64::MAX).unwrap().value, 3);
         assert_eq!(q.pop_due(u64::MAX).unwrap().value, 2);
         assert!(q.pop_due(u64::MAX).is_none());
+    }
+
+    // The three shapes the wheel was never measured on, as exact counts.
+
+    /// 20,000 events parked 1-400 ms ahead (a chaos rig's request plan, a
+    /// fleet's probes) under 32 chains rescheduling themselves every
+    /// 100-900 ns. The parked ones size the wheel, so the live ones sit
+    /// hundreds of empty few-ns buckets apart: the bitmap has to make
+    /// that a handful of words per pop.
+    #[test]
+    fn parked_events_do_not_make_pops_scan_the_wheel() {
+        let mut q = Lockstep::new();
+        let mut rng = OpRng(41);
+        for _ in 0..20_000 {
+            q.push(1_000_000 + rng.next() % 399_000_000, u32::MAX);
+        }
+        for chain in 0..32 {
+            q.push(100 + rng.next() % 800, chain);
+        }
+        for _ in 0..100_000 {
+            let e = q.pop_due(u64::MAX).unwrap();
+            if e.value != u32::MAX {
+                q.push(e.at + 100 + rng.next() % 800, e.value);
+            }
+        }
+        let stats = q.stats_after_20_retunes();
+        assert!(stats.words_scanned <= 8 * stats.pops, "{stats:?}");
+        q.drain();
+    }
+
+    /// 64 zero-delay pushes per 100 us tick (`FleetLoadGen` into
+    /// `FlowSim`): one bucket holds them all, each lands past the tail,
+    /// and they pop in `seq` order without the list being searched.
+    #[test]
+    fn same_instant_bursts_append_and_pop_in_seq_order() {
+        const TICK: u32 = u32::MAX;
+        let mut q = Lockstep::new();
+        q.push(0, TICK);
+        for _ in 0..2_000 {
+            let tick = q.pop_due(u64::MAX).unwrap();
+            assert_eq!(tick.value, TICK);
+            for i in 0..64 {
+                q.push(tick.at, i);
+            }
+            q.push(tick.at + 100_000, TICK);
+            for i in 0..64 {
+                let e = q.pop_due(u64::MAX).unwrap();
+                assert_eq!((e.at, e.value), (tick.at, i));
+            }
+        }
+        let stats = q.stats_after_20_retunes();
+        assert!(stats.insert_steps * 20 <= stats.pushes, "{stats:?}");
+        q.drain();
+    }
+
+    /// `ChaosRig::build`: 24 clients x 800 requests 500 us apart, pushed
+    /// client by client with nothing popped, then run. Later clients land
+    /// between earlier ones' entries; with the wheel sized by everything
+    /// pending that is a short walk, not a sort (sizing it by what the
+    /// wheel alone holds would file these 19,200 into 64 buckets).
+    #[test]
+    fn set_up_pushes_in_client_major_order_walk_short_lists() {
+        let mut q = Lockstep::new();
+        let mut rng = OpRng(43);
+        for _round in 0..5 {
+            let base = q.now;
+            for client in 0..24 {
+                let phase = rng.next() % 500_000;
+                for k in 0..800 {
+                    q.push(base + phase + k * 500_000, client);
+                }
+            }
+            q.drain();
+        }
+        let stats = q.stats_after_20_retunes();
+        assert!(stats.insert_steps <= 2 * stats.pushes, "{stats:?}");
     }
 }

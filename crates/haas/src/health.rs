@@ -195,13 +195,11 @@ impl FailureMonitor {
 
 impl Component<Msg> for FailureMonitor {
     fn on_message(&mut self, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        if let Msg::Custom(any) = msg {
-            match any.downcast::<NodeDownReport>() {
-                Ok(report) => self.handle_down(report.addr, ctx),
-                Err(any) => {
-                    if let Ok(deploy) = any.downcast::<DeployImage>() {
-                        self.handle_deploy(deploy.addr, deploy.image);
-                    }
+        match msg.downcast::<NodeDownReport>() {
+            Ok(report) => self.handle_down(report.addr, ctx),
+            Err(msg) => {
+                if let Ok(deploy) = msg.downcast::<DeployImage>() {
+                    self.handle_deploy(deploy.addr, deploy.image);
                 }
             }
         }

@@ -666,11 +666,12 @@ impl Component<Msg> for Shell {
                 // ACKs/CNPs may now be queued.
                 self.pump_ltl(ctx);
             }
-            // Deliveries are addressed to consumers, never to a shell.
-            Msg::LtlDeliver(_) => {}
-            Msg::Custom(any) => {
-                if let Ok(cmd) = any.downcast::<ShellCmd>() {
-                    match *cmd {
+            // Deliveries are addressed to consumers, flow-model and switch
+            // commands to those components, never to a shell.
+            Msg::LtlDeliver(_) | Msg::FlowSim(_) | Msg::Switch(_) => {}
+            boxed => {
+                if let Ok(cmd) = boxed.downcast::<ShellCmd>() {
+                    match cmd {
                         ShellCmd::LtlSend { conn, vc, payload } => {
                             // Multi-tenant admission: a send on a
                             // tenant-bound connection is charged against

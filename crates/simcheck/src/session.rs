@@ -191,9 +191,14 @@ impl Component<Msg> for LtlNode {
                 let events = self.ltl.on_packet(&pkt, ctx.now());
                 Self::log_ltl_events(&mut self.log, events);
             }
-            Msg::Net(_) | Msg::Egress { .. } | Msg::LtlRx(_) | Msg::LtlDeliver(_) => {}
-            Msg::Custom(any) => {
-                if let Ok(cmd) = any.downcast::<SendCmd>() {
+            Msg::Net(_)
+            | Msg::Egress { .. }
+            | Msg::LtlRx(_)
+            | Msg::LtlDeliver(_)
+            | Msg::FlowSim(_)
+            | Msg::Switch(_) => {}
+            boxed => {
+                if let Ok(cmd) = boxed.downcast::<SendCmd>() {
                     let first_seq = self
                         .ltl
                         .send_conn_view(0)

@@ -39,6 +39,11 @@
 //!   acknowledgement leg that is free in go-back-N (a 20-byte ACK lives
 //!   inline in its `Bytes`) and costs 2 in selective repeat (a 28-byte
 //!   SACK wire image does not; its 8-byte bitmap payload does).
+//!
+//! The fleet background path is allocation-free and pinned the same
+//! two-sided way: a tick of `FleetLoadGen` sends up to 64 batches to
+//! `FlowSim` as `Msg::FlowSim` and `FlowSim` publishes pressure to every
+//! spine as `Msg::Switch` — 0 acquisitions per tick.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -46,14 +51,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use bytes::Bytes;
+use catapult::workload::{FleetLoadGen, FleetWorkloadConfig};
 use catapult::ClusterBuilder;
 use dcnet::{
-    FabricBuilder, FabricConfig, FabricShape, Jitter, Msg, NetEvent, NodeAddr, Packet, PortId,
-    SwitchConfig, TrafficClass,
+    FabricBuilder, FabricConfig, FabricShape, FidelityMap, FlowSim, FlowSimConfig, Jitter, Msg,
+    NetEvent, NodeAddr, Packet, PortId, Switch, SwitchConfig, SwitchRole, TrafficClass,
 };
 use dcsim::{
     Component, ComponentId, Context, Engine, ShardPlan, ShardedEngine, SimDuration, SimTime,
 };
+use host::StartGenerator;
 use shell::ltl::{LtlConfig, LtlEngine, LtlEvent, LtlMode, Poll, SendConnId};
 use shell::{LtlDeliver, ShellCmd};
 
@@ -508,4 +515,72 @@ fn ltl_engine_pair_acquires_only_wire_buffers() {
     let (data_leg, ack_leg) = engine_pair_allocs(LtlMode::SelectiveRepeat, MESSAGES);
     assert_eq!(data_leg, 2 * MESSAGES, "selective-repeat data leg");
     assert_budget("selective-repeat acknowledgement leg", ack_leg, MESSAGES, 2);
+}
+
+/// The fleet background path, as `fleet_hybrid` drives it: the default
+/// two-million-user generator into the flow model of a 6-pod fabric whose
+/// two packet pods hang off two spines. A tick is ~64 batch commands to
+/// `FlowSim` and, whenever a packet pod's pressure moved, one command per
+/// spine; boxed, that was one acquisition each (131,251 over this window).
+/// The budget's slack is the flow table's last few doublings.
+#[test]
+fn fleet_background_tick_acquires_nothing() {
+    const WARM_UP: u64 = 500;
+    const TICKS: u64 = 2_000;
+    let _serial = serial();
+    let shape = FabricShape {
+        hosts_per_tor: 24,
+        tors_per_pod: 4,
+        pods: 6,
+        spines: 2,
+    };
+    let map = FidelityMap::packet_island(6, 2);
+    let cfg = FleetWorkloadConfig::default();
+    let tick = cfg.tick;
+    let mut e: Engine<Msg> = Engine::new(11);
+    let spines: Vec<ComponentId> = (0..shape.spines)
+        .map(|index| {
+            e.add_component(Switch::new(
+                SwitchRole::Spine { index },
+                shape,
+                SwitchConfig::default(),
+            ))
+        })
+        .collect();
+    let sim = e.add_component(
+        FlowSim::new(FlowSimConfig::new(shape))
+            .with_fidelity(&map)
+            .with_spines(&spines),
+    );
+    let gen = e.add_component(FleetLoadGen::new(cfg, shape, &map, sim));
+    e.schedule(SimTime::ZERO, gen, Msg::custom(StartGenerator));
+
+    let counters = |e: &Engine<Msg>| {
+        let fs = e.component::<FlowSim>(sim).unwrap();
+        (fs.ticks(), fs.bytes_injected(), e.events_processed())
+    };
+    e.run_for(tick * WARM_UP);
+    let before = counters(&e);
+    let measured = on_this_thread(|| {
+        e.run_for(tick * TICKS);
+    });
+    let after = counters(&e);
+
+    assert_eq!(
+        after.0 - before.0,
+        TICKS,
+        "the flow model ticked throughout"
+    );
+    assert!(after.1 > before.1, "batches kept arriving");
+    assert!(
+        after.2 - before.2 > 40 * TICKS,
+        "too few events for ~64 batches a tick: {}",
+        after.2 - before.2
+    );
+    let pressure_moved = spines.iter().all(|&spine| {
+        let spine = e.component::<Switch>(spine).unwrap();
+        (0..2).any(|pod| spine.background_bytes(PortId(pod)) > 0)
+    });
+    assert!(pressure_moved, "both spines saw background pressure");
+    assert_budget("fleet background tick", measured, TICKS, 0);
 }

@@ -68,7 +68,7 @@ fn client_fails_over_to_spare_and_finishes_all_requests() {
     cluster.engine_mut().schedule(
         SimTime::from_millis(10),
         tor,
-        Msg::custom(SwitchCmd::Disconnect(dcnet::PortId(primary.host))),
+        Msg::Switch(SwitchCmd::Disconnect(dcnet::PortId(primary.host))),
     );
     cluster.run_to_idle();
 
