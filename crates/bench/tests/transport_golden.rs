@@ -1,0 +1,108 @@
+//! Golden transport outputs: what `ltl_ab` and `simcheck` print for a
+//! fixed seed, compared with the files under `tests/golden/`. Every output
+//! here is a pure function of its seed, so a refactor of the LTL engine,
+//! its pump or its oracles must leave all three unchanged.
+//!
+//! On a mismatch the actual output is written under
+//! `target/tmp/transport_golden/actual/` and the differing lines are
+//! printed. Re-baselining a deliberate change means copying that file
+//! over the golden one, so the diff shows what moved.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// Runs a bench binary with its working directory under the target
+/// directory (binaries write `results/` relative to it); returns the
+/// directory and stdout. Panics unless the binary exits 0.
+fn run(bin: &str, args: &[&str], dir_name: &str) -> (PathBuf, String) {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("transport_golden")
+        .join(dir_name);
+    std::fs::create_dir_all(&dir).expect("scratch dir is writable");
+    let out = Command::new(bin)
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    assert!(
+        out.status.success(),
+        "{bin} {args:?} exited {:?}\n{stdout}{}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    (dir, stdout)
+}
+
+/// Compares `actual` with `tests/golden/<name>` byte for byte.
+fn assert_golden(name: &str, actual: &str) {
+    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    let golden = std::fs::read_to_string(&golden_path).expect("golden file is readable");
+    if golden == actual {
+        return;
+    }
+    let actual_dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("transport_golden/actual");
+    std::fs::create_dir_all(&actual_dir).expect("scratch dir is writable");
+    let actual_path = actual_dir.join(name);
+    std::fs::write(&actual_path, actual).expect("actual output is writable");
+    let (mut g, mut a) = (golden.lines(), actual.lines());
+    let mut diff = String::new();
+    for line in 1.. {
+        match (g.next(), a.next()) {
+            (None, None) => break,
+            (gl, al) if gl == al => {}
+            (gl, al) => {
+                diff.push_str(&format!(
+                    "line {line}:\n- {}\n+ {}\n",
+                    gl.unwrap_or(""),
+                    al.unwrap_or("")
+                ));
+            }
+        }
+    }
+    panic!(
+        "{name} differs from {}; actual written to {}\n{diff}",
+        golden_path.display(),
+        actual_path.display()
+    );
+}
+
+#[test]
+fn ltl_ab_report_is_golden() {
+    let (dir, _) = run(
+        env!("CARGO_BIN_EXE_ltl_ab"),
+        &["--quick", "--seed", "7", "--check-win"],
+        "ltl_ab",
+    );
+    let report =
+        std::fs::read_to_string(dir.join("results/ltl_ab.json")).expect("ltl_ab wrote its report");
+    assert_golden("ltl_ab.json", &report);
+}
+
+#[test]
+fn simcheck_sweep_totals_are_golden() {
+    let (_, stdout) = run(
+        env!("CARGO_BIN_EXE_simcheck"),
+        &["--quick", "--seeds", "16"],
+        "simcheck_sweep",
+    );
+    let totals = stdout.lines().last().expect("simcheck prints its totals");
+    assert_golden("simcheck_quick_16.txt", &format!("{totals}\n"));
+}
+
+#[test]
+fn planted_bugs_are_caught_and_shrunk_as_golden() {
+    let (_, stdout) = run(
+        env!("CARGO_BIN_EXE_simcheck"),
+        &["--validate-oracle"],
+        "simcheck_validate",
+    );
+    let lines: String = stdout
+        .lines()
+        .filter(|l| l.starts_with("caught on seed") || l.starts_with("shrunk "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_golden("simcheck_validate_oracle.txt", &lines);
+}
