@@ -1,7 +1,8 @@
 //! Differential testing of the LTL retransmission protocol.
 //!
 //! Two [`shell::ltl::LtlEngine`]s exchange messages across a scripted lossy
-//! channel, all three driven as ordinary [`dcsim`] components. A
+//! channel, all three driven as ordinary [`dcsim`] components; each engine
+//! is pumped by [`shell::ltl::Endpoint`], the pump the shell runs. A
 //! [`dcsim::Observer`] attached to the engine drains each component's
 //! protocol trace after *every* event, feeds it to a pure reference model
 //! per direction — [`GbnRefModel`] for go-back-N sessions,
@@ -25,7 +26,8 @@ use dcsim::{
 };
 use serde::Value;
 use shell::ltl::{
-    FrameKind, LtlConfig, LtlEngine, LtlEvent, LtlFrame, LtlMode, Poll, RecvConnView, SendConnView,
+    Endpoint, FrameKind, LtlConfig, LtlEngine, LtlEvent, LtlFrame, LtlMode, RecvConnView,
+    SendConnView,
 };
 use std::collections::VecDeque;
 
@@ -84,34 +86,11 @@ enum NodeEvent {
     ConnFailed,
 }
 
-/// A session endpoint: one real LTL engine pumped the same way the Shell
-/// pumps its engine (poll loop + retransmission tick), logging every
-/// observable protocol action for the oracle.
-struct LtlNode {
-    ltl: LtlEngine,
-    mtu: usize,
-    peer_channel: ComponentId,
-    tick_armed: bool,
-    poll_armed: bool,
-    log: Vec<NodeEvent>,
-}
-
-impl LtlNode {
-    fn new(ltl: LtlEngine, mtu: usize, peer_channel: ComponentId) -> LtlNode {
-        LtlNode {
-            ltl,
-            mtu,
-            peer_channel,
-            tick_armed: false,
-            poll_armed: false,
-            log: Vec::new(),
-        }
-    }
-
-    /// Logs the engine's upcalls. `events` borrows the node's engine, so
-    /// the log arrives as its own field rather than through `&mut self`.
-    fn log_ltl_events(log: &mut Vec<NodeEvent>, events: impl Iterator<Item = LtlEvent>) {
-        log.extend(events.map(|ev| match ev {
+/// An engine upcall as the oracle logs it: a delivery by the counter in
+/// its payload head.
+impl From<LtlEvent> for NodeEvent {
+    fn from(ev: LtlEvent) -> NodeEvent {
+        match ev {
             LtlEvent::Deliver { payload, .. } => {
                 let mut head = [0u8; 8];
                 let n = payload.len().min(8);
@@ -121,47 +100,47 @@ impl LtlNode {
                 }
             }
             LtlEvent::ConnectionFailed { .. } => NodeEvent::ConnFailed,
-        }));
+        }
+    }
+}
+
+/// A session endpoint: one real LTL engine driven by the shell's own
+/// [`Endpoint`], logging every observable protocol action for the oracle.
+struct LtlNode {
+    ltl: Endpoint<TIMER_TICK, TIMER_POLL>,
+    mtu: usize,
+    peer_channel: ComponentId,
+    log: Vec<NodeEvent>,
+}
+
+impl LtlNode {
+    fn new(ltl: LtlEngine, mtu: usize, peer_channel: ComponentId) -> LtlNode {
+        LtlNode {
+            ltl: Endpoint::new(ltl, TICK),
+            mtu,
+            peer_channel,
+            log: Vec::new(),
+        }
     }
 
     fn pump(&mut self, ctx: &mut Context<'_, Msg>) {
-        loop {
-            match self.ltl.poll(ctx.now()) {
-                Poll::Ready(pkt) => {
-                    if let Ok(frame) = LtlFrame::decode(&pkt.payload) {
-                        let ev = match frame.kind {
-                            FrameKind::Data => Some(NodeEvent::DataTx { seq: frame.seq }),
-                            FrameKind::Ack => Some(NodeEvent::AckTx { seq: frame.seq }),
-                            FrameKind::Nack => Some(NodeEvent::NackTx { seq: frame.seq }),
-                            FrameKind::Sack => frame.sack_bits().map(|bits| NodeEvent::SackTx {
-                                seq: frame.seq,
-                                bits,
-                            }),
-                            _ => None,
-                        };
-                        if let Some(ev) = ev {
-                            self.log.push(ev);
-                        }
-                    }
-                    ctx.send(self.peer_channel, Msg::packet(pkt, PortId(0)));
-                }
-                Poll::Later(t) => {
-                    if !self.poll_armed {
-                        self.poll_armed = true;
-                        ctx.timer_after(t.saturating_since(ctx.now()), TIMER_POLL);
-                    }
-                    break;
-                }
-                Poll::Empty => break,
+        let (log, peer) = (&mut self.log, self.peer_channel);
+        self.ltl.pump(ctx, |ctx, pkt, _| {
+            if let Ok(frame) = LtlFrame::decode(&pkt.payload) {
+                let ev = match frame.kind {
+                    FrameKind::Data => Some(NodeEvent::DataTx { seq: frame.seq }),
+                    FrameKind::Ack => Some(NodeEvent::AckTx { seq: frame.seq }),
+                    FrameKind::Nack => Some(NodeEvent::NackTx { seq: frame.seq }),
+                    FrameKind::Sack => frame.sack_bits().map(|bits| NodeEvent::SackTx {
+                        seq: frame.seq,
+                        bits,
+                    }),
+                    _ => None,
+                };
+                log.extend(ev);
             }
-        }
-    }
-
-    fn ensure_tick(&mut self, ctx: &mut Context<'_, Msg>) {
-        if !self.tick_armed && self.ltl.in_flight() > 0 {
-            self.tick_armed = true;
-            ctx.timer_after(TICK, TIMER_TICK);
-        }
+            ctx.send(peer, Msg::packet(pkt, PortId(0)));
+        });
     }
 }
 
@@ -188,8 +167,8 @@ impl Component<Msg> for LtlNode {
                         _ => {}
                     }
                 }
-                let events = self.ltl.on_packet(&pkt, ctx.now());
-                Self::log_ltl_events(&mut self.log, events);
+                let log = &mut self.log;
+                self.ltl.on_packet(&pkt, ctx, |_, ev| log.push(ev.into()));
             }
             Msg::Net(_)
             | Msg::Egress { .. }
@@ -199,9 +178,7 @@ impl Component<Msg> for LtlNode {
             | Msg::Switch(_) => {}
             boxed => {
                 if let Ok(cmd) = boxed.downcast::<SendCmd>() {
-                    let first_seq = self
-                        .ltl
-                        .send_conn_view(0)
+                    let first_seq = (self.ltl.engine().send_conn_view(0))
                         .map(|v| v.next_seq)
                         .unwrap_or_default();
                     let frames = cmd.len.div_ceil(self.mtu) as u32;
@@ -209,7 +186,11 @@ impl Component<Msg> for LtlNode {
                     let head = cmd.counter.to_be_bytes();
                     let n = cmd.len.min(8);
                     payload[..n].copy_from_slice(&head[..n]);
-                    if self.ltl.send_message(0, 0, Bytes::from(payload)).is_ok() {
+                    let sent = self
+                        .ltl
+                        .engine_mut()
+                        .send_message(0, 0, Bytes::from(payload));
+                    if sent.is_ok() {
                         self.log.push(NodeEvent::Submitted {
                             first_seq,
                             frames,
@@ -220,21 +201,12 @@ impl Component<Msg> for LtlNode {
             }
         }
         self.pump(ctx);
-        self.ensure_tick(ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, Msg>) {
-        match token {
-            TIMER_TICK => {
-                self.tick_armed = false;
-                let events = self.ltl.on_tick(ctx.now());
-                Self::log_ltl_events(&mut self.log, events);
-            }
-            TIMER_POLL => self.poll_armed = false,
-            _ => {}
-        }
+        let log = &mut self.log;
+        self.ltl.on_timer(token, ctx, |_, ev| log.push(ev.into()));
         self.pump(ctx);
-        self.ensure_tick(ctx);
     }
 }
 
@@ -550,11 +522,12 @@ impl SessionOracle {
                 return;
             };
             let model = &self.models[dir];
-            let unacked = sender.ltl.send_unacked_seqs(0);
-            let buffered = receiver.ltl.recv_buffered_seqs(0);
-            let rs = (sender.ltl.send_conn_view(0))
+            let (sender, receiver) = (sender.ltl.engine(), receiver.ltl.engine());
+            let unacked = sender.send_unacked_seqs(0);
+            let buffered = receiver.recv_buffered_seqs(0);
+            let rs = (sender.send_conn_view(0))
                 .map(|v| model.check_sender(&v, unacked.as_deref().unwrap_or(&[])));
-            let rr = (receiver.ltl.recv_conn_view(0))
+            let rr = (receiver.recv_conn_view(0))
                 .map(|v| model.check_receiver(&v, buffered.as_deref().unwrap_or(&[])));
             if let Some(r) = rs {
                 self.record(at, "ltl.sender_state", r);
