@@ -317,7 +317,9 @@ fn scaling_ladder() -> (Vec<Rung>, Vec<(u16, f64)>) {
         });
         timings.push((boards, ns_per_event));
     }
-    // Rungs 0 and 2 of `LADDER`: ROADMAP 5(a)'s bar is 2x between them.
+    // Rungs 0 and 2 of `LADDER`: the cost per lease event may grow at
+    // most 2x from 24 to 384 boards (the bar Funky's orchestration-at-scale
+    // evaluation sets).
     println!(
         "cost per lease event, 384 boards over 24 boards: {:.2}x",
         timings[2].1 / timings[0].1
