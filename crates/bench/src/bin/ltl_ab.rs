@@ -25,7 +25,7 @@
 //!
 //! Everything is seeded and event-driven, so a repeated run with the
 //! same seed produces a byte-identical `results/ltl_ab.json` — the quick
-//! report for seed 7 is a golden file (`tests/transport_golden.rs`), and
+//! report for seed 7 is a golden file (`tests/golden.rs`), and
 //! `--check-win` exits nonzero unless selective repeat beats go-back-N on
 //! goodput or p99 latency in at least one scenario.
 
