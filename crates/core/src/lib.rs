@@ -78,8 +78,8 @@ pub mod prelude {
     pub use crate::workload::{FleetLoadGen, FleetWorkloadConfig};
     pub use crate::{Cluster, ClusterBuilder};
     pub use dcnet::{
-        FabricBuilder, FabricConfig, FabricShape, Fidelity, FidelityMap, FlowSim, FlowSimCmd,
-        FlowSimConfig, Msg, NodeAddr,
+        FabricBuilder, FabricConfig, FabricShape, Fidelity, FidelityMap, FlowBatch, FlowSim,
+        FlowSimCmd, FlowSimConfig, Msg, NodeAddr,
     };
     pub use dcsim::{
         Component, ComponentId, Context, Engine, ShardSyncStats, SimDuration, SimTime, WindowPolicy,

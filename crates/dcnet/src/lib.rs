@@ -41,7 +41,7 @@ mod topology;
 
 pub use addr::{AddrError, MacAddr, NodeAddr};
 pub use dcqcn::{CnpPacer, DcqcnConfig, DcqcnRp};
-pub use flowsim::{needs_flowsim, FlowSim, FlowSimCmd, FlowSimConfig};
+pub use flowsim::{needs_flowsim, FlowBatch, FlowSim, FlowSimCmd, FlowSimConfig};
 pub use link::{FreeTimer, LinkParams, LinkTx, TxTiming};
 pub use msg::{LtlDeliver, Msg, NetEvent, PortId};
 pub use packet::{

@@ -11,7 +11,7 @@
 //! # Typed-message policy
 //!
 //! Anything on the steady-state event hot path — sent once per frame, per
-//! hop, per delivered message or per background-traffic batch — must be a
+//! hop, per delivered message or per background-traffic tick — must be a
 //! first-class variant: `Box<dyn Any>` costs a heap allocation plus a
 //! downcast per event, which dominates once the scheduler itself is
 //! cheap. The variants are [`Msg::Net`], [`Msg::Egress`], [`Msg::LtlRx`],
@@ -113,8 +113,8 @@ pub enum Msg {
     /// [`Msg::downcast::<LtlDeliver>`](Msg::downcast).
     LtlDeliver(LtlDeliver),
     /// A command to the flow model. The fleet workload generator sends one
-    /// per background-traffic batch, tens per tick, so it is a first-class
-    /// variant; [`crate::FlowSim`] takes it with
+    /// per tick carrying that tick's background-traffic batches, so it is
+    /// a first-class variant; [`crate::FlowSim`] takes it with
     /// [`Msg::downcast::<FlowSimCmd>`](Msg::downcast).
     FlowSim(FlowSimCmd),
     /// An operator command to a switch. The flow model sends one per spine
@@ -260,12 +260,15 @@ mod tests {
         assert_is_the_delivery(Msg::custom(deliver()).downcast().unwrap());
     }
 
-    const INJECT: FlowSimCmd = FlowSimCmd::Inject {
-        src_pod: 4,
-        dst_pod: 1,
-        bytes: 9_000,
-        flows: 3,
-    };
+    fn inject() -> FlowSimCmd {
+        FlowSimCmd::Inject(std::sync::Arc::new(vec![crate::flowsim::FlowBatch {
+            src_pod: 4,
+            dst_pod: 1,
+            bytes: 9_000,
+            flows: 3,
+        }]))
+    }
+
     const PRESSURE: SwitchCmd = SwitchCmd::SetBackgroundLoad {
         port: PortId(2),
         bytes: 10_000,
@@ -287,17 +290,17 @@ mod tests {
     #[test]
     fn command_variants_downcast_to_their_payloads() {
         assert_eq!(
-            Msg::FlowSim(INJECT).downcast::<FlowSimCmd>().unwrap(),
-            INJECT
+            Msg::FlowSim(inject()).downcast::<FlowSimCmd>().unwrap(),
+            inject()
         );
         assert_is_the_pressure(Msg::Switch(PRESSURE).downcast().unwrap());
     }
 
     #[test]
     fn wrong_type_downcast_returns_the_command_variant_intact() {
-        let back = Msg::FlowSim(INJECT).downcast::<SwitchCmd>().unwrap_err();
+        let back = Msg::FlowSim(inject()).downcast::<SwitchCmd>().unwrap_err();
         assert!(matches!(back, Msg::FlowSim(_)), "got {back:?}");
-        assert_eq!(back.downcast::<FlowSimCmd>().unwrap(), INJECT);
+        assert_eq!(back.downcast::<FlowSimCmd>().unwrap(), inject());
         let back = Msg::Switch(PRESSURE).downcast::<FlowSimCmd>().unwrap_err();
         assert!(matches!(back, Msg::Switch(_)), "got {back:?}");
         assert_is_the_pressure(back.downcast().unwrap());
@@ -363,7 +366,7 @@ mod tests {
         assert!(delivery.downcast::<u32>().is_err());
         assert!(format!("{:?}", Msg::LtlDeliver(deliver())).starts_with("LtlDeliver"));
         for (cmd, name) in [
-            (Msg::FlowSim(INJECT), "FlowSim"),
+            (Msg::FlowSim(inject()), "FlowSim"),
             (Msg::Switch(PRESSURE), "Switch"),
         ] {
             assert!(!matches!(cmd, Msg::Custom(_)));

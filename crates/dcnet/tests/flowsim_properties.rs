@@ -2,7 +2,9 @@
 //! byte is delivered, still in flight, or explicitly rejected — never
 //! silently lost — across arbitrary injection schedules and seeds.
 
-use dcnet::{FabricShape, FlowSim, FlowSimCmd, FlowSimConfig, Msg};
+use std::sync::Arc;
+
+use dcnet::{FabricShape, FlowBatch, FlowSim, FlowSimCmd, FlowSimConfig, Msg};
 use dcsim::{Engine, SimTime};
 use proptest::prelude::*;
 
@@ -34,7 +36,12 @@ proptest! {
             e.schedule(
                 SimTime::from_micros(at),
                 sim,
-                Msg::FlowSim(FlowSimCmd::Inject { src_pod, dst_pod, bytes, flows }),
+                Msg::FlowSim(FlowSimCmd::Inject(Arc::new(vec![FlowBatch {
+                    src_pod,
+                    dst_pod,
+                    bytes,
+                    flows,
+                }]))),
             );
         }
 
@@ -69,15 +76,12 @@ proptest! {
         cfg.max_flows = max_flows;
         let mut e: Engine<Msg> = Engine::new(seed);
         let sim = e.add_component(FlowSim::new(cfg));
-        let mut offered = 0u64;
-        for &(bytes, flows) in &batches {
-            offered += bytes;
-            e.schedule(
-                SimTime::ZERO,
-                sim,
-                Msg::FlowSim(FlowSimCmd::Inject { src_pod: 0, dst_pod: 1, bytes, flows }),
-            );
-        }
+        let offered: u64 = batches.iter().map(|&(bytes, _)| bytes).sum();
+        let batches = batches
+            .iter()
+            .map(|&(bytes, flows)| FlowBatch { src_pod: 0, dst_pod: 1, bytes, flows })
+            .collect();
+        e.schedule(SimTime::ZERO, sim, Msg::FlowSim(FlowSimCmd::Inject(Arc::new(batches))));
         e.run_to_idle();
         let fs = e.component::<FlowSim>(sim).unwrap();
         prop_assert_eq!(fs.bytes_injected() + fs.bytes_rejected(), offered);
