@@ -790,9 +790,9 @@ mod tests {
         q.drain();
     }
 
-    /// 64 zero-delay pushes per 100 us tick (`FleetLoadGen` into
-    /// `FlowSim`): one bucket holds them all, each lands past the tail,
-    /// and they pop in `seq` order without the list being searched.
+    /// 64 zero-delay pushes per 100 us tick, a component fanning a burst
+    /// out at one instant: one bucket holds them all, each lands past the
+    /// tail, and they pop in `seq` order without the list being searched.
     #[test]
     fn same_instant_bursts_append_and_pop_in_seq_order() {
         const TICK: u32 = u32::MAX;
