@@ -466,9 +466,18 @@ impl Cluster {
         self.exec.effective_workers()
     }
 
-    /// Synchronization windows executed so far (0 when not sharded).
+    /// Synchronization rounds so far: one per window on several shards,
+    /// one per run call on one shard (0 when not sharded).
     pub fn sync_rounds(&self) -> u64 {
         self.exec.rounds()
+    }
+
+    /// The sharded run's critical path in events
+    /// ([`ShardedEngine::critical_path`]); the summed
+    /// [`ShardSyncStats::events`] over it bounds the speedup any core
+    /// count can reach (0 when not sharded).
+    pub fn critical_path(&self) -> u64 {
+        self.exec.critical_path()
     }
 
     /// Merges the shards back into the one unrouted engine in place

@@ -368,7 +368,10 @@ impl<'a, M> Context<'a, M> {
 ///
 /// The fields marked `pub(crate)` are what [`crate::ShardedEngine`] deals
 /// out and collects when it partitions one engine into routed shard
-/// engines and merges them back.
+/// engines and merges them back. Those shards sit side by side in one
+/// `Vec`, each written by its own worker thread, so an engine starts on
+/// a 128-byte line of its own and shares none with its neighbour.
+#[repr(align(128))]
 pub struct Engine<M> {
     pub(crate) now: SimTime,
     pub(crate) seq: u64,
