@@ -1,8 +1,9 @@
-//! Golden outputs: what `ltl_ab`, `simcheck` and the fleet-scale
-//! `fig10_ltl_latency` write for a fixed seed, compared with the files
-//! under `tests/golden/`. Every output here is a pure function of its seed,
-//! so a refactor of the LTL engine, its pump, its oracles, the flow model
-//! or the fleet generator must leave them unchanged.
+//! Golden outputs: what `ltl_ab`, `simcheck`, `chaos` and the fleet-scale
+//! `fig10_ltl_latency` write for a fixed seed, and the metrics registry's
+//! JSON dump of a small cluster, compared with the files under
+//! `tests/golden/`. Every output here is a pure function of its seed, so a
+//! refactor of the LTL engine, its pump, its oracles, the flow model, the
+//! fleet generator or the metrics registry must leave them unchanged.
 //!
 //! On a mismatch the actual output is written under
 //! `target/tmp/golden/actual/` and the differing lines are printed.
@@ -11,6 +12,10 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use catapult::prelude::*;
+use dcnet::Msg;
+use shell::{ShellCmd, TenantCaps, TenantId};
 
 /// Runs a bench binary with its working directory under the target
 /// directory (binaries write `results/` relative to it); returns the
@@ -125,4 +130,76 @@ fn fig10_fleet_report_is_golden() {
     let report = std::fs::read_to_string(dir.join("results/fig10_fleet.json"))
         .expect("fig10 wrote its fleet report");
     assert_golden("fig10_fleet.json", &report);
+}
+
+/// The quick fault-injection run: random faults on the ranking and DNN
+/// services, the failure monitor's detection and recovery, and the
+/// transport and fabric sections the report reads off one registry
+/// snapshot.
+#[test]
+fn chaos_report_is_golden() {
+    let (dir, _) = run(
+        env!("CARGO_BIN_EXE_chaos"),
+        &["--quick", "--seed", "42"],
+        "chaos",
+    );
+    let report = std::fs::read_to_string(dir.join("results/chaos_report.json"))
+        .expect("chaos wrote its report");
+    assert_golden("chaos_report.json", &report);
+}
+
+/// The registry dump of a small two-pod cluster: cross-pod LTL probes
+/// under 5 % injected egress loss, on a send connection bound to a tenant
+/// whose credit cap refuses some of them. Counters, gauges, a filled and
+/// an empty RTT histogram and the shell's `tenants` child all appear, so
+/// the dump pins every path, the order of paths that share a prefix
+/// (`tenant_cap_drops` before `tenants/…`) and the number formatting.
+#[test]
+fn two_pod_metrics_dump_is_golden() {
+    let shape = FabricShape {
+        hosts_per_tor: 4,
+        tors_per_pod: 2,
+        pods: 2,
+        spines: 2,
+    };
+    let mut cluster = ClusterBuilder::paper(1, 2)
+        .fabric_config(&calib::fabric_config(shape))
+        .build();
+    let (a, b) = (NodeAddr::new(0, 0, 1), NodeAddr::new(1, 1, 2));
+    let a_id = cluster.add_shell(a);
+    cluster.add_shell(b);
+    let (a_send, _, _, _) = cluster.connect_pair(a, b);
+    let tenant = TenantId(7);
+    let caps = TenantCaps {
+        er_mbps: 10_000,
+        ltl_credits: 4,
+    };
+    for cmd in [
+        ShellCmd::SetLtlLossRate(0.05),
+        ShellCmd::SetTenantCaps {
+            tenant,
+            caps: Some(caps),
+        },
+        ShellCmd::BindTenant {
+            conn: a_send,
+            tenant: Some(tenant),
+        },
+    ] {
+        cluster
+            .engine_mut()
+            .schedule(SimTime::ZERO, a_id, Msg::custom(cmd));
+    }
+    // Five probes per 10 us cap window against a budget of four.
+    schedule_probes(
+        &mut cluster,
+        a,
+        a_send,
+        SimTime::from_micros(1),
+        SimDuration::from_micros(2),
+        60,
+        64,
+    );
+    cluster.run_to_idle();
+    let dump = cluster.metrics_snapshot().to_json();
+    assert_golden("metrics_two_pod.json", &format!("{dump}\n"));
 }
