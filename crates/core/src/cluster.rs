@@ -19,7 +19,7 @@ use dcsim::{
 };
 use shell::ltl::{RecvConnId, SendConnId};
 use shell::{Shell, ShellConfig, PORT_TOR};
-use telemetry::{MetricsSnapshot, Tracer};
+use telemetry::{MetricSource, MetricsSnapshot, Tracer};
 
 /// Configures and builds a [`Cluster`]: fabric dimensions and switch
 /// calibration, shell configuration, per-pod fidelity and lazy topology
@@ -564,22 +564,19 @@ impl Cluster {
     /// `shell/pP.tT.hH` in address order, so the serialized snapshot is
     /// byte-identical for identical seeds.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let switches = self.fabric.switches().filter_map(|(role, id)| {
+            let sw: &dyn MetricSource = self.component::<Switch>(id)?;
+            Some((format!("fabric/{role}"), sw))
+        });
+        let shells = self.shells.iter().filter_map(|(&addr, &id)| {
+            let shell: &dyn MetricSource = self.component::<Shell>(id)?;
+            Some((format!("shell/{addr}"), shell))
+        });
+        let flowsim = self
+            .flowsim()
+            .map(|fs| ("flowsim".to_string(), fs as &dyn MetricSource));
         let mut snap = MetricsSnapshot::new(self.now());
-        for (role, id) in self.fabric.switches() {
-            if let Some(sw) = self.component::<Switch>(id) {
-                snap.visit(&format!("fabric/{role}"), sw);
-            }
-        }
-        for (&addr, &id) in &self.shells {
-            if let Some(shell) = self.component::<Shell>(id) {
-                snap.visit(&format!("shell/{addr}"), shell);
-            }
-        }
-        if let Some(id) = self.flowsim {
-            if let Some(fs) = self.component::<FlowSim>(id) {
-                snap.visit("flowsim", fs);
-            }
-        }
+        snap.extend(switches.chain(shells).chain(flowsim));
         snap
     }
 
@@ -663,10 +660,11 @@ mod tests {
             .collect();
         assert_eq!(walked.len(), switches);
         let snap = cluster.metrics_snapshot();
-        let mut published: Vec<&str> = snap
+        let keys: Vec<String> = snap.iter().map(|(key, _)| key).collect();
+        let mut published: Vec<&str> = keys
             .iter()
-            .filter(|(key, _)| key.starts_with("fabric/"))
-            .map(|(key, _)| key.rsplit_once('/').expect("component/metric").0)
+            .filter(|key| key.starts_with("fabric/"))
+            .map(|key| key.rsplit_once('/').expect("component/metric").0)
             .collect();
         published.dedup();
         let mut sorted: Vec<&str> = walked.iter().map(String::as_str).collect();

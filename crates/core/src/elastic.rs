@@ -274,14 +274,7 @@ pub fn run_trace(
     }
     s.advance_to(SimTime::from_nanos(horizon.as_nanos()));
     let (grants, preemptions, reclamations, migrations, rejects, lost_leases) = s.counters();
-    let p99 = |class: TenantClass| {
-        let h = s.wait_histogram(class);
-        if h.is_empty() {
-            None
-        } else {
-            h.snapshot().percentile(99.0)
-        }
-    };
+    let p99 = |class: TenantClass| s.wait_histogram(class).percentile(99.0);
     let report = ElasticRunReport {
         utilization_permille: s.avg_utilization_permille(),
         p99_wait_ns: [

@@ -522,11 +522,11 @@ pub fn run_fleet(params: &FleetParams) -> (FleetResult, QueueStats) {
         .iter()
         .enumerate()
         .map(|(ti, &tier)| {
-            let parts: Vec<HistogramSnapshot> = senders[ti]
+            let parts: Vec<&HistogramSnapshot> = senders[ti]
                 .iter()
-                .filter_map(|a| snap.histogram(&format!("shell/{a}/ltl/rtt_ns")).cloned())
+                .filter_map(|a| snap.histogram(&format!("shell/{a}/ltl/rtt_ns")))
                 .collect();
-            let rtts = HistogramSnapshot::merged(parts.iter());
+            let rtts = HistogramSnapshot::merged(parts);
             FleetTierRow {
                 tier: match tier {
                     Tier::L0 => "L0",

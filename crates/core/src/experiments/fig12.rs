@@ -13,7 +13,7 @@ use dcsim::{PercentileRecorder, SimDuration, SimRng, SimTime};
 use haas::{Constraints, ResourceManager, ServiceManager};
 use host::{CorePool, OpenLoopGen, PcieModel, StartGenerator};
 use serde::Serialize;
-use telemetry::Histogram;
+use telemetry::{Histogram, MetricSource};
 
 use crate::cluster::ClusterBuilder;
 
@@ -239,13 +239,13 @@ fn run_ratio(params: &Fig12Params, ratio: f64, seed: u64) -> (f64, f64, f64, usi
     // registry's path order matches wiring order) and read the row off
     // the merged end-to-end latency histogram.
     let mut snap = cluster.metrics_snapshot();
-    for (i, &id) in client_ids.iter().enumerate() {
-        let client = cluster
+    snap.extend(client_ids.iter().enumerate().map(|(i, &id)| {
+        let client: &dyn MetricSource = cluster
             .engine()
             .component::<RemoteClient>(id)
             .expect("client registered");
-        snap.visit(&format!("client{i:03}"), client);
-    }
+        (format!("client{i:03}"), client)
+    }));
     let merged = snap
         .merged_histogram("latency_ns")
         .unwrap_or_else(|| Histogram::new().snapshot());

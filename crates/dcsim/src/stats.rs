@@ -110,6 +110,23 @@ impl StreamingStats {
     }
 }
 
+/// Zero-based index of the nearest-rank `p`-th percentile (`0 < p <= 100`)
+/// among `n` sorted samples, or `None` when `n` is 0.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `(0, 100]`.
+pub fn nearest_rank(n: usize, p: f64) -> Option<usize> {
+    assert!(p > 0.0 && p <= 100.0, "percentile must be in (0, 100]");
+    if n == 0 {
+        return None;
+    }
+    // Tiny epsilon keeps e.g. 99.9% of 1000 samples at rank 999 rather
+    // than letting floating-point round-off push it to 1000.
+    let rank = ((p / 100.0) * n as f64 - 1e-9).ceil() as usize;
+    Some(rank.clamp(1, n) - 1)
+}
+
 /// Exact percentile recorder over `u64` samples (typically latency in ns).
 ///
 /// Samples are stored verbatim and sorted lazily at query time, so tail
@@ -186,16 +203,9 @@ impl PercentileRecorder {
     ///
     /// Panics if `p` is outside `(0, 100]`.
     pub fn percentile(&mut self, p: f64) -> Option<u64> {
-        assert!(p > 0.0 && p <= 100.0, "percentile must be in (0, 100]");
-        if self.samples.is_empty() {
-            return None;
-        }
+        let i = nearest_rank(self.samples.len(), p)?;
         self.ensure_sorted();
-        let n = self.samples.len();
-        // Tiny epsilon keeps e.g. 99.9% of 1000 samples at rank 999 rather
-        // than letting floating-point round-off push it to 1000.
-        let rank = ((p / 100.0) * n as f64 - 1e-9).ceil() as usize;
-        Some(self.samples[rank.clamp(1, n) - 1])
+        Some(self.samples[i])
     }
 
     /// Largest sample, or `None` if empty.

@@ -1544,10 +1544,12 @@ impl MetricSource for ElasticScheduler {
             self.avg_utilization_permille() as f64,
         );
         for class in TenantClass::ALL {
-            m.histogram(
-                &format!("wait_ns_{}", class.label()),
-                &self.wait_ns[class.rank() as usize],
-            );
+            let name = match class {
+                TenantClass::Guaranteed => "wait_ns_guaranteed",
+                TenantClass::Standard => "wait_ns_standard",
+                TenantClass::Spot => "wait_ns_spot",
+            };
+            m.histogram(name, &self.wait_ns[class.rank() as usize]);
         }
     }
 }

@@ -200,7 +200,8 @@ impl TenantCapTable {
 impl MetricSource for TenantCapTable {
     fn metrics(&self, m: &mut MetricVisitor<'_>) {
         for (id, entry) in &self.entries {
-            m.child_indexed("t", *id as u64, entry);
+            // Zero-padded so that path order is id order below 1000.
+            m.child(&format!("t{id:03}"), entry);
         }
     }
 }

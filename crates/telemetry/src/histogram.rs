@@ -1,16 +1,14 @@
-//! Registry histograms: streaming moments plus exact percentiles plus
-//! optional fixed-width distribution buckets.
+//! Registry histograms: moments, exact percentiles and optional
+//! fixed-width distribution buckets.
 //!
 //! A [`Histogram`] is the live accumulator components record into; a
-//! [`HistogramSnapshot`] is the frozen, serializable view published into a
-//! [`crate::MetricsSnapshot`]. Moments come from
-//! [`dcsim::StreamingStats`] and tail quantiles from
-//! [`dcsim::PercentileRecorder`], so snapshot percentiles are exact, not
-//! bucket-approximated.
+//! [`HistogramSnapshot`] is the frozen, serializable summary published into
+//! a [`crate::MetricsSnapshot`]. A summary is built in one pass over the
+//! samples in recording order, which feeds [`dcsim::StreamingStats`] and
+//! keeps the copy that merging re-reads (merged moments depend on that
+//! order), plus one sorted copy for min, max, percentiles and buckets.
 
-use std::collections::BTreeMap;
-
-use dcsim::{PercentileRecorder, SimDuration, StreamingStats};
+use dcsim::{nearest_rank, StreamingStats};
 use serde::{Serialize, Value};
 
 /// Live histogram accumulator (typically over latencies in nanoseconds).
@@ -24,6 +22,7 @@ use serde::{Serialize, Value};
 /// for v in [100, 200, 300, 400] {
 ///     h.record(v);
 /// }
+/// assert_eq!(h.percentile(99.0), Some(400));
 /// let snap = h.snapshot();
 /// assert_eq!(snap.count, 4);
 /// assert_eq!(snap.p50, Some(200));
@@ -31,8 +30,7 @@ use serde::{Serialize, Value};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    moments: StreamingStats,
-    samples: PercentileRecorder,
+    samples: Vec<u64>,
     bucket_width: u64,
 }
 
@@ -52,70 +50,37 @@ impl Histogram {
         }
     }
 
-    /// Builds a histogram from an existing sample stream.
-    pub fn from_samples(width: u64, samples: impl IntoIterator<Item = u64>) -> Self {
-        let mut h = Histogram::with_bucket_width(width);
-        for v in samples {
-            h.record(v);
-        }
-        h
-    }
-
     /// Adds one sample.
     pub fn record(&mut self, value: u64) {
-        self.moments.record(value as f64);
-        self.samples.record(value);
-    }
-
-    /// Adds one duration sample, recorded as nanoseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_nanos());
+        self.samples.push(value);
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.moments.count()
+        self.samples.len() as u64
     }
 
-    /// Returns `true` if no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count() == 0
-    }
-
-    /// Discards all samples.
-    pub fn clear(&mut self) {
-        self.moments = StreamingStats::new();
-        self.samples.clear();
+    /// Exact `p`-th percentile (nearest rank), or `None` when empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `(0, 100]`.
+    pub fn percentile(&self, p: f64) -> Option<u64> {
+        select_percentile(&self.samples, p)
     }
 
     /// Freezes the accumulator into a serializable snapshot with exact
     /// percentiles.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut sorted: PercentileRecorder = self.samples.iter().collect();
-        // `checked_div` is None exactly when bucket_width is 0, i.e. the
-        // histogram was built without distribution buckets.
-        let mut map: BTreeMap<u64, u64> = BTreeMap::new();
-        for v in self.samples.iter() {
-            if let Some(bucket) = v.checked_div(self.bucket_width) {
-                *map.entry(bucket * self.bucket_width).or_insert(0) += 1;
-            }
-        }
-        let buckets: Vec<(u64, u64)> = map.into_iter().collect();
-        HistogramSnapshot {
-            count: self.moments.count(),
-            mean: self.moments.mean(),
-            std_dev: self.moments.std_dev(),
-            min: sorted.min(),
-            max: sorted.max(),
-            p50: sorted.percentile(50.0),
-            p90: sorted.percentile(90.0),
-            p99: sorted.percentile(99.0),
-            p999: sorted.percentile(99.9),
-            bucket_width: self.bucket_width,
-            buckets,
-            samples: self.samples.iter().collect(),
-        }
+        HistogramSnapshot::from_samples(self.bucket_width, self.samples.iter().copied())
     }
+}
+
+/// The nearest-rank `p`-th percentile of `samples`, selected in one copy.
+fn select_percentile(samples: &[u64], p: f64) -> Option<u64> {
+    let rank = nearest_rank(samples.len(), p)?;
+    let mut copy = samples.to_vec();
+    Some(*copy.select_nth_unstable(rank).1)
 }
 
 /// Frozen, serializable view of a [`Histogram`].
@@ -152,6 +117,44 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Summarizes a sample stream with `bucket_width`-wide distribution
+    /// buckets (0 = no buckets).
+    pub(crate) fn from_samples(
+        bucket_width: u64,
+        samples: impl IntoIterator<Item = u64>,
+    ) -> HistogramSnapshot {
+        let mut moments = StreamingStats::new();
+        let samples: Vec<u64> = samples
+            .into_iter()
+            .inspect(|&v| moments.record(v as f64))
+            .collect();
+        let mut sorted = samples.clone();
+        sorted.sort_unstable();
+        let buckets = if bucket_width == 0 {
+            Vec::new()
+        } else {
+            let runs = || sorted.chunk_by(|a, b| a / bucket_width == b / bucket_width);
+            let mut buckets = Vec::with_capacity(runs().count());
+            buckets.extend(runs().map(|run| (run[0] - run[0] % bucket_width, run.len() as u64)));
+            buckets
+        };
+        let at = |p: f64| nearest_rank(sorted.len(), p).map(|i| sorted[i]);
+        HistogramSnapshot {
+            count: moments.count(),
+            mean: moments.mean(),
+            std_dev: moments.std_dev(),
+            min: sorted.first().copied(),
+            max: sorted.last().copied(),
+            p50: at(50.0),
+            p90: at(90.0),
+            p99: at(99.0),
+            p999: at(99.9),
+            bucket_width,
+            buckets,
+            samples,
+        }
+    }
+
     /// The raw samples behind this snapshot, in recording order.
     pub fn samples(&self) -> &[u64] {
         &self.samples
@@ -163,8 +166,7 @@ impl HistogramSnapshot {
     ///
     /// Panics if `p` is outside `(0, 100]`.
     pub fn percentile(&self, p: f64) -> Option<u64> {
-        let mut rec: PercentileRecorder = self.samples.iter().copied().collect();
-        rec.percentile(p)
+        select_percentile(&self.samples, p)
     }
 
     /// Merges several snapshots into one by re-aggregating their raw
@@ -172,15 +174,10 @@ impl HistogramSnapshot {
     /// stay exact. The bucket width is taken from the first snapshot
     /// with a non-zero width.
     pub fn merged<'a>(parts: impl IntoIterator<Item = &'a HistogramSnapshot>) -> HistogramSnapshot {
-        let mut width = 0;
-        let mut all: Vec<u64> = Vec::new();
-        for p in parts {
-            if width == 0 {
-                width = p.bucket_width;
-            }
-            all.extend_from_slice(&p.samples);
-        }
-        Histogram::from_samples(width, all).snapshot()
+        let parts: Vec<&HistogramSnapshot> = parts.into_iter().collect();
+        let width = parts.iter().map(|p| p.bucket_width).find(|&w| w != 0);
+        let samples = parts.iter().flat_map(|p| p.samples.iter().copied());
+        HistogramSnapshot::from_samples(width.unwrap_or(0), samples)
     }
 }
 
@@ -205,6 +202,7 @@ impl Serialize for HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcsim::PercentileRecorder;
 
     #[test]
     fn percentiles_match_percentile_recorder() {
@@ -224,6 +222,11 @@ mod tests {
         assert_eq!(snap.p999, r.percentile(99.9));
         assert_eq!(snap.min, r.min());
         assert_eq!(snap.max, r.max());
+        for p in [0.1, 50.0, 95.0, 99.0, 100.0] {
+            assert_eq!(h.percentile(p), r.percentile(p), "live p{p}");
+            assert_eq!(snap.percentile(p), r.percentile(p), "snapshot p{p}");
+        }
+        assert_eq!(Histogram::new().percentile(99.0), None);
     }
 
     #[test]
@@ -257,18 +260,19 @@ mod tests {
 
     #[test]
     fn merged_is_exact() {
-        let a = Histogram::from_samples(250, [100, 900]).snapshot();
-        let b = Histogram::from_samples(250, [500]).snapshot();
+        let a = HistogramSnapshot::from_samples(250, [100, 900]);
+        let b = HistogramSnapshot::from_samples(250, [500]);
         let m = HistogramSnapshot::merged([&a, &b]);
         assert_eq!(m.count, 3);
         assert_eq!(m.p50, Some(500));
         assert_eq!(m.max, Some(900));
         assert_eq!(m.bucket_width, 250);
+        assert_eq!(m.samples(), &[100, 900, 500]);
     }
 
     #[test]
     fn serialization_skips_raw_samples() {
-        let snap = Histogram::from_samples(250, [1, 2, 3]).snapshot();
+        let snap = HistogramSnapshot::from_samples(250, [1, 2, 3]);
         let json = serde_json::to_string(&snap).unwrap();
         assert!(json.contains("\"p999\""));
         assert!(!json.contains("samples"));

@@ -11,8 +11,8 @@
 //!
 //! * every timestamp comes from the sim clock ([`dcsim::SimTime`]), never
 //!   wall-clock time;
-//! * snapshot entries live in a `BTreeMap`, so serialization order is a
-//!   pure function of the metric keys, not registration order;
+//! * snapshot entries are sorted by full path, so serialization order is a
+//!   pure function of the metric paths, not of visiting order;
 //! * the same seed therefore produces a byte-identical metrics dump and
 //!   trace JSON across runs and processes.
 //!

@@ -47,6 +47,10 @@
 //! `FlowSim` as one `Msg::FlowSim`, refilling one shared buffer, and
 //! `FlowSim` publishes pressure to every spine as `Msg::Switch` — 0
 //! acquisitions per tick.
+//!
+//! Off the event path, a registry snapshot is budgeted per component: a
+//! paper cluster's `metrics_snapshot` acquires for each source's path and
+//! each histogram's copies, never once per metric.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -55,6 +59,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use apps::remote::{AcceleratorRole, IssueRequest, RemoteClient};
 use bytes::Bytes;
+use catapult::probe::schedule_probes;
 use catapult::workload::{FleetLoadGen, FleetWorkloadConfig};
 use catapult::ClusterBuilder;
 use dcnet::{
@@ -635,4 +640,47 @@ fn fleet_background_tick_acquires_nothing() {
     });
     assert!(pressure_moved, "both spines saw background pressure");
     assert_budget("fleet background tick", measured, TICKS, 0);
+}
+
+/// A registry snapshot of a paper pod with four busy shell pairs. What
+/// `Cluster::metrics_snapshot` may acquire: each source's path (a switch,
+/// a shell, the shell's LTL child; formatting one can take a second
+/// acquisition), each RTT histogram's four (its sample copy, the sorted
+/// copy, the buckets, the box) and the doublings of the entry and path
+/// vectors. A `String` per metric path, as a map keyed by full paths
+/// needs, is several times that.
+#[test]
+fn metrics_snapshot_acquires_per_component_not_per_metric() {
+    const SHELLS: u16 = 8;
+    let _serial = serial();
+    let mut cluster = ClusterBuilder::paper(5, 1).build();
+    let addrs: Vec<NodeAddr> = (0..SHELLS)
+        .map(|i| NodeAddr::new(0, i / 2, i % 2))
+        .collect();
+    for &addr in &addrs {
+        cluster.add_shell(addr);
+    }
+    for pair in addrs.chunks(2) {
+        let (send, _, _, _) = cluster.connect_pair(pair[0], pair[1]);
+        let gap = SimDuration::from_micros(5);
+        schedule_probes(&mut cluster, pair[0], send, SimTime::ZERO, gap, 50, 64);
+    }
+    cluster.run_to_idle();
+
+    let mut snap = None;
+    let measured = on_this_thread(|| snap = Some(cluster.metrics_snapshot()));
+    let metrics = snap.expect("snapshot taken").len() as u64;
+    let components = cluster.fabric().switch_count() as u64 + 2 * u64::from(SHELLS);
+    let histograms = u64::from(SHELLS);
+    let doublings = 2 * u64::from(u64::BITS - metrics.leading_zeros());
+    let budget = 2 * components + 4 * histograms + doublings;
+    assert!(
+        3 * budget < metrics,
+        "{metrics} metrics over {components} components: the budget must not scale with metrics"
+    );
+    assert!(
+        measured <= budget,
+        "snapshot of {components} components and {histograms} histograms ({metrics} metrics): \
+         {measured} acquisitions, budget {budget}"
+    );
 }

@@ -140,7 +140,7 @@ fn multi_tenant_mix_soaks_ten_minutes_deterministically() {
             "{class:?} saw no grants over the soak"
         );
         assert!(
-            !sched_a.wait_histogram(*class).is_empty(),
+            sched_a.wait_histogram(*class).count() > 0,
             "{class:?} wait histogram is empty"
         );
     }
