@@ -1,9 +1,10 @@
-//! Golden outputs: what `ltl_ab`, `simcheck`, `chaos` and the fleet-scale
-//! `fig10_ltl_latency` write for a fixed seed, and the metrics registry's
-//! JSON dump of a small cluster, compared with the files under
-//! `tests/golden/`. Every output here is a pure function of its seed, so a
-//! refactor of the LTL engine, its pump, its oracles, the flow model, the
-//! fleet generator or the metrics registry must leave them unchanged.
+//! Golden outputs: what `ltl_ab`, `simcheck`, `chaos`, `haas_elastic` and
+//! the fleet-scale `fig10_ltl_latency` write for a fixed seed, and the
+//! metrics registry's JSON dump of a small cluster, compared with the
+//! files under `tests/golden/`. Every output here is a pure function of
+//! its seed, so a refactor of the LTL engine, its pump, its oracles, the
+//! flow model, the fleet generator, the elastic scheduler or the metrics
+//! registry must leave them unchanged.
 //!
 //! On a mismatch the actual output is written under
 //! `target/tmp/golden/actual/` and the differing lines are printed.
@@ -130,6 +131,24 @@ fn fig10_fleet_report_is_golden() {
     let report = std::fs::read_to_string(dir.join("results/fig10_fleet.json"))
         .expect("fig10 wrote its fleet report");
     assert_golden("fig10_fleet.json", &report);
+}
+
+/// The elastic scheduler's oversubscription sweep on six boards: every
+/// mix × load × policy row's utilization, per-class p99 waits, counters
+/// and decision fingerprint, behind the `--check-win` gate. The
+/// `--full-scale --quick` dataset (the 24-5,760-board ladder and the
+/// 5,760-board sweep) is `tests/golden/haas_elastic_full_quick.json`;
+/// it is too slow for a debug build and CI diffs a release run against it.
+#[test]
+fn haas_elastic_report_is_golden() {
+    let (dir, _) = run(
+        env!("CARGO_BIN_EXE_haas_elastic"),
+        &["--check-win"],
+        "haas_elastic",
+    );
+    let report = std::fs::read_to_string(dir.join("results/haas_elastic.json"))
+        .expect("haas_elastic wrote its report");
+    assert_golden("haas_elastic.json", &report);
 }
 
 /// The quick fault-injection run: random faults on the ranking and DNN
