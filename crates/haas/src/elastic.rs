@@ -32,15 +32,18 @@
 //! No rule walks the pool to decide. Free regions, evictions in flight,
 //! reservations, preemption victims and the wait queue each live in an
 //! ordered index whose key order *is* the rule's tie-break, keyed by board
-//! registration index, and running counters replace the sums; cost per
-//! event stays flat from tens of boards to the paper's 5,760 (DESIGN.md,
-//! "Scheduler indexes"). The reference scheduler keeps rescanning a flat
-//! array, which is what makes it a reference.
+//! registration index, and running counters replace the sums. Everything
+//! looked up by an id — a request's state, a lease, a board's registration
+//! index — sits in a table with O(1) lookup instead, because no rule
+//! depends on its order. Cost per event stays flat from tens of boards to
+//! the paper's 5,760 (DESIGN.md, "Scheduler indexes"). The reference
+//! scheduler keeps rescanning a flat array, which is what makes it a
+//! reference.
 
 use core::cmp::Reverse;
+use core::hash::{BuildHasherDefault, Hasher};
 use core::ops::Bound;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use dcnet::NodeAddr;
 use dcsim::{SimDuration, SimTime};
@@ -354,9 +357,96 @@ struct Waiting {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReqState {
-    Queued,
+    /// Waiting in `queue` under `(rank, req, arrival)`: the request's one
+    /// queue entry is a lookup, not a search.
+    Queued {
+        rank: u8,
+        arrival: u64,
+    },
     Active(u64),
     Done,
+}
+
+/// Hasher of the id tables: one multiply by the Fx constant per word.
+/// Ids come from the trace, not from an adversary, and no id table is
+/// iterated, so a fixed hash costs nothing in determinism and skips
+/// SipHash's rounds. The multiplier is odd, so ids that differ only in
+/// their low bits land in distinct buckets.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    /// [`NodeAddr`]'s three coordinates.
+    fn write_u16(&mut self, word: u16) {
+        self.write_u64(word as u64);
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = (self.0.rotate_left(5) ^ id).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A table keyed by an id, under [`IdHasher`].
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// Live leases by id. Ids are issued in order (`next_lease`), so the
+/// table is a window over the id space: entry `i` holds lease `first + i`
+/// or `None` once it ended, and the front is trimmed to the oldest live
+/// lease as leases end. Lookup is an index, iteration is in id order, and
+/// the window spans from the oldest live lease to the newest id issued.
+#[derive(Debug, Clone, Default)]
+struct LeaseSlab {
+    first: u64,
+    entries: VecDeque<Option<RegionLease>>,
+    live: usize,
+}
+
+impl LeaseSlab {
+    fn position(&self, id: u64) -> Option<usize> {
+        usize::try_from(id.checked_sub(self.first)?).ok()
+    }
+
+    fn get(&self, id: u64) -> Option<&RegionLease> {
+        self.entries.get(self.position(id)?)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut RegionLease> {
+        let i = self.position(id)?;
+        self.entries.get_mut(i)?.as_mut()
+    }
+
+    /// Appends the lease with the next id (`first + len`).
+    fn push(&mut self, lease: RegionLease) {
+        debug_assert_eq!(lease.id, self.first + self.entries.len() as u64);
+        self.entries.push_back(Some(lease));
+        self.live += 1;
+    }
+
+    fn remove(&mut self, id: u64) -> Option<RegionLease> {
+        let i = self.position(id)?;
+        let lease = self.entries.get_mut(i)?.take()?;
+        self.live -= 1;
+        while let Some(None) = self.entries.front() {
+            self.entries.pop_front();
+            self.first += 1;
+        }
+        Some(lease)
+    }
+
+    /// Live leases, ascending id.
+    fn iter(&self) -> impl Iterator<Item = &RegionLease> {
+        self.entries.iter().flatten()
+    }
 }
 
 /// A slot's coordinates inside the scheduler: board **registration
@@ -416,13 +506,19 @@ fn set_member<K: Ord>(set: &mut BTreeSet<K>, key: K, member: bool) {
 pub struct ElasticScheduler {
     cfg: ElasticConfig,
     boards: Vec<BoardState>,
-    board_index: BTreeMap<NodeAddr, u32>,
-    leases: BTreeMap<u64, RegionLease>,
+    /// Registration index by address.
+    board_index: IdMap<NodeAddr, u32>,
+    leases: LeaseSlab,
     /// Waiting requests in grant order.
     queue: BTreeMap<QueueKey, Waiting>,
     /// Requests ever queued (the arrival number of the next one).
     arrivals: u64,
-    req_state: BTreeMap<u64, ReqState>,
+    /// The state of every request id ever accepted; done ids stay, so a
+    /// release can tell a finished request from one never seen.
+    req_state: IdMap<u64, ReqState>,
+    /// Ids in `req_state` that are not done: one per queue entry plus one
+    /// per live lease.
+    live_reqs: usize,
     next_lease: u64,
     clock: SimTime,
     defrag_done: u64,
@@ -480,11 +576,12 @@ impl ElasticScheduler {
         ElasticScheduler {
             cfg,
             boards: Vec::new(),
-            board_index: BTreeMap::new(),
-            leases: BTreeMap::new(),
+            board_index: IdMap::default(),
+            leases: LeaseSlab::default(),
             queue: BTreeMap::new(),
             arrivals: 0,
-            req_state: BTreeMap::new(),
+            req_state: IdMap::default(),
+            live_reqs: 0,
             next_lease: 0,
             clock: SimTime::ZERO,
             defrag_done: 0,
@@ -569,7 +666,7 @@ impl ElasticScheduler {
 
     /// Live leases, ascending id.
     pub fn leases(&self) -> impl Iterator<Item = &RegionLease> {
-        self.leases.values()
+        self.leases.iter()
     }
 
     /// Requests currently waiting, in arrival order.
@@ -642,16 +739,31 @@ impl ElasticScheduler {
 
     /// Rebuilds every index and running counter from `boards` and
     /// `leases` by full scan and compares them with the incrementally
-    /// maintained ones, naming the first that differs. The test oracle
-    /// for the indexes: debug builds assert it after every public
-    /// mutator.
+    /// maintained ones, naming the first that differs. The id tables are
+    /// checked from the side that names the id: every occupied slot's
+    /// lease is in the lease table at that slot, the table holds nothing
+    /// else and its front is trimmed; every queue entry's request is
+    /// queued under that entry's key, every lease's request holds that
+    /// lease, and no other request is live. The test oracle for the
+    /// indexes: debug builds assert it after every public mutator.
     pub fn indexes_match_rescan(&self) -> Result<(), String> {
         let (mut free, mut evictions, mut reserved, mut victims) =
             (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let (mut pool_alms, mut busy_alms, mut largest) = (0u64, 0u64, 0u32);
+        let mut occupied = 0usize;
         for (b, board) in self.boards.iter().enumerate() {
             for (r, s) in board.slots.iter().enumerate() {
                 let (b, r) = (b as u32, r as u8);
+                if let Some(id) = s.lease {
+                    occupied += 1;
+                    let here = self.region_ref((b, r));
+                    let record = self.leases.get(id);
+                    if record.map(|l| l.at) != Some(here) {
+                        return Err(format!(
+                            "leases: {here} holds lease {id}, table has {record:?}"
+                        ));
+                    }
+                }
                 if let Some((due, for_req)) = s.pending {
                     evictions.push((due, b, r));
                     if let Some(req) = for_req {
@@ -670,14 +782,14 @@ impl ElasticScheduler {
                     None => free.push((s.alms, b, r)),
                     Some(id) => {
                         busy_alms += s.alms as u64;
-                        if let Some(l) = self.leases.get(&id).filter(|l| l.preemptible) {
+                        if let Some(l) = self.leases.get(id).filter(|l| l.preemptible) {
                             victims.push((Reverse(l.class.rank()), s.alms, id));
                         }
                     }
                 }
             }
         }
-        let used_alms: u64 = self.leases.values().map(|l| l.alms as u64).sum();
+        let used_alms: u64 = self.leases.iter().map(|l| l.alms as u64).sum();
         fn same_set<K: Ord + core::fmt::Debug>(
             what: &str,
             kept: &BTreeSet<K>,
@@ -704,14 +816,51 @@ impl ElasticScheduler {
                 return Err(format!("{what}: kept {kept}, rescan finds {rescan}"));
             }
         }
-        match self
-            .queue
-            .iter()
-            .find(|(key, w)| (key.0, key.1) != (w.class.rank(), w.req))
+        let slab = &self.leases;
+        let stored = slab.iter().count();
+        if slab.entries.front().is_some_and(Option::is_none)
+            || slab.first + slab.entries.len() as u64 != self.next_lease
+            || (stored, slab.live) != (occupied, occupied)
         {
-            Some((key, w)) => Err(format!("queue: {w:?} filed under {key:?}")),
-            None => Ok(()),
+            return Err(format!(
+                "leases: ids {}..{} (next {}), front {:?}, {stored} stored, {} counted, \
+                 {occupied} slots occupied",
+                slab.first,
+                slab.first + slab.entries.len() as u64,
+                self.next_lease,
+                slab.entries.front().map(Option::is_some),
+                slab.live
+            ));
         }
+        for (key, w) in &self.queue {
+            let state = self.req_state.get(&w.req);
+            let filed = ReqState::Queued {
+                rank: key.0,
+                arrival: key.2,
+            };
+            if (key.0, key.1) != (w.class.rank(), w.req) || state != Some(&filed) {
+                return Err(format!("queue: {w:?} filed under {key:?}, state {state:?}"));
+            }
+        }
+        if let Some(l) = slab
+            .iter()
+            .find(|l| self.req_state.get(&l.req) != Some(&ReqState::Active(l.id)))
+        {
+            let state = self.req_state.get(&l.req);
+            return Err(format!(
+                "req_state: request {} of lease {} is {state:?}",
+                l.req, l.id
+            ));
+        }
+        if self.live_reqs != self.queue.len() + slab.live {
+            return Err(format!(
+                "req_state: {} live requests, {} queued + {} leased",
+                self.live_reqs,
+                self.queue.len(),
+                slab.live
+            ));
+        }
+        Ok(())
     }
 
     fn check_indexes(&self) {
@@ -827,23 +976,17 @@ impl ElasticScheduler {
         caps: TenantCaps,
     ) -> Result<(), ElasticError> {
         self.advance(now);
-        // Accepting the request is what makes its id live: it waits from
-        // here until the reject or a grant below says otherwise.
-        match self.req_state.entry(req) {
-            Entry::Occupied(live) if *live.get() != ReqState::Done => {
-                self.check_indexes();
-                return Err(ElasticError::DuplicateRequest(req));
-            }
-            Entry::Occupied(mut done) => {
-                done.insert(ReqState::Queued);
-            }
-            Entry::Vacant(unseen) => {
-                unseen.insert(ReqState::Queued);
-            }
+        if self
+            .req_state
+            .get(&req)
+            .is_some_and(|s| *s != ReqState::Done)
+        {
+            self.check_indexes();
+            return Err(ElasticError::DuplicateRequest(req));
         }
         if alms > self.largest {
             self.rejects += 1;
-            self.req_state.insert(req, ReqState::Done);
+            self.set_state(req, ReqState::Done);
             self.push(Decision::Reject { req });
             self.check_indexes();
             return Err(ElasticError::RequestTooLarge {
@@ -869,7 +1012,9 @@ impl ElasticScheduler {
         if let Some(at) = self.best_fit_free(alms) {
             self.grant(now, &w, at);
         } else {
-            self.queue.insert((class.rank(), req, self.arrivals), w);
+            let (rank, arrival) = (class.rank(), self.arrivals);
+            self.queue.insert((rank, req, arrival), w);
+            self.set_state(req, ReqState::Queued { rank, arrival });
             self.arrivals += 1;
             self.push(Decision::Queue { req });
             self.try_preempt_for(now, &w);
@@ -892,11 +1037,9 @@ impl ElasticScheduler {
                 self.push(Decision::Release { req, lease: None });
                 Err(ElasticError::UnknownLease(req))
             }
-            Some(ReqState::Queued) => {
-                while let Some(key) = self.first_queued(req) {
-                    self.queue.remove(&key);
-                }
-                self.req_state.insert(req, ReqState::Done);
+            Some(ReqState::Queued { rank, arrival }) => {
+                self.queue.remove(&(rank, req, arrival));
+                self.set_state(req, ReqState::Done);
                 // Drop any reservation an eviction made for this request;
                 // the eviction itself still completes (the victim is
                 // already checkpointing).
@@ -911,8 +1054,8 @@ impl ElasticScheduler {
                 Ok(())
             }
             Some(ReqState::Active(id)) => {
-                self.req_state.insert(req, ReqState::Done);
-                match self.leases.get(&id).map(|l| l.at) {
+                self.set_state(req, ReqState::Done);
+                match self.leases.get(id).map(|l| l.at) {
                     None => Err(ElasticError::UnknownLease(id)),
                     Some(region) => {
                         let at = self.locate(region);
@@ -948,7 +1091,7 @@ impl ElasticScheduler {
     /// [`request`]: ElasticScheduler::request
     pub fn preempt(&mut self, now: SimTime, lease: u64) -> Result<(), ElasticError> {
         self.advance(now);
-        let result = match self.leases.get(&lease).map(|l| (l.preemptible, l.at)) {
+        let result = match self.leases.get(lease).map(|l| (l.preemptible, l.at)) {
             None => Err(ElasticError::UnknownLease(lease)),
             Some((false, _)) => Err(ElasticError::NotPreemptible(lease)),
             Some((true, region)) => {
@@ -1113,7 +1256,7 @@ impl ElasticScheduler {
                     } else {
                         self.busy_alms -= alms as u64;
                     }
-                    if let Some(l) = self.leases.get(&id).filter(|l| l.preemptible) {
+                    if let Some(l) = self.leases.get(id).filter(|l| l.preemptible) {
                         set_member(
                             &mut self.victims,
                             (Reverse(l.class.rank()), alms, id),
@@ -1147,9 +1290,27 @@ impl ElasticScheduler {
 
     /// Removes a lease record whose slot is already unindexed.
     fn end_lease(&mut self, id: u64) {
-        if let Some(l) = self.leases.remove(&id) {
+        if let Some(l) = self.leases.remove(id) {
             self.used_alms -= l.alms as u64;
-            self.req_state.insert(l.req, ReqState::Done);
+            self.set_state(l.req, ReqState::Done);
+        }
+    }
+
+    /// Records request `req`'s new state, keeping `live_reqs`.
+    fn set_state(&mut self, req: u64, state: ReqState) {
+        let was_live = self
+            .req_state
+            .insert(req, state)
+            .is_some_and(|s| s != ReqState::Done);
+        self.live_reqs =
+            self.live_reqs + usize::from(state != ReqState::Done) - usize::from(was_live);
+    }
+
+    /// The queue key of request `req`, if it is waiting.
+    fn queued_key(&self, req: u64) -> Option<QueueKey> {
+        match self.req_state.get(&req) {
+            Some(&ReqState::Queued { rank, arrival }) => Some((rank, req, arrival)),
+            _ => None,
         }
     }
 
@@ -1159,20 +1320,6 @@ impl ElasticScheduler {
             .range((req, 0, 0)..=(req, u32::MAX, u8::MAX))
             .next()
             .map(|&(_, b, r)| (b, r))
-    }
-
-    /// The earliest-arrived queued entry of request `req`.
-    fn first_queued(&self, req: u64) -> Option<QueueKey> {
-        TenantClass::ALL
-            .iter()
-            .filter_map(|class| {
-                let rank = class.rank();
-                self.queue
-                    .range((rank, req, 0)..=(rank, req, u64::MAX))
-                    .next()
-            })
-            .map(|(key, _)| *key)
-            .min_by_key(|&(_, _, arrival)| arrival)
     }
 
     /// Smallest free, unreserved region on an up board that fits `alms`;
@@ -1190,22 +1337,19 @@ impl ElasticScheduler {
         let region = self.region_ref(at);
         self.unindex(at);
         self.slot_mut(at).lease = Some(id);
-        self.leases.insert(
+        self.leases.push(RegionLease {
             id,
-            RegionLease {
-                id,
-                req: w.req,
-                tenant: w.tenant,
-                class: w.class,
-                alms: w.alms,
-                preemptible: w.preemptible,
-                caps: w.caps,
-                at: region,
-            },
-        );
+            req: w.req,
+            tenant: w.tenant,
+            class: w.class,
+            alms: w.alms,
+            preemptible: w.preemptible,
+            caps: w.caps,
+            at: region,
+        });
         self.used_alms += w.alms as u64;
         self.index(at);
-        self.req_state.insert(w.req, ReqState::Active(id));
+        self.set_state(w.req, ReqState::Active(id));
         self.grants += 1;
         let waited_ns = now.as_nanos().saturating_sub(w.arrived.as_nanos());
         self.wait_ns[w.class.rank() as usize].record(waited_ns);
@@ -1296,7 +1440,7 @@ impl ElasticScheduler {
         else {
             return;
         };
-        let Some(region) = self.leases.get(&victim).map(|l| l.at) else {
+        let Some(region) = self.leases.get(victim).map(|l| l.at) else {
             return;
         };
         self.start_eviction(now, self.locate(region), Some(w.req));
@@ -1333,7 +1477,7 @@ impl ElasticScheduler {
                 self.end_lease(victim);
             }
             self.index(at);
-            if let Some(key) = reserved.and_then(|req| self.first_queued(req)) {
+            if let Some(key) = reserved.and_then(|req| self.queued_key(req)) {
                 if let Some(w) = self.queue.remove(&key) {
                     self.grant(t, &w, at);
                 }
@@ -1360,7 +1504,7 @@ impl ElasticScheduler {
     }
 
     fn start_reclaim(&mut self, now: SimTime, victim: u64) {
-        let Some(region) = self.leases.get(&victim).map(|l| l.at) else {
+        let Some(region) = self.leases.get(victim).map(|l| l.at) else {
             return;
         };
         self.start_eviction(now, self.locate(region), None);
@@ -1399,7 +1543,7 @@ impl ElasticScheduler {
         // the leases in them, largest demand first.
         let mut slots: BTreeSet<(u32, u32, u8)> = self.free.clone();
         let mut by_size: Vec<(Reverse<u32>, u64, At)> = Vec::new();
-        for l in self.leases.values() {
+        for l in self.leases.iter() {
             let at = self.locate(l.at);
             let slot = self.slot(at);
             if slot.pending.is_none() && self.boards[at.0 as usize].up {
@@ -1433,7 +1577,7 @@ impl ElasticScheduler {
             let (from, to) = (self.region_ref(from), self.region_ref(target));
             self.unindex(target);
             self.slot_mut(target).lease = Some(id);
-            if let Some(l) = self.leases.get_mut(&id) {
+            if let Some(l) = self.leases.get_mut(id) {
                 l.at = to;
                 if self.debug_defrag_drop_caps {
                     l.caps = TenantCaps {
@@ -1538,7 +1682,7 @@ impl MetricSource for ElasticScheduler {
         m.counter("rejects", self.rejects);
         m.counter("lost_leases", self.lost_leases);
         m.gauge("queue_len", self.queue.len() as f64);
-        m.gauge("live_leases", self.leases.len() as f64);
+        m.gauge("live_leases", self.leases.live as f64);
         m.gauge(
             "avg_utilization_permille",
             self.avg_utilization_permille() as f64,
@@ -1743,7 +1887,7 @@ mod tests {
             at: SimTime::ZERO,
             kind: req(2, TenantClass::Standard, 9_000, false),
         });
-        assert_eq!(s.leases.get(&2).unwrap().at.board, board(2));
+        assert_eq!(s.leases.get(2).unwrap().at.board, board(2));
         s.apply(&LeaseEvent {
             at: SimTime::from_millis(1),
             kind: LeaseEventKind::Release { req: 0 },

@@ -119,6 +119,83 @@ proptest! {
     }
 }
 
+/// Request ids are table keys, not positions, and a done id is
+/// remembered: ids at the top of the range, a live id refused, a done id
+/// released again (`Ok`, a no-op) against an id never seen
+/// (`UnknownLease`), and a done id reused. The lease table trims its
+/// front as the oldest leases end.
+#[test]
+fn request_ids_near_the_top_done_and_never_seen() {
+    use haas::ElasticError::{DuplicateRequest, UnknownLease};
+    let mut s = ElasticScheduler::new(ElasticConfig {
+        eviction_window: SimDuration::from_millis(100),
+        defrag_period: SimDuration::ZERO,
+        spot_reserve_permille: 0,
+    });
+    s.add_board(board(0), &[20_000, 20_000]).unwrap();
+    let ms = SimTime::from_millis;
+    let request = |s: &mut ElasticScheduler, at: SimTime, req: u64| {
+        let result = s.request(
+            at,
+            req,
+            TenantId(1),
+            TenantClass::Standard,
+            15_000,
+            false,
+            caps(),
+        );
+        assert_eq!(s.indexes_match_rescan(), Ok(()), "after request {req}");
+        result
+    };
+    let top = u64::MAX;
+    // Two leases (ids 0 and 1) and a waiter.
+    for req in [top, top - 1, top - 2] {
+        request(&mut s, ms(0), req).unwrap();
+    }
+    assert_eq!(s.queued_reqs(), vec![top - 2]);
+    // Live ids are refused, queued or leased.
+    assert_eq!(request(&mut s, ms(1), top), Err(DuplicateRequest(top)));
+    assert_eq!(
+        request(&mut s, ms(1), top - 2),
+        Err(DuplicateRequest(top - 2))
+    );
+    // Releasing the top id hands its region to the waiter (lease 2).
+    s.release(ms(2), top).unwrap();
+    assert_eq!(
+        s.decisions().last(),
+        Some(&Decision::Grant {
+            req: top - 2,
+            lease: 2,
+            at: s.leases().last().unwrap().at,
+            waited_ns: 2_000_000,
+        })
+    );
+    // A done id releases again as a no-op; an id never seen is unknown.
+    let before = s.decisions().len();
+    assert_eq!(s.release(ms(3), top), Ok(()));
+    assert_eq!(s.release(ms(3), top - 3), Err(UnknownLease(top - 3)));
+    assert_eq!(
+        &s.decisions()[before..],
+        [
+            Decision::Release {
+                req: top,
+                lease: None
+            },
+            Decision::Release {
+                req: top - 3,
+                lease: None
+            },
+        ]
+    );
+    // A done id may be reused: it waits, then takes lease 3.
+    request(&mut s, ms(4), top).unwrap();
+    assert_eq!(s.queued_reqs(), vec![top]);
+    s.release(ms(5), top - 1).unwrap();
+    let live: Vec<(u64, u64)> = s.leases().map(|l| (l.id, l.req)).collect();
+    assert_eq!(live, [(2, top - 2), (3, top)]);
+    assert_eq!(s.indexes_match_rescan(), Ok(()));
+}
+
 /// A victim that releases *inside* its eviction window leaves a region
 /// with an eviction pending and no lease: neither free nor a victim until
 /// the window closes.
