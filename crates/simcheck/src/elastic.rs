@@ -250,12 +250,23 @@ const VIOLATIONS_CAP: usize = 16;
 
 /// Maintains the harness's mirror of the wait queue from the event and
 /// decision streams alone.
+///
+/// An accepted request always makes a decision that names it (grant,
+/// queue or reject). One that makes none reused the id of a request still
+/// queued or leased and was refused (`DuplicateRequest`), so it never
+/// waits and the mirror does not count it.
 fn track_queue(queued: &mut Vec<(u64, TrackedReq)>, ev: &LeaseEvent, decisions: &[Decision]) {
     if let LeaseEventKind::Request {
         req, class, alms, ..
     } = ev.kind
     {
-        queued.push((req, TrackedReq { class, alms }));
+        let accepted = decisions.iter().any(|d| {
+            matches!(d, Decision::Grant { req: r, .. } | Decision::Queue { req: r }
+                | Decision::Reject { req: r } if *r == req)
+        });
+        if accepted {
+            queued.push((req, TrackedReq { class, alms }));
+        }
     }
     drain_queue(queued, decisions);
 }
