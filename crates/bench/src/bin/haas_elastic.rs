@@ -29,6 +29,7 @@ use catapult::elastic::{
     generate_trace, run_trace, standard_region_alms, whole_board_alms, ElasticTraceConfig,
     MixWeights,
 };
+use catapult::sweep::parallel_map;
 use dcsim::SimDuration;
 use haas::ElasticConfig;
 use serde::Serialize;
@@ -111,6 +112,10 @@ struct SweepRun {
     row_ns_per_event: Vec<f64>,
 }
 
+/// Runs the mix × load × policy points on `catapult::sweep::parallel_map`
+/// (`CATAPULT_THREADS` workers; rows come back in input order, so the
+/// dataset is the same for any worker count). Each point's host ns per
+/// event is timed on its worker.
 fn run_sweep(boards: u16, horizon: SimDuration, loads: &[f64]) -> SweepRun {
     let seed = 42u64;
     let sched = ElasticConfig {
@@ -121,47 +126,54 @@ fn run_sweep(boards: u16, horizon: SimDuration, loads: &[f64]) -> SweepRun {
     let whole_regions = whole_board_alms();
 
     let wall = Instant::now();
-    let mut rows = Vec::new();
-    let mut row_ns_per_event = Vec::new();
-    let mut trace_events = 0u64;
-    let mut decisions = 0u64;
-    for (mix_name, mix) in MixWeights::PRESETS {
-        for &load in loads {
-            let trace = generate_trace(&ElasticTraceConfig {
-                seed,
-                boards,
-                horizon,
-                load,
-                mix,
-                ..ElasticTraceConfig::default()
-            });
-            trace_events += trace.len() as u64;
-            for (policy, regions) in [("elastic", &elastic_regions), ("whole", &whole_regions)] {
-                let timer = Instant::now();
-                let (_, report) = run_trace(boards, regions, sched, &trace, horizon);
-                row_ns_per_event
-                    .push(timer.elapsed().as_nanos() as f64 / trace.len().max(1) as f64);
-                decisions += report.decisions;
-                rows.push(Row {
-                    mix: mix_name.to_string(),
-                    load,
-                    policy: policy.to_string(),
-                    utilization_permille: report.utilization_permille,
-                    p99_wait_us_guaranteed: us(report.p99_wait_ns[0]),
-                    p99_wait_us_standard: us(report.p99_wait_ns[1]),
-                    p99_wait_us_spot: us(report.p99_wait_ns[2]),
-                    grants: report.grants,
-                    preemptions: report.preemptions,
-                    reclamations: report.reclamations,
-                    migrations: report.migrations,
-                    rejects: report.rejects,
-                    lost_leases: report.lost_leases,
-                    queued_at_end: report.queued_at_end,
-                    fingerprint: report.fingerprint,
-                });
-            }
-        }
-    }
+    let mix_loads: Vec<(&str, MixWeights, f64)> = MixWeights::PRESETS
+        .iter()
+        .flat_map(|&(name, mix)| loads.iter().map(move |&load| (name, mix, load)))
+        .collect();
+    let traces = parallel_map(mix_loads.clone(), |(_, mix, load)| {
+        generate_trace(&ElasticTraceConfig {
+            seed,
+            boards,
+            horizon,
+            load,
+            mix,
+            ..ElasticTraceConfig::default()
+        })
+    });
+    let points: Vec<_> = mix_loads
+        .iter()
+        .zip(&traces)
+        .flat_map(|(&(mix_name, _, load), trace)| {
+            [("elastic", &elastic_regions), ("whole", &whole_regions)]
+                .map(|(policy, regions)| (mix_name, load, policy, regions, trace))
+        })
+        .collect();
+    let runs = parallel_map(points, |(mix_name, load, policy, regions, trace)| {
+        let timer = Instant::now();
+        let (_, report) = run_trace(boards, regions, sched, trace, horizon);
+        let ns_per_event = timer.elapsed().as_nanos() as f64 / trace.len().max(1) as f64;
+        let row = Row {
+            mix: mix_name.to_string(),
+            load,
+            policy: policy.to_string(),
+            utilization_permille: report.utilization_permille,
+            p99_wait_us_guaranteed: us(report.p99_wait_ns[0]),
+            p99_wait_us_standard: us(report.p99_wait_ns[1]),
+            p99_wait_us_spot: us(report.p99_wait_ns[2]),
+            grants: report.grants,
+            preemptions: report.preemptions,
+            reclamations: report.reclamations,
+            migrations: report.migrations,
+            rejects: report.rejects,
+            lost_leases: report.lost_leases,
+            queued_at_end: report.queued_at_end,
+            fingerprint: report.fingerprint,
+        };
+        (row, ns_per_event, report.decisions)
+    });
+    let trace_events = traces.iter().map(|t| t.len() as u64).sum();
+    let decisions = runs.iter().map(|(_, _, d)| d).sum();
+    let (rows, row_ns_per_event) = runs.into_iter().map(|(row, ns, _)| (row, ns)).unzip();
     SweepRun {
         sweep: Sweep {
             seed,
@@ -270,7 +282,8 @@ const LADDER: [(u16, u64); 5] = [(24, 240), (96, 240), (384, 60), (1_536, 30), (
 /// Replays the repository benchmark's `haas_elastic` trace shape (seed 1,
 /// load 1.2, 64 tenants, no crashes, default mix, hold and
 /// `ElasticConfig`) at each rung. Host time per rung is the fastest of
-/// five replays.
+/// five replays, run serially and before the sweep so no replay shares a
+/// core with another.
 fn scaling_ladder() -> (Vec<Rung>, Vec<(u16, f64)>) {
     let regions = standard_region_alms();
     let mut rungs = Vec::new();
