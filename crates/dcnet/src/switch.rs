@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use dcsim::{Component, ComponentId, Context, SimDuration};
+use dcsim::{Component, ComponentId, Context, SimDuration, SimTime};
 use telemetry::{MetricSource, MetricVisitor, TrackTracer};
 
 use crate::addr::{AddrError, NodeAddr};
@@ -336,6 +336,10 @@ struct Port {
     /// it does not destroy. Set by [`SwitchCmd::SetBackgroundLoad`];
     /// persists until the next update.
     background_bytes: u64,
+    /// Arrival time at the peer of the last frame sent on this port. A
+    /// frame never arrives before it: the egress is FIFO, so contention
+    /// jitter may delay a frame but never lets it overtake.
+    last_arrival: SimTime,
 }
 
 impl Port {
@@ -353,6 +357,7 @@ impl Port {
             pause_sent: [false; TrafficClass::COUNT],
             tx_frames: [0; TrafficClass::COUNT],
             background_bytes: 0,
+            last_arrival: SimTime::ZERO,
         }
     }
 
@@ -812,8 +817,12 @@ impl Switch {
         port.arm_free_if_queued(egress, ctx);
         port.tx_frames[ci] += 1;
         self.stats.tx_frames += 1;
+        // Jitter delays a frame but never lets it pass the one sent before
+        // it: the link delivers in wire order, as ECMP plus FIFO egress do.
+        let arrives = (timing.arrives + q.extra).max(port.last_arrival);
+        port.last_arrival = arrives;
         ctx.send_after(
-            (timing.arrives + q.extra) - ctx.now(),
+            arrives - ctx.now(),
             peer.comp,
             Msg::packet(q.pkt, peer.port),
         );
@@ -1504,6 +1513,70 @@ mod tests {
                 .ttl_expired,
             1
         );
+    }
+
+    const JITTER_SEED: u64 = 11;
+
+    /// A jittered TOR (component 0) with port 2 cabled to a sink (1), and
+    /// one 1434-byte frame (300 ns on the wire, 100 ns of cable) injected
+    /// at each of `at`; frame `i` carries `i` as its source port.
+    fn jittered_arrivals(jitter: Jitter, at: &[SimTime]) -> Vec<(SimTime, u16)> {
+        let mut e: Engine<Msg> = Engine::new(JITTER_SEED);
+        let cfg = SwitchConfig::default()
+            .with_jitter(jitter)
+            .with_link(LinkParams::gbe40(SimDuration::from_nanos(100)));
+        let sw_id = e.next_component_id();
+        let mut sw = Switch::new(SwitchRole::Tor { pod: 0, tor: 0 }, shape(), cfg);
+        sw.connect(PortId(2), ComponentId::from_raw(1), PortId(0));
+        e.add_component(sw);
+        let sink_id = e.add_component(Sink::default());
+        for (i, &t) in at.iter().enumerate() {
+            let mut pkt = mk_pkt(
+                NodeAddr::new(0, 0, 1),
+                NodeAddr::new(0, 0, 2),
+                TrafficClass::BEST_EFFORT,
+                1434,
+            );
+            pkt.src_port = i as u16;
+            e.schedule(t, sw_id, Msg::packet(pkt, PortId(1)));
+        }
+        e.run_to_idle();
+        let sink = e.component::<Sink>(sink_id).unwrap();
+        sink.packets.iter().map(|(t, p)| (*t, p.src_port)).collect()
+    }
+
+    #[test]
+    fn jitter_never_lets_a_frame_overtake_its_predecessor() {
+        // A median of 1 us against 300 ns of serialization: drawn freely,
+        // the delays would reorder most of a back-to-back burst.
+        let jitter = Jitter {
+            median_ns: 1_000.0,
+            sigma: 1.0,
+        };
+        let arrivals = jittered_arrivals(jitter, &[SimTime::ZERO; 16]);
+        let order: Vec<u16> = arrivals.iter().map(|&(_, i)| i).collect();
+        assert_eq!(order, (0..16).collect::<Vec<_>>(), "wire order kept");
+        assert!(arrivals.windows(2).all(|w| w[0].0 <= w[1].0));
+    }
+
+    #[test]
+    fn spaced_frames_keep_their_own_jitter_sample() {
+        // 100 us apart, far beyond the jitter's tail: no frame waits for
+        // another, so each arrives at send + wire + cable + pipeline + its
+        // own draw, from the same stream the switch always drew from.
+        let jitter = Jitter {
+            median_ns: 200.0,
+            sigma: 0.5,
+        };
+        let at: Vec<SimTime> = (0..8).map(|i| SimTime::from_micros(100 * i)).collect();
+        let arrivals = jittered_arrivals(jitter, &at);
+        let mut rng = dcsim::SimRng::seed_from(JITTER_SEED);
+        let fixed = SimDuration::from_nanos(300 + 100 + 300);
+        for (i, (&sent, &(arrived, port))) in at.iter().zip(&arrivals).enumerate() {
+            assert_eq!(port as usize, i);
+            let sample = rng.lognormal(jitter.median_ns.ln(), jitter.sigma) as u64;
+            assert_eq!(arrived, sent + fixed + SimDuration::from_nanos(sample));
+        }
     }
 
     /// Forwards what it is sent to the switch after `delay`, so the

@@ -138,6 +138,59 @@ fn large_message_crosses_pods_intact() {
 }
 
 #[test]
+fn cross_pod_multi_frame_messages_arrive_in_order() {
+    // The paper's LTL assumes a network that keeps a flow in order (ECMP
+    // pins it to one path, egress queues are FIFO). Six-frame go-back-N
+    // messages across the spines, with no loss injected anywhere, must
+    // therefore need no NACK and no re-send, however the jitter falls.
+    let mut cluster = ClusterBuilder::paper(12, 2).build();
+    let pairs = [
+        (NodeAddr::new(0, 0, 0), NodeAddr::new(1, 5, 3)),
+        (NodeAddr::new(0, 7, 1), NodeAddr::new(1, 2, 0)),
+        (NodeAddr::new(1, 3, 2), NodeAddr::new(0, 9, 4)),
+    ];
+    let collector = cluster.engine_mut().add_component(Collector::default());
+    for &(a, b) in &pairs {
+        let a_id = cluster.add_shell(a);
+        cluster.add_shell(b);
+        cluster.set_consumer(b, collector);
+        let (a_send, _, _, _) = cluster.connect_pair(a, b);
+        for k in 0..40u64 {
+            cluster.engine_mut().schedule(
+                SimTime::from_micros(k * 25),
+                a_id,
+                Msg::custom(ShellCmd::LtlSend {
+                    conn: a_send,
+                    vc: 0,
+                    payload: Bytes::from(vec![k as u8; 8 * 1024]),
+                }),
+            );
+        }
+    }
+    cluster.run_to_idle();
+    let c = cluster
+        .engine()
+        .component::<Collector>(collector)
+        .expect("collector exists");
+    assert_eq!(c.payloads.len(), pairs.len() * 40, "every message landed");
+    for &(a, b) in &pairs {
+        let sent = *cluster.shell(a).ltl().stats_view();
+        let recv = *cluster.shell(b).ltl().stats_view();
+        assert!(sent.data_sent >= 40 * 6, "{a}: {sent:?}");
+        assert_eq!(
+            (
+                sent.retransmits,
+                sent.nacks_rx,
+                recv.nacks_tx,
+                recv.out_of_order
+            ),
+            (0, 0, 0, 0),
+            "{a} -> {b}: sender {sent:?}, receiver {recv:?}"
+        );
+    }
+}
+
+#[test]
 fn many_to_one_incast_is_lossless_for_ltl() {
     // Several senders blast one receiver through the same TOR: PFC on the
     // lossless class must prevent drops, and every message must arrive.
