@@ -253,7 +253,6 @@ struct ModeRun {
     sacks_rx: u64,
     duplicates: u64,
     conn_failures: u64,
-    loss_estimate: f64,
     events: u64,
 }
 
@@ -351,7 +350,6 @@ fn run_mode(sc: &Scenario, mode: LtlMode, seed: u64) -> ModeRun {
         sacks_rx: 0,
         duplicates: 0,
         conn_failures: 0,
-        loss_estimate: 0.0,
         events,
     };
     {
@@ -367,20 +365,18 @@ fn run_mode(sc: &Scenario, mode: LtlMode, seed: u64) -> ModeRun {
         run.duplicates = stats.duplicates;
     }
     for &id in &sender_ids {
-        let sender = engine
+        let stats = engine
             .component::<Node>(id)
             .expect("sender attached above")
             .ltl
-            .engine();
-        let stats = sender.stats_view();
+            .engine()
+            .stats_view();
         run.data_sent += stats.data_sent;
         run.retransmits += stats.retransmits;
         run.timeouts += stats.timeouts;
         run.sacks_rx += stats.sacks_rx;
         run.conn_failures += stats.conn_failures;
-        run.loss_estimate += sender.loss_estimate();
     }
-    run.loss_estimate /= sc.senders as f64;
     run.latencies_ns.sort_unstable();
     run
 }
@@ -421,7 +417,6 @@ struct ModeResult {
     duplicates: u64,
     conn_failures: u64,
     link_drops: u64,
-    loss_estimate: f64,
     sim_events: u64,
     fingerprint: String,
 }
@@ -470,7 +465,6 @@ impl ModeResult {
             duplicates: run.duplicates,
             conn_failures: run.conn_failures,
             link_drops: run.link_drops,
-            loss_estimate: run.loss_estimate,
             sim_events: run.events,
             fingerprint: format!("{:016x}", fnv1a(&canonical)),
         }

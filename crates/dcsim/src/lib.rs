@@ -58,5 +58,5 @@ pub use engine::{Component, ComponentId, Context, Engine, EventRecord, Observer,
 pub use queue::QueueStats;
 pub use rng::SimRng;
 pub use sharded::{ShardPlan, ShardSyncStats, ShardedEngine, WindowPolicy};
-pub use stats::{nearest_rank, PercentileRecorder, StreamingStats};
+pub use stats::{nearest_rank, PercentileRecorder, Sample, StreamingStats};
 pub use time::{SimDuration, SimTime};

@@ -127,7 +127,36 @@ pub fn nearest_rank(n: usize, p: f64) -> Option<usize> {
     Some(rank.clamp(1, n) - 1)
 }
 
-/// Exact percentile recorder over `u64` samples (typically latency in ns).
+/// The width a [`PercentileRecorder`] stores its samples at: `u64` holds
+/// any value; `u32` halves the memory of samples that stay below 2^32
+/// (nanosecond latencies under 4.29 s) and saturates above.
+pub trait Sample: Copy + Ord {
+    /// The stored form of `value`, saturating where it does not fit.
+    fn from_u64(value: u64) -> Self;
+    /// The stored value.
+    fn to_u64(self) -> u64;
+}
+
+impl Sample for u64 {
+    fn from_u64(value: u64) -> Self {
+        value
+    }
+    fn to_u64(self) -> u64 {
+        self
+    }
+}
+
+impl Sample for u32 {
+    fn from_u64(value: u64) -> Self {
+        u32::try_from(value).unwrap_or(u32::MAX)
+    }
+    fn to_u64(self) -> u64 {
+        self as u64
+    }
+}
+
+/// Exact percentile recorder over `u64` samples (typically latency in ns),
+/// stored at the width `S`.
 ///
 /// Samples are stored verbatim and sorted lazily at query time, so tail
 /// quantiles such as p99.9 are exact.
@@ -144,19 +173,25 @@ pub fn nearest_rank(n: usize, p: f64) -> Option<usize> {
 /// assert_eq!(r.percentile(50.0), Some(50));
 /// assert_eq!(r.percentile(99.0), Some(99));
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct PercentileRecorder {
-    samples: Vec<u64>,
+#[derive(Debug, Clone)]
+pub struct PercentileRecorder<S = u64> {
+    samples: Vec<S>,
     sorted: bool,
+}
+
+impl<S> Default for PercentileRecorder<S> {
+    fn default() -> Self {
+        PercentileRecorder {
+            samples: Vec::new(),
+            sorted: true,
+        }
+    }
 }
 
 impl PercentileRecorder {
     /// Creates an empty recorder.
     pub fn new() -> Self {
-        PercentileRecorder {
-            samples: Vec::new(),
-            sorted: true,
-        }
+        Self::default()
     }
 
     /// Creates an empty recorder with capacity for `n` samples.
@@ -166,10 +201,12 @@ impl PercentileRecorder {
             sorted: true,
         }
     }
+}
 
+impl<S: Sample> PercentileRecorder<S> {
     /// Adds one sample.
     pub fn record(&mut self, value: u64) {
-        self.samples.push(value);
+        self.samples.push(S::from_u64(value));
         self.sorted = false;
     }
 
@@ -193,7 +230,7 @@ impl PercentileRecorder {
         if self.samples.is_empty() {
             return 0.0;
         }
-        self.samples.iter().map(|&v| v as f64).sum::<f64>() / self.samples.len() as f64
+        self.samples.iter().map(|&v| v.to_u64() as f64).sum::<f64>() / self.samples.len() as f64
     }
 
     /// The `p`-th percentile (`0 < p <= 100`) using nearest-rank, or `None`
@@ -205,19 +242,19 @@ impl PercentileRecorder {
     pub fn percentile(&mut self, p: f64) -> Option<u64> {
         let i = nearest_rank(self.samples.len(), p)?;
         self.ensure_sorted();
-        Some(self.samples[i])
+        Some(self.samples[i].to_u64())
     }
 
     /// Largest sample, or `None` if empty.
     pub fn max(&mut self) -> Option<u64> {
         self.ensure_sorted();
-        self.samples.last().copied()
+        self.samples.last().map(|v| v.to_u64())
     }
 
     /// Smallest sample, or `None` if empty.
     pub fn min(&mut self) -> Option<u64> {
         self.ensure_sorted();
-        self.samples.first().copied()
+        self.samples.first().map(|v| v.to_u64())
     }
 
     /// Discards all samples.
@@ -228,7 +265,7 @@ impl PercentileRecorder {
 
     /// Iterates over the recorded samples in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.samples.iter().copied()
+        self.samples.iter().map(|v| v.to_u64())
     }
 
     fn ensure_sorted(&mut self) {
@@ -239,16 +276,16 @@ impl PercentileRecorder {
     }
 }
 
-impl Extend<u64> for PercentileRecorder {
+impl<S: Sample> Extend<u64> for PercentileRecorder<S> {
     fn extend<T: IntoIterator<Item = u64>>(&mut self, iter: T) {
-        self.samples.extend(iter);
+        self.samples.extend(iter.into_iter().map(S::from_u64));
         self.sorted = false;
     }
 }
 
-impl FromIterator<u64> for PercentileRecorder {
+impl<S: Sample> FromIterator<u64> for PercentileRecorder<S> {
     fn from_iter<T: IntoIterator<Item = u64>>(iter: T) -> Self {
-        let mut r = PercentileRecorder::new();
+        let mut r = Self::default();
         r.extend(iter);
         r
     }
@@ -316,6 +353,14 @@ mod tests {
         r.record(42);
         assert_eq!(r.percentile(0.1), Some(42));
         assert_eq!(r.percentile(100.0), Some(42));
+    }
+
+    #[test]
+    fn narrow_samples_read_back_exactly_and_saturate() {
+        let mut r: PercentileRecorder<u32> = [7, 3, u32::MAX as u64 + 5].into_iter().collect();
+        assert_eq!(r.iter().collect::<Vec<_>>(), [7, 3, u32::MAX as u64]);
+        assert_eq!(r.percentile(50.0), Some(7));
+        assert_eq!(r.min(), Some(3));
     }
 
     #[test]
