@@ -209,8 +209,9 @@ impl Cluster {
         }
         let shell_id = engine.next_component_id();
         let mut shell = Shell::new(addr, self.shell_cfg.clone());
-        let attachment = self.fabric.attach(engine, addr, shell_id, PORT_TOR);
-        shell.connect_tor(attachment.tor, attachment.port);
+        let ltl_rx = Some(self.shell_cfg.ltl_rx_latency);
+        let attachment = self.fabric.attach(engine, addr, shell_id, PORT_TOR, ltl_rx);
+        shell.connect_tor(attachment.tor, attachment.port, None);
         if let Some(tracer) = &self.tracer {
             shell.set_tracer(tracer.track(&format!("shell/{addr}")));
         }

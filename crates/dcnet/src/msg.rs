@@ -1,8 +1,8 @@
 //! The simulation-wide message type.
 //!
 //! Every engine in this workspace runs over [`Msg`]: network-plane events,
-//! the per-frame pipeline hand-offs inside an endpoint and the shell's
-//! per-message delivery upcall are first-class variants, while host- and
+//! the per-frame hand-offs into and inside a shell's pipelines and the
+//! shell's per-message delivery upcall are first-class variants, while host- and
 //! application-level crates attach their own payloads through
 //! [`Msg::custom`]. Components take the payloads they expect with
 //! [`Msg::downcast`]; anything else is a wiring bug and surfaces loudly in
@@ -92,20 +92,25 @@ pub struct LtlDeliver {
 pub enum Msg {
     /// Network-plane traffic.
     Net(NetEvent),
-    /// Hot-path pipeline hand-off inside an endpoint: a frame delayed by a
-    /// local pipeline stage (LTL encode latency, NIC<->TOR bridge hop) that
-    /// must be transmitted out of `port` when the self-scheduled delay
-    /// elapses. Sent once per frame per stage, so it is a first-class
-    /// variant instead of a boxed payload.
+    /// Hot-path pipeline hand-off inside a shell: a bridged host frame,
+    /// delayed by the NIC<->TOR bridge hop (and its tap), that must be
+    /// transmitted out of `port` when the self-scheduled delay elapses.
+    /// The shell sends it to itself once per bridged frame, so it is a
+    /// first-class variant instead of a boxed payload. LTL frames never
+    /// take it: the shell's LTL transmit stage puts them on the wire in
+    /// the call that emits them.
     Egress {
         /// Local egress port the frame leaves through.
         port: PortId,
         /// The frame to transmit.
         pkt: Packet,
     },
-    /// Hot-path pipeline hand-off inside an endpoint: a received frame that
-    /// has cleared the MAC/bridge pipeline and is due at the local LTL
-    /// protocol engine. Sent once per received LTL frame.
+    /// An LTL frame entering a shell's LTL receive stage, the end of its
+    /// receive pipeline (MAC, depacketizer). The frame's last hop sends
+    /// it — the TOR port the shell is cabled to
+    /// ([`crate::Switch::connect_shell`]), or the peer shell in a
+    /// back-to-back rig — at wire arrival plus the receive latency the
+    /// shell declared when cabled. Sent once per received LTL frame.
     LtlRx(Packet),
     /// A reassembled LTL message on its way from a shell (the only
     /// producer) to the shell's consumer. Sent once per message, so it is

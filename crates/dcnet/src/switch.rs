@@ -16,7 +16,7 @@ use telemetry::{MetricSource, MetricVisitor, TrackTracer};
 use crate::addr::{AddrError, NodeAddr};
 use crate::link::{FreeTimer, LinkParams, LinkTx};
 use crate::msg::{Msg, NetEvent, PortId};
-use crate::packet::{Ecn, Packet, TrafficClass};
+use crate::packet::{Ecn, Packet, TrafficClass, LTL_UDP_PORT};
 
 /// Where a switch sits in the fabric; determines its routing function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,7 +295,7 @@ pub struct SwitchStats {
     pub crashes: u64,
 }
 
-/// Packed, so that `Option<Peer>` takes 11 bytes instead of 24: that pays
+/// Packed, so that a [`Cable`] takes 11 bytes instead of 24: that pays
 /// for the 16-byte [`FreeTimer`] that replaced each port's `busy` flag,
 /// and a fabric's thousands of ports cost the heap they did before.
 #[derive(Debug, Clone, Copy)]
@@ -303,6 +303,29 @@ pub struct SwitchStats {
 struct Peer {
     comp: ComponentId,
     port: PortId,
+}
+
+/// What a port is cabled to. The variant is the byte an `Option<Peer>`
+/// spends on its tag anyway, so marking a shell costs a port nothing.
+#[derive(Debug, Clone, Copy)]
+enum Cable {
+    /// Nothing: frames routed here count as `no_route`.
+    Open,
+    /// A component that takes every frame as a [`NetEvent::Packet`].
+    Peer(Peer),
+    /// A shell with an LTL receive stage: LTL frames enter that stage
+    /// directly, [`Switch::ltl_rx`] after their wire arrival, as
+    /// [`Msg::LtlRx`]; other frames arrive as packets.
+    Shell(Peer),
+}
+
+impl Cable {
+    fn peer(self) -> Option<Peer> {
+        match self {
+            Cable::Open => None,
+            Cable::Peer(peer) | Cable::Shell(peer) => Some(peer),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -313,7 +336,7 @@ struct Queued {
 }
 
 struct Port {
-    peer: Option<Peer>,
+    cable: Cable,
     tx: LinkTx,
     queues: [VecDeque<Queued>; TrafficClass::COUNT],
     queued_bytes: [u64; TrafficClass::COUNT],
@@ -345,7 +368,7 @@ struct Port {
 impl Port {
     fn new(link: LinkParams) -> Self {
         Port {
-            peer: None,
+            cable: Cable::Open,
             tx: LinkTx::new(link),
             queues: Default::default(),
             queued_bytes: [0; TrafficClass::COUNT],
@@ -453,6 +476,10 @@ pub struct Switch {
     /// of a configuration constant.
     jitter_ln: Option<(f64, f64)>,
     ports: Vec<Port>,
+    /// The LTL receive latency the shells cabled here declared
+    /// ([`Switch::connect_shell`]). One per switch, not one per port:
+    /// every shell of a cluster has the same pipeline.
+    ltl_rx: SimDuration,
     crashed: bool,
     stats: SwitchStats,
     tracer: Option<TrackTracer>,
@@ -473,6 +500,7 @@ impl Switch {
             ports: (0..ports).map(|_| Port::new(cfg.link)).collect(),
             jitter_ln: cfg.jitter.map(|j| (j.median_ns.ln(), j.sigma)),
             cfg,
+            ltl_rx: SimDuration::ZERO,
             crashed: false,
             stats: SwitchStats::default(),
             tracer: None,
@@ -510,9 +538,45 @@ impl Switch {
     ///
     /// Panics if `port` is out of range.
     pub fn connect(&mut self, port: PortId, peer_comp: ComponentId, peer_port: PortId) {
-        self.ports[port.index()].peer = Some(Peer {
+        self.ports[port.index()].cable = Cable::Peer(Peer {
             comp: peer_comp,
             port: peer_port,
+        });
+    }
+
+    /// Connects `port` to a shell whose LTL receive pipeline takes
+    /// `ltl_rx` from a frame's last bit to its LTL engine. LTL frames
+    /// leaving `port` then enter that pipeline's end directly: one
+    /// [`Msg::LtlRx`] event at wire arrival + `ltl_rx`, where a packet
+    /// and the shell's own hand-off were two. Frames of other protocols
+    /// arrive as packets, as through [`Switch::connect`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is out of range, or if a shell already cabled to
+    /// this switch declared a different latency.
+    pub fn connect_shell(
+        &mut self,
+        port: PortId,
+        shell: ComponentId,
+        shell_port: PortId,
+        ltl_rx: SimDuration,
+    ) {
+        let shells = self
+            .ports
+            .iter()
+            .any(|p| matches!(p.cable, Cable::Shell(_)));
+        assert!(
+            !shells || self.ltl_rx == ltl_rx,
+            "{}: shells declared LTL receive latencies {} and {}",
+            self.role,
+            self.ltl_rx,
+            ltl_rx
+        );
+        self.ltl_rx = ltl_rx;
+        self.ports[port.index()].cable = Cable::Shell(Peer {
+            comp: shell,
+            port: shell_port,
         });
     }
 
@@ -522,7 +586,7 @@ impl Switch {
     ///
     /// Panics if `port` is out of range.
     pub fn disconnect(&mut self, port: PortId) {
-        self.ports[port.index()].peer = None;
+        self.ports[port.index()].cable = Cable::Open;
     }
 
     /// Whether `port`'s link is up (see [`SwitchCmd::SetLinkUp`]).
@@ -670,7 +734,7 @@ impl Switch {
         // One egress-port read covers the reachability checks and the
         // queue depth used by ECN and the tail-drop test below.
         let eport = &self.ports[egress.index()];
-        if eport.peer.is_none() {
+        if eport.cable.peer().is_none() {
             self.stats.no_route += 1;
             return;
         }
@@ -720,7 +784,7 @@ impl Switch {
             if let Some(pfc) = self.cfg.pfc {
                 if p.ingress_bytes[ci] > pfc.xoff_bytes && !p.pause_sent[ci] {
                     p.pause_sent[ci] = true;
-                    if let Some(peer) = p.peer {
+                    if let Some(peer) = p.cable.peer() {
                         let prop = p.tx.params().propagation;
                         ctx.send_after(
                             prop,
@@ -793,7 +857,7 @@ impl Switch {
             if let Some(pfc) = self.cfg.pfc {
                 if ing.pause_sent[ci] && ing.ingress_bytes[ci] < pfc.xon_bytes {
                     ing.pause_sent[ci] = false;
-                    if let Some(peer) = ing.peer {
+                    if let Some(peer) = ing.cable.peer() {
                         let prop = ing.tx.params().propagation;
                         ctx.send_after(
                             prop,
@@ -811,7 +875,7 @@ impl Switch {
         }
 
         let port = &mut self.ports[ei];
-        let peer = port.peer.expect("transmit on unconnected port");
+        let cable = port.cable;
         let timing = port.tx.transmit(ctx.now(), q.pkt.wire_bytes());
         port.free.reserve(ctx);
         port.arm_free_if_queued(egress, ctx);
@@ -821,11 +885,19 @@ impl Switch {
         // it: the link delivers in wire order, as ECMP plus FIFO egress do.
         let arrives = (timing.arrives + q.extra).max(port.last_arrival);
         port.last_arrival = arrives;
-        ctx.send_after(
-            arrives - ctx.now(),
-            peer.comp,
-            Msg::packet(q.pkt, peer.port),
-        );
+        match cable {
+            Cable::Shell(peer) if q.pkt.dst_port == LTL_UDP_PORT => ctx.send_after(
+                arrives + self.ltl_rx - ctx.now(),
+                peer.comp,
+                Msg::LtlRx(q.pkt),
+            ),
+            Cable::Peer(peer) | Cable::Shell(peer) => ctx.send_after(
+                arrives - ctx.now(),
+                peer.comp,
+                Msg::packet(q.pkt, peer.port),
+            ),
+            Cable::Open => panic!("transmit on unconnected port"),
+        }
     }
 }
 
@@ -846,7 +918,7 @@ impl Component<Msg> for Switch {
                     self.try_transmit(ingress, ctx);
                 }
             }
-            // Endpoint-internal pipeline hand-offs never reach a switch.
+            // Shell pipeline hand-offs and deliveries never reach a switch.
             Msg::Egress { .. } | Msg::LtlRx(_) | Msg::LtlDeliver(_) => {
                 panic!("endpoint pipeline message delivered to a switch")
             }
@@ -962,6 +1034,13 @@ mod tests {
         Packet::new(src, dst, 1000, 2000, class, Bytes::from(vec![0u8; len]))
     }
 
+    /// Every port of every materialized switch is one of these: marking a
+    /// shell's cable rides in the tag byte, so a port costs what it did.
+    #[test]
+    fn a_port_is_552_bytes() {
+        assert_eq!(std::mem::size_of::<Port>(), 552);
+    }
+
     #[test]
     fn tor_routes_local_and_uplink() {
         let sw = Switch::new(
@@ -972,6 +1051,52 @@ mod tests {
         assert_eq!(sw.route(NodeAddr::new(0, 1, 3), 0), PortId(3));
         assert_eq!(sw.route(NodeAddr::new(0, 0, 3), 0), PortId(4));
         assert_eq!(sw.route(NodeAddr::new(1, 1, 3), 0), PortId(4));
+    }
+
+    /// A shell's port hands an LTL frame to the shell's receive stage,
+    /// the declared latency after its wire arrival, in one event; a frame
+    /// of any other protocol arrives as a packet.
+    #[test]
+    fn a_shell_port_hands_ltl_frames_to_the_receive_stage() {
+        #[derive(Default)]
+        struct Shell {
+            got: Vec<(SimTime, &'static str)>,
+        }
+        impl Component<Msg> for Shell {
+            fn on_message(&mut self, msg: Msg, ctx: &mut Context<'_, Msg>) {
+                let via = match msg {
+                    Msg::LtlRx(_) => "stage",
+                    Msg::Net(NetEvent::Packet { .. }) => "packet",
+                    _ => "other",
+                };
+                self.got.push((ctx.now(), via));
+            }
+        }
+        let cfg = SwitchConfig::default();
+        let ltl_rx = SimDuration::from_nanos(450);
+        let mut e: Engine<Msg> = Engine::new(1);
+        let mut sw = Switch::new(SwitchRole::Tor { pod: 0, tor: 0 }, shape(), cfg.clone());
+        sw.connect_shell(PortId(2), ComponentId::from_raw(1), PortId(0), ltl_rx);
+        let sw_id = e.add_component(sw);
+        let shell_id = e.add_component(Shell::default());
+        let (src, dst) = (NodeAddr::new(0, 0, 0), NodeAddr::new(0, 0, 2));
+        let mut ltl = mk_pkt(src, dst, TrafficClass::LTL, 64);
+        ltl.dst_port = LTL_UDP_PORT;
+        let wire = ltl.wire_bytes();
+        e.schedule(SimTime::ZERO, sw_id, Msg::packet(ltl, PortId(0)));
+        let host = mk_pkt(src, dst, TrafficClass::BEST_EFFORT, 64);
+        e.schedule(SimTime::from_micros(1), sw_id, Msg::packet(host, PortId(0)));
+        e.run_to_idle();
+        let arrival = |sent: SimTime| {
+            sent + cfg.base_latency + cfg.link.serialization(wire) + cfg.link.propagation
+        };
+        assert_eq!(
+            e.component::<Shell>(shell_id).unwrap().got,
+            [
+                (arrival(SimTime::ZERO) + ltl_rx, "stage"),
+                (arrival(SimTime::from_micros(1)), "packet"),
+            ]
+        );
     }
 
     #[test]

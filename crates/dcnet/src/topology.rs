@@ -722,7 +722,10 @@ impl Fabric {
 
     /// Cables `endpoint` (via its `endpoint_port`) to the TOR port for
     /// `addr`, and returns the attachment the endpoint should transmit to.
-    /// On a lazy fabric this materializes the pod first.
+    /// On a lazy fabric this materializes the pod first. A shell declares
+    /// its LTL receive latency as `ltl_rx`, and its LTL frames then enter
+    /// that stage straight from the TOR ([`Switch::connect_shell`]); any
+    /// other endpoint passes `None` and receives packets.
     ///
     /// # Panics
     ///
@@ -734,6 +737,7 @@ impl Fabric {
         addr: NodeAddr,
         endpoint: ComponentId,
         endpoint_port: PortId,
+        ltl_rx: Option<SimDuration>,
     ) -> Attachment {
         self.cfg
             .shape
@@ -754,10 +758,11 @@ impl Fabric {
             self.materialize_pod(engine, addr.pod);
         }
         let tor = self.tor_switch(addr.pod, addr.tor);
-        engine
-            .component_mut::<Switch>(tor)
-            .expect("tor exists")
-            .connect(PortId(addr.host), endpoint, endpoint_port);
+        let sw = engine.component_mut::<Switch>(tor).expect("tor exists");
+        match ltl_rx {
+            Some(latency) => sw.connect_shell(PortId(addr.host), endpoint, endpoint_port, latency),
+            None => sw.connect(PortId(addr.host), endpoint, endpoint_port),
+        }
         Attachment {
             tor,
             port: PortId(addr.host),
@@ -835,7 +840,7 @@ mod tests {
         assert_eq!(f.materialized_pods(), 0);
         assert!(f.switch(SwitchRole::Tor { pod: 1, tor: 0 }).is_none());
         let ep = e.add_component(Endpoint::default());
-        f.attach(&mut e, NodeAddr::new(1, 0, 0), ep, PortId(0));
+        f.attach(&mut e, NodeAddr::new(1, 0, 0), ep, PortId(0), None);
         assert!(f.is_materialized(1));
         assert!(!f.is_materialized(0));
         assert_eq!(f.switch_count(), 2 + 1 + 3);
@@ -853,8 +858,8 @@ mod tests {
         let dst = NodeAddr::new(1, 1, 3);
         let src_ep = e.add_component(Endpoint::default());
         let dst_ep = e.add_component(Endpoint::default());
-        let src_at = f.attach(&mut e, src, src_ep, PortId(0));
-        f.attach(&mut e, dst, dst_ep, PortId(0));
+        let src_at = f.attach(&mut e, src, src_ep, PortId(0), None);
+        f.attach(&mut e, dst, dst_ep, PortId(0), None);
         let pkt = Packet::new(
             src,
             dst,
@@ -889,7 +894,7 @@ mod tests {
             .fidelity(FidelityMap::packet_island(2, 1))
             .build(&mut e);
         let ep = e.add_component(Endpoint::default());
-        f.attach(&mut e, NodeAddr::new(1, 0, 0), ep, PortId(0));
+        f.attach(&mut e, NodeAddr::new(1, 0, 0), ep, PortId(0), None);
     }
 
     fn send_between(src: NodeAddr, dst: NodeAddr) -> (Engine<Msg>, ComponentId, SimTime) {
@@ -897,8 +902,8 @@ mod tests {
         let mut f = FabricBuilder::from_config(&small_cfg()).build(&mut e);
         let src_ep = e.add_component(Endpoint::default());
         let dst_ep = e.add_component(Endpoint::default());
-        let src_at = f.attach(&mut e, src, src_ep, PortId(0));
-        f.attach(&mut e, dst, dst_ep, PortId(0));
+        let src_at = f.attach(&mut e, src, src_ep, PortId(0), None);
+        f.attach(&mut e, dst, dst_ep, PortId(0), None);
         let pkt = Packet::new(
             src,
             dst,
@@ -963,7 +968,7 @@ mod tests {
         let mut e: Engine<Msg> = Engine::new(1);
         let mut f = FabricBuilder::from_config(&small_cfg()).build(&mut e);
         let ep = e.add_component(Endpoint::default());
-        f.attach(&mut e, NodeAddr::new(0, 0, 9), ep, PortId(0));
+        f.attach(&mut e, NodeAddr::new(0, 0, 9), ep, PortId(0), None);
     }
 
     /// The figure-10 fabric: paper shape plus the calibrated per-tier

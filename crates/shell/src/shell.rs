@@ -6,7 +6,12 @@
 //! * the **network bridge** forwarding all host traffic in both directions,
 //!   with a [`NetworkTap`] through which roles inspect/alter/inject packets;
 //! * the **LTL protocol engine** for direct FPGA-to-FPGA messaging over the
-//!   datacenter network;
+//!   datacenter network, behind two fixed-latency pipelines that are
+//!   stages called in sequence, not events: a frame the engine emits
+//!   takes its TOR wire slot in the same call, after the transmit
+//!   pipeline's latency, and a received frame enters the engine in one
+//!   event, which the last hop schedules after the receive pipeline's
+//!   latency ([`Msg::LtlRx`]);
 //! * PFC reaction on the TOR-facing port so lossless-class pauses from the
 //!   switch stall the shell's transmissions.
 //!
@@ -39,6 +44,11 @@ const TIMER_LTL_TICK: u64 = 2;
 const TIMER_LTL_POLL: u64 = 3;
 const TIMER_RECONFIG_DONE: u64 = 4;
 const TIMER_ROLE_RECOVERED: u64 = 5;
+const TIMER_LTL_CREDIT: u64 = 6;
+
+/// LTL frames the TOR egress holds between the transmit pipeline's exit
+/// and the wire before the pump stops polling: the MAC's credit.
+const LTL_EGRESS_CREDIT: usize = 4;
 
 /// Shell timing and protocol configuration.
 #[derive(Debug, Clone)]
@@ -53,7 +63,8 @@ pub struct ShellConfig {
     /// wire (packetizer, Elastic Router traversal, MAC).
     pub ltl_tx_latency: SimDuration,
     /// Latency from last bit received to the LTL engine reacting
-    /// (MAC, depacketizer, receive state machine).
+    /// (MAC, depacketizer, receive state machine). The last hop adds it:
+    /// the shell declares it when cabled (`dcnet::Fabric::attach`).
     pub ltl_rx_latency: SimDuration,
     /// Store-and-forward latency of the bridge for host traffic.
     pub bridge_latency: SimDuration,
@@ -237,6 +248,60 @@ impl Egress {
     }
 }
 
+/// The LTL transmit pipeline's hand-off to the TOR wire. A frame the
+/// pump polls at `t` leaves the pipeline (packetizer, ER, MAC) at
+/// `exit = t + ltl_tx_latency` and starts on the wire at
+/// `max(exit, wire free)`. Both are known in the pump, so the frame is
+/// sent to the next hop there, with no event of its own.
+struct LtlTx {
+    /// The peer's LTL receive latency when the peer is a shell cabled
+    /// back-to-back: frames then enter its receive stage directly, as a
+    /// TOR port would hand them over.
+    peer_rx: Option<SimDuration>,
+    /// `(exit, start)` of every frame that waits between pipeline exit
+    /// and wire start, in wire order, until it starts.
+    waiting: VecDeque<(SimTime, SimTime)>,
+    /// The credit timer is armed: the pump found the credit closed and
+    /// runs again when enough waiting frames have started to reopen it.
+    credit_timer: bool,
+}
+
+impl LtlTx {
+    /// Puts `pkt`, leaving the transmit pipeline at `exit`, on `tor`'s
+    /// wire and sends it on. An uncabled port drops it.
+    fn transmit(
+        &mut self,
+        tor: &mut Egress,
+        pkt: Packet,
+        exit: SimTime,
+        ctx: &mut Context<'_, Msg>,
+    ) {
+        let Some((peer, peer_port)) = tor.peer else {
+            return;
+        };
+        let start = exit.max(tor.tx.busy_until());
+        if start > exit {
+            self.waiting.push_back((exit, start));
+        }
+        let arrives = tor.tx.transmit(exit, pkt.wire_bytes()).arrives;
+        match self.peer_rx {
+            Some(rx) => ctx.send_after(arrives + rx - ctx.now(), peer, Msg::LtlRx(pkt)),
+            None => ctx.send_after(arrives - ctx.now(), peer, Msg::packet(pkt, peer_port)),
+        }
+    }
+
+    /// Frames that have left the pipeline and not yet started on the
+    /// wire at `now`: the head of `waiting`, once the started are gone.
+    fn held(&mut self, now: SimTime) -> usize {
+        while self.waiting.front().is_some_and(|&(_, start)| start <= now) {
+            self.waiting.pop_front();
+        }
+        (self.waiting.iter())
+            .take_while(|&&(exit, _)| exit <= now)
+            .count()
+    }
+}
+
 /// The per-FPGA shell component.
 pub struct Shell {
     addr: NodeAddr,
@@ -244,6 +309,7 @@ pub struct Shell {
     ltl: Endpoint<TIMER_LTL_TICK, TIMER_LTL_POLL>,
     tap: Box<dyn NetworkTap>,
     tor: Egress,
+    ltl_tx: LtlTx,
     nic: Egress,
     consumer: Option<ComponentId>,
     stats: ShellStats,
@@ -264,6 +330,11 @@ impl Shell {
             ltl: Endpoint::new(LtlEngine::new(addr, cfg.ltl.clone()), cfg.tick),
             tap: Box::new(PassthroughTap),
             tor: Egress::new(cfg.tor_link),
+            ltl_tx: LtlTx {
+                peer_rx: None,
+                waiting: VecDeque::new(),
+                credit_timer: false,
+            },
             nic: Egress::new(cfg.nic_link),
             cfg,
             consumer: None,
@@ -335,9 +406,19 @@ impl Shell {
         self.consumer = Some(consumer);
     }
 
-    /// Cables the TOR-facing port to its switch port.
-    pub fn connect_tor(&mut self, comp: ComponentId, port: PortId) {
+    /// Cables the TOR-facing port to its switch port — or, in a
+    /// back-to-back rig, to another shell, which then declares its LTL
+    /// receive latency as `peer_ltl_rx`: LTL frames enter its receive
+    /// stage directly, as a TOR port would hand them over
+    /// (`dcnet::Switch::connect_shell`).
+    pub fn connect_tor(
+        &mut self,
+        comp: ComponentId,
+        port: PortId,
+        peer_ltl_rx: Option<SimDuration>,
+    ) {
         self.tor.peer = Some((comp, port));
+        self.ltl_tx.peer_rx = peer_ltl_rx;
     }
 
     /// Cables the NIC-facing port to the host NIC.
@@ -421,12 +502,32 @@ impl Shell {
 
     /// Whether the TOR egress path can take more LTL frames right now.
     /// Mirrors the credit interface between the LTL engine and the MAC:
-    /// while PFC has the lossless class paused (or the egress queue is
-    /// deep), frames stay inside the engine — unsent and untimed — instead
-    /// of aging toward a spurious retransmission timeout in a queue.
-    fn ltl_egress_open(&self) -> bool {
+    /// while PFC has the lossless class paused, or
+    /// [`LTL_EGRESS_CREDIT`] frames have left the transmit pipeline and
+    /// wait for the wire, frames stay inside the engine — unsent and
+    /// untimed — instead of aging toward a spurious retransmission
+    /// timeout in a queue. Frames inside the pipeline drain and count
+    /// toward neither. A credit closed by waiting frames arms the credit
+    /// timer for the start that leaves one credit free (frames exiting
+    /// the pipeline meanwhile may re-arm it); a pause is lifted by a
+    /// resume, and host frames queued on the class by the free-timer,
+    /// which both pump.
+    fn ltl_egress_open(&mut self, ctx: &mut Context<'_, Msg>) -> bool {
         let ci = TrafficClass::LTL.index();
-        !self.tor.paused[ci] && self.tor.queues[ci].len() < 4
+        if self.tor.paused[ci] {
+            return false;
+        }
+        let tx = &mut self.ltl_tx;
+        let held = self.tor.queues[ci].len() + tx.held(ctx.now());
+        if held < LTL_EGRESS_CREDIT {
+            return true;
+        }
+        let reopens = tx.waiting.get(held - LTL_EGRESS_CREDIT);
+        if let (false, Some(&(_, start))) = (tx.credit_timer, reopens) {
+            tx.credit_timer = true;
+            ctx.timer_after(start - ctx.now(), TIMER_LTL_CREDIT);
+        }
+        false
     }
 
     /// The shell's one LTL pump: the endpoint's poll loop plus the shell's
@@ -434,20 +535,21 @@ impl Shell {
     /// is down with the rest of the FPGA, and the done timer pumps. A
     /// closed egress credit polls nothing but still arms the tick. Each
     /// frame polled is counted, traced, possibly lost to injected loss,
-    /// and otherwise reaches the TOR queue after the tx pipeline latency —
-    /// never within this pump, so the credit checked once holds for the
-    /// whole loop. When the engine starts pacing, the TOR free-timer is
-    /// re-checked.
+    /// and otherwise passes the transmit pipeline and takes its TOR wire
+    /// slot within this call ([`LtlTx::transmit`]). A frame still inside
+    /// the pipeline holds no credit, so the credit checked once holds for
+    /// the whole loop. When the engine starts pacing, the TOR free-timer
+    /// is re-checked.
     fn pump_ltl(&mut self, ctx: &mut Context<'_, Msg>) {
         if self.reconfig == Reconfig::Full {
             return;
         }
-        if !self.ltl_egress_open() {
-            // Re-pumped when the pause lifts or the queue drains.
+        if !self.ltl_egress_open(ctx) {
             self.ltl.ensure_tick(ctx);
             return;
         }
         let (stats, tracer) = (&mut self.stats, &self.tracer);
+        let (tor, ltl_tx) = (&mut self.tor, &mut self.ltl_tx);
         let (loss_rate, tx_latency) = (self.ltl_loss_rate, self.cfg.ltl_tx_latency);
         let pacing_started = self.ltl.pump(ctx, |ctx, pkt, kind| {
             stats.ltl_tx_frames += 1;
@@ -465,14 +567,7 @@ impl Shell {
                 stats.injected_drops += 1;
                 return;
             }
-            // Tx pipeline latency (packetizer + ER + MAC), then wire.
-            ctx.send_to_self_after(
-                tx_latency,
-                Msg::Egress {
-                    port: PORT_TOR,
-                    pkt,
-                },
-            );
+            ltl_tx.transmit(tor, pkt, ctx.now() + tx_latency, ctx);
         });
         if pacing_started {
             // A TOR wire freeing before the poll is no longer a no-op.
@@ -523,12 +618,12 @@ impl Shell {
                 }
             }
             PORT_TOR => {
-                // LTL frames addressed to this FPGA terminate here.
-                if pkt.dst_port == LTL_UDP_PORT && pkt.dst == self.addr {
-                    self.stats.ltl_rx_frames += 1;
-                    ctx.send_to_self_after(self.cfg.ltl_rx_latency, Msg::LtlRx(pkt));
-                    return;
-                }
+                debug_assert!(
+                    pkt.dst_port != LTL_UDP_PORT || pkt.dst != self.addr,
+                    "an LTL frame for {} arrived as a packet: its last hop was \
+                     cabled without the shell's receive stage",
+                    self.addr
+                );
                 if tap_bypassed {
                     self.stats.bridged_in += 1;
                     ctx.send_to_self_after(
@@ -557,6 +652,40 @@ impl Shell {
             }
             other => panic!("shell has no port {other}"),
         }
+    }
+
+    /// The LTL receive stage: the end of the receive pipeline (MAC,
+    /// depacketizer), `ltl_rx_latency` after the frame's last bit
+    /// arrived. The last hop adds that latency ([`Msg::LtlRx`]), so the
+    /// MAC's verdicts — bad FCS, link down for a full reconfiguration —
+    /// are taken here, at stage entry.
+    fn ltl_rx(&mut self, pkt: Packet, ctx: &mut Context<'_, Msg>) {
+        if pkt.corrupt {
+            self.stats.corrupt_drops += 1;
+            return;
+        }
+        if self.reconfig == Reconfig::Full {
+            self.stats.reconfig_drops += 1;
+            return;
+        }
+        self.stats.ltl_rx_frames += 1;
+        let acks_before = self.ltl().stats_view().acks_rx;
+        let upcall = forward_upcalls(
+            self.consumer,
+            self.role_hung(),
+            &self.tracer,
+            &mut self.stats,
+        );
+        self.ltl.on_packet(&pkt, ctx, upcall);
+        // An ACK frame has no upcalls, so no `ltl_deliver` instant can
+        // precede this.
+        if let Some(tracer) = &self.tracer {
+            if self.ltl().stats_view().acks_rx > acks_before {
+                tracer.instant(ctx.now(), "ltl_ack", &[("src", pkt.src.as_u32() as u64)]);
+            }
+        }
+        // ACKs/CNPs may now be queued.
+        self.pump_ltl(ctx);
     }
 }
 
@@ -622,25 +751,7 @@ impl Component<Msg> for Shell {
                 }
             }
             Msg::Egress { port, pkt } => self.enqueue(port, pkt, ctx),
-            Msg::LtlRx(pkt) => {
-                let acks_before = self.ltl().stats_view().acks_rx;
-                let upcall = forward_upcalls(
-                    self.consumer,
-                    self.role_hung(),
-                    &self.tracer,
-                    &mut self.stats,
-                );
-                self.ltl.on_packet(&pkt, ctx, upcall);
-                // An ACK frame has no upcalls, so no `ltl_deliver` instant
-                // can precede this.
-                if let Some(tracer) = &self.tracer {
-                    if self.ltl().stats_view().acks_rx > acks_before {
-                        tracer.instant(ctx.now(), "ltl_ack", &[("src", pkt.src.as_u32() as u64)]);
-                    }
-                }
-                // ACKs/CNPs may now be queued.
-                self.pump_ltl(ctx);
-            }
+            Msg::LtlRx(pkt) => self.ltl_rx(pkt, ctx),
             // Deliveries are addressed to consumers, flow-model and switch
             // commands to those components, never to a shell.
             Msg::LtlDeliver(_) | Msg::FlowSim(_) | Msg::Switch(_) => {}
@@ -725,6 +836,10 @@ impl Component<Msg> for Shell {
                     &mut self.stats,
                 );
                 self.ltl.on_timer(token, ctx, upcall);
+                self.pump_ltl(ctx);
+            }
+            TIMER_LTL_CREDIT => {
+                self.ltl_tx.credit_timer = false;
                 self.pump_ltl(ctx);
             }
             TIMER_RECONFIG_DONE => {
@@ -827,7 +942,7 @@ mod tests {
         let nic_id = ComponentId::from_raw(shell_id.as_raw() + 1);
         let tor_id = ComponentId::from_raw(shell_id.as_raw() + 2);
         shell.connect_nic(nic_id, PortId(0));
-        shell.connect_tor(tor_id, PortId(0));
+        shell.connect_tor(tor_id, PortId(0), None);
         e.add_component(shell);
         e.add_component(Probe::default());
         e.add_component(Probe::default());
@@ -875,7 +990,7 @@ mod tests {
         let mut shell = Shell::new(addr(1), cfg);
         let (nic_id, tor_id) = (ComponentId::from_raw(1), ComponentId::from_raw(2));
         shell.connect_nic(nic_id, PortId(0));
-        shell.connect_tor(tor_id, PortId(0));
+        shell.connect_tor(tor_id, PortId(0), None);
         let a = shell.ltl_mut().add_send(addr(5), 0);
         let b = shell.ltl_mut().add_send(addr(6), 0);
         let shell_id = e.add_component(shell);
@@ -964,11 +1079,12 @@ mod tests {
     #[test]
     fn ltl_frames_for_us_do_not_reach_the_host() {
         let (mut e, shell, nic, _tor) = rig();
-        // A fake LTL frame addressed to this shell.
+        // A fake LTL frame addressed to this shell, as its last hop hands
+        // it over: into the receive stage.
         let mut pkt = host_pkt(5, 1);
         pkt.src_port = LTL_UDP_PORT;
         pkt.dst_port = LTL_UDP_PORT;
-        e.schedule(SimTime::ZERO, shell, Msg::packet(pkt, PORT_TOR));
+        e.schedule(SimTime::ZERO, shell, Msg::LtlRx(pkt));
         e.run_to_idle();
         assert!(e.component::<Probe>(nic).unwrap().packets.is_empty());
         assert_eq!(
@@ -1028,6 +1144,132 @@ mod tests {
         assert_eq!(e.component::<Probe>(tor).unwrap().packets.len(), 2);
     }
 
+    /// Mirrors simcheck's `shell.pfc_obedience` invariant: a shell whose
+    /// TOR egress is paused before and after an event hands no LTL frame
+    /// to the wire in it.
+    struct PfcObedience {
+        shell: ComponentId,
+        prev: Option<(bool, u64)>,
+        violations: u32,
+    }
+
+    impl dcsim::Observer<Msg> for PfcObedience {
+        fn after_event(&mut self, _event: &dcsim::EventRecord, engine: &Engine<Msg>) {
+            let shell = engine.component::<Shell>(self.shell).unwrap();
+            let now = (
+                shell.tor_paused(TrafficClass::LTL),
+                shell.stats_view().ltl_tx_frames,
+            );
+            if let Some((paused, frames)) = self.prev {
+                if paused && now.0 && now.1 != frames {
+                    self.violations += 1;
+                }
+            }
+            self.prev = Some(now);
+        }
+    }
+
+    /// PFC gates the transmit pipeline's entry, not its exit: the two
+    /// frames inside the 460 ns pipeline when the pause lands reach the
+    /// wire at their usual instants, and nothing else leaves the pump —
+    /// a new message, retransmissions — until the resume.
+    #[test]
+    fn pfc_pause_drains_the_tx_pipeline_and_gates_the_pump() {
+        let (mut e, shell, _nic, tor) = rig();
+        let conn = (e.component_mut::<Shell>(shell).unwrap())
+            .ltl_mut()
+            .add_send(addr(2), 0);
+        let send = || {
+            Msg::custom(ShellCmd::LtlSend {
+                conn,
+                vc: 0,
+                payload: Bytes::from_static(b"in the pipeline"),
+            })
+        };
+        let pfc = |pause| {
+            Msg::Net(NetEvent::Pfc {
+                class: TrafficClass::LTL,
+                ingress: PORT_TOR,
+                pause,
+            })
+        };
+        e.set_observer(Box::new(PfcObedience {
+            shell,
+            prev: None,
+            violations: 0,
+        }));
+        e.schedule(SimTime::ZERO, shell, send());
+        e.schedule(SimTime::from_nanos(100), shell, send());
+        e.schedule(SimTime::from_nanos(200), shell, pfc(true));
+        e.schedule(SimTime::from_nanos(300), shell, send());
+        e.run_until(SimTime::from_micros(100));
+
+        let cfg = ShellConfig::default();
+        let wire = |e: &Engine<Msg>| {
+            let probe = e.component::<Probe>(tor).unwrap();
+            probe.packets.iter().map(|(t, ..)| *t).collect::<Vec<_>>()
+        };
+        let frame = e.component::<Probe>(tor).unwrap().packets[0].1.wire_bytes();
+        let on_wire = |handed: u64| {
+            SimTime::from_nanos(handed)
+                + cfg.ltl_tx_latency
+                + cfg.tor_link.serialization(frame)
+                + cfg.tor_link.propagation
+        };
+        assert_eq!(wire(&e), [on_wire(0), on_wire(100)]);
+        let stats = *e.component::<Shell>(shell).unwrap().stats_view();
+        assert_eq!(stats.ltl_tx_frames, 2, "the pump stays shut while paused");
+
+        e.schedule(SimTime::from_micros(101), shell, pfc(false));
+        e.run_until(SimTime::from_micros(102));
+        // The third message and the two frames' retransmissions, all
+        // polled by the resume's pump.
+        assert_eq!(wire(&e).len(), 5);
+        assert_eq!(wire(&e)[2], on_wire(101_000));
+        let observer = e.observer_as::<PfcObedience>().unwrap();
+        assert_eq!(observer.violations, 0);
+    }
+
+    /// One pump puts a whole window into the transmit pipeline; a later
+    /// pump finds the frames waiting for the wire, holding the credit,
+    /// and polls nothing. The credit timer pumps again once all but three
+    /// have started, one event, so the next message follows the burst
+    /// onto the wire without a gap.
+    #[test]
+    fn a_closed_credit_reopens_as_the_burst_drains() {
+        let mut cfg = ShellConfig::default();
+        cfg.ltl.dcqcn = None;
+        let mut e: Engine<Msg> = Engine::new(1);
+        let mut shell = Shell::new(addr(1), cfg.clone());
+        shell.connect_tor(ComponentId::from_raw(1), PortId(0), None);
+        let conn = shell.ltl_mut().add_send(addr(2), 0);
+        let shell_id = e.add_component(shell);
+        let tor = e.add_component(Probe::default());
+        let send = |bytes| {
+            Msg::custom(ShellCmd::LtlSend {
+                conn,
+                vc: 0,
+                payload: Bytes::from(vec![1u8; bytes]),
+            })
+        };
+        let burst = 16 * cfg.ltl.mtu_payload;
+        e.schedule(SimTime::ZERO, shell_id, send(burst));
+        e.schedule(SimTime::from_micros(1), shell_id, send(8));
+        e.run_until(SimTime::from_micros(9));
+
+        let probe = e.component::<Probe>(tor).unwrap();
+        assert_eq!(probe.packets.len(), 17);
+        let serialization = |i: usize| cfg.tor_link.serialization(probe.packets[i].1.wire_bytes());
+        let mut on_wire = SimTime::ZERO + cfg.ltl_tx_latency;
+        for (i, (at, ..)) in probe.packets.iter().enumerate() {
+            on_wire += serialization(i);
+            assert_eq!(*at, on_wire + cfg.tor_link.propagation, "frame {i}");
+        }
+        // The two sends, the credit timer and nothing else: no tick has
+        // come due yet.
+        assert_eq!(e.events_processed(), 2 + 1 + 17);
+    }
+
     /// Two shells wired back-to-back through their TOR ports (no switch):
     /// the minimal LTL end-to-end rig.
     fn back_to_back() -> (
@@ -1043,8 +1285,9 @@ mod tests {
         let consumer_id = ComponentId::from_raw(2);
         let mut a = Shell::new(addr(1), ShellConfig::default());
         let mut b = Shell::new(addr(2), ShellConfig::default());
-        a.connect_tor(b_id, PORT_TOR);
-        b.connect_tor(a_id, PORT_TOR);
+        let rx = ShellConfig::default().ltl_rx_latency;
+        a.connect_tor(b_id, PORT_TOR, Some(rx));
+        b.connect_tor(a_id, PORT_TOR, Some(rx));
         a.set_consumer(consumer_id);
         b.set_consumer(consumer_id);
         let b_recv = b.ltl_mut().add_recv(addr(1));
@@ -1224,7 +1467,7 @@ mod tests {
         let a_id = ComponentId::from_raw(0);
         let probe_id = ComponentId::from_raw(1);
         let mut a = Shell::new(addr(1), ShellConfig::default());
-        a.connect_tor(probe_id, PortId(0));
+        a.connect_tor(probe_id, PortId(0), None);
         a.set_consumer(probe_id);
         let a_send = a.ltl_mut().add_send(addr(2), 0);
         e.add_component(a);

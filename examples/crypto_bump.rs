@@ -80,11 +80,11 @@ fn main() {
     let mut shell_a = Shell::new(addr_a, ShellConfig::default());
     shell_a.set_tap(Box::new(tap_a));
     shell_a.connect_nic(nic_a_id, PortId(0));
-    shell_a.connect_tor(sniffer_id, PortId(0));
+    shell_a.connect_tor(sniffer_id, PortId(0), None);
     let mut shell_b = Shell::new(addr_b, ShellConfig::default());
     shell_b.set_tap(Box::new(tap_b));
     shell_b.connect_nic(nic_b_id, PortId(0));
-    shell_b.connect_tor(sniffer_id, PortId(1));
+    shell_b.connect_tor(sniffer_id, PortId(1), None);
 
     engine.add_component(shell_a);
     engine.add_component(shell_b);

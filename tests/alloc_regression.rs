@@ -237,7 +237,7 @@ fn switch_allocs_per_event() -> (u64, u64) {
     let a_addr = NodeAddr::new(0, 0, 0);
     let b_addr = NodeAddr::new(0, 0, 1);
     let next = e.next_component_id();
-    let a_attach = fabric.attach(&mut e, a_addr, next, PortId(0));
+    let a_attach = fabric.attach(&mut e, a_addr, next, PortId(0), None);
     let a = e.add_component(Bouncer {
         tor: a_attach.tor,
         tor_port: a_attach.port,
@@ -245,7 +245,7 @@ fn switch_allocs_per_event() -> (u64, u64) {
     });
     assert_eq!(a, next);
     let next = e.next_component_id();
-    let b_attach = fabric.attach(&mut e, b_addr, next, PortId(0));
+    let b_attach = fabric.attach(&mut e, b_addr, next, PortId(0), None);
     e.add_component(Bouncer {
         tor: b_attach.tor,
         tor_port: b_attach.port,
