@@ -32,7 +32,9 @@
 use bench::arg_value;
 use bytes::Bytes;
 use dcnet::{Msg, NetEvent, NodeAddr, PortId};
-use dcsim::{Component, ComponentId, Context, Engine, SimDuration, SimRng, SimTime};
+use dcsim::{
+    fnv1a, Component, ComponentId, Context, Engine, SimDuration, SimRng, SimTime, FNV1A_OFFSET,
+};
 use serde::Serialize;
 use shell::ltl::{Endpoint, LtlConfig, LtlEngine, LtlEvent, LtlMode};
 
@@ -381,17 +383,6 @@ fn run_mode(sc: &Scenario, mode: LtlMode, seed: u64) -> ModeRun {
     run
 }
 
-/// FNV-1a over the canonical integer metrics: the determinism
-/// fingerprint CI compares across same-seed runs.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 fn percentile(sorted_ns: &[u64], q: f64) -> u64 {
     if sorted_ns.is_empty() {
         return 0;
@@ -466,7 +457,7 @@ impl ModeResult {
             conn_failures: run.conn_failures,
             link_drops: run.link_drops,
             sim_events: run.events,
-            fingerprint: format!("{:016x}", fnv1a(&canonical)),
+            fingerprint: format!("{:016x}", fnv1a(FNV1A_OFFSET, canonical.as_bytes())),
         }
     }
 }

@@ -10,6 +10,7 @@
 use core::cell::Cell;
 
 use bytes::{BufMut, Bytes, BytesMut};
+use dcsim::{fnv1a, FNV1A_OFFSET};
 
 use crate::addr::{MacAddr, NodeAddr};
 
@@ -165,17 +166,15 @@ impl Packet {
         if cached != 0 {
             return cached;
         }
-        // FNV-1a over the 5-tuple; stable across runs.
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |v: u64| {
-            for i in 0..8 {
-                h ^= (v >> (i * 8)) & 0xFF;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(self.src.as_u32() as u64);
-        eat(self.dst.as_u32() as u64);
-        eat(((self.src_port as u64) << 16) | self.dst_port as u64);
+        // FNV-1a over the 5-tuple, each field as 8 little-endian bytes;
+        // stable across runs.
+        let h = [
+            self.src.as_u32() as u64,
+            self.dst.as_u32() as u64,
+            ((self.src_port as u64) << 16) | self.dst_port as u64,
+        ]
+        .iter()
+        .fold(FNV1A_OFFSET, |h, v| fnv1a(h, &v.to_le_bytes()));
         // A real hash of 0 (probability 2^-64) just skips the memo.
         self.flow.set(h);
         h

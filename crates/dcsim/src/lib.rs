@@ -14,7 +14,8 @@
 //! * [`SimRng`] — seeded randomness plus the distributions the simulator
 //!   needs (exponential, normal, lognormal);
 //! * [`StreamingStats`], [`PercentileRecorder`] — measurement collection
-//!   with exact tail percentiles.
+//!   with exact tail percentiles;
+//! * [`fnv1a`] — the stable hash behind every determinism fingerprint.
 //!
 //! # Examples
 //!
@@ -48,6 +49,7 @@
 #![warn(missing_docs)]
 
 mod engine;
+mod hash;
 mod queue;
 mod rng;
 mod sharded;
@@ -55,6 +57,7 @@ mod stats;
 mod time;
 
 pub use engine::{Component, ComponentId, Context, Engine, EventRecord, Observer, TimerKey};
+pub use hash::{fnv1a, FNV1A_OFFSET};
 pub use queue::QueueStats;
 pub use rng::SimRng;
 pub use sharded::{ShardPlan, ShardSyncStats, ShardedEngine, WindowPolicy};

@@ -46,7 +46,7 @@ use core::ops::Bound;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use dcnet::NodeAddr;
-use dcsim::{SimDuration, SimTime};
+use dcsim::{fnv1a, SimDuration, SimTime, FNV1A_OFFSET};
 use shell::tenant::{TenantCaps, TenantId};
 use telemetry::{Histogram, MetricSource, MetricVisitor};
 
@@ -559,17 +559,6 @@ pub struct ElasticScheduler {
     debug_defrag_drop_caps: bool,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 impl ElasticScheduler {
     /// Creates an empty scheduler.
     pub fn new(cfg: ElasticConfig) -> ElasticScheduler {
@@ -586,7 +575,7 @@ impl ElasticScheduler {
             clock: SimTime::ZERO,
             defrag_done: 0,
             decisions: Vec::new(),
-            fingerprint: FNV_OFFSET,
+            fingerprint: FNV1A_OFFSET,
             free: BTreeSet::new(),
             evictions: BTreeSet::new(),
             reserved: BTreeSet::new(),
@@ -1613,8 +1602,8 @@ fn board_capacity(board: &BoardState) -> (u64, u32) {
 /// scheduler so fingerprints compare across implementations).
 pub fn fingerprint_decision(hash: u64, d: &Decision) -> u64 {
     fn region(hash: u64, r: RegionRef) -> u64 {
-        let h = fnv_fold(hash, &r.board.as_u32().to_le_bytes());
-        fnv_fold(h, &[r.region])
+        let h = fnv1a(hash, &r.board.as_u32().to_le_bytes());
+        fnv1a(h, &[r.region])
     }
     match d {
         Decision::Grant {
@@ -1623,53 +1612,51 @@ pub fn fingerprint_decision(hash: u64, d: &Decision) -> u64 {
             at,
             waited_ns,
         } => {
-            let h = fnv_fold(hash, b"G");
-            let h = fnv_fold(h, &req.to_le_bytes());
-            let h = fnv_fold(h, &lease.to_le_bytes());
+            let h = fnv1a(hash, b"G");
+            let h = fnv1a(h, &req.to_le_bytes());
+            let h = fnv1a(h, &lease.to_le_bytes());
             let h = region(h, *at);
-            fnv_fold(h, &waited_ns.to_le_bytes())
+            fnv1a(h, &waited_ns.to_le_bytes())
         }
-        Decision::Queue { req } => fnv_fold(fnv_fold(hash, b"Q"), &req.to_le_bytes()),
+        Decision::Queue { req } => fnv1a(fnv1a(hash, b"Q"), &req.to_le_bytes()),
         Decision::Evict {
             victim,
             for_req,
             at,
         } => {
-            let h = fnv_fold(hash, b"E");
-            let h = fnv_fold(h, &victim.to_le_bytes());
-            let h = fnv_fold(h, &for_req.to_le_bytes());
+            let h = fnv1a(hash, b"E");
+            let h = fnv1a(h, &victim.to_le_bytes());
+            let h = fnv1a(h, &for_req.to_le_bytes());
             region(h, *at)
         }
         Decision::Reclaim { victim, at } => {
-            let h = fnv_fold(hash, b"C");
-            let h = fnv_fold(h, &victim.to_le_bytes());
+            let h = fnv1a(hash, b"C");
+            let h = fnv1a(h, &victim.to_le_bytes());
             region(h, *at)
         }
         Decision::Migrate { lease, from, to } => {
-            let h = fnv_fold(hash, b"M");
-            let h = fnv_fold(h, &lease.to_le_bytes());
+            let h = fnv1a(hash, b"M");
+            let h = fnv1a(h, &lease.to_le_bytes());
             let h = region(h, *from);
             region(h, *to)
         }
-        Decision::Reject { req } => fnv_fold(fnv_fold(hash, b"X"), &req.to_le_bytes()),
+        Decision::Reject { req } => fnv1a(fnv1a(hash, b"X"), &req.to_le_bytes()),
         Decision::Release { req, lease } => {
-            let h = fnv_fold(fnv_fold(hash, b"R"), &req.to_le_bytes());
+            let h = fnv1a(fnv1a(hash, b"R"), &req.to_le_bytes());
             match lease {
-                Some(id) => fnv_fold(h, &id.to_le_bytes()),
-                None => fnv_fold(h, b"-"),
+                Some(id) => fnv1a(h, &id.to_le_bytes()),
+                None => fnv1a(h, b"-"),
             }
         }
         Decision::BoardDown { board, lost } => {
-            let mut h = fnv_fold(hash, b"D");
-            h = fnv_fold(h, &board.as_u32().to_le_bytes());
+            let mut h = fnv1a(hash, b"D");
+            h = fnv1a(h, &board.as_u32().to_le_bytes());
             for id in lost {
-                h = fnv_fold(h, &id.to_le_bytes());
+                h = fnv1a(h, &id.to_le_bytes());
             }
             h
         }
-        Decision::BoardUp { board } => {
-            fnv_fold(fnv_fold(hash, b"U"), &board.as_u32().to_le_bytes())
-        }
+        Decision::BoardUp { board } => fnv1a(fnv1a(hash, b"U"), &board.as_u32().to_le_bytes()),
     }
 }
 
