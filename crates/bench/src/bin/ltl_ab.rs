@@ -41,8 +41,6 @@ use shell::ltl::{Endpoint, LtlConfig, LtlEngine, LtlEvent, LtlMode};
 const TIMER_TICK: u64 = 1;
 const TIMER_POLL: u64 = 2;
 
-/// Retransmission-timer granularity of every endpoint.
-const TICK: SimDuration = SimDuration::from_micros(10);
 /// Ethernet/IP/UDP framing bytes added to each LTL frame on the wire.
 const WIRE_OVERHEAD: usize = 42;
 
@@ -67,7 +65,7 @@ struct Node {
 impl Node {
     fn new(ltl: LtlEngine, link: ComponentId, msg_len: usize) -> Node {
         Node {
-            ltl: Endpoint::new(ltl, TICK),
+            ltl: Endpoint::new(ltl),
             link,
             msg_len,
             latencies_ns: Vec::new(),

@@ -35,11 +35,13 @@ pub enum Tier {
 
 /// Paper-calibrated shell configuration.
 pub fn shell_config() -> ShellConfig {
-    ShellConfig::default()
-        .with_ltl_tx_latency(SimDuration::from_nanos(460))
-        .with_ltl_rx_latency(SimDuration::from_nanos(450))
-        .with_tor_link(LinkParams::gbe40(SimDuration::from_nanos(100)))
-        .with_nic_link(LinkParams::gbe40(SimDuration::from_nanos(100)))
+    ShellConfig {
+        ltl_tx_latency: SimDuration::from_nanos(460),
+        ltl_rx_latency: SimDuration::from_nanos(450),
+        tor_link: LinkParams::gbe40(SimDuration::from_nanos(100)),
+        nic_link: LinkParams::gbe40(SimDuration::from_nanos(100)),
+        ..Default::default()
+    }
 }
 
 /// Paper-calibrated fabric configuration for the given shape.

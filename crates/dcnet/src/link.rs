@@ -126,7 +126,7 @@ impl LinkTx {
 /// The owner's timer handler must call [`FreeTimer::clear`] before it
 /// looks at the wire again.
 #[derive(Debug, Clone, Copy)]
-pub enum FreeTimer {
+pub(crate) enum FreeTimer {
     /// No transmission this timer still has to end.
     Idle,
     /// A transmission was started; its timer's position is reserved and
@@ -140,7 +140,7 @@ pub enum FreeTimer {
 impl FreeTimer {
     /// Whether the frame last handed to `tx` still occupies the wire, as
     /// the event order sees it: its free-timer has not fired yet.
-    pub fn wire_busy<M>(&self, tx: &LinkTx, ctx: &Context<'_, M>) -> bool {
+    pub(crate) fn wire_busy<M>(&self, tx: &LinkTx, ctx: &Context<'_, M>) -> bool {
         match *self {
             FreeTimer::Idle => false,
             FreeTimer::Reserved(key) => ctx.timer_is_ahead(tx.busy_until(), key),
@@ -151,14 +151,14 @@ impl FreeTimer {
     /// Reserves the free-timer of the transmission just started on the
     /// link. Call where an eager `timer_after(departs)` would stand, so
     /// the same tie-break key is consumed.
-    pub fn reserve<M>(&mut self, ctx: &mut Context<'_, M>) {
+    pub(crate) fn reserve<M>(&mut self, ctx: &mut Context<'_, M>) {
         *self = FreeTimer::Reserved(ctx.reserve_timer());
     }
 
     /// Makes sure the timer fires (with `token`) if the wire is busy: the
     /// caller has work waiting for it. Does nothing on an idle wire or an
     /// already armed timer.
-    pub fn arm<M>(&mut self, tx: &LinkTx, token: u64, ctx: &mut Context<'_, M>) {
+    pub(crate) fn arm<M>(&mut self, tx: &LinkTx, token: u64, ctx: &mut Context<'_, M>) {
         if let FreeTimer::Reserved(key) = *self {
             if ctx.timer_is_ahead(tx.busy_until(), key) {
                 ctx.arm_timer(tx.busy_until(), key, token);
@@ -169,7 +169,7 @@ impl FreeTimer {
 
     /// Forgets the transmission: the armed timer has fired, or the owner
     /// was reset with a frame on the wire.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         *self = FreeTimer::Idle;
     }
 }

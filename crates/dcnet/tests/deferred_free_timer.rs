@@ -2,9 +2,9 @@
 //! *eager* reference port model.
 //!
 //! `EagerSwitch` below is the transmit path the switch had before its
-//! ports took a [`dcnet::FreeTimer`]: a `busy` flag per port, set when a
-//! frame goes on the wire and cleared by a `timer_after(departs)` that is
-//! always enqueued. The real [`Switch`] reserves that timer and enqueues it
+//! ports took a deferred free-timer (`FreeTimer`, private to `dcnet`): a
+//! `busy` flag per port, set when a frame goes on the wire and cleared by
+//! a `timer_after(departs)` that is always enqueued. The real [`Switch`] reserves that timer and enqueues it
 //! only while a frame waits. Both are driven by the same random schedule of
 //! arrivals, PFC pause/resume frames, link flaps and crashes, relayed
 //! through a `Feeder` so that inputs reach the switch under tie-break keys

@@ -2,7 +2,7 @@
 //! pacing retry and the retransmission tick, in one place.
 
 use dcnet::Packet;
-use dcsim::{Context, SimDuration};
+use dcsim::{Context, SimDuration, SimTime};
 
 use super::{LtlEngine, LtlEvent, Poll};
 
@@ -17,29 +17,32 @@ pub enum TxKind {
     Retransmit,
 }
 
+/// Period of the retransmission-timeout scan of every [`Endpoint`].
+pub const TICK: SimDuration = SimDuration::from_micros(10);
+
 /// An [`LtlEngine`] plus the two timers a component needs to drive it:
-/// the periodic retransmission *tick*, armed while frames are in flight,
-/// with token `TICK_TOKEN`, and a *poll* timer, armed when pacing holds
-/// back a frame, with token `POLL_TOKEN`. The owner routes both tokens to
+/// the periodic retransmission *tick*, armed every [`TICK`] while frames
+/// are in flight, with token `TICK_TOKEN`, and a *poll* timer, armed for
+/// the instant pacing releases a held-back frame, with token
+/// `POLL_TOKEN`. The owner routes both tokens to
 /// [`on_timer`](Self::on_timer) and pumps after every entry point that can
 /// leave a frame to send. The tokens are type parameters so that they
 /// cost the owner, a shell on every FPGA, no bytes.
 #[derive(Debug)]
 pub struct Endpoint<const TICK_TOKEN: u64, const POLL_TOKEN: u64> {
     engine: LtlEngine,
-    tick: SimDuration,
     tick_armed: bool,
-    poll_armed: bool,
+    /// When the armed poll timer fires, if one is armed.
+    poll_at: Option<SimTime>,
 }
 
 impl<const TICK_TOKEN: u64, const POLL_TOKEN: u64> Endpoint<TICK_TOKEN, POLL_TOKEN> {
-    /// Wraps `engine`; ticks fire every `tick`.
-    pub fn new(engine: LtlEngine, tick: SimDuration) -> Self {
+    /// Wraps `engine`.
+    pub fn new(engine: LtlEngine) -> Self {
         Endpoint {
             engine,
-            tick,
             tick_armed: false,
-            poll_armed: false,
+            poll_at: None,
         }
     }
 
@@ -53,22 +56,15 @@ impl<const TICK_TOKEN: u64, const POLL_TOKEN: u64> Endpoint<TICK_TOKEN, POLL_TOK
         &mut self.engine
     }
 
-    /// Whether the engine is pacing: a poll said `Later` and the poll
-    /// timer armed for it has not fired yet.
-    pub fn pacing(&self) -> bool {
-        self.poll_armed
-    }
-
     /// Polls the engine until it is empty or pacing, handing each frame
     /// to `wire`, then arms the tick if frames are in flight. A poll that
-    /// says `Later` arms the poll timer unless it is armed already.
-    /// Returns whether this pump armed it: pacing started.
+    /// says `Later(t)` arms the poll timer for `t` unless one is armed for
+    /// `t` or earlier: each paced frame leaves at its own instant.
     pub fn pump<M>(
         &mut self,
         ctx: &mut Context<'_, M>,
         mut wire: impl FnMut(&mut Context<'_, M>, Packet, TxKind),
-    ) -> bool {
-        let mut started = false;
+    ) {
         loop {
             let before = self.engine.stats_view();
             let (retransmits, data_sent) = (before.retransmits, before.data_sent);
@@ -85,9 +81,8 @@ impl<const TICK_TOKEN: u64, const POLL_TOKEN: u64> Endpoint<TICK_TOKEN, POLL_TOK
                     wire(ctx, pkt, kind);
                 }
                 Poll::Later(t) => {
-                    if !self.poll_armed {
-                        self.poll_armed = true;
-                        started = true;
+                    if self.poll_at.is_none_or(|armed| t < armed) {
+                        self.poll_at = Some(t);
                         ctx.timer_after(t.saturating_since(ctx.now()), POLL_TOKEN);
                     }
                     break;
@@ -96,7 +91,6 @@ impl<const TICK_TOKEN: u64, const POLL_TOKEN: u64> Endpoint<TICK_TOKEN, POLL_TOK
             }
         }
         self.ensure_tick(ctx);
-        started
     }
 
     /// Arms the tick if it is not armed and the engine has frames pending
@@ -104,7 +98,7 @@ impl<const TICK_TOKEN: u64, const POLL_TOKEN: u64> Endpoint<TICK_TOKEN, POLL_TOK
     pub fn ensure_tick<M>(&mut self, ctx: &mut Context<'_, M>) {
         if !self.tick_armed && self.engine.in_flight() > 0 {
             self.tick_armed = true;
-            ctx.timer_after(self.tick, TICK_TOKEN);
+            ctx.timer_after(TICK, TICK_TOKEN);
         }
     }
 
@@ -123,7 +117,8 @@ impl<const TICK_TOKEN: u64, const POLL_TOKEN: u64> Endpoint<TICK_TOKEN, POLL_TOK
 
     /// Takes one of the endpoint's timers: the tick runs the engine's
     /// retransmission scan, handing its upcalls to `upcall`; the poll
-    /// timer ends pacing. Other tokens are ignored. The caller pumps next.
+    /// timer disarms, unless an earlier one replaced it (a stale timer is
+    /// ignored). Other tokens are ignored. The caller pumps next.
     pub fn on_timer<M>(
         &mut self,
         token: u64,
@@ -135,8 +130,8 @@ impl<const TICK_TOKEN: u64, const POLL_TOKEN: u64> Endpoint<TICK_TOKEN, POLL_TOK
             for ev in self.engine.on_tick(ctx.now()) {
                 upcall(ctx, ev);
             }
-        } else if token == POLL_TOKEN {
-            self.poll_armed = false;
+        } else if token == POLL_TOKEN && self.poll_at.is_some_and(|at| at <= ctx.now()) {
+            self.poll_at = None;
         }
     }
 }
@@ -149,8 +144,8 @@ mod tests {
     use dcnet::NodeAddr;
     use dcsim::{Component, Engine, SimTime};
 
-    const TICK: u64 = 1;
-    const POLL: u64 = 2;
+    const TICK_TIMER: u64 = 1;
+    const POLL_TIMER: u64 = 2;
 
     enum Cmd {
         Send(SendConnId),
@@ -160,8 +155,6 @@ mod tests {
     /// The endpoint's state right after one pump.
     #[derive(Debug)]
     struct Pumped {
-        started: bool,
-        pacing: bool,
         in_flight: usize,
         tick_armed: bool,
     }
@@ -170,27 +163,29 @@ mod tests {
     /// `Cmd::Send` messages of 1000 bytes, feeds `Cmd::Packet`s to the
     /// engine and records what the endpoint does.
     struct Host {
-        ep: Endpoint<TICK, POLL>,
+        ep: Endpoint<TICK_TIMER, POLL_TIMER>,
         upcalls: Vec<LtlEvent>,
         timers: Vec<(SimTime, u64)>,
         pumps: Vec<Pumped>,
+        /// When each frame was handed to the wire.
+        sent: Vec<SimTime>,
     }
 
     impl Host {
-        fn new(engine: LtlEngine, tick: SimDuration) -> Host {
+        fn new(engine: LtlEngine) -> Host {
             Host {
-                ep: Endpoint::new(engine, tick),
+                ep: Endpoint::new(engine),
                 upcalls: Vec::new(),
                 timers: Vec::new(),
                 pumps: Vec::new(),
+                sent: Vec::new(),
             }
         }
 
         fn pump(&mut self, ctx: &mut Context<'_, Cmd>) {
-            let started = self.ep.pump(ctx, |_, _, _| {});
+            let sent = &mut self.sent;
+            self.ep.pump(ctx, |ctx, _, _| sent.push(ctx.now()));
             self.pumps.push(Pumped {
-                started,
-                pacing: self.ep.pacing(),
                 in_flight: self.ep.engine().in_flight(),
                 tick_armed: self.ep.tick_armed,
             });
@@ -225,32 +220,62 @@ mod tests {
         NodeAddr::new(0, 0, h)
     }
 
+    /// An engine whose connections each pace a 1000-byte frame for
+    /// 8.16 us (1 Gb/s).
+    fn paced_engine() -> LtlEngine {
+        let mut cfg = LtlConfig::default();
+        cfg.dcqcn.as_mut().expect("on by default").line_rate_bps = 1e9;
+        LtlEngine::new(addr(1), cfg)
+    }
+
     #[test]
     fn a_pacing_engine_arms_one_poll_timer_and_paces_until_it_fires() {
-        let mut cfg = LtlConfig::default();
-        // 1 Gb/s: each 1000-byte frame paces its connection for 8.16 us.
-        cfg.dcqcn.as_mut().expect("on by default").line_rate_bps = 1e9;
-        let mut engine = LtlEngine::new(addr(1), cfg);
+        let mut engine = paced_engine();
         let conn = engine.add_send(addr(2), 0);
         let mut e: Engine<Cmd> = Engine::new(1);
-        let id = e.add_component(Host::new(engine, SimDuration::from_millis(1)));
+        let id = e.add_component(Host::new(engine));
         for us in [0, 0, 1, 2, 3] {
             e.schedule(SimTime::from_micros(us), id, Cmd::Send(conn));
         }
         e.run_until(SimTime::from_micros(9));
 
         let host = e.component::<Host>(id).expect("host");
-        let started: Vec<bool> = host.pumps.iter().map(|p| p.started).collect();
-        // The first pump sends; the second sees `Later` and arms; three
-        // more see `Later` too and arm nothing; the poll timer's pump
-        // sends one frame and arms again for the next.
-        assert_eq!(started, [false, true, false, false, false, true]);
-        let pacing: Vec<bool> = host.pumps.iter().map(|p| p.pacing).collect();
-        assert_eq!(pacing, [false, true, true, true, true, true]);
-        let [(at, POLL)] = host.timers[..] else {
+        // The first pump sends; the four that see `Later` for the same
+        // instant arm one timer between them; its pump sends the next
+        // frame and arms again for the one after.
+        let [(at, POLL_TIMER)] = host.timers[..] else {
             panic!("one poll timer, got {:?}", host.timers);
         };
         assert!(at > SimTime::from_micros(8) && at < SimTime::from_micros(9));
+        assert_eq!(host.sent, [SimTime::ZERO, at]);
+        assert!(host.ep.poll_at.is_some_and(|next| next > at));
+    }
+
+    /// A `Later` earlier than the armed poll timer re-arms it: B's second
+    /// frame arms the timer for B's instant, then A's second frame, due
+    /// sooner, arms it for A's. Each leaves when its own connection's
+    /// pacing allows. The replaced timer still fires, at B's instant,
+    /// beside the one armed for it again, and nothing is sent twice.
+    #[test]
+    fn an_earlier_pacing_instant_re_arms_the_poll_timer() {
+        let mut engine = paced_engine();
+        let a = engine.add_send(addr(2), 0);
+        let b = engine.add_send(addr(3), 0);
+        let mut e: Engine<Cmd> = Engine::new(1);
+        let id = e.add_component(Host::new(engine));
+        for (us, conn) in [(0, a), (1, b), (2, b), (3, a)] {
+            e.schedule(SimTime::from_micros(us), id, Cmd::Send(conn));
+        }
+        e.run_until(SimTime::from_micros(9) + SimDuration::from_nanos(500));
+
+        let host = e.component::<Host>(id).expect("host");
+        let [a1, b1, a2, b2] = host.sent[..] else {
+            panic!("four frames, got {:?}", host.sent);
+        };
+        assert_eq!((a1, b1), (SimTime::ZERO, SimTime::from_micros(1)));
+        assert_eq!(a2 - a1, b2 - b1, "each frame paced by its own connection");
+        let polls: Vec<SimTime> = host.timers.iter().map(|&(t, _)| t).collect();
+        assert_eq!(polls, [a2, b2, b2]);
     }
 
     #[test]
@@ -259,7 +284,7 @@ mod tests {
         let mut engine = LtlEngine::new(addr(1), cfg);
         let conn = engine.add_send(addr(2), 0);
         let mut e: Engine<Cmd> = Engine::new(1);
-        let id = e.add_component(Host::new(engine, SimDuration::from_micros(10)));
+        let id = e.add_component(Host::new(engine));
         e.schedule(SimTime::ZERO, id, Cmd::Send(conn));
         e.run_to_idle();
 
@@ -275,7 +300,7 @@ mod tests {
             .map(|&(t, _)| t.as_nanos() / 10_000)
             .collect();
         assert_eq!(ticks, (1..=ticks.len() as u64).collect::<Vec<_>>());
-        assert!(host.timers.iter().all(|&(_, token)| token == TICK));
+        assert!(host.timers.iter().all(|&(_, token)| token == TICK_TIMER));
         assert_eq!(
             host.upcalls,
             [LtlEvent::ConnectionFailed {
@@ -314,7 +339,7 @@ mod tests {
         let a = engine.add_send(addr(3), 0);
         let b = engine.add_send(addr(4), 0);
         let mut e: Engine<Cmd> = Engine::new(1);
-        let id = e.add_component(Host::new(engine, SimDuration::from_micros(100)));
+        let id = e.add_component(Host::new(engine));
         e.schedule(SimTime::ZERO, id, Cmd::Send(a));
         e.schedule(SimTime::ZERO, id, Cmd::Send(b));
         // Frames 2 and 3 wait in the reassembly buffer; frame 1 releases

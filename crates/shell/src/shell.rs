@@ -12,6 +12,11 @@
 //!   pipeline's latency, and a received frame enters the engine in one
 //!   event, which the last hop schedules after the receive pipeline's
 //!   latency ([`Msg::LtlRx`]);
+//! * two **egress ports**, each a stage: a frame handed over takes its
+//!   wire slot, first come first served, and is sent to the peer in the
+//!   same call. A bridged host frame is handed over when it leaves the
+//!   bridge ([`Msg::Egress`]), an LTL frame when it leaves the transmit
+//!   pipeline;
 //! * PFC reaction on the TOR-facing port so lossless-class pauses from the
 //!   switch stall the shell's transmissions.
 //!
@@ -23,8 +28,8 @@ use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 use dcnet::{
-    FreeTimer, LinkParams, LinkTx, LtlDeliver, Msg, NetEvent, NodeAddr, Packet, PortId,
-    TrafficClass, LTL_UDP_PORT,
+    LinkParams, LinkTx, LtlDeliver, Msg, NetEvent, NodeAddr, Packet, PortId, TrafficClass,
+    LTL_UDP_PORT,
 };
 use dcsim::{Component, ComponentId, Context, SimDuration, SimTime};
 use telemetry::{MetricSource, MetricVisitor, TrackTracer};
@@ -38,13 +43,11 @@ pub const PORT_TOR: PortId = PortId(0);
 /// Shell port facing the host NIC.
 pub const PORT_NIC: PortId = PortId(1);
 
-const TIMER_TOR_FREE: u64 = 0;
-const TIMER_NIC_FREE: u64 = 1;
-const TIMER_LTL_TICK: u64 = 2;
-const TIMER_LTL_POLL: u64 = 3;
-const TIMER_RECONFIG_DONE: u64 = 4;
-const TIMER_ROLE_RECOVERED: u64 = 5;
-const TIMER_LTL_CREDIT: u64 = 6;
+const TIMER_LTL_TICK: u64 = 0;
+const TIMER_LTL_POLL: u64 = 1;
+const TIMER_RECONFIG_DONE: u64 = 2;
+const TIMER_ROLE_RECOVERED: u64 = 3;
+const TIMER_LTL_CREDIT: u64 = 4;
 
 /// LTL frames the TOR egress holds between the transmit pipeline's exit
 /// and the wire before the pump stops polling: the MAC's credit.
@@ -68,8 +71,6 @@ pub struct ShellConfig {
     pub ltl_rx_latency: SimDuration,
     /// Store-and-forward latency of the bridge for host traffic.
     pub bridge_latency: SimDuration,
-    /// Period of the retransmission-timeout scan.
-    pub tick: SimDuration,
     /// Duration of a full-chip reconfiguration (bridge and LTL down).
     pub full_reconfig: SimDuration,
     /// Duration of a role partial reconfiguration (bridge stays up, role
@@ -86,7 +87,6 @@ impl Default for ShellConfig {
             ltl_tx_latency: SimDuration::from_nanos(460),
             ltl_rx_latency: SimDuration::from_nanos(450),
             bridge_latency: SimDuration::from_nanos(250),
-            tick: SimDuration::from_micros(10),
             full_reconfig: SimDuration::from_millis(1_800),
             partial_reconfig: SimDuration::from_millis(250),
         }
@@ -97,30 +97,6 @@ impl ShellConfig {
     /// Sets the LTL protocol configuration.
     pub fn with_ltl(mut self, ltl: LtlConfig) -> Self {
         self.ltl = ltl;
-        self
-    }
-
-    /// Sets the TOR-facing egress link parameters.
-    pub fn with_tor_link(mut self, link: LinkParams) -> Self {
-        self.tor_link = link;
-        self
-    }
-
-    /// Sets the NIC-facing egress link parameters.
-    pub fn with_nic_link(mut self, link: LinkParams) -> Self {
-        self.nic_link = link;
-        self
-    }
-
-    /// Sets the LTL transmit pipeline latency.
-    pub fn with_ltl_tx_latency(mut self, latency: SimDuration) -> Self {
-        self.ltl_tx_latency = latency;
-        self
-    }
-
-    /// Sets the LTL receive pipeline latency.
-    pub fn with_ltl_rx_latency(mut self, latency: SimDuration) -> Self {
-        self.ltl_rx_latency = latency;
         self
     }
 }
@@ -226,33 +202,50 @@ enum Reconfig {
     Partial,
 }
 
-struct Egress {
+/// One of the shell's two egress ports, a stage: a frame handed over at
+/// `ready` starts on the wire at `max(ready, wire free)` and is sent to
+/// the peer, for its arrival, in the same call. Frames therefore take
+/// the wire in the order they are handed over.
+struct Port {
     tx: LinkTx,
     peer: Option<(ComponentId, PortId)>,
-    queues: [VecDeque<Packet>; TrafficClass::COUNT],
-    paused: [bool; TrafficClass::COUNT],
-    /// Serialization-done timer of the frame on `tx`'s wire; the egress is
-    /// busy until it fires (or would have fired, while it is deferred).
-    free: FreeTimer,
 }
 
-impl Egress {
-    fn new(link: LinkParams) -> Egress {
-        Egress {
+impl Port {
+    fn new(link: LinkParams) -> Port {
+        Port {
             tx: LinkTx::new(link),
             peer: None,
-            queues: Default::default(),
-            paused: [false; TrafficClass::COUNT],
-            free: FreeTimer::Idle,
         }
+    }
+
+    /// Puts `pkt` on the wire at `max(ready, wire free)` and sends it to
+    /// the peer: as a packet, or, given the peer shell's LTL receive
+    /// latency `ltl_rx`, into its receive stage that long after arrival.
+    /// Returns the wire start. An uncabled port drops the frame (the host
+    /// is absent in some rigs).
+    fn send(
+        &mut self,
+        pkt: Packet,
+        ready: SimTime,
+        ltl_rx: Option<SimDuration>,
+        ctx: &mut Context<'_, Msg>,
+    ) -> Option<SimTime> {
+        let (peer, peer_port) = self.peer?;
+        let start = ready.max(self.tx.busy_until());
+        let arrives = self.tx.transmit(ready, pkt.wire_bytes()).arrives;
+        match ltl_rx {
+            Some(rx) => ctx.send_after(arrives + rx - ctx.now(), peer, Msg::LtlRx(pkt)),
+            None => ctx.send_after(arrives - ctx.now(), peer, Msg::packet(pkt, peer_port)),
+        }
+        Some(start)
     }
 }
 
-/// The LTL transmit pipeline's hand-off to the TOR wire. A frame the
+/// The LTL transmit pipeline's hand-off to the TOR port. A frame the
 /// pump polls at `t` leaves the pipeline (packetizer, ER, MAC) at
-/// `exit = t + ltl_tx_latency` and starts on the wire at
-/// `max(exit, wire free)`. Both are known in the pump, so the frame is
-/// sent to the next hop there, with no event of its own.
+/// `exit = t + ltl_tx_latency` and is handed to the port then, within
+/// the pump: it has no event of its own.
 struct LtlTx {
     /// The peer's LTL receive latency when the peer is a shell cabled
     /// back-to-back: frames then enter its receive stage directly, as a
@@ -267,32 +260,18 @@ struct LtlTx {
 }
 
 impl LtlTx {
-    /// Puts `pkt`, leaving the transmit pipeline at `exit`, on `tor`'s
-    /// wire and sends it on. An uncabled port drops it.
-    fn transmit(
-        &mut self,
-        tor: &mut Egress,
-        pkt: Packet,
-        exit: SimTime,
-        ctx: &mut Context<'_, Msg>,
-    ) {
-        let Some((peer, peer_port)) = tor.peer else {
-            return;
-        };
-        let start = exit.max(tor.tx.busy_until());
-        if start > exit {
-            self.waiting.push_back((exit, start));
-        }
-        let arrives = tor.tx.transmit(exit, pkt.wire_bytes()).arrives;
-        match self.peer_rx {
-            Some(rx) => ctx.send_after(arrives + rx - ctx.now(), peer, Msg::LtlRx(pkt)),
-            None => ctx.send_after(arrives - ctx.now(), peer, Msg::packet(pkt, peer_port)),
+    /// Hands `pkt`, leaving the transmit pipeline at `exit`, to `tor`.
+    fn transmit(&mut self, tor: &mut Port, pkt: Packet, exit: SimTime, ctx: &mut Context<'_, Msg>) {
+        if let Some(start) = tor.send(pkt, exit, self.peer_rx, ctx) {
+            if start > exit {
+                self.waiting.push_back((exit, start));
+            }
         }
     }
 
     /// Frames that have left the pipeline and not yet started on the
     /// wire at `now`: the head of `waiting`, once the started are gone.
-    fn held(&mut self, now: SimTime) -> usize {
+    fn holding(&mut self, now: SimTime) -> usize {
         while self.waiting.front().is_some_and(|&(_, start)| start <= now) {
             self.waiting.pop_front();
         }
@@ -308,12 +287,19 @@ pub struct Shell {
     cfg: ShellConfig,
     ltl: Endpoint<TIMER_LTL_TICK, TIMER_LTL_POLL>,
     tap: Box<dyn NetworkTap>,
-    tor: Egress,
+    tor: Port,
     ltl_tx: LtlTx,
-    nic: Egress,
+    nic: Port,
+    /// PFC pause state toward the TOR, per class.
+    tor_paused: [bool; TrafficClass::COUNT],
+    /// Bridged host frames for the TOR whose class was paused when they
+    /// left the bridge, in arrival order.
+    held: VecDeque<Packet>,
     consumer: Option<ComponentId>,
     stats: ShellStats,
     reconfig: Reconfig,
+    /// When the latest-ending load in progress is done.
+    reconfig_until: SimTime,
     ltl_loss_rate: f64,
     hang_until: Option<SimTime>,
     tracer: Option<TrackTracer>,
@@ -327,19 +313,22 @@ impl Shell {
     pub fn new(addr: NodeAddr, cfg: ShellConfig) -> Shell {
         Shell {
             addr,
-            ltl: Endpoint::new(LtlEngine::new(addr, cfg.ltl.clone()), cfg.tick),
+            ltl: Endpoint::new(LtlEngine::new(addr, cfg.ltl.clone())),
             tap: Box::new(PassthroughTap),
-            tor: Egress::new(cfg.tor_link),
+            tor: Port::new(cfg.tor_link),
             ltl_tx: LtlTx {
                 peer_rx: None,
                 waiting: VecDeque::new(),
                 credit_timer: false,
             },
-            nic: Egress::new(cfg.nic_link),
+            nic: Port::new(cfg.nic_link),
+            tor_paused: [false; TrafficClass::COUNT],
+            held: VecDeque::new(),
             cfg,
             consumer: None,
             stats: ShellStats::default(),
             reconfig: Reconfig::Running,
+            reconfig_until: SimTime::ZERO,
             ltl_loss_rate: 0.0,
             hang_until: None,
             tracer: None,
@@ -386,7 +375,7 @@ impl Shell {
     /// Whether the TOR-facing egress is currently PFC-paused for `class`
     /// (test/diagnostic: paused classes must not put frames on the wire).
     pub fn tor_paused(&self, class: TrafficClass) -> bool {
-        self.tor.paused[class.index()]
+        self.tor_paused[class.index()]
     }
 
     /// Installs a role tap on the bridge (replacing the passthrough).
@@ -437,67 +426,25 @@ impl Shell {
         self.ltl.engine_mut()
     }
 
-    fn egress(&mut self, port: PortId) -> &mut Egress {
+    /// A bridged host frame leaving the bridge (and the tap) for `port`.
+    /// It takes its wire slot now, unless PFC has its class paused toward
+    /// the TOR: it is then held for the resume.
+    fn bridge_egress(&mut self, port: PortId, pkt: Packet, ctx: &mut Context<'_, Msg>) {
         match port {
-            PORT_TOR => &mut self.tor,
-            PORT_NIC => &mut self.nic,
+            PORT_TOR if self.tor_paused[pkt.class.index()] => self.held.push_back(pkt),
+            PORT_TOR => _ = self.tor.send(pkt, ctx.now(), None, ctx),
+            PORT_NIC => _ = self.nic.send(pkt, ctx.now(), None, ctx),
             other => panic!("shell has no port {other}"),
         }
     }
 
-    fn enqueue(&mut self, port: PortId, pkt: Packet, ctx: &mut Context<'_, Msg>) {
-        let class = pkt.class.index();
-        let e = self.egress(port);
-        e.queues[class].push_back(pkt);
-        self.try_send(port, ctx);
-    }
-
-    fn try_send(&mut self, port: PortId, ctx: &mut Context<'_, Msg>) {
-        let e = self.egress(port);
-        if e.free.wire_busy(&e.tx, ctx) {
-            // The frame just queued, or the class just resumed, waits for
-            // the wire: only now is the free-timer worth an event.
-            self.arm_free_if_waiting(port, ctx);
-            return;
+    /// A PFC resume: the held frames of every class no longer paused
+    /// take their TOR wire slots in arrival order, then the LTL pump runs.
+    fn resume(&mut self, ctx: &mut Context<'_, Msg>) {
+        for pkt in std::mem::take(&mut self.held) {
+            self.bridge_egress(PORT_TOR, pkt, ctx);
         }
-        let Some(ci) = (0..TrafficClass::COUNT)
-            .rev()
-            .find(|&c| !e.paused[c] && !e.queues[c].is_empty())
-        else {
-            return;
-        };
-        let pkt = e.queues[ci].pop_front().expect("checked non-empty");
-        let Some((peer, peer_port)) = e.peer else {
-            return; // uncabled port: drop silently (host absent in some rigs)
-        };
-        let timing = e.tx.transmit(ctx.now(), pkt.wire_bytes());
-        e.free.reserve(ctx);
-        ctx.send_after(
-            timing.arrives - ctx.now(),
-            peer,
-            Msg::packet(pkt, peer_port),
-        );
-        self.arm_free_if_waiting(port, ctx);
-    }
-
-    /// Arms `port`'s free-timer iff its handler will have something to do
-    /// when the wire frees: a frame of any class queued behind the one on
-    /// the wire, or — on the TOR side, whose handler also pumps the LTL
-    /// engine — the engine pacing ([`Endpoint::pacing`]: its last poll
-    /// said `Later`, so a poll at the free instant can yield a frame). In
-    /// every other state the handler finds the queues empty and the
-    /// engine drained, so the event is never enqueued (DESIGN.md,
-    /// "Deferred timers").
-    fn arm_free_if_waiting(&mut self, port: PortId, ctx: &mut Context<'_, Msg>) {
-        let (token, pacing) = if port == PORT_TOR {
-            (TIMER_TOR_FREE, self.ltl.pacing())
-        } else {
-            (TIMER_NIC_FREE, false)
-        };
-        let e = self.egress(port);
-        if pacing || e.queues.iter().any(|q| !q.is_empty()) {
-            e.free.arm(&e.tx, token, ctx);
-        }
+        self.pump_ltl(ctx);
     }
 
     /// Whether the TOR egress path can take more LTL frames right now.
@@ -510,19 +457,17 @@ impl Shell {
     /// toward neither. A credit closed by waiting frames arms the credit
     /// timer for the start that leaves one credit free (frames exiting
     /// the pipeline meanwhile may re-arm it); a pause is lifted by a
-    /// resume, and host frames queued on the class by the free-timer,
-    /// which both pump.
+    /// resume, which pumps.
     fn ltl_egress_open(&mut self, ctx: &mut Context<'_, Msg>) -> bool {
-        let ci = TrafficClass::LTL.index();
-        if self.tor.paused[ci] {
+        if self.tor_paused[TrafficClass::LTL.index()] {
             return false;
         }
         let tx = &mut self.ltl_tx;
-        let held = self.tor.queues[ci].len() + tx.held(ctx.now());
-        if held < LTL_EGRESS_CREDIT {
+        let holding = tx.holding(ctx.now());
+        if holding < LTL_EGRESS_CREDIT {
             return true;
         }
-        let reopens = tx.waiting.get(held - LTL_EGRESS_CREDIT);
+        let reopens = tx.waiting.get(holding - LTL_EGRESS_CREDIT);
         if let (false, Some(&(_, start))) = (tx.credit_timer, reopens) {
             tx.credit_timer = true;
             ctx.timer_after(start - ctx.now(), TIMER_LTL_CREDIT);
@@ -538,8 +483,7 @@ impl Shell {
     /// and otherwise passes the transmit pipeline and takes its TOR wire
     /// slot within this call ([`LtlTx::transmit`]). A frame still inside
     /// the pipeline holds no credit, so the credit checked once holds for
-    /// the whole loop. When the engine starts pacing, the TOR free-timer
-    /// is re-checked.
+    /// the whole loop.
     fn pump_ltl(&mut self, ctx: &mut Context<'_, Msg>) {
         if self.reconfig == Reconfig::Full {
             return;
@@ -551,7 +495,7 @@ impl Shell {
         let (stats, tracer) = (&mut self.stats, &self.tracer);
         let (tor, ltl_tx) = (&mut self.tor, &mut self.ltl_tx);
         let (loss_rate, tx_latency) = (self.ltl_loss_rate, self.cfg.ltl_tx_latency);
-        let pacing_started = self.ltl.pump(ctx, |ctx, pkt, kind| {
+        self.ltl.pump(ctx, |ctx, pkt, kind| {
             stats.ltl_tx_frames += 1;
             let instant = match kind {
                 TxKind::Retransmit => Some("ltl_retx"),
@@ -569,10 +513,6 @@ impl Shell {
             }
             ltl_tx.transmit(tor, pkt, ctx.now() + tx_latency, ctx);
         });
-        if pacing_started {
-            // A TOR wire freeing before the poll is no longer a no-op.
-            self.arm_free_if_waiting(PORT_TOR, ctx);
-        }
     }
 
     fn on_packet(&mut self, pkt: Packet, ingress: PortId, ctx: &mut Context<'_, Msg>) {
@@ -588,34 +528,19 @@ impl Shell {
             self.stats.reconfig_drops += 1;
             return;
         }
+        // The bridge: host -> datacenter through the tap and out the TOR
+        // port, everything else to the host. A partial reconfiguration
+        // bypasses the tap.
         let tap_bypassed = self.reconfig == Reconfig::Partial;
-        match ingress {
+        let now = ctx.now();
+        let (verdict, port, bridged) = match ingress {
             PORT_NIC => {
-                if tap_bypassed {
-                    self.stats.bridged_out += 1;
-                    ctx.send_to_self_after(
-                        self.cfg.bridge_latency,
-                        Msg::Egress {
-                            port: PORT_TOR,
-                            pkt,
-                        },
-                    );
-                    return;
-                }
-                // Host -> datacenter: through the tap, out the TOR port.
-                match self.tap.outbound(pkt, ctx.now()) {
-                    TapAction::Forward { pkt, delay } => {
-                        self.stats.bridged_out += 1;
-                        ctx.send_to_self_after(
-                            self.cfg.bridge_latency + delay,
-                            Msg::Egress {
-                                port: PORT_TOR,
-                                pkt,
-                            },
-                        );
-                    }
-                    TapAction::Drop => self.stats.tap_drops += 1,
-                }
+                let verdict = if tap_bypassed {
+                    TapAction::pass(pkt)
+                } else {
+                    self.tap.outbound(pkt, now)
+                };
+                (verdict, PORT_TOR, &mut self.stats.bridged_out)
             }
             PORT_TOR => {
                 debug_assert!(
@@ -624,33 +549,22 @@ impl Shell {
                      cabled without the shell's receive stage",
                     self.addr
                 );
-                if tap_bypassed {
-                    self.stats.bridged_in += 1;
-                    ctx.send_to_self_after(
-                        self.cfg.bridge_latency,
-                        Msg::Egress {
-                            port: PORT_NIC,
-                            pkt,
-                        },
-                    );
-                    return;
-                }
-                // Everything else bridges to the host.
-                match self.tap.inbound(pkt, ctx.now()) {
-                    TapAction::Forward { pkt, delay } => {
-                        self.stats.bridged_in += 1;
-                        ctx.send_to_self_after(
-                            self.cfg.bridge_latency + delay,
-                            Msg::Egress {
-                                port: PORT_NIC,
-                                pkt,
-                            },
-                        );
-                    }
-                    TapAction::Drop => self.stats.tap_drops += 1,
-                }
+                let verdict = if tap_bypassed {
+                    TapAction::pass(pkt)
+                } else {
+                    self.tap.inbound(pkt, now)
+                };
+                (verdict, PORT_NIC, &mut self.stats.bridged_in)
             }
             other => panic!("shell has no port {other}"),
+        };
+        match verdict {
+            TapAction::Forward { pkt, delay } => {
+                *bridged += 1;
+                let egress = Msg::Egress { port, pkt };
+                ctx.send_to_self_after(self.cfg.bridge_latency + delay, egress);
+            }
+            TapAction::Drop => self.stats.tap_drops += 1,
         }
     }
 
@@ -743,14 +657,13 @@ impl Component<Msg> for Shell {
             }) => {
                 // Only the TOR can pause us (lossless classes).
                 if ingress == PORT_TOR {
-                    self.tor.paused[class.index()] = pause;
+                    self.tor_paused[class.index()] = pause;
                     if !pause {
-                        self.try_send(PORT_TOR, ctx);
-                        self.pump_ltl(ctx);
+                        self.resume(ctx);
                     }
                 }
             }
-            Msg::Egress { port, pkt } => self.enqueue(port, pkt, ctx),
+            Msg::Egress { port, pkt } => self.bridge_egress(port, pkt, ctx),
             Msg::LtlRx(pkt) => self.ltl_rx(pkt, ctx),
             // Deliveries are addressed to consumers, flow-model and switch
             // commands to those components, never to a shell.
@@ -782,7 +695,12 @@ impl Component<Msg> for Shell {
                             } else {
                                 (Reconfig::Full, self.cfg.full_reconfig)
                             };
-                            self.reconfig = state;
+                            // Overlapping loads extend, never shorten, and
+                            // a full load dominates a partial one.
+                            if self.reconfig != Reconfig::Full {
+                                self.reconfig = state;
+                            }
+                            self.reconfig_until = self.reconfig_until.max(ctx.now() + t);
                             ctx.timer_after(t, TIMER_RECONFIG_DONE);
                         }
                         ShellCmd::SetLtlLossRate(rate) => {
@@ -817,17 +735,6 @@ impl Component<Msg> for Shell {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, Msg>) {
         match token {
-            TIMER_TOR_FREE => {
-                self.tor.free.clear();
-                self.try_send(PORT_TOR, ctx);
-                // Egress queue drained a slot: the LTL engine may have
-                // more frames waiting on this credit.
-                self.pump_ltl(ctx);
-            }
-            TIMER_NIC_FREE => {
-                self.nic.free.clear();
-                self.try_send(PORT_NIC, ctx);
-            }
             TIMER_LTL_TICK | TIMER_LTL_POLL => {
                 let upcall = forward_upcalls(
                     self.consumer,
@@ -843,8 +750,11 @@ impl Component<Msg> for Shell {
                 self.pump_ltl(ctx);
             }
             TIMER_RECONFIG_DONE => {
-                self.reconfig = Reconfig::Running;
-                self.pump_ltl(ctx);
+                // Only the timer of the latest-ending load ends it.
+                if ctx.now() >= self.reconfig_until {
+                    self.reconfig = Reconfig::Running;
+                    self.pump_ltl(ctx);
+                }
             }
             TIMER_ROLE_RECOVERED => {
                 // Only the timer for the furthest-out hang clears the state
@@ -923,6 +833,15 @@ mod tests {
         NodeAddr::new(0, 0, h)
     }
 
+    /// An LTL send of `payload` on `conn`, virtual channel 0.
+    fn ltl_send(conn: SendConnId, payload: Bytes) -> Msg {
+        Msg::custom(ShellCmd::LtlSend {
+            conn,
+            vc: 0,
+            payload,
+        })
+    }
+
     fn host_pkt(src: u16, dst: u16) -> Packet {
         Packet::new(
             addr(src),
@@ -967,20 +886,13 @@ mod tests {
         );
     }
 
-    /// The TOR free-timer's handler also pumps the LTL engine. That pump
-    /// is a no-op while the engine is drained, which is why the timer is
-    /// deferred at all — but not while the engine is *pacing*: here
-    /// connection B's poll timer is armed for 9.16 us when connection A
-    /// becomes eligible at 8.16 us, so the next pump after that instant
-    /// sends A's frame, and the next pump is the TOR wire freeing behind a
-    /// bridged host packet at ~8.67 us. While the endpoint is pacing the
-    /// timer must therefore be a real event even though nothing is queued.
+    /// The poll timer follows the earliest paced frame: connection B's
+    /// second frame arms it for 9.16 us, then A's second frame, eligible
+    /// at 8.16 us, arms it again for that instant, and A2 is handed to the
+    /// transmit pipeline then, not when B's timer fires.
     #[test]
-    fn tor_free_timer_still_pumps_a_pacing_engine() {
-        let mut cfg = ShellConfig {
-            tick: SimDuration::from_millis(1),
-            ..ShellConfig::default()
-        };
+    fn a_paced_frame_leaves_at_its_own_instant() {
+        let mut cfg = ShellConfig::default();
         // 1 Gb/s: a 1000-byte message paces its connection for 8.16 us.
         cfg.ltl.dcqcn.as_mut().expect("on by default").line_rate_bps = 1e9;
         let tor_link = cfg.tor_link;
@@ -988,53 +900,59 @@ mod tests {
 
         let mut e: Engine<Msg> = Engine::new(1);
         let mut shell = Shell::new(addr(1), cfg);
-        let (nic_id, tor_id) = (ComponentId::from_raw(1), ComponentId::from_raw(2));
-        shell.connect_nic(nic_id, PortId(0));
+        let tor_id = ComponentId::from_raw(1);
         shell.connect_tor(tor_id, PortId(0), None);
         let a = shell.ltl_mut().add_send(addr(5), 0);
         let b = shell.ltl_mut().add_send(addr(6), 0);
         let shell_id = e.add_component(shell);
         e.add_component(Probe::default());
-        e.add_component(Probe::default());
 
-        let send = |conn| {
-            Msg::custom(ShellCmd::LtlSend {
-                conn,
-                vc: 0,
-                payload: Bytes::from(vec![7u8; 1000]),
-            })
-        };
+        let send = |conn| ltl_send(conn, Bytes::from(vec![7u8; 1000]));
         e.schedule(SimTime::ZERO, shell_id, send(a)); // A1 leaves; A paced to 8.16 us
         e.schedule(SimTime::from_micros(1), shell_id, send(b)); // B1 leaves; B paced to 9.16 us
         e.schedule(SimTime::from_micros(2), shell_id, send(b)); // B2 waits: poll timer at 9.16 us
-        e.schedule(SimTime::from_micros(3), shell_id, send(a)); // A2 waits, eligible at 8.16 us
-        e.schedule(
-            SimTime::from_nanos(8_400),
-            shell_id,
-            Msg::packet(host_pkt(1, 9), PORT_NIC),
-        );
-        e.run_until(SimTime::from_micros(50));
+        e.schedule(SimTime::from_micros(3), shell_id, send(a)); // A2 waits: poll timer at 8.16 us
+        e.run_until(SimTime::from_micros(10));
 
         let tor = e.component::<Probe>(tor_id).unwrap();
-        let to = |dst: NodeAddr| {
-            let mut hits = tor.packets.iter().filter(move |(_, p, _)| p.dst == dst);
-            move || hits.next().expect("frame reached the TOR")
+        let to_a: Vec<&(SimTime, Packet, PortId)> = (tor.packets.iter())
+            .filter(|(_, p, _)| p.dst == addr(5))
+            .collect();
+        let [_, (a2_at, a2, _)] = to_a[..] else {
+            panic!("A1 and A2 reach the TOR, got {}", to_a.len());
         };
-        let (host_at, host, _) = to(addr(9))();
-        let wire_freed = *host_at - tor_link.propagation;
-        assert!(wire_freed > SimTime::from_nanos(8_160) && wire_freed < SimTime::from_nanos(9_160));
-        assert_eq!(host.class, TrafficClass::BEST_EFFORT);
-        let mut to_a = to(addr(5));
-        let (_, a1, _) = to_a();
-        let (a2_at, _, _) = to_a();
         assert_eq!(
             *a2_at,
-            wire_freed
+            SimTime::from_nanos(8_160)
                 + ltl_tx_latency
-                + tor_link.serialization(a1.wire_bytes())
+                + tor_link.serialization(a2.wire_bytes())
                 + tor_link.propagation,
-            "A2 must leave when the TOR wire frees, not wait for B's poll timer"
+            "A2 must be handed over at 8.16 us, not wait for B's poll timer"
         );
+    }
+
+    /// Overlapping loads: the bridge comes back when the last one ends,
+    /// and a full load that starts during a partial one keeps the whole
+    /// FPGA down though the partial load's timer fires first.
+    #[test]
+    fn overlapping_reconfigurations_end_with_the_last_load() {
+        let (mut e, shell, _nic, _tor) = rig();
+        let reconfig = |partial| Msg::custom(ShellCmd::Reconfigure { partial });
+        let bridge_up_at = |e: &mut Engine<Msg>, ms| {
+            e.run_until(SimTime::from_millis(ms));
+            e.component::<Shell>(shell).unwrap().bridge_up()
+        };
+        // Full loads at 0 s and 1 s: down until 2.8 s, not 1.8 s.
+        e.schedule(SimTime::ZERO, shell, reconfig(false));
+        e.schedule(SimTime::from_secs(1), shell, reconfig(false));
+        assert!(!bridge_up_at(&mut e, 2_000));
+        assert!(bridge_up_at(&mut e, 2_800));
+        // A partial load at 3 s, a full one at 3.1 s: down until 4.9 s.
+        e.schedule(SimTime::from_secs(3), shell, reconfig(true));
+        e.schedule(SimTime::from_millis(3_100), shell, reconfig(false));
+        assert!(!bridge_up_at(&mut e, 3_300));
+        assert!(!bridge_up_at(&mut e, 4_899));
+        assert!(bridge_up_at(&mut e, 4_900));
     }
 
     /// A full reconfiguration takes LTL down with the rest of the FPGA:
@@ -1106,42 +1024,50 @@ mod tests {
         assert_eq!(e.component::<Probe>(nic).unwrap().packets.len(), 1);
     }
 
+    /// Bridged host frames of a paused class wait in arrival order while
+    /// best-effort frames pass; the resume puts them on the wire back to
+    /// back, first come first served.
     #[test]
     fn pfc_pause_from_tor_stalls_ltl_class() {
         let (mut e, shell, _nic, tor) = rig();
-        e.schedule(
-            SimTime::ZERO,
-            shell,
+        let pfc = |pause| {
             Msg::Net(NetEvent::Pfc {
                 class: TrafficClass::LTL,
                 ingress: PORT_TOR,
-                pause: true,
-            }),
-        );
-        let mut pkt = host_pkt(1, 5);
-        pkt.class = TrafficClass::LTL;
-        e.schedule(SimTime::from_nanos(10), shell, Msg::packet(pkt, PORT_NIC));
-        // Best-effort traffic still flows.
-        e.schedule(
-            SimTime::from_nanos(10),
-            shell,
-            Msg::packet(host_pkt(1, 6), PORT_NIC),
-        );
+                pause,
+            })
+        };
+        e.schedule(SimTime::ZERO, shell, pfc(true));
+        for (ns, dst, class) in [
+            (10, 5, TrafficClass::LTL),
+            (20, 6, TrafficClass::LTL),
+            (30, 7, TrafficClass::BEST_EFFORT),
+        ] {
+            let mut pkt = host_pkt(1, dst);
+            pkt.class = class;
+            e.schedule(SimTime::from_nanos(ns), shell, Msg::packet(pkt, PORT_NIC));
+        }
         e.run_until(SimTime::from_micros(100));
-        let tor_probe = e.component::<Probe>(tor).unwrap();
-        assert_eq!(tor_probe.packets.len(), 1, "only the BE packet");
-        // Resume releases the LTL packet.
-        e.schedule(
-            SimTime::from_micros(101),
-            shell,
-            Msg::Net(NetEvent::Pfc {
-                class: TrafficClass::LTL,
-                ingress: PORT_TOR,
-                pause: false,
-            }),
-        );
+        let arrivals = |e: &Engine<Msg>| {
+            let probe = e.component::<Probe>(tor).unwrap();
+            (probe.packets.iter())
+                .map(|(t, p, _)| (*t, p.dst))
+                .collect::<Vec<_>>()
+        };
+        let (cfg, frame) = (ShellConfig::default(), host_pkt(1, 5).wire_bytes());
+        let (frame, propagation) = (cfg.tor_link.serialization(frame), cfg.tor_link.propagation);
+        let be_at = SimTime::from_nanos(30) + cfg.bridge_latency + frame + propagation;
+        assert_eq!(arrivals(&e), [(be_at, addr(7))]);
+
+        let resume = SimTime::from_micros(101);
+        e.schedule(resume, shell, pfc(false));
         e.run_to_idle();
-        assert_eq!(e.component::<Probe>(tor).unwrap().packets.len(), 2);
+        let after = |frames: u64| resume + frame * frames + propagation;
+        assert_eq!(
+            arrivals(&e)[1..],
+            [(after(1), addr(5)), (after(2), addr(6))]
+        );
+        assert!(e.component::<Shell>(shell).unwrap().held.is_empty());
     }
 
     /// Mirrors simcheck's `shell.pfc_obedience` invariant: a shell whose
@@ -1179,13 +1105,7 @@ mod tests {
         let conn = (e.component_mut::<Shell>(shell).unwrap())
             .ltl_mut()
             .add_send(addr(2), 0);
-        let send = || {
-            Msg::custom(ShellCmd::LtlSend {
-                conn,
-                vc: 0,
-                payload: Bytes::from_static(b"in the pipeline"),
-            })
-        };
+        let send = || ltl_send(conn, Bytes::from_static(b"in the pipeline"));
         let pfc = |pause| {
             Msg::Net(NetEvent::Pfc {
                 class: TrafficClass::LTL,
@@ -1245,13 +1165,7 @@ mod tests {
         let conn = shell.ltl_mut().add_send(addr(2), 0);
         let shell_id = e.add_component(shell);
         let tor = e.add_component(Probe::default());
-        let send = |bytes| {
-            Msg::custom(ShellCmd::LtlSend {
-                conn,
-                vc: 0,
-                payload: Bytes::from(vec![1u8; bytes]),
-            })
-        };
+        let send = |bytes| ltl_send(conn, Bytes::from(vec![1u8; bytes]));
         let burst = 16 * cfg.ltl.mtu_payload;
         e.schedule(SimTime::ZERO, shell_id, send(burst));
         e.schedule(SimTime::from_micros(1), shell_id, send(8));
@@ -1354,22 +1268,14 @@ mod tests {
             e.schedule(
                 SimTime::from_nanos(100 + i),
                 a,
-                Msg::custom(ShellCmd::LtlSend {
-                    conn: a_send,
-                    vc: 0,
-                    payload: Bytes::from_static(b"capped"),
-                }),
+                ltl_send(a_send, Bytes::from_static(b"capped")),
             );
         }
         // A fifth send in the next window is admitted again.
         e.schedule(
             SimTime::from_micros(15),
             a,
-            Msg::custom(ShellCmd::LtlSend {
-                conn: a_send,
-                vc: 0,
-                payload: Bytes::from_static(b"capped"),
-            }),
+            ltl_send(a_send, Bytes::from_static(b"capped")),
         );
         e.run_to_idle();
         let shell_a = e.component::<Shell>(a).unwrap();
@@ -1404,11 +1310,7 @@ mod tests {
         e.schedule(
             SimTime::from_nanos(50),
             a,
-            Msg::custom(ShellCmd::LtlSend {
-                conn: a_send,
-                vc: 0,
-                payload: Bytes::from_static(b"blocked"),
-            }),
+            ltl_send(a_send, Bytes::from_static(b"blocked")),
         );
         e.schedule(
             SimTime::from_nanos(60),
@@ -1421,11 +1323,7 @@ mod tests {
         e.schedule(
             SimTime::from_nanos(70),
             a,
-            Msg::custom(ShellCmd::LtlSend {
-                conn: a_send,
-                vc: 0,
-                payload: Bytes::from_static(b"flows"),
-            }),
+            ltl_send(a_send, Bytes::from_static(b"flows")),
         );
         e.run_to_idle();
         let shell_a = e.component::<Shell>(a).unwrap();
@@ -1442,11 +1340,7 @@ mod tests {
             e.schedule(
                 SimTime::from_micros(i * 100),
                 a,
-                Msg::custom(ShellCmd::LtlSend {
-                    conn: a_send,
-                    vc: 0,
-                    payload: Bytes::from_static(b"probe"),
-                }),
+                ltl_send(a_send, Bytes::from_static(b"probe")),
             );
         }
         e.run_to_idle();
@@ -1475,11 +1369,7 @@ mod tests {
         e.schedule(
             SimTime::ZERO,
             a_id,
-            Msg::custom(ShellCmd::LtlSend {
-                conn: a_send,
-                vc: 0,
-                payload: Bytes::from_static(b"into the void"),
-            }),
+            ltl_send(a_send, Bytes::from_static(b"into the void")),
         );
         e.run_until(SimTime::from_millis(10));
         let probe = e.component::<Probe>(probe_id).unwrap();
@@ -1510,11 +1400,7 @@ mod tests {
             e.schedule(
                 SimTime::from_micros(1 + i * 200),
                 a,
-                Msg::custom(ShellCmd::LtlSend {
-                    conn: a_send,
-                    vc: 0,
-                    payload: Bytes::from_static(b"lossy"),
-                }),
+                ltl_send(a_send, Bytes::from_static(b"lossy")),
             );
         }
         e.run_to_idle();
@@ -1540,21 +1426,13 @@ mod tests {
         e.schedule(
             SimTime::from_micros(1),
             a,
-            Msg::custom(ShellCmd::LtlSend {
-                conn: a_send,
-                vc: 0,
-                payload: Bytes::from_static(b"wedged"),
-            }),
+            ltl_send(a_send, Bytes::from_static(b"wedged")),
         );
         // After recovery: delivered normally.
         e.schedule(
             SimTime::from_micros(200),
             a,
-            Msg::custom(ShellCmd::LtlSend {
-                conn: a_send,
-                vc: 0,
-                payload: Bytes::from_static(b"recovered"),
-            }),
+            ltl_send(a_send, Bytes::from_static(b"recovered")),
         );
         e.run_to_idle();
         let probe = e.component::<Probe>(consumer).unwrap();
@@ -1639,11 +1517,7 @@ mod tests {
         e.schedule(
             SimTime::from_micros(2),
             a,
-            Msg::custom(ShellCmd::LtlSend {
-                conn: a_send,
-                vc: 0,
-                payload: Bytes::from(vec![0u8; 4000]),
-            }),
+            ltl_send(a_send, Bytes::from(vec![0u8; 4000])),
         );
         e.run_to_idle();
         let probe = e.component::<Probe>(consumer).unwrap();

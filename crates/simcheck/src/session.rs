@@ -34,8 +34,6 @@ use std::collections::VecDeque;
 const TIMER_TICK: u64 = 1;
 const TIMER_POLL: u64 = 2;
 
-/// Retransmission-timer granularity of the session nodes.
-const TICK: SimDuration = SimDuration::from_micros(10);
 /// One-way channel latency.
 const CHANNEL_DELAY: SimDuration = SimDuration::from_nanos(1_200);
 /// Outage length modelled for a bad-image load in a session.
@@ -116,7 +114,7 @@ struct LtlNode {
 impl LtlNode {
     fn new(ltl: LtlEngine, mtu: usize, peer_channel: ComponentId) -> LtlNode {
         LtlNode {
-            ltl: Endpoint::new(ltl, TICK),
+            ltl: Endpoint::new(ltl),
             mtu,
             peer_channel,
             log: Vec::new(),

@@ -1,16 +1,16 @@
 //! `Cluster::shard` / `Cluster::unshard` in mid-transfer, with deferred
 //! free-timers outstanding.
 //!
-//! A port's free-timer may exist only as a reserved key inside the port
-//! (`dcnet::FreeTimer`), invisible to the queue that `partition` and
-//! `merge` re-deal. Both must leave the run a pure function of the seed:
-//! `partition` keeps the keys pending events already have, so a
-//! reservation keeps comparing against them as its timer would have;
-//! `merge` renumbers the queue, and a routed reservation key — larger than
-//! any fifo key — then compares as last at its instant, whatever the shard
-//! count was. Here 32 KiB messages keep shell egresses and switch ports
-//! serializing back to back (every arrival lands exactly on a
-//! `busy_until`), and the cluster is sharded and unsharded at instants
+//! A switch port's free-timer may exist only as a reserved key inside
+//! the port (`FreeTimer`, private to `dcnet`), invisible to the queue
+//! that `partition` and `merge` re-deal. Both must leave the run a pure
+//! function of the seed: `partition` keeps the keys pending events
+//! already have, so a reservation keeps comparing against them as its
+//! timer would have; `merge` renumbers the queue, and a routed
+//! reservation key — larger than any fifo key — then compares as last at
+//! its instant, whatever the shard count was. Here 32 KiB messages keep
+//! switch ports serializing back to back (every arrival lands exactly on
+//! a `busy_until`), and the cluster is sharded and unsharded at instants
 //! inside those transfers.
 
 use bytes::Bytes;

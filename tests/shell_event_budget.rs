@@ -9,13 +9,17 @@
 //! stages, and two retransmission ticks. A per-frame self-event (there
 //! were 10 more per round trip when the pipelines were events), or a
 //! shift in any frame's timing, fails here by name.
+//!
+//! Bridged host frames take their egress wire slot the same way, in the
+//! call that hands them over: a frame costs the shell its arrival and its
+//! exit from the bridge, however many frames wait for the wire before it.
 
 use bytes::Bytes;
-use catapult::ClusterBuilder;
-use dcnet::{LtlDeliver, Msg, NodeAddr};
+use catapult::{calib, ClusterBuilder};
+use dcnet::{LtlDeliver, Msg, NetEvent, NodeAddr, Packet, PortId, TrafficClass};
 use dcsim::{Component, ComponentId, Context, Engine, EventRecord, Observer, SimTime};
 use shell::ltl::SendConnId;
-use shell::ShellCmd;
+use shell::{Shell, ShellCmd, PORT_NIC};
 
 const ROUND_TRIPS: u64 = 500;
 
@@ -82,16 +86,28 @@ impl Component<Msg> for Responder {
     }
 }
 
-/// Counts the events dispatched to shells.
+/// Counts the events dispatched to shells, and how many were timers.
 struct ShellEvents {
     shells: Vec<ComponentId>,
     events: u64,
+    timers: u64,
+}
+
+impl ShellEvents {
+    fn new(shells: Vec<ComponentId>) -> ShellEvents {
+        ShellEvents {
+            shells,
+            events: 0,
+            timers: 0,
+        }
+    }
 }
 
 impl Observer<Msg> for ShellEvents {
     fn after_event(&mut self, event: &EventRecord, _engine: &Engine<Msg>) {
         if self.shells.contains(&event.dest) {
             self.events += 1;
+            self.timers += u64::from(event.timer.is_some());
         }
     }
 }
@@ -127,10 +143,7 @@ fn volley((a, b): (NodeAddr, NodeAddr)) -> (u64, u64, u64) {
     cluster.set_consumer(b, responder);
     let engine = cluster.engine_mut();
     engine.schedule(SimTime::ZERO, a_shell, send(a_send, &payload));
-    engine.set_observer(Box::new(ShellEvents {
-        shells: vec![a_shell, b_shell],
-        events: 0,
-    }));
+    engine.set_observer(Box::new(ShellEvents::new(vec![a_shell, b_shell])));
 
     let events = cluster.run_to_idle();
 
@@ -156,4 +169,64 @@ fn a_round_trip_costs_the_shells_eight_events() {
     let per_round_trip =
         shell_events.iter().sum::<u64>() as f64 / (ROUND_TRIPS * runs.len() as u64) as f64;
     assert_eq!(per_round_trip, 8.0, "shell events per round trip");
+}
+
+/// Records when each packet reaches it, and for whom.
+#[derive(Default)]
+struct Sink {
+    arrivals: Vec<(SimTime, NodeAddr)>,
+}
+
+impl Component<Msg> for Sink {
+    fn on_message(&mut self, msg: Msg, ctx: &mut Context<'_, Msg>) {
+        if let Msg::Net(NetEvent::Packet { pkt, .. }) = msg {
+            self.arrivals.push((ctx.now(), pkt.dst));
+        }
+    }
+}
+
+/// Four 1000-byte host frames reach the shell from the NIC at once. Each
+/// costs the shell two events, its arrival and its `Msg::Egress` out of
+/// the bridge, and no timer: the three that find the TOR wire busy take
+/// the slots behind it in the call that hands them over, in arrival
+/// order, where a queue drained by a free-timer cost one timer each.
+#[test]
+fn bridged_host_frames_cost_the_shell_two_events_each() {
+    let cfg = calib::shell_config();
+    let mut e: Engine<Msg> = Engine::new(1);
+    let mut shell = Shell::new(NodeAddr::new(0, 0, 1), cfg.clone());
+    shell.connect_tor(ComponentId::from_raw(1), PortId(0), None);
+    let shell_id = e.add_component(shell);
+    let tor = e.add_component(Sink::default());
+    e.set_observer(Box::new(ShellEvents::new(vec![shell_id])));
+    let frame = |dst| {
+        Packet::new(
+            NodeAddr::new(0, 0, 1),
+            NodeAddr::new(0, 0, dst),
+            1111,
+            2222,
+            TrafficClass::BEST_EFFORT,
+            Bytes::from(vec![0u8; 1000]),
+        )
+    };
+    for dst in 2..6 {
+        e.schedule(SimTime::ZERO, shell_id, Msg::packet(frame(dst), PORT_NIC));
+    }
+    e.run_to_idle();
+
+    let counted = e.observer_as::<ShellEvents>().expect("observer attached");
+    assert_eq!(
+        (counted.events, counted.timers),
+        (8, 0),
+        "(shell events, timers)"
+    );
+    let wire = cfg.tor_link.serialization(frame(2).wire_bytes());
+    let expected: Vec<(SimTime, NodeAddr)> = (1..=4u16)
+        .map(|k| {
+            let done = SimTime::ZERO + cfg.bridge_latency + wire * u64::from(k);
+            (done + cfg.tor_link.propagation, NodeAddr::new(0, 0, k + 1))
+        })
+        .collect();
+    let sink = e.component::<Sink>(tor).expect("sink");
+    assert_eq!(sink.arrivals, expected);
 }
