@@ -27,7 +27,7 @@ use dcsim::{
 use serde::Value;
 use shell::ltl::{
     Endpoint, FrameKind, LtlConfig, LtlEngine, LtlEvent, LtlFrame, LtlMode, RecvConnView,
-    SendConnView,
+    SendConnView, RECV_WINDOW,
 };
 use std::collections::VecDeque;
 
@@ -409,10 +409,10 @@ pub trait TransportRef {
 }
 
 /// A fresh reference model for one direction of a `mode` session.
-fn ref_model(mode: LtlMode, window: u32) -> Box<dyn TransportRef + Send> {
+fn ref_model(mode: LtlMode) -> Box<dyn TransportRef + Send> {
     match mode {
         LtlMode::GoBackN => Box::new(GbnRefModel::new()),
-        LtlMode::SelectiveRepeat => Box::new(SrRefModel::new(window)),
+        LtlMode::SelectiveRepeat => Box::new(SrRefModel::new(RECV_WINDOW)),
     }
 }
 
@@ -705,7 +705,6 @@ impl Case for SessionSpec {
             .with_nack_enabled(self.nack)
             .with_mode(self.mode);
         let mtu = cfg.mtu_payload;
-        let recv_window = cfg.recv_window;
 
         let mut ltl_a = LtlEngine::new(a_addr, cfg.clone());
         let mut ltl_b = LtlEngine::new(b_addr, cfg);
@@ -760,10 +759,7 @@ impl Case for SessionSpec {
         engine.set_observer(Box::new(SessionOracle {
             nodes: [node_a_id, node_b_id],
             chan: chan_id,
-            models: [
-                ref_model(self.mode, recv_window),
-                ref_model(self.mode, recv_window),
-            ],
+            models: [ref_model(self.mode), ref_model(self.mode)],
             cursors: [0; 2],
             cur_chan: 0,
             due: Default::default(),
