@@ -11,6 +11,8 @@
 //! * default: sweep `N` seeds (64) across every oracle, running each LTL
 //!   session seed in *both* transport modes (go-back-N and selective
 //!   repeat); exit 1 and write the shrunk repro on the first failure.
+//!   A clean sweep prints each oracle row's events, checks, deliveries
+//!   and scheduler decisions, then their total as the last line.
 //! * `--inject-bug`: plant a known protocol bug per mode (go-back-N: the
 //!   engine silently loses one retransmission; selective repeat: the
 //!   receiver truncates SACK bitmaps) — the sweep must fail.
@@ -62,6 +64,9 @@ fn render(violations: &[Violation]) -> String {
 
 /// One row of the oracle table.
 trait Oracle {
+    /// The row's name and tag, as its report line prints them.
+    fn label(&self) -> (&'static str, &'static str);
+
     /// Runs one seed, with the row's known bug planted under
     /// `--inject-bug`. A violation is reported — shrunk to a repro
     /// artifact when the oracle has events to shrink — and exits 1.
@@ -82,6 +87,10 @@ struct SeedOnly {
 }
 
 impl Oracle for SeedOnly {
+    fn label(&self) -> (&'static str, &'static str) {
+        (self.name, "")
+    }
+
     fn sweep(&self, seed: u64, _inject_bug: bool) -> Outcome {
         let violations = (self.check)(seed, self.steps);
         if !violations.is_empty() {
@@ -135,6 +144,10 @@ impl<C: Case> Lane<C> {
 }
 
 impl<C: Case> Oracle for Lane<C> {
+    fn label(&self) -> (&'static str, &'static str) {
+        (self.name, self.tag)
+    }
+
     fn sweep(&self, seed: u64, inject_bug: bool) -> Outcome {
         let case = self.case(seed, inject_bug);
         let out = case.run();
@@ -339,15 +352,12 @@ fn main() {
         std::process::exit(if ok { 0 } else { 1 });
     }
 
-    let mut total = Outcome::default();
+    let mut rows = vec![Outcome::default(); table.len()];
     for i in 0..seeds {
-        for (every, oracle) in table {
+        for ((every, oracle), row) in table.iter().zip(&mut rows) {
             if i % every == 0 {
                 let out = oracle.sweep(seed_base + i, inject_bug);
-                total.events += out.events;
-                total.checks += out.checks;
-                total.delivered += out.delivered;
-                total.decisions += out.decisions;
+                tally(row, &out);
             }
         }
     }
@@ -356,9 +366,28 @@ fn main() {
         println!("FAIL: --inject-bug sweep finished clean; the oracle is blind");
         std::process::exit(1);
     }
-    println!(
-        "{seeds} seed(s) clean: {} events, {} oracle checks, {} deliveries, \
-         {} scheduler decisions",
-        total.events, total.checks, total.delivered, total.decisions
-    );
+    // One line per row, so a moved total traces to its oracle; the total
+    // stays the last line.
+    let mut total = Outcome::default();
+    for ((_, oracle), row) in table.iter().zip(&rows) {
+        let (name, tag) = oracle.label();
+        println!("  {name}{tag}: {}", counts(row));
+        tally(&mut total, row);
+    }
+    println!("{seeds} seed(s) clean: {}", counts(&total));
+}
+
+/// Adds `out`'s counters to `into`.
+fn tally(into: &mut Outcome, out: &Outcome) {
+    into.events += out.events;
+    into.checks += out.checks;
+    into.delivered += out.delivered;
+    into.decisions += out.decisions;
+}
+
+fn counts(o: &Outcome) -> String {
+    format!(
+        "{} events, {} oracle checks, {} deliveries, {} scheduler decisions",
+        o.events, o.checks, o.delivered, o.decisions
+    )
 }
