@@ -38,8 +38,7 @@ use dcsim::{
 use serde::Serialize;
 use shell::ltl::{Endpoint, LtlConfig, LtlEngine, LtlEvent, LtlMode};
 
-const TIMER_TICK: u64 = 1;
-const TIMER_POLL: u64 = 2;
+const TIMER_LTL: u64 = 1;
 
 /// Ethernet/IP/UDP framing bytes added to each LTL frame on the wire.
 const WIRE_OVERHEAD: usize = 42;
@@ -54,7 +53,7 @@ struct SendCmd {
 /// records per-message latency from the submit timestamp embedded in
 /// each payload.
 struct Node {
-    ltl: Endpoint<TIMER_TICK, TIMER_POLL>,
+    ltl: Endpoint<TIMER_LTL>,
     link: ComponentId,
     msg_len: usize,
     latencies_ns: Vec<u64>,
@@ -122,8 +121,8 @@ impl Component<Msg> for Node {
         self.pump(ctx);
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, Msg>) {
-        self.ltl.on_timer(token, ctx, |_, _| {});
+    fn on_timer(&mut self, _token: u64, ctx: &mut Context<'_, Msg>) {
+        self.ltl.on_timer(ctx, |_, _| {});
         self.pump(ctx);
     }
 }

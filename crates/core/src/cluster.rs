@@ -610,15 +610,16 @@ mod tests {
     use dcsim::{Component, Context};
     use shell::{LtlDeliver, ShellCmd};
 
+    /// Records each delivery and when it arrived.
     #[derive(Debug, Default)]
     struct Collector {
-        got: Vec<LtlDeliver>,
+        got: Vec<(SimTime, LtlDeliver)>,
     }
 
     impl Component<Msg> for Collector {
-        fn on_message(&mut self, msg: Msg, _ctx: &mut Context<'_, Msg>) {
+        fn on_message(&mut self, msg: Msg, ctx: &mut Context<'_, Msg>) {
             if let Ok(d) = msg.downcast::<LtlDeliver>() {
-                self.got.push(d);
+                self.got.push((ctx.now(), d));
             }
         }
     }
@@ -644,10 +645,12 @@ mod tests {
         );
         cluster.run_to_idle();
         let c = cluster.engine().component::<Collector>(collector).unwrap();
-        assert_eq!(c.got.len(), 1);
-        assert_eq!(c.got[0].src, a);
+        let [(at, ref got)] = c.got[..] else {
+            panic!("one delivery, got {:?}", c.got);
+        };
+        assert_eq!(got.src, a);
         // L1 one-way should be under 5us.
-        assert!(cluster.now() < SimTime::from_micros(30));
+        assert!(at < SimTime::from_micros(5), "delivered at {at}");
     }
 
     /// The snapshot's `fabric/…` component paths are exactly the labels of

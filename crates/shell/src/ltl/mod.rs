@@ -14,7 +14,7 @@ mod engine;
 mod frame;
 mod rto;
 
-pub use endpoint::{Endpoint, TxKind, TICK};
+pub use endpoint::{Endpoint, TxKind};
 pub use engine::{
     LtlConfig, LtlEngine, LtlEvent, LtlMode, LtlStats, Poll, RecvConnId, RecvConnView, SendConnId,
     SendConnView, SendError, RECV_WINDOW,

@@ -43,11 +43,10 @@ pub const PORT_TOR: PortId = PortId(0);
 /// Shell port facing the host NIC.
 pub const PORT_NIC: PortId = PortId(1);
 
-const TIMER_LTL_TICK: u64 = 0;
-const TIMER_LTL_POLL: u64 = 1;
-const TIMER_RECONFIG_DONE: u64 = 2;
-const TIMER_ROLE_RECOVERED: u64 = 3;
-const TIMER_LTL_CREDIT: u64 = 4;
+const TIMER_LTL: u64 = 0;
+const TIMER_RECONFIG_DONE: u64 = 1;
+const TIMER_ROLE_RECOVERED: u64 = 2;
+const TIMER_LTL_CREDIT: u64 = 3;
 
 /// LTL frames the TOR egress holds between the transmit pipeline's exit
 /// and the wire before the pump stops polling: the MAC's credit.
@@ -285,7 +284,7 @@ impl LtlTx {
 pub struct Shell {
     addr: NodeAddr,
     cfg: ShellConfig,
-    ltl: Endpoint<TIMER_LTL_TICK, TIMER_LTL_POLL>,
+    ltl: Endpoint<TIMER_LTL>,
     tap: Box<dyn NetworkTap>,
     tor: Port,
     ltl_tx: LtlTx,
@@ -476,9 +475,10 @@ impl Shell {
     }
 
     /// The shell's one LTL pump: the endpoint's poll loop plus the shell's
-    /// policy. A full reconfiguration skips it entirely, tick included: LTL
-    /// is down with the rest of the FPGA, and the done timer pumps. A
-    /// closed egress credit polls nothing but still arms the tick. Each
+    /// policy. A full reconfiguration skips it entirely, the endpoint's
+    /// timer included: LTL is down with the rest of the FPGA, and the done
+    /// timer pumps. A closed egress (a PFC pause, no credit) polls nothing
+    /// but still arms the timer for the next retransmission deadline. Each
     /// frame polled is counted, traced, possibly lost to injected loss,
     /// and otherwise passes the transmit pipeline and takes its TOR wire
     /// slot within this call ([`LtlTx::transmit`]). A frame still inside
@@ -489,7 +489,7 @@ impl Shell {
             return;
         }
         if !self.ltl_egress_open(ctx) {
-            self.ltl.ensure_tick(ctx);
+            self.ltl.arm(ctx, SimTime::MAX);
             return;
         }
         let (stats, tracer) = (&mut self.stats, &self.tracer);
@@ -735,14 +735,14 @@ impl Component<Msg> for Shell {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, Msg>) {
         match token {
-            TIMER_LTL_TICK | TIMER_LTL_POLL => {
+            TIMER_LTL => {
                 let upcall = forward_upcalls(
                     self.consumer,
                     self.role_hung(),
                     &self.tracer,
                     &mut self.stats,
                 );
-                self.ltl.on_timer(token, ctx, upcall);
+                self.ltl.on_timer(ctx, upcall);
                 self.pump_ltl(ctx);
             }
             TIMER_LTL_CREDIT => {
@@ -957,7 +957,7 @@ mod tests {
 
     /// A full reconfiguration takes LTL down with the rest of the FPGA:
     /// a frame left unACKed before it is not retransmitted while the image
-    /// loads, though the retransmission tick was armed, and goes out again
+    /// loads, though its retransmission deadline passes, and goes out again
     /// once the load is done.
     #[test]
     fn full_reconfig_puts_no_ltl_frame_on_the_wire() {
@@ -1179,8 +1179,8 @@ mod tests {
             on_wire += serialization(i);
             assert_eq!(*at, on_wire + cfg.tor_link.propagation, "frame {i}");
         }
-        // The two sends, the credit timer and nothing else: no tick has
-        // come due yet.
+        // The two sends, the credit timer and nothing else: no
+        // retransmission deadline has come due yet.
         assert_eq!(e.events_processed(), 2 + 1 + 17);
     }
 

@@ -31,8 +31,7 @@ use shell::ltl::{
 };
 use std::collections::VecDeque;
 
-const TIMER_TICK: u64 = 1;
-const TIMER_POLL: u64 = 2;
+const TIMER_LTL: u64 = 1;
 
 /// One-way channel latency.
 const CHANNEL_DELAY: SimDuration = SimDuration::from_nanos(1_200);
@@ -105,7 +104,7 @@ impl From<LtlEvent> for NodeEvent {
 /// A session endpoint: one real LTL engine driven by the shell's own
 /// [`Endpoint`], logging every observable protocol action for the oracle.
 struct LtlNode {
-    ltl: Endpoint<TIMER_TICK, TIMER_POLL>,
+    ltl: Endpoint<TIMER_LTL>,
     mtu: usize,
     peer_channel: ComponentId,
     log: Vec<NodeEvent>,
@@ -201,9 +200,9 @@ impl Component<Msg> for LtlNode {
         self.pump(ctx);
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, Msg>) {
+    fn on_timer(&mut self, _token: u64, ctx: &mut Context<'_, Msg>) {
         let log = &mut self.log;
-        self.ltl.on_timer(token, ctx, |_, ev| log.push(ev.into()));
+        self.ltl.on_timer(ctx, |_, ev| log.push(ev.into()));
         self.pump(ctx);
     }
 }

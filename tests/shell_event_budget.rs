@@ -4,11 +4,15 @@
 //! pods), each on its own cluster as `fig10_ltl_latency` runs them, a
 //! fixed number of round trips each. The shell's transmit and receive
 //! pipelines are fixed-latency stages called in sequence, so a round trip
-//! costs the shells 8 events over the three tiers: the two sends, the
-//! four frames (probe, its ACK, reply, its ACK) entering their receive
-//! stages, and two retransmission ticks. A per-frame self-event (there
-//! were 10 more per round trip when the pipelines were events), or a
-//! shift in any frame's timing, fails here by name.
+//! costs the shells 6 events: the two sends and the four frames (probe,
+//! its ACK, reply, its ACK) entering their receive stages. On top of
+//! those, each shell's one LTL timer fires at a frame's 50 µs deadline,
+//! finds it ACKed and re-arms for the frame then in flight: 60 / 168 /
+//! 500 timers on L0 / L1 / L2, 6.12 / 6.34 / 7.00 shell events per round
+//! trip.
+//! A per-frame self-event (there were 10 more per round trip when the
+//! pipelines were events), a timer per frame, or a shift in any frame's
+//! timing, fails here by name.
 //!
 //! Bridged host frames take their egress wire slot the same way, in the
 //! call that hands them over: a frame costs the shell its arrival and its
@@ -24,9 +28,9 @@ use shell::{Shell, ShellCmd, PORT_NIC};
 const ROUND_TRIPS: u64 = 500;
 
 /// Engine events of each tier's run.
-const EVENTS: [u64; 3] = [6_294, 11_147, 16_953];
+const EVENTS: [u64; 3] = [6_060, 10_531, 15_531];
 /// Events dispatched to the tier's two shells.
-const SHELL_EVENTS: [u64; 3] = [3_294, 3_784, 4_922];
+const SHELL_EVENTS: [u64; 3] = [3_060, 3_168, 3_500];
 /// Sum of the tier's round-trip times, nanoseconds. The same to the
 /// nanosecond as when the pipelines were events.
 const RTT_SUM_NS: [u64; 3] = [1_463_503, 3_913_775, 9_608_960];
@@ -56,13 +60,16 @@ struct Initiator {
     sent_at: SimTime,
     done: u64,
     rtt_sum_ns: u64,
+    rtt_max_ns: u64,
 }
 
 impl Component<Msg> for Initiator {
     fn on_message(&mut self, msg: Msg, ctx: &mut Context<'_, Msg>) {
         if msg.downcast::<LtlDeliver>().is_ok() {
             self.done += 1;
-            self.rtt_sum_ns += (ctx.now() - self.sent_at).as_nanos();
+            let rtt_ns = (ctx.now() - self.sent_at).as_nanos();
+            self.rtt_sum_ns += rtt_ns;
+            self.rtt_max_ns = self.rtt_max_ns.max(rtt_ns);
             if self.done < ROUND_TRIPS {
                 self.sent_at = ctx.now();
                 ctx.send(self.shell, send(self.conn, &self.payload));
@@ -112,9 +119,20 @@ impl Observer<Msg> for ShellEvents {
     }
 }
 
+/// What one tier's volley cost.
+struct Run {
+    events: u64,
+    shell_events: u64,
+    shell_timers: u64,
+    rtt_sum_ns: u64,
+    rtt_max_ns: u64,
+    /// When the cluster fell idle.
+    end: SimTime,
+}
+
 /// Runs `ROUND_TRIPS` of one pair's volley on a fresh two-pod paper
-/// cluster: `(engine events, shell events, sum of round trips in ns)`.
-fn volley((a, b): (NodeAddr, NodeAddr)) -> (u64, u64, u64) {
+/// cluster.
+fn volley((a, b): (NodeAddr, NodeAddr)) -> Run {
     let mut cluster = ClusterBuilder::paper(1, 2).build();
     let payload = Bytes::from(vec![0xA5u8; 32]);
     let a_shell = cluster.add_shell(a);
@@ -129,6 +147,7 @@ fn volley((a, b): (NodeAddr, NodeAddr)) -> (u64, u64, u64) {
             sent_at: SimTime::ZERO,
             done: 0,
             rtt_sum_ns: 0,
+            rtt_max_ns: 0,
         },
     );
     let responder = cluster.add_component_at(
@@ -151,24 +170,44 @@ fn volley((a, b): (NodeAddr, NodeAddr)) -> (u64, u64, u64) {
         .component::<Initiator>(initiator)
         .expect("initiator");
     assert_eq!(i.done, ROUND_TRIPS);
-    let shell_events = (cluster.engine().observer_as::<ShellEvents>())
-        .expect("observer attached")
-        .events;
-    (events, shell_events, i.rtt_sum_ns)
+    let counted = (cluster.engine().observer_as::<ShellEvents>()).expect("observer attached");
+    Run {
+        events,
+        shell_events: counted.events,
+        shell_timers: counted.timers,
+        rtt_sum_ns: i.rtt_sum_ns,
+        rtt_max_ns: i.rtt_max_ns,
+        end: cluster.now(),
+    }
 }
 
 #[test]
-fn a_round_trip_costs_the_shells_eight_events() {
-    let runs: Vec<(u64, u64, u64)> = pairs().into_iter().map(volley).collect();
-    let events: Vec<u64> = runs.iter().map(|r| r.0).collect();
-    let shell_events: Vec<u64> = runs.iter().map(|r| r.1).collect();
-    let rtt_sums: Vec<u64> = runs.iter().map(|r| r.2).collect();
+fn a_round_trip_costs_the_shells_six_events_and_a_timer_per_timeout() {
+    let runs: Vec<Run> = pairs().into_iter().map(volley).collect();
+    let events: Vec<u64> = runs.iter().map(|r| r.events).collect();
+    let shell_events: Vec<u64> = runs.iter().map(|r| r.shell_events).collect();
+    let rtt_sums: Vec<u64> = runs.iter().map(|r| r.rtt_sum_ns).collect();
     assert_eq!(rtt_sums, RTT_SUM_NS, "a frame's timing moved");
     assert_eq!(shell_events, SHELL_EVENTS, "shell events");
     assert_eq!(events, EVENTS, "engine events");
-    let per_round_trip =
-        shell_events.iter().sum::<u64>() as f64 / (ROUND_TRIPS * runs.len() as u64) as f64;
-    assert_eq!(per_round_trip, 8.0, "shell events per round trip");
+    for (tier, run) in runs.iter().enumerate() {
+        // A fire at a frame's deadline finds it ACKed and re-arms for the
+        // frame then in flight, sent at most one round trip earlier: each
+        // shell's fires are at least 50 us less a round trip apart.
+        let spacing = 50_000 - run.rtt_max_ns;
+        let fires = run.end.as_nanos().div_ceil(spacing);
+        assert!(
+            run.shell_timers <= 2 * fires + 2,
+            "L{tier}: {} shell timers over {} ns",
+            run.shell_timers,
+            run.end.as_nanos()
+        );
+        assert_eq!(
+            run.shell_events - run.shell_timers,
+            6 * ROUND_TRIPS,
+            "L{tier}"
+        );
+    }
 }
 
 /// Records when each packet reaches it, and for whom.
