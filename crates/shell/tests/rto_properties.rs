@@ -13,7 +13,7 @@ use dcsim::SimDuration;
 use proptest::prelude::*;
 use shell::ltl::RtoEstimator;
 
-const GRANULARITY_NS: u64 = 1_000;
+const GRANULARITY_NS: u64 = 10_000;
 const MAX_BACKOFF_SHIFT: u32 = 16;
 
 /// One step applied to both the estimator and the reference.
