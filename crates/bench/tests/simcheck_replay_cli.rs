@@ -31,7 +31,7 @@ const SACK_OMISSION: &str = r#"{
     "at_ns": 1675026, "kind": "link_flap",
     "node": {"pod": 0, "tor": 1, "host": 0}, "down_ns": 300000
   }],
-  "first_violation": "[1980350 ns] ltl.sack_tx: sack bitmap bit 7 (seq 21) = false, reassembly buffer says true"
+  "first_violation": "[1977107 ns] ltl.sack_tx: sack bitmap bit 1 (seq 15) = false, reassembly buffer says true"
 }"#;
 
 #[test]
