@@ -367,41 +367,6 @@ pub struct LtlStats {
     pub window_drops: u64,
 }
 
-/// Read-only snapshot of one send connection's retransmission window, for
-/// differential oracles that compare the real engine against a reference
-/// model after every event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SendConnView {
-    /// Remote endpoint.
-    pub remote: NodeAddr,
-    /// Next sequence number to be assigned to a new frame.
-    pub next_seq: u32,
-    /// Frames queued awaiting first transmission.
-    pub pending_frames: usize,
-    /// Frames transmitted but not yet cumulatively ACKed.
-    pub unacked_len: usize,
-    /// Lowest in-flight sequence number (the window base), if any.
-    pub unacked_lowest: Option<u32>,
-    /// Highest in-flight sequence number, if any.
-    pub unacked_highest: Option<u32>,
-    /// Whether the connection has been declared failed.
-    pub failed: bool,
-}
-
-/// Read-only snapshot of one receive connection, for differential oracles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvConnView {
-    /// Remote endpoint.
-    pub remote: NodeAddr,
-    /// Next sequence number the receiver will accept.
-    pub expected_seq: u32,
-    /// Bytes of a partially reassembled message buffered so far.
-    pub assembling_bytes: usize,
-    /// Out-of-order frames held in the reassembly window (selective
-    /// repeat; always 0 in go-back-N mode).
-    pub buffered_frames: usize,
-}
-
 /// The LTL protocol engine state.
 #[derive(Debug)]
 pub struct LtlEngine {
@@ -486,18 +451,10 @@ impl LtlEngine {
         &self.stats
     }
 
-    /// Snapshot of `conn`'s sliding-window state, if the id is known.
-    pub fn send_conn_view(&self, conn: SendConnId) -> Option<SendConnView> {
-        let sc = self.sends.get(conn as usize)?;
-        Some(SendConnView {
-            remote: sc.remote,
-            next_seq: sc.next_seq,
-            pending_frames: sc.pending.len(),
-            unacked_len: sc.unacked.len(),
-            unacked_lowest: sc.unacked.front().map(|u| u.frame.seq),
-            unacked_highest: sc.unacked.back().map(|u| u.frame.seq),
-            failed: sc.failed,
-        })
+    /// Next sequence number send connection `conn` will assign, if the id
+    /// is known.
+    pub fn send_next_seq(&self, conn: SendConnId) -> Option<u32> {
+        self.sends.get(conn as usize).map(|sc| sc.next_seq)
     }
 
     /// Number of receive connections allocated.
@@ -505,21 +462,15 @@ impl LtlEngine {
         self.recvs.len()
     }
 
-    /// Snapshot of `conn`'s receiver state, if the id is known.
-    pub fn recv_conn_view(&self, conn: RecvConnId) -> Option<RecvConnView> {
-        let rc = self.recvs.get(conn as usize)?;
-        Some(RecvConnView {
-            remote: rc.remote,
-            expected_seq: rc.expected_seq,
-            assembling_bytes: rc.assembling.len(),
-            buffered_frames: rc.buffered.len(),
-        })
+    /// Next sequence number receive connection `conn` will accept, if the
+    /// id is known.
+    pub fn recv_expected_seq(&self, conn: RecvConnId) -> Option<u32> {
+        self.recvs.get(conn as usize).map(|rc| rc.expected_seq)
     }
 
     /// Exact in-flight sequence numbers on send connection `conn`, in
-    /// window order. Selective-repeat oracles need the full list (the
-    /// window may legitimately contain SACK-punched holes that the
-    /// lowest/highest bounds in [`SendConnView`] cannot express).
+    /// window order (a selective-repeat window may legitimately contain
+    /// SACK-punched holes).
     pub fn send_unacked_seqs(&self, conn: SendConnId) -> Option<Vec<u32>> {
         let sc = self.sends.get(conn as usize)?;
         Some(sc.unacked.iter().map(|u| u.frame.seq).collect())

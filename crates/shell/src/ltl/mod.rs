@@ -16,8 +16,8 @@ mod rto;
 
 pub use endpoint::{Endpoint, TxKind};
 pub use engine::{
-    LtlConfig, LtlEngine, LtlEvent, LtlMode, LtlStats, Poll, RecvConnId, RecvConnView, SendConnId,
-    SendConnView, SendError, RECV_WINDOW,
+    LtlConfig, LtlEngine, LtlEvent, LtlMode, LtlStats, Poll, RecvConnId, SendConnId, SendError,
+    RECV_WINDOW,
 };
 pub use frame::{FrameError, FrameKind, LtlFrame, LTL_HEADER_BYTES};
 pub use rto::RtoEstimator;

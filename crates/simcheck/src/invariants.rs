@@ -250,11 +250,8 @@ impl InvariantObserver {
                 recv_expected: Vec::with_capacity(ltl.recv_conn_count()),
             };
             for conn in 0..ltl.recv_conn_count() {
-                snap.recv_expected.push(
-                    ltl.recv_conn_view(conn as u16)
-                        .map(|v| v.expected_seq)
-                        .unwrap_or_default(),
-                );
+                snap.recv_expected
+                    .push(ltl.recv_expected_seq(conn as u16).unwrap_or_default());
             }
             if let Some(prev) = self.shell_prev.remove(&id) {
                 self.checks += 1;
