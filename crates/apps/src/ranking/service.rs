@@ -15,7 +15,7 @@ use bytes::Bytes;
 use dcnet::Msg;
 use dcsim::{Component, ComponentId, Context, PercentileRecorder, SimDuration, SimRng, SimTime};
 use host::{CorePool, PcieModel};
-use shell::ShellCmd;
+use shell::LtlSend;
 
 use crate::remote::{decode_reply, encode_request};
 
@@ -215,7 +215,7 @@ impl RankingServer {
                 let payload = encode_request(q.id, self.params.request_bytes);
                 ctx.send(
                     shell,
-                    Msg::custom(ShellCmd::LtlSend {
+                    Msg::LtlSend(LtlSend {
                         conn,
                         vc: 1,
                         payload,

@@ -15,7 +15,7 @@ use dcnet::Msg;
 use dcsim::{Component, ComponentId, Context, PercentileRecorder, SimDuration, SimRng, SimTime};
 use host::CorePool;
 use shell::ltl::{RecvConnId, SendConnId};
-use shell::{LtlDeliver, ShellCmd};
+use shell::{LtlDeliver, LtlSend};
 use telemetry::{MetricSource, MetricVisitor, TrackTracer};
 
 /// Builds a request payload: an 8-byte id followed by padding to
@@ -120,7 +120,7 @@ impl ParkedReplies {
         self.free.push(slot);
         ctx.send(
             shell,
-            Msg::custom(ShellCmd::LtlSend {
+            Msg::LtlSend(LtlSend {
                 conn,
                 vc: 1,
                 payload,
@@ -415,7 +415,7 @@ impl RemoteClient {
     fn send_request(&self, id: u64, ctx: &mut Context<'_, Msg>) {
         ctx.send(
             self.shell,
-            Msg::custom(ShellCmd::LtlSend {
+            Msg::LtlSend(LtlSend {
                 conn: self.conn,
                 vc: 1,
                 payload: encode_request(id, self.request_bytes),

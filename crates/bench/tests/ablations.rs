@@ -12,7 +12,7 @@ use catapult::ClusterBuilder;
 use dcnet::{Msg, NodeAddr};
 use dcsim::{SimDuration, SimTime};
 use shell::ltl::{LtlConfig, LtlEngine, Poll};
-use shell::{CreditPolicy, ElasticRouter, ErConfig, Flit, ShellCmd};
+use shell::{CreditPolicy, ElasticRouter, ErConfig, Flit, LtlSend};
 
 /// Pushes a skewed workload (90% of traffic on one VC) through a router
 /// and returns the cycles needed to deliver all flits.
@@ -137,7 +137,7 @@ fn incast_completion_us(lossless: bool) -> f64 {
             cluster.engine_mut().schedule(
                 SimTime::from_nanos(k * 120),
                 sid,
-                Msg::custom(ShellCmd::LtlSend {
+                Msg::LtlSend(LtlSend {
                     conn: send,
                     vc: 0,
                     payload: Bytes::from(vec![0u8; 1_300]),

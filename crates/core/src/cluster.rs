@@ -608,7 +608,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use dcsim::{Component, Context};
-    use shell::{LtlDeliver, ShellCmd};
+    use shell::{LtlDeliver, LtlSend};
 
     /// Records each delivery and when it arrived.
     #[derive(Debug, Default)]
@@ -637,7 +637,7 @@ mod tests {
         cluster.engine_mut().schedule(
             SimTime::ZERO,
             a_id,
-            Msg::custom(ShellCmd::LtlSend {
+            Msg::LtlSend(LtlSend {
                 conn: a_send,
                 vc: 0,
                 payload: Bytes::from_static(b"cross-rack"),
@@ -727,7 +727,7 @@ mod tests {
                 self.remaining -= 1;
                 ctx.send(
                     self.shell,
-                    Msg::custom(ShellCmd::LtlSend {
+                    Msg::LtlSend(LtlSend {
                         conn: self.conn,
                         vc: 0,
                         payload: Bytes::from_static(b"volley"),
@@ -767,7 +767,7 @@ mod tests {
         cluster.engine_mut().schedule(
             SimTime::ZERO,
             a_id,
-            Msg::custom(ShellCmd::LtlSend {
+            Msg::LtlSend(LtlSend {
                 conn: a_send,
                 vc: 0,
                 payload: Bytes::from_static(b"kickoff"),
@@ -811,7 +811,7 @@ mod tests {
         cluster.engine_mut().schedule(
             SimTime::ZERO,
             a_id,
-            Msg::custom(ShellCmd::LtlSend {
+            Msg::LtlSend(LtlSend {
                 conn: a_send,
                 vc: 0,
                 payload: Bytes::from_static(b"x"),
@@ -831,7 +831,7 @@ mod tests {
         cluster.engine_mut().schedule(
             t,
             a_id,
-            Msg::custom(ShellCmd::LtlSend {
+            Msg::LtlSend(LtlSend {
                 conn: a_send,
                 vc: 0,
                 payload: Bytes::from_static(b"y"),

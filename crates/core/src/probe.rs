@@ -4,7 +4,7 @@ use bytes::Bytes;
 use dcnet::{Msg, NodeAddr};
 use dcsim::{SimDuration, SimTime};
 use shell::ltl::SendConnId;
-use shell::ShellCmd;
+use shell::LtlSend;
 
 use crate::cluster::Cluster;
 
@@ -28,7 +28,7 @@ pub fn schedule_probes(
         cluster.engine_mut().schedule(
             start + gap * i,
             shell_id,
-            Msg::custom(ShellCmd::LtlSend {
+            Msg::LtlSend(LtlSend {
                 conn,
                 vc: 0,
                 payload: payload.clone(),

@@ -43,7 +43,7 @@ pub use addr::{AddrError, MacAddr, NodeAddr};
 pub use dcqcn::{CnpPacer, DcqcnConfig, DcqcnRp};
 pub use flowsim::{needs_flowsim, FlowBatch, FlowSim, FlowSimCmd, FlowSimConfig};
 pub use link::{LinkParams, LinkTx, TxTiming};
-pub use msg::{LtlDeliver, Msg, NetEvent, PortId};
+pub use msg::{LtlDeliver, LtlSend, Msg, NetEvent, PortId};
 pub use packet::{
     DecodeError, Ecn, Packet, TrafficClass, FRAME_OVERHEAD_BYTES, HEADER_BYTES, LTL_UDP_PORT,
     MTU_PAYLOAD,

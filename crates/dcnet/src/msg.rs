@@ -2,7 +2,8 @@
 //!
 //! Every engine in this workspace runs over [`Msg`]: network-plane events,
 //! the per-frame hand-offs into and inside a shell's pipelines and the
-//! shell's per-message delivery upcall are first-class variants, while host- and
+//! shell's per-message send command and delivery upcall are first-class
+//! variants, while host- and
 //! application-level crates attach their own payloads through
 //! [`Msg::custom`]. Components take the payloads they expect with
 //! [`Msg::downcast`]; anything else is a wiring bug and surfaces loudly in
@@ -15,7 +16,8 @@
 //! first-class variant: `Box<dyn Any>` costs a heap allocation plus a
 //! downcast per event, which dominates once the scheduler itself is
 //! cheap. The variants are [`Msg::Net`], [`Msg::Egress`], [`Msg::LtlRx`],
-//! [`Msg::LtlDeliver`], [`Msg::FlowSim`] and [`Msg::Switch`].
+//! [`Msg::LtlSend`], [`Msg::LtlDeliver`], [`Msg::FlowSim`] and
+//! [`Msg::Switch`].
 //! [`Msg::Custom`] is reserved for *cold* traffic: management RPCs, test
 //! scaffolding, and payloads whose type lives above this crate.
 //!
@@ -73,6 +75,19 @@ pub enum NetEvent {
     },
 }
 
+/// A command to a shell: send `payload` as one LTL message
+/// ([`Msg::LtlSend`]).
+#[derive(Debug, Clone)]
+pub struct LtlSend {
+    /// Send connection the message leaves on (an index into the sending
+    /// shell's connection table).
+    pub conn: u16,
+    /// Elastic Router virtual channel for the receiver.
+    pub vc: u8,
+    /// Message payload.
+    pub payload: Bytes,
+}
+
 /// A complete LTL message, handed by a shell to its registered consumer
 /// ([`Msg::LtlDeliver`]).
 #[derive(Debug, Clone)]
@@ -112,6 +127,11 @@ pub enum Msg {
     /// back-to-back rig — at wire arrival plus the receive latency the
     /// shell declared when cabled. Sent once per received LTL frame.
     LtlRx(Packet),
+    /// A message for a shell to send over LTL, from the shell's consumer
+    /// (a role, a host driver). Sent once per message, so it is a
+    /// first-class variant; the shell takes it with
+    /// [`Msg::downcast::<LtlSend>`](Msg::downcast).
+    LtlSend(LtlSend),
     /// A reassembled LTL message on its way from a shell (the only
     /// producer) to the shell's consumer. Sent once per message, so it is
     /// a first-class variant; consumers take it with
@@ -146,8 +166,8 @@ impl Msg {
 
     /// Attempts to take the message as a payload of type `T`: a
     /// [`Msg::Custom`] box holding a `T`, or a typed payload variant
-    /// ([`Msg::LtlDeliver`], [`Msg::FlowSim`], [`Msg::Switch`]) when `T`
-    /// is the type it carries.
+    /// ([`Msg::LtlSend`], [`Msg::LtlDeliver`], [`Msg::FlowSim`],
+    /// [`Msg::Switch`]) when `T` is the type it carries.
     ///
     /// # Errors
     ///
@@ -158,6 +178,7 @@ impl Msg {
                 Ok(v) => Ok(*v),
                 Err(b) => Err(Msg::Custom(b)),
             },
+            Msg::LtlSend(s) => take_as(s).map_err(Msg::LtlSend),
             Msg::LtlDeliver(d) => take_as(d).map_err(Msg::LtlDeliver),
             Msg::FlowSim(cmd) => take_as(cmd).map_err(Msg::FlowSim),
             Msg::Switch(cmd) => take_as(cmd).map_err(Msg::Switch),
@@ -187,6 +208,7 @@ impl core::fmt::Debug for Msg {
                 .field("pkt", pkt)
                 .finish(),
             Msg::LtlRx(pkt) => f.debug_tuple("LtlRx").field(pkt).finish(),
+            Msg::LtlSend(s) => f.debug_tuple("LtlSend").field(s).finish(),
             Msg::LtlDeliver(d) => f.debug_tuple("LtlDeliver").field(d).finish(),
             Msg::FlowSim(cmd) => f.debug_tuple("FlowSim").field(cmd).finish(),
             Msg::Switch(cmd) => f.debug_tuple("Switch").field(cmd).finish(),
@@ -263,6 +285,28 @@ mod tests {
     #[test]
     fn boxed_ltl_deliver_still_downcasts() {
         assert_is_the_delivery(Msg::custom(deliver()).downcast().unwrap());
+    }
+
+    fn send() -> LtlSend {
+        LtlSend {
+            conn: 5,
+            vc: 1,
+            payload: Bytes::from_static(b"request"),
+        }
+    }
+
+    fn assert_is_the_send(s: LtlSend) {
+        assert_eq!((s.conn, s.vc), (5, 1));
+        assert_eq!(s.payload, b"request"[..]);
+    }
+
+    #[test]
+    fn ltl_send_downcasts_from_the_variant_and_from_a_box() {
+        assert_is_the_send(Msg::LtlSend(send()).downcast().unwrap());
+        assert_is_the_send(Msg::custom(send()).downcast().unwrap());
+        let back = Msg::LtlSend(send()).downcast::<LtlDeliver>().unwrap_err();
+        assert!(matches!(back, Msg::LtlSend(_)), "got {back:?}");
+        assert_is_the_send(back.downcast().unwrap());
     }
 
     fn inject() -> FlowSimCmd {
@@ -366,6 +410,10 @@ mod tests {
         let rx = Msg::LtlRx(mk());
         assert!(rx.downcast::<u32>().is_err());
         assert!(format!("{:?}", Msg::LtlRx(mk())).starts_with("LtlRx"));
+        let command = Msg::LtlSend(send());
+        assert!(!matches!(command, Msg::Custom(_)));
+        assert!(command.downcast::<u32>().is_err());
+        assert!(format!("{:?}", Msg::LtlSend(send())).starts_with("LtlSend"));
         let delivery = Msg::LtlDeliver(deliver());
         assert!(!matches!(delivery, Msg::Custom(_)));
         assert!(delivery.downcast::<u32>().is_err());

@@ -918,8 +918,9 @@ impl Component<Msg> for Switch {
                     self.try_transmit(ingress, ctx);
                 }
             }
-            // Shell pipeline hand-offs and deliveries never reach a switch.
-            Msg::Egress { .. } | Msg::LtlRx(_) | Msg::LtlDeliver(_) => {
+            // Shell pipeline hand-offs, send commands and deliveries
+            // never reach a switch.
+            Msg::Egress { .. } | Msg::LtlRx(_) | Msg::LtlSend(_) | Msg::LtlDeliver(_) => {
                 panic!("endpoint pipeline message delivered to a switch")
             }
             // Operator commands, as the typed variant or a boxed payload;

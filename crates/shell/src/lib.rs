@@ -48,9 +48,11 @@ mod shell;
 mod tap;
 pub mod tenant;
 
-/// The delivery upcall lives beside [`dcnet::Msg`], which carries it as a
-/// typed variant; re-exported here because the shell is its only producer.
-pub use dcnet::LtlDeliver;
+/// The send command and the delivery upcall live beside [`dcnet::Msg`],
+/// which carries each as a typed variant; re-exported here because the
+/// shell is the one consumer of the first and the one producer of the
+/// second.
+pub use dcnet::{LtlDeliver, LtlSend};
 pub use er::{CreditPolicy, ElasticRouter, ErConfig, ErStats, Flit, InjectError};
 pub use er_net::{ErMessage, ErNetwork, NetPort};
 pub use shell::{LtlConnFailed, Shell, ShellCmd, ShellConfig, ShellStats, PORT_NIC, PORT_TOR};

@@ -378,6 +378,13 @@ pub struct LtlEngine {
     control: VecDeque<(NodeAddr, LtlFrame)>,
     /// (send conn, seq) pairs queued for retransmission.
     retransmit: VecDeque<(SendConnId, u32)>,
+    /// The wire buffer of a retired data frame that nothing else held
+    /// when its acknowledgement arrived: the next data frame is encoded
+    /// into it instead of a fresh buffer. One per engine: more would
+    /// also serve the later frames of a multi-frame message, but idle
+    /// engines would hoard MTU-sized buffers (DESIGN.md, "Hot-path
+    /// memory discipline").
+    spare: Option<Bytes>,
     bucket: Option<TokenBucket>,
     pacer: CnpPacer,
     /// One sample per frame acknowledged on its first transmission, in
@@ -427,6 +434,7 @@ impl LtlEngine {
             recvs: Vec::new(),
             control: VecDeque::new(),
             retransmit: VecDeque::new(),
+            spare: None,
             rtts: PercentileRecorder::default(),
             stats: LtlStats::default(),
             next_msg_id: 1,
@@ -700,9 +708,10 @@ impl LtlEngine {
                 sc.next_allowed = now + gap;
             }
             let dst = sc.remote;
-            // Encode once; the unacked entry keeps the shared wire bytes
-            // so a later retransmission is a pure Arc clone.
-            let wire = frame.encode();
+            // Encode once, into the spare if there is one; the unacked
+            // entry keeps the shared wire bytes so a later retransmission
+            // is a pure Arc clone.
+            let wire = frame.encode_reusing(self.spare.take());
             let deadline = now + Self::rto(&self.cfg, &sc.rtt, 0);
             self.timeout_bound = self.timeout_bound.min(deadline);
             sc.unacked.push_back(Unacked {
@@ -892,12 +901,25 @@ impl LtlEngine {
     }
 
     /// Retires one in-flight frame and records its RTT (Karn's rule — only
-    /// never-retransmitted frames produce samples).
-    fn retire(rtts: &mut PercentileRecorder<u32>, sc: &mut SendConn, u: Unacked, now: SimTime) {
+    /// never-retransmitted frames produce samples). Its wire buffer
+    /// becomes the engine's spare if there is none and nothing else — a
+    /// packet still in flight, a delivered payload the receiver's
+    /// consumer keeps, a frame in its reassembly buffer — holds a view
+    /// of it.
+    fn retire(
+        rtts: &mut PercentileRecorder<u32>,
+        spare: &mut Option<Bytes>,
+        sc: &mut SendConn,
+        u: Unacked,
+        now: SimTime,
+    ) {
         if !u.retransmitted {
             let rtt = now.saturating_since(u.sent_at);
             rtts.record_duration(rtt);
             sc.rtt.on_sample(rtt);
+        }
+        if spare.is_none() && u.wire.is_unique() {
+            *spare = Some(u.wire);
         }
     }
 
@@ -919,7 +941,7 @@ impl LtlEngine {
         let cum = frame.seq;
         while sc.unacked.front().is_some_and(|u| seq_le(u.frame.seq, cum)) {
             let u = sc.unacked.pop_front().expect("front checked");
-            Self::retire(&mut self.rtts, sc, u, now);
+            Self::retire(&mut self.rtts, &mut self.spare, sc, u, now);
         }
         // Bit i reports sequence cum + 2 + i as received (cum + 1 is by
         // definition the receiver's first gap and is never sacked).
@@ -928,7 +950,7 @@ impl LtlEngine {
             let off = sc.unacked[i].frame.seq.wrapping_sub(cum);
             if (2..=65).contains(&off) && bits & (1u64 << (off - 2)) != 0 {
                 let u = sc.unacked.remove(i).expect("index checked");
-                Self::retire(&mut self.rtts, sc, u, now);
+                Self::retire(&mut self.rtts, &mut self.spare, sc, u, now);
                 self.stats.sacked += 1;
                 continue;
             }
@@ -1212,6 +1234,105 @@ mod tests {
             pkt.payload[super::super::frame::LTL_HEADER_BYTES..].as_ptr(),
             "a single-fragment delivery must share the wire buffer"
         );
+    }
+
+    /// Sends `msg`, hands its data frame to B and B's replies back to A,
+    /// dropping the data packet before the reply leg as a network would.
+    /// Returns where the frame's wire image lives and B's upcalls, which
+    /// are dropped before the reply leg too unless `keep`.
+    fn round_trip(p: &mut Pair, msg: &'static [u8], keep: bool) -> (*const u8, Vec<LtlEvent>) {
+        p.a.send_message(p.a_send, 0, Bytes::from_static(msg))
+            .unwrap();
+        let Poll::Ready(data) = p.a.poll(p.now) else {
+            panic!("data frame expected");
+        };
+        let wire = data.payload.as_slice().as_ptr();
+        let mut events: Vec<LtlEvent> = p.b.on_packet(&data, p.now).collect();
+        assert_eq!(delivered(&events), [msg]);
+        drop(data);
+        if !keep {
+            events.clear();
+        }
+        while let Poll::Ready(reply) = p.b.poll(p.now) {
+            p.a.on_packet(&reply, p.now);
+        }
+        (wire, events)
+    }
+
+    fn delivered(events: &[LtlEvent]) -> Vec<&[u8]> {
+        events
+            .iter()
+            .map(|ev| match ev {
+                LtlEvent::Deliver { payload, .. } => payload.as_ref(),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    /// A delivered payload is a view into the sender's wire buffer: the
+    /// sender refills that buffer for its next message only once the
+    /// receiver's consumer has let the delivery go.
+    #[test]
+    fn a_kept_delivery_is_never_overwritten_by_the_next_message() {
+        const KEPT: &[u8] = b"kept message, held across the next one";
+        for mode in [LtlMode::GoBackN, LtlMode::SelectiveRepeat] {
+            let mut p = Pair::new(no_dcqcn().with_mode(mode));
+            let (w0, _) = round_trip(&mut p, b"warm-up message, delivered and dropped", false);
+            assert!(
+                p.a.spare.is_some(),
+                "{mode}: a dropped delivery frees its buffer"
+            );
+            let (w1, kept) = round_trip(&mut p, KEPT, true);
+            assert_eq!(w1, w0, "{mode}: the spare is refilled in place");
+            assert!(p.a.spare.is_none(), "{mode}: the kept delivery pins it");
+            let (w2, _) = round_trip(&mut p, b"next message, must not overwrite the kept", false);
+            assert_ne!(w2, w1, "{mode}: a fresh buffer while the delivery is alive");
+            assert_eq!(delivered(&kept), [KEPT], "{mode}");
+        }
+    }
+
+    /// Selective repeat: a SACK retires a frame the receiver still holds
+    /// in its reassembly buffer, so that frame's buffer is not reused.
+    #[test]
+    fn a_frame_in_the_reassembly_buffer_is_never_overwritten() {
+        const MSGS: [&[u8]; 3] = [
+            b"first message, lost on the way",
+            b"second message, buffered in the gap",
+            b"third message, must not overwrite the second",
+        ];
+        let mut p = Pair::new(no_dcqcn().with_mode(LtlMode::SelectiveRepeat));
+        round_trip(&mut p, b"warm-up message, delivered and dropped", false);
+        assert!(p.a.spare.is_some());
+        for msg in &MSGS[..2] {
+            p.a.send_message(p.a_send, 0, Bytes::from_static(msg))
+                .unwrap();
+        }
+        let (Poll::Ready(lost), Poll::Ready(gap)) = (p.a.poll(p.now), p.a.poll(p.now)) else {
+            panic!("two data frames expected");
+        };
+        drop(lost);
+        let buffered = gap.payload.as_slice().as_ptr();
+        assert_eq!(p.b.on_packet(&gap, p.now).len(), 0);
+        drop(gap);
+        assert_eq!(p.b.recv_buffered_seqs(0), Some(vec![2]));
+        while let Poll::Ready(reply) = p.b.poll(p.now) {
+            p.a.on_packet(&reply, p.now);
+        }
+        assert_eq!(
+            p.a.stats_view().sacked,
+            1,
+            "the SACK retired the buffered frame"
+        );
+        assert!(p.a.spare.is_none(), "the receiver still holds its buffer");
+
+        p.a.send_message(p.a_send, 0, Bytes::from_static(MSGS[2]))
+            .unwrap();
+        let mut events = Vec::new();
+        while let Poll::Ready(pkt) = p.a.poll(p.now) {
+            assert_ne!(pkt.payload.as_slice().as_ptr(), buffered);
+            events.extend(p.b.on_packet(&pkt, p.now));
+        }
+        assert_eq!(delivered(&events), MSGS);
     }
 
     #[test]

@@ -133,6 +133,18 @@ impl LtlFrame {
     ///
     /// Panics if the payload exceeds the header's 16-bit length field.
     pub fn encode(&self) -> Bytes {
+        self.encode_reusing(None)
+    }
+
+    /// [`LtlFrame::encode`], writing into `spare` in place when
+    /// [`Bytes::try_refill`] accepts it — no clone or view of it is alive
+    /// and the frame does not fit inline — instead of allocating a fresh
+    /// buffer. A refused spare is dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload exceeds the header's 16-bit length field.
+    pub fn encode_reusing(&self, spare: Option<Bytes>) -> Bytes {
         let len = u16::try_from(self.payload.len()).unwrap_or_else(|_| {
             panic!(
                 "LtlFrame.payload is {} bytes, the header's length field carries at most {}",
@@ -153,6 +165,11 @@ impl LtlFrame {
         header[18..20].copy_from_slice(&len.to_be_bytes());
         if self.payload.is_empty() {
             return Bytes::copy_from_slice(&header);
+        }
+        if let Some(mut wire) = spare {
+            if wire.try_refill(&[&header, &self.payload]) {
+                return wire;
+            }
         }
         let mut wire = Vec::with_capacity(LTL_HEADER_BYTES + self.payload.len());
         wire.extend_from_slice(&header);
@@ -365,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_reuses_scratch_and_matches_encode() {
+    fn fresh_and_reused_encodes_match_the_field_writer() {
         let kinds = [
             FrameKind::Data,
             FrameKind::Ack,
@@ -389,12 +406,41 @@ mod tests {
                         vc: 3,
                         payload: Bytes::from((0..len).map(|i| i as u8).collect::<Vec<u8>>()),
                     };
-                    let wire = f.encode();
-                    assert_eq!(wire, put_wire(&f), "{kind:?} len {len} last {last_frag}");
-                    assert_eq!(LtlFrame::decode(&wire).unwrap(), f);
+                    let what = format!("{kind:?} len {len} last {last_frag}");
+                    let expected = put_wire(&f);
+                    let fresh = f.encode();
+                    assert_eq!(fresh, expected, "fresh, {what}");
+                    assert_eq!(LtlFrame::decode(&fresh).unwrap(), f);
+                    // Spares smaller and larger than the frame, with stale
+                    // contents and a view that does not start at 0.
+                    for spare_len in [LTL_HEADER_BYTES + 4, expected.len() + 100] {
+                        let spare = Bytes::from(vec![0xEE; spare_len + 1]).slice(1..);
+                        let reused = f.encode_reusing(Some(spare));
+                        assert_eq!(reused, expected, "spare of {spare_len}, {what}");
+                        assert_eq!(LtlFrame::decode(&reused).unwrap(), f);
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_spare_is_refilled_only_when_no_one_else_holds_it() {
+        let f = data_frame_of(64);
+        let spare = Bytes::from(vec![0xEE; 200]);
+        let storage = spare.as_slice().as_ptr();
+        let reused = f.encode_reusing(Some(spare));
+        assert_eq!(reused.as_slice().as_ptr(), storage, "refilled in place");
+
+        let view = reused.slice(LTL_HEADER_BYTES..);
+        let fresh = f.encode_reusing(Some(reused));
+        assert_ne!(
+            fresh.as_slice().as_ptr(),
+            storage,
+            "a live view forces a fresh buffer"
+        );
+        assert_eq!(fresh, put_wire(&f));
+        assert_eq!(view, vec![0x5A; 64], "the view's bytes are unchanged");
     }
 
     fn data_frame_of(len: usize) -> LtlFrame {

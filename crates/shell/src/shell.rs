@@ -20,15 +20,15 @@
 //! * PFC reaction on the TOR-facing port so lossless-class pauses from the
 //!   switch stall the shell's transmissions.
 //!
-//! Local consumers (roles, host drivers) talk to the shell with
-//! [`ShellCmd`] messages and receive [`LtlDeliver`] / [`LtlConnFailed`]
-//! payloads in return.
+//! Local consumers (roles, host drivers) send messages with
+//! [`Msg::LtlSend`], control the shell with [`ShellCmd`] messages and
+//! receive [`LtlDeliver`] / [`LtlConnFailed`] payloads in return.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 use dcnet::{
-    LinkParams, LinkTx, LtlDeliver, Msg, NetEvent, NodeAddr, Packet, PortId, TrafficClass,
+    LinkParams, LinkTx, LtlDeliver, LtlSend, Msg, NetEvent, NodeAddr, Packet, PortId, TrafficClass,
     LTL_UDP_PORT,
 };
 use dcsim::{Component, ComponentId, Context, SimDuration, SimTime};
@@ -104,7 +104,10 @@ impl ShellConfig {
 /// [`Msg::custom`]).
 #[derive(Debug)]
 pub enum ShellCmd {
-    /// Send a message over an LTL connection.
+    /// Send a message over an LTL connection: the boxed form of
+    /// [`Msg::LtlSend`], which the shell handles the same way. Kept for
+    /// senders outside this workspace that still box it; a box costs a
+    /// heap acquisition per message, the variant none.
     LtlSend {
         /// Send connection id (from [`LtlEngine::add_send`]).
         conn: SendConnId,
@@ -568,6 +571,72 @@ impl Shell {
         }
     }
 
+    /// Queues a consumer's message on its LTL connection, whether it came
+    /// as [`Msg::LtlSend`] or as a boxed [`ShellCmd::LtlSend`].
+    fn ltl_send(&mut self, send: LtlSend, ctx: &mut Context<'_, Msg>) {
+        let LtlSend { conn, vc, payload } = send;
+        // Multi-tenant admission: a send on a tenant-bound connection is
+        // charged against that tenant's per-window caps first.
+        if let Some(&tenant) = self.conn_tenants.get(&conn) {
+            let verdict = self.tenant_caps.admit(tenant, ctx.now(), payload.len());
+            if verdict != CapVerdict::Admit {
+                self.stats.tenant_cap_drops += 1;
+                return;
+            }
+        }
+        // Errors surface as ConnectionFailed notifications; sends on
+        // failed connections are dropped.
+        let _ = self.ltl_mut().send_message(conn, vc, payload);
+        self.pump_ltl(ctx);
+    }
+
+    /// The shell's own commands, boxed by whoever sends them.
+    fn on_command(&mut self, cmd: ShellCmd, ctx: &mut Context<'_, Msg>) {
+        match cmd {
+            ShellCmd::LtlSend { conn, vc, payload } => {
+                self.ltl_send(LtlSend { conn, vc, payload }, ctx);
+            }
+            ShellCmd::Reconfigure { partial } => {
+                let (state, t) = if partial {
+                    (Reconfig::Partial, self.cfg.partial_reconfig)
+                } else {
+                    (Reconfig::Full, self.cfg.full_reconfig)
+                };
+                // Overlapping loads extend, never shorten, and
+                // a full load dominates a partial one.
+                if self.reconfig != Reconfig::Full {
+                    self.reconfig = state;
+                }
+                self.reconfig_until = self.reconfig_until.max(ctx.now() + t);
+                ctx.timer_after(t, TIMER_RECONFIG_DONE);
+            }
+            ShellCmd::SetLtlLossRate(rate) => {
+                self.ltl_loss_rate = rate.clamp(0.0, 1.0);
+            }
+            ShellCmd::HangRole { duration } => {
+                let until = ctx.now() + duration;
+                if self.hang_until.is_none_or(|t| until > t) {
+                    self.hang_until = Some(until);
+                }
+                ctx.timer_after(duration, TIMER_ROLE_RECOVERED);
+            }
+            ShellCmd::SetTenantCaps { tenant, caps } => match caps {
+                Some(caps) => self.tenant_caps.set_caps(tenant, caps),
+                None => {
+                    self.tenant_caps.clear(tenant);
+                }
+            },
+            ShellCmd::BindTenant { conn, tenant } => match tenant {
+                Some(tenant) => {
+                    self.conn_tenants.insert(conn, tenant);
+                }
+                None => {
+                    self.conn_tenants.remove(&conn);
+                }
+            },
+        }
+    }
+
     /// The LTL receive stage: the end of the receive pipeline (MAC,
     /// depacketizer), `ltl_rx_latency` after the frame's last bit
     /// arrived. The last hop adds that latency ([`Msg::LtlRx`]), so the
@@ -668,68 +737,15 @@ impl Component<Msg> for Shell {
             // Deliveries are addressed to consumers, flow-model and switch
             // commands to those components, never to a shell.
             Msg::LtlDeliver(_) | Msg::FlowSim(_) | Msg::Switch(_) => {}
-            boxed => {
-                if let Ok(cmd) = boxed.downcast::<ShellCmd>() {
-                    match cmd {
-                        ShellCmd::LtlSend { conn, vc, payload } => {
-                            // Multi-tenant admission: a send on a
-                            // tenant-bound connection is charged against
-                            // that tenant's per-window caps first.
-                            if let Some(&tenant) = self.conn_tenants.get(&conn) {
-                                let verdict =
-                                    self.tenant_caps.admit(tenant, ctx.now(), payload.len());
-                                if verdict != CapVerdict::Admit {
-                                    self.stats.tenant_cap_drops += 1;
-                                    return;
-                                }
-                            }
-                            // Errors surface as ConnectionFailed
-                            // notifications; sends on failed
-                            // connections are dropped.
-                            let _ = self.ltl_mut().send_message(conn, vc, payload);
-                            self.pump_ltl(ctx);
-                        }
-                        ShellCmd::Reconfigure { partial } => {
-                            let (state, t) = if partial {
-                                (Reconfig::Partial, self.cfg.partial_reconfig)
-                            } else {
-                                (Reconfig::Full, self.cfg.full_reconfig)
-                            };
-                            // Overlapping loads extend, never shorten, and
-                            // a full load dominates a partial one.
-                            if self.reconfig != Reconfig::Full {
-                                self.reconfig = state;
-                            }
-                            self.reconfig_until = self.reconfig_until.max(ctx.now() + t);
-                            ctx.timer_after(t, TIMER_RECONFIG_DONE);
-                        }
-                        ShellCmd::SetLtlLossRate(rate) => {
-                            self.ltl_loss_rate = rate.clamp(0.0, 1.0);
-                        }
-                        ShellCmd::HangRole { duration } => {
-                            let until = ctx.now() + duration;
-                            if self.hang_until.is_none_or(|t| until > t) {
-                                self.hang_until = Some(until);
-                            }
-                            ctx.timer_after(duration, TIMER_ROLE_RECOVERED);
-                        }
-                        ShellCmd::SetTenantCaps { tenant, caps } => match caps {
-                            Some(caps) => self.tenant_caps.set_caps(tenant, caps),
-                            None => {
-                                self.tenant_caps.clear(tenant);
-                            }
-                        },
-                        ShellCmd::BindTenant { conn, tenant } => match tenant {
-                            Some(tenant) => {
-                                self.conn_tenants.insert(conn, tenant);
-                            }
-                            None => {
-                                self.conn_tenants.remove(&conn);
-                            }
-                        },
+            // A send command, typed or boxed; then the shell's own commands.
+            other => match other.downcast::<LtlSend>() {
+                Ok(send) => self.ltl_send(send, ctx),
+                Err(boxed) => {
+                    if let Ok(cmd) = boxed.downcast::<ShellCmd>() {
+                        self.on_command(cmd, ctx);
                     }
                 }
-            }
+            },
         }
     }
 
@@ -835,7 +851,7 @@ mod tests {
 
     /// An LTL send of `payload` on `conn`, virtual channel 0.
     fn ltl_send(conn: SendConnId, payload: Bytes) -> Msg {
-        Msg::custom(ShellCmd::LtlSend {
+        Msg::LtlSend(LtlSend {
             conn,
             vc: 0,
             payload,
@@ -965,12 +981,11 @@ mod tests {
         let conn = (e.component_mut::<Shell>(shell).unwrap())
             .ltl_mut()
             .add_send(addr(2), 0);
-        let send = ShellCmd::LtlSend {
-            conn,
-            vc: 0,
-            payload: Bytes::from_static(b"never acked"),
-        };
-        e.schedule(SimTime::ZERO, shell, Msg::custom(send));
+        e.schedule(
+            SimTime::ZERO,
+            shell,
+            ltl_send(conn, Bytes::from_static(b"never acked")),
+        );
         let reconfig = ShellCmd::Reconfigure { partial: false };
         e.schedule(SimTime::from_micros(5), shell, Msg::custom(reconfig));
         let load_done = SimTime::from_micros(5) + ShellConfig::default().full_reconfig;
@@ -1193,6 +1208,19 @@ mod tests {
         ComponentId,
         SendConnId,
     ) {
+        back_to_back_with(Probe::default())
+    }
+
+    /// [`back_to_back`] with `consumer` in place of the probe.
+    fn back_to_back_with(
+        consumer: impl Component<Msg>,
+    ) -> (
+        Engine<Msg>,
+        ComponentId,
+        ComponentId,
+        ComponentId,
+        SendConnId,
+    ) {
         let mut e: Engine<Msg> = Engine::new(7);
         let a_id = ComponentId::from_raw(0);
         let b_id = ComponentId::from_raw(1);
@@ -1208,7 +1236,7 @@ mod tests {
         let a_send = a.ltl_mut().add_send(addr(2), b_recv);
         e.add_component(a);
         e.add_component(b);
-        e.add_component(Probe::default());
+        e.add_component(consumer);
         (e, a_id, b_id, consumer_id, a_send)
     }
 
@@ -1218,7 +1246,7 @@ mod tests {
         e.schedule(
             SimTime::ZERO,
             a,
-            Msg::custom(ShellCmd::LtlSend {
+            Msg::LtlSend(LtlSend {
                 conn: a_send,
                 vc: 1,
                 payload: Bytes::from_static(b"hello fpga"),
@@ -1237,6 +1265,73 @@ mod tests {
         // Sender saw the ACK and retired the frame.
         let shell_a = e.component::<Shell>(a).unwrap();
         assert_eq!(shell_a.ltl().in_flight(), 0);
+    }
+
+    /// The typed command, the boxed `ShellCmd::LtlSend` senders outside
+    /// the workspace still use, and a boxed `LtlSend` all send a message.
+    #[test]
+    fn every_form_of_the_send_command_is_served() {
+        let (mut e, a, _b, consumer, conn) = back_to_back();
+        let payload = Bytes::from_static(b"one message per form");
+        let send = |vc| LtlSend {
+            conn,
+            vc,
+            payload: payload.clone(),
+        };
+        // Bound first: CI's lint forbids boxing it inline in this tree.
+        let boxed = ShellCmd::LtlSend {
+            conn,
+            vc: 2,
+            payload: payload.clone(),
+        };
+        for (at, msg) in [
+            (0, Msg::LtlSend(send(1))),
+            (10, Msg::custom(boxed)),
+            (20, Msg::custom(send(3))),
+        ] {
+            e.schedule(SimTime::from_micros(at), a, msg);
+        }
+        e.run_to_idle();
+        let probe = e.component::<Probe>(consumer).unwrap();
+        let vcs: Vec<u8> = probe.deliveries.iter().map(|(_, d)| d.vc).collect();
+        assert_eq!(vcs, [1, 2, 3]);
+    }
+
+    /// Keeps every other delivery and drops the rest.
+    #[derive(Default)]
+    struct KeepEveryOther {
+        seen: usize,
+        kept: Vec<Bytes>,
+    }
+
+    impl Component<Msg> for KeepEveryOther {
+        fn on_message(&mut self, msg: Msg, _: &mut Context<'_, Msg>) {
+            if let Ok(d) = msg.downcast::<LtlDeliver>() {
+                if self.seen.is_multiple_of(2) {
+                    self.kept.push(d.payload);
+                }
+                self.seen += 1;
+            }
+        }
+    }
+
+    /// A delivered payload is a view into the sender's wire buffer, which
+    /// the sender refills for a later message once nothing else holds it:
+    /// deliveries a consumer keeps read the same however many messages
+    /// follow, while the ones it drops free their buffers for reuse.
+    #[test]
+    fn kept_deliveries_survive_the_senders_next_messages() {
+        let (mut e, a, _b, consumer, conn) = back_to_back_with(KeepEveryOther::default());
+        let message = |i: u64| Bytes::from(format!("message {i:02}, long enough for the heap"));
+        for i in 0..20 {
+            let at = SimTime::from_micros(20 * i);
+            e.schedule(at, a, ltl_send(conn, message(i)));
+        }
+        e.run_to_idle();
+        let keeper = e.component::<KeepEveryOther>(consumer).unwrap();
+        assert_eq!(keeper.seen, 20);
+        let expected: Vec<Bytes> = (0..20).step_by(2).map(message).collect();
+        assert_eq!(keeper.kept, expected);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use haas::{
     Constraints, FailureMonitor, FpgaManager, NodeDownReport, ResourceManager, ServiceManager,
 };
 use serde::Value;
-use shell::{LtlConnFailed, LtlDeliver, ShellCmd};
+use shell::{LtlConnFailed, LtlDeliver, LtlSend};
 use std::collections::BTreeMap;
 
 /// Per-node delivery-order oracle and failure reporter: checks that the
@@ -259,7 +259,7 @@ impl Case for ScenarioSpec {
                 cluster.engine_mut().schedule(
                     SimTime::from_nanos(t + counter as u64),
                     shell_id,
-                    Msg::custom(ShellCmd::LtlSend {
+                    Msg::LtlSend(LtlSend {
                         conn,
                         vc: 0,
                         payload: Bytes::from(payload),

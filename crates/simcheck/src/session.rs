@@ -165,6 +165,7 @@ impl Component<Msg> for LtlNode {
             Msg::Net(_)
             | Msg::Egress { .. }
             | Msg::LtlRx(_)
+            | Msg::LtlSend(_)
             | Msg::LtlDeliver(_)
             | Msg::FlowSim(_)
             | Msg::Switch(_) => {}

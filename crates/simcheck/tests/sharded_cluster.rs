@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use catapult::prelude::*;
-use shell::{LtlDeliver, ShellCmd};
+use shell::{LtlDeliver, LtlSend};
 use simcheck::invariants::InvariantObserver;
 
 /// Replies to every LTL delivery with another send, `remaining` times.
@@ -27,7 +27,7 @@ impl Component<Msg> for Volley {
             self.remaining -= 1;
             ctx.send(
                 self.shell,
-                Msg::custom(ShellCmd::LtlSend {
+                Msg::LtlSend(LtlSend {
                     conn: self.conn,
                     vc: 0,
                     payload: Bytes::from_static(b"sharded-invariants"),
@@ -84,7 +84,7 @@ fn run_windowed_scenario(policy: WindowPolicy) -> Vec<(u64, u64)> {
         cluster.engine_mut().schedule(
             SimTime::ZERO,
             a_id,
-            Msg::custom(ShellCmd::LtlSend {
+            Msg::LtlSend(LtlSend {
                 conn: a_send,
                 vc: 0,
                 payload: Bytes::from_static(b"kickoff"),

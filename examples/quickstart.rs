@@ -8,7 +8,7 @@ use bytes::Bytes;
 use catapult::{probe::schedule_probes, ClusterBuilder};
 use dcnet::{Msg, NodeAddr};
 use dcsim::{Component, Context, SimDuration, SimRng, SimTime};
-use shell::{LtlDeliver, ShellCmd};
+use shell::{LtlDeliver, LtlSend};
 
 /// Receives LTL messages on behalf of the local role.
 #[derive(Debug, Default)]
@@ -55,7 +55,7 @@ fn main() {
     cloud.engine_mut().schedule(
         SimTime::ZERO,
         a_shell,
-        Msg::custom(ShellCmd::LtlSend {
+        Msg::LtlSend(LtlSend {
             conn: a_to_b,
             vc: 1,
             payload: Bytes::from_static(b"hello from the acceleration plane"),

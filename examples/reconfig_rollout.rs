@@ -13,7 +13,7 @@ use catapult::ClusterBuilder;
 use dcnet::{Msg, NodeAddr};
 use dcsim::{Component, Context, SimTime};
 use haas::{FpgaManager, NodeStatus};
-use shell::{LtlDeliver, ShellCmd};
+use shell::{LtlDeliver, LtlSend, ShellCmd};
 
 #[derive(Debug, Default)]
 struct Counter {
@@ -52,7 +52,7 @@ fn main() {
         cloud.engine_mut().schedule(
             SimTime::from_micros(k * 1_000),
             client_shell,
-            Msg::custom(ShellCmd::LtlSend {
+            Msg::LtlSend(LtlSend {
                 conn,
                 vc: 0,
                 payload: Bytes::from_static(b"serving"),

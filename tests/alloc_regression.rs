@@ -26,18 +26,22 @@
 //! and has to count the whole process; its constant budget absorbs that,
 //! and [`SERIAL`] keeps this file's other tests out of it.
 //!
-//! The LTL message path is not allocation-free, it is *budgeted*: what a
-//! message still costs is its data frame's wire buffer (a `Vec` and the
-//! `Arc` sharing it with the retransmission store) plus whatever box the
-//! sender itself put its command in. Three more tests pin that, two-sided —
-//! an acquisition that disappears is news as much as one that appears:
+//! The LTL message path is allocation-free in steady state too: a sender
+//! hands its shell a `Msg::LtlSend` variant, and each engine encodes a
+//! data frame into the wire buffer of a frame an acknowledgement retired
+//! (one spare per engine), once nothing else holds a view of it. What a
+//! message costs beyond that is a box its sender chose, or a payload it
+//! built. Three more tests pin that, two-sided — an acquisition that
+//! disappears is news as much as one that appears:
 //!
-//! * two shells under one TOR in a closed-loop 48-byte volley: 6 per
-//!   round trip (each side boxes one `ShellCmd::LtlSend` and encodes one
-//!   data frame; ACKs, upcalls and deliveries are free);
-//! * a `RemoteClient` request answered by an `AcceleratorRole`: 10 — that
-//!   round trip plus the request and reply payloads;
-//! * two `LtlEngine`s driven back to back: 2 per data frame, and an
+//! * two shells under one TOR in a closed-loop 48-byte volley: 0 per
+//!   round trip with `Msg::LtlSend`, and 2 with the boxed
+//!   `ShellCmd::LtlSend` the repository benchmark still sends (one box
+//!   per side; wire buffers, ACKs, upcalls and deliveries are free);
+//! * a `RemoteClient` request answered by an `AcceleratorRole`: 4 — the
+//!   request and reply payloads;
+//! * two `LtlEngine`s driven back to back: 0 per data frame once the
+//!   data packet is dropped before its acknowledgement arrives, and an
 //!   acknowledgement leg that is free in go-back-N (a 20-byte ACK lives
 //!   inline in its `Bytes`) and costs 2 in selective repeat (a 28-byte
 //!   SACK wire image does not; its 8-byte bitmap payload does).
@@ -71,7 +75,7 @@ use dcsim::{
 };
 use host::StartGenerator;
 use shell::ltl::{LtlConfig, LtlEngine, LtlEvent, LtlMode, Poll, SendConnId};
-use shell::{LtlDeliver, ShellCmd};
+use shell::{LtlDeliver, LtlSend, ShellCmd};
 
 /// Counts heap acquisitions (`alloc` and `realloc`); frees are irrelevant
 /// to the steady-state-zero contract.
@@ -391,17 +395,30 @@ struct VolleyPeer {
     conn: SendConnId,
     payload: Bytes,
     replies_left: u64,
+    /// Box the command as `ShellCmd::LtlSend`, as the repository
+    /// benchmark does, instead of sending the `Msg::LtlSend` variant.
+    boxed: bool,
 }
 
 impl VolleyPeer {
-    /// The command a consumer hands its shell; building it is the one
-    /// acquisition per message that belongs to the sender.
+    /// The command a consumer hands its shell: the variant is free, the
+    /// box one acquisition per message.
     fn send(&self) -> Msg {
-        Msg::custom(ShellCmd::LtlSend {
-            conn: self.conn,
-            vc: 0,
-            payload: self.payload.clone(),
-        })
+        let (conn, payload) = (self.conn, self.payload.clone());
+        if self.boxed {
+            let cmd = ShellCmd::LtlSend {
+                conn,
+                vc: 0,
+                payload,
+            };
+            Msg::custom(cmd)
+        } else {
+            Msg::LtlSend(LtlSend {
+                conn,
+                vc: 0,
+                payload,
+            })
+        }
     }
 }
 
@@ -414,16 +431,36 @@ impl Component<Msg> for VolleyPeer {
     }
 }
 
+/// Round trips a measured volley runs.
+const ROUND_TRIPS: u64 = 10_000;
+
 /// The whole shell-to-shell path, as the benchmark's `ltl_volley` drives
-/// it: per round trip, 2 boxes this test builds + 2 data-frame wire
-/// buffers of 2 acquisitions each. Everything else the transport does for
-/// a message — ACK wire images, the engine's upcalls, `Msg::LtlDeliver` —
-/// acquires nothing.
+/// it: per round trip, nothing with the `Msg::LtlSend` variant and the 2
+/// boxes the senders build with the boxed `ShellCmd::LtlSend`. Everything
+/// the transport does for a message — the data frame's wire buffer, ACK
+/// wire images, the engine's upcalls, `Msg::LtlDeliver` — acquires
+/// nothing.
 #[test]
-fn ltl_round_trip_acquires_only_its_wire_buffers_and_the_senders_boxes() {
-    const WARM_UP: u64 = 1_000;
-    const ROUND_TRIPS: u64 = 10_000;
+fn ltl_round_trip_acquires_only_the_senders_boxes() {
     let _serial = serial();
+    assert_budget(
+        "shell-to-shell round trip",
+        volley_allocs(false),
+        ROUND_TRIPS,
+        0,
+    );
+    assert_budget(
+        "shell-to-shell round trip, boxed commands",
+        volley_allocs(true),
+        ROUND_TRIPS,
+        2,
+    );
+}
+
+/// Acquisitions of `ROUND_TRIPS` round trips between two shells under one
+/// TOR, after a warm-up, with the send commands `boxed` or not.
+fn volley_allocs(boxed: bool) -> u64 {
+    const WARM_UP: u64 = 1_000;
     let mut cluster = ClusterBuilder::paper(5, 1).build();
     let (a, b) = (NodeAddr::new(0, 0, 0), NodeAddr::new(0, 0, 1));
     let a_shell = cluster.add_shell(a);
@@ -435,6 +472,7 @@ fn ltl_round_trip_acquires_only_its_wire_buffers_and_the_senders_boxes() {
         conn,
         payload: payload.clone(),
         replies_left: u64::MAX,
+        boxed,
     };
     let initiator = cluster.add_component_at(a, peer(a_shell, a_send));
     let responder = cluster.add_component_at(b, peer(b_shell, b_send));
@@ -460,18 +498,19 @@ fn ltl_round_trip_acquires_only_its_wire_buffers_and_the_senders_boxes() {
     let delivered = |addr| cluster.shell(addr).ltl().stats_view().msgs_delivered;
     assert_eq!(delivered(a), WARM_UP + ROUND_TRIPS);
     assert_eq!(delivered(b), WARM_UP + ROUND_TRIPS);
-    assert_budget("shell-to-shell round trip", measured, ROUND_TRIPS, 6);
+    measured
 }
 
 /// The remote-acceleration path as `service_chaos` drives it: a
 /// `RemoteClient` issuing requests to an `AcceleratorRole` over one
 /// connection pair. Per request: the request and the reply payload (2
-/// each), the client's and the role's `LtlSend` boxes, and the two data
-/// frames' wire buffers (2 each) — 10. `IssueRequest` is zero-sized, so
-/// its box is free, and the role parks its reply behind a timer instead of
-/// boxing a self-message (which made it 11).
+/// each) — 4. Both send with `Msg::LtlSend` (boxing made it 6), each
+/// engine refills a retired frame's wire buffer (fresh ones made it 10),
+/// `IssueRequest` is zero-sized, so its box is free, and the role parks
+/// its reply behind a timer instead of boxing a self-message (which made
+/// it 11).
 #[test]
-fn remote_request_acquires_its_payloads_boxes_and_wire_buffers() {
+fn remote_request_acquires_only_its_payloads() {
     const WARM_UP: u64 = 1_000;
     const REQUESTS: u64 = 10_000;
     let _serial = serial();
@@ -506,12 +545,15 @@ fn remote_request_acquires_its_payloads_boxes_and_wire_buffers() {
     assert_eq!(client.completed() as u64, WARM_UP + REQUESTS);
     let role = engine.component::<AcceleratorRole>(role).unwrap();
     assert_eq!(role.completed(), WARM_UP + REQUESTS);
-    assert_budget("remote request", measured, REQUESTS, 10);
+    assert_budget("remote request", measured, REQUESTS, 4);
 }
 
 /// Acquisitions of `messages` single-frame messages pushed through a
 /// back-to-back engine pair, split into the data leg (`send_message`,
 /// `poll`) and the acknowledgement leg (`on_packet`, `poll`, `on_packet`).
+/// The data packet is dropped between B's receipt and A's, as a network
+/// drops a delivered frame: a packet still alive holds the wire buffer,
+/// which is then rightly not reused.
 fn engine_pair_allocs(mode: LtlMode, messages: u64) -> (u64, u64) {
     let (a_addr, b_addr) = (NodeAddr::new(0, 0, 1), NodeAddr::new(0, 0, 2));
     let cfg = LtlConfig::default().with_mode(mode);
@@ -537,6 +579,7 @@ fn engine_pair_allocs(mode: LtlMode, messages: u64) -> (u64, u64) {
                 .filter(|ev| matches!(ev, LtlEvent::Deliver { .. }))
                 .count();
             assert_eq!(delivered, 1);
+            drop(data);
             let Poll::Ready(ack) = b.poll(now) else {
                 panic!("acknowledgement expected");
             };
@@ -556,19 +599,20 @@ fn engine_pair_allocs(mode: LtlMode, messages: u64) -> (u64, u64) {
     legs
 }
 
-/// The engine alone: the wire buffer is all a data frame costs, and what
-/// an acknowledgement costs depends only on whether its wire image fits
-/// the `Bytes` inline arm.
+/// The engine alone: a data frame is encoded into the retired frame's
+/// wire buffer and costs nothing, and what an acknowledgement costs is
+/// its own wire buffer, if its wire image does not fit the `Bytes`
+/// inline arm.
 #[test]
 fn ltl_engine_pair_acquires_only_wire_buffers() {
     const MESSAGES: u64 = 10_000;
     let _serial = serial();
     let (data_leg, ack_leg) = engine_pair_allocs(LtlMode::GoBackN, MESSAGES);
-    assert_eq!(data_leg, 2 * MESSAGES, "go-back-N data leg");
+    assert_eq!(data_leg, 0, "go-back-N data leg");
     assert_budget("go-back-N acknowledgement leg", ack_leg, MESSAGES, 0);
 
     let (data_leg, ack_leg) = engine_pair_allocs(LtlMode::SelectiveRepeat, MESSAGES);
-    assert_eq!(data_leg, 2 * MESSAGES, "selective-repeat data leg");
+    assert_eq!(data_leg, 0, "selective-repeat data leg");
     assert_budget("selective-repeat acknowledgement leg", ack_leg, MESSAGES, 2);
 }
 

@@ -15,7 +15,7 @@
 
 use bytes::Bytes;
 use catapult::prelude::*;
-use shell::{LtlDeliver, ShellCmd};
+use shell::{LtlDeliver, LtlSend};
 
 mod common;
 
@@ -31,7 +31,7 @@ struct BulkVolley {
 
 impl BulkVolley {
     fn send(&self) -> Msg {
-        Msg::custom(ShellCmd::LtlSend {
+        Msg::LtlSend(LtlSend {
             conn: self.conn,
             vc: 0,
             payload: Bytes::from(vec![0xA5; MESSAGE_BYTES]),

@@ -7,7 +7,7 @@ use bytes::Bytes;
 use catapult::ClusterBuilder;
 use dcnet::{Msg, NodeAddr};
 use dcsim::{Component, Context, SimTime};
-use shell::{LtlDeliver, ShellCmd};
+use shell::{LtlDeliver, LtlSend};
 
 #[derive(Debug, Default)]
 struct ByteSink {
@@ -64,7 +64,7 @@ fn bulk_transfer(pairs: usize, cross_rack: bool, seed: u64) -> Vec<f64> {
             cluster.engine_mut().schedule(
                 SimTime::from_nanos(k), // all at once: bulk transfer
                 shell_id,
-                Msg::custom(ShellCmd::LtlSend {
+                Msg::LtlSend(LtlSend {
                     conn,
                     vc: 0,
                     payload: Bytes::from(vec![0u8; 50_000]),

@@ -8,7 +8,7 @@ use bytes::Bytes;
 use catapult::{Cluster, ClusterBuilder};
 use dcnet::{Msg, NodeAddr, Switch};
 use dcsim::{Component, Context, SimDuration, SimTime};
-use shell::{LtlDeliver, Shell, ShellCmd};
+use shell::{LtlDeliver, LtlSend, Shell};
 
 #[derive(Debug, Default)]
 struct Counter {
@@ -46,7 +46,7 @@ fn incast() -> (Cluster, Vec<NodeAddr>, NodeAddr, dcsim::ComponentId) {
             cluster.engine_mut().schedule(
                 SimTime::from_nanos(i as u64 * 31 + k * 2_000),
                 sid,
-                Msg::custom(ShellCmd::LtlSend {
+                Msg::LtlSend(LtlSend {
                     conn: send,
                     vc: 0,
                     payload: Bytes::from(vec![k as u8; 10_000]),

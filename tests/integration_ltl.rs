@@ -6,7 +6,7 @@ use bytes::Bytes;
 use catapult::{probe::schedule_probes, Cluster, ClusterBuilder};
 use dcnet::{Msg, NodeAddr, Switch};
 use dcsim::{Component, Context, PercentileRecorder, SimDuration, SimTime};
-use shell::{Shell, ShellCmd};
+use shell::{LtlSend, Shell};
 
 #[path = "common/collector.rs"]
 mod collector;
@@ -118,7 +118,7 @@ fn large_message_crosses_pods_intact() {
     cluster.engine_mut().schedule(
         SimTime::ZERO,
         a_id,
-        Msg::custom(ShellCmd::LtlSend {
+        Msg::LtlSend(LtlSend {
             conn: a_send,
             vc: 0,
             payload: Bytes::from(payload.clone()),
@@ -159,7 +159,7 @@ fn cross_pod_multi_frame_messages_arrive_in_order() {
             cluster.engine_mut().schedule(
                 SimTime::from_micros(k * 25),
                 a_id,
-                Msg::custom(ShellCmd::LtlSend {
+                Msg::LtlSend(LtlSend {
                     conn: a_send,
                     vc: 0,
                     payload: Bytes::from(vec![k as u8; 8 * 1024]),
@@ -210,7 +210,7 @@ fn many_to_one_incast_is_lossless_for_ltl() {
             cluster.engine_mut().schedule(
                 SimTime::from_nanos(i as u64 * 50 + k * 400),
                 shell_id,
-                Msg::custom(ShellCmd::LtlSend {
+                Msg::LtlSend(LtlSend {
                     conn: send,
                     vc: 0,
                     payload: Bytes::from(vec![i as u8; 1_200]),
@@ -260,7 +260,7 @@ fn dead_node_detected_in_milliseconds() {
     cluster.engine_mut().schedule(
         SimTime::ZERO,
         a_id,
-        Msg::custom(ShellCmd::LtlSend {
+        Msg::LtlSend(LtlSend {
             conn: a_send,
             vc: 0,
             payload: Bytes::from_static(b"anyone home?"),
@@ -317,7 +317,7 @@ fn bridged_host_traffic_and_ltl_coexist_across_fabric() {
     cluster.engine_mut().schedule(
         SimTime::from_micros(3),
         a_id,
-        Msg::custom(ShellCmd::LtlSend {
+        Msg::LtlSend(LtlSend {
             conn: a_send,
             vc: 0,
             payload: Bytes::from(vec![7u8; 5_000]),

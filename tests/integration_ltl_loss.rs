@@ -7,7 +7,7 @@ use bytes::Bytes;
 use catapult::ClusterBuilder;
 use dcnet::{Msg, NodeAddr};
 use dcsim::SimTime;
-use shell::ShellCmd;
+use shell::{LtlSend, ShellCmd};
 
 #[path = "common/collector.rs"]
 mod collector;
@@ -35,7 +35,7 @@ fn run_lossy(seed: u64, rate: f64, total: u64) -> (Vec<Bytes>, u64, u64) {
         cluster.engine_mut().schedule(
             SimTime::from_micros(10 + k * 200),
             a_id,
-            Msg::custom(ShellCmd::LtlSend {
+            Msg::LtlSend(LtlSend {
                 conn: a_send,
                 vc: 0,
                 payload: Bytes::from(format!("msg-{k:04}")),

@@ -7,7 +7,7 @@ use bytes::Bytes;
 use catapult::ClusterBuilder;
 use dcnet::{Msg, NetEvent, NodeAddr, Packet, PortId, TrafficClass};
 use dcsim::{Component, Context, SimDuration, SimTime};
-use shell::{Shell, ShellCmd, PORT_NIC};
+use shell::{LtlSend, Shell, ShellCmd, PORT_NIC};
 
 #[path = "common/collector.rs"]
 mod collector;
@@ -126,7 +126,7 @@ fn ltl_survives_partial_reconfig() {
     cluster.engine_mut().schedule(
         SimTime::from_millis(100), // mid-reconfig (250ms window)
         a_shell,
-        Msg::custom(ShellCmd::LtlSend {
+        Msg::LtlSend(LtlSend {
             conn: a_send,
             vc: 0,
             payload: Bytes::from_static(b"role swap in progress"),

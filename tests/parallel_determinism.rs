@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use catapult::prelude::*;
-use shell::{LtlDeliver, ShellCmd};
+use shell::{LtlDeliver, LtlSend};
 
 mod common;
 
@@ -27,7 +27,7 @@ impl Component<Msg> for Volley {
             self.remaining -= 1;
             ctx.send(
                 self.shell,
-                Msg::custom(ShellCmd::LtlSend {
+                Msg::LtlSend(LtlSend {
                     conn: self.conn,
                     vc: 0,
                     payload: Bytes::from_static(b"parallel-determinism"),
@@ -54,7 +54,7 @@ impl Component<Msg> for PacedVolley {
             ctx.send_after(
                 self.delay,
                 self.shell,
-                Msg::custom(ShellCmd::LtlSend {
+                Msg::LtlSend(LtlSend {
                     conn: self.conn,
                     vc: 0,
                     payload: Bytes::from_static(b"paced-volley"),
@@ -110,7 +110,7 @@ fn sharded_fingerprint_with_policy(shards: u32, policy: Option<WindowPolicy>) ->
         cluster.engine_mut().schedule(
             SimTime::ZERO,
             shell,
-            Msg::custom(ShellCmd::LtlSend {
+            Msg::LtlSend(LtlSend {
                 conn,
                 vc: 0,
                 payload: Bytes::from_static(b"kickoff"),
@@ -176,7 +176,7 @@ fn bursty_fingerprint(shards: u32, policy: WindowPolicy) -> (String, u64, u64, u
         cluster.engine_mut().schedule(
             SimTime::ZERO,
             shell,
-            Msg::custom(ShellCmd::LtlSend {
+            Msg::LtlSend(LtlSend {
                 conn,
                 vc: 0,
                 payload: Bytes::from_static(b"kickoff"),

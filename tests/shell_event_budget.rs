@@ -23,7 +23,7 @@ use catapult::{calib, ClusterBuilder};
 use dcnet::{LtlDeliver, Msg, NetEvent, NodeAddr, Packet, PortId, TrafficClass};
 use dcsim::{Component, ComponentId, Context, Engine, EventRecord, Observer, SimTime};
 use shell::ltl::SendConnId;
-use shell::{Shell, ShellCmd, PORT_NIC};
+use shell::{LtlSend, Shell, PORT_NIC};
 
 const ROUND_TRIPS: u64 = 500;
 
@@ -45,7 +45,7 @@ fn pairs() -> [(NodeAddr, NodeAddr); 3] {
 }
 
 fn send(conn: SendConnId, payload: &Bytes) -> Msg {
-    Msg::custom(ShellCmd::LtlSend {
+    Msg::LtlSend(LtlSend {
         conn,
         vc: 0,
         payload: payload.clone(),
