@@ -131,17 +131,19 @@ impl Component<Msg> for MlpRole {
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probabilities"))
             .map(|(i, &p)| (i as u16, p))
             .expect("non-empty output");
-        let mut reply = BytesMut::with_capacity(14);
-        reply.put_u64(id);
-        reply.put_u16(class);
-        reply.put_f32(prob);
+        // 14 bytes: built on the stack, stored inline in its `Bytes`.
+        let mut reply = [0u8; 14];
+        reply[..8].copy_from_slice(&id.to_be_bytes());
+        reply[8..10].copy_from_slice(&class.to_be_bytes());
+        reply[10..].copy_from_slice(&prob.to_be_bytes());
+        let reply = Bytes::copy_from_slice(&reply);
 
         let service = self.sample_service(ctx.rng());
         let now: SimTime = ctx.now();
         let (_, done) = self.slots.assign(now, service);
         self.served += 1;
         self.replies
-            .park(done.saturating_since(now), reply_conn, reply.freeze(), ctx);
+            .park(done.saturating_since(now), reply_conn, ctx, |_| reply);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, Msg>) {

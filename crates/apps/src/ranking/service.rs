@@ -17,7 +17,7 @@ use dcsim::{Component, ComponentId, Context, PercentileRecorder, SimDuration, Si
 use host::{CorePool, PcieModel};
 use shell::LtlSend;
 
-use crate::remote::{decode_reply, encode_request};
+use crate::remote::{decode_reply, PayloadBuf};
 
 /// A query arriving at the ranking service (sent by a workload generator).
 #[derive(Debug, Clone, Copy)]
@@ -123,6 +123,8 @@ pub struct RankingServer {
     fpga: CorePool,
     latencies: PercentileRecorder,
     outstanding: HashMap<u64, SimTime>,
+    /// The remote-mode request payload, refilled per query.
+    payload: PayloadBuf,
     completed: u64,
     record_trace: bool,
     trace: Vec<(u64, u64)>,
@@ -138,6 +140,7 @@ impl RankingServer {
             mode,
             latencies: PercentileRecorder::new(),
             outstanding: HashMap::new(),
+            payload: PayloadBuf::default(),
             completed: 0,
             record_trace: false,
             trace: Vec::new(),
@@ -212,7 +215,7 @@ impl RankingServer {
             }
             RankingMode::RemoteFpga { shell, conn } => {
                 self.outstanding.insert(q.id, now);
-                let payload = encode_request(q.id, self.params.request_bytes);
+                let payload = self.payload.request(q.id, self.params.request_bytes);
                 ctx.send(
                     shell,
                     Msg::LtlSend(LtlSend {

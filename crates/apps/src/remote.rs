@@ -28,6 +28,30 @@ pub fn encode_request(id: u64, total_bytes: usize) -> Bytes {
     b.freeze()
 }
 
+/// The last request or reply payload a sender built, kept so the next one
+/// costs no heap: the LTL engine lets go of a payload once it has encoded
+/// the message's last frame, so by the next request the sender usually
+/// holds its payload alone again.
+#[derive(Default)]
+pub(crate) struct PayloadBuf(Bytes);
+
+impl PayloadBuf {
+    /// What [`encode_request`] builds, written into the kept payload when
+    /// nothing else holds it and its length matches: only its 8-byte id
+    /// changes, the padding is already zero. Otherwise a fresh payload,
+    /// kept in turn; one still in flight is never touched.
+    pub(crate) fn request(&mut self, id: u64, total_bytes: usize) -> Bytes {
+        if self.0.len() == total_bytes.max(8) {
+            if let Some(buf) = self.0.try_mut() {
+                buf[..8].copy_from_slice(&id.to_be_bytes());
+                return self.0.clone();
+            }
+        }
+        self.0 = encode_request(id, total_bytes);
+        self.0.clone()
+    }
+}
+
 /// Extracts the request id from a request or reply payload.
 pub fn decode_reply(payload: &Bytes) -> Option<u64> {
     if payload.len() < 8 {
@@ -80,34 +104,36 @@ pub struct RoleStats {
 /// the timer that sends a reply carries its slot as the token. Freed
 /// slots are reused, so once the table has grown to the most replies in
 /// flight at once, parking one allocates nothing (a boxed self-message
-/// per reply did).
+/// per reply did). Each slot keeps its own [`PayloadBuf`], so replies
+/// parked at once never share a buffer.
 #[derive(Default)]
 pub(crate) struct ParkedReplies {
-    slots: Vec<Option<(SendConnId, Bytes)>>,
+    slots: Vec<ParkedSlot>,
     free: Vec<usize>,
 }
 
+#[derive(Default)]
+struct ParkedSlot {
+    reply: Option<(SendConnId, Bytes)>,
+    buf: PayloadBuf,
+}
+
 impl ParkedReplies {
-    /// Parks `payload` for `conn` and arms the timer that sends it after
-    /// `delay`.
+    /// Parks the reply `payload` builds, from a free slot's buffer, for
+    /// `conn` and arms the timer that sends it after `delay`.
     pub(crate) fn park(
         &mut self,
         delay: SimDuration,
         conn: SendConnId,
-        payload: Bytes,
         ctx: &mut Context<'_, Msg>,
+        payload: impl FnOnce(&mut PayloadBuf) -> Bytes,
     ) {
-        let reply = Some((conn, payload));
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = reply;
-                slot
-            }
-            None => {
-                self.slots.push(reply);
-                self.slots.len() - 1
-            }
-        };
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(ParkedSlot::default());
+            self.slots.len() - 1
+        });
+        let parked = &mut self.slots[slot];
+        parked.reply = Some((conn, payload(&mut parked.buf)));
         ctx.timer_after(delay, slot as u64);
     }
 
@@ -115,6 +141,7 @@ impl ParkedReplies {
     pub(crate) fn send(&mut self, token: u64, shell: ComponentId, ctx: &mut Context<'_, Msg>) {
         let slot = token as usize;
         let (conn, payload) = self.slots[slot]
+            .reply
             .take()
             .expect("each parked reply's timer fires once");
         self.free.push(slot);
@@ -206,9 +233,11 @@ impl Component<Msg> for AcceleratorRole {
         self.service_latencies
             .record_duration(done.saturating_since(now));
         self.completed += 1;
-        let payload = encode_request(id, self.response_bytes);
+        let response_bytes = self.response_bytes;
         self.replies
-            .park(done.saturating_since(now), reply_conn, payload, ctx);
+            .park(done.saturating_since(now), reply_conn, ctx, |buf| {
+                buf.request(id, response_bytes)
+            });
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, Msg>) {
@@ -250,6 +279,7 @@ pub struct RemoteClient {
     conn: SendConnId,
     backups: Vec<SendConnId>,
     request_bytes: usize,
+    payload: PayloadBuf,
     outstanding: HashMap<u64, Pending>,
     latencies: PercentileRecorder,
     next_id: u64,
@@ -314,6 +344,7 @@ impl RemoteClient {
             conn,
             backups: Vec::new(),
             request_bytes,
+            payload: PayloadBuf::default(),
             outstanding: HashMap::new(),
             latencies: PercentileRecorder::new(),
             next_id: 0,
@@ -412,13 +443,13 @@ impl RemoteClient {
         self.latencies.count()
     }
 
-    fn send_request(&self, id: u64, ctx: &mut Context<'_, Msg>) {
+    fn send_request(&mut self, id: u64, ctx: &mut Context<'_, Msg>) {
         ctx.send(
             self.shell,
             Msg::LtlSend(LtlSend {
                 conn: self.conn,
                 vc: 1,
-                payload: encode_request(id, self.request_bytes),
+                payload: self.payload.request(id, self.request_bytes),
             }),
         );
     }
@@ -594,6 +625,31 @@ mod tests {
         let req = encode_request(7, 0);
         assert_eq!(req.len(), 8);
         assert_eq!(decode_reply(&req), Some(7));
+    }
+
+    #[test]
+    fn a_payload_held_alone_is_rewritten_in_place() {
+        let mut buf = PayloadBuf::default();
+        let first = buf.request(1, 512);
+        let at = first.as_ptr();
+        drop(first);
+        let second = buf.request(2, 512);
+        assert_eq!(second.as_ptr(), at, "the kept payload is reused");
+        assert_eq!(second, encode_request(2, 512));
+    }
+
+    #[test]
+    fn a_pinned_or_resized_payload_is_never_rewritten() {
+        let mut buf = PayloadBuf::default();
+        let pinned = buf.request(1, 512);
+        let fresh = buf.request(2, 512);
+        assert_ne!(fresh.as_ptr(), pinned.as_ptr());
+        assert_eq!(pinned, encode_request(1, 512), "the pinned one is intact");
+        assert_eq!(fresh, encode_request(2, 512));
+        drop((pinned, fresh));
+        assert_eq!(buf.request(3, 1024), encode_request(3, 1024));
+        // Short enough to live inline: nothing to reuse, nothing to pay.
+        assert_eq!(buf.request(4, 0), encode_request(4, 0));
     }
 
     #[test]

@@ -289,7 +289,7 @@ pub fn run_trace(
         rejects,
         lost_leases,
         queued_at_end: s.queued_reqs().len() as u64,
-        decisions: s.decisions().len() as u64,
+        decisions: s.decision_count(),
         fingerprint: s.fingerprint(),
     };
     (s, report)

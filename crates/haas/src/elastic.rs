@@ -7,9 +7,10 @@
 //! with a bounded eviction latency, a periodic defragmentation pass
 //! repacks leases best-fit-decreasing, and spot capacity is reclaimed
 //! when the free pool drains. [`ElasticScheduler`] is that control
-//! plane, driven by a time-ordered [`LeaseEvent`] trace and emitting a
-//! [`Decision`] log whose FNV-1a fingerprint makes whole runs
-//! byte-comparable.
+//! plane, driven by a time-ordered [`LeaseEvent`] trace and emitting
+//! [`Decision`]s whose running FNV-1a fingerprint makes whole runs
+//! byte-comparable. It keeps only the latest call's decisions and a
+//! count: a whole run's log would grow with the trace.
 //!
 //! Every rule below is deliberately a *total, deterministic* function of
 //! the event history — the pure reference scheduler in `simcheck`
@@ -522,7 +523,11 @@ pub struct ElasticScheduler {
     next_lease: u64,
     clock: SimTime,
     defrag_done: u64,
+    /// The decisions of the latest public call: cleared as each starts.
     decisions: Vec<Decision>,
+    /// Decisions made since creation.
+    decision_count: u64,
+    /// FNV-1a over every decision since creation, folded as each is made.
     fingerprint: u64,
     // Derived state. Each set's order is the tie-break of the rule it
     // serves; all of it is a function of `boards` + `leases` (see
@@ -575,6 +580,7 @@ impl ElasticScheduler {
             clock: SimTime::ZERO,
             defrag_done: 0,
             decisions: Vec::new(),
+            decision_count: 0,
             fingerprint: FNV1A_OFFSET,
             free: BTreeSet::new(),
             evictions: BTreeSet::new(),
@@ -643,12 +649,22 @@ impl ElasticScheduler {
         self.debug_defrag_drop_caps = on;
     }
 
-    /// The decision log so far.
-    pub fn decisions(&self) -> &[Decision] {
+    /// The decisions the latest call of [`apply`], [`advance_to`] or a
+    /// direct event method made, in order.
+    ///
+    /// [`apply`]: ElasticScheduler::apply
+    /// [`advance_to`]: ElasticScheduler::advance_to
+    pub fn last_decisions(&self) -> &[Decision] {
         &self.decisions
     }
 
-    /// FNV-1a fingerprint of the decision log (order-sensitive).
+    /// Decisions made since creation.
+    pub fn decision_count(&self) -> u64 {
+        self.decision_count
+    }
+
+    /// FNV-1a fingerprint of every decision since creation
+    /// (order-sensitive).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -856,11 +872,10 @@ impl ElasticScheduler {
         debug_assert_eq!(self.indexes_match_rescan(), Ok(()));
     }
 
-    /// Applies one trace event, returning the decisions it produced (the
-    /// tail of [`decisions`](Self::decisions)). Events must arrive in
-    /// non-decreasing time order.
+    /// Applies one trace event, returning the decisions it produced
+    /// (what [`last_decisions`](Self::last_decisions) returns next).
+    /// Events must arrive in non-decreasing time order.
     pub fn apply(&mut self, ev: &LeaseEvent) -> &[Decision] {
-        let start = self.decisions.len();
         match &ev.kind {
             LeaseEventKind::Request {
                 req,
@@ -882,7 +897,7 @@ impl ElasticScheduler {
                 let _ = self.board_up(ev.at, *board);
             }
         }
-        &self.decisions[start..]
+        &self.decisions
     }
 
     /// Runs time forward to `now`, completing due evictions and defrag
@@ -891,8 +906,15 @@ impl ElasticScheduler {
     ///
     /// [`apply`]: ElasticScheduler::apply
     pub fn advance_to(&mut self, now: SimTime) {
-        self.advance(now);
+        self.begin(now);
         self.check_indexes();
+    }
+
+    /// Starts a public call at `now`: forgets the previous call's
+    /// decisions, then runs time forward.
+    fn begin(&mut self, now: SimTime) {
+        self.decisions.clear();
+        self.advance(now);
     }
 
     fn advance(&mut self, now: SimTime) {
@@ -936,6 +958,7 @@ impl ElasticScheduler {
 
     fn push(&mut self, d: Decision) {
         self.fingerprint = fingerprint_decision(self.fingerprint, &d);
+        self.decision_count += 1;
         self.decisions.push(d);
     }
 
@@ -964,7 +987,7 @@ impl ElasticScheduler {
         preemptible: bool,
         caps: TenantCaps,
     ) -> Result<(), ElasticError> {
-        self.advance(now);
+        self.begin(now);
         if self
             .req_state
             .get(&req)
@@ -1020,7 +1043,7 @@ impl ElasticScheduler {
     ///
     /// [`ElasticError::UnknownLease`] when `req` was never submitted.
     pub fn release(&mut self, now: SimTime, req: u64) -> Result<(), ElasticError> {
-        self.advance(now);
+        self.begin(now);
         let result = match self.req_state.get(&req).copied() {
             None => {
                 self.push(Decision::Release { req, lease: None });
@@ -1079,7 +1102,7 @@ impl ElasticScheduler {
     ///
     /// [`request`]: ElasticScheduler::request
     pub fn preempt(&mut self, now: SimTime, lease: u64) -> Result<(), ElasticError> {
-        self.advance(now);
+        self.begin(now);
         let result = match self.leases.get(lease).map(|l| (l.preemptible, l.at)) {
             None => Err(ElasticError::UnknownLease(lease)),
             Some((false, _)) => Err(ElasticError::NotPreemptible(lease)),
@@ -1107,7 +1130,7 @@ impl ElasticScheduler {
     ///
     /// [`ElasticError::SpotPoolEmpty`] when no spot lease is live.
     pub fn reclaim_spot(&mut self, now: SimTime) -> Result<u64, ElasticError> {
-        self.advance(now);
+        self.begin(now);
         let victim = self.spot_victim();
         if let Some(victim) = victim {
             self.start_reclaim(now, victim);
@@ -1122,7 +1145,7 @@ impl ElasticScheduler {
     ///
     /// [`ElasticError::UnknownBoard`] for unregistered boards.
     pub fn board_down(&mut self, now: SimTime, board: NodeAddr) -> Result<(), ElasticError> {
-        self.advance(now);
+        self.begin(now);
         let Some(&b) = self.board_index.get(&board) else {
             self.check_indexes();
             return Err(ElasticError::UnknownBoard(board));
@@ -1173,7 +1196,7 @@ impl ElasticScheduler {
     ///
     /// [`ElasticError::UnknownBoard`] for unregistered boards.
     pub fn board_up(&mut self, now: SimTime, board: NodeAddr) -> Result<(), ElasticError> {
-        self.advance(now);
+        self.begin(now);
         let Some(&b) = self.board_index.get(&board) else {
             self.check_indexes();
             return Err(ElasticError::UnknownBoard(board));
@@ -1776,7 +1799,7 @@ mod tests {
         ));
         // After the eviction window, the grant lands automatically.
         s.advance_to(t0 + SimDuration::from_millis(100));
-        let last = s.decisions().last().unwrap().clone();
+        let last = s.last_decisions().last().unwrap().clone();
         assert!(matches!(last, Decision::Grant { req: 3, waited_ns, .. }
                 if waited_ns == SimDuration::from_millis(100).as_nanos()));
         assert!(s.queued_reqs().is_empty());
@@ -1885,7 +1908,7 @@ mod tests {
             .collect();
         s.advance_to(SimTime::from_secs(1));
         let moved = s
-            .decisions()
+            .last_decisions()
             .iter()
             .any(|d| matches!(d, Decision::Migrate { lease: 2, .. }));
         assert!(moved, "defrag migrated the mis-packed lease");
@@ -1935,10 +1958,10 @@ mod tests {
         });
         // Free share now 10k/60k < 30% → reclaim the largest spot.
         let reclaimed = s
-            .decisions()
+            .last_decisions()
             .iter()
             .any(|d| matches!(d, Decision::Reclaim { victim: 0, .. }));
-        assert!(reclaimed, "decisions: {:?}", s.decisions());
+        assert!(reclaimed, "decisions: {:?}", s.last_decisions());
     }
 
     #[test]
@@ -1963,7 +1986,7 @@ mod tests {
                 }
             }
             s.advance_to(SimTime::from_secs(2));
-            (s.fingerprint(), s.decisions().len())
+            (s.fingerprint(), s.decision_count())
         };
         assert_eq!(run(), run());
     }

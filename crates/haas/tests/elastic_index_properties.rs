@@ -162,7 +162,7 @@ fn request_ids_near_the_top_done_and_never_seen() {
     // Releasing the top id hands its region to the waiter (lease 2).
     s.release(ms(2), top).unwrap();
     assert_eq!(
-        s.decisions().last(),
+        s.last_decisions().last(),
         Some(&Decision::Grant {
             req: top - 2,
             lease: 2,
@@ -171,21 +171,21 @@ fn request_ids_near_the_top_done_and_never_seen() {
         })
     );
     // A done id releases again as a no-op; an id never seen is unknown.
-    let before = s.decisions().len();
     assert_eq!(s.release(ms(3), top), Ok(()));
+    assert_eq!(
+        s.last_decisions(),
+        [Decision::Release {
+            req: top,
+            lease: None
+        }]
+    );
     assert_eq!(s.release(ms(3), top - 3), Err(UnknownLease(top - 3)));
     assert_eq!(
-        &s.decisions()[before..],
-        [
-            Decision::Release {
-                req: top,
-                lease: None
-            },
-            Decision::Release {
-                req: top - 3,
-                lease: None
-            },
-        ]
+        s.last_decisions(),
+        [Decision::Release {
+            req: top - 3,
+            lease: None
+        }]
     );
     // A done id may be reused: it waits, then takes lease 3.
     request(&mut s, ms(4), top).unwrap();
@@ -217,7 +217,7 @@ fn region_vacated_inside_its_eviction_window_stays_reserved_until_due() {
     let t0 = SimTime::from_millis(10);
     request(&mut s, t0, 1, TenantClass::Guaranteed);
     assert!(matches!(
-        s.decisions().last(),
+        s.last_decisions().last(),
         Some(Decision::Evict {
             victim: 0,
             for_req: 1,
@@ -230,16 +230,15 @@ fn region_vacated_inside_its_eviction_window_stays_reserved_until_due() {
     assert_eq!(s.indexes_match_rescan(), Ok(()));
     // The empty region is not free: a second guaranteed request queues
     // behind the reservation, and finds nothing to evict either.
-    let before = s.decisions().len();
     request(&mut s, SimTime::from_millis(60), 2, TenantClass::Guaranteed);
-    assert_eq!(&s.decisions()[before..], [Decision::Queue { req: 2 }]);
+    assert_eq!(s.last_decisions(), [Decision::Queue { req: 2 }]);
     assert_eq!(s.queued_reqs(), vec![1, 2]);
     assert_eq!(s.reclaim_spot(SimTime::from_millis(61)).ok(), None);
     // When the window closes the region goes to the request it was
     // reserved for.
     s.advance_to(t0 + window);
     assert!(matches!(
-        s.decisions().last(),
+        s.last_decisions().last(),
         Some(Decision::Grant { req: 1, .. })
     ));
     assert_eq!(s.queued_reqs(), vec![2]);

@@ -159,7 +159,7 @@ fn request_id_that_is_still_live_is_a_typed_reject() {
     ask(&mut s, 1, 1, 15_000).unwrap();
     ask(&mut s, 2, 2, 18_000).unwrap();
     assert_eq!(s.queued_reqs(), vec![2], "both regions are taken");
-    let (decisions, placement) = (s.decisions().len(), s.placement());
+    let (decisions, placement) = (s.decision_count(), s.placement());
     // While leased and while queued (here even too large for the pool):
     // refused, no decision, books untouched.
     for (us, req, alms) in [(3, 0, 15_000), (4, 2, 5_000), (5, 2, 25_000)] {
@@ -167,7 +167,8 @@ fn request_id_that_is_still_live_is_a_typed_reject() {
             ask(&mut s, us, req, alms).unwrap_err(),
             ElasticError::DuplicateRequest(req)
         );
-        assert_eq!(s.decisions().len(), decisions);
+        assert_eq!(s.decision_count(), decisions);
+        assert_eq!(s.last_decisions(), []);
         assert_eq!(s.placement(), placement);
         assert_eq!(s.queued_reqs(), vec![2]);
         assert_eq!(s.leases().count(), 2);

@@ -226,9 +226,11 @@ impl TokenBucket {
 
 #[derive(Debug)]
 struct Unacked {
-    frame: LtlFrame,
+    seq: u32,
     /// Encoded wire bytes, kept so retransmissions clone the shared
-    /// buffer instead of re-encoding the frame.
+    /// buffer instead of re-encoding the frame. The frame itself is not
+    /// kept: its payload view would pin the sender's message until the
+    /// last ACK, although `wire` already holds a copy.
     wire: Bytes,
     sent_at: SimTime,
     /// When the frame times out. `SimTime::MAX` while it waits in the
@@ -263,6 +265,11 @@ struct RecvConn {
     remote: NodeAddr,
     expected_seq: u32,
     assembling: BytesMut,
+    /// Length of the last multi-frame message reassembled here: the first
+    /// fragment of the next one reserves it, so a run of equal messages
+    /// is joined in one exact-size buffer instead of one grown by
+    /// doubling.
+    last_assembled: usize,
     assembling_vc: u8,
     nack_sent_for: Option<u32>,
     /// Selective repeat: out-of-order frames held for reassembly, kept
@@ -481,7 +488,7 @@ impl LtlEngine {
     /// SACK-punched holes).
     pub fn send_unacked_seqs(&self, conn: SendConnId) -> Option<Vec<u32>> {
         let sc = self.sends.get(conn as usize)?;
-        Some(sc.unacked.iter().map(|u| u.frame.seq).collect())
+        Some(sc.unacked.iter().map(|u| u.seq).collect())
     }
 
     /// Exact buffered out-of-order sequence numbers on receive connection
@@ -526,6 +533,7 @@ impl LtlEngine {
             remote,
             expected_seq: 0,
             assembling: BytesMut::new(),
+            last_assembled: 0,
             assembling_vc: 0,
             nack_sent_for: None,
             buffered: Vec::new(),
@@ -653,11 +661,11 @@ impl LtlEngine {
         // Retransmissions: shaped by the bucket only.
         while let Some(&(conn, seq)) = self.retransmit.front() {
             let sc = &mut self.sends[conn as usize];
-            let Some(u) = sc.unacked.iter_mut().find(|u| u.frame.seq == seq) else {
+            let Some(u) = sc.unacked.iter_mut().find(|u| u.seq == seq) else {
                 self.retransmit.pop_front(); // ACKed in the meantime
                 continue;
             };
-            let bytes = (u.frame.payload.len() + super::frame::LTL_HEADER_BYTES) as f64;
+            let bytes = u.wire.len() as f64;
             if let Some(b) = &mut self.bucket {
                 let at = b.ready_at(now, bytes);
                 if at > now {
@@ -710,12 +718,14 @@ impl LtlEngine {
             let dst = sc.remote;
             // Encode once, into the spare if there is one; the unacked
             // entry keeps the shared wire bytes so a later retransmission
-            // is a pure Arc clone.
+            // is a pure Arc clone. The frame is dropped here, and with it
+            // its view of the caller's payload: once a message's last
+            // frame is encoded, the caller holds its payload alone again.
             let wire = frame.encode_reusing(self.spare.take());
             let deadline = now + Self::rto(&self.cfg, &sc.rtt, 0);
             self.timeout_bound = self.timeout_bound.min(deadline);
             sc.unacked.push_back(Unacked {
-                frame,
+                seq: frame.seq,
                 wire: wire.clone(),
                 sent_at: now,
                 deadline,
@@ -879,6 +889,9 @@ impl LtlEngine {
         rc.expected_seq = rc.expected_seq.wrapping_add(1);
         rc.assembling_vc = frame.vc;
         if !frame.last_frag {
+            if rc.assembling.is_empty() {
+                rc.assembling = BytesMut::with_capacity(rc.last_assembled);
+            }
             rc.assembling.extend_from_slice(&frame.payload);
             return;
         }
@@ -888,6 +901,7 @@ impl LtlEngine {
             frame.payload
         } else {
             rc.assembling.extend_from_slice(&frame.payload);
+            rc.last_assembled = rc.assembling.len();
             core::mem::take(&mut rc.assembling).freeze()
         };
         stats.msgs_delivered += 1;
@@ -939,7 +953,7 @@ impl LtlEngine {
             return;
         };
         let cum = frame.seq;
-        while sc.unacked.front().is_some_and(|u| seq_le(u.frame.seq, cum)) {
+        while sc.unacked.front().is_some_and(|u| seq_le(u.seq, cum)) {
             let u = sc.unacked.pop_front().expect("front checked");
             Self::retire(&mut self.rtts, &mut self.spare, sc, u, now);
         }
@@ -947,7 +961,7 @@ impl LtlEngine {
         // definition the receiver's first gap and is never sacked).
         let mut i = 0;
         while bits != 0 && i < sc.unacked.len() {
-            let off = sc.unacked[i].frame.seq.wrapping_sub(cum);
+            let off = sc.unacked[i].seq.wrapping_sub(cum);
             if (2..=65).contains(&off) && bits & (1u64 << (off - 2)) != 0 {
                 let u = sc.unacked.remove(i).expect("index checked");
                 Self::retire(&mut self.rtts, &mut self.spare, sc, u, now);
@@ -969,13 +983,13 @@ impl LtlEngine {
         };
         for u in sc.unacked.iter_mut() {
             let wanted = match self.cfg.mode {
-                LtlMode::GoBackN => seq_le(frame.seq, u.frame.seq),
-                LtlMode::SelectiveRepeat => u.frame.seq == frame.seq,
+                LtlMode::GoBackN => seq_le(frame.seq, u.seq),
+                LtlMode::SelectiveRepeat => u.seq == frame.seq,
             };
             if wanted {
                 u.retransmitted = true;
                 u.deadline = SimTime::MAX;
-                self.retransmit.push_back((conn, u.frame.seq));
+                self.retransmit.push_back((conn, u.seq));
             }
         }
     }
@@ -1013,7 +1027,7 @@ impl LtlEngine {
                     u.retransmitted = true;
                     u.deadline = SimTime::MAX;
                     self.stats.timeouts += 1;
-                    self.retransmit.push_back((idx as SendConnId, u.frame.seq));
+                    self.retransmit.push_back((idx as SendConnId, u.seq));
                     // One backoff step per connection per expiry instant:
                     // a burst of frames expiring together signals one
                     // loss event, not many.
@@ -1351,6 +1365,54 @@ mod tests {
             p.a.stats_view().data_sent >= 7,
             "segmented into multiple frames"
         );
+    }
+
+    /// The sender lets go of the caller's payload as soon as it has
+    /// encoded the message's last frame, long before the ACKs: the caller
+    /// may then write it in place. What it kept for retransmission, the
+    /// wire image, is resent byte for byte whatever the caller wrote.
+    #[test]
+    fn the_payload_is_released_at_first_send_and_retransmissions_are_unchanged() {
+        for mode in [LtlMode::GoBackN, LtlMode::SelectiveRepeat] {
+            let cfg = no_dcqcn().with_mode(mode);
+            let timeout = cfg.timeout;
+            let mut p = Pair::new(cfg);
+            let mut payload = Bytes::from(vec![0x5Au8; 3 * p.a.cfg.mtu_payload]);
+            p.a.send_message(p.a_send, 0, payload.clone()).unwrap();
+            let mut first = Vec::new();
+            for _ in 0..3 {
+                assert!(!payload.is_unique(), "{mode}: a queued frame views it");
+                let Poll::Ready(pkt) = p.a.poll(p.now) else {
+                    panic!("{mode}: data frame expected");
+                };
+                first.push(pkt.payload.as_slice().to_vec()); // then lost
+            }
+            assert!(payload.is_unique(), "{mode}: released at the last encode");
+            payload.try_mut().expect("unique").fill(0xEE);
+
+            p.now = SimTime::ZERO + timeout * 2;
+            p.a.on_tick(p.now);
+            let mut resent = Vec::new();
+            while let Poll::Ready(pkt) = p.a.poll(p.now) {
+                resent.push(pkt.payload.as_slice().to_vec());
+            }
+            assert_eq!(resent, first, "{mode}: retransmissions are the first sends");
+        }
+    }
+
+    /// A multi-frame message is joined in a buffer of the previous one's
+    /// length, so a run of equal messages never regrows it.
+    #[test]
+    fn reassembly_reserves_the_previous_message_s_length() {
+        let mut p = Pair::new(no_dcqcn());
+        let len = 5 * p.a.cfg.mtu_payload + 17;
+        for round in 0..3u8 {
+            p.a.send_message(p.a_send, 0, Bytes::from(vec![round; len]))
+                .unwrap();
+            let events = p.exchange(SimDuration::from_micros(1));
+            assert_eq!(delivered(&events), [vec![round; len]]);
+        }
+        assert_eq!(p.b.recvs[0].last_assembled, len);
     }
 
     #[test]

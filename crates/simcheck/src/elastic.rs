@@ -178,16 +178,14 @@ impl Case for ElasticSpec {
 
         for ev in &self.events {
             let before: Vec<RegionLease> = real.leases().cloned().collect();
-            let start_real = real.decisions().len();
             real.apply(ev);
-            let d_real = &real.decisions()[start_real..];
             let d_ref = reference.apply(ev);
-            track_queue(&mut queued, ev, d_real);
+            track_queue(&mut queued, ev, real.last_decisions());
             check_step(
                 self,
                 &real,
                 &reference,
-                d_real,
+                real.last_decisions(),
                 &d_ref,
                 &before,
                 &queued,
@@ -202,19 +200,17 @@ impl Case for ElasticSpec {
             // Settle trailing evictions and defrag boundaries; the planted
             // defrag bug often only fires here, after the last trace event.
             let before: Vec<RegionLease> = real.leases().cloned().collect();
-            let start_real = real.decisions().len();
             let start_ref = reference.decisions().len();
             real.advance_to(horizon);
             reference.advance_to(horizon);
-            let d_real = real.decisions()[start_real..].to_vec();
-            let d_ref = reference.decisions()[start_ref..].to_vec();
-            drain_queue(&mut queued, &d_real);
+            let d_ref = &reference.decisions()[start_ref..];
+            drain_queue(&mut queued, real.last_decisions());
             check_step(
                 self,
                 &real,
                 &reference,
-                &d_real,
-                &d_ref,
+                real.last_decisions(),
+                d_ref,
                 &before,
                 &queued,
                 horizon,
@@ -224,7 +220,7 @@ impl Case for ElasticSpec {
         Outcome {
             violations,
             events: self.events.len() as u64,
-            decisions: real.decisions().len() as u64,
+            decisions: real.decision_count(),
             ..Outcome::default()
         }
     }

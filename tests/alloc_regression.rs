@@ -26,25 +26,36 @@
 //! and has to count the whole process; its constant budget absorbs that,
 //! and [`SERIAL`] keeps this file's other tests out of it.
 //!
-//! The LTL message path is allocation-free in steady state too: a sender
-//! hands its shell a `Msg::LtlSend` variant, and each engine encodes a
-//! data frame into the wire buffer of a frame an acknowledgement retired
-//! (one spare per engine), once nothing else holds a view of it. What a
-//! message costs beyond that is a box its sender chose, or a payload it
-//! built. Three more tests pin that, two-sided — an acquisition that
-//! disappears is news as much as one that appears:
+//! The LTL message path is allocation-free in steady state too, for a
+//! one-frame message. Every buffer on it is reused once nothing else
+//! holds a view of it (`Bytes::is_unique`): a sender hands its shell a
+//! `Msg::LtlSend` variant; each engine encodes a data frame into the wire
+//! buffer of a frame an acknowledgement retired (one spare per engine),
+//! and lets go of the sender's payload once the message's last frame is
+//! encoded; the remote-acceleration apps then write their next request or
+//! reply into the payload they sent last. What a message costs beyond
+//! that is a box its sender chose, a payload it built, or the parts of a
+//! multi-frame message. Four more tests pin that, two-sided — an
+//! acquisition that disappears is news as much as one that appears:
 //!
 //! * two shells under one TOR in a closed-loop 48-byte volley: 0 per
 //!   round trip with `Msg::LtlSend`, and 2 with the boxed
 //!   `ShellCmd::LtlSend` the repository benchmark still sends (one box
 //!   per side; wire buffers, ACKs, upcalls and deliveries are free);
-//! * a `RemoteClient` request answered by an `AcceleratorRole`: 4 — the
-//!   request and reply payloads;
+//! * a `RemoteClient` request answered by an `AcceleratorRole`: 0 — the
+//!   request and reply payloads are rewritten in place (building them
+//!   cost 4);
 //! * two `LtlEngine`s driven back to back: 0 per data frame once the
 //!   data packet is dropped before its acknowledgement arrives, and an
 //!   acknowledgement leg that is free in go-back-N (a 20-byte ACK lives
 //!   inline in its `Bytes`) and costs 2 in selective repeat (a 28-byte
-//!   SACK wire image does not; its 8-byte bitmap payload does).
+//!   SACK wire image does not; its 8-byte bitmap payload does);
+//! * the same engines carrying an 8 KiB message, six frames: the one
+//!   spare serves the first frame, frames 2-6 take a fresh wire buffer
+//!   at 2 each, the receiver joins the fragments in one buffer of the
+//!   previous message's length (2: the vector and its shared handle), and
+//!   selective repeat adds its six SACKs — 12 in go-back-N, 24 in
+//!   selective repeat.
 //!
 //! The fleet background path is allocation-free and pinned the same
 //! two-sided way: a tick of `FleetLoadGen` hands its up to 64 batches to
@@ -503,14 +514,16 @@ fn volley_allocs(boxed: bool) -> u64 {
 
 /// The remote-acceleration path as `service_chaos` drives it: a
 /// `RemoteClient` issuing requests to an `AcceleratorRole` over one
-/// connection pair. Per request: the request and the reply payload (2
-/// each) — 4. Both send with `Msg::LtlSend` (boxing made it 6), each
-/// engine refills a retired frame's wire buffer (fresh ones made it 10),
+/// connection pair. Per request: nothing. The client and the role write
+/// each payload into the one they sent last, which the engine let go of
+/// when it encoded the frame (a fresh request and reply payload made it
+/// 4). Both send with `Msg::LtlSend` (boxing added 2), each engine
+/// refills a retired frame's wire buffer (fresh ones added 6),
 /// `IssueRequest` is zero-sized, so its box is free, and the role parks
-/// its reply behind a timer instead of boxing a self-message (which made
-/// it 11).
+/// its reply behind a timer instead of boxing a self-message (which added
+/// 1).
 #[test]
-fn remote_request_acquires_only_its_payloads() {
+fn remote_request_acquires_nothing() {
     const WARM_UP: u64 = 1_000;
     const REQUESTS: u64 = 10_000;
     let _serial = serial();
@@ -545,45 +558,54 @@ fn remote_request_acquires_only_its_payloads() {
     assert_eq!(client.completed() as u64, WARM_UP + REQUESTS);
     let role = engine.component::<AcceleratorRole>(role).unwrap();
     assert_eq!(role.completed(), WARM_UP + REQUESTS);
-    assert_budget("remote request", measured, REQUESTS, 4);
+    assert_budget("remote request", measured, REQUESTS, 0);
 }
 
-/// Acquisitions of `messages` single-frame messages pushed through a
+/// Acquisitions of `messages` messages of `len` bytes pushed through a
 /// back-to-back engine pair, split into the data leg (`send_message`,
-/// `poll`) and the acknowledgement leg (`on_packet`, `poll`, `on_packet`).
-/// The data packet is dropped between B's receipt and A's, as a network
-/// drops a delivered frame: a packet still alive holds the wire buffer,
-/// which is then rightly not reused.
-fn engine_pair_allocs(mode: LtlMode, messages: u64) -> (u64, u64) {
+/// `poll` until every frame is out) and the receive-and-acknowledge leg
+/// (B's `on_packet` per frame, its `poll`s, A's `on_packet` per reply).
+/// Each data packet is dropped once B has it, as a network drops a
+/// delivered frame: a packet still alive holds the wire buffer, which is
+/// then rightly not reused. The delivery is dropped unread.
+fn engine_pair_allocs(mode: LtlMode, len: usize, messages: u64) -> (u64, u64) {
     let (a_addr, b_addr) = (NodeAddr::new(0, 0, 1), NodeAddr::new(0, 0, 2));
     let cfg = LtlConfig::default().with_mode(mode);
     let mut a = LtlEngine::new(a_addr, cfg.clone());
     let mut b = LtlEngine::new(b_addr, cfg);
     let recv = b.add_recv(a_addr);
     let conn = a.add_send(b_addr, recv);
-    let payload = Bytes::from(vec![0x3Cu8; 48]);
+    let payload = Bytes::from(vec![0x3Cu8; len]);
     let mut now = SimTime::ZERO;
+    let mut frames: Vec<Packet> = Vec::with_capacity(64);
     let mut message = |a: &mut LtlEngine, b: &mut LtlEngine| {
         now += SimDuration::from_micros(1);
-        let mut wire = None;
         let data_leg = on_this_thread(|| {
             a.send_message(conn, 0, payload.clone()).expect("open");
-            wire = Some(a.poll(now));
+            // DC-QCN paces the frames of a message apart.
+            loop {
+                match a.poll(now) {
+                    Poll::Ready(data) => frames.push(data),
+                    Poll::Later(at) => now = at,
+                    Poll::Empty => break,
+                }
+            }
         });
-        let Some(Poll::Ready(data)) = wire else {
-            panic!("data frame expected");
-        };
         let ack_leg = on_this_thread(|| {
-            let delivered = b
-                .on_packet(&data, now)
-                .filter(|ev| matches!(ev, LtlEvent::Deliver { .. }))
-                .count();
+            let mut delivered = 0;
+            for data in frames.drain(..) {
+                delivered += b
+                    .on_packet(&data, now)
+                    .filter(|ev| matches!(ev, LtlEvent::Deliver { .. }))
+                    .count();
+            }
             assert_eq!(delivered, 1);
-            drop(data);
-            let Poll::Ready(ack) = b.poll(now) else {
-                panic!("acknowledgement expected");
-            };
-            assert_eq!(a.on_packet(&ack, now).len(), 0);
+            let mut replies = 0;
+            while let Poll::Ready(ack) = b.poll(now) {
+                assert_eq!(a.on_packet(&ack, now).len(), 0);
+                replies += 1;
+            }
+            assert!(replies > 0, "acknowledgement expected");
         });
         (data_leg, ack_leg)
     };
@@ -607,13 +629,36 @@ fn engine_pair_allocs(mode: LtlMode, messages: u64) -> (u64, u64) {
 fn ltl_engine_pair_acquires_only_wire_buffers() {
     const MESSAGES: u64 = 10_000;
     let _serial = serial();
-    let (data_leg, ack_leg) = engine_pair_allocs(LtlMode::GoBackN, MESSAGES);
+    let (data_leg, ack_leg) = engine_pair_allocs(LtlMode::GoBackN, 48, MESSAGES);
     assert_eq!(data_leg, 0, "go-back-N data leg");
     assert_budget("go-back-N acknowledgement leg", ack_leg, MESSAGES, 0);
 
-    let (data_leg, ack_leg) = engine_pair_allocs(LtlMode::SelectiveRepeat, MESSAGES);
+    let (data_leg, ack_leg) = engine_pair_allocs(LtlMode::SelectiveRepeat, 48, MESSAGES);
     assert_eq!(data_leg, 0, "selective-repeat data leg");
     assert_budget("selective-repeat acknowledgement leg", ack_leg, MESSAGES, 2);
+}
+
+/// An 8 KiB message, six frames, as `incast_lossy` sends them: frames
+/// 2-6 take a fresh wire buffer each (2 apiece: the vector and its shared
+/// handle), since an engine keeps one spare; the receiver joins the
+/// fragments in one buffer sized by the previous message (2; growing it
+/// by doubling cost 5); a selective-repeat receiver answers each frame
+/// with a SACK whose 28-byte wire image is 2 more.
+#[test]
+fn a_six_frame_message_acquires_its_later_frames_and_one_reassembly() {
+    const MESSAGES: u64 = 2_000;
+    const LEN: usize = 8 * 1024;
+    let _serial = serial();
+    for (mode, sacks) in [(LtlMode::GoBackN, 0), (LtlMode::SelectiveRepeat, 6 * 2)] {
+        let (data_leg, ack_leg) = engine_pair_allocs(mode, LEN, MESSAGES);
+        assert_eq!(data_leg, MESSAGES * 5 * 2, "{mode} data leg: frames 2-6");
+        assert_budget(
+            &format!("{mode} receive-and-acknowledge leg"),
+            ack_leg,
+            MESSAGES,
+            2 + sacks,
+        );
+    }
 }
 
 /// The fleet background path, as `fleet_hybrid` drives it: the default

@@ -5,12 +5,64 @@
 //! a pre-provisioned spare, re-issues its in-flight requests, and every
 //! request eventually completes. The Resource Manager books the failure
 //! and the Service Manager's replacement in parallel.
+//!
+//! The client and the roles write each request and reply into the payload
+//! buffer they used last, when nothing else holds it. The ids a role sees
+//! show that a buffer still in flight is never rewritten: not when a
+//! failover re-issues a burst of requests, not when frames wait out a link
+//! outage unacknowledged, and not when replies are parked side by side.
 
-use apps::remote::{AcceleratorRole, IssueRequest, RemoteClient};
+use apps::remote::{decode_reply, AcceleratorRole, IssueRequest, RemoteClient};
 use catapult::{Cluster, ClusterBuilder};
-use dcnet::{Msg, NodeAddr, SwitchCmd};
-use dcsim::{ComponentId, SimDuration, SimTime};
+use dcnet::{LtlDeliver, Msg, NodeAddr, PortId, SwitchCmd};
+use dcsim::{Component, ComponentId, Context, SimDuration, SimTime};
 use haas::{Constraints, ResourceManager, ServiceManager};
+
+/// Records the request id of every delivery its shell hands it, with the
+/// arrival time, and passes the delivery on to the role behind it.
+struct IdTap {
+    role: ComponentId,
+    seen: Vec<(SimTime, u64)>,
+}
+
+impl Component<Msg> for IdTap {
+    fn on_message(&mut self, msg: Msg, ctx: &mut Context<'_, Msg>) {
+        if let Ok(del) = msg.downcast::<LtlDeliver>() {
+            let id = decode_reply(&del.payload).expect("a request carries its id");
+            self.seen.push((ctx.now(), id));
+            ctx.send(self.role, Msg::LtlDeliver(del));
+        }
+    }
+}
+
+/// An `AcceleratorRole` at `addr` behind an [`IdTap`]; returns both.
+fn tapped_role(
+    cluster: &mut Cluster,
+    addr: NodeAddr,
+    service: SimDuration,
+    recv: u16,
+    send: u16,
+) -> (ComponentId, ComponentId) {
+    let shell_id = cluster.shell_id(addr).expect("populated");
+    let mut role = AcceleratorRole::new(shell_id, service, 0.1, 4, 256);
+    role.add_reply_route(recv, send);
+    let role = cluster.engine_mut().add_component(role);
+    let tap = cluster.engine_mut().add_component(IdTap {
+        role,
+        seen: Vec::new(),
+    });
+    cluster.set_consumer(addr, tap);
+    (role, tap)
+}
+
+/// The ids of `RemoteClient::new(.., 1)`'s requests `0..n`, in issue order.
+fn issued(n: u64) -> Vec<u64> {
+    (0..n).map(|k| 1 << 48 | k).collect()
+}
+
+fn seen(cluster: &Cluster, tap: ComponentId) -> Vec<(SimTime, u64)> {
+    cluster.component::<IdTap>(tap).expect("tap").seen.clone()
+}
 
 #[test]
 fn client_fails_over_to_spare_and_finishes_all_requests() {
@@ -36,16 +88,8 @@ fn client_fails_over_to_spare_and_finishes_all_requests() {
     let (to_spare, s_send, _c_recv2, s_recv) = cluster.connect_pair(client_addr, spare);
 
     let service = SimDuration::from_micros(200);
-    let mk_role = |cluster: &mut Cluster, addr: NodeAddr, recv, send| -> ComponentId {
-        let shell_id = cluster.shell_id(addr).expect("populated");
-        let mut role = AcceleratorRole::new(shell_id, service, 0.1, 4, 256);
-        role.add_reply_route(recv, send);
-        let id = cluster.engine_mut().add_component(role);
-        cluster.set_consumer(addr, id);
-        id
-    };
-    mk_role(&mut cluster, primary, p_recv, p_send);
-    let spare_role = mk_role(&mut cluster, spare, s_recv, s_send);
+    let (_, primary_tap) = tapped_role(&mut cluster, primary, service, p_recv, p_send);
+    let (spare_role, spare_tap) = tapped_role(&mut cluster, spare, service, s_recv, s_send);
 
     let client_shell = cluster.shell_id(client_addr).expect("populated");
     let mut client = RemoteClient::new(client_shell, to_primary, 512, 1);
@@ -96,6 +140,28 @@ fn client_fails_over_to_spare_and_finishes_all_requests() {
         .completed();
     assert!(spare_served >= 75, "spare served {spare_served}");
 
+    // Each role saw every id as issued, once and in order: the failover
+    // re-issued a burst of requests at one instant, each while the one
+    // before it was still in flight, so each in a buffer of its own.
+    let (primary_seen, spare_seen) = (seen(&cluster, primary_tap), seen(&cluster, spare_tap));
+    for log in [&primary_seen, &spare_seen] {
+        assert!(log.windows(2).all(|w| w[0].1 < w[1].1), "{log:?}");
+    }
+    let issued_at = |id: u64| SimTime::from_micros((id & 0xFFFF) * 500);
+    let reissued = spare_seen
+        .iter()
+        .filter(|&&(_, id)| issued_at(id) < spare_seen[0].0)
+        .count();
+    assert!(reissued >= 2, "the failover re-issued {reissued} requests");
+    let mut all: Vec<u64> = primary_seen
+        .iter()
+        .chain(&spare_seen)
+        .map(|s| s.1)
+        .collect();
+    all.sort_unstable();
+    all.dedup();
+    assert_eq!(all, issued(total));
+
     // HaaS bookkeeping mirrors the event.
     let lease = rm.mark_failed(primary).expect("primary was leased");
     let replacement = sm
@@ -104,4 +170,96 @@ fn client_fails_over_to_spare_and_finishes_all_requests() {
         .expect("spare grantable");
     assert_eq!(replacement, spare);
     assert_eq!(sm.endpoints(), vec![spare]);
+}
+
+/// Frames that wait out a link outage unacknowledged are resent from
+/// their own wire image: the client writes its next requests into the
+/// payload buffer meanwhile, and the role still sees every id as issued.
+#[test]
+fn requests_unacked_across_a_link_outage_arrive_as_issued() {
+    let mut cluster = ClusterBuilder::paper(92, 1).build();
+    let (client_addr, role_addr) = (NodeAddr::new(0, 5, 3), NodeAddr::new(0, 1, 0));
+    let client_shell = cluster.add_shell(client_addr);
+    cluster.add_shell(role_addr);
+    let (to_role, to_client, _, role_recv) = cluster.connect_pair(client_addr, role_addr);
+    let (role, tap) = tapped_role(
+        &mut cluster,
+        role_addr,
+        SimDuration::from_micros(2),
+        role_recv,
+        to_client,
+    );
+    let client = RemoteClient::new(client_shell, to_role, 512, 1);
+    let client = cluster.engine_mut().add_component(client);
+    cluster.set_consumer(client_addr, client);
+
+    // A request every 50 us for 3 ms; the role's link is down for 300 us
+    // of it, far less than the transport takes to give up.
+    let total = 60u64;
+    for k in 0..total {
+        cluster.engine_mut().schedule(
+            SimTime::from_micros(k * 50),
+            client,
+            Msg::custom(IssueRequest),
+        );
+    }
+    let tor = cluster.fabric().tor_switch(role_addr.pod, role_addr.tor);
+    let port = PortId(role_addr.host);
+    for (at_us, up) in [(1_000, false), (1_300, true)] {
+        cluster.engine_mut().schedule(
+            SimTime::from_micros(at_us),
+            tor,
+            Msg::Switch(SwitchCmd::SetLinkUp { port, up }),
+        );
+    }
+    cluster.run_to_idle();
+
+    let retransmits = cluster.shell(client_addr).ltl().stats_view().retransmits;
+    assert!(retransmits > 0, "the outage stranded frames");
+    let ids: Vec<u64> = seen(&cluster, tap).iter().map(|s| s.1).collect();
+    assert_eq!(ids, issued(total), "every id once, in order, as issued");
+    let client = cluster.component::<RemoteClient>(client).expect("client");
+    assert_eq!(client.completed(), total as usize);
+    let role = cluster.component::<AcceleratorRole>(role).expect("role");
+    assert_eq!(role.completed(), total);
+}
+
+/// Replies parked at once each take a slot with a buffer of its own:
+/// bursts of three requests keep three replies in service together, and
+/// every reply reaches the client with its own id.
+#[test]
+fn replies_parked_at_once_all_arrive_intact() {
+    let mut cluster = ClusterBuilder::paper(93, 1).build();
+    let (client_addr, role_addr) = (NodeAddr::new(0, 0, 0), NodeAddr::new(0, 0, 1));
+    let client_shell = cluster.add_shell(client_addr);
+    cluster.add_shell(role_addr);
+    let (to_role, to_client, _, role_recv) = cluster.connect_pair(client_addr, role_addr);
+    let (role, tap) = tapped_role(
+        &mut cluster,
+        role_addr,
+        SimDuration::from_micros(50),
+        role_recv,
+        to_client,
+    );
+    let client = RemoteClient::new(client_shell, to_role, 512, 1);
+    let client = cluster.engine_mut().add_component(client);
+    cluster.set_consumer(client_addr, client);
+
+    let (bursts, per_burst) = (20u64, 3);
+    for k in 0..bursts * per_burst {
+        cluster.engine_mut().schedule(
+            SimTime::from_micros(k / per_burst * 500),
+            client,
+            Msg::custom(IssueRequest),
+        );
+    }
+    cluster.run_to_idle();
+
+    let ids: Vec<u64> = seen(&cluster, tap).iter().map(|s| s.1).collect();
+    assert_eq!(ids, issued(bursts * per_burst));
+    let role = cluster.component::<AcceleratorRole>(role).expect("role");
+    assert_eq!(role.completed(), bursts * per_burst);
+    let client = cluster.component::<RemoteClient>(client).expect("client");
+    assert_eq!(client.completed(), (bursts * per_burst) as usize);
+    assert_eq!(client.outstanding(), 0, "no reply carried another's id");
 }
