@@ -92,14 +92,6 @@ pub struct AcceleratorRole {
     replies: ParkedReplies,
 }
 
-/// Accelerator-role counters (the legacy struct view; [`MetricSource`]
-/// is the registry view of the same numbers).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoleStats {
-    /// Requests served.
-    pub completed: u64,
-}
-
 /// Replies waiting for their pipeline slot to finish, one slot per reply;
 /// the timer that sends a reply carries its slot as the token. Freed
 /// slots are reused, so once the table has grown to the most replies in
@@ -198,14 +190,6 @@ impl AcceleratorRole {
         self.completed
     }
 
-    /// Role counters as a struct, mirroring the other components' legacy
-    /// `stats()` surface.
-    pub fn stats(&self) -> RoleStats {
-        RoleStats {
-            completed: self.completed,
-        }
-    }
-
     fn sample_service(&self, rng: &mut SimRng) -> SimDuration {
         let mu = self.service.as_secs_f64().ln() - self.sigma * self.sigma / 2.0;
         SimDuration::from_secs_f64(rng.lognormal(mu, self.sigma))
@@ -297,8 +281,9 @@ pub struct RemoteClient {
     tracer: Option<TrackTracer>,
 }
 
-/// Client counters (the legacy struct view; [`MetricSource`] is the
-/// registry view of the same numbers).
+/// Client counters, read together in one struct (the chaos experiment
+/// totals all five per client); [`MetricSource`] is the registry view of
+/// the same numbers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientStats {
     /// Responses received.
@@ -369,8 +354,7 @@ impl RemoteClient {
         self.tracer = Some(tracer);
     }
 
-    /// Client counters as a struct, mirroring the other components' legacy
-    /// `stats()` surface.
+    /// Client counters as one struct.
     pub fn stats(&self) -> ClientStats {
         ClientStats {
             completed: self.latencies.count() as u64,

@@ -1127,8 +1127,7 @@ fn build_report(rig: ChaosRig) -> ChaosReport {
                 .engine()
                 .component::<AcceleratorRole>(id)
                 .expect("role registered")
-                .stats()
-                .completed
+                .completed()
         };
         served_by_primaries += served(t.primary_role);
         served_by_spares += served(t.spare_role);

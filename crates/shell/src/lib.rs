@@ -57,4 +57,4 @@ pub use er::{CreditPolicy, ElasticRouter, ErConfig, ErStats, Flit, InjectError};
 pub use er_net::{ErMessage, ErNetwork, NetPort};
 pub use shell::{LtlConnFailed, Shell, ShellCmd, ShellConfig, ShellStats, PORT_NIC, PORT_TOR};
 pub use tap::{NetworkTap, PassthroughTap, TapAction};
-pub use tenant::{CapVerdict, TenantCapTable, TenantCaps, TenantId, DEFAULT_CAP_WINDOW};
+pub use tenant::{TenantCapTable, TenantCaps, TenantId, CAP_WINDOW};

@@ -22,21 +22,21 @@
 //!
 //! Local consumers (roles, host drivers) send messages with
 //! [`Msg::LtlSend`], control the shell with [`ShellCmd`] messages and
-//! receive [`LtlDeliver`] / [`LtlConnFailed`] payloads in return.
+//! receive [`Msg::LtlDeliver`] / [`LtlConnFailed`] payloads in return.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use dcnet::{
-    LinkParams, LinkTx, LtlDeliver, LtlSend, Msg, NetEvent, NodeAddr, Packet, PortId, TrafficClass,
+    LinkParams, LinkTx, LtlSend, Msg, NetEvent, NodeAddr, Packet, PortId, TrafficClass,
     LTL_UDP_PORT,
 };
 use dcsim::{Component, ComponentId, Context, SimDuration, SimTime};
 use telemetry::{MetricSource, MetricVisitor, TrackTracer};
 
-use crate::ltl::{Endpoint, LtlConfig, LtlEngine, LtlEvent, SendConnId, TxKind};
-use crate::tap::{NetworkTap, PassthroughTap, TapAction};
-use crate::tenant::{CapVerdict, TenantCapTable, TenantCaps, TenantId};
+use crate::ltl::{Endpoint, LtlConfig, LtlEngine, SendConnId, TxKind};
+use crate::tap::{NetworkTap, Role, TapAction};
+use crate::tenant::{TenantCapTable, TenantCaps, TenantId};
 
 /// Shell port facing the TOR switch.
 pub const PORT_TOR: PortId = PortId(0);
@@ -288,7 +288,7 @@ pub struct Shell {
     addr: NodeAddr,
     cfg: ShellConfig,
     ltl: Endpoint<TIMER_LTL>,
-    tap: Box<dyn NetworkTap>,
+    role: Role,
     tor: Port,
     ltl_tx: LtlTx,
     nic: Port,
@@ -297,16 +297,13 @@ pub struct Shell {
     /// Bridged host frames for the TOR whose class was paused when they
     /// left the bridge, in arrival order.
     held: VecDeque<Packet>,
-    consumer: Option<ComponentId>,
     stats: ShellStats,
     reconfig: Reconfig,
     /// When the latest-ending load in progress is done.
     reconfig_until: SimTime,
     ltl_loss_rate: f64,
-    hang_until: Option<SimTime>,
     tracer: Option<TrackTracer>,
     tenant_caps: TenantCapTable,
-    conn_tenants: BTreeMap<SendConnId, TenantId>,
 }
 
 impl Shell {
@@ -316,7 +313,7 @@ impl Shell {
         Shell {
             addr,
             ltl: Endpoint::new(LtlEngine::new(addr, cfg.ltl.clone())),
-            tap: Box::new(PassthroughTap),
+            role: Role::new(),
             tor: Port::new(cfg.tor_link),
             ltl_tx: LtlTx {
                 peer_rx: None,
@@ -327,15 +324,12 @@ impl Shell {
             tor_paused: [false; TrafficClass::COUNT],
             held: VecDeque::new(),
             cfg,
-            consumer: None,
             stats: ShellStats::default(),
             reconfig: Reconfig::Running,
             reconfig_until: SimTime::ZERO,
             ltl_loss_rate: 0.0,
-            hang_until: None,
             tracer: None,
             tenant_caps: TenantCapTable::default(),
-            conn_tenants: BTreeMap::new(),
         }
     }
 
@@ -347,7 +341,7 @@ impl Shell {
 
     /// Whether the role is currently wedged by [`ShellCmd::HangRole`].
     pub fn role_hung(&self) -> bool {
-        self.hang_until.is_some()
+        self.role.hang_until.is_some()
     }
 
     /// Whether the bump-in-the-wire is currently forwarding host traffic.
@@ -382,19 +376,19 @@ impl Shell {
 
     /// Installs a role tap on the bridge (replacing the passthrough).
     pub fn set_tap(&mut self, tap: Box<dyn NetworkTap>) {
-        self.tap = tap;
+        self.role.tap = tap;
     }
 
     /// Borrows the installed tap as a concrete type (to read role state
     /// after a run).
     pub fn tap_as<T: NetworkTap>(&self) -> Option<&T> {
-        (self.tap.as_ref() as &dyn std::any::Any).downcast_ref::<T>()
+        (self.role.tap.as_ref() as &dyn std::any::Any).downcast_ref::<T>()
     }
 
-    /// Registers the component that receives [`LtlDeliver`] /
+    /// Registers the component that receives [`Msg::LtlDeliver`] /
     /// [`LtlConnFailed`] payloads.
     pub fn set_consumer(&mut self, consumer: ComponentId) {
-        self.consumer = Some(consumer);
+        self.role.consumer = Some(consumer);
     }
 
     /// Cables the TOR-facing port to its switch port — or, in a
@@ -518,33 +512,30 @@ impl Shell {
         });
     }
 
-    fn on_packet(&mut self, pkt: Packet, ingress: PortId, ctx: &mut Context<'_, Msg>) {
+    /// The MAC's verdicts on a frame entering the shell, as a packet or
+    /// into the LTL receive stage. A bad FCS is discarded before any
+    /// higher layer sees it (LTL senders recover by retransmission), and
+    /// nothing gets through while a full reconfiguration has the link
+    /// down. Returns whether the frame was dropped.
+    fn mac_drops(&mut self, pkt: &Packet) -> bool {
         if pkt.corrupt {
-            // Bad FCS: the MAC discards the frame before any higher layer
-            // sees it. LTL senders recover via retransmission.
             self.stats.corrupt_drops += 1;
-            return;
-        }
-        if self.reconfig == Reconfig::Full {
-            // The link is down during a full reconfiguration; the server
-            // is unreachable until the image load completes.
+        } else if self.reconfig == Reconfig::Full {
             self.stats.reconfig_drops += 1;
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// The bridge: host -> datacenter through the role's tap and out the
+    /// TOR port, everything else to the host.
+    fn on_packet(&mut self, pkt: Packet, ingress: PortId, ctx: &mut Context<'_, Msg>) {
+        if self.mac_drops(&pkt) {
             return;
         }
-        // The bridge: host -> datacenter through the tap and out the TOR
-        // port, everything else to the host. A partial reconfiguration
-        // bypasses the tap.
-        let tap_bypassed = self.reconfig == Reconfig::Partial;
-        let now = ctx.now();
-        let (verdict, port, bridged) = match ingress {
-            PORT_NIC => {
-                let verdict = if tap_bypassed {
-                    TapAction::pass(pkt)
-                } else {
-                    self.tap.outbound(pkt, now)
-                };
-                (verdict, PORT_TOR, &mut self.stats.bridged_out)
-            }
+        let (port, bridged) = match ingress {
+            PORT_NIC => (PORT_TOR, &mut self.stats.bridged_out),
             PORT_TOR => {
                 debug_assert!(
                     pkt.dst_port != LTL_UDP_PORT || pkt.dst != self.addr,
@@ -552,16 +543,12 @@ impl Shell {
                      cabled without the shell's receive stage",
                     self.addr
                 );
-                let verdict = if tap_bypassed {
-                    TapAction::pass(pkt)
-                } else {
-                    self.tap.inbound(pkt, now)
-                };
-                (verdict, PORT_NIC, &mut self.stats.bridged_in)
+                (PORT_NIC, &mut self.stats.bridged_in)
             }
             other => panic!("shell has no port {other}"),
         };
-        match verdict {
+        let bypassed = self.reconfig == Reconfig::Partial;
+        match self.role.bridge(pkt, ingress, ctx.now(), bypassed) {
             TapAction::Forward { pkt, delay } => {
                 *bridged += 1;
                 let egress = Msg::Egress { port, pkt };
@@ -575,14 +562,9 @@ impl Shell {
     /// as [`Msg::LtlSend`] or as a boxed [`ShellCmd::LtlSend`].
     fn ltl_send(&mut self, send: LtlSend, ctx: &mut Context<'_, Msg>) {
         let LtlSend { conn, vc, payload } = send;
-        // Multi-tenant admission: a send on a tenant-bound connection is
-        // charged against that tenant's per-window caps first.
-        if let Some(&tenant) = self.conn_tenants.get(&conn) {
-            let verdict = self.tenant_caps.admit(tenant, ctx.now(), payload.len());
-            if verdict != CapVerdict::Admit {
-                self.stats.tenant_cap_drops += 1;
-                return;
-            }
+        if !self.tenant_caps.admit(conn, ctx.now(), payload.len()) {
+            self.stats.tenant_cap_drops += 1;
+            return;
         }
         // Errors surface as ConnectionFailed notifications; sends on
         // failed connections are dropped.
@@ -614,52 +596,27 @@ impl Shell {
                 self.ltl_loss_rate = rate.clamp(0.0, 1.0);
             }
             ShellCmd::HangRole { duration } => {
-                let until = ctx.now() + duration;
-                if self.hang_until.is_none_or(|t| until > t) {
-                    self.hang_until = Some(until);
-                }
+                self.role.hang(ctx.now() + duration);
                 ctx.timer_after(duration, TIMER_ROLE_RECOVERED);
             }
-            ShellCmd::SetTenantCaps { tenant, caps } => match caps {
-                Some(caps) => self.tenant_caps.set_caps(tenant, caps),
-                None => {
-                    self.tenant_caps.clear(tenant);
-                }
-            },
-            ShellCmd::BindTenant { conn, tenant } => match tenant {
-                Some(tenant) => {
-                    self.conn_tenants.insert(conn, tenant);
-                }
-                None => {
-                    self.conn_tenants.remove(&conn);
-                }
-            },
+            ShellCmd::SetTenantCaps { tenant, caps } => self.tenant_caps.set_caps(tenant, caps),
+            ShellCmd::BindTenant { conn, tenant } => self.tenant_caps.bind(conn, tenant),
         }
     }
 
     /// The LTL receive stage: the end of the receive pipeline (MAC,
     /// depacketizer), `ltl_rx_latency` after the frame's last bit
     /// arrived. The last hop adds that latency ([`Msg::LtlRx`]), so the
-    /// MAC's verdicts — bad FCS, link down for a full reconfiguration —
-    /// are taken here, at stage entry.
+    /// MAC's verdicts ([`Shell::mac_drops`]) are taken here, at stage
+    /// entry. Upcalls go to the role ([`Role::deliver`]).
     fn ltl_rx(&mut self, pkt: Packet, ctx: &mut Context<'_, Msg>) {
-        if pkt.corrupt {
-            self.stats.corrupt_drops += 1;
-            return;
-        }
-        if self.reconfig == Reconfig::Full {
-            self.stats.reconfig_drops += 1;
+        if self.mac_drops(&pkt) {
             return;
         }
         self.stats.ltl_rx_frames += 1;
         let acks_before = self.ltl().stats_view().acks_rx;
-        let upcall = forward_upcalls(
-            self.consumer,
-            self.role_hung(),
-            &self.tracer,
-            &mut self.stats,
-        );
-        self.ltl.on_packet(&pkt, ctx, upcall);
+        let (role, tracer, stats) = (&self.role, &self.tracer, &mut self.stats);
+        (self.ltl).on_packet(&pkt, ctx, |ctx, ev| role.deliver(ctx, ev, tracer, stats));
         // An ACK frame has no upcalls, so no `ltl_deliver` instant can
         // precede this.
         if let Some(tracer) = &self.tracer {
@@ -669,49 +626,6 @@ impl Shell {
         }
         // ACKs/CNPs may now be queued.
         self.pump_ltl(ctx);
-    }
-}
-
-/// The shell's upcall callback: forwards each engine upcall to the
-/// consumer. A delivery is traced first, and lost while the role is hung
-/// (the shell has already ACKed it).
-fn forward_upcalls<'a>(
-    consumer: Option<ComponentId>,
-    role_hung: bool,
-    tracer: &'a Option<TrackTracer>,
-    stats: &'a mut ShellStats,
-) -> impl FnMut(&mut Context<'_, Msg>, LtlEvent) + 'a {
-    move |ctx, ev| match ev {
-        LtlEvent::Deliver {
-            conn,
-            src,
-            vc,
-            payload,
-        } => {
-            if let Some(tracer) = tracer {
-                tracer.instant(ctx.now(), "ltl_deliver", &[("bytes", payload.len() as u64)]);
-            }
-            if role_hung {
-                stats.hang_drops += 1;
-                return;
-            }
-            if let Some(consumer) = consumer {
-                ctx.send(
-                    consumer,
-                    Msg::LtlDeliver(LtlDeliver {
-                        conn,
-                        src,
-                        vc,
-                        payload,
-                    }),
-                );
-            }
-        }
-        LtlEvent::ConnectionFailed { conn, remote } => {
-            if let Some(consumer) = consumer {
-                ctx.send(consumer, Msg::custom(LtlConnFailed { conn, remote }));
-            }
-        }
     }
 }
 
@@ -752,13 +666,8 @@ impl Component<Msg> for Shell {
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, Msg>) {
         match token {
             TIMER_LTL => {
-                let upcall = forward_upcalls(
-                    self.consumer,
-                    self.role_hung(),
-                    &self.tracer,
-                    &mut self.stats,
-                );
-                self.ltl.on_timer(ctx, upcall);
+                let (role, tracer, stats) = (&self.role, &self.tracer, &mut self.stats);
+                (self.ltl).on_timer(ctx, |ctx, ev| role.deliver(ctx, ev, tracer, stats));
                 self.pump_ltl(ctx);
             }
             TIMER_LTL_CREDIT => {
@@ -772,13 +681,7 @@ impl Component<Msg> for Shell {
                     self.pump_ltl(ctx);
                 }
             }
-            TIMER_ROLE_RECOVERED => {
-                // Only the timer for the furthest-out hang clears the state
-                // (overlapping hangs extend, never shorten).
-                if self.hang_until.is_some_and(|t| ctx.now() >= t) {
-                    self.hang_until = None;
-                }
-            }
+            TIMER_ROLE_RECOVERED => self.role.recover(ctx.now()),
             other => panic!("unknown shell timer {other}"),
         }
     }
@@ -817,6 +720,7 @@ impl core::fmt::Debug for Shell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcnet::LtlDeliver;
     use dcsim::Engine;
 
     /// Records packets (a stand-in for a NIC or TOR) and LTL deliveries.
@@ -882,6 +786,17 @@ mod tests {
         e.add_component(Probe::default());
         e.add_component(Probe::default());
         (e, shell_id, nic_id, tor_id)
+    }
+
+    /// Every board carries one shell, the way every switch port is a
+    /// `dcnet` `Port` (`switch::tests::a_port_is_552_bytes`): its stages
+    /// are fields, so a stage's padding would be paid by every board.
+    /// 1,240 B on x86-64 before the role and tenant admission became
+    /// stages, 1,232 B since.
+    #[test]
+    fn a_shell_is_at_most_1240_bytes() {
+        let size = std::mem::size_of::<Shell>();
+        assert!(size <= 1_240, "Shell is {size} B");
     }
 
     #[test]
@@ -1592,6 +1507,47 @@ mod tests {
         assert_eq!(
             e.component::<Shell>(shell).unwrap().stats_view().tap_drops,
             1
+        );
+    }
+
+    /// A partial reconfiguration swaps the role, so its tap is bypassed
+    /// while the bridge keeps forwarding: host frames pass both ways
+    /// during the load, through a tap that drops everything, and that tap
+    /// drops them again once the load is done.
+    #[test]
+    fn a_partial_load_bypasses_the_role_tap() {
+        struct DropAll;
+        impl NetworkTap for DropAll {
+            fn outbound(&mut self, _pkt: Packet, _now: SimTime) -> TapAction {
+                TapAction::Drop
+            }
+            fn inbound(&mut self, _pkt: Packet, _now: SimTime) -> TapAction {
+                TapAction::Drop
+            }
+        }
+        let (mut e, shell, nic, tor) = rig();
+        e.component_mut::<Shell>(shell)
+            .unwrap()
+            .set_tap(Box::new(DropAll));
+        let reconfig = ShellCmd::Reconfigure { partial: true };
+        e.schedule(SimTime::ZERO, shell, Msg::custom(reconfig));
+        let load_done = SimTime::ZERO + ShellConfig::default().partial_reconfig;
+        for at in [
+            SimTime::from_millis(1),
+            load_done + SimDuration::from_millis(1),
+        ] {
+            e.schedule(at, shell, Msg::packet(host_pkt(1, 5), PORT_NIC));
+            e.schedule(at, shell, Msg::packet(host_pkt(5, 1), PORT_TOR));
+        }
+        e.run_until(load_done);
+        let received = |e: &Engine<Msg>, probe| e.component::<Probe>(probe).unwrap().packets.len();
+        assert_eq!((received(&e, tor), received(&e, nic)), (1, 1));
+        e.run_to_idle();
+        assert_eq!((received(&e, tor), received(&e, nic)), (1, 1));
+        let stats = e.component::<Shell>(shell).unwrap().stats_view();
+        assert_eq!(
+            (stats.bridged_out, stats.bridged_in, stats.tap_drops),
+            (1, 1, 2)
         );
     }
 

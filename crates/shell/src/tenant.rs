@@ -6,7 +6,8 @@
 //! 40G port pair. The HaaS scheduler programs a [`TenantCaps`] pair per
 //! tenant (ER egress bandwidth, LTL credit budget) and the shell's
 //! [`TenantCapTable`] enforces them with a deterministic fixed-window
-//! ledger: each send is admitted only if the tenant still has an LTL
+//! ledger: each send on a connection bound to the tenant is admitted
+//! only if the tenant still has an LTL
 //! credit *and* bandwidth budget left in the current window. Windows are
 //! derived from absolute simulation time, so enforcement is a pure
 //! function of the event history — no timers, no drift, byte-identical
@@ -16,6 +17,8 @@ use std::collections::BTreeMap;
 
 use dcsim::{SimDuration, SimTime};
 use telemetry::{MetricSource, MetricVisitor};
+
+use crate::ltl::SendConnId;
 
 /// Identifies a tenant across boards, shells and the HaaS scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -31,7 +34,7 @@ impl core::fmt::Display for TenantId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantCaps {
     /// Elastic-Router egress bandwidth cap in Mbit/s (payload bytes are
-    /// charged against `er_mbps * window / 8` per enforcement window).
+    /// charged against `er_mbps * CAP_WINDOW / 8` per enforcement window).
     pub er_mbps: u32,
     /// LTL credits: messages the tenant may admit per enforcement window.
     pub ltl_credits: u32,
@@ -44,22 +47,11 @@ impl TenantCaps {
         ltl_credits: u32::MAX,
     };
 
-    /// Payload-byte budget per window of `window` length.
-    pub fn bytes_per_window(&self, window: SimDuration) -> u64 {
+    /// Payload-byte budget per [`CAP_WINDOW`].
+    pub fn bytes_per_window(&self) -> u64 {
         // mbps * ns / 8000 = bytes; saturate for UNLIMITED.
-        (self.er_mbps as u64).saturating_mul(window.as_nanos()) / 8_000
+        (self.er_mbps as u64).saturating_mul(CAP_WINDOW.as_nanos()) / 8_000
     }
-}
-
-/// Why a send was refused admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CapVerdict {
-    /// Within both budgets; charged and admitted.
-    Admit,
-    /// The tenant exhausted its LTL credits for this window.
-    OutOfCredits,
-    /// The tenant exhausted its ER bandwidth budget for this window.
-    OutOfBandwidth,
 }
 
 #[derive(Debug, Clone)]
@@ -74,12 +66,38 @@ struct TenantEntry {
 }
 
 impl TenantEntry {
-    fn roll(&mut self, window_idx: u64) {
+    /// Installs `caps` and restarts the window ledger; the counters go on.
+    fn set_caps(&mut self, caps: TenantCaps) {
+        self.caps = caps;
+        self.window_idx = u64::MAX; // rolls on first admit
+        self.credits_used = 0;
+        self.bytes_used = 0;
+    }
+
+    /// Charges one message of `payload_bytes` against the budgets of the
+    /// window containing `now`.
+    fn admit(&mut self, now: SimTime, payload_bytes: usize) -> bool {
+        let window_idx = now.as_nanos() / CAP_WINDOW.as_nanos();
         if window_idx != self.window_idx {
             self.window_idx = window_idx;
             self.credits_used = 0;
             self.bytes_used = 0;
         }
+        if self.credits_used >= self.caps.ltl_credits {
+            self.credit_drops += 1;
+            return false;
+        }
+        // `er_mbps == u32::MAX` means "no bandwidth cap" (the UNLIMITED
+        // sentinel), not a finite budget that huge payloads can drain.
+        let bytes_used = self.bytes_used.saturating_add(payload_bytes as u64);
+        if self.caps.er_mbps != u32::MAX && bytes_used > self.caps.bytes_per_window() {
+            self.bandwidth_drops += 1;
+            return false;
+        }
+        self.credits_used = self.credits_used.saturating_add(1);
+        self.bytes_used = bytes_used;
+        self.admitted += 1;
+        true
     }
 }
 
@@ -93,58 +111,50 @@ impl MetricSource for TenantEntry {
     }
 }
 
-/// Deterministic fixed-window cap ledger, one entry per capped tenant.
+/// The shell's tenant admission stage: which tenant owns each LTL send
+/// connection, and a deterministic fixed-window cap ledger, one entry per
+/// capped tenant.
 ///
-/// Tenants without an entry are unrestricted — an empty table makes the
-/// shell behave exactly as before multi-tenancy existed.
-#[derive(Debug, Clone)]
+/// Connections without a tenant, and tenants without an entry, are
+/// unrestricted — an empty table makes the shell behave exactly as before
+/// multi-tenancy existed.
+#[derive(Debug, Clone, Default)]
 pub struct TenantCapTable {
-    window: SimDuration,
     entries: BTreeMap<u32, TenantEntry>,
+    conns: BTreeMap<SendConnId, TenantId>,
 }
 
-/// Default enforcement window: 10 µs, a few LTL round trips.
-pub const DEFAULT_CAP_WINDOW: SimDuration = SimDuration::from_micros(10);
-
-impl Default for TenantCapTable {
-    fn default() -> Self {
-        TenantCapTable::new(DEFAULT_CAP_WINDOW)
-    }
-}
+/// The enforcement window: 10 µs, a few LTL round trips.
+pub const CAP_WINDOW: SimDuration = SimDuration::from_micros(10);
 
 impl TenantCapTable {
-    /// Creates an empty table with the given enforcement window.
-    pub fn new(window: SimDuration) -> TenantCapTable {
-        TenantCapTable {
-            window: window.max(SimDuration::from_nanos(1)),
-            entries: BTreeMap::new(),
+    /// Attributes (`Some`) or detaches (`None`) a send connection to a
+    /// tenant, whose caps then charge its traffic.
+    pub fn bind(&mut self, conn: SendConnId, tenant: Option<TenantId>) {
+        match tenant {
+            Some(tenant) => _ = self.conns.insert(conn, tenant),
+            None => _ = self.conns.remove(&conn),
         }
     }
 
-    /// The enforcement window length.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
-    /// Installs (or replaces) a tenant's caps. Budgets restart from the
-    /// current window on replacement.
-    pub fn set_caps(&mut self, tenant: TenantId, caps: TenantCaps) {
-        let entry = TenantEntry {
+    /// Installs or replaces (`Some`) a tenant's caps, or removes them
+    /// (`None`: back to unrestricted). A replacement restarts the budgets
+    /// from the current window and keeps the tenant's counters.
+    pub fn set_caps(&mut self, tenant: TenantId, caps: Option<TenantCaps>) {
+        let Some(caps) = caps else {
+            self.entries.remove(&tenant.0);
+            return;
+        };
+        let entry = self.entries.entry(tenant.0).or_insert(TenantEntry {
             caps,
-            window_idx: u64::MAX, // rolls on first admit
+            window_idx: u64::MAX,
             credits_used: 0,
             bytes_used: 0,
             credit_drops: 0,
             bandwidth_drops: 0,
             admitted: 0,
-        };
-        self.entries.insert(tenant.0, entry);
-    }
-
-    /// Removes a tenant's caps (back to unrestricted). Returns whether an
-    /// entry existed.
-    pub fn clear(&mut self, tenant: TenantId) -> bool {
-        self.entries.remove(&tenant.0).is_some()
+        });
+        entry.set_caps(caps);
     }
 
     /// The caps installed for a tenant, if any.
@@ -152,40 +162,19 @@ impl TenantCapTable {
         self.entries.get(&tenant.0).map(|e| e.caps)
     }
 
-    /// Number of capped tenants.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Whether no tenant is capped.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Charges one message of `payload_bytes` against `tenant`'s budgets
-    /// for the window containing `now`. Uncapped tenants always admit.
-    pub fn admit(&mut self, tenant: TenantId, now: SimTime, payload_bytes: usize) -> CapVerdict {
-        let Some(entry) = self.entries.get_mut(&tenant.0) else {
-            return CapVerdict::Admit;
-        };
-        entry.roll(now.as_nanos() / self.window.as_nanos().max(1));
-        if entry.credits_used >= entry.caps.ltl_credits {
-            entry.credit_drops += 1;
-            return CapVerdict::OutOfCredits;
-        }
-        // `er_mbps == u32::MAX` means "no bandwidth cap" (the UNLIMITED
-        // sentinel), not a finite budget that huge payloads can drain.
-        let budget = entry.caps.bytes_per_window(self.window);
-        if entry.caps.er_mbps != u32::MAX
-            && entry.bytes_used.saturating_add(payload_bytes as u64) > budget
-        {
-            entry.bandwidth_drops += 1;
-            return CapVerdict::OutOfBandwidth;
-        }
-        entry.credits_used = entry.credits_used.saturating_add(1);
-        entry.bytes_used = entry.bytes_used.saturating_add(payload_bytes as u64);
-        entry.admitted += 1;
-        CapVerdict::Admit
+    /// Admission of one message of `payload_bytes` on `conn` at `now`: a
+    /// connection bound to a capped tenant is charged against that
+    /// tenant's budgets for the window containing `now`, and refused once
+    /// either is spent. Every other send is admitted.
+    pub fn admit(&mut self, conn: SendConnId, now: SimTime, payload_bytes: usize) -> bool {
+        let tenant = self.conns.get(&conn);
+        let entry = tenant.and_then(|t| self.entries.get_mut(&t.0));
+        entry.is_none_or(|entry| entry.admit(now, payload_bytes))
     }
 
     /// Total drops across tenants (both causes).
@@ -210,28 +199,40 @@ impl MetricSource for TenantCapTable {
 mod tests {
     use super::*;
 
+    /// Connection 7 belongs to capped tenant 1, connection 9 to uncapped
+    /// tenant 9.
+    const CAPPED: SendConnId = 7;
+    const UNCAPPED: SendConnId = 9;
+
     fn table() -> TenantCapTable {
-        let mut t = TenantCapTable::new(SimDuration::from_micros(10));
+        let mut t = TenantCapTable::default();
         // 800 Mbps over 10 µs = 1000 bytes per window; 3 credits.
         t.set_caps(
             TenantId(1),
-            TenantCaps {
+            Some(TenantCaps {
                 er_mbps: 800,
                 ltl_credits: 3,
-            },
+            }),
         );
+        t.bind(CAPPED, Some(TenantId(1)));
+        t.bind(UNCAPPED, Some(TenantId(9)));
         t
+    }
+
+    /// `(credit_drops, bandwidth_drops, admitted)` of tenant 1.
+    fn counters(t: &TenantCapTable) -> (u64, u64, u64) {
+        let e = &t.entries[&1];
+        (e.credit_drops, e.bandwidth_drops, e.admitted)
     }
 
     #[test]
     fn uncapped_tenants_always_admit() {
         let mut t = table();
         for i in 0..100 {
-            assert_eq!(
-                t.admit(TenantId(9), SimTime::from_nanos(i), 1 << 20),
-                CapVerdict::Admit
-            );
+            assert!(t.admit(UNCAPPED, SimTime::from_nanos(i), 1 << 20));
+            assert!(t.admit(3, SimTime::from_nanos(i), 1 << 20));
         }
+        assert_eq!(t.total_drops(), 0);
     }
 
     #[test]
@@ -239,12 +240,13 @@ mod tests {
         let mut t = table();
         let now = SimTime::from_micros(5);
         for _ in 0..3 {
-            assert_eq!(t.admit(TenantId(1), now, 10), CapVerdict::Admit);
+            assert!(t.admit(CAPPED, now, 10));
         }
-        assert_eq!(t.admit(TenantId(1), now, 10), CapVerdict::OutOfCredits);
+        assert!(!t.admit(CAPPED, now, 10));
+        assert_eq!(counters(&t), (1, 0, 3));
         // Next window refills.
         let later = SimTime::from_micros(15);
-        assert_eq!(t.admit(TenantId(1), later, 10), CapVerdict::Admit);
+        assert!(t.admit(CAPPED, later, 10));
         assert_eq!(t.total_drops(), 1);
     }
 
@@ -252,25 +254,50 @@ mod tests {
     fn bandwidth_cap_limits_bytes_per_window() {
         let mut t = table();
         let now = SimTime::from_micros(25);
-        assert_eq!(t.admit(TenantId(1), now, 900), CapVerdict::Admit);
-        assert_eq!(t.admit(TenantId(1), now, 200), CapVerdict::OutOfBandwidth);
-        assert_eq!(t.admit(TenantId(1), now, 100), CapVerdict::Admit);
-        assert_eq!(
-            t.caps(TenantId(1)).unwrap().bytes_per_window(t.window()),
-            1000
-        );
+        assert!(t.admit(CAPPED, now, 900));
+        assert!(!t.admit(CAPPED, now, 200));
+        assert!(t.admit(CAPPED, now, 100));
+        assert_eq!(counters(&t), (0, 1, 2));
+        assert_eq!(t.caps(TenantId(1)).unwrap().bytes_per_window(), 1000);
     }
 
     #[test]
     fn clear_returns_tenant_to_unrestricted() {
         let mut t = table();
-        assert!(t.clear(TenantId(1)));
-        assert!(!t.clear(TenantId(1)));
-        assert_eq!(
-            t.admit(TenantId(1), SimTime::ZERO, 1 << 30),
-            CapVerdict::Admit
-        );
+        t.set_caps(TenantId(1), None);
+        assert!(t.admit(CAPPED, SimTime::ZERO, 1 << 30));
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn unbinding_a_connection_returns_it_to_unrestricted() {
+        let mut t = table();
+        t.bind(CAPPED, None);
+        assert!(t.admit(CAPPED, SimTime::ZERO, 1 << 30));
+        assert_eq!(t.total_drops(), 0);
+    }
+
+    /// Replacing a tenant's caps restarts only its window ledger: the
+    /// registry's `admitted` and drop counters never go backwards.
+    #[test]
+    fn replacing_caps_keeps_the_counters() {
+        let mut t = table();
+        let now = SimTime::from_micros(5);
+        for bytes in [10, 10, 2_000, 10, 10] {
+            t.admit(CAPPED, now, bytes);
+        }
+        assert_eq!(counters(&t), (1, 1, 3));
+        let caps = TenantCaps {
+            er_mbps: 800,
+            ltl_credits: 1,
+        };
+        t.set_caps(TenantId(1), Some(caps));
+        assert_eq!(counters(&t), (1, 1, 3));
+        assert_eq!(t.caps(TenantId(1)), Some(caps));
+        // The budgets restart within the same window.
+        assert!(t.admit(CAPPED, now, 10));
+        assert!(!t.admit(CAPPED, now, 10));
+        assert_eq!(counters(&t), (2, 1, 4));
     }
 
     #[test]
@@ -282,10 +309,7 @@ mod tests {
         let stream = [(1u64, 400usize), (9, 700), (11, 700), (19, 400), (21, 900)];
         for (us, bytes) in stream {
             let now = SimTime::from_micros(us);
-            assert_eq!(
-                a.admit(TenantId(1), now, bytes),
-                b.admit(TenantId(1), now, bytes)
-            );
+            assert_eq!(a.admit(CAPPED, now, bytes), b.admit(CAPPED, now, bytes));
         }
         assert_eq!(a.total_drops(), b.total_drops());
     }
@@ -293,12 +317,10 @@ mod tests {
     #[test]
     fn unlimited_caps_never_drop() {
         let mut t = TenantCapTable::default();
-        t.set_caps(TenantId(0), TenantCaps::UNLIMITED);
+        t.set_caps(TenantId(0), Some(TenantCaps::UNLIMITED));
+        t.bind(CAPPED, Some(TenantId(0)));
         for i in 0..10_000u64 {
-            assert_eq!(
-                t.admit(TenantId(0), SimTime::from_nanos(i), usize::MAX >> 16),
-                CapVerdict::Admit
-            );
+            assert!(t.admit(CAPPED, SimTime::from_nanos(i), usize::MAX >> 16));
         }
         assert_eq!(t.total_drops(), 0);
     }
