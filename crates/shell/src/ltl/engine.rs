@@ -44,7 +44,7 @@ use dcnet::{CnpPacer, DcqcnConfig, DcqcnRp, Ecn, NodeAddr, Packet, TrafficClass,
 use dcsim::{PercentileRecorder, SimDuration, SimTime};
 use telemetry::{MetricSource, MetricVisitor};
 
-use super::frame::{FrameKind, LtlFrame};
+use super::frame::{FrameKind, LtlFrame, LTL_HEADER_BYTES};
 use super::rto::RtoEstimator;
 
 /// Index into the send connection table.
@@ -135,7 +135,7 @@ impl Default for LtlConfig {
     fn default() -> Self {
         LtlConfig {
             mode: LtlMode::GoBackN,
-            mtu_payload: dcnet::MTU_PAYLOAD - super::frame::LTL_HEADER_BYTES,
+            mtu_payload: dcnet::MTU_PAYLOAD - LTL_HEADER_BYTES,
             timeout: SimDuration::from_micros(50),
             max_retries: 8,
             rate_limit_bps: None,
@@ -228,9 +228,7 @@ impl TokenBucket {
 struct Unacked {
     seq: u32,
     /// Encoded wire bytes, kept so retransmissions clone the shared
-    /// buffer instead of re-encoding the frame. The frame itself is not
-    /// kept: its payload view would pin the sender's message until the
-    /// last ACK, although `wire` already holds a copy.
+    /// buffer instead of re-encoding the frame.
     wire: Bytes,
     sent_at: SimTime,
     /// When the frame times out. `SimTime::MAX` while it waits in the
@@ -250,7 +248,9 @@ struct SendConn {
     remote: NodeAddr,
     remote_conn: RecvConnId,
     next_seq: u32,
-    pending: VecDeque<LtlFrame>,
+    /// Frames awaiting first transmission: sequence number and wire
+    /// image, encoded by `send_message`.
+    pending: VecDeque<(u32, Bytes)>,
     unacked: VecDeque<Unacked>,
     rp: Option<DcqcnRp>,
     next_allowed: SimTime,
@@ -385,12 +385,13 @@ pub struct LtlEngine {
     control: VecDeque<(NodeAddr, LtlFrame)>,
     /// (send conn, seq) pairs queued for retransmission.
     retransmit: VecDeque<(SendConnId, u32)>,
-    /// The wire buffer of a retired data frame that nothing else held
-    /// when its acknowledgement arrived: the next data frame is encoded
-    /// into it instead of a fresh buffer. One per engine: more would
-    /// also serve the later frames of a multi-frame message, but idle
-    /// engines would hoard MTU-sized buffers (DESIGN.md, "Hot-path
-    /// memory discipline").
+    /// The wire buffer of a retired one-frame message that nothing else
+    /// held when its acknowledgement arrived: the next one-frame message
+    /// is encoded into it instead of a fresh buffer. Only a buffer that
+    /// holds exactly one frame qualifies. A multi-frame message's buffer
+    /// is freed when its last frame retires: kept, whole message buffers
+    /// would hoard memory in idle engines (DESIGN.md, "Hot-path memory
+    /// discipline").
     spare: Option<Bytes>,
     bucket: Option<TokenBucket>,
     pacer: CnpPacer,
@@ -580,10 +581,21 @@ impl LtlEngine {
     /// Queues `payload` as one message on `conn`, segmenting into MTU-sized
     /// frames. Returns the message id.
     ///
+    /// Every frame is encoded here, once: a one-frame message into the
+    /// engine's spare if it has one, a longer message into one buffer
+    /// laid out `[header₁|payload₁|header₂|payload₂|…]` whose frames are
+    /// views of it. The engine keeps no view of `payload`: the caller
+    /// holds it alone again when this returns.
+    ///
     /// # Errors
     ///
     /// [`SendError::BadConnection`] for an unknown id,
     /// [`SendError::ConnectionFailed`] if the connection timed out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the encoded message, a 20-byte header per frame included,
+    /// reaches 4 GiB, the most one [`Bytes`] holds.
     pub fn send_message(
         &mut self,
         conn: SendConnId,
@@ -600,27 +612,35 @@ impl LtlEngine {
             return Err(SendError::ConnectionFailed);
         }
         self.next_msg_id = self.next_msg_id.wrapping_add(1);
-        let total = payload.len();
-        let mut offset = 0;
-        loop {
-            let end = (offset + mtu).min(total);
-            let last = end == total;
-            sc.pending.push_back(LtlFrame {
-                kind: FrameKind::Data,
-                src_conn: conn,
-                dst_conn: sc.remote_conn,
-                seq: sc.next_seq,
-                msg_id,
-                last_frag: last,
-                vc,
-                payload: payload.slice(offset..end),
-            });
-            sc.next_seq = sc.next_seq.wrapping_add(1);
-            if last {
-                break;
+        let (total, first_seq, dst_conn) = (payload.len(), sc.next_seq, sc.remote_conn);
+        let frames = total.div_ceil(mtu).max(1);
+        let frame = |i: usize| LtlFrame {
+            kind: FrameKind::Data,
+            src_conn: conn,
+            dst_conn,
+            seq: first_seq.wrapping_add(i as u32),
+            msg_id,
+            last_frag: i + 1 == frames,
+            vc,
+            payload: payload.slice(i * mtu..((i + 1) * mtu).min(total)),
+        };
+        if frames == 1 {
+            let wire = frame(0).encode_reusing(self.spare.take());
+            sc.pending.push_back((first_seq, wire));
+        } else {
+            let mut buf = Vec::with_capacity(frames * LTL_HEADER_BYTES + total);
+            for i in 0..frames {
+                frame(i).encode_into(&mut buf);
             }
-            offset = end;
+            let buf = Bytes::from(buf);
+            let stride = LTL_HEADER_BYTES + mtu;
+            for i in 0..frames {
+                let wire = buf.slice(i * stride..((i + 1) * stride).min(buf.len()));
+                sc.pending
+                    .push_back((first_seq.wrapping_add(i as u32), wire));
+            }
         }
+        sc.next_seq = first_seq.wrapping_add(frames as u32);
         Ok(msg_id)
     }
 
@@ -693,7 +713,7 @@ impl LtlEngine {
             if sc.failed || sc.pending.is_empty() {
                 continue;
             }
-            let bytes = (sc.pending[0].payload.len() + super::frame::LTL_HEADER_BYTES) as f64;
+            let bytes = sc.pending[0].1.len() as f64;
             let mut at = sc.next_allowed.max(now);
             if at <= now {
                 if let Some(b) = &mut self.bucket {
@@ -708,7 +728,7 @@ impl LtlEngine {
             if let Some(b) = &mut self.bucket {
                 b.consume(now, bytes);
             }
-            let frame = sc.pending.pop_front().expect("checked non-empty");
+            let (seq, wire) = sc.pending.pop_front().expect("checked non-empty");
             if let Some(rp) = &mut sc.rp {
                 rp.advance(now);
                 rp.on_bytes_sent(bytes as u64);
@@ -716,16 +736,12 @@ impl LtlEngine {
                 sc.next_allowed = now + gap;
             }
             let dst = sc.remote;
-            // Encode once, into the spare if there is one; the unacked
-            // entry keeps the shared wire bytes so a later retransmission
-            // is a pure Arc clone. The frame is dropped here, and with it
-            // its view of the caller's payload: once a message's last
-            // frame is encoded, the caller holds its payload alone again.
-            let wire = frame.encode_reusing(self.spare.take());
+            // The unacked entry keeps the shared wire bytes, so a later
+            // retransmission is a pure Arc clone.
             let deadline = now + Self::rto(&self.cfg, &sc.rtt, 0);
             self.timeout_bound = self.timeout_bound.min(deadline);
             sc.unacked.push_back(Unacked {
-                seq: frame.seq,
+                seq,
                 wire: wire.clone(),
                 sent_at: now,
                 deadline,
@@ -915,11 +931,13 @@ impl LtlEngine {
     }
 
     /// Retires one in-flight frame and records its RTT (Karn's rule — only
-    /// never-retransmitted frames produce samples). Its wire buffer
-    /// becomes the engine's spare if there is none and nothing else — a
-    /// packet still in flight, a delivered payload the receiver's
-    /// consumer keeps, a frame in its reassembly buffer — holds a view
-    /// of it.
+    /// never-retransmitted frames produce samples). The wire buffer of a
+    /// one-frame message becomes the engine's spare if there is none and
+    /// nothing else — a packet still in flight, a delivered payload the
+    /// receiver's consumer keeps, a frame in its reassembly buffer —
+    /// holds a view of it. A frame of a longer message views part of its
+    /// message's buffer and is never kept: the buffer is freed once the
+    /// last of its views goes.
     fn retire(
         rtts: &mut PercentileRecorder<u32>,
         spare: &mut Option<Bytes>,
@@ -932,7 +950,7 @@ impl LtlEngine {
             rtts.record_duration(rtt);
             sc.rtt.on_sample(rtt);
         }
-        if spare.is_none() && u.wire.is_unique() {
+        if spare.is_none() && u.wire.is_unique_whole() {
             *spare = Some(u.wire);
         }
     }
@@ -1245,7 +1263,7 @@ mod tests {
         };
         assert_eq!(
             payload.as_slice().as_ptr(),
-            pkt.payload[super::super::frame::LTL_HEADER_BYTES..].as_ptr(),
+            pkt.payload[LTL_HEADER_BYTES..].as_ptr(),
             "a single-fragment delivery must share the wire buffer"
         );
     }
@@ -1367,28 +1385,31 @@ mod tests {
         );
     }
 
-    /// The sender lets go of the caller's payload as soon as it has
-    /// encoded the message's last frame, long before the ACKs: the caller
-    /// may then write it in place. What it kept for retransmission, the
-    /// wire image, is resent byte for byte whatever the caller wrote.
+    /// The sender encodes a message when it is queued and lets go of the
+    /// caller's payload before `send_message` returns: the caller may then
+    /// write it in place. What it kept for retransmission, the wire image,
+    /// is resent byte for byte whatever the caller wrote.
     #[test]
-    fn the_payload_is_released_at_first_send_and_retransmissions_are_unchanged() {
+    fn the_payload_is_released_when_queued_and_resends_are_unchanged() {
         for mode in [LtlMode::GoBackN, LtlMode::SelectiveRepeat] {
             let cfg = no_dcqcn().with_mode(mode);
             let timeout = cfg.timeout;
             let mut p = Pair::new(cfg);
             let mut payload = Bytes::from(vec![0x5Au8; 3 * p.a.cfg.mtu_payload]);
             p.a.send_message(p.a_send, 0, payload.clone()).unwrap();
+            assert!(payload.is_unique(), "{mode}: released when queued");
+            payload.try_mut().expect("unique").fill(0xEE);
             let mut first = Vec::new();
-            for _ in 0..3 {
-                assert!(!payload.is_unique(), "{mode}: a queued frame views it");
-                let Poll::Ready(pkt) = p.a.poll(p.now) else {
-                    panic!("{mode}: data frame expected");
-                };
+            while let Poll::Ready(pkt) = p.a.poll(p.now) {
                 first.push(pkt.payload.as_slice().to_vec()); // then lost
             }
-            assert!(payload.is_unique(), "{mode}: released at the last encode");
-            payload.try_mut().expect("unique").fill(0xEE);
+            assert_eq!(first.len(), 3, "{mode}");
+            assert!(
+                first
+                    .iter()
+                    .all(|w| w[LTL_HEADER_BYTES..].iter().all(|&b| b == 0x5A)),
+                "{mode}: the first sends carry what was queued"
+            );
 
             p.now = SimTime::ZERO + timeout * 2;
             p.a.on_tick(p.now);
@@ -1397,6 +1418,90 @@ mod tests {
                 resent.push(pkt.payload.as_slice().to_vec());
             }
             assert_eq!(resent, first, "{mode}: retransmissions are the first sends");
+        }
+    }
+
+    /// A multi-frame message is one buffer, `[header|payload]` per frame
+    /// back to back, and every frame's wire image is a view of it.
+    #[test]
+    fn a_multi_frame_message_is_encoded_into_one_buffer() {
+        let mut p = Pair::new(no_dcqcn());
+        let mtu = p.a.cfg.mtu_payload;
+        let payload: Vec<u8> = (0..4 * mtu + 100).map(|i| (i % 251) as u8).collect();
+        p.a.send_message(p.a_send, 3, Bytes::from(payload.clone()))
+            .unwrap();
+        let mut wires = Vec::new();
+        while let Poll::Ready(pkt) = p.a.poll(p.now) {
+            wires.push(pkt.payload);
+        }
+        assert_eq!(wires.len(), 5);
+        let base = wires[0].as_slice().as_ptr();
+        for (i, wire) in wires.iter().enumerate() {
+            let offset = i * (LTL_HEADER_BYTES + mtu);
+            assert_eq!(
+                wire.as_slice().as_ptr(),
+                base.wrapping_add(offset),
+                "frame {i}"
+            );
+            let f = LtlFrame::decode(wire).unwrap();
+            assert_eq!((f.seq, f.vc, f.last_frag), (i as u32, 3, i == 4));
+            let chunk = &payload[i * mtu..((i + 1) * mtu).min(payload.len())];
+            assert_eq!(f.payload.as_ref(), chunk, "frame {i}");
+        }
+    }
+
+    /// Only a buffer holding one frame becomes the spare: a message
+    /// buffer is freed with its last frame, however the ACKs retire it.
+    #[test]
+    fn a_message_buffer_never_becomes_the_spare() {
+        for mode in [LtlMode::GoBackN, LtlMode::SelectiveRepeat] {
+            let mut p = Pair::new(no_dcqcn().with_mode(mode));
+            let len = 3 * p.a.cfg.mtu_payload;
+            p.a.send_message(p.a_send, 0, Bytes::from(vec![1u8; len]))
+                .unwrap();
+            let events = p.exchange(SimDuration::from_micros(1));
+            assert_eq!(delivered(&events), [vec![1u8; len]], "{mode}");
+            assert_eq!(p.a.in_flight(), 0, "{mode}");
+            assert!(p.a.spare.is_none(), "{mode}: the message buffer is freed");
+            round_trip(&mut p, b"one frame, one buffer, kept once retired", false);
+            assert!(p.a.spare.is_some(), "{mode}: a one-frame buffer is kept");
+        }
+    }
+
+    /// More frames than one SACK bitmap spans: the message is still one
+    /// buffer, and arrives byte for byte under loss in both modes.
+    #[test]
+    fn a_message_of_more_than_64_frames_is_delivered_intact() {
+        for mode in [LtlMode::GoBackN, LtlMode::SelectiveRepeat] {
+            let cfg = LtlConfig {
+                mtu_payload: 7,
+                ..no_dcqcn().with_mode(mode)
+            };
+            let timeout = cfg.timeout;
+            let mut p = Pair::new(cfg);
+            let payload: Vec<u8> = (0..7 * 150 + 3).map(|i| (i * 7 % 256) as u8).collect();
+            p.a.send_message(p.a_send, 0, Bytes::from(payload.clone()))
+                .unwrap();
+            // Every tenth frame of the first pass is lost.
+            let mut events = Vec::new();
+            let mut sent = 0;
+            while let Poll::Ready(pkt) = p.a.poll(p.now) {
+                if sent % 10 != 3 {
+                    events.extend(p.b.on_packet(&pkt, p.now));
+                }
+                sent += 1;
+            }
+            assert_eq!(sent, 151, "{mode}");
+            for _ in 0..50 {
+                events.extend(p.exchange(SimDuration::from_micros(1)));
+                if p.a.in_flight() == 0 {
+                    break;
+                }
+                p.now += timeout * 20;
+                p.a.on_tick(p.now);
+            }
+            assert_eq!(delivered(&events), [payload.as_slice()], "{mode}");
+            assert_eq!(p.a.in_flight(), 0, "{mode}");
         }
     }
 
@@ -1642,7 +1747,7 @@ mod tests {
         let Poll::Ready(_first) = p.a.poll(p.now) else {
             panic!()
         };
-        let bytes = (mtu + super::super::frame::LTL_HEADER_BYTES) as f64;
+        let bytes = (mtu + LTL_HEADER_BYTES) as f64;
         reference.advance(p.now);
         reference.on_bytes_sent(bytes as u64);
         let gap = SimDuration::from_secs_f64(bytes * 8.0 / reference.current_rate_bps());
@@ -1678,7 +1783,7 @@ mod tests {
         let mtu = p.a.cfg.mtu_payload;
         p.a.send_message(p.a_send, 0, Bytes::from(vec![0u8; 3 * mtu]))
             .unwrap();
-        let bytes = (mtu + super::super::frame::LTL_HEADER_BYTES) as f64;
+        let bytes = (mtu + LTL_HEADER_BYTES) as f64;
         let gap_after_send = |reference: &mut DcqcnRp, at: SimTime| {
             reference.advance(at);
             reference.on_bytes_sent(bytes as u64);

@@ -4,7 +4,8 @@
 //! route across the ordinary datacenter network. The 20-byte header carries
 //! connection ids (indices into the statically allocated send/receive
 //! connection tables), a sequence number for the reliable, ordered
-//! delivery machinery, and message reassembly metadata.
+//! delivery machinery, and message reassembly metadata — or, in a SACK,
+//! the selective-acknowledgement bitmap.
 
 use bytes::Bytes;
 
@@ -27,9 +28,11 @@ pub enum FrameKind {
     /// DC-QCN congestion notification packet.
     Cnp,
     /// Selective acknowledgement (Transport v2): `seq` is the cumulative
-    /// ack and the 8-byte payload is a big-endian bitmap where bit `i`
-    /// reports sequence `seq + 2 + i` as individually received
-    /// (`seq + 1` is by definition the first missing sequence).
+    /// ack, and header bytes 12–19, which a control frame leaves unused,
+    /// carry a big-endian bitmap where bit `i` reports sequence
+    /// `seq + 2 + i` as individually received (`seq + 1` is by definition
+    /// the first missing sequence). A SACK is 20 bytes on the wire, like
+    /// an ACK.
     Sack,
 }
 
@@ -74,7 +77,8 @@ pub struct LtlFrame {
     pub last_frag: bool,
     /// Elastic Router virtual channel the payload is destined for.
     pub vc: u8,
-    /// Payload (empty for control frames).
+    /// Payload: empty for an ACK, NACK or CNP; a SACK's 8-byte bitmap
+    /// (see [`LtlFrame::sack`]).
     pub payload: Bytes,
 }
 
@@ -95,8 +99,9 @@ impl LtlFrame {
 
     /// Creates a selective acknowledgement: `cum` is the cumulative ack
     /// and `bits` the out-of-order bitmap (bit `i` ⇒ `cum + 2 + i`
-    /// received). The bitmap rides as the 8-byte payload, so the header
-    /// codec is unchanged and decode stays zero-copy.
+    /// received). In memory the bitmap is the frame's 8-byte payload,
+    /// stored inline; on the wire it fills header bytes 12–19, so the
+    /// encoded SACK is a 20-byte control frame.
     pub fn sack(src_conn: u16, dst_conn: u16, cum: u32, bits: u64) -> LtlFrame {
         LtlFrame {
             kind: FrameKind::Sack,
@@ -121,17 +126,58 @@ impl LtlFrame {
         Some(u64::from_be_bytes(b))
     }
 
-    /// Serializes the frame (header + payload).
-    ///
-    /// The header is assembled once on the stack. A payload-free frame
-    /// (ACK / NACK / CNP) is that array copied into a [`Bytes`], which
-    /// stores 20 bytes inline: no heap. A payload-bearing frame is one
-    /// exact-capacity buffer, filled once and moved — not copied — into
-    /// the returned [`Bytes`].
+    /// The header and the bytes that follow it on the wire: the payload,
+    /// or nothing for a SACK, whose bitmap replaces the `msg_id`,
+    /// `last_frag`, `vc` and length fields it does not use.
     ///
     /// # Panics
     ///
-    /// Panics if the payload exceeds the header's 16-bit length field.
+    /// Panics if the payload exceeds the header's 16-bit length field, or
+    /// if a SACK's payload is not its 8-byte bitmap.
+    fn wire_parts(&self) -> ([u8; LTL_HEADER_BYTES], &[u8]) {
+        let mut header = [0u8; LTL_HEADER_BYTES];
+        header[0..2].copy_from_slice(&MAGIC.to_be_bytes());
+        header[2] = VERSION;
+        header[3] = self.kind.to_byte();
+        header[4..6].copy_from_slice(&self.src_conn.to_be_bytes());
+        header[6..8].copy_from_slice(&self.dst_conn.to_be_bytes());
+        header[8..12].copy_from_slice(&self.seq.to_be_bytes());
+        if self.kind == FrameKind::Sack {
+            let bits = self.sack_bits().unwrap_or_else(|| {
+                panic!(
+                    "a SACK frame's payload is its 8-byte bitmap, got {} bytes",
+                    self.payload.len()
+                )
+            });
+            header[12..20].copy_from_slice(&bits.to_be_bytes());
+            return (header, &[]);
+        }
+        let len = u16::try_from(self.payload.len()).unwrap_or_else(|_| {
+            panic!(
+                "LtlFrame.payload is {} bytes, the header's length field carries at most {}",
+                self.payload.len(),
+                u16::MAX
+            )
+        });
+        header[12..16].copy_from_slice(&self.msg_id.to_be_bytes());
+        header[16] = self.last_frag as u8;
+        header[17] = self.vc;
+        header[18..20].copy_from_slice(&len.to_be_bytes());
+        (header, &self.payload)
+    }
+
+    /// Serializes the frame (header + payload).
+    ///
+    /// The header is assembled once on the stack. A payload-free frame
+    /// (ACK / NACK / CNP / SACK) is that array copied into a [`Bytes`],
+    /// which stores 20 bytes inline: no heap. A payload-bearing frame is
+    /// one exact-capacity buffer, filled once and moved — not copied —
+    /// into the returned [`Bytes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload exceeds the header's 16-bit length field, or
+    /// if a SACK's payload is not its 8-byte bitmap.
     pub fn encode(&self) -> Bytes {
         self.encode_reusing(None)
     }
@@ -143,45 +189,41 @@ impl LtlFrame {
     ///
     /// # Panics
     ///
-    /// Panics if the payload exceeds the header's 16-bit length field.
+    /// As [`LtlFrame::encode`].
     pub fn encode_reusing(&self, spare: Option<Bytes>) -> Bytes {
-        let len = u16::try_from(self.payload.len()).unwrap_or_else(|_| {
-            panic!(
-                "LtlFrame.payload is {} bytes, the header's length field carries at most {}",
-                self.payload.len(),
-                u16::MAX
-            )
-        });
-        let mut header = [0u8; LTL_HEADER_BYTES];
-        header[0..2].copy_from_slice(&MAGIC.to_be_bytes());
-        header[2] = VERSION;
-        header[3] = self.kind.to_byte();
-        header[4..6].copy_from_slice(&self.src_conn.to_be_bytes());
-        header[6..8].copy_from_slice(&self.dst_conn.to_be_bytes());
-        header[8..12].copy_from_slice(&self.seq.to_be_bytes());
-        header[12..16].copy_from_slice(&self.msg_id.to_be_bytes());
-        header[16] = self.last_frag as u8;
-        header[17] = self.vc;
-        header[18..20].copy_from_slice(&len.to_be_bytes());
-        if self.payload.is_empty() {
+        let (header, payload) = self.wire_parts();
+        if payload.is_empty() {
             return Bytes::copy_from_slice(&header);
         }
         if let Some(mut wire) = spare {
-            if wire.try_refill(&[&header, &self.payload]) {
+            if wire.try_refill(&[&header, payload]) {
                 return wire;
             }
         }
-        let mut wire = Vec::with_capacity(LTL_HEADER_BYTES + self.payload.len());
+        let mut wire = Vec::with_capacity(LTL_HEADER_BYTES + payload.len());
         wire.extend_from_slice(&header);
-        wire.extend_from_slice(&self.payload);
+        wire.extend_from_slice(payload);
         Bytes::from(wire)
+    }
+
+    /// Appends the frame's wire image to `out`: how a multi-frame message
+    /// is encoded into one buffer, `[header₁|payload₁|header₂|…]`.
+    ///
+    /// # Panics
+    ///
+    /// As [`LtlFrame::encode`].
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        let (header, payload) = self.wire_parts();
+        out.extend_from_slice(&header);
+        out.extend_from_slice(payload);
     }
 
     /// Parses a frame produced by [`LtlFrame::encode`].
     ///
     /// The returned frame's payload is a zero-copy [`Bytes::slice`] view
     /// into `bytes`' shared storage — decoding a received frame never
-    /// copies payload bytes.
+    /// copies payload bytes. A SACK's bitmap is copied out of the header
+    /// into its 8-byte payload, which is stored inline.
     ///
     /// # Errors
     ///
@@ -199,15 +241,24 @@ impl LtlFrame {
             return Err(FrameError::BadVersion);
         }
         let kind = FrameKind::from_byte(bytes[3]).ok_or(FrameError::BadKind)?;
+        let src_conn = u16::from_be_bytes([bytes[4], bytes[5]]);
+        let dst_conn = u16::from_be_bytes([bytes[6], bytes[7]]);
+        let seq = u32::from_be_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
+        if kind == FrameKind::Sack {
+            return Ok(LtlFrame {
+                payload: Bytes::copy_from_slice(&bytes[12..20]),
+                ..LtlFrame::control(kind, src_conn, dst_conn, seq)
+            });
+        }
         let len = u16::from_be_bytes([bytes[18], bytes[19]]) as usize;
         if bytes.len() < LTL_HEADER_BYTES + len {
             return Err(FrameError::Truncated);
         }
         Ok(LtlFrame {
             kind,
-            src_conn: u16::from_be_bytes([bytes[4], bytes[5]]),
-            dst_conn: u16::from_be_bytes([bytes[6], bytes[7]]),
-            seq: u32::from_be_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]),
+            src_conn,
+            dst_conn,
+            seq,
             msg_id: u32::from_be_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]),
             last_frag: bytes[16] & 1 != 0,
             vc: bytes[17],
@@ -290,6 +341,40 @@ mod tests {
         assert_eq!(short.sack_bits(), None);
     }
 
+    /// The bitmap rides in the header bytes a control frame leaves
+    /// unused, so a SACK is as short as an ACK and stored inline.
+    #[test]
+    fn a_sack_is_twenty_bytes_on_the_wire_and_keeps_all_64_bits() {
+        for bits in [
+            0,
+            1,
+            1 << 63,
+            u64::MAX,
+            0x8000_0000_0000_0001,
+            0xA5A5_5A5A_0F0F_F0F0,
+        ] {
+            let f = LtlFrame::sack(0xBEEF, 0x0102, u32::MAX, bits);
+            let wire = f.encode();
+            assert_eq!(wire.len(), LTL_HEADER_BYTES, "{bits:#x}");
+            assert_eq!(
+                wire.len(),
+                LtlFrame::control(FrameKind::Ack, 0, 0, 0).encode().len()
+            );
+            assert_eq!(&wire[12..20], &bits.to_be_bytes(), "{bits:#x}");
+            let dec = LtlFrame::decode(&wire).unwrap();
+            assert_eq!(dec, f, "{bits:#x}");
+            assert_eq!(dec.sack_bits(), Some(bits), "{bits:#x}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a SACK frame's payload is its 8-byte bitmap, got 3 bytes")]
+    fn a_sack_without_its_bitmap_is_refused() {
+        let mut f = LtlFrame::sack(0, 0, 0, 0);
+        f.payload = Bytes::from_static(b"abc");
+        f.encode();
+    }
+
     #[test]
     fn rejects_bad_magic() {
         let f = LtlFrame::control(FrameKind::Ack, 0, 0, 0);
@@ -363,7 +448,9 @@ mod tests {
     }
 
     /// The field-by-field writer [`LtlFrame::encode`] replaced, kept as
-    /// the reference its wire image is checked against.
+    /// the reference its wire image is checked against. A SACK writes its
+    /// 8-byte bitmap where the other kinds write `msg_id`, `last_frag`,
+    /// `vc` and the length.
     fn put_wire(f: &LtlFrame) -> Vec<u8> {
         use bytes::BufMut;
         let mut out = Vec::new();
@@ -373,6 +460,10 @@ mod tests {
         out.put_u16(f.src_conn);
         out.put_u16(f.dst_conn);
         out.put_u32(f.seq);
+        if f.kind == FrameKind::Sack {
+            out.put_slice(&f.payload);
+            return out;
+        }
         out.put_u32(f.msg_id);
         out.put_u8(if f.last_frag { 1 } else { 0 });
         out.put_u8(f.vc);
@@ -396,15 +487,27 @@ mod tests {
             for len in [0, 1, 2, 3, 8, 22, 23, 64, mtu] {
                 for last_frag in [false, true] {
                     seq = seq.wrapping_add(7);
-                    let f = LtlFrame {
-                        kind,
-                        src_conn: 0x1234,
-                        dst_conn: 0xFEDC,
-                        seq,
-                        msg_id: seq.rotate_left(9),
-                        last_frag,
-                        vc: 3,
-                        payload: Bytes::from((0..len).map(|i| i as u8).collect::<Vec<u8>>()),
+                    let payload = Bytes::from((0..len).map(|i| i as u8).collect::<Vec<u8>>());
+                    let f = if kind == FrameKind::Sack {
+                        // A SACK's payload is its bitmap and nothing else.
+                        if len != 8 || last_frag {
+                            continue;
+                        }
+                        LtlFrame {
+                            payload,
+                            ..LtlFrame::control(kind, 0x1234, 0xFEDC, seq)
+                        }
+                    } else {
+                        LtlFrame {
+                            kind,
+                            src_conn: 0x1234,
+                            dst_conn: 0xFEDC,
+                            seq,
+                            msg_id: seq.rotate_left(9),
+                            last_frag,
+                            vc: 3,
+                            payload,
+                        }
                     };
                     let what = format!("{kind:?} len {len} last {last_frag}");
                     let expected = put_wire(&f);
@@ -419,6 +522,12 @@ mod tests {
                         assert_eq!(reused, expected, "spare of {spare_len}, {what}");
                         assert_eq!(LtlFrame::decode(&reused).unwrap(), f);
                     }
+                    // Appended behind an earlier frame, as in a message
+                    // buffer.
+                    let mut buf = vec![0xEE; 5];
+                    f.encode_into(&mut buf);
+                    assert_eq!(buf[..5], [0xEE; 5], "{what}");
+                    assert_eq!(buf[5..], expected, "appended, {what}");
                 }
             }
         }

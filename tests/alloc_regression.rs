@@ -29,14 +29,15 @@
 //! The LTL message path is allocation-free in steady state too, for a
 //! one-frame message. Every buffer on it is reused once nothing else
 //! holds a view of it (`Bytes::is_unique`): a sender hands its shell a
-//! `Msg::LtlSend` variant; each engine encodes a data frame into the wire
-//! buffer of a frame an acknowledgement retired (one spare per engine),
-//! and lets go of the sender's payload once the message's last frame is
-//! encoded; the remote-acceleration apps then write their next request or
-//! reply into the payload they sent last. What a message costs beyond
-//! that is a box its sender chose, a payload it built, or the parts of a
-//! multi-frame message. Four more tests pin that, two-sided — an
-//! acquisition that disappears is news as much as one that appears:
+//! `Msg::LtlSend` variant; each engine encodes a one-frame message into
+//! the wire buffer of one an acknowledgement retired (one spare per
+//! engine), and lets go of the sender's payload before `send_message`
+//! returns; the remote-acceleration apps then write their next request or
+//! reply into the payload they sent last. Control frames, SACKs included,
+//! are 20 bytes and live inline in their `Bytes`. What a message costs
+//! beyond that is a box its sender chose, a payload it built, or the two
+//! buffers of a multi-frame message. Four more tests pin that, two-sided
+//! — an acquisition that disappears is news as much as one that appears:
 //!
 //! * two shells under one TOR in a closed-loop 48-byte volley: 0 per
 //!   round trip with `Msg::LtlSend`, and 2 with the boxed
@@ -46,16 +47,13 @@
 //!   request and reply payloads are rewritten in place (building them
 //!   cost 4);
 //! * two `LtlEngine`s driven back to back: 0 per data frame once the
-//!   data packet is dropped before its acknowledgement arrives, and an
-//!   acknowledgement leg that is free in go-back-N (a 20-byte ACK lives
-//!   inline in its `Bytes`) and costs 2 in selective repeat (a 28-byte
-//!   SACK wire image does not; its 8-byte bitmap payload does);
-//! * the same engines carrying an 8 KiB message, six frames: the one
-//!   spare serves the first frame, frames 2-6 take a fresh wire buffer
-//!   at 2 each, the receiver joins the fragments in one buffer of the
-//!   previous message's length (2: the vector and its shared handle), and
-//!   selective repeat adds its six SACKs — 12 in go-back-N, 24 in
-//!   selective repeat.
+//!   data packet is dropped before its acknowledgement arrives, and 0 per
+//!   acknowledgement in both modes (an ACK, and a SACK with its bitmap
+//!   in the header, is a 20-byte wire image);
+//! * the same engines carrying an 8 KiB message, six frames: all six are
+//!   encoded into one message buffer (2: the vector and its shared
+//!   handle), and the receiver joins the fragments in one buffer of the
+//!   previous message's length (2) — 4 in either mode.
 //!
 //! The fleet background path is allocation-free and pinned the same
 //! two-sided way: a tick of `FleetLoadGen` hands its up to 64 batches to
@@ -622,41 +620,43 @@ fn engine_pair_allocs(mode: LtlMode, len: usize, messages: u64) -> (u64, u64) {
 }
 
 /// The engine alone: a data frame is encoded into the retired frame's
-/// wire buffer and costs nothing, and what an acknowledgement costs is
-/// its own wire buffer, if its wire image does not fit the `Bytes`
-/// inline arm.
+/// wire buffer and costs nothing, and so does its acknowledgement, whose
+/// 20-byte wire image, an ACK's or a SACK's, fits the `Bytes` inline arm.
 #[test]
-fn ltl_engine_pair_acquires_only_wire_buffers() {
+fn ltl_engine_pair_acquires_nothing_per_one_frame_message() {
     const MESSAGES: u64 = 10_000;
     let _serial = serial();
-    let (data_leg, ack_leg) = engine_pair_allocs(LtlMode::GoBackN, 48, MESSAGES);
-    assert_eq!(data_leg, 0, "go-back-N data leg");
-    assert_budget("go-back-N acknowledgement leg", ack_leg, MESSAGES, 0);
-
-    let (data_leg, ack_leg) = engine_pair_allocs(LtlMode::SelectiveRepeat, 48, MESSAGES);
-    assert_eq!(data_leg, 0, "selective-repeat data leg");
-    assert_budget("selective-repeat acknowledgement leg", ack_leg, MESSAGES, 2);
+    for mode in [LtlMode::GoBackN, LtlMode::SelectiveRepeat] {
+        let (data_leg, ack_leg) = engine_pair_allocs(mode, 48, MESSAGES);
+        assert_eq!(data_leg, 0, "{mode} data leg");
+        assert_budget(&format!("{mode} acknowledgement leg"), ack_leg, MESSAGES, 0);
+    }
 }
 
-/// An 8 KiB message, six frames, as `incast_lossy` sends them: frames
-/// 2-6 take a fresh wire buffer each (2 apiece: the vector and its shared
-/// handle), since an engine keeps one spare; the receiver joins the
-/// fragments in one buffer sized by the previous message (2; growing it
-/// by doubling cost 5); a selective-repeat receiver answers each frame
-/// with a SACK whose 28-byte wire image is 2 more.
+/// An 8 KiB message, six frames, as `incast_lossy` sends them: the sender
+/// encodes all six into one buffer (2: the vector and its shared handle;
+/// a buffer per frame cost 2 for each of frames 2-6), and the receiver
+/// joins the fragments in one buffer sized by the previous message (2;
+/// growing it by doubling cost 5). The SACKs a selective-repeat receiver
+/// answers each frame with are free (their 28-byte wire images cost 2
+/// each).
 #[test]
-fn a_six_frame_message_acquires_its_later_frames_and_one_reassembly() {
+fn a_six_frame_message_acquires_one_message_buffer_and_one_reassembly() {
     const MESSAGES: u64 = 2_000;
     const LEN: usize = 8 * 1024;
     let _serial = serial();
-    for (mode, sacks) in [(LtlMode::GoBackN, 0), (LtlMode::SelectiveRepeat, 6 * 2)] {
+    for mode in [LtlMode::GoBackN, LtlMode::SelectiveRepeat] {
         let (data_leg, ack_leg) = engine_pair_allocs(mode, LEN, MESSAGES);
-        assert_eq!(data_leg, MESSAGES * 5 * 2, "{mode} data leg: frames 2-6");
+        assert_eq!(
+            data_leg,
+            MESSAGES * 2,
+            "{mode} data leg: one message buffer"
+        );
         assert_budget(
             &format!("{mode} receive-and-acknowledge leg"),
             ack_leg,
             MESSAGES,
-            2 + sacks,
+            2,
         );
     }
 }
