@@ -26,12 +26,11 @@
 use std::time::Instant;
 
 use catapult::elastic::{
-    generate_trace, run_trace, standard_region_alms, whole_board_alms, ElasticTraceConfig,
-    MixWeights,
+    generate_trace, run_trace, standard_region_alms, ElasticTraceConfig, MixWeights,
 };
 use catapult::sweep::parallel_map;
 use dcsim::SimDuration;
-use haas::ElasticConfig;
+use haas::{whole_board_alms, ElasticConfig};
 use serde::Serialize;
 
 /// One policy run at one sweep point.

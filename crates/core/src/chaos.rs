@@ -31,12 +31,11 @@ use dcsim::{ComponentId, SimDuration, SimRng, SimTime};
 use fpga::{Image, SeuModel};
 use serde::Serialize;
 use shell::ltl::SendConnId;
+use shell::tenant::TenantId;
 use shell::{ShellCmd, ShellConfig};
 
 use apps::remote::{AcceleratorRole, IssueRequest, RemoteClient, StallFor};
-use haas::{
-    Constraints, DeployImage, FailureMonitor, FpgaManager, ResourceManager, ServiceManager,
-};
+use haas::{whole_board_pool, DeployImage, FailureMonitor, FpgaManager, ServiceManager};
 
 use crate::{Cluster, ClusterBuilder};
 
@@ -589,22 +588,17 @@ impl ChaosRig {
 
         // HaaS pool: primaries registered first (so grow() leases them),
         // spares after (so replacements come from rack 3, in order).
-        let mut rm = ResourceManager::new();
-        for &(_, primary, _, _) in &layout {
-            rm.register(primary);
-        }
-        for &(_, _, spare, _) in &layout {
-            rm.register(spare);
-        }
-        let mut ranking_sm = ServiceManager::new("ranking");
-        let mut dnn_sm = ServiceManager::new("dnn-pool");
+        let (primaries, spares) = (layout.iter().map(|l| l.1), layout.iter().map(|l| l.2));
+        let mut pool = whole_board_pool(primaries.chain(spares));
+        let mut ranking_sm = ServiceManager::new("ranking", TenantId(0));
+        let mut dnn_sm = ServiceManager::new("dnn-pool", TenantId(1));
         ranking_sm
-            .grow(&mut rm, cfg.ranking_pairs, &Constraints::default())
+            .grow(&mut pool, SimTime::ZERO, cfg.ranking_pairs)
             .expect("pool sized for the workload");
         dnn_sm
-            .grow(&mut rm, cfg.dnn_pairs, &Constraints::default())
+            .grow(&mut pool, SimTime::ZERO, cfg.dnn_pairs)
             .expect("pool sized for the workload");
-        let mut monitor = FailureMonitor::new(rm, cfg.repair_after);
+        let mut monitor = FailureMonitor::new(pool, cfg.repair_after);
         monitor.add_service(ranking_sm);
         monitor.add_service(dnn_sm);
         for &(_, primary, spare, _) in &layout {

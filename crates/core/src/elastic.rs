@@ -126,12 +126,6 @@ pub fn standard_region_alms() -> Vec<u32> {
         .unwrap_or_default()
 }
 
-/// The whole-board baseline carve: one region spanning the full role
-/// area (the paper's one-role-per-board allocation).
-pub fn whole_board_alms() -> Vec<u32> {
-    vec![standard_region_alms().iter().sum()]
-}
-
 /// Generates the seeded tenant-mix trace: request arrivals, releases,
 /// and chaos board crashes, sorted by time.
 pub fn generate_trace(cfg: &ElasticTraceConfig) -> Vec<LeaseEvent> {
@@ -298,6 +292,7 @@ pub fn run_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use haas::whole_board_alms;
 
     #[test]
     fn trace_generation_is_deterministic() {

@@ -10,9 +10,10 @@
 use apps::remote::{AcceleratorRole, IssueRequest, RemoteClient};
 use dcnet::{Msg, NodeAddr};
 use dcsim::{PercentileRecorder, SimDuration, SimRng, SimTime};
-use haas::{Constraints, ResourceManager, ServiceManager};
+use haas::{whole_board_pool, ServiceManager};
 use host::{CorePool, OpenLoopGen, PcieModel, StartGenerator};
 use serde::Serialize;
+use shell::tenant::TenantId;
 use telemetry::{Histogram, MetricSource};
 
 use crate::cluster::ClusterBuilder;
@@ -150,12 +151,10 @@ fn run_ratio(params: &Fig12Params, ratio: f64, seed: u64) -> (f64, f64, f64, usi
     let mut cluster = ClusterBuilder::paper(seed, 1).build();
 
     // Accelerator pool allocated through HaaS.
-    let mut rm = ResourceManager::new();
-    for i in 0..params.accelerators {
-        rm.register(NodeAddr::new(0, i as u16, 0));
-    }
-    let mut sm = ServiceManager::new("dnn-pool");
-    sm.grow(&mut rm, params.accelerators, &Constraints::default())
+    let mut pool =
+        whole_board_pool((0..params.accelerators).map(|i| NodeAddr::new(0, i as u16, 0)));
+    let mut sm = ServiceManager::new("dnn-pool", TenantId(0));
+    sm.grow(&mut pool, SimTime::ZERO, params.accelerators)
         .expect("pool fits");
 
     let accel_addrs = sm.endpoints();

@@ -1,16 +1,18 @@
 //! Elastic multi-tenant HaaS scheduling over partial-reconfiguration
 //! regions.
 //!
-//! The paper's Resource Manager leases *whole boards*. Once boards are
-//! carved into PR regions ([`fpga::PrBoard`]), the pool becomes elastic:
-//! tenants lease individual regions, higher classes preempt lower ones
-//! with a bounded eviction latency, a periodic defragmentation pass
-//! repacks leases best-fit-decreasing, and spot capacity is reclaimed
-//! when the free pool drains. [`ElasticScheduler`] is that control
-//! plane, driven by a time-ordered [`LeaseEvent`] trace and emitting
-//! [`Decision`]s whose running FNV-1a fingerprint makes whole runs
-//! byte-comparable. It keeps only the latest call's decisions and a
-//! count: a whole run's log would grow with the trace.
+//! This is the one FPGA pool. Carved into PR regions
+//! ([`fpga::PrBoard`]), it is elastic: tenants lease individual regions,
+//! higher classes preempt lower ones with a bounded eviction latency, a
+//! periodic defragmentation pass repacks leases best-fit-decreasing, and
+//! spot capacity is reclaimed when the free pool drains. With each board
+//! one whole-board region ([`whole_board_pool`](crate::whole_board_pool))
+//! it is the paper's Resource Manager, leasing boards to Service
+//! Managers. [`ElasticScheduler`] is that control plane, driven by a
+//! time-ordered [`LeaseEvent`] trace and emitting [`Decision`]s whose
+//! running FNV-1a fingerprint makes whole runs byte-comparable. It keeps
+//! only the latest call's decisions and a count: a whole run's log would
+//! grow with the trace.
 //!
 //! Every rule below is deliberately a *total, deterministic* function of
 //! the event history — the pure reference scheduler in `simcheck`
@@ -151,6 +153,13 @@ pub enum ElasticError {
     DuplicateBoard(NodeAddr),
     /// A request with this id is still queued or still holds a lease.
     DuplicateRequest(u64),
+    /// An all-or-nothing request wanted more whole boards than are free.
+    InsufficientCapacity {
+        /// Boards requested.
+        wanted: u32,
+        /// Boards free.
+        free: u32,
+    },
     /// The carve has more regions than [`RegionRef::region`] can number.
     TooManyRegions {
         /// The board being registered.
@@ -176,6 +185,9 @@ impl core::fmt::Display for ElasticError {
             ElasticError::DuplicateBoard(a) => write!(f, "board {a} already registered"),
             ElasticError::DuplicateRequest(req) => {
                 write!(f, "request {req} is still queued or leased")
+            }
+            ElasticError::InsufficientCapacity { wanted, free } => {
+                write!(f, "{wanted} boards requested, {free} free")
             }
             ElasticError::TooManyRegions { board, regions } => write!(
                 f,
@@ -672,6 +684,14 @@ impl ElasticScheduler {
     /// Live leases, ascending id.
     pub fn leases(&self) -> impl Iterator<Item = &RegionLease> {
         self.leases.iter()
+    }
+
+    /// Whether a registered board is up, and the lease in its first
+    /// region (a whole-board carve's only one); `None` when unregistered.
+    pub fn board(&self, addr: NodeAddr) -> Option<(bool, Option<&RegionLease>)> {
+        let board = &self.boards[*self.board_index.get(&addr)? as usize];
+        let lease = board.slots.first().and_then(|s| self.leases.get(s.lease?));
+        Some((board.up, lease))
     }
 
     /// Requests currently waiting, in arrival order.

@@ -1,7 +1,7 @@
 //! The Failure Monitor: the health loop closing the paper's reliability
 //! story (Section VII). Clients and peer shells that observe a dead LTL
-//! connection report the node here; the monitor drains it from the
-//! [`ResourceManager`] pool, asks the owning [`ServiceManager`] for a
+//! connection report the node here; the monitor takes the board out of
+//! the whole-board pool, asks the owning [`ServiceManager`] for a
 //! replacement, power-cycles nodes whose [`FpgaManager`] shows a bad
 //! image (golden-image rollback), and optionally returns repaired nodes
 //! to the pool after a fixed repair time.
@@ -16,8 +16,8 @@ use dcnet::{Msg, NodeAddr};
 use dcsim::{Component, Context, SimDuration, SimTime};
 use fpga::Image;
 
+use crate::elastic::{Decision, ElasticScheduler};
 use crate::fm::{FpgaManager, NodeStatus};
-use crate::rm::ResourceManager;
 use crate::sm::ServiceManager;
 
 /// "Node `addr` stopped answering" — sent to the monitor (wrapped in
@@ -57,9 +57,9 @@ pub struct RecoveryRecord {
     pub power_cycled: bool,
 }
 
-/// The health loop: RM + SMs + per-node FMs behind a single component.
+/// The health loop: pool + SMs + per-node FMs behind a single component.
 pub struct FailureMonitor {
-    rm: ResourceManager,
+    pool: ElasticScheduler,
     services: Vec<ServiceManager>,
     fms: BTreeMap<NodeAddr, FpgaManager>,
     repair_after: Option<SimDuration>,
@@ -71,12 +71,13 @@ pub struct FailureMonitor {
 }
 
 impl FailureMonitor {
-    /// Creates a monitor. With `repair_after` set, failed nodes return to
-    /// the pool that long after detection; with `None` they stay out for
-    /// the rest of the run.
-    pub fn new(rm: ResourceManager, repair_after: Option<SimDuration>) -> FailureMonitor {
+    /// Creates a monitor over a whole-board pool
+    /// ([`whole_board_pool`](crate::whole_board_pool)). With
+    /// `repair_after` set, failed nodes return to the pool that long after
+    /// detection; with `None` they stay out for the rest of the run.
+    pub fn new(pool: ElasticScheduler, repair_after: Option<SimDuration>) -> FailureMonitor {
         FailureMonitor {
-            rm,
+            pool,
             services: Vec::new(),
             fms: BTreeMap::new(),
             repair_after,
@@ -99,8 +100,8 @@ impl FailureMonitor {
     }
 
     /// The resource pool.
-    pub fn rm(&self) -> &ResourceManager {
-        &self.rm
+    pub fn pool(&self) -> &ElasticScheduler {
+        &self.pool
     }
 
     /// The managed services.
@@ -134,11 +135,13 @@ impl FailureMonitor {
     }
 
     fn handle_down(&mut self, addr: NodeAddr, ctx: &mut Context<'_, Msg>) {
-        if matches!(self.rm.state(addr), Some(crate::rm::FpgaState::Failed)) {
+        match self.pool.board(addr) {
+            Some((true, _)) => {}
             // Several observers race to report the same dead node; the
             // first one already drained it.
-            self.duplicate_reports += 1;
-            return;
+            Some((false, _)) => return self.duplicate_reports += 1,
+            // A board the pool never registered is none of its business.
+            None => return,
         }
         let power_cycled = match self.fms.get_mut(&addr) {
             Some(fm) if fm.status() == NodeStatus::Unreachable => {
@@ -150,12 +153,18 @@ impl FailureMonitor {
             }
             _ => false,
         };
-        let lease = self.rm.mark_failed(addr);
+        let now = ctx.now();
+        let _ = self.pool.board_down(now, addr);
+        // A whole board holds at most one lease.
+        let lease = match self.pool.last_decisions() {
+            [.., Decision::BoardDown { lost, .. }] => lost.first().copied(),
+            _ => None,
+        };
         let mut service = None;
         let mut replacement = None;
         if let Some(lease) = lease {
             for sm in &mut self.services {
-                match sm.handle_failure(&mut self.rm, lease) {
+                match sm.handle_failure(&mut self.pool, now, lease) {
                     Ok(Some(new_addr)) => {
                         service = Some(sm.name().to_string());
                         replacement = Some(new_addr);
@@ -172,7 +181,7 @@ impl FailureMonitor {
         }
         self.records.push(RecoveryRecord {
             addr,
-            detected_at: ctx.now(),
+            detected_at: now,
             service,
             replacement,
             power_cycled,
@@ -205,9 +214,9 @@ impl Component<Msg> for FailureMonitor {
         }
     }
 
-    fn on_timer(&mut self, token: u64, _ctx: &mut Context<'_, Msg>) {
+    fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, Msg>) {
         let addr = self.repair_queue[token as usize];
-        self.rm.repair(addr);
+        let _ = self.pool.board_up(ctx.now(), addr);
         self.repairs += 1;
     }
 }
@@ -225,19 +234,29 @@ impl core::fmt::Debug for FailureMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rm::Constraints;
+    use crate::sm::whole_board_pool;
     use dcsim::{Engine, SimTime};
+    use shell::tenant::TenantId;
+
+    fn pool_and_service(nodes: u16, grown: usize) -> (ElasticScheduler, ServiceManager) {
+        let mut pool = whole_board_pool((0..nodes).map(|h| NodeAddr::new(0, 0, h)));
+        let mut sm = ServiceManager::new("svc", TenantId(1));
+        sm.grow(&mut pool, SimTime::ZERO, grown).unwrap();
+        (pool, sm)
+    }
 
     fn monitor_with_service(nodes: u16, grown: usize) -> FailureMonitor {
-        let mut rm = ResourceManager::new();
-        for h in 0..nodes {
-            rm.register(NodeAddr::new(0, 0, h));
-        }
-        let mut sm = ServiceManager::new("svc");
-        sm.grow(&mut rm, grown, &Constraints::default()).unwrap();
-        let mut mon = FailureMonitor::new(rm, None);
+        let (pool, sm) = pool_and_service(nodes, grown);
+        let mut mon = FailureMonitor::new(pool, None);
         mon.add_service(sm);
         mon
+    }
+
+    /// Boards of `mon`'s pool that are down.
+    fn down(mon: &FailureMonitor, nodes: u16) -> usize {
+        (0..nodes)
+            .filter(|&h| mon.pool().board(NodeAddr::new(0, 0, h)) == Some((false, None)))
+            .count()
     }
 
     #[test]
@@ -263,7 +282,8 @@ mod tests {
         assert_eq!(rec.service.as_deref(), Some("svc"));
         assert!(rec.replacement.is_some());
         assert!(!rec.power_cycled);
-        assert_eq!(mon.rm().failed(), 1);
+        assert_eq!(down(mon, 4), 1);
+        assert_eq!(rec.replacement, Some(NodeAddr::new(0, 0, 2)));
         assert!(!mon.services()[0].endpoints().contains(&victim));
     }
 
@@ -321,13 +341,8 @@ mod tests {
     #[test]
     fn repair_returns_node_to_pool() {
         let mut e: Engine<Msg> = Engine::new(1);
-        let mut rm = ResourceManager::new();
-        for h in 0..3 {
-            rm.register(NodeAddr::new(0, 0, h));
-        }
-        let mut sm = ServiceManager::new("svc");
-        sm.grow(&mut rm, 2, &Constraints::default()).unwrap();
-        let mut mon = FailureMonitor::new(rm, Some(SimDuration::from_millis(5)));
+        let (pool, sm) = pool_and_service(3, 2);
+        let mut mon = FailureMonitor::new(pool, Some(SimDuration::from_millis(5)));
         let victim = sm.endpoints()[0];
         mon.add_service(sm);
         let mon_id = e.add_component(mon);
@@ -337,15 +352,16 @@ mod tests {
             Msg::custom(NodeDownReport { addr: victim }),
         );
         e.run_until(SimTime::from_millis(1));
-        assert_eq!(
-            e.component::<FailureMonitor>(mon_id).unwrap().rm().failed(),
-            1
-        );
+        assert_eq!(down(e.component::<FailureMonitor>(mon_id).unwrap(), 3), 1);
         e.run_to_idle();
         let mon = e.component::<FailureMonitor>(mon_id).unwrap();
-        assert_eq!(mon.rm().failed(), 0);
+        assert_eq!(down(mon, 3), 0);
         assert_eq!(mon.repairs(), 1);
-        assert_eq!(mon.rm().unallocated(), 1, "victim is allocatable again");
+        assert_eq!(
+            mon.pool().board(victim),
+            Some((true, None)),
+            "victim is allocatable again"
+        );
     }
 
     #[test]

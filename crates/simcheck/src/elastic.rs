@@ -227,9 +227,9 @@ impl Case for ElasticSpec {
 }
 
 /// Identity fields a defrag migration must preserve.
-type LeaseIdentity = (TenantId, TenantClass, u32, bool, TenantCaps);
+type Identity = (TenantId, TenantClass, u32, bool, TenantCaps);
 
-fn identity(l: &RegionLease) -> LeaseIdentity {
+fn identity(l: &RegionLease) -> Identity {
     (l.tenant, l.class, l.alms, l.preemptible, l.caps)
 }
 

@@ -23,7 +23,8 @@
 use crate::{seq_le, Violation};
 use dcnet::{Msg, NodeAddr, PortId, Switch, TrafficClass};
 use dcsim::{Component, ComponentId, Engine, EventRecord, Observer, SimTime};
-use haas::{FailureMonitor, FpgaState};
+use haas::FailureMonitor;
+use shell::tenant::TenantId;
 use shell::Shell;
 use std::collections::BTreeMap;
 
@@ -68,7 +69,7 @@ struct ShellSnap {
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum NodeSnap {
     Unallocated,
-    Leased(String),
+    Leased(TenantId),
     Failed,
     Unregistered,
 }
@@ -154,10 +155,10 @@ impl InvariantObserver {
     }
 
     fn node_state(monitor: &FailureMonitor, addr: NodeAddr) -> NodeSnap {
-        match monitor.rm().state(addr) {
-            Some(FpgaState::Unallocated) => NodeSnap::Unallocated,
-            Some(FpgaState::Leased { service, .. }) => NodeSnap::Leased(service.clone()),
-            Some(FpgaState::Failed) => NodeSnap::Failed,
+        match monitor.pool().board(addr) {
+            Some((true, None)) => NodeSnap::Unallocated,
+            Some((true, Some(lease))) => NodeSnap::Leased(lease.tenant),
+            Some((false, _)) => NodeSnap::Failed,
             None => NodeSnap::Unregistered,
         }
     }

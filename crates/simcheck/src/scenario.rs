@@ -17,10 +17,9 @@ use catapult::chaos::{ChaosTargets, FaultEvent, FaultPlan};
 use catapult::ClusterBuilder;
 use dcnet::{Msg, NodeAddr};
 use dcsim::{Component, ComponentId, Context, SimDuration, SimRng, SimTime};
-use haas::{
-    Constraints, FailureMonitor, FpgaManager, NodeDownReport, ResourceManager, ServiceManager,
-};
+use haas::{whole_board_pool, FailureMonitor, FpgaManager, NodeDownReport, ServiceManager};
 use serde::Value;
+use shell::tenant::TenantId;
 use shell::{LtlConnFailed, LtlDeliver, LtlSend};
 use std::collections::BTreeMap;
 
@@ -202,14 +201,11 @@ impl Case for ScenarioSpec {
 
         // HaaS control plane: every node registered, one service leasing a
         // slice of the pool, an FM view per node.
-        let mut rm = ResourceManager::new();
-        for &addr in &addrs {
-            rm.register(addr);
-        }
-        let mut sm = ServiceManager::new("simcheck");
-        sm.grow(&mut rm, self.pairs as usize, &Constraints::default())
+        let mut pool = whole_board_pool(addrs.iter().copied());
+        let mut sm = ServiceManager::new("simcheck", TenantId(0));
+        sm.grow(&mut pool, SimTime::ZERO, self.pairs as usize)
             .expect("pool covers the flow count");
-        let mut monitor = FailureMonitor::new(rm, Some(SimDuration::from_micros(600)));
+        let mut monitor = FailureMonitor::new(pool, Some(SimDuration::from_micros(600)));
         monitor.add_service(sm);
         for &addr in &addrs {
             monitor.add_fm(FpgaManager::new(addr));

@@ -1,6 +1,6 @@
 //! Global acceleration: a Hardware-as-a-Service DNN pool (Sections V-E/F).
 //!
-//! The Resource Manager tracks donated FPGAs; a Service Manager leases
+//! The whole-board pool tracks donated FPGAs; a Service Manager leases
 //! four of them for a DNN service and load-balances clients across the
 //! pool; clients reach their accelerator directly over LTL. A node failure
 //! mid-run is detected and replaced. The MLP itself is real — the same
@@ -13,8 +13,9 @@ use apps::remote::{IssueRequest, RemoteClient};
 use catapult::ClusterBuilder;
 use dcnet::{Msg, NodeAddr};
 use dcsim::{SimDuration, SimTime};
-use haas::{Constraints, FpgaManager, NodeStatus, ResourceManager, ServiceManager};
+use haas::{whole_board_pool, Decision, FpgaManager, NodeStatus, ServiceManager};
 use host::{OpenLoopGen, StartGenerator};
+use shell::tenant::TenantId;
 
 fn main() {
     println!("== the model served by the pool ==");
@@ -34,18 +35,12 @@ fn main() {
     );
 
     println!("\n== HaaS allocates the pool ==");
-    let mut rm = ResourceManager::new();
-    for tor in 0..8u16 {
-        rm.register(NodeAddr::new(0, tor, 0)); // donated FPGAs, one per rack
-    }
-    let mut sm = ServiceManager::new("dnn-pool");
-    sm.grow(&mut rm, 4, &Constraints::default())
+    // Donated FPGAs, one per rack.
+    let mut pool = whole_board_pool((0..8u16).map(|tor| NodeAddr::new(0, tor, 0)));
+    let mut sm = ServiceManager::new("dnn-pool", TenantId(0));
+    sm.grow(&mut pool, SimTime::ZERO, 4)
         .expect("pool capacity available");
-    println!(
-        "RM pool: {} registered, {} unallocated after lease",
-        rm.total(),
-        rm.unallocated()
-    );
+    println!("pool: 8 donated boards, {} leased", pool.leases().count());
     println!("SM endpoints: {:?}", sm.endpoints());
 
     // Each node's FPGA Manager loads the DNN image.
@@ -158,11 +153,16 @@ fn main() {
 
     println!("\n== failure handling ==");
     let victim = sm.endpoints()[0];
-    let lease = rm.mark_failed(victim).expect("victim held a lease");
+    let now = cloud.now();
+    pool.board_down(now, victim).expect("victim is registered");
+    let lease = match pool.last_decisions() {
+        [Decision::BoardDown { lost, .. }] => lost[0],
+        other => panic!("victim's board went down: {other:?}"),
+    };
     let replacement = sm
-        .handle_failure(&mut rm, lease)
+        .handle_failure(&mut pool, now, lease)
         .expect("spares available")
         .expect("replacement granted");
-    println!("node {victim} failed; SM replaced it with {replacement} in one RM round trip");
+    println!("node {victim} failed; SM replaced it with {replacement} in one pool round trip");
     println!("pool intact: {} endpoints", sm.endpoints().len());
 }

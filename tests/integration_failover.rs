@@ -3,7 +3,7 @@
 //! also be used to identify failing nodes quickly, if ultra-fast
 //! reprovisioning of a replacement is critical"), the client fails over to
 //! a pre-provisioned spare, re-issues its in-flight requests, and every
-//! request eventually completes. The Resource Manager books the failure
+//! request eventually completes. The whole-board pool books the failure
 //! and the Service Manager's replacement in parallel.
 //!
 //! The client and the roles write each request and reply into the payload
@@ -16,7 +16,8 @@ use apps::remote::{decode_reply, AcceleratorRole, IssueRequest, RemoteClient};
 use catapult::{Cluster, ClusterBuilder};
 use dcnet::{LtlDeliver, Msg, NodeAddr, PortId, SwitchCmd};
 use dcsim::{Component, ComponentId, Context, SimDuration, SimTime};
-use haas::{Constraints, ResourceManager, ServiceManager};
+use haas::{whole_board_pool, Decision, ServiceManager};
+use shell::tenant::TenantId;
 
 /// Records the request id of every delivery its shell hands it, with the
 /// arrival time, and passes the delivery on to the role behind it.
@@ -71,11 +72,9 @@ fn client_fails_over_to_spare_and_finishes_all_requests() {
     // HaaS: primary leased from the pool, one spare left unallocated.
     let primary = NodeAddr::new(0, 1, 0);
     let spare = NodeAddr::new(0, 2, 0);
-    let mut rm = ResourceManager::new();
-    rm.register(primary);
-    rm.register(spare);
-    let mut sm = ServiceManager::new("dnn");
-    sm.grow(&mut rm, 1, &Constraints::default()).unwrap();
+    let mut pool = whole_board_pool([primary, spare]);
+    let mut sm = ServiceManager::new("dnn", TenantId(0));
+    sm.grow(&mut pool, SimTime::ZERO, 1).unwrap();
     assert_eq!(sm.endpoints(), vec![primary]);
 
     let client_addr = NodeAddr::new(0, 5, 3);
@@ -163,9 +162,14 @@ fn client_fails_over_to_spare_and_finishes_all_requests() {
     assert_eq!(all, issued(total));
 
     // HaaS bookkeeping mirrors the event.
-    let lease = rm.mark_failed(primary).expect("primary was leased");
+    let now = cluster.now();
+    pool.board_down(now, primary).unwrap();
+    let lease = match pool.last_decisions() {
+        [Decision::BoardDown { lost, .. }] => lost[0],
+        other => panic!("primary's board went down: {other:?}"),
+    };
     let replacement = sm
-        .handle_failure(&mut rm, lease)
+        .handle_failure(&mut pool, now, lease)
         .unwrap()
         .expect("spare grantable");
     assert_eq!(replacement, spare);

@@ -1,21 +1,29 @@
 //! Management-plane soak: hardware failures drawn from the Section II-B
-//! rates flow through the Resource Manager and Service Managers, which
+//! rates flow through the whole-board pool and Service Managers, which
 //! must keep every service at full strength as long as spares remain —
 //! "failing nodes are removed from the pool with replacements quickly
 //! added."
 
 use catapult::elastic::{generate_trace, run_trace, standard_region_alms, ElasticTraceConfig};
 use dcnet::NodeAddr;
-use dcsim::{SimDuration, SimRng};
-use haas::{Constraints, ElasticConfig, FpgaState, ResourceManager, ServiceManager, TenantClass};
+use dcsim::{SimDuration, SimRng, SimTime};
+use haas::{
+    whole_board_pool, Decision, ElasticConfig, ElasticScheduler, ServiceManager, TenantClass,
+};
+use shell::tenant::TenantId;
 
-/// A bed of `n` machines registered with the RM.
-fn bed(n: u16) -> ResourceManager {
-    let mut rm = ResourceManager::new();
-    for i in 0..n {
-        rm.register(NodeAddr::new(0, i / 24, i % 24));
+/// A bed of `n` machines registered with the pool.
+fn bed(n: u16) -> ElasticScheduler {
+    whole_board_pool((0..n).map(|i| NodeAddr::new(0, i / 24, i % 24)))
+}
+
+/// Takes `addr` down at `now`; the lease it held, if any.
+fn fail(pool: &mut ElasticScheduler, now: SimTime, addr: NodeAddr) -> Option<u64> {
+    pool.board_down(now, addr).unwrap();
+    match pool.last_decisions() {
+        [Decision::BoardDown { lost, .. }] => lost.first().copied(),
+        _ => None,
     }
-    rm
 }
 
 #[test]
@@ -23,27 +31,28 @@ fn services_ride_through_a_month_of_failures() {
     // 960 machines, two services holding most of the pool, failures
     // injected at 20x the paper's hard-failure rate so the month actually
     // exercises the replacement path.
-    let mut rm = bed(960);
-    let mut ranking = ServiceManager::new("ranking");
-    let mut dnn = ServiceManager::new("dnn");
-    ranking.grow(&mut rm, 400, &Constraints::default()).unwrap();
-    dnn.grow(&mut rm, 400, &Constraints::default()).unwrap();
+    let mut pool = bed(960);
+    let mut ranking = ServiceManager::new("ranking", TenantId(0));
+    let mut dnn = ServiceManager::new("dnn", TenantId(1));
+    ranking.grow(&mut pool, SimTime::ZERO, 400).unwrap();
+    dnn.grow(&mut pool, SimTime::ZERO, 400).unwrap();
 
     let mut rng = SimRng::seed_from(99);
     let daily_failure_rate = 20.0 * 2.0 / 5_760.0 / 30.0; // per machine-day
     let mut failures = 0;
     let mut replacements = 0;
-    for _day in 0..30 {
+    for day in 0..30 {
+        let now = SimTime::from_secs(day * 86_400);
         // Draw today's failures over all machines.
         for tor in 0..40u16 {
             for host in 0..24u16 {
                 if rng.chance(daily_failure_rate) {
                     let addr = NodeAddr::new(0, tor, host);
-                    if let Some(lease) = rm.mark_failed(addr) {
+                    if let Some(lease) = fail(&mut pool, now, addr) {
                         failures += 1;
                         // Whichever SM held it requests a replacement.
                         for sm in [&mut ranking, &mut dnn] {
-                            match sm.handle_failure(&mut rm, lease) {
+                            match sm.handle_failure(&mut pool, now, lease) {
                                 Ok(Some(_)) => {
                                     replacements += 1;
                                     break;
@@ -53,7 +62,8 @@ fn services_ride_through_a_month_of_failures() {
                             }
                         }
                     } else {
-                        rm.repair(addr); // unallocated spare: swap at leisure
+                        // Unallocated spare: swap at leisure.
+                        pool.board_up(now, addr).unwrap();
                     }
                 }
             }
@@ -68,7 +78,7 @@ fn services_ride_through_a_month_of_failures() {
     // No failed machine is still serving.
     for addr in ranking.endpoints().into_iter().chain(dnn.endpoints()) {
         assert!(
-            matches!(rm.state(addr), Some(FpgaState::Leased { .. })),
+            matches!(pool.board(addr), Some((true, Some(_)))),
             "{addr} serving while not leased"
         );
     }
@@ -76,15 +86,16 @@ fn services_ride_through_a_month_of_failures() {
 
 #[test]
 fn exhausted_pool_degrades_instead_of_panicking() {
-    let mut rm = bed(24);
-    let mut sm = ServiceManager::new("greedy");
-    sm.grow(&mut rm, 24, &Constraints::default()).unwrap();
+    let mut pool = bed(24);
+    let mut sm = ServiceManager::new("greedy", TenantId(0));
+    let now = SimTime::ZERO;
+    sm.grow(&mut pool, now, 24).unwrap();
     // Fail half the bed with no spares.
     let mut degraded = 0;
     for host in 0..12u16 {
         let addr = NodeAddr::new(0, 0, host);
-        let lease = rm.mark_failed(addr).expect("all leased");
-        if sm.handle_failure(&mut rm, lease).is_err() {
+        let lease = fail(&mut pool, now, addr).expect("all leased");
+        if sm.handle_failure(&mut pool, now, lease).is_err() {
             degraded += 1;
         }
     }
@@ -92,9 +103,9 @@ fn exhausted_pool_degrades_instead_of_panicking() {
     assert_eq!(sm.endpoints().len(), 12, "half strength, still serving");
     // Repairs restore grow-ability.
     for host in 0..12u16 {
-        rm.repair(NodeAddr::new(0, 0, host));
+        pool.board_up(now, NodeAddr::new(0, 0, host)).unwrap();
     }
-    sm.grow(&mut rm, 12, &Constraints::default()).unwrap();
+    sm.grow(&mut pool, now, 12).unwrap();
     assert_eq!(sm.endpoints().len(), 24);
 }
 

@@ -7,7 +7,8 @@ use apps::remote::{AcceleratorRole, IssueRequest, RemoteClient};
 use catapult::{Cluster, ClusterBuilder};
 use dcnet::{Msg, NodeAddr};
 use dcsim::{ComponentId, SimDuration, SimTime};
-use haas::{Constraints, ResourceManager, ServiceManager};
+use haas::{whole_board_pool, ServiceManager};
+use shell::tenant::TenantId;
 
 struct Pipeline {
     cluster: Cluster,
@@ -20,13 +21,10 @@ fn build_pipeline(service_us: u64) -> Pipeline {
     let mut cluster = ClusterBuilder::paper(55, 1).build();
 
     // HaaS: one three-FPGA component for the pipeline service.
-    let mut rm = ResourceManager::new();
-    for tor in 0..6u16 {
-        rm.register(NodeAddr::new(0, tor, 0));
-    }
-    let mut sm = ServiceManager::new("rank-pipeline");
+    let mut pool = whole_board_pool((0..6u16).map(|tor| NodeAddr::new(0, tor, 0)));
+    let mut sm = ServiceManager::new("rank-pipeline", TenantId(0));
     let comp = sm
-        .grow_component(&mut rm, 3, &Constraints::default())
+        .grow_component(&mut pool, SimTime::ZERO, 3)
         .expect("capacity available");
     let stages: Vec<NodeAddr> = comp.addrs().collect();
     assert_eq!(stages.len(), 3);
