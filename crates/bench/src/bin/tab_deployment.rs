@@ -6,9 +6,7 @@ use experiments::deployment_table;
 
 fn main() {
     bench::header("Section II-B", "Deployment soak failure statistics");
-    let quick = bench::quick_mode();
     let seed = 0x000D_EB10_u64;
-    let _ = quick;
     let t = deployment_table(5_760, 30.0, seed);
     println!("{}", t.table());
     println!(

@@ -850,7 +850,7 @@ pub fn install_plan(
             FaultKind::BadImage { node } => {
                 let shell = cluster.shell_id(node).expect("target populated");
                 let mut bad = Image::application("chaos-bad", "role");
-                bad.features.bridge = false;
+                bad.bridge = false;
                 let e = cluster.engine_mut();
                 // The load takes the node off the network; the bad
                 // image never restores the bridge, which the

@@ -205,7 +205,7 @@ pub(crate) struct CalendarQueue<T> {
 }
 
 impl<T> CalendarQueue<T> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CalendarQueue {
             nodes: Vec::new(),
             free_head: NIL,
@@ -225,17 +225,17 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Total pending entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.wheel_len + self.far.len()
     }
 
     /// The counters so far.
-    pub fn stats(&self) -> QueueStats {
+    pub(crate) fn stats(&self) -> QueueStats {
         self.stats
     }
 
     /// Due time of the earliest pending entry, without removing it.
-    pub fn next_at(&mut self) -> Option<u64> {
+    pub(crate) fn next_at(&mut self) -> Option<u64> {
         let wheel = self.wheel_min().map(|head| head.at);
         let far = self.far.peek().map(|key| key.at);
         match (wheel, far) {
@@ -289,7 +289,7 @@ impl<T> CalendarQueue<T> {
 
     /// Inserts an entry. `at` must be at or after the most recently popped
     /// entry's time (the engine's no-scheduling-into-the-past rule).
-    pub fn push(&mut self, at: u64, seq: u64, value: T) {
+    pub(crate) fn push(&mut self, at: u64, seq: u64, value: T) {
         debug_assert!(at >= self.floor_at, "push behind the queue floor");
         self.stats.pushes += 1;
         self.pushes_since_tune += 1;
@@ -340,7 +340,7 @@ impl<T> CalendarQueue<T> {
 
     /// Removes and returns the earliest entry if it is due at or before
     /// `horizon`; otherwise leaves the queue untouched and returns `None`.
-    pub fn pop_due(&mut self, horizon: u64) -> Option<Entry<T>> {
+    pub(crate) fn pop_due(&mut self, horizon: u64) -> Option<Entry<T>> {
         let wheel_key = self.wheel_min();
         let far_key = self.far.peek().map(|e| (e.at, e.seq));
 

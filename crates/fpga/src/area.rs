@@ -6,7 +6,7 @@
 
 use core::fmt;
 
-use crate::device::Device;
+use crate::device::{Device, STRATIX_V_D5};
 
 /// Whether an area item belongs to the shell, the role, or neither.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,177 +157,38 @@ impl fmt::Display for AreaLedger {
     }
 }
 
-/// Why a region-accounting operation failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegionError {
-    /// The requested ALMs exceed the free area.
-    Overcommit {
-        /// ALMs requested (total after a resize).
-        requested: u32,
-        /// ALMs actually free (including the region's own, on resize).
-        free: u32,
-    },
-    /// The handle does not name a live region.
-    UnknownRegion,
-    /// Zero-ALM regions are not representable.
-    ZeroArea,
-}
+/// The Figure-5 shell footprint (shell + unattributed glue), reserved on
+/// every multi-tenant board: the bridge, MACs, DDR controller, LTL, ER,
+/// DMA and debug logic stay resident across all tenant loads.
+pub const MULTI_TENANT_SHELL_ALMS: u32 = 76_010;
 
-impl fmt::Display for RegionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RegionError::Overcommit { requested, free } => {
-                write!(
-                    f,
-                    "region overcommit: requested {requested} ALMs, {free} free"
-                )
-            }
-            RegionError::UnknownRegion => f.write_str("unknown region handle"),
-            RegionError::ZeroArea => f.write_str("zero-area region"),
-        }
-    }
-}
+/// Default role-area split, in permille: two small tenant slots and one
+/// large one, so a board hosts a mix of region sizes.
+pub const STANDARD_SPLIT_PERMILLE: [u32; 3] = [250, 250, 500];
 
-impl std::error::Error for RegionError {}
-
-/// Handle to one live region in a [`RegionBudget`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RegionHandle(u64);
-
-/// Exact-inverse area accounting for dynamically carved regions.
-///
-/// Where [`AreaLedger`] models a synthesized image (append-only rows from
-/// a place-and-route report), `RegionBudget` models the *runtime* side of
-/// partial reconfiguration: region allocations come and go as tenants are
-/// placed and evicted, and the accounting must never over-commit the
-/// device and must return exactly what was taken.
+/// The standard multi-tenant carve of one [`STRATIX_V_D5`] board, in
+/// ALMs: the role area left beside [`MULTI_TENANT_SHELL_ALMS`], split by
+/// [`STANDARD_SPLIT_PERMILLE`] with each region's share floored (so the
+/// carve never over-commits the role area).
 ///
 /// # Examples
 ///
 /// ```
-/// use fpga::RegionBudget;
+/// use fpga::{MULTI_TENANT_SHELL_ALMS, STANDARD_CARVE_ALMS, STRATIX_V_D5};
 ///
-/// let mut b = RegionBudget::new(100_000);
-/// let r = b.alloc(40_000)?;
-/// assert_eq!(b.free_alms(), 60_000);
-/// b.resize(r, 50_000)?;
-/// assert_eq!(b.free_alms(), 50_000);
-/// assert_eq!(b.free_region(r)?, 50_000);
-/// assert_eq!(b.free_alms(), 100_000);
-/// # Ok::<(), fpga::RegionError>(())
+/// let carved: u32 = STANDARD_CARVE_ALMS.iter().sum();
+/// assert!(carved <= STRATIX_V_D5.alms - MULTI_TENANT_SHELL_ALMS);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct RegionBudget {
-    total: u32,
-    used: u32,
-    next: u64,
-    regions: std::collections::BTreeMap<u64, u32>,
-}
-
-impl RegionBudget {
-    /// Creates a budget over `total_alms` of reconfigurable area.
-    pub fn new(total_alms: u32) -> RegionBudget {
-        RegionBudget {
-            total: total_alms,
-            ..RegionBudget::default()
-        }
+pub const STANDARD_CARVE_ALMS: [u32; 3] = {
+    let role_area = (STRATIX_V_D5.alms - MULTI_TENANT_SHELL_ALMS) as u64;
+    let mut carve = [0; 3];
+    let mut i = 0;
+    while i < carve.len() {
+        carve[i] = (role_area * STANDARD_SPLIT_PERMILLE[i] as u64 / 1000) as u32;
+        i += 1;
     }
-
-    /// Total ALMs under management.
-    pub fn total_alms(&self) -> u32 {
-        self.total
-    }
-
-    /// ALMs currently allocated to live regions.
-    pub fn used_alms(&self) -> u32 {
-        self.used
-    }
-
-    /// ALMs still free.
-    pub fn free_alms(&self) -> u32 {
-        self.total - self.used
-    }
-
-    /// Live regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// The ALMs held by a live region.
-    ///
-    /// # Errors
-    ///
-    /// [`RegionError::UnknownRegion`] for dead or foreign handles.
-    pub fn region_alms(&self, handle: RegionHandle) -> Result<u32, RegionError> {
-        self.regions
-            .get(&handle.0)
-            .copied()
-            .ok_or(RegionError::UnknownRegion)
-    }
-
-    /// Carves a new region of `alms`.
-    ///
-    /// # Errors
-    ///
-    /// [`RegionError::Overcommit`] when `alms` exceeds the free area and
-    /// [`RegionError::ZeroArea`] for empty regions; the budget is
-    /// unchanged on error.
-    pub fn alloc(&mut self, alms: u32) -> Result<RegionHandle, RegionError> {
-        if alms == 0 {
-            return Err(RegionError::ZeroArea);
-        }
-        if alms > self.free_alms() {
-            return Err(RegionError::Overcommit {
-                requested: alms,
-                free: self.free_alms(),
-            });
-        }
-        let handle = RegionHandle(self.next);
-        self.next += 1;
-        self.regions.insert(handle.0, alms);
-        self.used += alms;
-        Ok(handle)
-    }
-
-    /// Frees a live region, returning exactly the ALMs it held.
-    ///
-    /// # Errors
-    ///
-    /// [`RegionError::UnknownRegion`] for dead or foreign handles (a
-    /// double free is rejected, not double-credited).
-    pub fn free_region(&mut self, handle: RegionHandle) -> Result<u32, RegionError> {
-        let alms = self
-            .regions
-            .remove(&handle.0)
-            .ok_or(RegionError::UnknownRegion)?;
-        self.used -= alms;
-        Ok(alms)
-    }
-
-    /// Resizes a live region in place.
-    ///
-    /// # Errors
-    ///
-    /// [`RegionError::UnknownRegion`] / [`RegionError::ZeroArea`] /
-    /// [`RegionError::Overcommit`] (growth beyond the free area); the
-    /// region keeps its old size on error.
-    pub fn resize(&mut self, handle: RegionHandle, new_alms: u32) -> Result<(), RegionError> {
-        if new_alms == 0 {
-            return Err(RegionError::ZeroArea);
-        }
-        let old = self.region_alms(handle)?;
-        let free_with_self = self.free_alms() + old;
-        if new_alms > free_with_self {
-            return Err(RegionError::Overcommit {
-                requested: new_alms,
-                free: free_with_self,
-            });
-        }
-        self.regions.insert(handle.0, new_alms);
-        self.used = self.used - old + new_alms;
-        Ok(())
-    }
-}
+    carve
+};
 
 /// The production-deployed shell image of Figure 5, with remote
 /// acceleration support (LTL + Elastic Router) and the ranking role.
@@ -336,7 +197,7 @@ impl RegionBudget {
 /// paper's list (313 MHz MAC/PHY and bridge, 200 MHz DDR3, 156 MHz LTL,
 /// 250 MHz ER and PCIe DMA, 175 MHz role).
 pub fn production_shell_image() -> AreaLedger {
-    let mut ledger = AreaLedger::new(crate::device::STRATIX_V_D5);
+    let mut ledger = AreaLedger::new(STRATIX_V_D5);
     ledger
         .register("Role", 55_340, Some(175), Region::Role)
         .register("40G MAC/PHY (TOR)", 9_785, Some(313), Region::Shell)
@@ -354,7 +215,6 @@ pub fn production_shell_image() -> AreaLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::STRATIX_V_D5;
 
     #[test]
     fn production_image_total_matches_figure5() {
@@ -418,44 +278,6 @@ mod tests {
         ledger.register("Huge", 200_000, None, Region::Role);
         assert!(!ledger.fits());
         assert_eq!(ledger.free_alms(), 0);
-    }
-
-    #[test]
-    fn region_budget_exact_inverse_roundtrip() {
-        let mut b = RegionBudget::new(1000);
-        let a = b.alloc(300).unwrap();
-        let c = b.alloc(700).unwrap();
-        assert_eq!(b.free_alms(), 0);
-        assert_eq!(
-            b.alloc(1).unwrap_err(),
-            RegionError::Overcommit {
-                requested: 1,
-                free: 0
-            }
-        );
-        assert_eq!(b.free_region(a).unwrap(), 300);
-        assert_eq!(b.free_region(c).unwrap(), 700);
-        assert_eq!(b.used_alms(), 0);
-        assert_eq!(b.free_region(a).unwrap_err(), RegionError::UnknownRegion);
-    }
-
-    #[test]
-    fn region_budget_resize_is_atomic() {
-        let mut b = RegionBudget::new(100);
-        let a = b.alloc(60).unwrap();
-        let _ = b.alloc(30).unwrap();
-        // Growth beyond free-plus-self fails and keeps the old size.
-        assert_eq!(
-            b.resize(a, 80).unwrap_err(),
-            RegionError::Overcommit {
-                requested: 80,
-                free: 70
-            }
-        );
-        assert_eq!(b.region_alms(a).unwrap(), 60);
-        b.resize(a, 70).unwrap();
-        assert_eq!(b.used_alms(), 100);
-        assert_eq!(b.resize(a, 0).unwrap_err(), RegionError::ZeroArea);
     }
 
     #[test]

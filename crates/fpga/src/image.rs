@@ -1,4 +1,4 @@
-//! Configuration images, flash, and reconfiguration.
+//! Configuration images.
 //!
 //! Each board's flash holds a *golden* image loaded at power-on — by policy
 //! rarely overwritten, so power-cycling through the management port always
@@ -6,277 +6,34 @@
 //! can be swapped by full reconfiguration (the network bridge blips) or by
 //! partial reconfiguration of the role region (traffic keeps flowing).
 
-use dcsim::SimDuration;
-
-use crate::device::{FULL_RECONFIG_TIME, PARTIAL_RECONFIG_TIME};
-
-/// Capabilities compiled into a shell image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShellFeatures {
-    /// NIC<->TOR bridge (always present in deployable images).
-    pub bridge: bool,
-    /// LTL protocol engine for inter-FPGA messaging. Services using only
-    /// their local FPGA may deploy a shell without it to free area.
-    pub ltl: bool,
-    /// Elastic Router for multi-endpoint on-chip routing.
-    pub elastic_router: bool,
-}
-
 /// A configuration bitstream.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Image {
     /// Human-readable image name.
-    pub name: String,
-    /// Shell capabilities.
-    pub features: ShellFeatures,
+    pub name: &'static str,
     /// Name of the role compiled into the image ("bypass" for golden).
-    pub role: String,
+    pub role: &'static str,
+    /// Whether the image carries a working NIC<->TOR bridge; an image
+    /// without one cuts its server off the network.
+    pub bridge: bool,
 }
 
 impl Image {
     /// The known-good golden image: bridge-only bypass logic.
     pub fn golden() -> Image {
         Image {
-            name: "golden".to_string(),
-            features: ShellFeatures {
-                bridge: true,
-                ltl: false,
-                elastic_router: false,
-            },
-            role: "bypass".to_string(),
+            name: "golden",
+            role: "bypass",
+            bridge: true,
         }
     }
 
-    /// An application image with full remote-acceleration support.
-    pub fn application(name: &str, role: &str) -> Image {
+    /// An application image: `role` behind a working bridge.
+    pub fn application(name: &'static str, role: &'static str) -> Image {
         Image {
-            name: name.to_string(),
-            features: ShellFeatures {
-                bridge: true,
-                ltl: true,
-                elastic_router: true,
-            },
-            role: role.to_string(),
+            name,
+            role,
+            bridge: true,
         }
-    }
-}
-
-/// The 256 Mb configuration flash: golden image plus one application image.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Flash {
-    golden: Image,
-    app: Option<Image>,
-}
-
-impl Flash {
-    /// Flash as manufactured: golden image only.
-    pub fn new() -> Flash {
-        Flash {
-            golden: Image::golden(),
-            app: None,
-        }
-    }
-
-    /// The golden image (never overwritten in normal operation).
-    pub fn golden(&self) -> &Image {
-        &self.golden
-    }
-
-    /// The application image slot.
-    pub fn app(&self) -> Option<&Image> {
-        self.app.as_ref()
-    }
-
-    /// Writes the application image slot.
-    pub fn write_app(&mut self, image: Image) {
-        self.app = Some(image);
-    }
-}
-
-impl Default for Flash {
-    fn default() -> Self {
-        Flash::new()
-    }
-}
-
-/// Configuration state of one FPGA.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigState {
-    /// Running `image`; bridge (if present) is forwarding.
-    Running(Image),
-    /// Mid-reconfiguration; `bridge_up` tells whether traffic still flows
-    /// (true only for partial reconfiguration).
-    Reconfiguring {
-        /// Image that will be active when reconfiguration completes.
-        target: Image,
-        /// Whether the NIC<->TOR bridge keeps forwarding during the load.
-        bridge_up: bool,
-    },
-}
-
-/// The configuration controller of one FPGA.
-#[derive(Debug, Clone)]
-pub struct ConfigController {
-    flash: Flash,
-    state: ConfigState,
-}
-
-impl ConfigController {
-    /// Powers on a board: the golden image loads from flash.
-    pub fn power_on(flash: Flash) -> ConfigController {
-        let golden = flash.golden().clone();
-        ConfigController {
-            flash,
-            state: ConfigState::Running(golden),
-        }
-    }
-
-    /// The currently running or target image.
-    pub fn image(&self) -> &Image {
-        match &self.state {
-            ConfigState::Running(img) => img,
-            ConfigState::Reconfiguring { target, .. } => target,
-        }
-    }
-
-    /// Current state.
-    pub fn state(&self) -> &ConfigState {
-        &self.state
-    }
-
-    /// Whether the NIC<->TOR bridge is forwarding right now. A buggy or
-    /// reconfiguring full image cuts the server off the network.
-    pub fn bridge_up(&self) -> bool {
-        match &self.state {
-            ConfigState::Running(img) => img.features.bridge,
-            ConfigState::Reconfiguring { bridge_up, .. } => *bridge_up,
-        }
-    }
-
-    /// Begins a full reconfiguration to `image`; the bridge is down until
-    /// [`ConfigController::finish_reconfig`]. Returns how long the load
-    /// takes.
-    pub fn start_full_reconfig(&mut self, image: Image) -> SimDuration {
-        self.state = ConfigState::Reconfiguring {
-            target: image,
-            bridge_up: false,
-        };
-        FULL_RECONFIG_TIME
-    }
-
-    /// Begins a partial reconfiguration of the role region only; packets
-    /// keep passing through during the load. Returns the load time.
-    pub fn start_partial_reconfig(&mut self, role: &str) -> SimDuration {
-        let mut target = self.image().clone();
-        target.role = role.to_string();
-        self.state = ConfigState::Reconfiguring {
-            target,
-            bridge_up: true,
-        };
-        PARTIAL_RECONFIG_TIME
-    }
-
-    /// Completes an in-flight reconfiguration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no reconfiguration is in flight.
-    pub fn finish_reconfig(&mut self) {
-        let target = match &self.state {
-            ConfigState::Reconfiguring { target, .. } => target.clone(),
-            ConfigState::Running(_) => panic!("no reconfiguration in flight"),
-        };
-        self.state = ConfigState::Running(target);
-    }
-
-    /// Power-cycles the board through the management side-channel: whatever
-    /// was running, the golden image comes back and the server is reachable
-    /// again.
-    pub fn power_cycle(&mut self) {
-        self.state = ConfigState::Running(self.flash.golden().clone());
-    }
-
-    /// The configuration flash.
-    pub fn flash(&self) -> &Flash {
-        &self.flash
-    }
-
-    /// Mutable access to the flash (to stage an application image).
-    pub fn flash_mut(&mut self) -> &mut Flash {
-        &mut self.flash
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn power_on_loads_golden() {
-        let ctl = ConfigController::power_on(Flash::new());
-        assert_eq!(ctl.image().name, "golden");
-        assert!(ctl.bridge_up());
-        assert!(!ctl.image().features.ltl);
-    }
-
-    #[test]
-    fn full_reconfig_drops_bridge_then_restores() {
-        let mut ctl = ConfigController::power_on(Flash::new());
-        let t = ctl.start_full_reconfig(Image::application("rank-v3", "ffu+dpf"));
-        assert_eq!(t, FULL_RECONFIG_TIME);
-        assert!(
-            !ctl.bridge_up(),
-            "network link is down during full reconfig"
-        );
-        ctl.finish_reconfig();
-        assert!(ctl.bridge_up());
-        assert_eq!(ctl.image().role, "ffu+dpf");
-        assert!(ctl.image().features.ltl);
-    }
-
-    #[test]
-    fn partial_reconfig_keeps_bridge_up() {
-        let mut ctl = ConfigController::power_on(Flash::new());
-        ctl.start_full_reconfig(Image::application("rank-v3", "ffu+dpf"));
-        ctl.finish_reconfig();
-        let t = ctl.start_partial_reconfig("crypto");
-        assert_eq!(t, PARTIAL_RECONFIG_TIME);
-        assert!(ctl.bridge_up(), "traffic passes during partial reconfig");
-        ctl.finish_reconfig();
-        assert_eq!(ctl.image().role, "crypto");
-    }
-
-    #[test]
-    fn power_cycle_recovers_golden_from_bad_image() {
-        let mut ctl = ConfigController::power_on(Flash::new());
-        // A buggy application image without bridge support cuts the server
-        // off the network...
-        let mut buggy = Image::application("buggy", "oops");
-        buggy.features.bridge = false;
-        ctl.start_full_reconfig(buggy);
-        ctl.finish_reconfig();
-        assert!(!ctl.bridge_up(), "server unreachable");
-        // ...but the management-port power cycle brings back the golden
-        // image and the server becomes reachable again.
-        ctl.power_cycle();
-        assert!(ctl.bridge_up());
-        assert_eq!(ctl.image().name, "golden");
-    }
-
-    #[test]
-    fn flash_stages_app_image() {
-        let mut ctl = ConfigController::power_on(Flash::new());
-        assert!(ctl.flash().app().is_none());
-        ctl.flash_mut()
-            .write_app(Image::application("rank-v3", "ffu+dpf"));
-        assert_eq!(ctl.flash().app().unwrap().name, "rank-v3");
-        assert_eq!(ctl.flash().golden().name, "golden");
-    }
-
-    #[test]
-    #[should_panic(expected = "no reconfiguration")]
-    fn finish_without_start_panics() {
-        let mut ctl = ConfigController::power_on(Flash::new());
-        ctl.finish_reconfig();
     }
 }

@@ -2,7 +2,7 @@
 //! regions.
 //!
 //! This is the one FPGA pool. Carved into PR regions
-//! ([`fpga::PrBoard`]), it is elastic: tenants lease individual regions,
+//! ([`fpga::STANDARD_CARVE_ALMS`]), it is elastic: tenants lease individual regions,
 //! higher classes preempt lower ones with a bounded eviction latency, a
 //! periodic defragmentation pass repacks leases best-fit-decreasing, and
 //! spot capacity is reclaimed when the free pool drains. With each board

@@ -315,7 +315,7 @@ mod tests {
         mon.add_fm(FpgaManager::new(victim));
         let mon_id = e.add_component(mon);
         let mut bad = Image::application("buggy-v2", "rank");
-        bad.features.bridge = false;
+        bad.bridge = false;
         e.schedule(
             SimTime::from_micros(1),
             mon_id,

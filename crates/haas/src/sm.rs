@@ -11,7 +11,7 @@
 
 use dcnet::NodeAddr;
 use dcsim::{SimDuration, SimTime};
-use fpga::{PrBoard, STRATIX_V_D5};
+use fpga::STANDARD_CARVE_ALMS;
 use shell::tenant::{TenantCaps, TenantId};
 
 use crate::elastic::{
@@ -21,8 +21,7 @@ use crate::elastic::{
 /// The whole-board carve: one region spanning the standard carve's role
 /// area (the paper's one-role-per-board allocation).
 pub fn whole_board_alms() -> Vec<u32> {
-    let role_area = PrBoard::standard(STRATIX_V_D5).map(|b| b.region_alms().iter().sum());
-    vec![role_area.unwrap_or_default()]
+    vec![STANDARD_CARVE_ALMS.iter().sum()]
 }
 
 /// A pool of whole boards, in registration order (a repeated address is

@@ -11,7 +11,7 @@
 //! placement snapshots and lease tables after every trace event.
 
 use dcnet::NodeAddr;
-use dcsim::SimTime;
+use dcsim::{SimTime, FNV1A_OFFSET};
 use haas::{
     fingerprint_decision, Decision, ElasticConfig, LeaseEvent, LeaseEventKind, PlacementRow,
     RegionLease, RegionRef, TenantClass,
@@ -89,7 +89,7 @@ impl RefScheduler {
             next_lease: 0,
             defrag_done: 0,
             decisions: Vec::new(),
-            fingerprint: 0xcbf2_9ce4_8422_2325,
+            fingerprint: FNV1A_OFFSET,
         }
     }
 

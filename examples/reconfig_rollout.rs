@@ -111,7 +111,7 @@ fn main() {
     println!("== bad image recovery via the management side-channel ==");
     let victim = &mut fms[0];
     let mut buggy = fpga::Image::application("role-v3-rc1", "experimental");
-    buggy.features.bridge = false;
+    buggy.bridge = false;
     victim.configure(buggy);
     victim.configuration_done();
     println!(
