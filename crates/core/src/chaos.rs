@@ -26,13 +26,13 @@
 //! assert!(report.recovery.failovers >= 1);
 //! ```
 
-use dcnet::{Msg, NodeAddr, PortId, SwitchCmd};
+use dcnet::{Msg, NodeAddr, PortId, Switch, SwitchCmd, SwitchStats};
 use dcsim::{ComponentId, SimDuration, SimRng, SimTime};
 use fpga::{Image, SeuModel};
 use serde::Serialize;
-use shell::ltl::SendConnId;
+use shell::ltl::{LtlStats, SendConnId};
 use shell::tenant::TenantId;
-use shell::{ShellCmd, ShellConfig};
+use shell::{Shell, ShellCmd, ShellConfig, ShellStats};
 
 use apps::remote::{AcceleratorRole, IssueRequest, RemoteClient, StallFor};
 use haas::{whole_board_pool, DeployImage, FailureMonitor, FpgaManager, ServiceManager};
@@ -1061,33 +1061,39 @@ fn build_report(rig: ChaosRig) -> ChaosReport {
         issued,
     } = rig;
 
-    // Transport and fabric sections come from one registry snapshot:
-    // every shell (LTL included) and every switch publishes through
-    // `telemetry::MetricSource`, and suffix sums aggregate across the
-    // cluster in deterministic path order. The snapshot is the report's
-    // largest transient, so it is gone before the completion vectors
-    // exist.
-    let (transport, fabric) = {
-        let snap = cluster.metrics_snapshot();
-        let transport = TransportStats {
-            retransmits: snap.sum_counters("ltl/retransmits"),
-            timeouts: snap.sum_counters("ltl/timeouts"),
-            conn_failures: snap.sum_counters("ltl/conn_failures"),
-            duplicates: snap.sum_counters("ltl/duplicates"),
-            msgs_delivered: snap.sum_counters("ltl/msgs_delivered"),
-            corrupt_drops: snap.sum_counters("corrupt_drops"),
-            hang_drops: snap.sum_counters("hang_drops"),
-            reconfig_drops: snap.sum_counters("reconfig_drops"),
-            injected_drops: snap.sum_counters("injected_drops"),
-        };
-        let fabric = FabricStats {
-            link_down_drops: snap.sum_counters("link_down_drops"),
-            crash_drops: snap.sum_counters("crash_drops"),
-            corrupted: snap.sum_counters("corrupted"),
-            crashes: snap.sum_counters("crashes"),
-            congestion_drops: snap.sum_counters("dropped"),
-        };
-        (transport, fabric)
+    // Transport and fabric sections sum the typed counters of every shell
+    // (its LTL engine included) and every switch: the same counters a
+    // registry snapshot publishes, read in place instead of copied into
+    // one.
+    let shells: Vec<&Shell> = cluster
+        .shells()
+        .filter_map(|(_, id)| cluster.component::<Shell>(id))
+        .collect();
+    let shell_sum = |f: fn(&ShellStats) -> u64| shells.iter().map(|s| f(s.stats_view())).sum();
+    let ltl_sum = |f: fn(&LtlStats) -> u64| shells.iter().map(|s| f(s.ltl().stats_view())).sum();
+    let transport = TransportStats {
+        retransmits: ltl_sum(|s| s.retransmits),
+        timeouts: ltl_sum(|s| s.timeouts),
+        conn_failures: ltl_sum(|s| s.conn_failures),
+        duplicates: ltl_sum(|s| s.duplicates),
+        msgs_delivered: ltl_sum(|s| s.msgs_delivered),
+        corrupt_drops: shell_sum(|s| s.corrupt_drops),
+        hang_drops: shell_sum(|s| s.hang_drops),
+        reconfig_drops: shell_sum(|s| s.reconfig_drops),
+        injected_drops: shell_sum(|s| s.injected_drops),
+    };
+    let switches: Vec<&Switch> = cluster
+        .fabric()
+        .switches()
+        .filter_map(|(_, id)| cluster.component::<Switch>(id))
+        .collect();
+    let switch_sum = |f: fn(&SwitchStats) -> u64| switches.iter().map(|s| f(s.stats_view())).sum();
+    let fabric = FabricStats {
+        link_down_drops: switch_sum(|s| s.link_down_drops),
+        crash_drops: switch_sum(|s| s.crash_drops),
+        corrupted: switch_sum(|s| s.corrupted),
+        crashes: switch_sum(|s| s.crashes),
+        congestion_drops: switch_sum(|s| s.dropped),
     };
 
     // Client-side accounting, in triple order (never map order).
@@ -1105,8 +1111,6 @@ fn build_report(rig: ChaosRig) -> ChaosReport {
     let mut client_retries = 0u64;
     let mut served_by_primaries = 0u64;
     let mut served_by_spares = 0u64;
-    let mut completions: Vec<(SimTime, u64)> =
-        Vec::with_capacity(triples.iter().map(|t| log(t).len()).sum());
     for t in &triples {
         let c = client(t);
         let cs = c.stats();
@@ -1115,7 +1119,6 @@ fn build_report(rig: ChaosRig) -> ChaosReport {
         stranded += cs.outstanding;
         failovers += cs.failovers;
         client_retries += cs.retries;
-        completions.extend_from_slice(log(t));
         let served = |id| {
             cluster
                 .engine()
@@ -1126,21 +1129,29 @@ fn build_report(rig: ChaosRig) -> ChaosReport {
         served_by_primaries += served(t.primary_role);
         served_by_spares += served(t.spare_role);
     }
-    completions.sort_unstable();
-    let degraded = completions
+
+    // The summaries read the multiset of latencies, never a merged order,
+    // so each client's log is read in place.
+    let mut all_lat: Vec<u64> = triples
         .iter()
-        .filter(|&&(_, lat)| lat > cfg.degraded_threshold.as_nanos())
-        .count() as u64;
-
-    let mut all_lat: Vec<u64> = completions.iter().map(|&(_, lat)| lat).collect();
+        .flat_map(|t| log(t).iter().map(|&(_, lat)| lat))
+        .collect();
     all_lat.sort_unstable();
+    let threshold = cfg.degraded_threshold.as_nanos();
+    let degraded = (all_lat.len() - all_lat.partition_point(|&lat| lat <= threshold)) as u64;
     let latency = LatencySummary::from_sorted(&all_lat);
+    drop(all_lat);
 
+    // A log is in completion-time order, so a window is one slice of it.
     let window_summary = |from: SimTime, to: SimTime| -> LatencySummary {
-        let mut lat: Vec<u64> = completions
+        let mut lat: Vec<u64> = triples
             .iter()
-            .filter(|&&(at, _)| at >= from && at < to)
-            .map(|&(_, l)| l)
+            .flat_map(|t| {
+                let log = log(t);
+                let lo = log.partition_point(|&(at, _)| at < from);
+                let hi = log.partition_point(|&(at, _)| at < to);
+                log[lo..hi].iter().map(|&(_, lat)| lat)
+            })
             .collect();
         lat.sort_unstable();
         LatencySummary::from_sorted(&lat)

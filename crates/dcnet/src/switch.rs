@@ -418,6 +418,55 @@ impl Port {
 /// use the port index, which can never reach this sentinel.
 const REBOOT_TOKEN: u64 = u64::MAX;
 
+/// A switch's ports, one slot per nominal port. Most nominal ports of a
+/// fabric switch are never cabled (a spine keeps one per pod, a TOR one
+/// per host slot), so a slot holds a boxed [`Port`] only once its port is
+/// cabled or written to. Until then it is a null pointer, and the port
+/// reads as a fresh one: up, open, nothing queued or paused, no frames
+/// sent, no background pressure.
+///
+/// Boxed, not packed into a vector of the ports that exist: grown by one
+/// port per cable, that vector copies every earlier port each time
+/// (DESIGN.md, "Switch port state").
+struct Ports(Box<[Option<Box<Port>>]>);
+
+impl Ports {
+    fn new(count: usize) -> Self {
+        Ports(std::iter::repeat_with(|| None).take(count).collect())
+    }
+
+    /// `port`'s state, or `None` if it holds none yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is out of range.
+    fn get(&self, port: PortId) -> Option<&Port> {
+        self.0[port.index()].as_deref()
+    }
+
+    fn get_mut(&mut self, port: PortId) -> Option<&mut Port> {
+        self.0[port.index()].as_deref_mut()
+    }
+
+    /// `port`'s state, created as [`Port::new`] on the port's first write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is out of range.
+    fn materialize(&mut self, port: PortId, link: LinkParams) -> &mut Port {
+        self.0[port.index()].get_or_insert_with(|| Box::new(Port::new(link)))
+    }
+
+    /// The ports that hold state, in [`PortId`] order.
+    fn iter(&self) -> impl Iterator<Item = &Port> {
+        self.0.iter().flatten().map(|p| &**p)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Port> {
+        self.0.iter_mut().flatten().map(|p| &mut **p)
+    }
+}
+
 /// Operator commands a switch accepts as [`Msg::Switch`] (used by
 /// failure-injection experiments to make a node go dark mid-run, and by
 /// the flow model to publish background pressure).
@@ -475,7 +524,7 @@ pub struct Switch {
     /// `mu = ln(median_ns)`; keeps the per-packet path free of the `ln`
     /// of a configuration constant.
     jitter_ln: Option<(f64, f64)>,
-    ports: Vec<Port>,
+    ports: Ports,
     /// The LTL receive latency the shells cabled here declared
     /// ([`Switch::connect_shell`]). One per switch, not one per port:
     /// every shell of a cluster has the same pipeline.
@@ -497,7 +546,7 @@ impl Switch {
         Switch {
             role,
             shape,
-            ports: (0..ports).map(|_| Port::new(cfg.link)).collect(),
+            ports: Ports::new(ports),
             jitter_ln: cfg.jitter.map(|j| (j.median_ns.ln(), j.sigma)),
             cfg,
             ltl_rx: SimDuration::ZERO,
@@ -518,9 +567,9 @@ impl Switch {
         self.role
     }
 
-    /// Number of ports.
+    /// Number of ports, cabled or not.
     pub fn port_count(&self) -> usize {
-        self.ports.len()
+        self.ports.0.len()
     }
 
     /// Forwarding statistics, by reference. The registry view via
@@ -538,7 +587,7 @@ impl Switch {
     ///
     /// Panics if `port` is out of range.
     pub fn connect(&mut self, port: PortId, peer_comp: ComponentId, peer_port: PortId) {
-        self.ports[port.index()].cable = Cable::Peer(Peer {
+        self.ports.materialize(port, self.cfg.link).cable = Cable::Peer(Peer {
             comp: peer_comp,
             port: peer_port,
         });
@@ -574,7 +623,7 @@ impl Switch {
             ltl_rx
         );
         self.ltl_rx = ltl_rx;
-        self.ports[port.index()].cable = Cable::Shell(Peer {
+        self.ports.materialize(port, self.cfg.link).cable = Cable::Shell(Peer {
             comp: shell,
             port: shell_port,
         });
@@ -586,7 +635,9 @@ impl Switch {
     ///
     /// Panics if `port` is out of range.
     pub fn disconnect(&mut self, port: PortId) {
-        self.ports[port.index()].cable = Cable::Open;
+        if let Some(p) = self.ports.get_mut(port) {
+            p.cable = Cable::Open;
+        }
     }
 
     /// Whether `port`'s link is up (see [`SwitchCmd::SetLinkUp`]).
@@ -595,7 +646,7 @@ impl Switch {
     ///
     /// Panics if `port` is out of range.
     pub fn link_up(&self, port: PortId) -> bool {
-        self.ports[port.index()].up
+        self.ports.get(port).is_none_or(|p| p.up)
     }
 
     /// Whether the switch is currently crashed (see [`SwitchCmd::Crash`]).
@@ -604,10 +655,10 @@ impl Switch {
     }
 
     fn set_link_up(&mut self, port: PortId, up: bool) {
-        let p = &mut self.ports[port.index()];
-        if p.up == up {
+        if self.link_up(port) == up {
             return;
         }
+        let p = self.ports.materialize(port, self.cfg.link);
         p.up = up;
         if !up {
             self.stats.link_down_drops += p.flush();
@@ -615,7 +666,7 @@ impl Switch {
     }
 
     fn crash(&mut self, reboot_after: SimDuration, ctx: &mut Context<'_, Msg>) {
-        for p in &mut self.ports {
+        for p in self.ports.iter_mut() {
             self.stats.crash_drops += p.flush();
             p.free.clear();
         }
@@ -626,7 +677,9 @@ impl Switch {
 
     /// Current queue depth in bytes for `port`/`class` (test/diagnostic).
     pub fn queue_bytes(&self, port: PortId, class: TrafficClass) -> u64 {
-        self.ports[port.index()].queued_bytes[class.index()]
+        self.ports
+            .get(port)
+            .map_or(0, |p| p.queued_bytes[class.index()])
     }
 
     /// Sets the flow-level background queue-occupancy pressure on egress
@@ -636,7 +689,7 @@ impl Switch {
     ///
     /// Panics if `port` is out of range.
     pub fn set_background_bytes(&mut self, port: PortId, bytes: u64) {
-        self.ports[port.index()].background_bytes = bytes;
+        self.ports.materialize(port, self.cfg.link).background_bytes = bytes;
     }
 
     /// Current background pressure on egress `port`
@@ -646,20 +699,24 @@ impl Switch {
     ///
     /// Panics if `port` is out of range.
     pub fn background_bytes(&self, port: PortId) -> u64 {
-        self.ports[port.index()].background_bytes
+        self.ports.get(port).map_or(0, |p| p.background_bytes)
     }
 
     /// Whether egress `port` is currently PFC-paused for `class`
     /// (test/diagnostic: lets invariant checkers assert that a paused
     /// class never transmits).
     pub fn tx_paused(&self, port: PortId, class: TrafficClass) -> bool {
-        self.ports[port.index()].tx_paused[class.index()]
+        self.ports
+            .get(port)
+            .is_some_and(|p| p.tx_paused[class.index()])
     }
 
     /// Cumulative frames transmitted on `port` for `class` since the
     /// switch was built (test/diagnostic; survives crashes and flushes).
     pub fn tx_frames(&self, port: PortId, class: TrafficClass) -> u64 {
-        self.ports[port.index()].tx_frames[class.index()]
+        self.ports
+            .get(port)
+            .map_or(0, |p| p.tx_frames[class.index()])
     }
 
     /// The switch configuration (queue depths, PFC thresholds).
@@ -703,7 +760,7 @@ impl Switch {
             self.stats.crash_drops += 1;
             return;
         }
-        if !self.ports[ingress.index()].up {
+        if !self.link_up(ingress) {
             // Frame was in flight when the link went down.
             self.stats.link_down_drops += 1;
             return;
@@ -732,12 +789,12 @@ impl Switch {
         let ci = class.index();
         let wire = pkt.wire_bytes() as u64;
         // One egress-port read covers the reachability checks and the
-        // queue depth used by ECN and the tail-drop test below.
-        let eport = &self.ports[egress.index()];
-        if eport.cable.peer().is_none() {
+        // queue depth used by ECN and the tail-drop test below. A port
+        // without state has no cable either.
+        let Some(eport) = self.ports.get(egress).filter(|p| p.cable.peer().is_some()) else {
             self.stats.no_route += 1;
             return;
-        }
+        };
         if !eport.up {
             self.stats.link_down_drops += 1;
             return;
@@ -779,7 +836,7 @@ impl Switch {
 
         // PFC generation: account buffered bytes against the ingress port.
         if lossless {
-            let p = &mut self.ports[ingress.index()];
+            let p = self.ports.materialize(ingress, self.cfg.link);
             p.ingress_bytes[ci] += wire;
             if let Some(pfc) = self.cfg.pfc {
                 if p.ingress_bytes[ci] > pfc.xoff_bytes && !p.pause_sent[ci] {
@@ -808,7 +865,7 @@ impl Switch {
             extra += SimDuration::from_nanos(sample as u64);
         }
 
-        let port = &mut self.ports[egress.index()];
+        let port = self.ports.get_mut(egress).expect("a cabled port has state");
         port.queued_bytes[ci] += wire;
         port.queues[ci].push_back(Queued {
             pkt,
@@ -819,10 +876,12 @@ impl Switch {
     }
 
     fn try_transmit(&mut self, egress: PortId, ctx: &mut Context<'_, Msg>) {
-        let ei = egress.index();
         // Borrow the egress port once for the eligibility checks, the
-        // priority scan and the dequeue bookkeeping.
-        let port = &mut self.ports[ei];
+        // priority scan and the dequeue bookkeeping. A port without state
+        // has nothing queued.
+        let Some(port) = self.ports.get_mut(egress) else {
+            return;
+        };
         if self.crashed || !port.up {
             return;
         }
@@ -852,7 +911,10 @@ impl Switch {
 
         // Release ingress accounting and possibly send XON.
         if self.is_lossless(q.pkt.class) {
-            let ing = &mut self.ports[q.ingress.index()];
+            let ing = self
+                .ports
+                .get_mut(q.ingress)
+                .expect("lossless ingress accounting created the port");
             ing.ingress_bytes[ci] = ing.ingress_bytes[ci].saturating_sub(wire);
             if let Some(pfc) = self.cfg.pfc {
                 if ing.pause_sent[ci] && ing.ingress_bytes[ci] < pfc.xon_bytes {
@@ -874,7 +936,7 @@ impl Switch {
             }
         }
 
-        let port = &mut self.ports[ei];
+        let port = self.ports.get_mut(egress).expect("checked above");
         let cable = port.cable;
         let timing = port.tx.transmit(ctx.now(), q.pkt.wire_bytes());
         port.free.reserve(ctx);
@@ -913,7 +975,7 @@ impl Component<Msg> for Switch {
                 if self.crashed {
                     return;
                 }
-                self.ports[ingress.index()].tx_paused[class.index()] = pause;
+                self.ports.materialize(ingress, self.cfg.link).tx_paused[class.index()] = pause;
                 if !pause {
                     self.try_transmit(ingress, ctx);
                 }
@@ -934,7 +996,7 @@ impl Component<Msg> for Switch {
                     SwitchCmd::SetLinkUp { port, up } => self.set_link_up(port, up),
                     SwitchCmd::Crash { reboot_after } => self.crash(reboot_after, ctx),
                     SwitchCmd::CorruptNext { port, frames } => {
-                        self.ports[port.index()].corrupt_pending += frames;
+                        self.ports.materialize(port, self.cfg.link).corrupt_pending += frames;
                     }
                     SwitchCmd::SetBackgroundLoad { port, bytes } => {
                         self.set_background_bytes(port, bytes);
@@ -947,7 +1009,7 @@ impl Component<Msg> for Switch {
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, Msg>) {
         if token == REBOOT_TOKEN {
             self.crashed = false;
-            for p in &mut self.ports {
+            for p in self.ports.iter_mut() {
                 p.free.clear();
             }
             return;
@@ -958,7 +1020,9 @@ impl Component<Msg> for Switch {
             return;
         }
         let port = PortId(token as u16);
-        self.ports[port.index()].free.clear();
+        if let Some(p) = self.ports.get_mut(port) {
+            p.free.clear();
+        }
         self.try_transmit(port, ctx);
     }
 }
@@ -993,7 +1057,7 @@ impl core::fmt::Debug for Switch {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Switch")
             .field("role", &self.role)
-            .field("ports", &self.ports.len())
+            .field("ports", &self.port_count())
             .field("stats", &self.stats)
             .finish()
     }
@@ -1035,11 +1099,166 @@ mod tests {
         Packet::new(src, dst, 1000, 2000, class, Bytes::from(vec![0u8; len]))
     }
 
-    /// Every port of every materialized switch is one of these: marking a
-    /// shell's cable rides in the tag byte, so a port costs what it did.
+    /// Every cabled port of every materialized switch is one of these:
+    /// marking a shell's cable rides in the tag byte, so a port costs what
+    /// it did.
     #[test]
     fn a_port_is_552_bytes() {
         assert_eq!(std::mem::size_of::<Port>(), 552);
+    }
+
+    fn tor() -> Switch {
+        Switch::new(
+            SwitchRole::Tor { pod: 0, tor: 0 },
+            shape(),
+            SwitchConfig::default(),
+        )
+    }
+
+    /// A frame from host 1 to host `to` of TOR (0, 0).
+    fn to_host(to: u16, class: TrafficClass) -> Msg {
+        let (src, dst) = (NodeAddr::new(0, 0, 1), NodeAddr::new(0, 0, to));
+        Msg::packet(mk_pkt(src, dst, class, 100), PortId(1))
+    }
+
+    #[test]
+    fn an_uncabled_port_reads_as_a_fresh_one_and_holds_no_state() {
+        let mut sw = tor();
+        assert_eq!((sw.port_count(), sw.ports.iter().count()), (5, 0));
+        for port in (0..5).map(PortId) {
+            assert!(sw.link_up(port));
+            assert_eq!(sw.background_bytes(port), 0);
+            for class in (0..TrafficClass::COUNT as u8).map(TrafficClass::new) {
+                assert_eq!(sw.queue_bytes(port, class), 0);
+                assert!(!sw.tx_paused(port, class));
+                assert_eq!(sw.tx_frames(port, class), 0);
+            }
+        }
+        // Neither uncabling an uncabled port nor the reads above create
+        // state; a cable does, and the port count stays nominal.
+        sw.disconnect(PortId(3));
+        assert_eq!(sw.ports.iter().count(), 0);
+        sw.connect(PortId(4), ComponentId::from_raw(1), PortId(0));
+        assert_eq!((sw.port_count(), sw.ports.iter().count()), (5, 1));
+        assert!(format!("{sw:?}").contains("ports: 5"));
+    }
+
+    #[test]
+    fn a_frame_to_an_uncabled_egress_counts_no_route() {
+        let mut e: Engine<Msg> = Engine::new(1);
+        let mut sw = tor();
+        sw.connect(PortId(2), ComponentId::from_raw(1), PortId(0));
+        let sw_id = e.add_component(sw);
+        let sink_id = e.add_component(Sink::default());
+        e.schedule(SimTime::ZERO, sw_id, to_host(3, TrafficClass::BEST_EFFORT));
+        e.schedule(SimTime::ZERO, sw_id, to_host(2, TrafficClass::BEST_EFFORT));
+        e.run_to_idle();
+        assert_eq!(e.component::<Sink>(sink_id).unwrap().packets.len(), 1);
+        let sw = e.component::<Switch>(sw_id).unwrap();
+        let stats = sw.stats_view();
+        assert_eq!(
+            (stats.rx_frames, stats.tx_frames, stats.no_route),
+            (2, 1, 1)
+        );
+        assert_eq!(
+            sw.ports.iter().count(),
+            1,
+            "the unroutable frame created no port"
+        );
+    }
+
+    /// A link taken down before it is cabled stays down once cabled: its
+    /// frames are lost until the link comes back, as on a port that always
+    /// had state.
+    #[test]
+    fn a_link_downed_before_its_cable_stays_down() {
+        let mut e: Engine<Msg> = Engine::new(1);
+        let mut sw = tor();
+        sw.set_link_up(PortId(2), false);
+        sw.connect(PortId(2), ComponentId::from_raw(1), PortId(0));
+        assert!(!sw.link_up(PortId(2)));
+        let sw_id = e.add_component(sw);
+        let sink_id = e.add_component(Sink::default());
+        e.schedule(SimTime::ZERO, sw_id, to_host(2, TrafficClass::LTL));
+        let up = SwitchCmd::SetLinkUp {
+            port: PortId(2),
+            up: true,
+        };
+        e.schedule(SimTime::from_micros(10), sw_id, Msg::Switch(up));
+        e.schedule(
+            SimTime::from_micros(20),
+            sw_id,
+            to_host(2, TrafficClass::LTL),
+        );
+        e.run_to_idle();
+        assert_eq!(e.component::<Sink>(sink_id).unwrap().packets.len(), 1);
+        let sw = e.component::<Switch>(sw_id).unwrap();
+        assert_eq!(sw.stats_view().link_down_drops, 1);
+        assert!(sw.link_up(PortId(2)));
+    }
+
+    /// Background pressure set before the cable is kept by it: the first
+    /// frame through is marked.
+    #[test]
+    fn background_set_before_its_cable_marks_the_first_frame() {
+        let mut e: Engine<Msg> = Engine::new(1);
+        let cfg = SwitchConfig {
+            ecn: Some(EcnConfig {
+                kmin_bytes: 1_000,
+                kmax_bytes: 5_000,
+                pmax: 1.0,
+            }),
+            ..SwitchConfig::default()
+        };
+        let mut sw = Switch::new(SwitchRole::Tor { pod: 0, tor: 0 }, shape(), cfg);
+        sw.set_background_bytes(PortId(2), 10_000);
+        sw.connect(PortId(2), ComponentId::from_raw(1), PortId(0));
+        assert_eq!(
+            (sw.background_bytes(PortId(2)), sw.ports.iter().count()),
+            (10_000, 1)
+        );
+        let sw_id = e.add_component(sw);
+        let sink_id = e.add_component(Sink::default());
+        e.schedule(SimTime::ZERO, sw_id, to_host(2, TrafficClass::LTL));
+        e.run_to_idle();
+        let sink = e.component::<Sink>(sink_id).unwrap();
+        assert_eq!(sink.packets[0].1.ecn, Ecn::CongestionExperienced);
+    }
+
+    /// A crash drops what the cabled ports hold, frame for frame; ports
+    /// without state hold nothing to flush.
+    #[test]
+    fn a_crash_flushes_exactly_the_frames_queued_on_cabled_ports() {
+        let mut e: Engine<Msg> = Engine::new(1);
+        let mut sw = tor();
+        sw.connect(PortId(0), ComponentId::from_raw(1), PortId(0));
+        sw.connect(PortId(3), ComponentId::from_raw(1), PortId(0));
+        let sw_id = e.add_component(sw);
+        let sink_id = e.add_component(Sink::default());
+        // 4 frames to host 0 and 3 to host 3: one of each on the wire, the
+        // rest (3 + 2) queued when the switch crashes.
+        for (host, n) in [(0, 4), (3, 3)] {
+            for _ in 0..n {
+                e.schedule(
+                    SimTime::ZERO,
+                    sw_id,
+                    to_host(host, TrafficClass::BEST_EFFORT),
+                );
+            }
+        }
+        let crash = SwitchCmd::Crash {
+            reboot_after: SimDuration::from_micros(1),
+        };
+        e.schedule(SimTime::from_nanos(10), sw_id, Msg::Switch(crash));
+        e.run_to_idle();
+        assert_eq!(e.component::<Sink>(sink_id).unwrap().packets.len(), 2);
+        let sw = e.component::<Switch>(sw_id).unwrap();
+        let stats = sw.stats_view();
+        assert_eq!(
+            (stats.crash_drops, stats.crashes, stats.tx_frames),
+            (5, 1, 2)
+        );
+        assert_eq!(sw.ports.iter().count(), 2);
     }
 
     #[test]

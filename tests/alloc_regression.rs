@@ -63,11 +63,13 @@
 //!
 //! Off the event path, a registry snapshot is budgeted per component: a
 //! paper cluster's `metrics_snapshot` acquires for each source's path and
-//! each histogram's copies, never once per metric.
+//! each histogram's copies, never once per metric. A fabric is budgeted in
+//! live bytes per cabled port: a switch keeps a 552-byte port only for the
+//! ports that are cabled, so a paper pod holds 88 of them, not 1,048.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use apps::remote::{AcceleratorRole, IssueRequest, RemoteClient};
@@ -86,14 +88,18 @@ use host::StartGenerator;
 use shell::ltl::{LtlConfig, LtlEngine, LtlEvent, LtlMode, Poll, SendConnId};
 use shell::{LtlDeliver, LtlSend, ShellCmd};
 
-/// Counts heap acquisitions (`alloc` and `realloc`); frees are irrelevant
-/// to the steady-state-zero contract.
+/// Counts heap acquisitions (`alloc` and `realloc`), and the live bytes
+/// of measured threads; frees are irrelevant to the steady-state-zero
+/// contract.
 struct CountingAlloc;
 
 /// Acquisitions by any thread.
 static PROCESS_ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Acquisitions by threads inside [`on_this_thread`].
 static MEASURED_ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes acquired minus bytes released by threads inside
+/// [`on_this_thread`], in layout sizes.
+static MEASURED_LIVE: AtomicI64 = AtomicI64::new(0);
 
 thread_local! {
     /// Set while this thread runs a measured window. Const-initialised and
@@ -102,12 +108,23 @@ thread_local! {
     static MEASURING: Cell<bool> = const { Cell::new(false) };
 }
 
-fn count() {
-    PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
+/// Records one acquisition, if `acquired`, and a change of `live` bytes.
+fn count(acquired: bool, live: i64) {
+    if acquired {
+        PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
     // `try_with`: a thread may still allocate while it is being torn down.
     if MEASURING.try_with(Cell::get).unwrap_or(false) {
-        MEASURED_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if acquired {
+            MEASURED_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        MEASURED_LIVE.fetch_add(live, Ordering::Relaxed);
     }
+}
+
+/// A layout's size is at most `isize::MAX`, so this never panics.
+fn bytes(n: usize) -> i64 {
+    i64::try_from(n).expect("an allocation fits i64")
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
@@ -116,16 +133,17 @@ fn count() {
 // allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(true, bytes(layout.size()));
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(false, -bytes(layout.size()));
         // SAFETY: as above; `ptr` came from `System` via this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(true, bytes(new_size) - bytes(layout.size()));
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -148,11 +166,24 @@ fn serial() -> MutexGuard<'static, ()> {
 /// Runs `window` and returns how many times *this thread* acquired heap
 /// memory inside it.
 fn on_this_thread(window: impl FnOnce()) -> u64 {
-    let before = MEASURED_ALLOCS.load(Ordering::Relaxed);
+    heap_on_this_thread(window).0
+}
+
+/// Runs `window` and returns how many times *this thread* acquired heap
+/// memory inside it, and how many bytes of what it acquired and released
+/// there are still live.
+fn heap_on_this_thread(window: impl FnOnce()) -> (u64, i64) {
+    let before = (
+        MEASURED_ALLOCS.load(Ordering::Relaxed),
+        MEASURED_LIVE.load(Ordering::Relaxed),
+    );
     MEASURING.with(|m| m.set(true));
     window();
     MEASURING.with(|m| m.set(false));
-    MEASURED_ALLOCS.load(Ordering::Relaxed) - before
+    (
+        MEASURED_ALLOCS.load(Ordering::Relaxed) - before.0,
+        MEASURED_LIVE.load(Ordering::Relaxed) - before.1,
+    )
 }
 
 #[inline]
@@ -771,5 +802,39 @@ fn metrics_snapshot_acquires_per_component_not_per_metric() {
         measured <= budget,
         "snapshot of {components} components and {histograms} histograms ({metrics} metrics): \
          {measured} acquisitions, budget {budget}"
+    );
+}
+
+/// A one-pod paper fabric — 40 TORs, an aggregation switch, 4 spines —
+/// cables 88 of its 1,048 nominal switch ports: each TOR's uplink, the
+/// aggregation switch's 40 rack and 4 spine ports, and each spine's port
+/// to the pod. Only those hold a 552-byte port; every nominal port costs
+/// an 8-byte slot of its switch's port table. Two-sided: the lower bound
+/// is the ports and slots that must exist, the upper adds an allowance
+/// per switch (its box in the engine, ~200 B, and the engine's and
+/// fabric's tables) that is below one more port each (71,993 B measured).
+#[test]
+fn a_paper_pod_holds_one_port_per_cabled_port() {
+    const PORT: i64 = 552;
+    const CABLED: i64 = 40 + 40 + 4 + 4;
+    const NOMINAL: i64 = 40 * 25 + 44 + 4;
+    const SWITCHES: i64 = 45;
+    const PER_SWITCH: i64 = 512;
+    let _serial = serial();
+    let cfg = catapult::calib::fabric_config(catapult::calib::paper_shape(1));
+    let mut e: Engine<Msg> = Engine::new(1);
+    let mut fabric = None;
+    let (_, live) = heap_on_this_thread(|| {
+        fabric = Some(FabricBuilder::from_config(&cfg).build(&mut e));
+    });
+    let fabric = fabric.expect("fabric built");
+    assert_eq!(fabric.switch_count(), SWITCHES as usize);
+    let floor = CABLED * PORT + NOMINAL * 8;
+    let budget = floor + SWITCHES * PER_SWITCH;
+    assert!(
+        (floor..=budget).contains(&live),
+        "a one-pod paper fabric holds {live} B; budget {floor}..={budget} \
+         ({CABLED} cabled ports of {PORT} B); one port per nominal port was {}",
+        NOMINAL * PORT
     );
 }
