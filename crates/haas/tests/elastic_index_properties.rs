@@ -5,6 +5,8 @@
 //! agree after every call (debug builds also assert it inside every
 //! mutator; calling it here keeps `cargo test --release` honest).
 
+use std::collections::HashMap;
+
 use dcnet::NodeAddr;
 use dcsim::{SimDuration, SimTime};
 use haas::{Decision, ElasticConfig, ElasticScheduler, TenantClass};
@@ -119,11 +121,92 @@ proptest! {
     }
 }
 
+/// What a request id means to the scheduler, as a plain table keeps it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Model {
+    /// Queued or holding a lease.
+    Live,
+    /// Released or rejected.
+    Done,
+}
+
+/// A request id: clustered near 0, near `2^32` and near `u64::MAX` so ids
+/// repeat, sit next to each other and leave gaps, or anywhere at all.
+fn request_id() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..48,
+        (1u64 << 32) - 24..(1u64 << 32) + 24,
+        u64::MAX - 47..,
+        any::<u64>(),
+    ]
+}
+
+proptest! {
+    /// The scheduler keeps only live requests in its state table and the
+    /// ids it ever accepted as ranges; a plain map of every id ever seen
+    /// must give the same answers. No class here may be preempted and
+    /// nothing evicts, so a request is live from its acceptance until its
+    /// release: a live id is refused (`DuplicateRequest`), a done id
+    /// releases as a no-op (`Ok`) and may be reused, an id never seen is
+    /// `UnknownLease`, and one too large for any region is done at once.
+    #[test]
+    fn request_ids_answer_like_a_map_of_every_id_seen(
+        regions in proptest::collection::vec(10_000u32..40_000, 1..5),
+        ops in proptest::collection::vec(
+            (any::<bool>(), request_id(), 5_000u32..45_000, any::<bool>()),
+            1..200,
+        ),
+    ) {
+        use haas::ElasticError::{DuplicateRequest, RequestTooLarge, UnknownLease};
+        let mut sched = ElasticScheduler::new(ElasticConfig {
+            eviction_window: SimDuration::from_millis(100),
+            defrag_period: SimDuration::ZERO,
+            spot_reserve_permille: 0,
+        });
+        sched.add_board(board(0), &regions).unwrap();
+        let largest = *regions.iter().max().unwrap();
+        let mut model: HashMap<u64, Model> = HashMap::new();
+        let mut now = SimTime::ZERO;
+        for (is_request, req, alms, guaranteed) in ops {
+            now += SimDuration::from_millis(1);
+            if is_request {
+                let class = if guaranteed {
+                    TenantClass::Guaranteed
+                } else {
+                    TenantClass::Standard
+                };
+                let got = sched.request(now, req, TenantId(1), class, alms, false, caps());
+                let want = match model.get(&req) {
+                    Some(Model::Live) => Err(DuplicateRequest(req)),
+                    _ if alms > largest => Err(RequestTooLarge { alms, largest }),
+                    _ => Ok(()),
+                };
+                prop_assert_eq!(got, want, "request {}", req);
+                if want != Err(DuplicateRequest(req)) {
+                    model.insert(req, if want.is_ok() { Model::Live } else { Model::Done });
+                }
+            } else {
+                let got = sched.release(now, req);
+                let want = match model.get(&req) {
+                    None => Err(UnknownLease(req)),
+                    Some(_) => Ok(()),
+                };
+                prop_assert_eq!(got, want, "release {}", req);
+                if let Some(state) = model.get_mut(&req) {
+                    *state = Model::Done;
+                }
+            }
+            prop_assert_eq!(sched.indexes_match_rescan(), Ok(()));
+            let live = model.values().filter(|&&m| m == Model::Live).count();
+            prop_assert_eq!(sched.queued_reqs().len() + sched.leases().count(), live);
+        }
+    }
+}
+
 /// Request ids are table keys, not positions, and a done id is
 /// remembered: ids at the top of the range, a live id refused, a done id
 /// released again (`Ok`, a no-op) against an id never seen
-/// (`UnknownLease`), and a done id reused. The lease table trims its
-/// front as the oldest leases end.
+/// (`UnknownLease`), and a done id reused.
 #[test]
 fn request_ids_near_the_top_done_and_never_seen() {
     use haas::ElasticError::{DuplicateRequest, UnknownLease};

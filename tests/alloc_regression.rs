@@ -74,6 +74,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use apps::remote::{AcceleratorRole, IssueRequest, RemoteClient};
 use bytes::Bytes;
+use catapult::elastic::{generate_trace, run_trace, standard_region_alms, ElasticTraceConfig};
 use catapult::probe::schedule_probes;
 use catapult::workload::{FleetLoadGen, FleetWorkloadConfig};
 use catapult::ClusterBuilder;
@@ -84,6 +85,7 @@ use dcnet::{
 use dcsim::{
     Component, ComponentId, Context, Engine, ShardPlan, ShardedEngine, SimDuration, SimTime,
 };
+use haas::{ElasticConfig, LeaseEvent, RegionLease, TenantClass};
 use host::StartGenerator;
 use shell::ltl::{LtlConfig, LtlEngine, LtlEvent, LtlMode, Poll, SendConnId};
 use shell::{LtlDeliver, LtlSend, ShellCmd};
@@ -100,6 +102,9 @@ static MEASURED_ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Bytes acquired minus bytes released by threads inside
 /// [`on_this_thread`], in layout sizes.
 static MEASURED_LIVE: AtomicI64 = AtomicI64::new(0);
+/// The highest [`MEASURED_LIVE`] has been since [`heap_on_this_thread`]
+/// last reset it.
+static MEASURED_PEAK: AtomicI64 = AtomicI64::new(0);
 
 thread_local! {
     /// Set while this thread runs a measured window. Const-initialised and
@@ -118,7 +123,8 @@ fn count(acquired: bool, live: i64) {
         if acquired {
             MEASURED_ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
-        MEASURED_LIVE.fetch_add(live, Ordering::Relaxed);
+        let now = MEASURED_LIVE.fetch_add(live, Ordering::Relaxed) + live;
+        MEASURED_PEAK.fetch_max(now, Ordering::Relaxed);
     }
 }
 
@@ -173,16 +179,25 @@ fn on_this_thread(window: impl FnOnce()) -> u64 {
 /// memory inside it, and how many bytes of what it acquired and released
 /// there are still live.
 fn heap_on_this_thread(window: impl FnOnce()) -> (u64, i64) {
+    let (allocs, live, _) = heap_peak_on_this_thread(window);
+    (allocs, live)
+}
+
+/// [`heap_on_this_thread`], plus the most bytes live at any point inside
+/// `window`.
+fn heap_peak_on_this_thread(window: impl FnOnce()) -> (u64, i64, i64) {
     let before = (
         MEASURED_ALLOCS.load(Ordering::Relaxed),
         MEASURED_LIVE.load(Ordering::Relaxed),
     );
+    MEASURED_PEAK.store(before.1, Ordering::Relaxed);
     MEASURING.with(|m| m.set(true));
     window();
     MEASURING.with(|m| m.set(false));
     (
         MEASURED_ALLOCS.load(Ordering::Relaxed) - before.0,
         MEASURED_LIVE.load(Ordering::Relaxed) - before.1,
+        MEASURED_PEAK.load(Ordering::Relaxed) - before.1,
     )
 }
 
@@ -836,5 +851,100 @@ fn a_paper_pod_holds_one_port_per_cabled_port() {
         "a one-pod paper fabric holds {live} B; budget {floor}..={budget} \
          ({CABLED} cabled ports of {PORT} B); one port per nominal port was {}",
         NOMINAL * PORT
+    );
+}
+
+/// The repository benchmark's `haas_elastic` trace (seed 1, load 1.2, 64
+/// tenants, no crashes) on `boards` boards over `secs` simulated seconds.
+fn elastic_trace_config(boards: u16, secs: u64) -> ElasticTraceConfig {
+    ElasticTraceConfig {
+        seed: 1,
+        boards,
+        horizon: SimDuration::from_secs(secs),
+        load: 1.2,
+        tenants: 64,
+        ..ElasticTraceConfig::default()
+    }
+}
+
+/// A trace is generated in order, so what `generate_trace` returns is all
+/// it leaves behind: exactly one `LeaseEvent` per event, no doubling slack
+/// and no tuples of a sort. While it runs, the trace's own doubling and
+/// the releases still open may take it at most a quarter above that
+/// (collecting tuples and sorting them peaked at 5.7 MB for 2.2 MB of
+/// events).
+#[test]
+fn a_generated_trace_holds_one_event_per_event() {
+    let _serial = serial();
+    let mut trace = Vec::new();
+    let (_, live, peak) = heap_peak_on_this_thread(|| {
+        trace = generate_trace(&elastic_trace_config(96, 240));
+    });
+    let exact = bytes(trace.len() * size_of::<LeaseEvent>());
+    assert_eq!(
+        live,
+        exact,
+        "{} events of {} B",
+        trace.len(),
+        size_of::<LeaseEvent>()
+    );
+    assert!(
+        4 * peak <= 5 * exact,
+        "generating {} events peaked at {peak} B, {exact} B kept",
+        trace.len()
+    );
+}
+
+/// The scheduler keeps state for live requests and leases only: after a
+/// 240 s trace it holds what it holds after a 60 s one, not four times as
+/// much. Its wait histograms keep every grant's sample on purpose and are
+/// left out (each is a vector pushed once per sample). What may differ is
+/// the capacity of the id tables, grown to a run's largest live set, and
+/// the nodes of what is live at its end: at most one growth step of the
+/// largest table, the lease table doubling from 512 to 1,024 buckets of a
+/// lease, its key and a control byte. Keeping every request id ever
+/// accepted held 819 KB more at 240 s.
+#[test]
+fn the_elastic_scheduler_holds_live_state_only() {
+    let growth_step = bytes(512 * (size_of::<u64>() + size_of::<RegionLease>() + 1));
+    let _serial = serial();
+    let held = |secs: u64| {
+        let cfg = elastic_trace_config(96, secs);
+        let trace = generate_trace(&cfg);
+        let regions = standard_region_alms();
+        let mut sched = None;
+        let (_, live) = heap_on_this_thread(|| {
+            sched = Some(
+                run_trace(
+                    cfg.boards,
+                    &regions,
+                    ElasticConfig::default(),
+                    &trace,
+                    cfg.horizon,
+                )
+                .0,
+            );
+        });
+        let sched = sched.expect("trace ran");
+        let histograms: i64 = TenantClass::ALL
+            .iter()
+            .map(|&class| {
+                let samples = sched.wait_histogram(class).count();
+                let mut pushed = Vec::new();
+                heap_on_this_thread(|| (0..samples).for_each(|v| pushed.push(v))).1
+            })
+            .sum();
+        (live - histograms, sched.decision_count())
+    };
+    let (short, short_decisions) = held(60);
+    let (long, long_decisions) = held(240);
+    assert!(
+        long_decisions > 3 * short_decisions,
+        "{short_decisions} vs {long_decisions} decisions"
+    );
+    assert!(
+        (long - short).abs() <= growth_step,
+        "the scheduler holds {short} B after 60 s and {long} B after 240 s, \
+         histograms excluded"
     );
 }
