@@ -7,13 +7,14 @@
 //! number of flow arrivals whose rate follows a diurnal [`LoadTrace`]
 //! with random burst episodes, and injects them into the flow-level
 //! background model ([`dcnet::FlowSim`]) as aggregate batches, one
-//! message per tick. A structure-of-arrays [`HostTable`] keeps per-host
-//! accounting compact enough (16 bytes per host slot) that a
-//! quarter-million-host fleet costs a few megabytes.
+//! message per tick. Each batch is charged to one representative host of
+//! its source pod, and a [`HostTable`] keeps one bit per host slot of
+//! which hosts have sourced traffic, so a quarter-million-host fleet
+//! costs 31 KB.
 
 use std::sync::Arc;
 
-use dcnet::{FabricShape, FidelityMap, FlowBatch, FlowSimCmd, Msg, NodeAddr};
+use dcnet::{FabricShape, FidelityMap, FlowBatch, FlowSimCmd, Msg};
 use dcsim::{Component, ComponentId, Context, SimDuration, SimRng};
 use host::{LoadTrace, StartGenerator};
 use telemetry::{MetricSource, MetricVisitor};
@@ -74,66 +75,43 @@ impl Default for FleetWorkloadConfig {
     }
 }
 
-/// Compact per-host accounting, structure-of-arrays and `u32`-indexed so
-/// a 250k-host fleet fits in a few megabytes: parallel vectors of
-/// transmitted bytes and started flows, indexed by the host's linearized
-/// `(pod, tor, host)` coordinate.
+/// Which host slots have sourced traffic: one bit per slot of the
+/// host's linearized `(pod, tor, host)` coordinate and a running count of
+/// the bits set, so a 250k-host fleet costs 31 KB and the count is read
+/// without a scan.
 #[derive(Debug)]
 pub struct HostTable {
     shape: FabricShape,
-    tx_bytes: Vec<u64>,
-    flows: Vec<u32>,
+    touched: Vec<u64>,
+    count: usize,
 }
 
 impl HostTable {
-    /// A zeroed table covering every host slot in `shape`.
+    /// A table covering every host slot in `shape`, none touched.
     pub fn new(shape: FabricShape) -> Self {
-        let slots = shape.total_hosts();
         HostTable {
             shape,
-            tx_bytes: vec![0; slots],
-            flows: vec![0; slots],
+            touched: vec![0; shape.total_hosts().div_ceil(64)],
+            count: 0,
         }
     }
 
-    /// The linear index of `addr`.
-    pub fn index_of(&self, addr: NodeAddr) -> u32 {
-        let per_pod = self.shape.tors_per_pod as u32 * self.shape.hosts_per_tor as u32;
-        addr.pod as u32 * per_pod
-            + addr.tor as u32 * self.shape.hosts_per_tor as u32
-            + addr.host as u32
-    }
-
-    /// The address at linear index `i`.
-    pub fn addr_of(&self, i: u32) -> NodeAddr {
-        let hosts = self.shape.hosts_per_tor as u32;
-        let per_pod = self.shape.tors_per_pod as u32 * hosts;
-        NodeAddr {
-            pod: (i / per_pod) as u16,
-            tor: (i % per_pod / hosts) as u16,
-            host: (i % hosts) as u16,
-        }
-    }
-
-    /// Charges `bytes` and one flow to host `i`.
-    pub fn record(&mut self, i: u32, bytes: u64) {
-        self.tx_bytes[i as usize] += bytes;
-        self.flows[i as usize] += 1;
+    /// Marks host `i` as having sourced traffic.
+    pub fn record(&mut self, i: u32) {
+        let (word, bit) = (i as usize / 64, 1u64 << (i % 64));
+        let w = &mut self.touched[word];
+        self.count += usize::from(*w & bit == 0);
+        *w |= bit;
     }
 
     /// Host slots in the table.
     pub fn hosts(&self) -> usize {
-        self.tx_bytes.len()
+        self.shape.total_hosts()
     }
 
     /// Hosts that have transmitted at least once.
     pub fn hosts_touched(&self) -> usize {
-        self.flows.iter().filter(|&&f| f > 0).count()
-    }
-
-    /// Total bytes charged across the fleet.
-    pub fn total_bytes(&self) -> u64 {
-        self.tx_bytes.iter().sum()
+        self.count
     }
 }
 
@@ -202,7 +180,7 @@ impl FleetLoadGen {
         }
     }
 
-    /// The per-host ledger.
+    /// The host slots that have sourced traffic.
     pub fn hosts(&self) -> &HostTable {
         &self.hosts
     }
@@ -279,7 +257,7 @@ impl FleetLoadGen {
                     self.hosts.shape.tors_per_pod as u32 * self.hosts.shape.hosts_per_tor as u32;
                 let slot =
                     src_pod as u32 * hosts_per_pod + ctx.rng().index(hosts_per_pod as usize) as u32;
-                self.hosts.record(slot, bytes);
+                self.hosts.record(slot);
                 self.flows_offered += batch_flows;
                 self.bytes_offered += bytes;
                 self.batches_sent += 1;
@@ -352,6 +330,11 @@ mod tests {
         }
     }
 
+    /// Whether host slot `i`'s bit is set, read from the words directly.
+    fn is_touched(t: &HostTable, i: u32) -> bool {
+        t.touched[i as usize / 64] >> (i % 64) & 1 == 1
+    }
+
     fn small_cfg() -> FleetWorkloadConfig {
         FleetWorkloadConfig {
             users: 10_000,
@@ -361,17 +344,38 @@ mod tests {
         }
     }
 
+    /// The running count against a set of every slot recorded, on a
+    /// shape of 5 x 3 x 7 = 105 slots, whose last word is partly unused.
     #[test]
-    fn host_table_roundtrips_indices() {
-        let t = HostTable::new(shape());
-        assert_eq!(t.hosts(), 6 * 4 * 24);
-        for &addr in &[
-            NodeAddr::new(0, 0, 0),
-            NodeAddr::new(3, 2, 17),
-            NodeAddr::new(5, 3, 23),
-        ] {
-            assert_eq!(t.addr_of(t.index_of(addr)), addr);
+    fn touched_count_matches_a_set_of_recorded_slots() {
+        let shape = FabricShape {
+            hosts_per_tor: 7,
+            tors_per_pod: 3,
+            pods: 5,
+            spines: 2,
+        };
+        let mut t = HostTable::new(shape);
+        assert_eq!(t.hosts(), 105);
+        let mut seen = std::collections::BTreeSet::new();
+        let mut rng = SimRng::seed_from(3);
+        for _ in 0..1_000 {
+            let slot = rng.index(t.hosts()) as u32;
+            t.record(slot);
+            seen.insert(slot);
+            assert_eq!(t.hosts_touched(), seen.len());
         }
+        assert_eq!(
+            seen.len(),
+            105,
+            "every slot drawn, the last word's 41 included"
+        );
+        assert!((0..105).all(|i| is_touched(&t, i)));
+        let mut fresh = HostTable::new(shape);
+        for slot in [104, 63, 64, 0, 104, 63] {
+            fresh.record(slot);
+        }
+        assert_eq!(fresh.hosts_touched(), 4);
+        assert!(!is_touched(&fresh, 1) && !is_touched(&fresh, 103));
     }
 
     #[test]
@@ -390,12 +394,12 @@ mod tests {
             (50_000_000..=400_000_000).contains(&offered),
             "offered {offered} bytes, expected ~100 MB"
         );
-        assert_eq!(g.hosts().total_bytes(), offered);
         // Sources come only from flow pods (2..6 → slots ≥ 2 * 96).
         let touched: Vec<u32> = (0..g.hosts().hosts() as u32)
-            .filter(|&i| g.hosts().flows[i as usize] > 0)
+            .filter(|&i| is_touched(g.hosts(), i))
             .collect();
         assert!(!touched.is_empty());
+        assert_eq!(touched.len(), g.hosts().hosts_touched());
         assert!(touched.iter().all(|&i| i >= 2 * 96), "{touched:?}");
         // Every offered byte reached the flow model's ledger.
         let fs = e.component::<FlowSim>(sim).unwrap();

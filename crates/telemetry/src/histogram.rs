@@ -7,6 +7,7 @@
 //! samples in recording order, which feeds [`dcsim::StreamingStats`] and
 //! keeps the copy that merging re-reads (merged moments depend on that
 //! order), plus one sorted copy for min, max, percentiles and buckets.
+//! A single percentile of a live histogram or a snapshot copies nothing.
 
 use dcsim::{nearest_rank, StreamingStats};
 use serde::{Serialize, Value};
@@ -76,11 +77,33 @@ impl Histogram {
     }
 }
 
-/// The nearest-rank `p`-th percentile of `samples`, selected in one copy.
+/// The nearest-rank `p`-th percentile of `samples`, without copying
+/// them: a most-significant-digit radix select. Each pass counts one
+/// byte of the samples that share the bytes fixed so far and fixes the
+/// byte whose running count passes the rank; bytes above every sample's
+/// highest set bit are zero and cost no pass. One pass finds that bit,
+/// then at most eight select; the samples keep their recording order.
 fn select_percentile(samples: &[u64], p: f64) -> Option<u64> {
-    let rank = nearest_rank(samples.len(), p)?;
-    let mut copy = samples.to_vec();
-    Some(*copy.select_nth_unstable(rank).1)
+    let mut rank = nearest_rank(samples.len(), p)?;
+    let high = samples.iter().fold(0, |acc, &v| acc | v);
+    let mut shift = (u64::BITS - high.leading_zeros()).div_ceil(8) * 8;
+    // The bits at and above `shift` are fixed, to those of `value`.
+    let mut value = 0u64;
+    while shift > 0 {
+        shift -= 8;
+        let fixed = u64::MAX.checked_shl(shift + 8).unwrap_or(0);
+        let mut counts = [0usize; 256];
+        for &v in samples.iter().filter(|&&v| v & fixed == value) {
+            counts[(v >> shift) as usize & 0xFF] += 1;
+        }
+        let mut digit = 0;
+        while rank >= counts[digit] {
+            rank -= counts[digit];
+            digit += 1;
+        }
+        value |= (digit as u64) << shift;
+    }
+    Some(value)
 }
 
 /// Frozen, serializable view of a [`Histogram`].
@@ -227,6 +250,51 @@ mod tests {
             assert_eq!(snap.percentile(p), r.percentile(p), "snapshot p{p}");
         }
         assert_eq!(Histogram::new().percentile(99.0), None);
+    }
+
+    /// The select against a sorted copy, on samples that are equal, span
+    /// the whole `u64` range, sit on byte boundaries or are all zero, and
+    /// the samples keep their recording order.
+    #[test]
+    fn select_matches_a_sorted_copy_and_keeps_order() {
+        let mut x = 5u64;
+        let mut random = |n: usize, shift: u32| -> Vec<u64> {
+            (0..n)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    x >> shift
+                })
+                .collect()
+        };
+        let cases = [
+            vec![0; 7],
+            vec![42; 9],
+            vec![u64::MAX, 0, u64::MAX, 1],
+            vec![255, 256, 65_535, 65_536, 0, 1 << 56, (1 << 56) - 1],
+            random(1_000, 0),
+            random(999, 37),
+            random(3, 60),
+        ];
+        for samples in cases {
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            for p in [0.01, 1.0, 33.3, 50.0, 90.0, 99.0, 99.9, 100.0] {
+                let rank = nearest_rank(sorted.len(), p).unwrap();
+                assert_eq!(
+                    select_percentile(&samples, p),
+                    Some(sorted[rank]),
+                    "p{p} of {samples:?}"
+                );
+            }
+        }
+        let mut h = Histogram::new();
+        for v in [30, 10, 20] {
+            h.record(v);
+        }
+        assert_eq!(h.percentile(50.0), Some(20));
+        assert_eq!(h.snapshot().samples(), &[30, 10, 20]);
     }
 
     #[test]

@@ -66,6 +66,9 @@
 //! each histogram's copies, never once per metric. A fabric is budgeted in
 //! live bytes per cabled port: a switch keeps a 552-byte port only for the
 //! ports that are cabled, so a paper pod holds 88 of them, not 1,048.
+//! A fleet run holds what it reads: `fleet_hybrid`'s 12,000 probes are
+//! 12 queue nodes until they come due, and its generator keeps one bit
+//! per host slot, 31,200 B at 260 pods.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -79,8 +82,9 @@ use catapult::probe::schedule_probes;
 use catapult::workload::{FleetLoadGen, FleetWorkloadConfig};
 use catapult::ClusterBuilder;
 use dcnet::{
-    FabricBuilder, FabricConfig, FabricShape, FidelityMap, FlowSim, FlowSimConfig, Jitter, Msg,
-    NetEvent, NodeAddr, Packet, PortId, Switch, SwitchConfig, SwitchRole, TrafficClass,
+    FabricBuilder, FabricConfig, FabricShape, FidelityMap, FlowBatch, FlowSim, FlowSimConfig,
+    Jitter, Msg, NetEvent, NodeAddr, Packet, PortId, Switch, SwitchConfig, SwitchRole,
+    TrafficClass,
 };
 use dcsim::{
     Component, ComponentId, Context, Engine, ShardPlan, ShardedEngine, SimDuration, SimTime,
@@ -946,5 +950,95 @@ fn the_elastic_scheduler_holds_live_state_only() {
         (long - short).abs() <= growth_step,
         "the scheduler holds {short} B after 60 s and {long} B after 240 s, \
          histograms excluded"
+    );
+}
+
+/// `fleet_hybrid`'s probes: 12 pairs in the two-pod packet island of a
+/// lazy 260-pod paper fabric, 1,000 probes a pair. Each pair's probes
+/// are one `schedule_series` stream, so scheduling them pushes 12 queue
+/// nodes, not 12,000, while every probe still counts as pending. What the
+/// streams hold is one node each and their state: a boxed series and
+/// its closure, and the pair's payload. A push per probe held
+/// 1,903,192 B: the queue's slab grown for 12,000 nodes.
+#[test]
+fn fleet_probes_hold_one_queue_node_per_stream() {
+    const PAIRS: u16 = 12;
+    const PROBES: u64 = 1_000;
+    let _serial = serial();
+    let mut cluster = ClusterBuilder::paper(1, 260)
+        .packet_island(2)
+        .lazy(true)
+        .build();
+    let senders: Vec<(NodeAddr, SendConnId)> = (0..PAIRS)
+        .map(|i| {
+            let (a, b) = (NodeAddr::new(0, i, 0), NodeAddr::new(1, i, 1));
+            cluster.add_shell(a);
+            cluster.add_shell(b);
+            let (send, _, _, _) = cluster.connect_pair(a, b);
+            (a, send)
+        })
+        .collect();
+    let (pushes, pending) = {
+        let engine = cluster.engine();
+        (engine.queue_stats().pushes, engine.pending_events())
+    };
+    let (_, live) = heap_on_this_thread(|| {
+        for (i, &(a, send)) in senders.iter().enumerate() {
+            let start = SimTime::from_nanos(7_000 * (i as u64 + 1));
+            let gap = SimDuration::from_millis(2);
+            schedule_probes(&mut cluster, a, send, start, gap, PROBES, 32);
+        }
+    });
+    let engine = cluster.engine();
+    assert_eq!(
+        engine.pending_events() - pending,
+        (u64::from(PAIRS) * PROBES) as usize,
+        "every probe is pending"
+    );
+    assert_eq!(
+        engine.queue_stats().pushes - pushes,
+        u64::from(PAIRS),
+        "one queue node per probe stream"
+    );
+    // 3,872 B measured, about 323 B a stream.
+    let (floor, budget) = (i64::from(PAIRS) * 32, i64::from(PAIRS) * 512);
+    assert!(
+        (floor..=budget).contains(&live),
+        "{PAIRS} probe streams hold {live} B; budget {floor}..={budget}"
+    );
+}
+
+/// `FleetLoadGen` at `fleet_hybrid`'s 260-pod shape keeps one bit per
+/// host slot of which hosts have sourced traffic: 249,600 slots in
+/// 31,200 B, at most 32 KB. What else it holds is its pod lists and its
+/// tick's batch buffer, a few kilobytes. A byte count and a flow count
+/// per slot held 2,995,200 B.
+#[test]
+fn the_fleet_generator_holds_a_bit_per_host() {
+    let _serial = serial();
+    let shape = catapult::calib::paper_shape(260);
+    let map = FidelityMap::packet_island(260, 2);
+    let cfg = FleetWorkloadConfig::default();
+    let mut gen = None;
+    let (_, live) = heap_on_this_thread(|| {
+        gen = Some(FleetLoadGen::new(
+            cfg,
+            shape,
+            &map,
+            ComponentId::from_raw(0),
+        ));
+    });
+    let gen = gen.expect("generator built");
+    assert_eq!(gen.hosts().hosts(), 249_600);
+    // Besides the bits: the 258 flow pods and 2 packet pods (collected
+    // from an iterator, so with doubling slack: 512 B of it measured) and
+    // the shared buffer with room for 64 batches.
+    let pods = bytes(260 * size_of::<u16>());
+    let batches =
+        bytes(2 * size_of::<usize>() + size_of::<Vec<FlowBatch>>() + 64 * size_of::<FlowBatch>());
+    let hosts = live - pods - batches;
+    assert!(
+        (249_600 / 8..=32 * 1024).contains(&hosts),
+        "{live} B held, {hosts} B of it beyond the pod lists and batch buffer"
     );
 }
