@@ -2,41 +2,38 @@
 //! injection, reporting how the acceleration plane detects and recovers.
 //!
 //! The same `--seed` always produces a byte-identical
-//! `results/chaos_report.json`, so CI runs this binary twice and diffs
-//! the reports as a determinism gate.
+//! `results/chaos_report.json`; CI diffs the `--quick --seed 42` report
+//! with its golden file as a determinism gate.
 //!
 //! ```text
-//! chaos [--quick] [--seed N]
+//! catapult chaos [--quick] [--seed N]
 //!       [--preset random|rack-isolation|golden-image|lossy-link]
 //!       [--fault-rate X]
 //! ```
 
 use std::time::Instant;
 
-use bench::arg_value;
+use crate::{output, Args};
 use catapult::prelude::*;
 
-fn main() {
-    bench::header(
+pub fn run(args: &Args) {
+    output::header(
         "chaos",
         "fault injection and recovery on the acceleration plane",
     );
 
-    let seed: u64 = arg_value("--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let preset = arg_value("--preset")
-        .map(|v| {
-            Preset::parse(&v).expect("--preset takes random|rack-isolation|golden-image|lossy-link")
-        })
+    let seed = args.value("--seed").unwrap_or(42);
+    let preset = args
+        .value::<String>("--preset")
+        .and_then(|v| Preset::parse(&v))
         .unwrap_or(Preset::Random);
-    let mut cfg = if bench::quick_mode() {
+    let mut cfg = if args.switch("--quick") {
         ChaosConfig::quick(seed, preset)
     } else {
         ChaosConfig::full(seed, preset)
     };
-    if let Some(rate) = arg_value("--fault-rate") {
-        cfg = cfg.with_fault_rate(rate.parse().expect("--fault-rate takes a float"));
+    if let Some(rate) = args.value("--fault-rate") {
+        cfg = cfg.with_fault_rate(rate);
     }
 
     let mut rig = ChaosRig::build(cfg);
@@ -48,7 +45,7 @@ fn main() {
     let started = Instant::now();
     let events = rig.cluster_mut().run_to_idle();
     let queue = rig.cluster_mut().engine().queue_stats();
-    bench::report_engine_cost(events, "run", started.elapsed(), queue);
+    output::report_engine_cost(events, "run", started.elapsed(), queue);
     // Nothing is left to run: this assembles the report.
     let report = rig.run();
 
@@ -97,5 +94,5 @@ fn main() {
         );
     }
 
-    bench::write_json("chaos_report", &report);
+    output::write_json("chaos_report", &report);
 }

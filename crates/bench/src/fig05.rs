@@ -1,11 +1,12 @@
 //! Figure 5: area and frequency breakdown of the production-deployed
 //! shell image with remote acceleration support.
 
+use crate::{output, Args};
 use catapult::prelude::*;
 use experiments::{fig05_summary, fig05_table};
 
-fn main() {
-    bench::header("Figure 5", "Shell area/frequency breakdown");
+pub fn run(_args: &Args) {
+    output::header("Figure 5", "Shell area/frequency breakdown");
     println!("{}", fig05_table());
     let s = fig05_summary();
     println!(
@@ -15,5 +16,5 @@ fn main() {
         s.used_fraction * 100.0
     );
     println!("paper: shell 44%, role 32%, total 76% of 172,600 ALMs");
-    bench::write_json("fig05_area", &s);
+    output::write_json("fig05_area", &s);
 }

@@ -3,15 +3,16 @@
 //! datacenter shows latency spikes as load varies; the FPGA datacenter
 //! holds lower, tighter latencies at much higher served load.
 
+use crate::{output, Args};
 use catapult::prelude::*;
 use experiments::{production, ProductionParams};
 
-fn main() {
-    bench::header(
+pub fn run(args: &Args) {
+    output::header(
         "Figure 7",
         "Five-day production throughput and tail latency",
     );
-    let params = if bench::quick_mode() {
+    let params = if args.switch("--quick") {
         ProductionParams {
             days: 2,
             day_length: dcsim::SimDuration::from_secs(10),
@@ -31,5 +32,5 @@ fn main() {
         result.fpga_peak_load, result.fpga_worst_p999
     );
     println!("paper: FPGA DC absorbs ~2x the load with lower, tighter-bound tail latency");
-    bench::write_json("fig07_production", &result);
+    output::write_json("fig07_production", &result);
 }

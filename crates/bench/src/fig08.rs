@@ -3,12 +3,13 @@
 //! is capped by the load balancer; the FPGA datacenter absorbs more than
 //! twice the load while never exceeding the software latency.
 
+use crate::{output, Args};
 use catapult::prelude::*;
 use experiments::{production, ProductionParams};
 
-fn main() {
-    bench::header("Figure 8", "Query p99.9 latency vs offered load");
-    let params = if bench::quick_mode() {
+pub fn run(args: &Args) {
+    output::header("Figure 8", "Query p99.9 latency vs offered load");
+    let params = if args.switch("--quick") {
         ProductionParams {
             days: 2,
             day_length: dcsim::SimDuration::from_secs(10),
@@ -35,5 +36,5 @@ fn main() {
         fpga_max / sw_max
     );
     println!("paper: FPGA DC absorbs >2x offered load at latency never exceeding software");
-    bench::write_json("fig08_load_latency", &result);
+    output::write_json("fig08_load_latency", &result);
 }

@@ -3,12 +3,13 @@
 //! through the simulated network; the paper finds the latency overhead of
 //! remote access minimal across the throughput range.
 
+use crate::{output, Args};
 use catapult::prelude::*;
 use experiments::{fig11, RankingSweepParams};
 
-fn main() {
-    bench::header("Figure 11", "Remote acceleration of ranking over LTL");
-    let params = if bench::quick_mode() {
+pub fn run(args: &Args) {
+    output::header("Figure 11", "Remote acceleration of ranking over LTL");
+    let params = if args.switch("--quick") {
         RankingSweepParams {
             queries_per_point: 10_000,
             loads: vec![0.5, 1.0, 1.5, 2.0, 2.25],
@@ -41,5 +42,5 @@ fn main() {
         println!("remote p99.9 overhead at load {load:.2}: {pct:+.1}%");
     }
     println!("paper: the latency overhead of remote accesses is minimal");
-    bench::write_json("fig11_remote_ranking", &curves);
+    output::write_json("fig11_remote_ranking", &curves);
 }

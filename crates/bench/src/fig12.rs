@@ -3,12 +3,13 @@
 //! locally-attached performance. Paper at 1:1: +1% average, +4.7% p95,
 //! +32% p99; saturation at ~22.5 clients per FPGA.
 
+use crate::{output, Args};
 use catapult::prelude::*;
 use experiments::{fig12, Fig12Params};
 
-fn main() {
-    bench::header("Figure 12", "Remote DNN pool oversubscription");
-    let params = if bench::quick_mode() {
+pub fn run(args: &Args) {
+    output::header("Figure 12", "Remote DNN pool oversubscription");
+    let params = if args.switch("--quick") {
         Fig12Params {
             accelerators: 4,
             requests_per_client: 1_500,
@@ -25,12 +26,12 @@ fn main() {
     let sat = fig12::run(&Fig12Params {
         accelerators: 2,
         ratios: vec![8.0, 14.0, 18.0, 20.0, 22.0, 24.0],
-        requests_per_client: if bench::quick_mode() { 800 } else { 2_000 },
+        requests_per_client: if args.switch("--quick") { 800 } else { 2_000 },
         seed: 0xF161_25A0,
         ..params.clone()
     });
     println!("{}", sat.table());
     println!("paper: +1%/+4.7%/+32% at 1:1; latencies spike near 22.5 clients/FPGA");
-    bench::write_json("fig12_oversubscription", &result);
-    bench::write_json("fig12_saturation", &sat);
+    output::write_json("fig12_oversubscription", &result);
+    output::write_json("fig12_saturation", &sat);
 }

@@ -7,11 +7,12 @@
 //! preemption/reclaim counts.
 //!
 //! ```text
-//! haas_elastic [--quick] [--check-win] [--full-scale]
+//! catapult haas_elastic [--quick] [--check-win] [--full-scale]
 //! ```
 //!
 //! `results/haas_elastic.json` is byte-identical across same-seed runs
-//! (no wall-clock fields); timing goes to `results/BENCH_haas_elastic.json`.
+//! (no wall-clock fields); `--full-scale` prints host ns per trace event
+//! on stdout.
 //! `--check-win` gates CI: at least one mix×load point must show elastic
 //! beating whole-board on utilization with equal-or-better p99 wait for
 //! every class the whole-board run served.
@@ -25,6 +26,7 @@
 
 use std::time::Instant;
 
+use crate::{output, Args};
 use catapult::elastic::{
     generate_trace, run_trace, standard_region_alms, ElasticTraceConfig, MixWeights,
 };
@@ -66,21 +68,6 @@ struct Sweep {
     rows: Vec<Row>,
 }
 
-/// Wall-clock row for `results/BENCH_haas_elastic.json`; kept out of the
-/// sweep JSON so that file stays fingerprint-diffable.
-#[derive(Debug, Serialize)]
-struct BenchRow {
-    commit: String,
-    points: usize,
-    trace_events: u64,
-    decisions: u64,
-    wall_secs: f64,
-    /// Host ns per trace event of each sweep row, in row order.
-    row_ns_per_event: Vec<f64>,
-    /// `(boards, host ns per trace event)` per ladder rung (`--full-scale`).
-    ladder_ns_per_event: Vec<(u16, f64)>,
-}
-
 /// One rung of the `--full-scale` scaling ladder.
 #[derive(Debug, Clone, Serialize)]
 struct Rung {
@@ -102,20 +89,12 @@ fn us(p99_ns: Option<u64>) -> i64 {
     p99_ns.map(|ns| (ns / 1_000) as i64).unwrap_or(-1)
 }
 
-/// One mix × load × policy sweep over a `boards`-board pool.
-struct SweepRun {
-    sweep: Sweep,
-    trace_events: u64,
-    decisions: u64,
-    wall_secs: f64,
-    row_ns_per_event: Vec<f64>,
-}
-
-/// Runs the mix × load × policy points on `catapult::sweep::parallel_map`
-/// (`CATAPULT_THREADS` workers; rows come back in input order, so the
-/// dataset is the same for any worker count). Each point's host ns per
-/// event is timed on its worker.
-fn run_sweep(boards: u16, horizon: SimDuration, loads: &[f64]) -> SweepRun {
+/// Runs the mix × load × policy points over a `boards`-board pool on
+/// `catapult::sweep::parallel_map` (`CATAPULT_THREADS` workers; rows come
+/// back in input order, so the dataset is the same for any worker
+/// count). Also returns each row's host ns per trace event, timed on its
+/// worker.
+fn run_sweep(boards: u16, horizon: SimDuration, loads: &[f64]) -> (Sweep, Vec<f64>) {
     let seed = 42u64;
     let sched = ElasticConfig {
         spot_reserve_permille: 100,
@@ -124,7 +103,6 @@ fn run_sweep(boards: u16, horizon: SimDuration, loads: &[f64]) -> SweepRun {
     let elastic_regions = standard_region_alms();
     let whole_regions = whole_board_alms();
 
-    let wall = Instant::now();
     let mix_loads: Vec<(&str, MixWeights, f64)> = MixWeights::PRESETS
         .iter()
         .flat_map(|&(name, mix)| loads.iter().map(move |&load| (name, mix, load)))
@@ -168,25 +146,18 @@ fn run_sweep(boards: u16, horizon: SimDuration, loads: &[f64]) -> SweepRun {
             queued_at_end: report.queued_at_end,
             fingerprint: report.fingerprint,
         };
-        (row, ns_per_event, report.decisions)
+        (row, ns_per_event)
     });
-    let trace_events = traces.iter().map(|t| t.len() as u64).sum();
-    let decisions = runs.iter().map(|(_, _, d)| d).sum();
-    let (rows, row_ns_per_event) = runs.into_iter().map(|(row, ns, _)| (row, ns)).unzip();
-    SweepRun {
-        sweep: Sweep {
-            seed,
-            boards,
-            horizon_secs: horizon.as_nanos() / 1_000_000_000,
-            region_alms_elastic: elastic_regions,
-            region_alms_whole: whole_regions,
-            rows,
-        },
-        trace_events,
-        decisions,
-        wall_secs: wall.elapsed().as_secs_f64(),
-        row_ns_per_event,
-    }
+    let (rows, row_ns_per_event) = runs.into_iter().unzip();
+    let sweep = Sweep {
+        seed,
+        boards,
+        horizon_secs: horizon.as_nanos() / 1_000_000_000,
+        region_alms_elastic: elastic_regions,
+        region_alms_whole: whole_regions,
+        rows,
+    };
+    (sweep, row_ns_per_event)
 }
 
 fn print_rows(rows: &[Row]) {
@@ -255,7 +226,7 @@ fn winning_points(rows: &[Row]) -> Vec<String> {
 /// Sanity that the preemption machinery actually exercised (spot-heavy
 /// oversubscribed mixes must preempt or reclaim somewhere), then the
 /// `--check-win` gate.
-fn gates(rows: &[Row], wins: &[String]) {
+fn gates(rows: &[Row], wins: &[String], check_win: bool) {
     let churn: u64 = rows
         .iter()
         .filter(|r| r.policy == "elastic")
@@ -265,7 +236,7 @@ fn gates(rows: &[Row], wins: &[String]) {
         eprintln!("FAIL: no preemption or reclamation across the whole sweep");
         std::process::exit(1);
     }
-    if std::env::args().any(|a| a == "--check-win") {
+    if check_win {
         if wins.is_empty() {
             eprintln!("FAIL: --check-win found no sweep point where elastic beats whole-board");
             std::process::exit(1);
@@ -283,7 +254,7 @@ const LADDER: [(u16, u64); 5] = [(24, 240), (96, 240), (384, 60), (1_536, 30), (
 /// `ElasticConfig`) at each rung. Host time per rung is the fastest of
 /// five replays, run serially and before the sweep so no replay shares a
 /// core with another.
-fn scaling_ladder() -> (Vec<Rung>, Vec<(u16, f64)>) {
+fn scaling_ladder() -> Vec<Rung> {
     let regions = standard_region_alms();
     let mut rungs = Vec::new();
     let mut timings = Vec::new();
@@ -336,57 +307,44 @@ fn scaling_ladder() -> (Vec<Rung>, Vec<(u16, f64)>) {
         "cost per lease event, 384 boards over 24 boards: {:.2}x",
         timings[2].1 / timings[0].1
     );
-    (rungs, timings)
+    rungs
 }
 
-fn main() {
-    bench::header(
+pub fn run(args: &Args) {
+    output::header(
         "haas-elastic",
         "multi-tenant PR-region scheduling vs whole-board allocation",
     );
-    let quick = bench::quick_mode();
-    let full_scale = std::env::args().any(|a| a == "--full-scale");
+    let quick = args.switch("--quick");
+    let full_scale = args.switch("--full-scale");
     let horizon = SimDuration::from_secs(if quick { 20 } else { 60 });
     let loads: &[f64] = if quick { &[1.2] } else { &[0.8, 1.2, 1.6] };
-    let (ladder, ladder_ns_per_event) = if full_scale {
+    let ladder = if full_scale {
         let ladder = scaling_ladder();
         println!("\n5,760-board pool:");
         ladder
     } else {
-        (Vec::new(), Vec::new())
+        Vec::new()
     };
-    let run = run_sweep(if full_scale { 5_760 } else { 6 }, horizon, loads);
-    print_rows(&run.sweep.rows);
+    let (sweep, row_ns_per_event) = run_sweep(if full_scale { 5_760 } else { 6 }, horizon, loads);
+    print_rows(&sweep.rows);
     if full_scale {
         println!(
             "{:>17} {:>5} {:>8} {:>10}",
             "mix", "load", "policy", "ns/event"
         );
-        for (r, ns) in run.sweep.rows.iter().zip(&run.row_ns_per_event) {
+        for (r, ns) in sweep.rows.iter().zip(&row_ns_per_event) {
             println!("{:>17} {:>5.1} {:>8} {:>10.0}", r.mix, r.load, r.policy, ns);
         }
     }
-    let wins = winning_points(&run.sweep.rows);
-    let timing = BenchRow {
-        commit: bench::current_commit(),
-        points: run.sweep.rows.len(),
-        trace_events: run.trace_events,
-        decisions: run.decisions,
-        wall_secs: run.wall_secs,
-        row_ns_per_event: run.row_ns_per_event,
-        ladder_ns_per_event,
-    };
+    let wins = winning_points(&sweep.rows);
     let sweep = if full_scale {
-        let dataset = FullScale {
-            ladder,
-            sweep: run.sweep,
-        };
-        bench::write_json("haas_elastic_full", &dataset);
+        let dataset = FullScale { ladder, sweep };
+        output::write_json("haas_elastic_full", &dataset);
         dataset.sweep
     } else {
-        bench::write_json("haas_elastic", &run.sweep);
-        run.sweep
+        output::write_json("haas_elastic", &sweep);
+        sweep
     };
-    bench::write_json("BENCH_haas_elastic", &timing);
-    gates(&sweep.rows, &wins);
+    gates(&sweep.rows, &wins, args.switch("--check-win"));
 }

@@ -4,7 +4,7 @@
 //! bottleneck link, and compared head to head.
 //!
 //! ```text
-//! ltl_ab [--quick] [--seed N] [--check-win]
+//! catapult ltl_ab [--quick] [--seed N] [--check-win]
 //! ```
 //!
 //! Three scenarios, each run in both modes from the same seed:
@@ -29,7 +29,7 @@
 //! `--check-win` exits nonzero unless selective repeat beats go-back-N on
 //! goodput or p99 latency in at least one scenario.
 
-use bench::arg_value;
+use crate::{output, Args};
 use bytes::Bytes;
 use dcnet::{Msg, NetEvent, NodeAddr, PortId};
 use dcsim::{
@@ -481,13 +481,11 @@ struct Report {
     sr_win_count: usize,
 }
 
-fn main() {
-    bench::header("ltl_ab", "transport A/B: go-back-N vs selective repeat");
-    let quick = bench::quick_mode();
-    let seed: u64 = arg_value("--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(7);
-    let check_win = std::env::args().any(|a| a == "--check-win");
+pub fn run(args: &Args) {
+    output::header("ltl_ab", "transport A/B: go-back-N vs selective repeat");
+    let quick = args.switch("--quick");
+    let seed = args.value("--seed").unwrap_or(7);
+    let check_win = args.switch("--check-win");
 
     println!(
         "{:<10} {:<4} {:>9} {:>9} {:>9} {:>9} {:>7} {:>8} {:>7}",
@@ -559,7 +557,7 @@ fn main() {
         scenarios,
         sr_win_count: wins,
     };
-    bench::write_json("ltl_ab", &report);
+    output::write_json("ltl_ab", &report);
 
     println!(
         "selective repeat wins {wins}/{} scenario(s)",

@@ -4,8 +4,8 @@
 //! replayable reproduction in `results/simcheck_repro.json`.
 //!
 //! ```text
-//! simcheck [--quick] [--seeds N] [--seed-base B] [--inject-bug]
-//!          [--validate-oracle] [--replay FILE]
+//! catapult simcheck [--quick] [--seeds N] [--seed-base B] [--inject-bug]
+//!          [--validate-oracle] [--replay FILE] [--elastic-only]
 //! ```
 //!
 //! * default: sweep `N` seeds (64) across every oracle, running each LTL
@@ -32,13 +32,13 @@
 //!   scheduler oracle to catch it and shrink the trace to ≤ 5 events.
 //!
 //! Exit codes: 0 clean / reproduced, 1 violation / blind oracle / stale
-//! repro, 2 unreadable `--replay` input.
+//! repro, 2 unreadable `--replay` input or a refused command line.
 //!
-//! Everything below the argument parsing is one table of oracles walked
+//! Everything below reading the flags is one table of oracles walked
 //! by one sweep and one self-test; a new oracle is a row (and, when it
 //! shrinks, its `kind` arm in [`replay`]).
 
-use bench::arg_value;
+use crate::{output, Args};
 use shell::ltl::LtlMode;
 use simcheck::elastic::ElasticSpec;
 use simcheck::repro::{kind_of, Repro};
@@ -46,10 +46,6 @@ use simcheck::scenario::ScenarioSpec;
 use simcheck::session::SessionSpec;
 use simcheck::shrink::shrink;
 use simcheck::{dcqcn_ref, er_check, Case, Outcome, Violation};
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
 
 /// Canonical, deterministic failure report — replays diff this text.
 fn render(violations: &[Violation]) -> String {
@@ -156,10 +152,10 @@ impl<C: Case> Oracle for Lane<C> {
             print!("{}", render(&out.violations));
             let repro = self.shrink_reporting(&case);
             println!("first violation: {}", repro.first_violation);
-            bench::write_raw(self.file, &repro.to_json());
+            output::write_raw(self.file, &repro.to_json());
             println!(
-                "replay: cargo run -p bench --release --bin simcheck -- \
-                 --replay results/{}",
+                "replay: cargo run -p bench --release --bin catapult -- \
+                 simcheck --replay results/{}",
                 self.file
             );
             std::process::exit(1);
@@ -185,7 +181,7 @@ impl<C: Case> Oracle for Lane<C> {
                 return false;
             }
             let json = repro.to_json();
-            bench::write_raw(self.file, &json);
+            output::write_raw(self.file, &json);
             // The repro must replay byte-identically, twice, from its own
             // serialized form.
             let parsed = Repro::<C>::parse(&json).expect("own artifact parses");
@@ -242,24 +238,20 @@ fn replay(path: &str) -> ! {
     }
 }
 
-fn main() {
-    bench::header(
+pub fn run(args: &Args) {
+    output::header(
         "simcheck",
         "protocol oracles, invariant checkers and shrinking fuzzer",
     );
 
-    if let Some(path) = arg_value("--replay") {
+    if let Some(path) = args.value::<String>("--replay") {
         replay(&path);
     }
 
-    let seeds: u64 = arg_value("--seeds")
-        .map(|v| v.parse().expect("--seeds takes an integer"))
-        .unwrap_or(64);
-    let seed_base: u64 = arg_value("--seed-base")
-        .map(|v| v.parse().expect("--seed-base takes an integer"))
-        .unwrap_or(0);
-    let inject_bug = flag("--inject-bug");
-    let (dcqcn_steps, er_ops, scenario_every) = if bench::quick_mode() {
+    let seeds = args.value("--seeds").unwrap_or(64);
+    let seed_base = args.value("--seed-base").unwrap_or(0);
+    let inject_bug = args.switch("--inject-bug");
+    let (dcqcn_steps, er_ops, scenario_every) = if args.switch("--quick") {
         (150, 150, 8)
     } else {
         (500, 400, 4)
@@ -333,13 +325,13 @@ fn main() {
             },
         ),
     ];
-    let table = if flag("--elastic-only") {
+    let table = if args.switch("--elastic-only") {
         &table[..1]
     } else {
         &table[..]
     };
 
-    if flag("--validate-oracle") {
+    if args.switch("--validate-oracle") {
         // Harness self-test. A blind oracle — one that would also wave
         // through a buggy engine — fails here, not in production; every
         // row runs even after one fails, so the log names them all.

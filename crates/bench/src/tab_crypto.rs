@@ -2,6 +2,7 @@
 //! per-packet latency, software vs FPGA, plus a real-throughput check of
 //! this crate's AES implementations.
 
+use crate::{output, Args};
 use apps::crypto::{Aes, AesGcm};
 use catapult::prelude::*;
 use experiments::crypto_table;
@@ -32,13 +33,13 @@ fn measure_impl_throughput() {
     println!("pure-Rust AES-128 block encrypt: {mbps:.1} MB/s");
 }
 
-fn main() {
-    bench::header("Section IV", "Line-rate crypto: CPU cores vs FPGA offload");
+pub fn run(_args: &Args) {
+    output::header("Section IV", "Line-rate crypto: CPU cores vs FPGA offload");
     let table = crypto_table();
     println!("{}", table.table());
     println!("paper: GCM ~5 cores, CBC-SHA1 >=15 cores at 40 Gb/s full duplex;");
     println!("       FPGA 0 cores; CBC-SHA1 packet latency 11us (FPGA) vs ~4us (SW)");
     println!();
     measure_impl_throughput();
-    bench::write_json("tab_crypto", &table);
+    output::write_json("tab_crypto", &table);
 }

@@ -1,5 +1,5 @@
-//! Golden outputs: what `ltl_ab`, `simcheck`, `chaos`, `haas_elastic` and
-//! the fleet-scale `fig10_ltl_latency` write for a fixed seed, and the
+//! Golden outputs: what `catapult ltl_ab`, `simcheck`, `chaos`,
+//! `haas_elastic` and the fleet-scale `fig10` write for a fixed seed, and the
 //! metrics registry's JSON dump of a small cluster, compared with the
 //! files under `tests/golden/`. Every output here is a pure function of
 //! its seed, so a refactor of the LTL engine, its pump, its oracles, the
@@ -18,23 +18,23 @@ use catapult::prelude::*;
 use dcnet::Msg;
 use shell::{ShellCmd, TenantCaps, TenantId};
 
-/// Runs a bench binary with its working directory under the target
-/// directory (binaries write `results/` relative to it); returns the
-/// directory and stdout. Panics unless the binary exits 0.
-fn run(bin: &str, args: &[&str], dir_name: &str) -> (PathBuf, String) {
+/// Runs `catapult args` with its working directory under the target
+/// directory (experiments write `results/` relative to it); returns the
+/// directory and stdout. Panics unless it exits 0.
+fn run(args: &[&str], dir_name: &str) -> (PathBuf, String) {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
         .join("golden")
         .join(dir_name);
     std::fs::create_dir_all(&dir).expect("scratch dir is writable");
-    let out = Command::new(bin)
+    let out = Command::new(env!("CARGO_BIN_EXE_catapult"))
         .args(args)
         .current_dir(&dir)
         .output()
-        .expect("binary runs");
+        .expect("catapult runs");
     let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
     assert!(
         out.status.success(),
-        "{bin} {args:?} exited {:?}\n{stdout}{}",
+        "catapult {args:?} exited {:?}\n{stdout}{}",
         out.status.code(),
         String::from_utf8_lossy(&out.stderr)
     );
@@ -79,8 +79,7 @@ fn assert_golden(name: &str, actual: &str) {
 #[test]
 fn ltl_ab_report_is_golden() {
     let (dir, _) = run(
-        env!("CARGO_BIN_EXE_ltl_ab"),
-        &["--quick", "--seed", "7", "--check-win"],
+        &["ltl_ab", "--quick", "--seed", "7", "--check-win"],
         "ltl_ab",
     );
     let report =
@@ -90,22 +89,14 @@ fn ltl_ab_report_is_golden() {
 
 #[test]
 fn simcheck_sweep_totals_are_golden() {
-    let (_, stdout) = run(
-        env!("CARGO_BIN_EXE_simcheck"),
-        &["--quick", "--seeds", "16"],
-        "simcheck_sweep",
-    );
+    let (_, stdout) = run(&["simcheck", "--quick", "--seeds", "16"], "simcheck_sweep");
     let totals = stdout.lines().last().expect("simcheck prints its totals");
     assert_golden("simcheck_quick_16.txt", &format!("{totals}\n"));
 }
 
 #[test]
 fn planted_bugs_are_caught_and_shrunk_as_golden() {
-    let (_, stdout) = run(
-        env!("CARGO_BIN_EXE_simcheck"),
-        &["--validate-oracle"],
-        "simcheck_validate",
-    );
+    let (_, stdout) = run(&["simcheck", "--validate-oracle"], "simcheck_validate");
     let lines: String = stdout
         .lines()
         .filter(|l| l.starts_with("caught on seed") || l.starts_with("shrunk "))
@@ -124,8 +115,7 @@ fn planted_bugs_are_caught_and_shrunk_as_golden() {
 #[test]
 fn fig10_fleet_report_is_golden() {
     let (dir, _) = run(
-        env!("CARGO_BIN_EXE_fig10_ltl_latency"),
-        &["--full-scale", "--rss-limit-mb", "64"],
+        &["fig10", "--full-scale", "--rss-limit-mb", "64"],
         "fig10_fleet",
     );
     let report = std::fs::read_to_string(dir.join("results/fig10_fleet.json"))
@@ -141,11 +131,7 @@ fn fig10_fleet_report_is_golden() {
 /// it is too slow for a debug build and CI diffs a release run against it.
 #[test]
 fn haas_elastic_report_is_golden() {
-    let (dir, _) = run(
-        env!("CARGO_BIN_EXE_haas_elastic"),
-        &["--check-win"],
-        "haas_elastic",
-    );
+    let (dir, _) = run(&["haas_elastic", "--check-win"], "haas_elastic");
     let report = std::fs::read_to_string(dir.join("results/haas_elastic.json"))
         .expect("haas_elastic wrote its report");
     assert_golden("haas_elastic.json", &report);
@@ -157,11 +143,7 @@ fn haas_elastic_report_is_golden() {
 /// snapshot.
 #[test]
 fn chaos_report_is_golden() {
-    let (dir, _) = run(
-        env!("CARGO_BIN_EXE_chaos"),
-        &["--quick", "--seed", "42"],
-        "chaos",
-    );
+    let (dir, _) = run(&["chaos", "--quick", "--seed", "42"], "chaos");
     let report = std::fs::read_to_string(dir.join("results/chaos_report.json"))
         .expect("chaos wrote its report");
     assert_golden("chaos_report.json", &report);

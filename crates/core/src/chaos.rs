@@ -248,7 +248,15 @@ impl FaultConfig {
 }
 
 /// Sample a Poisson count via exponential gaps (means here are tiny).
+///
+/// Panics unless `lambda` is finite and non-negative: an infinite mean
+/// would never stop drawing, and NaN or a negative one would quietly
+/// plan nothing.
 fn poisson(rng: &mut SimRng, lambda: f64) -> u64 {
+    assert!(
+        lambda.is_finite() && lambda >= 0.0,
+        "poisson mean must be finite and non-negative, got {lambda}"
+    );
     let mut n = 0u64;
     let mut acc = rng.exp(1.0);
     while acc < lambda {
@@ -477,7 +485,8 @@ impl ChaosConfig {
         }
     }
 
-    /// Scales the random preset's expected fault counts.
+    /// Scales the random preset's expected fault counts. `rate` must be
+    /// finite and non-negative: building the rig panics otherwise.
     pub fn with_fault_rate(mut self, rate: f64) -> ChaosConfig {
         self.fault_rate = rate;
         self
@@ -1276,6 +1285,12 @@ mod tests {
                 .with_ranking_pairs(20)
                 .with_dnn_pairs(5),
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "poisson mean must be finite and non-negative, got inf")]
+    fn build_rejects_an_infinite_fault_rate() {
+        ChaosRig::build(ChaosConfig::quick(1, Preset::Random).with_fault_rate(f64::INFINITY));
     }
 
     #[test]
