@@ -13,9 +13,10 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use dcnet::Msg;
-use dcsim::{Component, ComponentId, Context, PercentileRecorder, SimDuration, SimRng, SimTime};
+use dcsim::{Component, ComponentId, Context, SimDuration, SimRng, SimTime};
 use host::{CorePool, PcieModel};
 use shell::LtlSend;
+use telemetry::Histogram;
 
 use crate::remote::{decode_reply, PayloadBuf};
 
@@ -121,7 +122,7 @@ pub struct RankingServer {
     mode: RankingMode,
     cores: CorePool,
     fpga: CorePool,
-    latencies: PercentileRecorder,
+    latencies: Histogram,
     outstanding: HashMap<u64, SimTime>,
     /// The remote-mode request payload, refilled per query.
     payload: PayloadBuf,
@@ -138,7 +139,7 @@ impl RankingServer {
             fpga: CorePool::new(params.fpga_slots),
             params,
             mode,
-            latencies: PercentileRecorder::new(),
+            latencies: Histogram::new(),
             outstanding: HashMap::new(),
             payload: PayloadBuf::default(),
             completed: 0,
@@ -159,8 +160,8 @@ impl RankingServer {
     }
 
     /// Per-query end-to-end latencies (ns).
-    pub fn latencies_mut(&mut self) -> &mut PercentileRecorder {
-        &mut self.latencies
+    pub fn latencies(&self) -> &Histogram {
+        &self.latencies
     }
 
     /// Queries completed.
@@ -180,7 +181,7 @@ impl RankingServer {
 
     fn finish(&mut self, arrived: SimTime, done: SimTime) {
         let latency = done.saturating_since(arrived);
-        self.latencies.record_duration(latency);
+        self.latencies.record(latency.as_nanos());
         if self.record_trace {
             self.trace.push((arrived.as_nanos(), latency.as_nanos()));
         }
@@ -287,11 +288,11 @@ mod tests {
         let server = e.component_mut::<RankingServer>(server_id).unwrap();
         let thr = server.throughput(now);
         let p99 = server
-            .latencies_mut()
+            .latencies()
             .percentile(99.0)
             .map(|ns| ns as f64 / 1e9)
             .unwrap_or(0.0);
-        let mean = server.latencies_mut().mean() / 1e9;
+        let mean = server.latencies().mean() / 1e9;
         (thr, mean, p99)
     }
 

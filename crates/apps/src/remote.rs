@@ -12,11 +12,11 @@ use std::collections::HashMap;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use dcnet::Msg;
-use dcsim::{Component, ComponentId, Context, PercentileRecorder, SimDuration, SimRng, SimTime};
+use dcsim::{Component, ComponentId, Context, SimDuration, SimRng, SimTime};
 use host::CorePool;
 use shell::ltl::{RecvConnId, SendConnId};
 use shell::{LtlDeliver, LtlSend};
-use telemetry::{MetricSource, MetricVisitor, TrackTracer};
+use telemetry::{Histogram, MetricSource, MetricVisitor, TrackTracer};
 
 /// Builds a request payload: an 8-byte id followed by padding to
 /// `total_bytes` (the document/tensor data in the real system).
@@ -88,7 +88,7 @@ pub struct AcceleratorRole {
     response_bytes: usize,
     completed: u64,
     /// Time requests spend queued + in service on the accelerator.
-    service_latencies: PercentileRecorder,
+    service_latencies: Histogram,
     replies: ParkedReplies,
 }
 
@@ -167,7 +167,7 @@ impl AcceleratorRole {
             forward: None,
             response_bytes,
             completed: 0,
-            service_latencies: PercentileRecorder::new(),
+            service_latencies: Histogram::new(),
             replies: ParkedReplies::default(),
         }
     }
@@ -215,7 +215,7 @@ impl Component<Msg> for AcceleratorRole {
         let now = ctx.now();
         let (_, done) = self.slots.assign(now, service);
         self.service_latencies
-            .record_duration(done.saturating_since(now));
+            .record(done.saturating_since(now).as_nanos());
         self.completed += 1;
         let response_bytes = self.response_bytes;
         self.replies
@@ -265,7 +265,7 @@ pub struct RemoteClient {
     request_bytes: usize,
     payload: PayloadBuf,
     outstanding: HashMap<u64, Pending>,
-    latencies: PercentileRecorder,
+    latencies: Histogram,
     next_id: u64,
     /// High bits distinguishing this client's ids from other clients'.
     id_tag: u64,
@@ -331,7 +331,7 @@ impl RemoteClient {
             request_bytes,
             payload: PayloadBuf::default(),
             outstanding: HashMap::new(),
-            latencies: PercentileRecorder::new(),
+            latencies: Histogram::new(),
             next_id: 0,
             id_tag: (id_tag as u64) << 48,
             failovers: 0,
@@ -357,7 +357,7 @@ impl RemoteClient {
     /// Client counters as one struct.
     pub fn stats(&self) -> ClientStats {
         ClientStats {
-            completed: self.latencies.count() as u64,
+            completed: self.latencies.count(),
             outstanding: self.outstanding.len() as u64,
             failovers: self.failovers,
             retries: self.retries,
@@ -413,8 +413,8 @@ impl RemoteClient {
     }
 
     /// End-to-end request latencies (ns).
-    pub fn latencies_mut(&mut self) -> &mut PercentileRecorder {
-        &mut self.latencies
+    pub fn latencies(&self) -> &Histogram {
+        &self.latencies
     }
 
     /// Requests with no response yet.
@@ -424,7 +424,7 @@ impl RemoteClient {
 
     /// Responses received.
     pub fn completed(&self) -> usize {
-        self.latencies.count()
+        self.latencies.count() as usize
     }
 
     fn send_request(&mut self, id: u64, ctx: &mut Context<'_, Msg>) {
@@ -484,7 +484,7 @@ impl Component<Msg> for RemoteClient {
                         // first response completes it.
                         if let Some(pending) = self.outstanding.remove(&id) {
                             let latency = ctx.now().saturating_since(pending.sent);
-                            self.latencies.record_duration(latency);
+                            self.latencies.record(latency.as_nanos());
                             if let Some(log) = &mut self.completion_log {
                                 log.push((ctx.now(), latency.as_nanos()));
                             }
@@ -575,7 +575,7 @@ impl Component<Msg> for RemoteClient {
 
 impl MetricSource for RemoteClient {
     fn metrics(&self, m: &mut MetricVisitor<'_>) {
-        m.counter("completed", self.latencies.count() as u64);
+        m.counter("completed", self.latencies.count());
         m.counter("failovers", self.failovers);
         m.counter("retries", self.retries);
         m.counter("abandoned", self.abandoned);

@@ -31,6 +31,7 @@
 
 use crate::{output, Args};
 use bytes::Bytes;
+use catapult::telemetry::nearest_rank;
 use dcnet::{Msg, NetEvent, NodeAddr, PortId};
 use dcsim::{
     fnv1a, Component, ComponentId, Context, Engine, SimDuration, SimRng, SimTime, FNV1A_OFFSET,
@@ -380,14 +381,6 @@ fn run_mode(sc: &Scenario, mode: LtlMode, seed: u64) -> ModeRun {
     run
 }
 
-fn percentile(sorted_ns: &[u64], q: f64) -> u64 {
-    if sorted_ns.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[idx.min(sorted_ns.len() - 1)]
-}
-
 #[derive(Serialize)]
 struct ModeResult {
     mode: String,
@@ -411,8 +404,9 @@ struct ModeResult {
 
 impl ModeResult {
     fn from_run(sc: &Scenario, mode: LtlMode, run: &ModeRun) -> ModeResult {
-        let p50_ns = percentile(&run.latencies_ns, 0.50);
-        let p99_ns = percentile(&run.latencies_ns, 0.99);
+        let lat = &run.latencies_ns;
+        let at = |p: f64| nearest_rank(lat.len(), p).map_or(0, |i| lat[i]);
+        let (p50_ns, p99_ns) = (at(50.0), at(99.0));
         let goodput_gbps = if run.makespan_ns > 0 {
             run.delivered_bytes as f64 * 8.0 / run.makespan_ns as f64
         } else {

@@ -12,7 +12,9 @@
 //!   session seed in *both* transport modes (go-back-N and selective
 //!   repeat); exit 1 and write the shrunk repro on the first failure.
 //!   A clean sweep prints each oracle row's events, checks, deliveries
-//!   and scheduler decisions, then their total as the last line.
+//!   and scheduler decisions, then their total as the last line. The
+//!   seeds are `B .. B + N`; a base whose last seed overflows `u64` is
+//!   refused.
 //! * `--inject-bug`: plant a known protocol bug per mode (go-back-N: the
 //!   engine silently loses one retransmission; selective repeat: the
 //!   receiver truncates SACK bitmaps) — the sweep must fail.
@@ -239,6 +241,13 @@ fn replay(path: &str) -> ! {
 }
 
 pub fn run(args: &Args) {
+    let seeds: u64 = args.value("--seeds").unwrap_or(64);
+    let seed_base: u64 = args.value("--seed-base").unwrap_or(0);
+    if seed_base.checked_add(seeds - 1).is_none() {
+        crate::refuse(format!(
+            "catapult simcheck: --seed-base {seed_base} with --seeds {seeds} runs past the last u64 seed"
+        ));
+    }
     output::header(
         "simcheck",
         "protocol oracles, invariant checkers and shrinking fuzzer",
@@ -248,8 +257,6 @@ pub fn run(args: &Args) {
         replay(&path);
     }
 
-    let seeds = args.value("--seeds").unwrap_or(64);
-    let seed_base = args.value("--seed-base").unwrap_or(0);
     let inject_bug = args.switch("--inject-bug");
     let (dcqcn_steps, er_ops, scenario_every) = if args.switch("--quick") {
         (150, 150, 8)

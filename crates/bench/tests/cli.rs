@@ -126,7 +126,7 @@ fn a_recorded_violation_reproduces_and_a_clean_case_is_stale() {
 
 #[test]
 fn refused_command_lines_exit_2_with_one_line_before_running() {
-    let cases: [(&[&str], &str); 13] = [
+    let cases: [(&[&str], &str); 14] = [
         (&["fig99"], "unknown experiment \"fig99\""),
         (&["fig05", "--qiuck"], "unknown flag \"--qiuck\""),
         (&["fig05", "--quick"], "unknown flag \"--quick\""),
@@ -143,6 +143,17 @@ fn refused_command_lines_exit_2_with_one_line_before_running() {
         (
             &["simcheck", "--seeds", "0"],
             "--seeds takes an integer >= 1",
+        ),
+        // The last seed, base + seeds - 1, must fit in a u64.
+        (
+            &[
+                "simcheck",
+                "--seeds",
+                "2",
+                "--seed-base",
+                "18446744073709551615",
+            ],
+            "runs past the last u64 seed",
         ),
         (
             &["fig10", "--full-scale", "--rss-limit-mb", "nan"],

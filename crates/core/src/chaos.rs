@@ -33,6 +33,7 @@ use serde::Serialize;
 use shell::ltl::{LtlStats, SendConnId};
 use shell::tenant::TenantId;
 use shell::{Shell, ShellCmd, ShellConfig, ShellStats};
+use telemetry::nearest_rank;
 
 use apps::remote::{AcceleratorRole, IssueRequest, RemoteClient, StallFor};
 use haas::{whole_board_pool, DeployImage, FailureMonitor, FpgaManager, ServiceManager};
@@ -902,13 +903,7 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     fn from_sorted(lat: &[u64]) -> LatencySummary {
-        let pick = |p: f64| -> Option<u64> {
-            if lat.is_empty() {
-                return None;
-            }
-            let rank = ((p / 100.0) * lat.len() as f64).ceil() as usize;
-            Some(lat[rank.clamp(1, lat.len()) - 1])
-        };
+        let pick = |p: f64| nearest_rank(lat.len(), p).map(|i| lat[i]);
         LatencySummary {
             count: lat.len() as u64,
             p50_ns: pick(50.0),
@@ -1249,6 +1244,17 @@ fn build_report(rig: ChaosRig) -> ChaosReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn p999_of_a_thousand_is_the_999th_not_the_maximum() {
+        let lat: Vec<u64> = (1..=1_000).collect();
+        let s = LatencySummary::from_sorted(&lat);
+        assert_eq!(s.count, 1_000);
+        assert_eq!(s.p50_ns, Some(500));
+        assert_eq!(s.p99_ns, Some(990));
+        assert_eq!(s.p999_ns, Some(999));
+        assert_eq!(LatencySummary::from_sorted(&[]).p999_ns, None);
+    }
 
     #[test]
     fn plan_generation_is_deterministic_per_seed() {

@@ -9,7 +9,7 @@
 
 use apps::remote::{AcceleratorRole, IssueRequest, RemoteClient};
 use dcnet::{Msg, NodeAddr};
-use dcsim::{PercentileRecorder, SimDuration, SimRng, SimTime};
+use dcsim::{SimDuration, SimRng, SimTime};
 use haas::{whole_board_pool, ServiceManager};
 use host::{CorePool, OpenLoopGen, PcieModel, StartGenerator};
 use serde::Serialize;
@@ -128,7 +128,7 @@ fn local_baseline(params: &Fig12Params) -> (f64, f64, f64) {
     let mut pool = CorePool::new(params.slots);
     let pcie =
         PcieModel::default().round_trip(params.request_bytes as u64, params.response_bytes as u64);
-    let mut lat = PercentileRecorder::new();
+    let mut lat = Histogram::new();
     let mut now = SimTime::ZERO;
     let gap = SimDuration::from_secs_f64(1.0 / params.client_rate);
     let mu = params.service.as_secs_f64().ln() - params.sigma * params.sigma / 2.0;
@@ -136,7 +136,7 @@ fn local_baseline(params: &Fig12Params) -> (f64, f64, f64) {
         now += rng.exp_duration(gap);
         let service = SimDuration::from_secs_f64(rng.lognormal(mu, params.sigma));
         let (_, end) = pool.assign(now, service);
-        lat.record_duration(end.saturating_since(now) + pcie);
+        lat.record((end.saturating_since(now) + pcie).as_nanos());
     }
     (
         lat.mean() / 1e3,

@@ -10,9 +10,10 @@
 
 use apps::ranking::{QueryArrival, RankingMode, RankingParams, RankingServer};
 use dcnet::Msg;
-use dcsim::{Engine, PercentileRecorder, SimDuration, SimTime};
+use dcsim::{Engine, SimDuration, SimTime};
 use host::{LoadTrace, OpenLoopGen, StartGenerator};
 use serde::Serialize;
+use telemetry::Histogram;
 
 /// Production experiment parameters.
 #[derive(Debug, Clone)]
@@ -181,14 +182,12 @@ pub fn run(params: &ProductionParams) -> ProductionResult {
 
     let bucketise = |trace: &[(u64, u64)]| -> Vec<(f64, f64)> {
         // (queries/s, p99.9 ns) per bucket
-        let mut recs: Vec<PercentileRecorder> = (0..total_buckets)
-            .map(|_| PercentileRecorder::new())
-            .collect();
+        let mut recs: Vec<Histogram> = (0..total_buckets).map(|_| Histogram::new()).collect();
         for &(at, lat) in trace {
             let b = ((at / bucket_len) as usize).min(total_buckets - 1);
             recs[b].record(lat);
         }
-        recs.iter_mut()
+        recs.iter()
             .map(|r| {
                 let qps = r.count() as f64 / (bucket_len as f64 / 1e9);
                 (qps, r.percentile(99.9).unwrap_or(0) as f64)

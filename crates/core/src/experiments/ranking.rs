@@ -130,13 +130,13 @@ fn run_point(
     e.schedule(SimTime::ZERO, gen, Msg::custom(StartGenerator));
     e.run_to_idle();
     let now = e.now();
-    let server = e.component_mut::<RankingServer>(server_id).unwrap();
+    let server = e.component::<RankingServer>(server_id).unwrap();
     extract_point(server, now, qps)
 }
 
-fn extract_point(server: &mut RankingServer, now: SimTime, offered_qps: f64) -> RawPoint {
+fn extract_point(server: &RankingServer, now: SimTime, offered_qps: f64) -> RawPoint {
     let throughput = server.throughput(now);
-    let lat = server.latencies_mut();
+    let lat = server.latencies();
     RawPoint {
         offered_qps,
         throughput_qps: throughput,
@@ -187,8 +187,8 @@ fn run_remote_point(params: &RankingParams, qps: f64, queries: u64, seed: u64) -
     cluster.run_to_idle();
     let now = cluster.now();
     let server = cluster
-        .engine_mut()
-        .component_mut::<RankingServer>(server_id)
+        .engine()
+        .component::<RankingServer>(server_id)
         .expect("server registered");
     extract_point(server, now, qps)
 }

@@ -40,12 +40,7 @@
 //!     32,
 //! );
 //! cluster.run_to_idle();
-//! let rtt = cluster
-//!     .shell_mut(a)
-//!     .ltl_mut()
-//!     .rtts_mut()
-//!     .percentile(50.0)
-//!     .unwrap();
+//! let rtt = cluster.shell(a).ltl().rtts().percentile(50.0).unwrap();
 //! assert!(rtt > 2_000 && rtt < 4_000, "same-TOR RTT ~2.88us, got {rtt}ns");
 //! ```
 

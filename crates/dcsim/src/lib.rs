@@ -13,9 +13,11 @@
 //!   execution of one simulation across component shards;
 //! * [`SimRng`] — seeded randomness plus the distributions the simulator
 //!   needs (exponential, normal, lognormal);
-//! * [`StreamingStats`], [`PercentileRecorder`] — measurement collection
-//!   with exact tail percentiles;
 //! * [`fnv1a`] — the stable hash behind every determinism fingerprint.
+//!
+//! Measurement lives above the kernel: exact sample recording and the one
+//! nearest-rank percentile rule are `telemetry::Histogram` and
+//! `telemetry::nearest_rank`.
 //!
 //! # Examples
 //!
@@ -54,7 +56,6 @@ mod hash;
 mod queue;
 mod rng;
 mod sharded;
-mod stats;
 mod time;
 
 pub use engine::{Component, ComponentId, Context, Engine, EventRecord, Observer, TimerKey};
@@ -62,5 +63,4 @@ pub use hash::{fnv1a, FNV1A_OFFSET};
 pub use queue::QueueStats;
 pub use rng::SimRng;
 pub use sharded::{ShardPlan, ShardSyncStats, ShardedEngine, WindowPolicy};
-pub use stats::{nearest_rank, PercentileRecorder, Sample, StreamingStats};
 pub use time::{SimDuration, SimTime};

@@ -41,8 +41,8 @@ use std::vec::Drain;
 
 use bytes::{Bytes, BytesMut};
 use dcnet::{CnpPacer, DcqcnConfig, DcqcnRp, Ecn, NodeAddr, Packet, TrafficClass, LTL_UDP_PORT};
-use dcsim::{PercentileRecorder, SimDuration, SimTime};
-use telemetry::{MetricSource, MetricVisitor};
+use dcsim::{SimDuration, SimTime};
+use telemetry::{Histogram, MetricSource, MetricVisitor};
 
 use super::frame::{FrameKind, LtlFrame, LTL_HEADER_BYTES};
 use super::rto::RtoEstimator;
@@ -397,7 +397,7 @@ pub struct LtlEngine {
     pacer: CnpPacer,
     /// One sample per frame acknowledged on its first transmission, in
     /// ns at 32 bits: an RTT that outlived 4.29 s would have timed out.
-    rtts: PercentileRecorder<u32>,
+    rtts: Histogram<u32>,
     stats: LtlStats,
     next_msg_id: u32,
     rr_conn: usize,
@@ -443,7 +443,7 @@ impl LtlEngine {
             control: VecDeque::new(),
             retransmit: VecDeque::new(),
             spare: None,
-            rtts: PercentileRecorder::default(),
+            rtts: Histogram::default(),
             stats: LtlStats::default(),
             next_msg_id: 1,
             rr_conn: 0,
@@ -523,8 +523,8 @@ impl LtlEngine {
 
     /// Round-trip time samples (transmit to cumulative-ACK receipt),
     /// excluding retransmitted frames.
-    pub fn rtts_mut(&mut self) -> &mut PercentileRecorder<u32> {
-        &mut self.rtts
+    pub fn rtts(&self) -> &Histogram<u32> {
+        &self.rtts
     }
 
     /// Allocates a receive connection for messages from `remote`.
@@ -939,7 +939,7 @@ impl LtlEngine {
     /// message's buffer and is never kept: the buffer is freed once the
     /// last of its views goes.
     fn retire(
-        rtts: &mut PercentileRecorder<u32>,
+        rtts: &mut Histogram<u32>,
         spare: &mut Option<Bytes>,
         sc: &mut SendConn,
         u: Unacked,
@@ -947,7 +947,7 @@ impl LtlEngine {
     ) {
         if !u.retransmitted {
             let rtt = now.saturating_since(u.sent_at);
-            rtts.record_duration(rtt);
+            rtts.record(rtt.as_nanos());
             sc.rtt.on_sample(rtt);
         }
         if spare.is_none() && u.wire.is_unique_whole() {
@@ -1528,7 +1528,7 @@ mod tests {
                 .unwrap();
             p.exchange(SimDuration::from_micros(1));
         }
-        let rtts = p.a.rtts_mut();
+        let rtts = p.a.rtts();
         assert_eq!(rtts.count(), 5);
         // Each hop advanced the clock 1us; data + ack = 2us.
         assert_eq!(rtts.percentile(100.0), Some(2_000));
@@ -1557,7 +1557,7 @@ mod tests {
         assert_eq!(p.a.stats_view().timeouts, 1);
         assert_eq!(p.a.stats_view().retransmits, 1);
         // The retransmitted frame must not pollute RTT samples (Karn).
-        assert_eq!(p.a.rtts_mut().count(), 0);
+        assert_eq!(p.a.rtts().count(), 0);
     }
 
     #[test]
@@ -2078,7 +2078,7 @@ mod tests {
             assert!(!p.a.is_failed(p.a_send), "{mode}");
             assert_eq!(p.a.stats_view().timeouts, 1, "{mode}");
             assert_eq!(p.exchange(SimDuration::from_micros(1)).len(), 1, "{mode}");
-            assert_eq!(p.a.rtts_mut().count(), 0, "{mode}: Karn, no sample");
+            assert_eq!(p.a.rtts().count(), 0, "{mode}: Karn, no sample");
         }
     }
 

@@ -1354,8 +1354,7 @@ mod tests {
             );
         }
         e.run_to_idle();
-        let shell_a = e.component_mut::<Shell>(a).unwrap();
-        let rtts = shell_a.ltl_mut().rtts_mut();
+        let rtts = e.component::<Shell>(a).unwrap().ltl().rtts();
         assert_eq!(rtts.count(), 10);
         let p50 = rtts.percentile(50.0).unwrap();
         // tx 460 + wire ~120 + rx 450, times two for the ACK path,

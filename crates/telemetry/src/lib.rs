@@ -46,6 +46,6 @@ pub mod json;
 mod registry;
 mod trace;
 
-pub use histogram::{Histogram, HistogramSnapshot};
+pub use histogram::{nearest_rank, Histogram, HistogramSnapshot, Sample};
 pub use registry::{MetricSource, MetricValue, MetricVisitor, MetricsSnapshot};
 pub use trace::{FlightRecorder, TraceEvent, TracePhase, Tracer, TrackTracer};

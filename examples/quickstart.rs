@@ -72,7 +72,7 @@ fn main() {
         32,
     );
     cloud.run_to_idle();
-    let rtts = cloud.shell_mut(a).ltl_mut().rtts_mut();
+    let rtts = cloud.shell(a).ltl().rtts();
     println!(
         "  LTL RTT across the pod: avg {:.2}us, p99 {:.2}us over {} probes",
         rtts.mean() / 1e3,

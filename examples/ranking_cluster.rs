@@ -27,13 +27,13 @@ fn standalone(mode: RankingMode, qps: f64, label: &str) {
     e.schedule(SimTime::ZERO, gen, Msg::custom(StartGenerator));
     e.run_to_idle();
     let now = e.now();
-    let server = e.component_mut::<RankingServer>(server_id).unwrap();
+    let server = e.component::<RankingServer>(server_id).unwrap();
     report(label, server, now);
 }
 
-fn report(label: &str, server: &mut RankingServer, now: SimTime) {
+fn report(label: &str, server: &RankingServer, now: SimTime) {
     let thr = server.throughput(now);
-    let lat = server.latencies_mut();
+    let lat = server.latencies();
     println!(
         "{label:<22} {thr:>8.0} qps  mean {:>6.2} ms  p99 {:>6.2} ms  p99.9 {:>6.2} ms",
         lat.mean() / 1e6,
@@ -81,8 +81,8 @@ fn remote(qps: f64) {
     cloud.run_to_idle();
     let now = cloud.now();
     let server = cloud
-        .engine_mut()
-        .component_mut::<RankingServer>(server_id)
+        .engine()
+        .component::<RankingServer>(server_id)
         .unwrap();
     report("remote FPGA (LTL)", server, now);
 }

@@ -124,13 +124,13 @@ fn main() {
     }
     cloud.run_to_idle();
 
-    let mut all = dcsim::PercentileRecorder::new();
+    let mut all = catapult::telemetry::Histogram::new();
     for id in client_ids {
         let c = cloud
-            .engine_mut()
-            .component_mut::<RemoteClient>(id)
+            .engine()
+            .component::<RemoteClient>(id)
             .expect("client exists");
-        all.extend(c.latencies_mut().iter());
+        all.extend(c.latencies().iter());
     }
     println!(
         "{} inferences served: avg {:.0}us  p95 {:.0}us  p99 {:.0}us",

@@ -3,14 +3,15 @@
 //! higher, lossless traffic class — the property that lets the paper
 //! measure microsecond RTTs on a network shared with everything else.
 
+use catapult::telemetry::Histogram;
 use catapult::{probe::schedule_probes, ClusterBuilder};
 use dcnet::{Msg, NodeAddr, PortId, Switch, TrafficClass};
-use dcsim::{PercentileRecorder, SimDuration, SimTime};
+use dcsim::{SimDuration, SimTime};
 use host::{StartGenerator, TrafficGen, TrafficGenConfig};
 
 /// L0 LTL RTT with `background_gbps` of best-effort cross-traffic pumped
 /// through the same TOR.
-fn l0_rtt_under_load(background_gbps: f64, seed: u64) -> (PercentileRecorder, u64) {
+fn l0_rtt_under_load(background_gbps: f64, seed: u64) -> (Histogram<u32>, u64) {
     let mut cluster = ClusterBuilder::paper(seed, 1).build();
     let a = NodeAddr::new(0, 0, 0);
     let b = NodeAddr::new(0, 0, 1);
@@ -62,8 +63,7 @@ fn l0_rtt_under_load(background_gbps: f64, seed: u64) -> (PercentileRecorder, u6
         32,
     );
     cluster.run_until(SimTime::from_millis(15));
-    let mut out = PercentileRecorder::new();
-    out.extend(cluster.shell_mut(a).ltl_mut().rtts_mut().iter());
+    let out = cluster.shell(a).ltl().rtts().clone();
     let tor = cluster.fabric().tor_switch(0, 0);
     let marked = cluster
         .engine()
@@ -76,8 +76,8 @@ fn l0_rtt_under_load(background_gbps: f64, seed: u64) -> (PercentileRecorder, u6
 
 #[test]
 fn ltl_latency_shrugs_off_best_effort_background_load() {
-    let (mut idle, _) = l0_rtt_under_load(0.0, 71);
-    let (mut loaded, tor_tx) = l0_rtt_under_load(30.0, 71);
+    let (idle, _) = l0_rtt_under_load(0.0, 71);
+    let (loaded, tor_tx) = l0_rtt_under_load(30.0, 71);
     assert_eq!(idle.count(), 200);
     assert_eq!(loaded.count(), 200);
     assert!(

@@ -117,15 +117,15 @@ fn client_fails_over_to_spare_and_finishes_all_requests() {
 
     // The client failed over exactly once and nothing was lost.
     let client = cluster
-        .engine_mut()
-        .component_mut::<RemoteClient>(client_id)
+        .engine()
+        .component::<RemoteClient>(client_id)
         .expect("client exists");
     assert_eq!(client.failovers(), 1);
     assert_eq!(client.outstanding(), 0, "no request stranded");
     assert_eq!(client.completed(), total as usize);
     // In-flight requests at failure time show the detection delay (a few
     // ms of retries) in the tail.
-    let p100 = client.latencies_mut().percentile(100.0).unwrap();
+    let p100 = client.latencies().percentile(100.0).unwrap();
     assert!(
         p100 > 2_000_000,
         "worst request should carry the failover delay, got {p100}ns"

@@ -3,16 +3,17 @@
 //! behaviour under load.
 
 use bytes::Bytes;
+use catapult::telemetry::Histogram;
 use catapult::{probe::schedule_probes, Cluster, ClusterBuilder};
 use dcnet::{Msg, NodeAddr, Switch};
-use dcsim::{Component, Context, PercentileRecorder, SimDuration, SimTime};
+use dcsim::{Component, Context, SimDuration, SimTime};
 use shell::{LtlSend, Shell};
 
 #[path = "common/collector.rs"]
 mod collector;
 use collector::Collector;
 
-fn measure_rtt(mut cluster: Cluster, a: NodeAddr, b: NodeAddr, probes: u64) -> PercentileRecorder {
+fn measure_rtt(mut cluster: Cluster, a: NodeAddr, b: NodeAddr, probes: u64) -> Histogram<u32> {
     cluster.add_shell(a);
     cluster.add_shell(b);
     let (a_send, _, _, _) = cluster.connect_pair(a, b);
@@ -26,15 +27,13 @@ fn measure_rtt(mut cluster: Cluster, a: NodeAddr, b: NodeAddr, probes: u64) -> P
         32,
     );
     cluster.run_to_idle();
-    let mut out = PercentileRecorder::new();
-    out.extend(cluster.shell_mut(a).ltl_mut().rtts_mut().iter());
-    out
+    cluster.shell(a).ltl().rtts().clone()
 }
 
 #[test]
 fn l0_rtt_matches_paper() {
     // Paper: same-TOR average 2.88us, p99.9 2.9us.
-    let mut r = measure_rtt(
+    let r = measure_rtt(
         ClusterBuilder::paper(1, 1).build(),
         NodeAddr::new(0, 0, 0),
         NodeAddr::new(0, 0, 1),
@@ -62,7 +61,7 @@ fn l1_rtt_matches_paper() {
 #[test]
 fn l2_rtt_matches_paper() {
     // Paper: cross-pod average 18.71us, max observed 23.5us.
-    let mut r = measure_rtt(
+    let r = measure_rtt(
         ClusterBuilder::paper(3, 3).build(),
         NodeAddr::new(0, 2, 0),
         NodeAddr::new(2, 9, 1),
@@ -82,7 +81,7 @@ fn ltl_beats_host_software_stack() {
     // "This protocol makes the datacenter-scale remote FPGA resources
     // appear closer than ... the time to get through the host's
     // networking stack."
-    let mut r = measure_rtt(
+    let r = measure_rtt(
         ClusterBuilder::paper(5, 3).build(),
         NodeAddr::new(0, 0, 0),
         NodeAddr::new(2, 0, 0),

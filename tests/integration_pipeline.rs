@@ -96,13 +96,13 @@ fn three_stage_pipeline_round_trip() {
 
     let client = p
         .cluster
-        .engine_mut()
-        .component_mut::<RemoteClient>(p.client_id)
+        .engine()
+        .component::<RemoteClient>(p.client_id)
         .expect("client exists");
     assert_eq!(client.completed(), 50);
     assert_eq!(client.outstanding(), 0);
     // End-to-end: 3 x 100us service + 4 LTL hops (~8us each) ~= 330us.
-    let p50 = client.latencies_mut().percentile(50.0).unwrap() as f64 / 1e3;
+    let p50 = client.latencies().percentile(50.0).unwrap() as f64 / 1e3;
     assert!(
         (250.0..450.0).contains(&p50),
         "pipeline median {p50}us out of band"

@@ -61,11 +61,11 @@ fn run_shared(servers: usize, qps_each: f64, queries_each: u64) -> (f64, Vec<f64
     let mut p99s = Vec::new();
     for id in server_ids {
         let srv = cluster
-            .engine_mut()
-            .component_mut::<RankingServer>(id)
+            .engine()
+            .component::<RankingServer>(id)
             .expect("server exists");
         total_thr += srv.throughput(now);
-        p99s.push(srv.latencies_mut().percentile(99.0).unwrap() as f64 / 1e6);
+        p99s.push(srv.latencies().percentile(99.0).unwrap() as f64 / 1e6);
     }
     // FPGA-side utilisation: completed * mean service / elapsed / slots.
     let role = cluster

@@ -4,8 +4,9 @@
 use apps::crypto::{cbc_sha1_open, cbc_sha1_seal, Aes, AesGcm, Sha1};
 use apps::ranking::{min_cover_window, Document, FfuBank, Query};
 use bytes::Bytes;
+use catapult::telemetry::Histogram;
 use dcnet::{NodeAddr, Packet, TrafficClass};
-use dcsim::{Component, ComponentId, Context, Engine, PercentileRecorder, SimDuration, SimTime};
+use dcsim::{Component, ComponentId, Context, Engine, SimDuration, SimTime};
 use proptest::prelude::*;
 use shell::ltl::{FrameKind, LtlFrame};
 use shell::{CreditPolicy, ElasticRouter, ErConfig, Flit};
@@ -21,7 +22,7 @@ proptest! {
 
     #[test]
     fn percentiles_are_monotone_and_bounded(mut xs in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut rec: PercentileRecorder = xs.iter().copied().collect();
+        let rec: Histogram = xs.iter().copied().collect();
         let p50 = rec.percentile(50.0).unwrap();
         let p99 = rec.percentile(99.0).unwrap();
         let p100 = rec.percentile(100.0).unwrap();
@@ -29,6 +30,18 @@ proptest! {
         xs.sort_unstable();
         prop_assert_eq!(p100, *xs.last().unwrap());
         prop_assert!(rec.percentile(0.0001).unwrap() >= *xs.first().unwrap());
+    }
+
+    /// A snapshot's Welford moments match the naive two-pass computation.
+    #[test]
+    fn snapshot_moments_match_naive(xs in proptest::collection::vec(0u64..2_000_000, 2..200)) {
+        let snap = xs.iter().copied().collect::<Histogram>().snapshot();
+        let n = xs.len() as f64;
+        let mean = xs.iter().map(|&x| x as f64).sum::<f64>() / n;
+        let var = xs.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / n;
+        prop_assert_eq!(snap.count, xs.len() as u64);
+        prop_assert!((snap.mean - mean).abs() < 1e-6 * mean.max(1.0));
+        prop_assert!((snap.std_dev.powi(2) - var).abs() < 1e-4 * var.max(1.0));
     }
 
     #[test]
